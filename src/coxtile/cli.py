@@ -87,10 +87,17 @@ def _system_from_arg(value: str) -> CoxeterSystem:
     }
     if value in aliases:
         return aliases[value]()
-    if value.startswith("polygon:"):
-        return CoxeterSystem.right_angled_polygon(int(value.split(":")[1]))
-    if value.startswith("dihedral:"):
-        return CoxeterSystem.dihedral(int(value.split(":")[1]))
+    for prefix, make in (
+        ("polygon:", CoxeterSystem.right_angled_polygon),
+        ("dihedral:", CoxeterSystem.dihedral),
+    ):
+        if value.startswith(prefix):
+            text = value[len(prefix):]
+            try:
+                count = int(text)
+            except ValueError:
+                raise ValidationError(f"{prefix} needs an integer, got {text!r}") from None
+            return make(count)
     return load_system(value)
 
 
@@ -343,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-deform", action="store_true")
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--stroke-width", type=float, default=0.004)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("space", help="patch distances and translate comparisons")

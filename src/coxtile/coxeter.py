@@ -21,7 +21,12 @@ MATRIX_HASH_DECIMALS = 9
 
 def _cap_from_env(default=DEFAULT_BALL_CAP):
     raw = os.environ.get("COXTILE_BALL_CAP")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"COXTILE_BALL_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

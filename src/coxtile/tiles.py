@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import ValidationError
+from .errors import StructureError, ValidationError
 from .ratlp import solve_lp
 from .walls import WallSet, peel_levels
 
@@ -185,6 +185,12 @@ class BalanceVerdict:
     tile_sums: list = field(default_factory=list)
 
 
+def _check_lp_status(res, which):
+    # both LPs are feasible (w = 0) and boxed, so anything else is a solver fault
+    if res.status != "optimal":
+        raise StructureError(f"{which} LP returned {res.status!r}; it is feasible and bounded")
+
+
 def classify_balance(alphabet: TileAlphabet) -> BalanceVerdict:
     """Exact-rational balance classification of a tile alphabet.
 
@@ -214,12 +220,13 @@ def classify_balance(alphabet: TileAlphabet) -> BalanceVerdict:
         b.append(1)
     cost = [0] * (2 * k) + [1]
     res = solve_lp(cost, A, b)
-    assert res.status == "optimal"
+    _check_lp_status(res, "positivity")
     if res.objective > 0:
         w = {c: res.x[i] - res.x[k + i] for i, c in enumerate(colors)}
         witness = WeightFunction(w).integer_scaled()
         sums = [witness.tile_sum(t) for t in alphabet.tiles]
-        assert all(s > 0 for s in sums)
+        if not all(s > 0 for s in sums):
+            raise StructureError("unbalanced witness has a tile sum <= 0")
         return BalanceVerdict("unbalanced", witness, sums)
 
     # cone probe: tile sums >= 0, |w| <= 1; maximize +-w_c for every color
@@ -239,12 +246,13 @@ def classify_balance(alphabet: TileAlphabet) -> BalanceVerdict:
             cost[i] = sign
             cost[k + i] = -sign
             res = solve_lp(cost, A_cone, b_cone)
-            assert res.status == "optimal"
+            _check_lp_status(res, "cone")
             if res.objective > 0:
                 w = {c: res.x[j] - res.x[k + j] for j, c in enumerate(colors)}
                 witness = WeightFunction(w).integer_scaled()
                 sums = [witness.tile_sum(t) for t in alphabet.tiles]
-                assert witness.nontrivial and all(s >= 0 for s in sums)
+                if not (witness.nontrivial and all(s >= 0 for s in sums)):
+                    raise StructureError("semibalanced witness is zero or has a tile sum < 0")
                 return BalanceVerdict("semibalanced", witness, sums)
     return BalanceVerdict("strictly_balanced")
 

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +167,37 @@ def test_emit_report_empty():
     text = emit_report([], "demo")
     doc = parse_report(text)
     assert doc["results"] == [] and doc["version"] == 1
+
+
+def _run_cli_process(argv, **env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "coxtile.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["ball", "--system", "polygon:x", "--radius", "2"], {}),
+        (["ball", "--system", "dihedral:x", "--radius", "2"], {}),
+        (["ball", "--system", "pentagon", "--radius", "2"], {"COXTILE_BALL_CAP": "abc"}),
+    ],
+    ids=["polygon", "dihedral", "ball-cap-env"],
+)
+def test_bad_input_exits_2_with_one_error_line(argv, env):
+    proc = _run_cli_process(argv, **env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_render_has_no_seed_flag():
+    code, out = run(["render", "--n", "3", "--radius", "0", "--seed", "1"])
+    assert code == 2 and out == ""

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from coxtile import ratlp
+from coxtile.errors import StructureError
 from coxtile.ratlp import solve_lp
 
 
@@ -76,3 +78,11 @@ def test_solution_satisfies_constraints():
     for Ai, bi in zip(A, b):
         assert sum(a * x for a, x in zip(Ai, res.x)) <= bi
     assert all(x >= 0 for x in res.x)
+
+
+def test_phase1_status_is_checked(monkeypatch):
+    # phase 1 is bounded by construction; a solver that says otherwise must
+    # raise, not return a verdict (and not rely on a stripped assert)
+    monkeypatch.setattr(ratlp._Tableau, "run", lambda self, ncols: "unbounded")
+    with pytest.raises(StructureError, match="phase 1"):
+        solve_lp([-1], [[-1]], [-2])

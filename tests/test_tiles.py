@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from coxtile import tiles as tiles_module
 from coxtile.coxeter import CoxeterSystem
-from coxtile.errors import ValidationError
+from coxtile.errors import StructureError, ValidationError
 from coxtile.pipeline import all_plus_resolution, alternating_resolution, build_walls
+from coxtile.ratlp import LPResult
 from coxtile.tiles import (
     BalanceVerdict,
     TileAlphabet,
@@ -204,3 +206,44 @@ def test_refined_resolution_palette():
         for w in wids:
             assert res.wall_colors[w] == (cls, pair)
             assert res.orientation[w] == (-1) ** res.levels[(cls, pair)][w]
+
+
+@pytest.mark.parametrize("status", ["unbounded", "infeasible"])
+@pytest.mark.parametrize("failing_call", [0, 1], ids=["positivity-lp", "cone-lp"])
+def test_classify_balance_rejects_bad_lp_status(monkeypatch, status, failing_call):
+    calls = []
+
+    def fake_solve_lp(c, A, b):
+        calls.append(c)
+        if len(calls) - 1 == failing_call:
+            return LPResult(status, None, None)
+        return LPResult("optimal", [Fraction(0)] * len(c), Fraction(0))
+
+    monkeypatch.setattr(tiles_module, "solve_lp", fake_solve_lp)
+    with pytest.raises(StructureError, match=status):
+        classify_balance(toy_alphabet([[("c", 1)], [("c", -1)]]))
+
+
+def test_classify_balance_rejects_bad_unbalanced_witness(monkeypatch):
+    # u = 0, v = 1, t = 1 claims w(c) = -1 makes the tile (c, +) positive
+    monkeypatch.setattr(
+        tiles_module,
+        "solve_lp",
+        lambda c, A, b: LPResult("optimal", [Fraction(0), Fraction(1), Fraction(1)], Fraction(1)),
+    )
+    with pytest.raises(StructureError, match="unbalanced witness"):
+        classify_balance(toy_alphabet([[("c", 1)]]))
+
+
+@pytest.mark.parametrize(
+    "x", [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]], ids=["zero", "negative-sum"]
+)
+def test_classify_balance_rejects_bad_semibalanced_witness(monkeypatch, x):
+    def fake_solve_lp(c, A, b):
+        if len(c) == 3:  # the positivity LP: no positive weight
+            return LPResult("optimal", [Fraction(0)] * 3, Fraction(0))
+        return LPResult("optimal", x, Fraction(1))
+
+    monkeypatch.setattr(tiles_module, "solve_lp", fake_solve_lp)
+    with pytest.raises(StructureError, match="semibalanced witness"):
+        classify_balance(toy_alphabet([[("c", 1)], [("c", -1)]]))
