@@ -4,16 +4,19 @@ Elements are represented by ShortLex-least geodesic words in generator
 indices.  Right-angled systems (all off-diagonal orders in {2, infinity})
 get an exact rewriting backend; general systems are enumerated through the
 standard reflection representation (floating point, hashed at 1e-9) with a
-braid-move word reducer available as an independent oracle.
+braid-move word reducer available as an independent oracle.  The roots of
+that representation are also computed exactly (ExactReflection), for walls.
 """
 
 import json
 import os
 from dataclasses import dataclass
+from math import lcm
+from operator import add, mul
 
 import numpy as np
 
-from .errors import OutOfBallError, SizeLimitError, ValidationError
+from .errors import OutOfBallError, SizeLimitError, StructureError, ValidationError
 
 DEFAULT_BALL_CAP = 200_000
 MATRIX_HASH_DECIMALS = 9
@@ -262,6 +265,69 @@ def reflection_generators(system: CoxeterSystem) -> list[np.ndarray]:
     return mats
 
 
+#: 2cos(pi/m) for the orders where it is an integer (0 encodes infinity)
+_INTEGER_2COS = {0: 2, 1: -2, 2: 0, 3: 1}
+
+
+def _poly_divmod(poly: list[int], monic: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder by a monic integer polynomial (constant term first)."""
+    rem, e = list(poly), len(monic) - 1
+    quot = [0] * (len(rem) - e)
+    for k in range(len(rem) - 1, e - 1, -1):
+        quot[k - e] = c = rem[k]
+        for j, m in enumerate(monic):
+            rem[k - e + j] -= c * m
+    return quot, rem[:e]
+
+
+def _cyclotomic(n: int) -> list[int]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for k in range(1, n):
+        if n % k == 0:
+            poly = _poly_divmod(poly, _cyclotomic(k))[0]
+    return poly
+
+
+class ExactReflection:
+    """Roots of the standard reflection representation, exactly.
+
+    Every 2cos(pi/m) lies in Z[zeta_2N] = Z[x]/Phi_2N(x), where N is the lcm
+    of the orders m whose 2cos(pi/m) is irrational.  A coordinate is its
+    integer vector in the power basis 1, x, ..., x^(d-1), d = deg Phi_2N, and
+    a vector of the rank-n representation is a flat tuple of n*d integers,
+    coordinate i in block i, so equal tuples are equal vectors.  When every
+    order is 2, 3 or infinity, N = 1 and d = 1: coordinates are plain integers.
+    """
+
+    def __init__(self, system: CoxeterSystem):
+        n = system.rank
+        orders = {m for row in system.matrix for m in row}
+        big = lcm(1, *(m for m in orders if m not in _INTEGER_2COS))
+        phi = _cyclotomic(2 * big)
+        d = len(phi) - 1
+        self.simple_roots = [tuple(int(k == i * d) for k in range(n * d)) for i in range(n)]
+
+        def scaler(m):
+            if m in _INTEGER_2COS:
+                return lambda y, c=_INTEGER_2COS[m]: map(c.__mul__, y)
+            # 2cos(pi/m) = z + 1/z with z = zeta_2m = x^(N/m) and 1/x^k = x^(2N-k)
+            c = [0] * (2 * big)
+            c[big // m] = c[2 * big - big // m] = 1
+            # column l of the multiplication-by-c matrix is c x^l mod Phi_2N
+            rows = list(zip(*(_poly_divmod([0] * l + c, phi)[1] for l in range(d))))
+            return lambda y: [
+                sum(map(mul, row, y[i : i + d])) for i in range(0, len(y), d) for row in rows
+            ]
+
+        scale = {m: scaler(m) for m in orders}
+        # add_multiple[t][s](x, y) is the vector x + 2cos(pi/m_ts) y
+        self.add_multiple = [
+            [lambda x, y, c=scale[system.m(t, s)]: tuple(map(add, x, c(y))) for s in range(n)]
+            for t in range(n)
+        ]
+
+
 def _mat_key(M: np.ndarray) -> bytes:
     # adding 0.0 collapses -0.0 to +0.0 so both hash identically
     return (np.round(M, MATRIX_HASH_DECIMALS) + 0.0).tobytes()
@@ -393,7 +459,7 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
                     else:
                         jid = known
                 if abs(norms[jid] - norms[eid]) != 1:
-                    raise AssertionError("norm parity violated; element identification failed")
+                    raise StructureError("norm parity violated; element identification failed")
                 edges[(eid, s)] = jid
                 edges[(jid, s)] = eid
         sphere_sizes.append(len(nxt))

@@ -11,7 +11,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import ValidationError, WindowError
+from .errors import StructureError, ValidationError, WindowError
 
 MORSE_THUE = "morse_thue"
 SQUARES = "squares"
@@ -30,7 +30,7 @@ def _grow_mt(n: int) -> None:
         # Guard against drift: term i must equal the parity of popcount(i).
         for i in range(old, len(_mt_cache)):
             if _mt_cache[i] != (bin(i).count("1") & 1):
-                raise AssertionError(f"substitution/digit-sum mismatch at {i}")
+                raise StructureError(f"substitution/digit-sum mismatch at {i}")
 
 
 def thue_morse_prefix(n: int) -> list[int]:

@@ -1,21 +1,22 @@
 """Walls of the chamber graph: enumeration, separation, classes, levels, trees.
 
 A wall is the fixed locus of a reflection g s g^{-1}; combinatorially it is
-the set of Cayley-graph edges the reflection flips.  Within a ball, walls
-are recovered as equivalence classes of edges: edges opposite in a finite
-2m-gon cell cross the same wall, and a crossing-parity repair pass welds
-any classes the cells near the boundary failed to join.
+the set of Cayley-graph edges the reflection flips.  The edge {g, gs} crosses
+the wall of the root g.alpha_s, and two edges cross the same wall exactly
+when their roots agree up to sign.  Walls are therefore identified by their
+roots, computed exactly (coxeter.ExactReflection) in one pass over the ball,
+so the wall of every edge is right at every radius, for every Coxeter matrix.
 
 Separation is decided by crossing parity along ShortLex-prefix geodesics;
 a geodesic crosses each wall at most once, so the per-chamber sets of
-crossed walls are exact at every radius.  Levels of a pairwise-disjoint
-wall class (iterated peeling away from a base chamber) and the nesting
-structure derived from them are therefore exact as well.
+crossed walls are exact as well.  Levels and trees of a wall class depend
+on walls beyond the ball too, which is why a wall whose edges all lie near
+the boundary is flagged not `determinate`.
 """
 
 from dataclasses import dataclass
 
-from .coxeter import Ball
+from .coxeter import Ball, ExactReflection
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
 
 
@@ -61,7 +62,7 @@ class WallSet:
         for x in (cid, other):
             if (wid in self.sep[x]) == (wid in self.sep[base]):
                 return x
-        raise AssertionError("wall does not separate its own edge endpoints")
+        raise StructureError(f"wall {wid} does not separate its own edge endpoints")
 
     def separating_walls(self, wid: int, base: int = 0) -> frozenset:
         """Wall ids separating the base chamber from wall wid."""
@@ -88,150 +89,79 @@ class WallSet:
         return self._word_index[nf]
 
 
-def _edge_list(ball: Ball):
-    seen = set()
-    for (i, s), j in ball.edges.items():
-        key = (i, s) if ball.norms[i] < ball.norms[j] else (j, s)
-        seen.add(key)
-    return sorted(seen, key=lambda e: (ball.norms[e[0]], ball.words[e[0]], e[1]))
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-        return rx != ry
-
-
 def enumerate_walls(ball: Ball) -> WallSet:
-    """Identify every wall crossing an edge of the ball."""
-    system = ball.system
-    edges = _edge_list(ball)
-    edge_order = {e: k for k, e in enumerate(edges)}
-    uf = _UnionFind()
-    for e in edges:
-        uf.add(e)
+    """Identify every wall crossing an edge of the ball by its root.
 
-    def key_of(i, s):
-        j = ball.edges[(i, s)]
-        return (i, s) if ball.norms[i] < ball.norms[j] else (j, s)
-
-    # cell propagation: opposite edges of a finite 2m-gon cross one wall
-    n = system.rank
-    pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if system.m(s, t) >= 2]
-    walked = set()
-    for g in range(len(ball)):
-        for s, t in pairs:
-            m = system.m(s, t)
-            if (g, s) not in ball.edges or (g, t) not in ball.edges:
-                continue
-            if m == 2:
-                gs = ball.edges[(g, s)]
-                gt = ball.edges[(g, t)]
-                if (gs, t) in ball.edges and (gt, s) in ball.edges:
-                    uf.union(key_of(g, s), key_of(gt, s))
-                    uf.union(key_of(g, t), key_of(gs, t))
-            else:
-                cell = [g]
-                ok = True
-                for k in range(2 * m - 1):
-                    gen = s if k % 2 == 0 else t
-                    if (cell[-1], gen) not in ball.edges:
-                        ok = False
-                        break
-                    cell.append(ball.edges[(cell[-1], gen)])
-                if not ok or (cell[-1], t) not in ball.edges:
-                    continue
-                if ball.edges[(cell[-1], t)] != g:
-                    continue
-                cell_id = (min(cell), s, t)
-                if cell_id in walked:
-                    continue
-                walked.add(cell_id)
-                steps = [s if k % 2 == 0 else t for k in range(2 * m)]
-                cyc = cell + [g]
-                for k in range(m):
-                    uf.union(key_of(cyc[k], steps[k]), key_of(cyc[k + m], steps[k + m]))
-
-    def compute_sep():
-        sep = [frozenset()] * len(ball)
-        for cid in range(1, len(ball)):
-            w = ball.words[cid]
-            parent = ball.index[w[:-1]]
-            wall = uf.find(key_of(parent, w[-1]))
-            sep[cid] = sep[parent] ^ {wall}
-        return sep
-
-    # crossing-parity repair: for every edge {a, b}, the walls separating a
-    # from b must be exactly the wall of that edge; a singleton mismatch
-    # proves two classes are one wall.
-    tree_edges = set()
-    for cid in range(1, len(ball)):
-        w = ball.words[cid]
-        tree_edges.add(key_of(ball.index[w[:-1]], w[-1]))
-    for _ in range(len(edges)):
-        sep = compute_sep()
-        merged = False
-        bad = None
-        for e in edges:
-            if e in tree_edges:
-                continue
-            a, s = e
-            b = ball.edges[(a, s)]
-            diff = sep[a] ^ sep[b]
-            root = uf.find(e)
-            if diff == {root}:
-                continue
-            if len(diff) == 1:
-                uf.union(root, next(iter(diff)))
-                merged = True
-            else:
-                bad = (e, diff)
-        if not merged:
-            if bad is not None:
-                raise StructureError(
-                    f"wall identification failed at edge {bad[0]}: parity residue {bad[1]}"
-                )
-            break
-
-    # stable ids ordered by least crossed edge
-    groups = {}
-    for e in edges:
-        groups.setdefault(uf.find(e), []).append(e)
-    roots = sorted(groups, key=lambda r: edge_order[min(groups[r], key=lambda e: edge_order[e])])
-    wall_ids = {r: i for i, r in enumerate(roots)}
-    reach = ball.radius - 2
+    Chambers are visited in id (ShortLex) order, and the face roots of g
+    come from its ShortLex parent g' = g t: rho(g, t) = -rho(g', t) and
+    rho(g, s) = rho(g', s) + 2cos(pi/m_ts) rho(g', t).  An upward edge
+    (g, s) has a positive root; the first edge to show a root opens the
+    next wall id.
+    """
+    n, m, norms = ball.system.rank, ball.system.matrix, ball.norms
+    roots = ExactReflection(ball.system)
+    faces = [-1] * (len(ball) * n)  # chamber * n + s -> wall id of that face
+    signed = []  # wall id -> (its positive root, the negative)
+    wall_of_root = {}
     walls = []
-    for r in roots:
-        es = sorted(groups[r], key=lambda e: edge_order[e])
-        inner = min(max(ball.norms[a], ball.norms[ball.edges[(a, s)]]) for a, s in es)
-        walls.append(Wall(wall_ids[r], es, es[0][1], determinate=inner <= reach))
-    edge_wall = {e: wall_ids[uf.find(e)] for e in edges}
-    sep = compute_sep()
-    sep = [frozenset(wall_ids[w] for w in s) for s in sep]
+    edge_wall = {}
+    sep = [frozenset()] * len(ball)
+    for g, word in enumerate(ball.words):
+        if g:
+            t = word[-1]
+            parent = ball.edges[(g, t)]
+            sep[g] = sep[parent] ^ {faces[parent * n + t]}
+        if norms[g] == ball.radius:
+            continue
+        for s in range(n):
+            h = ball.edges[(g, s)]
+            if norms[h] < norms[g]:
+                continue
+            if not g:
+                root = roots.simple_roots[s]
+                wid = wall_of_root.get(root)
+            elif m[t][s] == 2:  # rho(g, s) = rho(g', s): no arithmetic
+                wid = faces[parent * n + s]
+            else:
+                down = norms[ball.edges[(parent, s)]] < norms[parent]
+                rho_s = signed[faces[parent * n + s]][down]
+                root = roots.add_multiple[t][s](rho_s, signed[faces[parent * n + t]][0])
+                wid = wall_of_root.get(root)
+            if wid is None:
+                wid = wall_of_root[root] = len(walls)
+                signed.append((root, tuple(-x for x in root)))
+                walls.append(Wall(wid, [], s, determinate=norms[g] + 1 <= ball.radius - 2))
+            walls[wid].edges.append((g, s))
+            edge_wall[(g, s)] = wid
+            faces[g * n + s] = faces[h * n + s] = wid
     return WallSet(ball, walls, edge_wall, sep)
 
 
-def separates_by_components(wallset: WallSet, wid: int, a: int, b: int):
-    """Independent separation oracle: delete the wall's crossed edges and
-    test whether a and b fall into different components of the ball graph.
+@dataclass
+class WallComponents:
+    """Components of the ball graph with one wall's crossed edges deleted."""
 
-    Raises InconclusiveError when the deletion shatters the ball into more
-    than two pieces and the verdict would rest on a boundary shard.
-    """
+    wid: int
+    labels: list  # chamber id -> component number
+    count: int
+
+    def separates(self, a: int, b: int) -> bool:
+        """True iff chambers a and b fall into different components.
+
+        Raises InconclusiveError when the deletion shatters the ball into
+        more than two pieces and the verdict would rest on a boundary shard.
+        """
+        separated = self.labels[a] != self.labels[b]
+        if separated and self.count > 2:
+            raise InconclusiveError(
+                f"deleting wall {self.wid} produced {self.count} components; enlarge the radius"
+            )
+        return separated
+
+
+def wall_components(wallset: WallSet, wid: int) -> WallComponents:
+    """Label the components of the ball graph minus the wall's crossed edges;
+    independent of the crossing-parity sets."""
     ball = wallset.ball
     cut = set()
     for cid, s in wallset.walls[wid].edges:
@@ -255,12 +185,14 @@ def separates_by_components(wallset: WallSet, wid: int, a: int, b: int):
                     comp[y] = ncomp
                     stack.append(y)
         ncomp += 1
-    separated = comp[a] != comp[b]
-    if separated and ncomp > 2:
-        raise InconclusiveError(
-            f"deleting wall {wid} produced {ncomp} components; enlarge the radius"
-        )
-    return separated
+    return WallComponents(wid, comp, ncomp)
+
+
+def separates_by_components(wallset: WallSet, wid: int, a: int, b: int):
+    """Independent separation oracle: delete the wall's crossed edges and
+    test whether a and b fall into different components of the ball graph
+    (see WallComponents.separates)."""
+    return wall_components(wallset, wid).separates(a, b)
 
 
 # -- color classes -----------------------------------------------------------

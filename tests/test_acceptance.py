@@ -26,6 +26,7 @@ from coxtile.coxeter import (
     enumerate_ball,
     naive_ball,
 )
+from coxtile.errors import InconclusiveError
 from coxtile.hyperbolic import (
     build_polygon,
     convexity_check,
@@ -66,7 +67,7 @@ from coxtile.walls import (
     build_wall_tree,
     color_walls,
     peel_levels,
-    separates_by_components,
+    wall_components,
 )
 
 
@@ -149,15 +150,19 @@ def test_criterion_3_coxeter_core():
     for cid in range(len(b5)):
         if len(ws5.sep[cid]) != b5.norms[cid]:
             _fail(3, desc, t0, f"separating count != norm at {b5.words[cid]}")
-    # cross-check the crossing-parity counts against the component oracle
+    # cross-check the crossing-parity counts against the component oracle,
+    # labelling the components once per wall
     interior = [cid for cid in range(len(b5)) if b5.norms[cid] <= 3]
     counts = {cid: 0 for cid in interior}
+    skipped = 0
     for w in ws5.walls:
+        components = wall_components(ws5, w.wid)
         for cid in interior:
             sep_par = ws5.separates(w.wid, 0, cid)
             try:
-                sep_cmp = separates_by_components(ws5, w.wid, 0, cid)
-            except Exception:
+                sep_cmp = components.separates(0, cid)
+            except InconclusiveError:
+                skipped += 1
                 continue
             if sep_par != sep_cmp:
                 _fail(3, desc, t0, f"separation oracle mismatch wall {w.wid}")
@@ -165,6 +170,8 @@ def test_criterion_3_coxeter_core():
     for cid in interior:
         if counts[cid] != b5.norms[cid]:
             _fail(3, desc, t0, f"component-count != norm at {b5.words[cid]}")
+    pairs = len(ws5.walls) * len(interior)
+    print(f"criterion 3: component oracle inconclusive on {skipped} of {pairs} pairs")
     _report(3, desc, t0)
 
 

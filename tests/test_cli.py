@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from coxtile.cli import emit_report, main, parse_report
+from coxtile.walls import enumerate_walls
 
 
 def run(argv):
@@ -195,6 +196,39 @@ def test_bad_input_exits_2_with_one_error_line(argv, env):
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _walls_with_corrupt_crossings(ball):
+    ws = enumerate_walls(ball)
+    # only the identity lies beyond wall `rank`, whose least edge avoids it
+    wid = ball.system.rank
+    ws.sep = [frozenset({wid}) if cid == 0 else frozenset() for cid in range(len(ball))]
+    return ws
+
+
+@pytest.mark.parametrize(
+    "target, fake, argv",
+    [
+        (
+            "coxtile.coxeter._ra_mul_gen",
+            lambda system, nf, s: nf,  # every product lands on its own factor
+            ["ball", "--system", "hexagon", "--radius", "2"],
+        ),
+        ("coxtile.sequences._mt_cache", [1], ["seq", "--kind", "morse_thue", "--n", "8"]),
+        (
+            "coxtile.pipeline.enumerate_walls",
+            _walls_with_corrupt_crossings,
+            ["walls", "--system", "hexagon", "--radius", "2"],
+        ),
+    ],
+    ids=["norm-parity", "thue-morse-drift", "near-chamber"],
+)
+def test_broken_invariant_exits_2_with_one_error_line(monkeypatch, capsys, target, fake, argv):
+    monkeypatch.setattr(target, fake)
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 

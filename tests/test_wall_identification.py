@@ -1,0 +1,114 @@
+"""Walls identified by exact roots, checked against the braid-closure oracle.
+
+Two upward edges (g, s) and (h, u) cross one wall exactly when the
+reflections g s g^-1 and h u h^-1 are equal; oracle_canonical spells each
+reflection in braid-closure normal form, independently of the root
+arithmetic in coxtile.coxeter.ExactReflection.  The right-angled `walls`
+reports are pinned by sha256, so any change to a wall id, class, level or
+tree parent shows.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from coxtile.cli import main
+from coxtile.coxeter import (
+    CoxeterSystem,
+    ExactReflection,
+    _cyclotomic,
+    enumerate_ball,
+    oracle_canonical,
+)
+from coxtile.walls import enumerate_walls
+
+
+def triangle(a, b, c):
+    """Rank-3 system with m(0,1) = a, m(0,2) = b, m(1,2) = c (0 is infinity)."""
+    return CoxeterSystem(("a", "b", "c"), ((1, a, b), (a, 1, c), (b, c, 1)))
+
+
+def oracle_partition(ball):
+    """Upward edges grouped by their reflection, groups in order of first edge."""
+    system = ball.system
+    groups = {}
+    for g, w in enumerate(ball.words):
+        for s in range(system.rank):
+            h = ball.edges.get((g, s))
+            if h is not None and ball.norms[h] > ball.norms[g]:
+                reflection = oracle_canonical(system, w + (s,) + tuple(reversed(w)))
+                groups.setdefault(reflection, []).append((g, s))
+    return list(groups.values())
+
+
+@pytest.mark.parametrize(
+    "system, radius, count",
+    [
+        (triangle(4, 5, 0), 7, 246),
+        (triangle(2, 4, 4), 8, 27),
+        (triangle(3, 3, 0), 8, 175),
+        (triangle(4, 2, 3), 9, 9),  # B3: the whole group, one wall per reflection
+    ],
+    ids=["(4,5,inf)", "(2,4,4)", "(3,3,inf)", "B3"],
+)
+def test_walls_equal_oracle_partition(system, radius, count):
+    ball = enumerate_ball(system, radius)
+    ws = enumerate_walls(ball)
+    assert len(ws) == count
+    assert [w.edges for w in ws.walls] == oracle_partition(ball)
+    for cid in range(len(ball)):
+        assert len(ws.sep[cid]) == ball.norms[cid]
+
+
+def test_h3_has_one_wall_per_reflection():
+    ball = enumerate_ball(triangle(5, 2, 3), 15)
+    ws = enumerate_walls(ball)
+    assert len(ball) == 120 and ball.sphere_sizes[-1] == 1
+    assert len(ws) == 15
+    # every wall separates the identity from the longest element
+    assert len(ws.sep[len(ball) - 1]) == 15
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 12])
+def test_finite_dihedral_has_m_walls(m):
+    ball = enumerate_ball(CoxeterSystem.dihedral(m), m)
+    assert len(enumerate_walls(ball)) == m
+
+
+def test_cyclotomic_polynomials():
+    assert _cyclotomic(2) == [1, 1]
+    assert _cyclotomic(8) == [1, 0, 0, 0, 1]
+    assert _cyclotomic(10) == [1, -1, 1, -1, 1]
+    assert _cyclotomic(12) == [1, 0, -1, 0, 1]
+
+
+def test_integer_orders_keep_integer_coordinates():
+    rep = ExactReflection(triangle(3, 3, 0))
+    assert rep.simple_roots == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert rep.add_multiple[0][1]((0, 1, 0), (1, 0, 0)) == (1, 1, 0)
+    assert rep.add_multiple[1][2]((0, 0, 1), (0, 1, 0)) == (0, 2, 1)
+    assert rep.add_multiple[0][0]((1, 0, 0), (1, 0, 0)) == (-1, 0, 0)
+
+
+def test_irrational_coefficient_squares_exactly():
+    # m = 4: 2cos(pi/4) = sqrt 2 in Z[zeta_8]; applied twice it multiplies by 2
+    rep = ExactReflection(CoxeterSystem.dihedral(4))
+    zero = (0,) * 8
+    once = rep.add_multiple[0][1](zero, rep.simple_roots[0])
+    assert rep.add_multiple[0][1](zero, once) == tuple(2 * x for x in rep.simple_roots[0])
+
+
+WALLS_REPORT_SHA256 = {
+    ("hexagon", "alternating"): "3a0fe5b7ea8ef079fc08a437e842974feb5ee635cc53f08602003d536d76e7bc",
+    ("pentagon", "distinct"): "3a82c0a3f25871e5c0e81a7846270680b6a249783c7db501ca61664939f7da7a",
+}
+
+
+@pytest.mark.parametrize("system, palette", sorted(WALLS_REPORT_SHA256))
+def test_walls_report_bytes(system, palette):
+    buf = io.StringIO()
+    code = main(["walls", "--system", system, "--radius", "6", "--palette", palette], out=buf)
+    assert code == 0
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == WALLS_REPORT_SHA256[(system, palette)]
