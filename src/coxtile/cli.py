@@ -382,10 +382,7 @@ def main(argv=None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args, out)
-    except CoxtileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (CoxtileError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

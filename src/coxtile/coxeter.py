@@ -2,24 +2,24 @@
 
 Elements are represented by ShortLex-least geodesic words in generator
 indices.  Right-angled systems (all off-diagonal orders in {2, infinity})
-get an exact rewriting backend; general systems are enumerated through the
-standard reflection representation (floating point, hashed at 1e-9) with a
-braid-move word reducer available as an independent oracle.  The roots of
-that representation are also computed exactly (ExactReflection), for walls.
+get an exact rewriting backend; general systems get a braid-move word
+reducer, which is also the independent oracle.  Nothing is identified by
+floating point: a ball of a general system tells its elements apart by exact
+Tits-cone keys, the dual vectors g^-1 f0 of ExactReflection, whose roots
+identify walls.
 """
 
 import json
 import os
 from dataclasses import dataclass
-from math import lcm
-from operator import add, mul
-
-import numpy as np
+from functools import cached_property, partial
+from itertools import chain
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import OutOfBallError, SizeLimitError, StructureError, ValidationError
 
 DEFAULT_BALL_CAP = 200_000
-MATRIX_HASH_DECIMALS = 9
 
 
 def _cap_from_env(default=DEFAULT_BALL_CAP):
@@ -69,7 +69,7 @@ class CoxeterSystem:
     def commutes(self, i: int, j: int) -> bool:
         return self.matrix[i][j] == 2
 
-    @property
+    @cached_property
     def is_right_angled(self) -> bool:
         n = self.rank
         return all(self.matrix[i][j] in (0, 2) for i in range(n) for j in range(n) if i != j)
@@ -81,13 +81,17 @@ class CoxeterSystem:
         try:
             gens = tuple(str(g) for g in data["generators"])
             matrix = tuple(tuple(int(x) for x in row) for row in data["matrix"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad system description: {exc}") from exc
         return cls(gens, matrix)
 
     @classmethod
-    def from_json(cls, text: str) -> "CoxeterSystem":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str | bytes) -> "CoxeterSystem":
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"bad system JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def to_dict(self):
         return {"generators": list(self.generators), "matrix": [list(r) for r in self.matrix]}
@@ -160,8 +164,8 @@ def load_system(source) -> CoxeterSystem:
     text = str(source)
     if text.lstrip().startswith("{"):
         return CoxeterSystem.from_json(text)
-    with open(text, "r", encoding="utf-8") as fh:
-        return CoxeterSystem.from_dict(json.load(fh))
+    with open(text, "rb") as fh:  # json detects the encoding; bad bytes raise ValueError
+        return CoxeterSystem.from_json(fh.read())
 
 
 # -- right-angled rewriting ------------------------------------------------
@@ -246,51 +250,44 @@ def _braid_normal_form(system: CoxeterSystem, word) -> tuple[int, ...]:
     return min(braid_closure(system, w))
 
 
-# -- reflection representation (float backend for general systems) ---------
-
-
-def reflection_generators(system: CoxeterSystem) -> list[np.ndarray]:
-    """Matrices of the generators in the standard reflection representation."""
-    n = system.rank
-    B = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            m = system.matrix[i][j]
-            B[i, j] = -1.0 if m == 0 else -np.cos(np.pi / m)
-    mats = []
-    for i in range(n):
-        M = np.eye(n)
-        M[i, :] -= 2.0 * B[i, :]
-        mats.append(M)
-    return mats
+# -- exact reflection representation ----------------------------------------
 
 
 #: 2cos(pi/m) for the orders where it is an integer (0 encodes infinity)
 _INTEGER_2COS = {0: 2, 1: -2, 2: 0, 3: 1}
 
 
-def _poly_divmod(poly: list[int], monic: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder by a monic integer polynomial (constant term first)."""
+def _poly_quotient(poly: list[int], monic: list[int]) -> list[int]:
+    """Quotient by a monic integer polynomial (constant term first)."""
     rem, e = list(poly), len(monic) - 1
     quot = [0] * (len(rem) - e)
     for k in range(len(rem) - 1, e - 1, -1):
         quot[k - e] = c = rem[k]
         for j, m in enumerate(monic):
             rem[k - e + j] -= c * m
-    return quot, rem[:e]
+    return quot
+
+
+def _substitute_power(poly: list[int], k: int) -> list[int]:
+    """Coefficients of p(x^k) from those of p(x)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
 
 
 def _cyclotomic(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for k in range(1, n):
-        if n % k == 0:
-            poly = _poly_divmod(poly, _cyclotomic(k))[0]
-    return poly
+    """Coefficients of the n-th cyclotomic polynomial, constant term first:
+    Phi_rp(x) = Phi_r(x^p) / Phi_r(x) for each prime p of n, from Phi_1 = x - 1
+    up to the radical r of n, and then Phi_n(x) = Phi_r(x^(n/r))."""
+    poly, rad = [-1, 1], 1
+    for p in range(2, n + 1):
+        if n % p == 0 and gcd(p, rad) == 1:  # p is prime: its smaller factors are in rad
+            poly, rad = _poly_quotient(_substitute_power(poly, p), poly), rad * p
+    return _substitute_power(poly, n // rad)
 
 
 class ExactReflection:
-    """Roots of the standard reflection representation, exactly.
+    """The standard reflection representation and its dual, exactly.
 
     Every 2cos(pi/m) lies in Z[zeta_2N] = Z[x]/Phi_2N(x), where N is the lcm
     of the orders m whose 2cos(pi/m) is irrational.  A coordinate is its
@@ -298,6 +295,10 @@ class ExactReflection:
     a vector of the rank-n representation is a flat tuple of n*d integers,
     coordinate i in block i, so equal tuples are equal vectors.  When every
     order is 2, 3 or infinity, N = 1 and d = 1: coordinates are plain integers.
+
+    Roots (walls) use `add_multiple`; chambers (balls) use `dual_step` on the
+    dual vectors f with f(alpha_t) stored as coordinate t, starting from
+    `chamber`, the f0 with f0(alpha_t) = 1 for every t.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -306,19 +307,33 @@ class ExactReflection:
         big = lcm(1, *(m for m in orders if m not in _INTEGER_2COS))
         phi = _cyclotomic(2 * big)
         d = len(phi) - 1
+        lower = [(j, c) for j, c in enumerate(phi[:d]) if c]
         self.simple_roots = [tuple(int(k == i * d) for k in range(n * d)) for i in range(n)]
+        self.chamber = tuple(int(k % d == 0) for k in range(n * d))
 
         def scaler(m):
             if m in _INTEGER_2COS:
                 return lambda y, c=_INTEGER_2COS[m]: map(c.__mul__, y)
-            # 2cos(pi/m) = z + 1/z with z = zeta_2m = x^(N/m) and 1/x^k = x^(2N-k)
-            c = [0] * (2 * big)
-            c[big // m] = c[2 * big - big // m] = 1
-            # column l of the multiplication-by-c matrix is c x^l mod Phi_2N
-            rows = list(zip(*(_poly_divmod([0] * l + c, phi)[1] for l in range(d))))
-            return lambda y: [
-                sum(map(mul, row, y[i : i + d])) for i in range(0, len(y), d) for row in rows
-            ]
+            # 2cos(pi/m) = x^a + x^-a with x^a = zeta_2m, a = N/m; multiply in
+            # Z[x]/(x^N + 1), which Phi_2N divides, then reduce
+            a = big // m
+
+            def scale(y):
+                out = []
+                for i in range(0, len(y), d):
+                    z = [0] * (2 * big)  # coefficients mod x^2N - 1; l - a < 0 wraps
+                    for l, v in enumerate(y[i : i + d]):
+                        z[l + a] += v
+                        z[l - a] += v
+                    z = list(map(sub, z[:big], z[big:]))  # x^N = -1
+                    for k in range(big - 1, d - 1, -1):  # reduce mod Phi_2N
+                        if c := z[k]:
+                            for j, p in lower:
+                                z[k - d + j] -= c * p
+                    out += z[:d]
+                return out
+
+            return scale
 
         scale = {m: scaler(m) for m in orders}
         # add_multiple[t][s](x, y) is the vector x + 2cos(pi/m_ts) y
@@ -326,11 +341,17 @@ class ExactReflection:
             [lambda x, y, c=scale[system.m(t, s)]: tuple(map(add, x, c(y))) for s in range(n)]
             for t in range(n)
         ]
-
-
-def _mat_key(M: np.ndarray) -> bytes:
-    # adding 0.0 collapses -0.0 to +0.0 so both hash identically
-    return (np.round(M, MATRIX_HASH_DECIMALS) + 0.0).tobytes()
+        # dual_step(f, s) is s.f: coordinate t gains 2cos(pi/m_st) f(alpha_s),
+        # and m_ss = 1 negates f(alpha_s) itself
+        if d == 1:
+            cols = [[_INTEGER_2COS[m] for m in row] for row in system.matrix]
+            self.dual_step = lambda f, s: tuple(map(add, f, map(f[s].__mul__, cols[s])))
+        else:
+            cols = [[scale[m] for m in row] for row in system.matrix]
+            self.dual_step = lambda f, s: tuple(chain.from_iterable(
+                map(add, f[t * d : t * d + d], c(f[s * d : s * d + d]))
+                for t, c in enumerate(cols[s])
+            ))
 
 
 # -- ball enumeration -------------------------------------------------------
@@ -355,17 +376,11 @@ class Ball:
     def __len__(self) -> int:
         return len(self.words)
 
-    def word_of(self, eid: int) -> tuple[int, ...]:
-        return self.words[eid]
-
     def id_of(self, word) -> int:
         nf = self.system.normal_form(word)
         if nf not in self.index:
             raise OutOfBallError(f"element {nf} is outside the radius-{self.radius} ball")
         return self.index[nf]
-
-    def norm_of(self, eid: int) -> int:
-        return self.norms[eid]
 
     # group-ops protocol shared with the lattice backend (keys are words)
 
@@ -402,68 +417,57 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
 
     Exploration is in ShortLex order, so each element is first reached by
     its ShortLex-least geodesic word and the stored words are prefix-closed.
+    Elements are keyed exactly: by normal form when the system is right-angled,
+    else by the dual vector g^-1 f0 (ExactReflection.dual_step), one per
+    element as W acts simply transitively on the chambers of the Tits cone.
+    Descents g s are recorded from below, so two spheres of keys suffice.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     cap = _cap_from_env() if cap is None else cap
     ra = system.is_right_angled
-    gens = list(range(system.rank))
-    if not ra:
-        mats = reflection_generators(system)
-        keys = {_mat_key(np.eye(system.rank)): 0}
-        matrices = [np.eye(system.rank)]
     words: list[tuple[int, ...]] = [()]
     index = {(): 0}
+    if ra:  # the key of an element is its normal form, so `index` keys it
+        step, start, seen = partial(_ra_mul_gen, system), (), index
+    else:
+        exact = ExactReflection(system)
+        step, start = exact.dual_step, exact.chamber
+        seen = {start: 0}
     norms = [0]
     edges: dict = {}
     sphere_sizes = [1]
-    frontier = [0]
+    frontier, keys = [0], [start]
     for level in range(1, radius + 1):
-        nxt = []
-        for eid in frontier:
-            w = words[eid]
-            for s in gens:
-                if ra:
-                    prod = _ra_mul_gen(system, w, s)
-                    known = index.get(prod)
-                    if known is None:
-                        if len(words) >= cap:
-                            raise SizeLimitError(
-                                f"ball cap {cap} exceeded at radius {level}",
-                                partial_count=len(words),
-                            )
-                        jid = len(words)
-                        words.append(prod)
-                        index[prod] = jid
-                        norms.append(level)
-                        nxt.append(jid)
-                    else:
-                        jid = known
-                else:
-                    M = matrices[eid] @ mats[s]
-                    k = _mat_key(M)
-                    known = keys.get(k)
-                    if known is None:
-                        if len(words) >= cap:
-                            raise SizeLimitError(
-                                f"ball cap {cap} exceeded at radius {level}",
-                                partial_count=len(words),
-                            )
-                        jid = len(words)
-                        keys[k] = jid
-                        matrices.append(M)
-                        words.append(w + (s,))
-                        index[w + (s,)] = jid
-                        norms.append(level)
-                        nxt.append(jid)
-                    else:
-                        jid = known
-                if abs(norms[jid] - norms[eid]) != 1:
+        nxt, nxt_keys = [], []
+        for eid, key in zip(frontier, keys):
+            for s in range(system.rank):
+                if (eid, s) in edges:
+                    continue
+                prod = step(key, s)
+                jid = seen.get(prod)
+                if jid is None:
+                    if len(words) >= cap:
+                        raise SizeLimitError(
+                            f"ball cap {cap} exceeded at radius {level} of {radius}; "
+                            f"radii 0..{level - 1} are complete with sphere sizes {sphere_sizes}; "
+                            "raise COXTILE_BALL_CAP or use a smaller --radius",
+                            partial_count=len(words),
+                        )
+                    jid = seen[prod] = len(words)
+                    words.append(prod if ra else words[eid] + (s,))
+                    index[words[jid]] = jid
+                    norms.append(level)
+                    nxt.append(jid)
+                    nxt_keys.append(prod)
+                elif norms[jid] != level:
                     raise StructureError("norm parity violated; element identification failed")
                 edges[(eid, s)] = jid
                 edges[(jid, s)] = eid
+        if not ra:  # later spheres never meet the finished one again
+            seen = dict(zip(nxt_keys, nxt))
         sphere_sizes.append(len(nxt))
-        frontier = nxt
+        frontier, keys = nxt, nxt_keys
         if not frontier:
             break
     while len(sphere_sizes) < radius + 1:

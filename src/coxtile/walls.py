@@ -72,11 +72,10 @@ class WallSet:
     def canonical_word(self, wid: int):
         """Normal form of the wall's reflection word."""
         if wid not in self._canonical_cache:
+            # the ball holds g s in normal form; only g^-1 is left to multiply in
             cid, s = self.walls[wid].edges[0]
-            w = self.ball.words[cid]
-            self._canonical_cache[wid] = self.ball.system.normal_form(
-                w + (s,) + tuple(reversed(w))
-            )
+            gs = self.ball.words[self.ball.edges[(cid, s)]]
+            self._canonical_cache[wid] = self.ball.mul(gs, tuple(reversed(self.ball.words[cid])))
         return self._canonical_cache[wid]
 
     def find_wall(self, reflection_word) -> int:

@@ -199,6 +199,33 @@ def test_bad_input_exits_2_with_one_error_line(argv, env):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_ball_cap_exits_2_naming_how_far_it_got():
+    matrix = [[1, 3, 3], [3, 1, 0], [3, 0, 1]]
+    triangle = json.dumps({"generators": ["a", "b", "c"], "matrix": matrix})
+    argv = ["ball", "--system", triangle, "--radius", "30"]
+    proc = _run_cli_process(argv, COXTILE_BALL_CAP="1000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    # spheres 1, 3, 6, 10, 16, ... sum to 748 at radius 10; radius 11 overflows
+    assert "radius 11 of 30" in lines[0] and "0..10" in lines[0]
+    assert "[1, 3, 6, 10, 16, 26, 42, 68, 110, 178, 288]" in lines[0]
+    assert "COXTILE_BALL_CAP" in lines[0] and "--radius" in lines[0]
+
+
+def test_system_path_that_is_a_directory_exits_2(tmp_path):
+    code, out = run(["ball", "--system", str(tmp_path), "--radius", "2"])
+    assert code == 2 and out == ""
+
+
+def test_system_file_that_is_not_text_exits_2(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out = run(["ball", "--system", str(path), "--radius", "2"])
+    assert code == 2 and out == ""
+
+
 def _walls_with_corrupt_crossings(ball):
     ws = enumerate_walls(ball)
     # only the identity lies beyond wall `rank`, whose least edge avoids it

@@ -1,0 +1,70 @@
+"""Fuzz of the `ball` subcommand with generated system JSON.
+
+Documents start from a valid system of rank at most 4 with orders at most 8,
+and are then often broken: a bad matrix entry (wrong value or type), a
+ragged row, odd generator names, a missing key, a non-object document, or
+JSON cut short.  Whatever the input, the CLI must keep its exit-code
+contract (0 ok, 1 a verification failed, 2 bad input), print nothing to
+stdout on failure, and report a failure as one `error:` line, never a
+traceback.  Exceptions are not caught here: one that escapes `main` fails
+the test with its traceback.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxtile.cli import main, parse_report
+
+ORDERS = [0, 2, 3, 4, 5, 6, 7, 8]
+BAD_ENTRIES = [-1, 1, 9, "3", "x", 2.5, None, [], True, float("inf"), float("nan")]
+
+
+@st.composite
+def system_texts(draw):
+    rank = draw(st.integers(0, 4))
+    matrix = [[1] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            matrix[i][j] = matrix[j][i] = draw(st.sampled_from(ORDERS))
+    doc = {"generators": [f"s{i}" for i in range(rank)], "matrix": matrix}
+    flaw = draw(st.sampled_from(["none", "none", "entry", "row", "names", "key", "shape", "cut"]))
+    if flaw == "entry" and rank:
+        i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        matrix[i][j] = draw(st.sampled_from(BAD_ENTRIES))
+    elif flaw == "row" and rank:
+        matrix[draw(st.integers(0, rank - 1))].pop()
+    elif flaw == "names":
+        doc["generators"] = draw(
+            st.lists(st.one_of(st.sampled_from(["s0", "s1", "t"]), st.integers(0, 2)), max_size=5)
+        )
+    elif flaw == "key":
+        del doc[draw(st.sampled_from(["generators", "matrix"]))]
+    elif flaw == "shape":
+        doc = draw(st.sampled_from([[], None, 3, "system", {"generators": 3, "matrix": 3}]))
+    text = json.dumps(doc)
+    if flaw == "cut":
+        text = text[: draw(st.integers(1, len(text) - 1))]
+    # a document that is not an object would be read as a file path
+    return text if text.startswith("{") else "{" + text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(system_texts(), st.integers(-1, 4))
+def test_ball_keeps_exit_code_contract(text, radius):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        code = main(["ball", "--system", text, "--radius", str(radius)], out=out)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        results = parse_report(out.getvalue())["results"]
+        assert results["size"] == sum(results["sphere_sizes"])
+        assert len(results["sphere_sizes"]) == radius + 1
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

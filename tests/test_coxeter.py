@@ -1,8 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from coxtile.coxeter import (
     CoxeterSystem,
     DisplacementVerdict,
+    ExactReflection,
     displacement_exponent,
     enumerate_ball,
     load_system,
@@ -113,6 +117,99 @@ def test_ball_cap():
     with pytest.raises(SizeLimitError) as err:
         enumerate_ball(CoxeterSystem.right_angled_polygon(5), 6, cap=50)
     assert err.value.partial_count == 50
+    # radii 0..2 hold 21 elements; the 45 of radius 3 overflow the cap
+    message = str(err.value)
+    assert "radius 3 of 6" in message and "0..2" in message and "[1, 5, 15]" in message
+    assert "COXTILE_BALL_CAP" in message and "--radius" in message
+
+
+def triangle(a, b, c):
+    """Rank-3 system with m(0,1) = a, m(0,2) = b, m(1,2) = c (0 is infinity)."""
+    return CoxeterSystem(("a", "b", "c"), ((1, a, b), (a, 1, c), (b, c, 1)))
+
+
+def test_triangle_ball_r22_exact_spheres():
+    # (3,3,inf): floating-point keys once counted 92,972 on the outer sphere
+    sizes = enumerate_ball(triangle(3, 3, 0), 22, cap=300_000).sphere_sizes
+    assert sizes[-3:] == [35_422, 57_314, 92_736]
+    assert all(sizes[n] == sizes[n - 1] + sizes[n - 2] for n in range(4, 23))
+    assert sizes == steinberg_spheres(3, 3, 0, 22)
+
+
+def test_ball_matches_naive_oracle_random_rank3():
+    rng = random.Random(20261018)
+    rings = set()
+    for _ in range(80):
+        a, b, c = (rng.choice([2, 3, 4, 5, 6, 7, 8, 0]) for _ in range(3))
+        system = triangle(a, b, c)
+        radius = rng.randint(3, 7)
+        ball = enumerate_ball(system, radius)
+        sizes, words = naive_ball(system, radius)
+        assert ball.sphere_sizes == sizes, (a, b, c, radius)
+        assert set(ball.words) == words, (a, b, c, radius)
+        rings.add(len(ExactReflection(system).chamber) // 3)
+    # plain integers (d = 1) and several cyclotomic rings (d > 1) were both covered
+    assert 1 in rings and len(rings - {1}) >= 4
+
+
+def _series_quotient(num, den, n):
+    """First n coefficients of the power series num/den (den[0] == 1)."""
+    num = list(num) + [0] * (n + len(den))
+    for k in range(n):
+        for j in range(1, len(den)):
+            num[k + j] -= num[k] * den[j]
+    return num[:n]
+
+
+def steinberg_spheres(a, b, c, radius):
+    """Sphere sizes of an infinite rank-3 Coxeter group from Steinberg's
+    formula 1/W(x) = sum over the T with W_T finite of (-1)^|T| x^N_T / W_T(x):
+    1 - 3x/(1+x) + sum over finite m_st of x^m / ((1+x)(1+x+...+x^(m-1)))."""
+    n = radius + 1
+    terms = [([0, -1], [1, 1])] * 3
+    for m in (a, b, c):
+        if m:
+            dihedral = [1] + [2] * (m - 1) + [1]  # (1 + x)(1 + x + ... + x^(m-1))
+            terms.append(([0] * m + [1], dihedral))
+    inverse = [1] + [0] * radius
+    for num, den in terms:
+        inverse = [x + y for x, y in zip(inverse, _series_quotient(num, den, n))]
+    return _series_quotient([1], inverse, n)
+
+
+@pytest.mark.parametrize(
+    "orders, radius",
+    [((4, 5, 0), 13), ((2, 3, 7), 40)],
+    ids=["(4,5,inf)", "(2,3,7)"],
+)
+def test_sphere_sizes_match_growth_series(orders, radius):
+    # floating-point keys got these wrong: 6,859 for 6,858 on the outer
+    # sphere, and a norm-parity failure before radius 40
+    ball = enumerate_ball(triangle(*orders), radius, cap=300_000)
+    assert ball.sphere_sizes == steinberg_spheres(*orders, radius)
+
+
+def test_sphere_sizes_match_growth_series_random_rank3():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 20:
+        a, b, c = (rng.choice([2, 3, 4, 5, 6, 7, 8, 0]) for _ in range(3))
+        if sum(Fraction(1, m) for m in (a, b, c) if m) > 1:
+            continue  # finite: the formula above needs W infinite
+        sizes = enumerate_ball(triangle(a, b, c), 10).sphere_sizes
+        assert sizes == steinberg_spheres(a, b, c, 10), (a, b, c)
+        checked += 1
+
+
+def test_dual_step_is_an_involution_and_flips_its_coordinate():
+    rep = ExactReflection(triangle(5, 0, 7))
+    d = len(rep.chamber) // 3
+    f = rep.chamber
+    for s in (0, 1, 2, 1, 0):
+        g = rep.dual_step(f, s)
+        assert rep.dual_step(g, s) == f
+        assert g[s * d : s * d + d] == tuple(-x for x in f[s * d : s * d + d])
+        f = g
 
 
 def test_radial_segment():
