@@ -36,7 +36,12 @@ from .walls import alternating_palette, build_wall_tree, color_walls, peel_level
 REPORT_VERSION = 1
 
 
+_PLAIN = frozenset({str, int, bool, float, type(None)})
+
+
 def _jsonable(x):
+    if type(x) in _PLAIN:  # most of a report: answered before the other branches
+        return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
     if isinstance(x, dict):

@@ -135,10 +135,10 @@ def radial_claim_scan(ball, coloring, max_g_norm: int, min_len: int) -> ClaimSca
     """Exhaustive radial_claim_check over all radial segments with at least
     `min_len` vertices and all g of norm <= max_g_norm in the ball."""
     ids = range(len(ball.words))
-    up = {i: [] for i in ids}
-    for (i, s), j in ball.edges.items():
-        if ball.norms[j] == ball.norms[i] + 1:
-            up[i].append(j)
+    n, norms = ball.system.rank, ball.norms
+    up = {}
+    for i in ids:
+        up[i] = [j for j in ball.nbr[i * n : i * n + n] if j >= 0 and norms[j] == norms[i] + 1]
     gs = [w for w in ball.members() if ball.norm(w) <= max_g_norm]
     # g * x norms, precomputed once per (g, x)
     norm_gx = {}

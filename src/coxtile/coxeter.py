@@ -11,6 +11,7 @@ identify walls.
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -357,12 +358,45 @@ class ExactReflection:
 # -- ball enumeration -------------------------------------------------------
 
 
+class EdgeView(Mapping):
+    """Read-only {(cid, s): id of cid * s} view of a ball's neighbour table.
+
+    Only pairs with 0 <= cid < |ball|, 0 <= s < rank and cid * s in the ball
+    are keys; any other pair raises KeyError, so a -1 or out-of-range index
+    never wraps around the flat table.
+    """
+
+    __slots__ = ("_nbr", "_rank")
+
+    def __init__(self, nbr: list[int], rank: int):
+        self._nbr, self._rank = nbr, rank
+
+    def __getitem__(self, key):
+        try:
+            cid, s = key
+            if 0 <= s < self._rank and 0 <= cid:
+                j = self._nbr[cid * self._rank + s]
+                if j >= 0:
+                    return j
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (divmod(i, self._rank) for i, j in enumerate(self._nbr) if j >= 0)
+
+    def __len__(self) -> int:
+        return len(self._nbr) - self._nbr.count(-1)
+
+
 @dataclass
 class Ball:
     """All elements of norm <= radius with their generator edges.
 
-    `words[i]` is the ShortLex normal form of element i; `edges[(i, s)]`
-    is the id of element i * s when that product lies in the ball.
+    `words[i]` is the ShortLex normal form of element i.  The chamber graph
+    is the flat neighbour table `nbr`: `nbr[i * rank + s]` is the id of
+    element i * s, or -1 when that product lies outside the ball.  `edges`
+    is a read-only {(i, s): id} view of the same table.
     """
 
     system: CoxeterSystem
@@ -370,8 +404,12 @@ class Ball:
     words: list[tuple[int, ...]]
     index: dict
     norms: list[int]
-    edges: dict
+    nbr: list[int]
     sphere_sizes: list[int]
+
+    @cached_property
+    def edges(self) -> EdgeView:
+        return EdgeView(self.nbr, self.system.rank)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -421,6 +459,7 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
     else by the dual vector g^-1 f0 (ExactReflection.dual_step), one per
     element as W acts simply transitively on the chambers of the Tits cone.
     Descents g s are recorded from below, so two spheres of keys suffice.
+    The edges go straight into the flat neighbour table `Ball.nbr`.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -434,15 +473,17 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
         exact = ExactReflection(system)
         step, start = exact.dual_step, exact.chamber
         seen = {start: 0}
-    norms = [0]
-    edges: dict = {}
+    n = system.rank
+    blank = [-1] * n
+    norms, nbr = [0], blank[:]
     sphere_sizes = [1]
     frontier, keys = [0], [start]
     for level in range(1, radius + 1):
         nxt, nxt_keys = [], []
         for eid, key in zip(frontier, keys):
-            for s in range(system.rank):
-                if (eid, s) in edges:
+            row = eid * n
+            for s in range(n):
+                if nbr[row + s] >= 0:
                     continue
                 prod = step(key, s)
                 jid = seen.get(prod)
@@ -458,12 +499,13 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
                     words.append(prod if ra else words[eid] + (s,))
                     index[words[jid]] = jid
                     norms.append(level)
+                    nbr += blank
                     nxt.append(jid)
                     nxt_keys.append(prod)
                 elif norms[jid] != level:
                     raise StructureError("norm parity violated; element identification failed")
-                edges[(eid, s)] = jid
-                edges[(jid, s)] = eid
+                nbr[row + s] = jid
+                nbr[jid * n + s] = eid
         if not ra:  # later spheres never meet the finished one again
             seen = dict(zip(nxt_keys, nxt))
         sphere_sizes.append(len(nxt))
@@ -472,7 +514,7 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
             break
     while len(sphere_sizes) < radius + 1:
         sphere_sizes.append(0)
-    return Ball(system, radius, words, index, norms, edges, sphere_sizes)
+    return Ball(system, radius, words, index, norms, nbr, sphere_sizes)
 
 
 # -- geodesics and cocycles --------------------------------------------------

@@ -106,11 +106,8 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation, tick=0.12):
         c = c / sqrt(-lorentz_dot(c, c))
         sides = []
         for k in range(p):
-            if (cid, k) not in ball.edges:
-                sides.append(None)
-                continue
-            wid = wallset.edge_wall[wallset.edge_key(cid, k)]
-            if wid not in wall_colors or wid not in orientation:
+            wid = wallset.faces[cid * ball.system.rank + k]
+            if wid < 0 or wid not in wall_colors or wid not in orientation:
                 sides.append(None)
                 continue
             seen = orientation[wid] * (-1 if wallset.separates(wid, 0, cid) else 1)

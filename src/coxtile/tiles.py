@@ -114,10 +114,10 @@ def build_alphabet(
         faces = []
         ok = True
         for s in range(rank):
-            if (cid, s) not in ball.edges:
+            wid = wallset.faces[cid * rank + s]
+            if wid < 0:  # the s-edge leaves the ball
                 ok = False
                 break
-            wid = wallset.edge_wall[wallset.edge_key(cid, s)]
             if wid not in wall_colors or wid not in orientation:
                 excluded.append((cid, s))
                 ok = False

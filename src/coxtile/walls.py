@@ -1,20 +1,22 @@
 """Walls of the chamber graph: enumeration, separation, classes, levels, trees.
 
-A wall is the fixed locus of a reflection g s g^{-1}; combinatorially it is
-the set of Cayley-graph edges the reflection flips.  The edge {g, gs} crosses
-the wall of the root g.alpha_s, and two edges cross the same wall exactly
-when their roots agree up to sign.  Walls are therefore identified by their
-roots, computed exactly (coxeter.ExactReflection) in one pass over the ball,
-so the wall of every edge is right at every radius, for every Coxeter matrix.
+A wall is the fixed locus of a reflection g s g^{-1}: the set of Cayley-graph
+edges the reflection flips.  The edge {g, gs} crosses the wall of the root
+g.alpha_s, so walls are identified by their exact roots
+(coxeter.ExactReflection) in one pass over the ball, right at every radius for
+every Coxeter matrix.  The result lives in flat tables beside `Ball.nbr`:
+`WallSet.faces[g * rank + s]` is the wall of the edge {g, gs} (-1 outside the
+ball), and `sep[g]` is the set of walls a ShortLex geodesic from e to g
+crosses, each at most once, so separation is crossing parity.
 
-Separation is decided by crossing parity along ShortLex-prefix geodesics;
-a geodesic crosses each wall at most once, so the per-chamber sets of
-crossed walls are exact as well.  Levels and trees of a wall class depend
-on walls beyond the ball too, which is why a wall whose edges all lie near
-the boundary is flagged not `determinate`.
+Levels and trees of a class come from each wall's in-class separators, read
+once per call from `sep`; the peeling rounds are the Kahn layers of that
+blocker graph.  They depend on walls beyond the ball too, which is why a wall
+whose edges all lie near the boundary is flagged not `determinate`.
 """
 
 from dataclasses import dataclass
+from operator import neg
 
 from .coxeter import Ball, ExactReflection
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
@@ -31,25 +33,21 @@ class Wall:
 class WallSet:
     """All walls crossing edges of a ball, plus per-chamber crossing sets."""
 
-    def __init__(self, ball: Ball, walls, edge_wall, sep):
+    def __init__(self, ball: Ball, walls, faces, sep):
         self.ball = ball
         self.walls = walls
-        self.edge_wall = edge_wall  # (lower-norm chamber id, generator) -> wall id
+        self.faces = faces  # laid out like Ball.nbr: chamber * rank + s -> wall id, or -1
         self.sep = sep  # chamber id -> frozenset of wall ids separating it from e
         self._canonical_cache = {}
 
     def __len__(self):
         return len(self.walls)
 
-    def edge_key(self, cid: int, s: int):
-        jid = self.ball.edges[(cid, s)]
-        return (cid, s) if self.ball.norms[cid] < self.ball.norms[jid] else (jid, s)
-
     def wall_of_face(self, cid: int, s: int) -> int:
         """Wall through the face of chamber cid crossed by generator s."""
         if (cid, s) not in self.ball.edges:
             raise InconclusiveError(f"chamber {cid} has no {s}-edge in the ball")
-        return self.edge_wall[self.edge_key(cid, s)]
+        return self.faces[cid * self.ball.system.rank + s]
 
     def separates(self, wid: int, a: int, b: int) -> bool:
         """True iff the wall separates chambers a and b (crossing parity)."""
@@ -58,8 +56,7 @@ class WallSet:
     def near_chamber(self, wid: int, base: int = 0) -> int:
         """Endpoint of the wall's least crossed edge on the base's side."""
         cid, s = self.walls[wid].edges[0]
-        other = self.ball.edges[(cid, s)]
-        for x in (cid, other):
+        for x in (cid, self.ball.nbr[cid * self.ball.system.rank + s]):
             if (wid in self.sep[x]) == (wid in self.sep[base]):
                 return x
         raise StructureError(f"wall {wid} does not separate its own edge endpoints")
@@ -74,7 +71,7 @@ class WallSet:
         if wid not in self._canonical_cache:
             # the ball holds g s in normal form; only g^-1 is left to multiply in
             cid, s = self.walls[wid].edges[0]
-            gs = self.ball.words[self.ball.edges[(cid, s)]]
+            gs = self.ball.words[self.ball.nbr[cid * self.ball.system.rank + s]]
             self._canonical_cache[wid] = self.ball.mul(gs, tuple(reversed(self.ball.words[cid])))
         return self._canonical_cache[wid]
 
@@ -95,45 +92,47 @@ def enumerate_walls(ball: Ball) -> WallSet:
     come from its ShortLex parent g' = g t: rho(g, t) = -rho(g', t) and
     rho(g, s) = rho(g', s) + 2cos(pi/m_ts) rho(g', t).  An upward edge
     (g, s) has a positive root; the first edge to show a root opens the
-    next wall id.
+    next wall id.  Both faces of the edge get its wall in `faces`.
     """
-    n, m, norms = ball.system.rank, ball.system.matrix, ball.norms
+    n, m, norms, nbr = ball.system.rank, ball.system.matrix, ball.norms, ball.nbr
     roots = ExactReflection(ball.system)
-    faces = [-1] * (len(ball) * n)  # chamber * n + s -> wall id of that face
-    signed = []  # wall id -> (its positive root, the negative)
+    faces = [-1] * len(nbr)
+    positive = []  # wall id -> its positive root
     wall_of_root = {}
     walls = []
-    edge_wall = {}
     sep = [frozenset()] * len(ball)
     for g, word in enumerate(ball.words):
+        row = g * n
         if g:
             t = word[-1]
-            parent = ball.edges[(g, t)]
-            sep[g] = sep[parent] ^ {faces[parent * n + t]}
-        if norms[g] == ball.radius:
+            parent = nbr[row + t]  # g's ShortLex parent g t, one level down
+            up = parent * n
+            sep[g] = sep[parent].union((faces[up + t],))
+        level = norms[g]
+        if level == ball.radius:
             continue
         for s in range(n):
-            h = ball.edges[(g, s)]
-            if norms[h] < norms[g]:
+            h = nbr[row + s]
+            if norms[h] < level:
                 continue
             if not g:
                 root = roots.simple_roots[s]
                 wid = wall_of_root.get(root)
             elif m[t][s] == 2:  # rho(g, s) = rho(g', s): no arithmetic
-                wid = faces[parent * n + s]
+                wid = faces[up + s]
             else:
-                down = norms[ball.edges[(parent, s)]] < norms[parent]
-                rho_s = signed[faces[parent * n + s]][down]
-                root = roots.add_multiple[t][s](rho_s, signed[faces[parent * n + t]][0])
+                rho_s = positive[faces[up + s]]
+                if norms[nbr[up + s]] < level - 1:  # s goes down from g'
+                    rho_s = tuple(map(neg, rho_s))
+                root = roots.add_multiple[t][s](rho_s, positive[faces[up + t]])
                 wid = wall_of_root.get(root)
             if wid is None:
                 wid = wall_of_root[root] = len(walls)
-                signed.append((root, tuple(-x for x in root)))
-                walls.append(Wall(wid, [], s, determinate=norms[g] + 1 <= ball.radius - 2))
+                positive.append(root)
+                walls.append(Wall(wid, [], s, determinate=level + 1 <= ball.radius - 2))
             walls[wid].edges.append((g, s))
-            edge_wall[(g, s)] = wid
-            faces[g * n + s] = faces[h * n + s] = wid
-    return WallSet(ball, walls, edge_wall, sep)
+            faces[row + s] = faces[h * n + s] = wid
+    return WallSet(ball, walls, faces, sep)
 
 
 @dataclass
@@ -162,11 +161,8 @@ def wall_components(wallset: WallSet, wid: int) -> WallComponents:
     """Label the components of the ball graph minus the wall's crossed edges;
     independent of the crossing-parity sets."""
     ball = wallset.ball
-    cut = set()
-    for cid, s in wallset.walls[wid].edges:
-        jid = ball.edges[(cid, s)]
-        cut.add((cid, s))
-        cut.add((jid, s))
+    n, nbr = ball.system.rank, ball.nbr
+    cut = {i for cid, s in wallset.walls[wid].edges for i in (cid * n + s, nbr[cid * n + s] * n + s)}
     comp = [-1] * len(ball)
     ncomp = 0
     for start in range(len(ball)):
@@ -176,11 +172,9 @@ def wall_components(wallset: WallSet, wid: int) -> WallComponents:
         comp[start] = ncomp
         while stack:
             x = stack.pop()
-            for s in range(ball.system.rank):
-                if (x, s) in cut or (x, s) not in ball.edges:
-                    continue
-                y = ball.edges[(x, s)]
-                if comp[y] == -1:
+            for i in range(x * n, x * n + n):
+                y = nbr[i]
+                if y >= 0 and comp[y] == -1 and i not in cut:
                     comp[y] = ncomp
                     stack.append(y)
         ncomp += 1
@@ -224,25 +218,19 @@ def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
     missing = [s for s in range(system.rank) if s not in palette]
     if missing:
         raise ValidationError(f"palette misses generators {missing}")
-    color_of = {w.wid: palette[w.generator] for w in wallset.walls}
+    color = [palette[w.generator] for w in wallset.walls]  # wall id -> color
+    color_of = dict(enumerate(color))
     by_color: dict = {}
-    for w in wallset.walls:
-        by_color.setdefault(color_of[w.wid], []).append(w.wid)
-    violations = []
-    pairs = [
-        (s, t)
-        for s in range(system.rank)
-        for t in range(s + 1, system.rank)
-        if system.m(s, t) != 0
-    ]
-    for cid in range(len(ball)):
-        for s, t in pairs:
-            if (cid, s) not in ball.edges or (cid, t) not in ball.edges:
-                continue
-            w1 = wallset.wall_of_face(cid, s)
-            w2 = wallset.wall_of_face(cid, t)
-            if w1 != w2 and color_of[w1] == color_of[w2]:
-                violations.append((cid, w1, w2))
+    for wid, c in enumerate(color):
+        by_color.setdefault(c, []).append(wid)
+    n, faces = system.rank, wallset.faces
+    found = []  # (chamber, pair number, wall, wall), one scan per corner pair
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if system.m(s, t) != 0]
+    for k, (s, t) in enumerate(pairs):
+        for cid, (w1, w2) in enumerate(zip(faces[s::n], faces[t::n])):
+            if w1 != w2 and w1 >= 0 and w2 >= 0 and color[w1] == color[w2]:
+                found.append((cid, k, w1, w2))
+    violations = [(cid, w1, w2) for cid, _, w1, w2 in sorted(found)]
     return WallClasses(by_color, color_of, violations, ball.radius)
 
 
@@ -256,29 +244,45 @@ def alternating_palette(system) -> dict:
 # -- levels ------------------------------------------------------------------
 
 
+def _class_chains(wallset: WallSet, class_wids, base: int) -> dict:
+    """Each class wall's in-class separators, read from `sep`: the class walls
+    between the base and the wall's near side (the lower end of its least edge
+    unless the base lies beyond the wall), as tuples the collector untracks."""
+    sep, walls = wallset.sep, wallset.walls
+    n, nbr = wallset.ball.system.rank, wallset.ball.nbr
+    class_set = frozenset(class_wids)
+    at_base = sep[base]
+    chains = {}
+    for w in class_wids:
+        cid, s = walls[w].edges[0]
+        near = nbr[cid * n + s] if w in at_base else cid
+        chains[w] = tuple(filter(class_set.__contains__, sep[near] ^ at_base))
+    return chains
+
+
 def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
     """Iterated peeling of a pairwise-disjoint wall class away from `base`.
 
     Round k removes the walls not separated from the base chamber by any
-    remaining wall of the class and labels them level k.
+    remaining wall of the class and labels them level k: the Kahn layers of
+    the blocker graph, met in one breadth-first pass.
     """
-    class_set = frozenset(class_wids)
-    blockers = {
-        w: wallset.separating_walls(w, base) & class_set for w in class_wids
-    }
-    levels = {}
-    active = set(class_wids)
-    level = 1
-    while active:
-        this_round = [w for w in active if not (blockers[w] & active)]
-        if not this_round:
-            raise StructureError(
-                "peeling stalled: class walls mutually separated (intersecting class?)"
-            )
-        for w in this_round:
-            levels[w] = level
-        active.difference_update(this_round)
-        level += 1
+    chains = _class_chains(wallset, class_wids, base)
+    waiting = {w: len(chain) for w, chain in chains.items()}
+    blocks: dict = {}  # wall -> the walls it separates from the base
+    for w, chain in chains.items():
+        for b in chain:
+            blocks.setdefault(b, []).append(w)
+    order = [w for w, count in waiting.items() if not count]
+    levels = dict.fromkeys(order, 1)
+    for w in order:  # levels never decrease along the queue
+        for v in blocks.get(w, ()):
+            waiting[v] -= 1
+            if not waiting[v]:
+                levels[v] = levels[w] + 1
+                order.append(v)
+    if len(levels) < len(chains):
+        raise StructureError("peeling stalled: class walls mutually separated (intersecting class?)")
     return levels
 
 
@@ -302,40 +306,33 @@ class WallTree:
 
 
 def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
-    class_set = frozenset(class_wids)
-    chains = {w: wallset.separating_walls(w, base) & class_set for w in class_wids}
-    # nesting sanity: separators of one wall must be totally ordered
+    chains = _class_chains(wallset, class_wids, base)
+    size = {w: len(chain) for w, chain in chains.items()}
+    innermost = {}
     for w, chain in chains.items():
-        ordered = sorted(chain, key=lambda x: len(chains[x]))
-        for a, b in zip(ordered, ordered[1:]):
-            if not (chains[a] | {a}) <= chains[b]:
-                raise StructureError(
-                    f"separators of wall {w} are not nested; class is not disjoint"
-                )
+        if len(chain) > 1:  # nesting sanity: separators of one wall must be totally ordered
+            chain = sorted(chain, key=size.__getitem__)
+            for a, b in zip(chain, chain[1:]):
+                outer = chains[b]
+                if a not in outer or not all(map(outer.__contains__, chains[a])):
+                    raise StructureError(f"separators of wall {w} are not nested; class is not disjoint")
+        if chain:
+            innermost[w] = chain[-1]
     level_one = [w for w in class_wids if not chains[w]]
     if not level_one:
         raise StructureError("class has no level-1 wall")
     root = min(level_one, key=lambda w: _shortlex_key(wallset.canonical_word(w)))
-    parent = {}
-    for w in class_wids:
-        if w == root:
-            continue
-        if chains[w]:
-            parent[w] = max(chains[w], key=lambda x: len(chains[x]))
-        else:
-            parent[w] = root
-    depth = {root: 0}
-    pending = [w for w in class_wids if w != root]
-    while pending:
-        rest = []
-        for w in pending:
-            if parent[w] in depth:
-                depth[w] = depth[parent[w]] + 1
-            else:
-                rest.append(w)
-        if len(rest) == len(pending):
-            raise StructureError("wall tree disconnected: parent outside the class")
-        pending = rest
+    parent = {w: innermost.get(w, root) for w in class_wids if w != root}
+    children: dict = {}
+    for w, p in parent.items():
+        children.setdefault(p, []).append(w)
+    order, depth = [root], {root: 0}
+    for w in order:
+        for c in children.get(w, ()):
+            depth[c] = depth[w] + 1
+            order.append(c)
+    if len(depth) <= len(parent):
+        raise StructureError("wall tree disconnected: parent outside the class")
     edges = sorted((parent[w], w) for w in parent)
     return WallTree(sorted(class_wids), edges, root, parent, depth)
 

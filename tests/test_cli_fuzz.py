@@ -1,4 +1,4 @@
-"""Fuzz of the `ball` subcommand with generated system JSON.
+"""Fuzz of the `ball` and `walls` subcommands with generated system JSON.
 
 Documents start from a valid system of rank at most 4 with orders at most 8,
 and are then often broken: a bad matrix entry (wrong value or type), a
@@ -7,7 +7,9 @@ JSON cut short.  Whatever the input, the CLI must keep its exit-code
 contract (0 ok, 1 a verification failed, 2 bad input), print nothing to
 stdout on failure, and report a failure as one `error:` line, never a
 traceback.  Exceptions are not caught here: one that escapes `main` fails
-the test with its traceback.
+the test with its traceback.  `walls` also meets rank-1, radius-0 and finite
+groups, whose chamber graphs have few or no edges leaving the ball (the -1
+entries of Ball.nbr and WallSet.faces).
 """
 
 import io
@@ -68,3 +70,23 @@ def test_ball_keeps_exit_code_contract(text, radius):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(system_texts(), st.integers(-1, 3), st.sampled_from(["distinct", "alternating"]))
+def test_walls_keeps_exit_code_contract(text, radius, palette):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["walls", "--system", text, "--radius", str(radius), "--palette", palette]
+    with redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == ""
+        results = parse_report(out.getvalue())["results"]
+        assert results["wall_count"] == len(results["walls"])
+        assert results["classes_disjoint"] == (code == 0) == (not results["violations"])
