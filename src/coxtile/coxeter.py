@@ -2,11 +2,13 @@
 
 Elements are represented by ShortLex-least geodesic words in generator
 indices.  Right-angled systems (all off-diagonal orders in {2, infinity})
-get an exact rewriting backend; general systems get a braid-move word
-reducer, which is also the independent oracle.  Nothing is identified by
-floating point: a ball of a general system tells its elements apart by exact
-Tits-cone keys, the dual vectors g^-1 f0 of ExactReflection, whose roots
-identify walls.
+get an exact rewriting backend; every other system gets DescentEngine,
+which reads the normal form off the signs of the dual vector g f0, in
+integers when every order is 2, 3 or infinity and else in fixed point with
+proven error bounds, at doubled precision until the bounds decide.  Nothing
+is identified by floating point: a ball of a general system tells its
+elements apart by the exact dual vectors g^-1 f0 of ExactReflection, whose
+roots identify walls.
 """
 
 import json
@@ -75,6 +77,10 @@ class CoxeterSystem:
         n = self.rank
         return all(self.matrix[i][j] in (0, 2) for i in range(n) for j in range(n) if i != j)
 
+    @cached_property
+    def _descents(self) -> "DescentEngine":
+        return DescentEngine(self)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -137,7 +143,7 @@ class CoxeterSystem:
             for s in word:
                 nf = _ra_mul_gen(self, nf, s)
             return nf
-        return _braid_normal_form(self, word)
+        return self._descents.normal_form(word)
 
     def norm(self, word) -> int:
         return len(self.normal_form(word))
@@ -192,63 +198,6 @@ def _ra_mul_gen(system: CoxeterSystem, nf: tuple[int, ...], s: int) -> tuple[int
     while pos < len(nf) and nf[pos] < s:
         pos += 1
     return nf[:pos] + (s,) + nf[pos:]
-
-
-# -- braid-move machinery (general systems, and the word-level oracle) -----
-
-
-def _alt_word(i: int, j: int, length: int) -> tuple[int, ...]:
-    return tuple(i if k % 2 == 0 else j for k in range(length))
-
-
-def braid_closure(system: CoxeterSystem, word, limit: int = 200_000) -> set:
-    """All words reachable from `word` by braid moves (no cancellations)."""
-    word = tuple(word)
-    seen = {word}
-    frontier = [word]
-    matrix = system.matrix
-    n = system.rank
-    while frontier:
-        nxt = []
-        for w in frontier:
-            L = len(w)
-            for p in range(L - 1):
-                i, j = w[p], w[p + 1]
-                if i == j:
-                    continue
-                m = matrix[i][j]
-                if m < 2 or p + m > L:
-                    continue
-                if w[p : p + m] == _alt_word(i, j, m):
-                    w2 = w[:p] + _alt_word(j, i, m) + w[p + m :]
-                    if w2 not in seen:
-                        seen.add(w2)
-                        nxt.append(w2)
-            if len(seen) > limit:
-                raise SizeLimitError("braid closure too large", partial_count=len(seen))
-        frontier = nxt
-    return seen
-
-
-def _braid_normal_form(system: CoxeterSystem, word) -> tuple[int, ...]:
-    """Tits' solution to the word problem: cancel within the braid closure
-    until reduced, then take the lexicographically least reduced word."""
-    w = tuple(word)
-    while True:
-        done = True
-        for v in braid_closure(system, w):
-            for p in range(len(v) - 1):
-                if v[p] == v[p + 1]:
-                    w = v[:p] + v[p + 2 :]
-                    done = False
-                    break
-            if not done:
-                break
-        if done:
-            break
-    if not w:
-        return ()
-    return min(braid_closure(system, w))
 
 
 # -- exact reflection representation ----------------------------------------
@@ -353,6 +302,119 @@ class ExactReflection:
                 map(add, f[t * d : t * d + d], c(f[s * d : s * d + d]))
                 for t, c in enumerate(cols[s])
             ))
+
+
+# -- the descent engine (every system that is not right-angled) --------------
+
+
+def _fixed_pi(bits: int) -> int:
+    """An integer within 8 * bits + 60 of 2^bits pi: Machin's formula, each
+    atan(1/x) term off by under 2, and the series cut where its tail is under 1."""
+
+    def atan_inv(x):
+        total, power, k = 0, (1 << bits) // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k & 1 else term
+            power //= x * x
+            k += 1
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _fixed_cos(m: int, prec: int) -> int:
+    """An integer within 1 of 2^prec cos(pi/m), m >= 2: the Taylor series in
+    fixed point with `guard` extra bits.  In units of 2^-bits the angle is off
+    by under 4 * bits + 31, its square by 3.2 times that plus 1 and each floor
+    by under 1, so the sum is off by under 24 * bits + 200 < 2^(guard - 1)."""
+    guard = 32 + prec.bit_length()
+    bits = prec + guard
+    angle = _fixed_pi(bits) // m
+    square = angle * angle >> bits
+    total, term, k = 0, 1 << bits, 0
+    while term:
+        total += -term if k & 1 else term
+        k += 1
+        term = (term * square >> bits) // ((2 * k - 1) * (2 * k))
+    return (total + (1 << (guard - 1))) >> guard
+
+
+class DescentEngine:
+    """ShortLex normal forms from the signs of the dual vector g f0.
+
+    Coordinate t of g f0 (f0(alpha_s) = 1, as in ExactReflection) is the
+    coefficient sum of the root g^-1 alpha_t, negative exactly when t is a
+    left descent of g (Bjorner and Brenti, Combinatorics of Coxeter Groups,
+    4.2).  So fold the reversed word into f0, emit the least t whose
+    coordinate is negative, step by t, and repeat until none is negative.
+
+    A step by s negates f_s and adds c_st f_s to each other f_t, c_st =
+    2cos(pi/m_st), 2 for infinity.  Integers F_t and E_t keep
+    |F_t - 2^prec f_t| <= E_t.  With orders 2, 3 and infinity only, prec is 0
+    and E stays 0: exact.  Otherwise C_st = 2 _fixed_cos is within g = 2 of
+    2^prec c_st, so floor(C_st F_s / 2^prec) is off by at most
+    ((|C_st| + 3g) E_s + g |F_s|) / 2^prec + 1, which E_t gains.  A sign is
+    used only once |F_t| > E_t proves it, else the word is redone at doubled
+    precision.  That ends, as |f_t| >= 1: a root beta = sum b_s alpha_s has
+    1 = B(beta, beta) <= (sum |b_s|)^2, no |B(alpha_s, alpha_t)| exceeding 1.
+    """
+
+    def __init__(self, system: CoxeterSystem):
+        self.matrix = system.matrix
+        self.exact = all(m in _INTEGER_2COS for row in self.matrix for m in row)
+        self._moves = {}
+
+    def moves(self, prec: int) -> list:
+        """moves[s]: (t, C_st, |C_st| + 3g, g, floor loss) for each t != s with m_st != 2."""
+        if prec not in self._moves:
+            def move(t, m):
+                exact = m in _INTEGER_2COS
+                c, g = (_INTEGER_2COS[m] << prec, 0) if exact else (2 * _fixed_cos(m, prec), 2)
+                return t, c, abs(c) + 3 * g, g, int(not exact)
+
+            self._moves[prec] = [
+                [move(t, m) for t, m in enumerate(row) if t != s and m != 2]
+                for s, row in enumerate(self.matrix)
+            ]
+        return self._moves[prec]
+
+    def attempt(self, word, prec: int):
+        """The normal form, or None when `prec` bits do not prove every sign."""
+        moves = self.moves(prec)
+        F, E = [1 << prec] * len(self.matrix), [0] * len(self.matrix)
+        for s in reversed(word):
+            _step(F, E, moves[s], s, prec)
+        out = []
+        while True:
+            for t, (f, e) in enumerate(zip(F, E)):
+                if f > e:
+                    continue
+                if f < -e:
+                    break
+                return None
+            else:
+                return tuple(out)
+            if len(out) == len(word):  # a proven descent shortens g: never reached
+                raise StructureError(f"descents of {tuple(word)} outrun its length")
+            out.append(t)
+            _step(F, E, moves[t], t, prec)
+
+    def normal_form(self, word) -> tuple[int, ...]:
+        prec = 0 if self.exact else 64
+        while (nf := self.attempt(word, prec)) is None:
+            prec *= 2
+        return nf
+
+
+def _step(F: list, E: list, moves, s: int, prec: int) -> None:
+    """Replace (F, E) by those of s.f in place (see DescentEngine)."""
+    fs, es = F[s], E[s]
+    size, round_up = abs(fs), (1 << prec) - 1
+    for t, c, a, g, loss in moves:
+        F[t] += c * fs >> prec
+        E[t] += ((a * es + g * size + round_up) >> prec) + loss
+    F[s] = -fs
 
 
 # -- ball enumeration -------------------------------------------------------
@@ -596,40 +658,3 @@ def displacement_exponent(group, a, members=None, n_max: int = 10) -> Displaceme
     if witnesses:
         return DisplacementVerdict(None, witnesses, order, n_max)
     return DisplacementVerdict(worst, [], order, n_max)
-
-
-# -- independent naive enumeration (test oracle) ------------------------------
-
-
-def oracle_canonical(system: CoxeterSystem, word) -> tuple[int, ...]:
-    """Word-level canonical form via braid closure only (no rewriting
-    shortcuts, no matrix hashing); used to cross-check the fast paths."""
-    return _braid_normal_form(system, word)
-
-
-def naive_ball(system: CoxeterSystem, radius: int, max_elements: int = 10_000):
-    """Raw-word BFS deduplicated by the braid-closure canonical form.
-
-    Returns (sphere_sizes, canonical word set).  Independent of both the
-    right-angled rewriting backend and the reflection representation.
-    """
-    seen = {(): ()}
-    frontier = [()]
-    sphere_sizes = [1]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for s in range(system.rank):
-                c = oracle_canonical(system, w + (s,))
-                if c not in seen:
-                    seen[c] = c
-                    nxt.append(c)
-                    if len(seen) > max_elements:
-                        raise SizeLimitError("naive ball too large", partial_count=len(seen))
-        sphere_sizes.append(len(nxt))
-        frontier = nxt
-        if not frontier:
-            break
-    while len(sphere_sizes) < radius + 1:
-        sphere_sizes.append(0)
-    return sphere_sizes, set(seen)

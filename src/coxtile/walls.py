@@ -45,9 +45,16 @@ class WallSet:
 
     def wall_of_face(self, cid: int, s: int) -> int:
         """Wall through the face of chamber cid crossed by generator s."""
-        if (cid, s) not in self.ball.edges:
-            raise InconclusiveError(f"chamber {cid} has no {s}-edge in the ball")
-        return self.faces[cid * self.ball.system.rank + s]
+        ball, n = self.ball, self.ball.system.rank
+        if (cid, s) in ball.edges:
+            return self.faces[cid * n + s]
+        where = f"the radius-{ball.radius} ball"
+        if not (0 <= cid < len(ball) and 0 <= s < n):
+            raise InconclusiveError(f"no face ({cid}, {s}): {where} has chambers "
+                                    f"0..{len(ball) - 1} and generators 0..{n - 1}")
+        norm = ball.norms[cid]  # only a chamber on the outer sphere misses an edge
+        raise InconclusiveError(f"chamber {cid} has norm {norm} and its {s}-neighbour lies "
+                                f"outside {where}; enlarge the radius to at least {norm + 1}")
 
     def separates(self, wid: int, a: int, b: int) -> bool:
         """True iff the wall separates chambers a and b (crossing parity)."""
@@ -142,6 +149,7 @@ class WallComponents:
     wid: int
     labels: list  # chamber id -> component number
     count: int
+    radius: int
 
     def separates(self, a: int, b: int) -> bool:
         """True iff chambers a and b fall into different components.
@@ -152,7 +160,9 @@ class WallComponents:
         separated = self.labels[a] != self.labels[b]
         if separated and self.count > 2:
             raise InconclusiveError(
-                f"deleting wall {self.wid} produced {self.count} components; enlarge the radius"
+                f"deleting wall {self.wid} split the radius-{self.radius} ball into {self.count} "
+                f"components, not 2, so the verdict would rest on a boundary shard; raise the "
+                f"radius above {self.radius}"
             )
         return separated
 
@@ -178,7 +188,7 @@ def wall_components(wallset: WallSet, wid: int) -> WallComponents:
                     comp[y] = ncomp
                     stack.append(y)
         ncomp += 1
-    return WallComponents(wid, comp, ncomp)
+    return WallComponents(wid, comp, ncomp, ball.radius)
 
 
 def separates_by_components(wallset: WallSet, wid: int, a: int, b: int):

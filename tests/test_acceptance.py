@@ -11,6 +11,7 @@ from math import pi
 
 import numpy as np
 import pytest
+from braid_oracle import naive_ball
 
 from coxtile.cli import main as cli_main
 from coxtile.colorings import (
@@ -24,7 +25,6 @@ from coxtile.coxeter import (
     CoxeterSystem,
     displacement_exponent,
     enumerate_ball,
-    naive_ball,
 )
 from coxtile.errors import InconclusiveError
 from coxtile.hyperbolic import (

@@ -1,4 +1,5 @@
-"""Fuzz of the `ball` and `walls` subcommands with generated system JSON.
+"""Fuzz of the `ball`, `walls`, `color` and `balance` subcommands with
+generated system JSON.
 
 Documents start from a valid system of rank at most 4 with orders at most 8,
 and are then often broken: a bad matrix entry (wrong value or type), a
@@ -9,7 +10,10 @@ stdout on failure, and report a failure as one `error:` line, never a
 traceback.  Exceptions are not caught here: one that escapes `main` fails
 the test with its traceback.  `walls` also meets rank-1, radius-0 and finite
 groups, whose chamber graphs have few or no edges leaving the ball (the -1
-entries of Ball.nbr and WallSet.faces).
+entries of Ball.nbr and WallSet.faces).  `color` on systems that are not
+right-angled multiplies words through the descent engine (Ball.mul and
+pair_witness), with g, h and window ranges from -1 to 3; `balance` builds
+the tile alphabet of either orientation, refined or not.
 """
 
 import io
@@ -90,3 +94,52 @@ def test_walls_keeps_exit_code_contract(text, radius, palette):
         results = parse_report(out.getvalue())["results"]
         assert results["wall_count"] == len(results["walls"])
         assert results["classes_disjoint"] == (code == 0) == (not results["violations"])
+
+
+def _failure_is_one_error_line(out, err):
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(system_texts(), st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3))
+def test_color_keeps_exit_code_contract(text, radius, g_range, h_range, window):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["color", "--system", text, "--radius", str(radius), "--g-range", str(g_range),
+            "--h-range", str(h_range), "--window", str(window)]
+    with redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        _failure_is_one_error_line(out, err)
+    else:
+        assert err.getvalue() == ""
+        results = parse_report(out.getvalue())["results"]
+        witnessed = all(p["witness_x"] is not None for p in results["pairs"])
+        assert results["all_witnessed"] == witnessed == (code == 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    system_texts(),
+    st.integers(-1, 3),
+    st.sampled_from(["distinct", "alternating"]),
+    st.sampled_from(["alternating", "all-plus"]),
+    st.booleans(),
+)
+def test_balance_keeps_exit_code_contract(text, radius, palette, orientation, refine):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["balance", "--system", text, "--radius", str(radius), "--palette", palette,
+            "--orientation", orientation] + (["--refine"] if refine else [])
+    with redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        _failure_is_one_error_line(out, err)
+    else:
+        assert err.getvalue() == ""
+        results = parse_report(out.getvalue())["results"]
+        assert results["alphabet_size"] == len(results["tiles"])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from braid_oracle import naive_ball, oracle_canonical
 
 from coxtile.coxeter import (
     CoxeterSystem,
@@ -10,8 +11,6 @@ from coxtile.coxeter import (
     displacement_exponent,
     enumerate_ball,
     load_system,
-    naive_ball,
-    oracle_canonical,
     radial_segment,
     reflection_cocycle,
 )

@@ -4,10 +4,13 @@ benchmark's smoke runs.
 The pins were recorded before Ball.edges became a view over Ball.nbr and
 WallSet.edge_wall gave way to WallSet.faces: the unrefined hexagon R=7
 balance reports for both orientations, and the (3,3,inf) R=10 `walls` report
-with one color per generator.  The smoke runs start perfbench at tiny sizes,
-traced, so its checks (Ball.edges, WallSet.sep, WallSet.separates) and its
-tracer's hooks (WallSet.separating_walls, WallSet.canonical_word and the
-walls span functions) must still bind.
+with one color per generator.  The (2,3,7) R=12 `walls` report was pinned
+while braid closure still spelled its canonical words, so it checks the
+descent engine byte for byte on a system with cyclotomic roots.  The smoke
+runs start perfbench at tiny sizes, traced, so its checks (Ball.edges,
+WallSet.sep, WallSet.separates) and its tracer's hooks
+(WallSet.separating_walls, WallSet.canonical_word and the walls span
+functions) must still bind.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ from coxtile.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE_33INF = '{"generators":["a","b","c"],"matrix":[[1,3,3],[3,1,0],[3,0,1]]}'
+TRIANGLE_237 = '{"generators":["a","b","c"],"matrix":[[1,2,3],[2,1,7],[3,7,1]]}'
 
 REPORT_SHA256 = {
     "balance-r7-alternating": (
@@ -36,6 +40,12 @@ REPORT_SHA256 = {
          "--orientation", "all-plus"],
         0,
         "ce135adee011a5428b63572a9d463023f48d91ac3e9e82f3b0579909c6e5049c",
+    ),
+    "walls-237-r12-distinct": (
+        # recorded with the braid-closure word engine, before the descent engine
+        ["walls", "--system", TRIANGLE_237, "--radius", "12", "--palette", "distinct"],
+        1,
+        "90e8d42c5156e4270016047ec11caed012f300417c2b83ea1e3b9459af842855",
     ),
     "walls-33inf-r10-distinct": (
         # exit 1: the report lists corners where walls of one color meet

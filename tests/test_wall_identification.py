@@ -12,6 +12,7 @@ import hashlib
 import io
 
 import pytest
+from braid_oracle import oracle_canonical
 
 from coxtile.cli import main
 from coxtile.coxeter import (
@@ -19,7 +20,6 @@ from coxtile.coxeter import (
     ExactReflection,
     _cyclotomic,
     enumerate_ball,
-    oracle_canonical,
 )
 from coxtile.walls import enumerate_walls
 

@@ -1,7 +1,7 @@
 import pytest
 
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
-from coxtile.errors import ValidationError
+from coxtile.errors import InconclusiveError, ValidationError
 from coxtile.walls import (
     alternating_palette,
     build_wall_tree,
@@ -10,6 +10,7 @@ from coxtile.walls import (
     peel_levels,
     separates_by_components,
     wall_coloring,
+    wall_components,
 )
 
 
@@ -257,3 +258,28 @@ def test_separation_set_equals_cocycle_entries():
         assert reduced
         sep_words = {ws.canonical_word(w) for w in ws.sep[cid]}
         assert sep_words == set(entries)
+
+
+def test_wall_of_face_error_names_norm_and_radius():
+    ball, ws = make(CoxeterSystem.right_angled_polygon(5), 3)
+    outer = next(cid for cid in range(len(ball)) if ball.norms[cid] == 3)
+    s = next(s for s in range(5) if ball.nbr[outer * 5 + s] < 0)
+    with pytest.raises(InconclusiveError) as err:
+        ws.wall_of_face(outer, s)
+    message = str(err.value)
+    assert f"chamber {outer} has norm 3" in message and "radius-3 ball" in message
+    assert "enlarge the radius to at least 4" in message
+    with pytest.raises(InconclusiveError, match=r"radius-3 ball has chambers 0\.\.60 and generators 0\.\.4"):
+        ws.wall_of_face(len(ball), 0)
+
+
+def test_component_error_names_count_and_radius():
+    triangle = CoxeterSystem(("a", "b", "c"), ((1, 3, 3), (3, 1, 0), (3, 0, 1)))
+    _, ws = make(triangle, 2)
+    shattered = next(c for c in (wall_components(ws, w.wid) for w in ws.walls) if c.count > 2)
+    b = next(x for x, label in enumerate(shattered.labels) if label != shattered.labels[0])
+    with pytest.raises(InconclusiveError) as err:
+        shattered.separates(0, b)
+    message = str(err.value)
+    assert f"wall {shattered.wid} split the radius-2 ball into {shattered.count} components" in message
+    assert "raise the radius above 2" in message
