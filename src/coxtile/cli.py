@@ -31,7 +31,7 @@ from .tiling_space import (
     restrict_patch,
     translate_compare,
 )
-from .walls import alternating_palette, build_wall_tree, color_walls, peel_levels
+from .walls import alternating_palette, build_wall_tree, color_walls
 
 REPORT_VERSION = 1
 
@@ -157,13 +157,14 @@ def _cmd_color(args, out) -> int:
     coloring = norm_coloring(ball)
     report = aperiodicity_report(ball, coloring, args.g_range, args.h_range, args.window)
     records = []
+    h_inv = {h: ball.inv(h) for h in {h for _g, h in report.records}}
     for (g, h), x in sorted(report.records.items()):
         records.append(
             {
                 "g": _word_str(system, g),
                 "h": _word_str(system, h),
                 "witness_x": None if x is None else _word_str(system, x),
-                "radius_used": None if x is None else ball.norm(ball.mul(ball.inv(h), x)),
+                "radius_used": None if x is None else ball.norm(ball.mul(h_inv[h], x)),
             }
         )
     results = {
@@ -187,9 +188,9 @@ def _cmd_walls(args, out) -> int:
     levels = {}
     parents = {}
     if classes.disjoint:
-        for color, wids in classes.by_color.items():
-            levels.update(peel_levels(wallset, wids))
+        for wids in classes.by_color.values():
             tree = build_wall_tree(wallset, wids)
+            levels.update(tree.levels)
             parents.update(tree.parent)
     walls = []
     for w in wallset.walls:

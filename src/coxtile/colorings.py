@@ -282,7 +282,11 @@ def pair_witness(group, coloring: GroupColoring, g, h, rho: int, window=None):
     """
     if window is None:
         window = [u for u in group.members() if group.norm(u) <= rho]
-    ginv = group.inv(g)
+    return _witness(group, coloring, group.inv(g), h, window)
+
+
+def _witness(group, coloring: GroupColoring, ginv, h, window):
+    """First x = h u, u in the window, with phi(ginv x) != phi(x), or None."""
     for u in window:
         x = group.mul(h, u)
         if coloring.value(group.mul(ginv, x)) != coloring.value(x):
@@ -322,8 +326,9 @@ def aperiodicity_report(
     gs = [g for g in group.members() if 0 < group.norm(g) <= g_range]
     hs = [h for h in group.members() if group.norm(h) <= h_range]
     for g in gs:
+        ginv = group.inv(g)
         for h in hs:
-            report.records[(g, h)] = pair_witness(group, coloring, g, h, window, win)
+            report.records[(g, h)] = _witness(group, coloring, ginv, h, win)
     for g, h in extra_pairs:
         report.records[(g, h)] = pair_witness(group, coloring, g, h, window, win)
     return report

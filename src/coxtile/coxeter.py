@@ -69,9 +69,6 @@ class CoxeterSystem:
     def m(self, i: int, j: int) -> int:
         return self.matrix[i][j]
 
-    def commutes(self, i: int, j: int) -> bool:
-        return self.matrix[i][j] == 2
-
     @cached_property
     def is_right_angled(self) -> bool:
         n = self.rank

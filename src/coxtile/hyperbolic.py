@@ -328,22 +328,18 @@ def default_magnitudes(a_colors, b_colors, epsilon: float):
     return magnitude
 
 
-def vertex_orbit_key(system, word, k: int):
-    """Canonical id of the geometric vertex k of chamber `word`.
+def _vertex_key(ball, cid: int, k: int):
+    """Canonical id of the geometric vertex k of chamber cid = g.
 
     The four chambers around the vertex are g, g s_{k-1}, g s_k and
-    g s_{k-1} s_k, and each sees the point as its own vertex k; the
-    ShortLex-least of the four words identifies the point combinatorially.
+    g s_{k-1} s_k, and each sees the point as its own vertex k.  Ids are in
+    ShortLex order and the least of the four has norm at most |g|, so the
+    least in-ball id among them names the point by that ShortLex-least word.
     """
-    p = system.rank
-    sa, sb = (k - 1) % p, k
-    orbit = [
-        tuple(word),
-        system.mul(word, (sa,)),
-        system.mul(word, (sb,)),
-        system.mul(word, (sa, sb)),
-    ]
-    return (min(orbit, key=lambda w: (len(w), w)), k)
+    p, nbr = ball.system.rank, ball.nbr
+    a, b = nbr[cid * p + (k - 1) % p], nbr[cid * p + k]
+    ab = nbr[a * p + k] if a >= 0 else -1
+    return (ball.words[min(x for x in (cid, a, b, ab) if x >= 0)], k)
 
 
 def deform_vertices(
@@ -360,8 +356,7 @@ def deform_vertices(
     quadrant of its two oriented walls, by the magnitude assigned to the
     color pair; each vertex is displaced once, so tiles stay face to face.
     """
-    system = ball.system
-    p = system.rank
+    p = ball.system.rank
     displaced: dict = {}
     out = []
     for tile in placed:
@@ -369,7 +364,7 @@ def deform_vertices(
         new_vertices = []
         keys = []
         for k in range(p):
-            key = vertex_orbit_key(system, tile.word, k)
+            key = _vertex_key(ball, cid, k)
             keys.append(key)
             if key not in displaced:
                 displaced[key] = _displace_vertex(

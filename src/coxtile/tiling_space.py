@@ -30,9 +30,6 @@ class ChamberTiling:
         }
         return cls(ball, labels)
 
-    def max_labeled_depth(self) -> int:
-        return max((self.ball.norm(w) for w in self.labels), default=-1)
-
 
 @dataclass
 class TilingPatch:

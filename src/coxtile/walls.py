@@ -9,10 +9,12 @@ every Coxeter matrix.  The result lives in flat tables beside `Ball.nbr`:
 ball), and `sep[g]` is the set of walls a ShortLex geodesic from e to g
 crosses, each at most once, so separation is crossing parity.
 
-Levels and trees of a class come from each wall's in-class separators, read
-once per call from `sep`; the peeling rounds are the Kahn layers of that
-blocker graph.  They depend on walls beyond the ball too, which is why a wall
-whose edges all lie near the boundary is flagged not `determinate`.
+A class's levels and tree are one structure, built once per call: each
+wall's in-class separators are read from `sep`, and their Kahn layers are
+the peeling rounds.  On a disjoint class the separators form a chain, and the
+tree parent is its innermost wall, one level down.  Levels depend on walls
+beyond the ball too, which is why a wall whose edges all lie near the
+boundary is flagged not `determinate`.
 """
 
 from dataclasses import dataclass
@@ -270,14 +272,9 @@ def _class_chains(wallset: WallSet, class_wids, base: int) -> dict:
     return chains
 
 
-def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
-    """Iterated peeling of a pairwise-disjoint wall class away from `base`.
-
-    Round k removes the walls not separated from the base chamber by any
-    remaining wall of the class and labels them level k: the Kahn layers of
-    the blocker graph, met in one breadth-first pass.
-    """
-    chains = _class_chains(wallset, class_wids, base)
+def _kahn_levels(chains: dict) -> dict:
+    """Kahn layers of the blocker graph, met in one breadth-first pass: a wall
+    joins layer k once every in-class separator of it lies in layers < k."""
     waiting = {w: len(chain) for w, chain in chains.items()}
     blocks: dict = {}  # wall -> the walls it separates from the base
     for w, chain in chains.items():
@@ -296,16 +293,28 @@ def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
     return levels
 
 
+def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
+    """Iterated peeling of a pairwise-disjoint wall class away from `base`.
+
+    Round k removes the walls not separated from the base chamber by any
+    remaining wall of the class and labels them level k: the Kahn layers of
+    the blocker graph.
+    """
+    return _kahn_levels(_class_chains(wallset, class_wids, base))
+
+
 # -- wall trees --------------------------------------------------------------
 
 
 @dataclass
 class WallTree:
-    """Rooted tree on the walls of one disjoint class.
+    """Rooted tree on the walls of one disjoint class, read off its peeling.
 
-    Each wall of level >= 2 hangs under the innermost same-class wall
-    separating it from the base chamber; the remaining level-1 walls hang
-    under the root, the level-1 wall with ShortLex-least reflection word.
+    A wall's in-class separators form a chain, one wall per lower level; the
+    wall hangs under the innermost of them, its separator one level down.
+    The level-1 walls hang under the root, the level-1 wall with
+    ShortLex-least reflection word, so a wall's depth is its level, less one
+    when the root separates it from the base chamber.
     """
 
     vertices: list
@@ -313,38 +322,27 @@ class WallTree:
     root: int
     parent: dict
     depth: dict
+    levels: dict  # wall id -> peeling level (peel_levels)
 
 
 def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
     chains = _class_chains(wallset, class_wids, base)
-    size = {w: len(chain) for w, chain in chains.items()}
-    innermost = {}
-    for w, chain in chains.items():
-        if len(chain) > 1:  # nesting sanity: separators of one wall must be totally ordered
-            chain = sorted(chain, key=size.__getitem__)
-            for a, b in zip(chain, chain[1:]):
-                outer = chains[b]
-                if a not in outer or not all(map(outer.__contains__, chains[a])):
-                    raise StructureError(f"separators of wall {w} are not nested; class is not disjoint")
-        if chain:
-            innermost[w] = chain[-1]
+    levels = _kahn_levels(chains)
     level_one = [w for w in class_wids if not chains[w]]
     if not level_one:
         raise StructureError("class has no level-1 wall")
     root = min(level_one, key=lambda w: _shortlex_key(wallset.canonical_word(w)))
-    parent = {w: innermost.get(w, root) for w in class_wids if w != root}
-    children: dict = {}
-    for w, p in parent.items():
-        children.setdefault(p, []).append(w)
-    order, depth = [root], {root: 0}
-    for w in order:
-        for c in children.get(w, ()):
-            depth[c] = depth[w] + 1
-            order.append(c)
-    if len(depth) <= len(parent):
-        raise StructureError("wall tree disconnected: parent outside the class")
+    parent, depth = {}, {root: 0}
+    for w in class_wids:
+        chain = chains[w]
+        p = max(chain, key=levels.__getitem__, default=root)  # its separator one level down
+        inner = chains[p]  # nested, by induction on level, iff chain is inner plus p
+        if chain and (len(inner) != len(chain) - 1 or not all(map(chain.__contains__, inner))):
+            raise StructureError(f"separators of wall {w} are not nested; class is not disjoint")
+        if w != root:
+            parent[w], depth[w] = p, levels[w] - (root in chain)
     edges = sorted((parent[w], w) for w in parent)
-    return WallTree(sorted(class_wids), edges, root, parent, depth)
+    return WallTree(sorted(class_wids), edges, root, parent, depth, levels)
 
 
 def _shortlex_key(word):

@@ -71,4 +71,4 @@ def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
             raise StructureError("wall tree disconnected: parent outside the class")
         pending = rest
     edges = sorted((parent[w], w) for w in parent)
-    return WallTree(sorted(class_wids), edges, root, parent, depth)
+    return WallTree(sorted(class_wids), edges, root, parent, depth, peel_levels(wallset, class_wids, base))

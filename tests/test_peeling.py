@@ -3,15 +3,19 @@ replaced (tests/peel_oracle.py).
 
 The oracle asks WallSet.separating_walls for each wall and rescans every
 active wall per round; coxtile.walls reads each wall's in-class separators
-once from `sep` and layers the blocker graph in one pass.  Levels, trees and
-the "peeling stalled" StructureError must agree on every class tried.
+once from `sep`, layers the blocker graph in one pass and reads the tree off
+those layers.  Levels, trees (with their levels) and the "peeling stalled"
+StructureError must agree on every class tried.
 """
 
+import io
 import random
 
 import peel_oracle
 import pytest
 
+import coxtile.walls
+from coxtile.cli import main
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import StructureError
 from coxtile.walls import (
@@ -49,7 +53,7 @@ def tree_outcome(build, ws, wids, base=0):
         t = build(ws, wids, base)
     except StructureError as exc:
         return ("StructureError", str(exc))
-    return t.vertices, t.edges, t.root, t.parent, t.depth
+    return t.vertices, t.edges, t.root, t.parent, t.depth, t.levels
 
 
 def assert_same_tree(ws, wids, base=0):
@@ -109,6 +113,26 @@ def test_single_colour_class_matches_oracle():
     assert outcome(peel_levels, ws, wids) == outcome(peel_oracle.peel_levels, ws, wids)
     for base in (1, 7, 40):
         assert outcome(peel_levels, ws, wids, base) == outcome(peel_oracle.peel_levels, ws, wids, base)
+    # the nesting check rejects the class; from other bases the two versions may name another wall
+    with pytest.raises(StructureError, match="separators of wall 24 are not nested"):
+        build_wall_tree(ws, wids)
+    assert assert_same_tree(ws, wids)[0] == "StructureError"
+
+
+def test_walls_cli_reads_each_class_once(monkeypatch):
+    sizes = []
+    real = coxtile.walls._class_chains
+
+    def counting(wallset, class_wids, base):
+        sizes.append(len(class_wids))
+        return real(wallset, class_wids, base)
+
+    monkeypatch.setattr(coxtile.walls, "_class_chains", counting)
+    argv = ["walls", "--system", "hexagon", "--radius", "5", "--palette", "alternating"]
+    assert main(argv, out=io.StringIO()) == 0
+    ball, ws = make(HEXAGON, 5)
+    classes = color_walls(ws, alternating_palette(HEXAGON))
+    assert sorted(sizes) == sorted(map(len, classes.by_color.values()))
 
 
 def plant_cycle(ws, cycle):

@@ -6,11 +6,15 @@ WallSet.edge_wall gave way to WallSet.faces: the unrefined hexagon R=7
 balance reports for both orientations, and the (3,3,inf) R=10 `walls` report
 with one color per generator.  The (2,3,7) R=12 `walls` report was pinned
 while braid closure still spelled its canonical words, so it checks the
-descent engine byte for byte on a system with cyclotomic roots.  The smoke
-runs start perfbench at tiny sizes, traced, so its checks (Ball.edges,
+descent engine byte for byte on a system with cyclotomic roots.  The
+hexagon R=8 `walls` report, the rank-4 (inf, 7, 8) `color` report and the
+`render --n 3 --radius 4` SVG were pinned before levels and trees became one
+peeling per class, before `aperiodicity_report` inverted each g once, and
+before vertex identities were read off Ball.nbr.  The smoke runs start every
+perfbench workload at tiny sizes, traced, so its checks (Ball.edges,
 WallSet.sep, WallSet.separates) and its tracer's hooks
-(WallSet.separating_walls, WallSet.canonical_word and the walls span
-functions) must still bind.
+(WallSet.separating_walls, WallSet.canonical_word, the walls, hyperbolic and
+other span functions) must still bind.
 """
 
 import hashlib
@@ -27,6 +31,8 @@ from coxtile.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE_33INF = '{"generators":["a","b","c"],"matrix":[[1,3,3],[3,1,0],[3,0,1]]}'
 TRIANGLE_237 = '{"generators":["a","b","c"],"matrix":[[1,2,3],[2,1,7],[3,7,1]]}'
+# rank 4 with orders infinity, 7 and 8 (tests/test_word_engine.py's RANK4)
+RANK4 = '{"generators":["a","b","c","d"],"matrix":[[1,0,0,0],[0,1,0,7],[0,0,1,8],[0,7,8,1]]}'
 
 REPORT_SHA256 = {
     "balance-r7-alternating": (
@@ -40,6 +46,23 @@ REPORT_SHA256 = {
          "--orientation", "all-plus"],
         0,
         "ce135adee011a5428b63572a9d463023f48d91ac3e9e82f3b0579909c6e5049c",
+    ),
+    "color-rank4-r3": (
+        # exit 1: some (g, h) pairs find no witness in the window
+        ["color", "--system", RANK4, "--radius", "3", "--g-range", "3", "--h-range", "3",
+         "--window", "2"],
+        1,
+        "3b193a144baec21986a39d0480f8d88643bbddf49fe851a6e783c616493ff730",
+    ),
+    "render-n3-r4": (
+        ["render", "--n", "3", "--radius", "4"],
+        0,
+        "76059cbc2e49eb2cce082044f254b17bb44bf973c4dc4fa777586bca0a35b2b8",
+    ),
+    "walls-hexagon-r8-alternating": (
+        ["walls", "--system", "hexagon", "--radius", "8", "--palette", "alternating"],
+        0,
+        "78602194b2f1268d9642d9603f14fc56292353f289624982d970a718b92b1dad",
     ),
     "walls-237-r12-distinct": (
         # recorded with the braid-closure word engine, before the descent engine
@@ -64,7 +87,7 @@ def test_report_bytes(name):
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("workload", ["hexagon-r8", "general-coxeter"])
+@pytest.mark.parametrize("workload", ["hexagon-r8", "refined-balance", "tiling-render", "general-coxeter"])
 def test_benchmark_smoke_run_is_correct(workload):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
             "--seconds", "0", "--size", "tiny", "--trace", "1"]
