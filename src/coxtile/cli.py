@@ -120,11 +120,11 @@ def _palette_from_arg(system, value: str) -> dict:
 def _cmd_seq(args, out) -> int:
     kind = args.kind
     prefix = thue_morse_prefix(args.n) if kind == "morse_thue" else square_free_prefix(args.n)
-    out.write(json.dumps({"kind": kind, "n": args.n, "prefix": prefix}) + "\n")
+    records = [{"kind": kind, "n": args.n, "prefix": prefix}]
     status = 0
     if args.power:
-        scan = args.scan or args.n
-        witness = verify_power_free(prefix, args.power, scan)
+        scan = args.scan if args.scan is not None else args.n
+        witness = verify_power_free(prefix, args.power, scan)  # a bad scan raises before output
         record = {"check": "power_free", "power": args.power, "scan": scan}
         if witness is None:
             record["verdict"] = "free"
@@ -133,6 +133,8 @@ def _cmd_seq(args, out) -> int:
             record["position"] = witness.position
             record["word"] = list(witness.word)
             status = 1
+        records.append(record)
+    for record in records:
         out.write(json.dumps(record) + "\n")
     return status
 

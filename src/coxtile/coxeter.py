@@ -353,8 +353,10 @@ class DescentEngine:
     2^prec c_st, so floor(C_st F_s / 2^prec) is off by at most
     ((|C_st| + 3g) E_s + g |F_s|) / 2^prec + 1, which E_t gains.  A sign is
     used only once |F_t| > E_t proves it, else the word is redone at doubled
-    precision.  That ends, as |f_t| >= 1: a root beta = sum b_s alpha_s has
-    1 = B(beta, beta) <= (sum |b_s|)^2, no |B(alpha_s, alpha_t)| exceeding 1.
+    precision.  The first attempt takes 64 + 2 |word| bits, as the error
+    bounds grow with the word.  That ends, as |f_t| >= 1: a root
+    beta = sum b_s alpha_s has 1 = B(beta, beta) <= (sum |b_s|)^2, no
+    |B(alpha_s, alpha_t)| exceeding 1.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -398,7 +400,7 @@ class DescentEngine:
             _step(F, E, moves[t], t, prec)
 
     def normal_form(self, word) -> tuple[int, ...]:
-        prec = 0 if self.exact else 64
+        prec = 0 if self.exact else 64 + 2 * len(word)
         while (nf := self.attempt(word, prec)) is None:
             prec *= 2
         return nf

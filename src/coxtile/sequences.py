@@ -4,12 +4,18 @@ Provides the Thue-Morse binary sequence (cube-free), the square-free
 ternary sequence obtained by recoding its length-2 factors, power-freeness
 scanning, and the two colorings of the integers (Thue-Morse by |x|, and
 the perfect-square indicator) together with their witness searches.
+
+The power-freeness scan is exact and pure Python.  For each period p it
+extends runs of s[k] == s[k + p] outward from anchors at multiples of p
+(Main and Lorentz 1984; Crochemore 1981), each extension stopping at its
+first mismatch, and it reports the leftmost witness, the shortest W among
+ties.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
-
-import numpy as np
+from operator import eq
 
 from .errors import StructureError, ValidationError, WindowError
 
@@ -74,30 +80,51 @@ def verify_power_free(seq, power: int, n: int):
 
     Returns None when no such factor exists (the prefix is power-free),
     otherwise the leftmost witness, ties broken by the shortest W.
+
+    A factor W^power with |W| = p starts at i exactly when s[k] == s[k + p]
+    for every k in [i, i + (power - 1) p).  That run of matches is at least
+    p long, so it holds an anchor j, a multiple of p, with s[j] == s[j + p];
+    those anchors are read off the column s[::p] in one pass.  From each
+    anchor the run is extended left (at most p) and right (at most the
+    length still needed), each extension stopping at its first mismatch.  An
+    anchor whose left extension reaches p is skipped, the previous anchor
+    lying in the same run.  Anchors are visited left to right, so a period
+    stops at its first witness or once no anchor can start before the best
+    witness so far, and the scan stops once a witness starts at 0.  Symbols
+    are compared with == only.
     """
     if power not in (2, 3):
         raise ValidationError("power must be 2 or 3")
-    if n < 0 or n > len(seq):
+    if n < 0:
+        raise WindowError(f"scan length must be nonnegative, got {n}")
+    if n > len(seq):
         raise WindowError(f"scan length {n} exceeds sequence length {len(seq)}")
-    arr = np.asarray(list(seq[:n]), dtype=np.int8)
-    best = None
-    for period in range(1, n // power + 1):
-        eq = arr[: n - period] == arr[period:]
-        need = (power - 1) * period
-        m = eq.shape[0]
-        if need > m:
-            continue
-        c = np.cumsum(eq)
-        window = c[need - 1 :] - np.concatenate(([0], c[: m - need]))
-        starts = np.flatnonzero(window == need)
-        if starts.size:
-            cand = (int(starts[0]), period)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    s = list(seq[:n])
+    best_start, best_period = n, 0
+    for p in range(1, n // power + 1):
+        need = (power - 1) * p
+        last = min(n - power * p, best_start - 1)  # latest start worth finding
+        column = s[: last + 2 * p : p]
+        for j in compress(range(0, last + p, p), map(eq, column, column[1:])):
+            left = 0
+            while left < p and left < j and s[j - 1 - left] == s[j + p - 1 - left]:
+                left += 1
+            if left == p:
+                continue
+            start = j - left
+            if start > last:
+                break
+            right, stop = 1, need - left
+            while right < stop and s[j + right] == s[j + p + right]:
+                right += 1
+            if right == stop:
+                best_start, best_period = start, p
+                break
+        if best_start == 0:
+            break
+    if not best_period:
         return None
-    i, period = best
-    return PowerWitness(i, tuple(int(x) for x in arr[i : i + period]))
+    return PowerWitness(best_start, tuple(s[best_start : best_start + best_period]))
 
 
 def is_perfect_square(x: int) -> bool:

@@ -1,5 +1,5 @@
 """Fuzz of the `ball`, `walls`, `color` and `balance` subcommands with
-generated system JSON.
+generated system JSON, and of `seq` with generated lengths, powers and scans.
 
 Documents start from a valid system of rank at most 4 with orders at most 8,
 and are then often broken: a bad matrix entry (wrong value or type), a
@@ -13,7 +13,10 @@ groups, whose chamber graphs have few or no edges leaving the ball (the -1
 entries of Ball.nbr and WallSet.faces).  `color` on systems that are not
 right-angled multiplies words through the descent engine (Ball.mul and
 pair_witness), with g, h and window ranges from -1 to 3; `balance` builds
-the tile alphabet of either orientation, refined or not.
+the tile alphabet of either orientation, refined or not.  `seq` meets
+negative lengths, a power the parser refuses, and scans below zero or past
+the prefix; its verdicts are checked against the numpy scanner it replaced
+(tests/power_free_oracle.py).
 """
 
 import io
@@ -23,7 +26,10 @@ from contextlib import redirect_stderr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from power_free_oracle import verify_power_free as oracle_scan
+
 from coxtile.cli import main, parse_report
+from coxtile.sequences import square_free_prefix, thue_morse_prefix
 
 ORDERS = [0, 2, 3, 4, 5, 6, 7, 8]
 BAD_ENTRIES = [-1, 1, 9, "3", "x", 2.5, None, [], True, float("inf"), float("nan")]
@@ -143,3 +149,50 @@ def test_balance_keeps_exit_code_contract(text, radius, palette, orientation, re
         assert err.getvalue() == ""
         results = parse_report(out.getvalue())["results"]
         assert results["alphabet_size"] == len(results["tiles"])
+
+
+@st.composite
+def seq_argvs(draw):
+    kind = draw(st.sampled_from(["morse_thue", "ternary"]))
+    n = draw(st.integers(-2, 300))
+    power = draw(st.sampled_from([None, 2, 3, 4]))
+    scan = draw(st.one_of(st.none(), st.integers(-2, n + 2)))
+    argv = ["seq", "--kind", kind, "--n", str(n)]
+    if power is not None:
+        argv += ["--power", str(power)]
+    if scan is not None:
+        argv += ["--scan", str(scan)]
+    return argv, kind, n, power, scan
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seq_argvs())
+def test_seq_keeps_exit_code_contract(drawn):
+    argv, kind, n, power, scan = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        # the parser refuses --power 4 after its usage line
+        assert len([line for line in lines if "error: " in line]) == 1
+        assert power == 4 or (len(lines) == 1 and lines[0].startswith("error: "))
+        return
+    assert err.getvalue() == ""
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    prefix = thue_morse_prefix(n) if kind == "morse_thue" else square_free_prefix(n)
+    assert records[0] == {"kind": kind, "n": n, "prefix": prefix}
+    if power is None:
+        assert len(records) == 1 and code == 0
+        return
+    verdict = records[1]
+    want = oracle_scan(prefix, power, n if scan is None else scan)
+    assert verdict["scan"] == (n if scan is None else scan)
+    if want is None:
+        assert verdict["verdict"] == "free" and code == 0
+    else:
+        assert verdict["verdict"] == "witness" and code == 1
+        assert (verdict["position"], tuple(verdict["word"])) == (want.position, want.word)

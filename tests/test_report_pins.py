@@ -10,11 +10,12 @@ descent engine byte for byte on a system with cyclotomic roots.  The
 hexagon R=8 `walls` report, the rank-4 (inf, 7, 8) `color` report and the
 `render --n 3 --radius 4` SVG were pinned before levels and trees became one
 peeling per class, before `aperiodicity_report` inverted each g once, and
-before vertex identities were read off Ball.nbr.  The smoke runs start every
-perfbench workload at tiny sizes, traced, so its checks (Ball.edges,
-WallSet.sep, WallSet.separates) and its tracer's hooks
-(WallSet.separating_walls, WallSet.canonical_word, the walls, hyperbolic and
-other span functions) must still bind.
+before vertex identities were read off Ball.nbr.  The three `seq` reports
+were pinned while a numpy cumulative sum scanned every period in full, before
+the anchored-run scan.  The smoke runs start every perfbench workload at tiny
+sizes, traced, so its checks (Ball.edges, WallSet.sep, WallSet.separates) and
+its tracer's hooks (WallSet.separating_walls, WallSet.canonical_word, the
+walls, hyperbolic and other span functions) must still bind.
 """
 
 import hashlib
@@ -63,6 +64,22 @@ REPORT_SHA256 = {
         ["walls", "--system", "hexagon", "--radius", "8", "--palette", "alternating"],
         0,
         "78602194b2f1268d9642d9603f14fc56292353f289624982d970a718b92b1dad",
+    ),
+    "seq-morse-thue-4096-cubes": (
+        ["seq", "--kind", "morse_thue", "--n", "4096", "--power", "3"],
+        0,
+        "911163ee62a0b971ea3b978b6f51abe1a40eb2b2501d223010fbe556d3c14897",
+    ),
+    "seq-morse-thue-4096-squares": (
+        # exit 1: the Thue-Morse word has squares, the first being 11 at 1
+        ["seq", "--kind", "morse_thue", "--n", "4096", "--power", "2"],
+        1,
+        "32a3412cb93f86fa85c0bbff780d5fa835ff0afc02b5c5dc28fc457fee8265cf",
+    ),
+    "seq-ternary-20000-squares": (
+        ["seq", "--kind", "ternary", "--n", "20000", "--power", "2"],
+        0,
+        "4785b71da113b0717723eb6dc9069891d7de2ed15df1a6b859a8cb39442439e0",
     ),
     "walls-237-r12-distinct": (
         # recorded with the braid-closure word engine, before the descent engine

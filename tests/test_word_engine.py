@@ -5,8 +5,9 @@ that braid closure could not finish.
 A left descent t of g is read off the sign of coordinate t of g f0.  When an
 order is not 2, 3 or infinity those coordinates are fixed-point numbers with
 error bounds, so the bounds are the one place a mistake could enter: they are
-checked against the exact coordinates of ExactReflection, and a word too
-long for 64 bits forces the doubled-precision fallback.
+checked against the exact coordinates of ExactReflection, a word too long
+for 64 bits is shown to need more, and a refused first precision forces the
+doubled-precision fallback.
 """
 
 import io
@@ -149,6 +150,25 @@ def test_normal_form_falls_back_to_doubled_precision():
         assert RANK4.normal_form(word) == RANK4.normal_form(nf) == nf
         assert RANK4.inv(nf) == oracle_canonical(RANK4, nf[::-1])
     assert forced >= 3
+
+
+def test_normal_form_doubles_a_refused_first_precision(monkeypatch):
+    # the first attempt (64 + 2|word| bits) rarely fails, so refuse it here
+    engine = DescentEngine(RANK4)
+    tried = []
+    real_attempt = engine.attempt
+
+    def attempt(word, prec):
+        tried.append(prec)
+        return None if len(tried) == 1 else real_attempt(word, prec)
+
+    monkeypatch.setattr(engine, "attempt", attempt)
+    rng = random.Random(8)
+    for length in (0, 5, 40, 120):
+        word = tuple(rng.randrange(4) for _ in range(length))
+        tried.clear()
+        assert engine.normal_form(word) == oracle_canonical(RANK4, word)
+        assert tried[:2] == [64 + 2 * length, 2 * (64 + 2 * length)]
 
 
 def reflection_matrices(system):
