@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import __version__
 from .colorings import aperiodicity_report, norm_coloring
 from .coxeter import CoxeterSystem, enumerate_ball, load_system
-from .errors import CoxtileError, ValidationError
+from .errors import CoxtileError, ValidationError, WindowError
 from .pipeline import (
     Resolution,
     all_plus_resolution,
@@ -120,11 +120,16 @@ def _palette_from_arg(system, value: str) -> dict:
 def _cmd_seq(args, out) -> int:
     kind = args.kind
     prefix = thue_morse_prefix(args.n) if kind == "morse_thue" else square_free_prefix(args.n)
+    if args.scan is not None:  # checked with or without --power, before any output
+        if args.scan < 0:
+            raise WindowError(f"scan length must be nonnegative, got {args.scan}")
+        if args.scan > len(prefix):
+            raise WindowError(f"scan length {args.scan} exceeds sequence length {len(prefix)}")
     records = [{"kind": kind, "n": args.n, "prefix": prefix}]
     status = 0
     if args.power:
         scan = args.scan if args.scan is not None else args.n
-        witness = verify_power_free(prefix, args.power, scan)  # a bad scan raises before output
+        witness = verify_power_free(prefix, args.power, scan)
         record = {"check": "power_free", "power": args.power, "scan": scan}
         if witness is None:
             record["verdict"] = "free"

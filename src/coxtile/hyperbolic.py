@@ -127,13 +127,26 @@ def build_polygon(n: int) -> HPolygon:
 # -- reflections ------------------------------------------------------------------
 
 
-def side_normal(a, b) -> np.ndarray:
-    """Unit spacelike Lorentz normal of the geodesic through a and b."""
-    n = J @ np.cross(a, b)
-    nn = lorentz_dot(n, n)
+def _side_normal(a0, a1, a2, b0, b1, b2) -> tuple[float, float, float]:
+    # J (a x b), the cross product spelled in numpy's operation order and J's
+    # -1 as a negation, so every float matches `J @ np.cross(a, b)` exactly
+    n0 = a1 * b2 - a2 * b1
+    n1 = a2 * b0 - a0 * b2
+    n2 = -(a0 * b1 - a1 * b0)
+    nn = n0 * n0 + n1 * n1 - n2 * n2
     if nn <= 1e-12:
         raise GeometryError("degenerate side normal")
-    return n / sqrt(nn)
+    q = sqrt(nn)
+    return n0 / q, n1 / q, n2 / q
+
+
+def side_normal(a, b) -> np.ndarray:
+    """Unit spacelike Lorentz normal of the geodesic through a and b.
+
+    Computed on plain floats in numpy's own operation order, so it equals
+    `J @ np.cross(a, b)` divided by its Lorentz norm bit for bit.
+    """
+    return np.array(_side_normal(*map(float, a), *map(float, b)))
 
 
 def reflection_matrix(normal) -> np.ndarray:
@@ -381,32 +394,41 @@ def deform_vertices(
 
 
 def _displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, orientation, magnitude):
+    # plain floats, each operation in the order of the vector form (normals
+    # summed into a zero vector, normalized, projected to the tangent plane,
+    # renormalized) so every coordinate is bit-identical to it; the tests keep
+    # that form as the reference
     p = ball.system.rank
-    sa, sb = (k - 1) % p, k
-    point = tile.vertices[k]
+    verts = tile.vertices.tolist()
     labels = {}
-    direction = np.zeros(3)
-    for s in (sa, sb):
+    d0 = d1 = d2 = 0.0
+    for s in ((k - 1) % p, k):
         wid = wallset.wall_of_face(cid, s)
-        a, b = tile.vertices[s], tile.vertices[(s + 1) % p]
-        n = side_normal(a, b)
-        base_side = lorentz_dot(BASEPOINT, n)
-        n_pos = n * (1.0 if base_side > 0 else -1.0) * orientation[wid]
-        direction += n_pos
+        n0, n1, n2 = _side_normal(*verts[s], *verts[(s + 1) % p])
+        # the basepoint (0, 0, 1) has Lorentz product -n2 with the normal
+        f = (1.0 if n2 < 0 else -1.0) * orientation[wid]
+        d0 += n0 * f
+        d1 += n1 * f
+        d2 += n2 * f
         color = wall_colors[wid]
         labels[class_of_color(color)] = color
     if set(labels) != {"a", "b"}:
         raise GeometryError(f"vertex of chamber {tile.word} not an a/b crossing")
     d = magnitude(labels["a"], labels["b"])
     if d == 0:
-        return point
-    nn = lorentz_dot(direction, direction)
+        return tile.vertices[k]
+    nn = d0 * d0 + d1 * d1 - d2 * d2
     if nn <= 0:
         raise GeometryError("degenerate deformation direction")
-    u = direction / sqrt(nn)
-    u = u + lorentz_dot(u, point) * point  # project to the tangent plane
-    u /= sqrt(lorentz_dot(u, u))
-    return cosh(d) * point + sinh(d) * u
+    q = sqrt(nn)
+    u0, u1, u2 = d0 / q, d1 / q, d2 / q
+    x0, x1, x2 = verts[k]
+    t = u0 * x0 + u1 * x1 - u2 * x2  # project to the tangent plane at the vertex
+    u0, u1, u2 = u0 + t * x0, u1 + t * x1, u2 + t * x2
+    q = sqrt(u0 * u0 + u1 * u1 - u2 * u2)
+    u0, u1, u2 = u0 / q, u1 / q, u2 / q
+    c, sh = cosh(d), sinh(d)
+    return np.array([c * x0 + sh * u0, c * x1 + sh * u1, c * x2 + sh * u2])
 
 
 def max_convex_epsilon(probe, lo=0.0, hi=1.0, steps=24) -> float:

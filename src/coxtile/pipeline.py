@@ -93,10 +93,13 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation, tick=0.12):
 
     The tick points toward the wall's positive side: into the tile when the
     tile sees the face with sign +, away otherwise; computed from the
-    tile's own vertices so it applies to deformed tiles unchanged.
+    tile's own vertices so it applies to deformed tiles unchanged.  The
+    side the tile is on is a descent, as in `build_alphabet`: the wall of
+    side k lies between the base chamber and g exactly when |g s_k| < |g|.
     """
     from .hyperbolic import geodesic_point, lorentz_dot, tangent_toward
 
+    rank, norms, nbr = ball.system.rank, ball.norms, ball.nbr
     data = []
     for tile in tiles:
         cid = ball.index[tile.word]
@@ -106,11 +109,11 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation, tick=0.12):
         c = c / sqrt(-lorentz_dot(c, c))
         sides = []
         for k in range(p):
-            wid = wallset.faces[cid * ball.system.rank + k]
+            wid = wallset.faces[cid * rank + k]
             if wid < 0 or wid not in wall_colors or wid not in orientation:
                 sides.append(None)
                 continue
-            seen = orientation[wid] * (-1 if wallset.separates(wid, 0, cid) else 1)
+            seen = orientation[wid] * (-1 if norms[nbr[cid * rank + k]] < norms[cid] else 1)
             mid = geodesic_point(verts[k], verts[(k + 1) % p], 0.5)
             u = tangent_toward(mid, c)
             delta = tick * max(1e-9, float(np.linalg.norm(verts[k] - verts[(k + 1) % p])))
@@ -133,6 +136,8 @@ def render_bundle(
     The ball is enumerated one radius deeper than the rendered tiles so
     every rendered face lies on an identified, colored wall.
     """
+    if radius < 0:
+        raise ValidationError("radius must be nonnegative")
     from .hyperbolic import (
         build_polygon,
         default_magnitudes,

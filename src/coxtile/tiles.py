@@ -3,7 +3,8 @@
 A tile records the multiset of (color, sign) face labels a chamber sees.
 The sign a chamber sees on a face is the wall's orientation times the side
 the chamber is on: with the canonical orientation the base chamber's side
-is positive.  The opposition map flips signs, weight functions are
+is positive, and a chamber g is on the far side of its s-face exactly when
+s is a descent of g (|gs| < |g|).  The opposition map flips signs, weight functions are
 antisymmetric, and the classifier decides, in exact rational arithmetic,
 whether some weight makes every tile sum positive (unbalanced), whether a
 nontrivial weight keeps every sum nonnegative (semibalanced), or whether
@@ -96,6 +97,34 @@ class TileAlphabet:
         return sorted(cs, key=str)
 
 
+def _label_tables(wallset: WallSet, wall_colors: dict, orientation: dict):
+    """Every oriented face label, numbered once in `_face_key` order, and per
+    wall the number of the label seen from the base side and from beyond.
+
+    Walls without a color or an orientation get -1 on both sides.  Raises
+    ValidationError when two labels share a key, since numbers could not then
+    keep the order the string keys give.
+    """
+    count = len(wallset.walls)
+    walls_of = {}  # (color, sign seen from the base side) -> wall ids
+    for wid, color in wall_colors.items():
+        sign = orientation.get(wid)
+        if sign is not None and 0 <= wid < count:
+            walls_of.setdefault((color, sign), []).append(wid)
+    labels = sorted({f for c, s in walls_of for f in ((c, s), (c, -s))}, key=_face_key)
+    for f, g in zip(labels, labels[1:]):
+        if _face_key(f) == _face_key(g):
+            raise ValidationError(f"face labels {f!r} and {g!r} print alike")
+    number = {face: i for i, face in enumerate(labels)}
+    near, far = [-1] * count, [-1] * count
+    for (color, sign), wids in walls_of.items():
+        inside, beyond = number[color, sign], number[color, -sign]
+        for wid in wids:
+            near[wid] = inside
+            far[wid] = beyond
+    return labels, near, far
+
+
 def build_alphabet(
     wallset: WallSet, wall_colors: dict, orientation: dict, provenance: str = ""
 ) -> TileAlphabet:
@@ -103,32 +132,38 @@ def build_alphabet(
 
     A chamber is interior when all its generator edges lie in the ball;
     chambers with a face on an uncolored or unoriented wall are excluded
-    and recorded.
+    and recorded.  The side comes from a descent: the wall of the edge
+    {g, gs} separates the base chamber e from g exactly when |gs| < |g|
+    (Bjorner & Brenti, Combinatorics of Coxeter Groups, 1.4), so no
+    separation set is probed.  Each oriented face label is numbered once,
+    in `_face_key` order, so a chamber's tile is collected as a sorted
+    tuple of numbers and only the distinct tuples are turned back into
+    (color, sign) faces.
     """
     ball = wallset.ball
-    rank = ball.system.rank
-    base = 0
-    chamber_faces = {}
+    rank, norms, nbr, faces = ball.system.rank, ball.norms, ball.nbr, wallset.faces
+    labels, near, far = _label_tables(wallset, wall_colors, orientation)
+    chamber_code = {}
     excluded = []
     for cid in range(len(ball)):
-        faces = []
-        ok = True
+        row, level = cid * rank, norms[cid]
+        code = []
         for s in range(rank):
-            wid = wallset.faces[cid * rank + s]
+            wid = faces[row + s]
             if wid < 0:  # the s-edge leaves the ball
-                ok = False
                 break
-            if wid not in wall_colors or wid not in orientation:
+            if near[wid] < 0:
                 excluded.append((cid, s))
-                ok = False
                 break
-            side = -1 if wallset.separates(wid, base, cid) else 1
-            faces.append((wall_colors[wid], orientation[wid] * side))
-        if ok:
-            chamber_faces[cid] = tile_of_faces(faces)
-    tiles = sorted(set(chamber_faces.values()), key=lambda t: [(_face_key(f)) for f in t])
+            code.append(far[wid] if norms[nbr[row + s]] < level else near[wid])
+        else:
+            code.sort()
+            chamber_code[cid] = tuple(code)
+    codes = sorted(set(chamber_code.values()))
+    tiles = [tuple(labels[i] for i in code) for code in codes]
     tile_ids = {t: i for i, t in enumerate(tiles)}
-    chamber_tile = {cid: tile_ids[t] for cid, t in chamber_faces.items()}
+    code_ids = {code: i for i, code in enumerate(codes)}
+    chamber_tile = {cid: code_ids[code] for cid, code in chamber_code.items()}
     return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, ball.radius, provenance)
 
 

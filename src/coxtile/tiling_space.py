@@ -58,6 +58,8 @@ def patch_as_dict(patch: TilingPatch, system) -> dict:
 
 
 def restrict_patch(tiling: ChamberTiling, n: int) -> TilingPatch:
+    if n < 0:
+        raise WindowError(f"depth must be nonnegative, got {n}")
     if n > tiling.ball.radius - 1:
         raise WindowError(
             f"depth {n} exceeds the labeled interior of a radius-{tiling.ball.radius} ball"
@@ -99,6 +101,8 @@ def translate_compare(tiling: ChamberTiling, g, depth: int) -> TranslateVerdict:
     be fully compared (labels missing near the boundary) raises unless the
     disagreement was already found on it.
     """
+    if depth < 0:
+        raise WindowError(f"depth must be nonnegative, got {depth}")
     ball = tiling.ball
     ginv = ball.inv(g)
     by_depth: dict = {}

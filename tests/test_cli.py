@@ -188,8 +188,13 @@ def _run_cli_process(argv, **env):
         (["ball", "--system", "polygon:x", "--radius", "2"], {}),
         (["ball", "--system", "dihedral:x", "--radius", "2"], {}),
         (["ball", "--system", "pentagon", "--radius", "2"], {"COXTILE_BALL_CAP": "abc"}),
+        (["space", "--n", "3", "--radius", "3", "--depth", "-1"], {}),
+        (["render", "--n", "3", "--radius", "-1"], {}),
+        (["seq", "--kind", "ternary", "--n", "10", "--scan", "-3"], {}),
+        (["seq", "--kind", "ternary", "--n", "10", "--scan", "11"], {}),
     ],
-    ids=["polygon", "dihedral", "ball-cap-env"],
+    ids=["polygon", "dihedral", "ball-cap-env", "space-negative-depth", "render-negative-radius",
+         "seq-negative-scan-without-power", "seq-long-scan-without-power"],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, env):
     proc = _run_cli_process(argv, **env)

@@ -1,5 +1,6 @@
 """Fuzz of the `ball`, `walls`, `color` and `balance` subcommands with
-generated system JSON, and of `seq` with generated lengths, powers and scans.
+generated system JSON, of `seq` with generated lengths, powers and scans, and
+of `space` with generated polygons, radii, depths and translate words.
 
 Documents start from a valid system of rank at most 4 with orders at most 8,
 and are then often broken: a bad matrix entry (wrong value or type), a
@@ -16,7 +17,10 @@ pair_witness), with g, h and window ranges from -1 to 3; `balance` builds
 the tile alphabet of either orientation, refined or not.  `seq` meets
 negative lengths, a power the parser refuses, and scans below zero or past
 the prefix; its verdicts are checked against the numpy scanner it replaced
-(tests/power_free_oracle.py).
+(tests/power_free_oracle.py).  `space` meets polygons with too few sides,
+negative radii and depths, depths past the labeled interior, and --g words
+that are valid, unreduced, longer than the ball or spelled with unknown
+generators.
 """
 
 import io
@@ -196,3 +200,50 @@ def test_seq_keeps_exit_code_contract(drawn):
     else:
         assert verdict["verdict"] == "witness" and code == 1
         assert (verdict["position"], tuple(verdict["word"])) == (want.position, want.word)
+
+
+# tokens any hexagon or octagon word may use, then tokens a hexagon word rejects
+# ("e" and "" only inside a longer word)
+VALID_TOKENS = ["s0", "s1", "s2", "s3", "0", "3"]
+BAD_TOKENS = ["s9", "7", "x", "e", "", "-1"]
+
+
+@st.composite
+def space_argvs(draw):
+    # hexagon, octagon and square, or one time in four a polygon with too few sides
+    n = draw(st.sampled_from([3, 4, 2] if draw(st.integers(0, 3)) else [1, 0, -1]))
+    radius = draw(st.sampled_from([4, 5, 3, 2, 1, 0, -1]))
+    depth = radius - draw(st.sampled_from([3, 2, 1, 4, 5]))  # the default translates need depth <= radius - 3
+    argv = ["space", "--n", str(n), "--radius", str(radius), "--depth", str(depth)]
+    g = None
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(VALID_TOKENS), max_size=4))
+        if draw(st.integers(0, 3)) == 0:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(BAD_TOKENS)))
+        g = draw(st.sampled_from([".", ","])).join(tokens)
+        argv.append(f"--g={g}")  # so that a word starting with "-" is not read as a flag
+    if draw(st.booleans()):
+        argv.append("--no-refine")
+    return argv, depth, g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(space_argvs())
+def test_space_keeps_exit_code_contract(drawn):
+    argv, depth, g = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        _failure_is_one_error_line(out, err)
+        return
+    assert code == 0 and err.getvalue() == ""
+    results = parse_report(out.getvalue())["results"]
+    assert results["depth"] == depth >= 0
+    assert results["base_patch"]["depth"] == depth
+    comparisons = results["translate_comparisons"]
+    assert all(c["verdict"] in ("fixed", "differs") for c in comparisons)
+    if g:
+        assert len(comparisons) == 1

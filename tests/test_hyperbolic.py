@@ -7,7 +7,9 @@ from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import GeometryError
 from coxtile.hyperbolic import (
     BASEPOINT,
+    J,
     HPolygon,
+    _displace_vertex,
     build_polygon,
     convexity_check,
     default_magnitudes,
@@ -21,9 +23,11 @@ from coxtile.hyperbolic import (
     reflection_matrices,
     render_svg,
     sample_overlap_fraction,
+    side_normal,
     to_klein,
 )
-from coxtile.pipeline import render_bundle
+from coxtile.pipeline import alternating_resolution, build_walls, render_bundle
+from coxtile.walls import alternating_palette
 
 
 def law_of_cosines_angle(b, a, c):
@@ -247,3 +251,50 @@ def test_total_area_bounded_by_covering_disk():
     )
     disk_area = 2 * pi * (cosh(r_max) - 1)
     assert total <= disk_area
+
+
+def numpy_side_normal(a, b):
+    # the numpy vector form side_normal replaced, kept as its reference
+    n = J @ np.cross(a, b)
+    return n / sqrt(lorentz_dot(n, n))
+
+
+def numpy_displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, orientation, magnitude):
+    # the numpy vector form _displace_vertex replaced, kept as its reference
+    p = ball.system.rank
+    point = tile.vertices[k]
+    labels = {}
+    direction = np.zeros(3)
+    for s in ((k - 1) % p, k):
+        wid = wallset.wall_of_face(cid, s)
+        n = numpy_side_normal(tile.vertices[s], tile.vertices[(s + 1) % p])
+        base_side = lorentz_dot(BASEPOINT, n)
+        direction += n * (1.0 if base_side > 0 else -1.0) * orientation[wid]
+        color = wall_colors[wid]
+        labels[class_of_color(color)] = color
+    d = magnitude(labels["a"], labels["b"])
+    u = direction / sqrt(lorentz_dot(direction, direction))
+    u = u + lorentz_dot(u, point) * point
+    u /= sqrt(lorentz_dot(u, u))
+    return cosh(d) * point + sinh(d) * u
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_float_geometry_matches_numpy_bit_for_bit(n):
+    system = CoxeterSystem.right_angled_polygon(2 * n)
+    ball, ws = build_walls(system, 4)
+    res = alternating_resolution(ws, alternating_palette(system), refine=True)
+    poly = build_polygon(n)
+    placed = place_tiles(ball, poly, reflection_matrices(poly), max_norm=3)
+    a_colors = [("a", (i, j)) for i in range(3) for j in range(3)]
+    b_colors = [("b", (i, j)) for i in range(3) for j in range(3)]
+    magnitude = default_magnitudes(a_colors, b_colors, 0.05 * poly.side_length())
+    args = (res.wall_colors, lambda color: color[0], res.orientation, magnitude)
+    for tile in placed:
+        cid = ball.index[tile.word]
+        for k in range(2 * n):
+            a, b = tile.vertices[k], tile.vertices[(k + 1) % (2 * n)]
+            assert side_normal(a, b).tobytes() == numpy_side_normal(a, b).tobytes()
+            got = _displace_vertex(ball, ws, tile, cid, k, *args)
+            want = numpy_displace_vertex(ball, ws, tile, cid, k, *args)
+            assert got.tobytes() == want.tobytes()

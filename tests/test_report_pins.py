@@ -12,7 +12,10 @@ hexagon R=8 `walls` report, the rank-4 (inf, 7, 8) `color` report and the
 peeling per class, before `aperiodicity_report` inverted each g once, and
 before vertex identities were read off Ball.nbr.  The three `seq` reports
 were pinned while a numpy cumulative sum scanned every period in full, before
-the anchored-run scan.  The smoke runs start every perfbench workload at tiny
+the anchored-run scan.  The two `space` reports and the other three `render`
+SVGs (unrefined, undeformed, and the octagon) were pinned while tile signs
+came from `WallSet.separates` probes and vertex geometry from numpy 3-vectors,
+before both were read off descents and plain floats.  The smoke runs start every perfbench workload at tiny
 sizes, traced, so its checks (Ball.edges, WallSet.sep, WallSet.separates) and
 its tracer's hooks (WallSet.separating_walls, WallSet.canonical_word, the
 walls, hyperbolic and other span functions) must still bind.
@@ -59,6 +62,31 @@ REPORT_SHA256 = {
         ["render", "--n", "3", "--radius", "4"],
         0,
         "76059cbc2e49eb2cce082044f254b17bb44bf973c4dc4fa777586bca0a35b2b8",
+    ),
+    "render-n3-r3-no-deform": (
+        ["render", "--n", "3", "--radius", "3", "--no-deform"],
+        0,
+        "2ecbc81e16e24800b73601910b5544c407bd5adeaf87b90d10afa0b5a440eec0",
+    ),
+    "render-n3-r4-no-refine": (
+        ["render", "--n", "3", "--radius", "4", "--no-refine"],
+        0,
+        "99f4c515ffa1d20a89355400eefd5b827c53cc5c15d4fa166e7c93f6ef55aaee",
+    ),
+    "render-n4-r3": (
+        ["render", "--n", "4", "--radius", "3"],
+        0,
+        "15a101cda35315f14a513a988c5f88886e3ba87ec1112093ed530c66089d3518",
+    ),
+    "space-n3-r6-d4": (
+        ["space", "--n", "3", "--radius", "6", "--depth", "4"],
+        0,
+        "d74d9f27def1f2d0887d21ac306023fa0aff85d6bc44e0f3f08b4a2d81172bc7",
+    ),
+    "space-n4-r5-d2-no-refine": (
+        ["space", "--n", "4", "--radius", "5", "--depth", "2", "--no-refine"],
+        0,
+        "934cad2196c7b91fc39ff751560c78e5064745b1dd2c16e73d22ae87e57417d4",
     ),
     "walls-hexagon-r8-alternating": (
         ["walls", "--system", "hexagon", "--radius", "8", "--palette", "alternating"],
