@@ -15,6 +15,7 @@ from .errors import GeometryError
 
 J = np.diag([1.0, 1.0, -1.0])
 BASEPOINT = np.array([0.0, 0.0, 1.0])
+TICK_LENGTH = 0.02  # a drawn tick's length at the disk centre, shrinking toward the rim
 
 
 def lorentz_dot(u, v) -> float:
@@ -363,11 +364,11 @@ def deform_vertices(
     class_of_color,
     orientation: dict,
     magnitude,
-    check_simple: bool = True,
 ) -> list[DeformedTile]:
     """Move every geometric vertex along the bisector of the positive
     quadrant of its two oriented walls, by the magnitude assigned to the
     color pair; each vertex is displaced once, so tiles stay face to face.
+    Raises GeometryError when a deformed tile is no longer simple.
     """
     p = ball.system.rank
     displaced: dict = {}
@@ -386,7 +387,7 @@ def deform_vertices(
                 )
             new_vertices.append(displaced[key])
         verts = np.array(new_vertices)
-        if check_simple and not is_simple(verts):
+        if not is_simple(verts):
             bad = keys[0]
             raise GeometryError(f"deformation breaks simplicity near vertex {bad}")
         out.append(DeformedTile(tile.word, verts, keys))
@@ -487,7 +488,7 @@ def _sample_edge(a, b, tol=0.005):
     return out
 
 
-def render_svg(tiles, face_data=None, stroke_width=0.004, tick_length=0.02) -> str:
+def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
     """Poincare-disk SVG of placed or deformed tiles.
 
     `face_data[i][k]` may carry (color, seen_sign, tick_direction_point) for
@@ -537,7 +538,7 @@ def render_svg(tiles, face_data=None, stroke_width=0.004, tick_length=0.02) -> s
                 q1 = to_poincare(tip)
                 dx, dy = q1[0] - q0[0], q1[1] - q0[1]
                 norm = sqrt(dx * dx + dy * dy) or 1.0
-                scale = tick_length * (1.0 - (q0[0] ** 2 + q0[1] ** 2)) / norm
+                scale = TICK_LENGTH * (1.0 - (q0[0] ** 2 + q0[1] ** 2)) / norm
                 lines.append(
                     f'<line x1="{_fmt(q0[0])}" y1="{_fmt(q0[1])}" '
                     f'x2="{_fmt(q0[0] + dx * scale)}" y2="{_fmt(q0[1] + dy * scale)}" '

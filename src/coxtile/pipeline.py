@@ -17,8 +17,8 @@ from .tiles import TileAlphabet, build_alphabet, orient_all_plus, orient_alterna
 from .walls import WallSet, color_walls, enumerate_walls, peel_levels, wall_coloring
 
 
-def build_walls(system: CoxeterSystem, radius: int, cap=None):
-    ball = enumerate_ball(system, radius, cap=cap)
+def build_walls(system: CoxeterSystem, radius: int):
+    ball = enumerate_ball(system, radius)
     return ball, enumerate_walls(ball)
 
 
@@ -88,7 +88,10 @@ class RenderBundle:
     face_data: list  # per tile, per side: (color, tick tip point) or None
 
 
-def face_metadata(tiles, ball, wallset, wall_colors, orientation, tick=0.12):
+TICK = 0.12  # tick depth per unit of ambient distance between a side's two vertices
+
+
+def face_metadata(tiles, ball, wallset, wall_colors, orientation):
     """Per-side (color, tick-tip) records for rendering.
 
     The tick points toward the wall's positive side: into the tile when the
@@ -116,7 +119,7 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation, tick=0.12):
             seen = orientation[wid] * (-1 if norms[nbr[cid * rank + k]] < norms[cid] else 1)
             mid = geodesic_point(verts[k], verts[(k + 1) % p], 0.5)
             u = tangent_toward(mid, c)
-            delta = tick * max(1e-9, float(np.linalg.norm(verts[k] - verts[(k + 1) % p])))
+            delta = TICK * max(1e-9, float(np.linalg.norm(verts[k] - verts[(k + 1) % p])))
             tip = cosh(delta) * mid + seen * sinh(delta) * u
             sides.append((wall_colors[wid], tip))
         data.append(sides)
@@ -129,7 +132,6 @@ def render_bundle(
     refine: bool = True,
     deform: bool = True,
     epsilon_factor: float = 0.05,
-    cap=None,
 ) -> RenderBundle:
     """Assemble the full hyperbolic-plane demo for the right-angled 2n-gon.
 
@@ -148,7 +150,7 @@ def render_bundle(
     from .walls import alternating_palette
 
     system = CoxeterSystem.right_angled_polygon(2 * n)
-    ball, wallset = build_walls(system, radius + 1, cap=cap)
+    ball, wallset = build_walls(system, radius + 1)
     res = alternating_resolution(wallset, alternating_palette(system), refine=refine)
     polygon = build_polygon(n)
     matrices = reflection_matrices(polygon)

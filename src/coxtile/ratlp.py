@@ -1,8 +1,13 @@
-"""Exact rational linear programming via two-phase simplex.
+"""Exact rational linear programming: the simplex from the slack basis.
 
-Solves  max c.x  subject to  A x <= b,  x >= 0  exactly.  Bland's rule
-guarantees termination on the degenerate systems the balance classifier
-produces.
+Solves  max c.x  subject to  A x <= b,  x >= 0  exactly, for b >= 0.  Then
+x = 0 is feasible and the slack basis is a vertex to start from, so there is
+one phase and the status is "optimal" or "unbounded".  A negative b_i is
+rejected with ValidationError before any tableau is built.  Every LP the
+balance classifier poses meets the contract: its rows are tile rows, which
+make a homogeneous cone (right-hand side 0), and unit rows, which box that
+cone (right-hand side 1).  Bland's rule guarantees termination on the
+degenerate systems it produces.
 
 The tableau is fraction-free and sparse.  Each row is a {column: int} map
 of its nonzeros (the right-hand side is one more column), and it equals the
@@ -12,13 +17,10 @@ kept primitive: the gcd of its entries is divided out.  The reduced-cost row
 is stored the same way, as the row of the objective variable z, whose
 column holds the row's positive factor.
 
-A pivot on p = row_r[col] replaces each other row with a nonzero entry a in
-`col` by (p*row - a*row_r) / gcd(p, a), made primitive: integer-preserving
+A pivot on p = row_r[col] > 0 replaces each other row with a nonzero entry a
+in `col` by (p*row - a*row_r) / gcd(p, a), made primitive: integer-preserving
 elimination in the manner of Bareiss.  Rows with a zero in `col` are not
-touched, and the subtraction runs over the nonzeros of row_r only.  A
-negative pivot (possible only when a zero-valued artificial variable is
-driven out of the basis after phase 1) negates its row first, so every
-factor stays positive.
+touched, and the subtraction runs over the nonzeros of row_r only.
 
 Why the pivot order is the textbook one: Bland's rule reads only the signs
 of the reduced costs and the order of the ratios rhs_i / a_i, with ties
@@ -34,12 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import StructureError
+from .errors import ValidationError
 
 
 @dataclass
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: list | None
     objective: Fraction | None
 
@@ -80,36 +82,18 @@ def _eliminate(row, a, p, pivot_items):
 
 
 _Z = -1  # column of the objective variable z in the reduced-cost row
+_RHS = -2  # column of the right-hand side; the variable columns are 0, 1, ...
 
 
 class _Tableau:
-    def __init__(self, rows, basis, rhs):
+    def __init__(self, rows, basis, obj):
         self.rows = rows  # {col: int} nonzeros, times rows[i][basis[i]] > 0
         self.basis = basis
-        self.rhs = rhs  # column key of the right-hand side
-        self.obj = {_Z: 1}  # reduced costs and (-value) at rhs, times obj[_Z] > 0
-
-    def set_objective(self, cost, den):
-        # reduced costs: start from the cost vector, zero out basic columns
-        obj = {j: v for j, v in enumerate(cost) if v}
-        obj[_Z] = den
-        for i, b in enumerate(self.basis):
-            f = obj.get(b)
-            if f:
-                row = self.rows[i]
-                obj = _eliminate(obj, f, row[b], row.items())
-        self.obj = obj
-
-    @property
-    def value(self):
-        return Fraction(-self.obj.get(self.rhs, 0), self.obj[_Z])
+        self.obj = obj  # reduced costs and (-value) at _RHS, times obj[_Z] > 0
 
     def pivot(self, r, col):
         rows = self.rows
         p = rows[r][col]
-        if p < 0:
-            rows[r] = {j: -v for j, v in rows[r].items()}
-            p = -p
         pivot_items = list(rows[r].items())
         for i, row in enumerate(rows):
             a = row.get(col)
@@ -120,20 +104,19 @@ class _Tableau:
             self.obj = _eliminate(self.obj, a, p, pivot_items)
         self.basis[r] = col
 
-    def run(self, ncols):
-        # Bland: entering = least-index positive reduced cost among columns
-        # < ncols; leaving = min ratio rhs/a over a > 0, ties by least basis
-        # index
-        rhs_col = self.rhs
+    def run(self):
+        # Bland: entering = least-index variable column with a positive
+        # reduced cost; leaving = min ratio rhs/a over a > 0, ties by least
+        # basis index
         while True:
-            col = min((j for j, v in self.obj.items() if v > 0 and 0 <= j < ncols), default=None)
+            col = min((j for j, v in self.obj.items() if v > 0 and j >= 0), default=None)
             if col is None:
                 return "optimal"
             best = None
             for i, row in enumerate(self.rows):
                 a = row.get(col, 0)
                 if a > 0:
-                    rhs = row.get(rhs_col, 0)
+                    rhs = row.get(_RHS, 0)
                     if best is None:
                         best, best_rhs, best_a = i, rhs, a
                         continue
@@ -146,7 +129,7 @@ class _Tableau:
 
 
 def solve_lp(c, A, b) -> LPResult:
-    """Maximize c.x subject to A x <= b and x >= 0, exactly."""
+    """Maximize c.x subject to A x <= b and x >= 0, exactly, for b >= 0."""
     m = len(A)
     n = len(c)
     c = [_rational(v) for v in c]
@@ -154,52 +137,27 @@ def solve_lp(c, A, b) -> LPResult:
     rhs = [_rational(v) for v in b]
     if any(len(r) != n for r in rows) or len(rhs) != m:
         raise ValueError("inconsistent LP dimensions")
-
-    art_rows = [i for i in range(m) if rhs[i] < 0]
-    art_index = {i: k for k, i in enumerate(art_rows)}
-    ncols = n + m + len(art_rows)
+    for i, v in enumerate(rhs):
+        if v < 0:
+            raise ValidationError(f"solve_lp needs b >= 0, so that x = 0 is feasible; b[{i}] = {v}")
 
     tab_rows = []
-    basis = []
     for i in range(m):
         coeffs, den = _int_row(rows[i] + [rhs[i]])
-        sign = -1 if rhs[i] < 0 else 1  # flip rows with rhs < 0 to rhs > 0
-        row = {j: sign * v for j, v in enumerate(coeffs[:n]) if v}
+        row = {j: v for j, v in enumerate(coeffs[:n]) if v}
         if coeffs[n]:
-            row[ncols] = sign * coeffs[n]
-        row[n + i] = sign * den
-        basis.append(n + m + art_index[i] if sign < 0 else n + i)
-        row[basis[-1]] = den
+            row[_RHS] = coeffs[n]
+        row[n + i] = den  # the slack column, basic
         tab_rows.append(_primitive(row))
-    tab = _Tableau(tab_rows, basis, rhs=ncols)
-
-    if art_rows:
-        phase1 = [0] * (n + m) + [-1] * len(art_rows)
-        tab.set_objective(phase1, 1)
-        status = tab.run(ncols)
-        if status != "optimal":
-            raise StructureError(f"phase 1 returned {status!r}; it is bounded by construction")
-        if tab.value != 0:
-            return LPResult("infeasible", None, None)
-        # pivot zero-valued artificials out; drop rows that are redundant
-        keep = []
-        for i in range(len(tab.rows)):
-            if tab.basis[i] >= n + m:
-                col = min((j for j in tab.rows[i] if j < n + m), default=None)
-                if col is None:
-                    continue  # redundant constraint
-                tab.pivot(i, col)
-            keep.append(i)
-        tab.rows = [tab.rows[i] for i in keep]
-        tab.basis = [tab.basis[i] for i in keep]
-
     cost, den = _int_row(c)
-    tab.set_objective(cost, den)
-    status = tab.run(n + m)
-    if status == "unbounded":
+    obj = {j: v for j, v in enumerate(cost) if v}  # slack columns cost nothing
+    obj[_Z] = den
+    tab = _Tableau(tab_rows, [n + i for i in range(m)], obj)
+
+    if tab.run() == "unbounded":
         return LPResult("unbounded", None, None)
     x = [Fraction(0)] * n
-    for i, bcol in enumerate(tab.basis):
+    for row, bcol in zip(tab.rows, tab.basis):
         if bcol < n:
-            x[bcol] = Fraction(tab.rows[i].get(ncols, 0), tab.rows[i][bcol])
-    return LPResult("optimal", x, tab.value)
+            x[bcol] = Fraction(row.get(_RHS, 0), row[bcol])
+    return LPResult("optimal", x, Fraction(-tab.obj.get(_RHS, 0), tab.obj[_Z]))

@@ -239,42 +239,34 @@ def classify_balance(alphabet: TileAlphabet) -> BalanceVerdict:
         raise ValidationError("alphabet is empty")
     colors, vectors = _tile_vectors(alphabet)
     k = len(colors)
+    # variables u, v with w = u - v: a tile's row [-vec | vec] times (u, v) is
+    # minus its tile sum under w, so the row's constraint bounds the sum below
+    tile_rows = [[-x for x in vec] + vec for vec in vectors]
 
-    # variables u, v (w = u - v), t; maximize t subject to
-    # tile sums >= t, u <= 1, v <= 1, t <= 1
-    nvar = 2 * k + 1
-    A = []
-    b = []
-    for vec in vectors:
-        A.append([-x for x in vec] + [x for x in vec] + [1])
-        b.append(0)
-    for j in range(2 * k + 1):
-        row = [0] * nvar
-        row[j] = 1
-        A.append(row)
-        b.append(1)
-    cost = [0] * (2 * k) + [1]
-    res = solve_lp(cost, A, b)
-    _check_lp_status(res, "positivity")
-    if res.objective > 0:
+    def boxed(extra):
+        # the tile rows, extended by `extra`, with right-hand side 0, then a
+        # unit box on every variable: b >= 0, as solve_lp needs, and bounded
+        width = 2 * k + len(extra)
+        A = [row + extra for row in tile_rows]
+        A += [[int(i == j) for i in range(width)] for j in range(width)]
+        return A, [0] * len(tile_rows) + [1] * width
+
+    def witness_of(res):
         w = {c: res.x[i] - res.x[k + i] for i, c in enumerate(colors)}
         witness = WeightFunction(w).integer_scaled()
-        sums = [witness.tile_sum(t) for t in alphabet.tiles]
+        return witness, [witness.tile_sum(t) for t in alphabet.tiles]
+
+    # positivity: maximize t subject to tile sums >= t and u, v, t <= 1
+    res = solve_lp([0] * (2 * k) + [1], *boxed([1]))
+    _check_lp_status(res, "positivity")
+    if res.objective > 0:
+        witness, sums = witness_of(res)
         if not all(s > 0 for s in sums):
             raise StructureError("unbalanced witness has a tile sum <= 0")
         return BalanceVerdict("unbalanced", witness, sums)
 
-    # cone probe: tile sums >= 0, |w| <= 1; maximize +-w_c for every color
-    A_cone = []
-    b_cone = []
-    for vec in vectors:
-        A_cone.append([-x for x in vec] + [x for x in vec])
-        b_cone.append(0)
-    for j in range(2 * k):
-        row = [0] * (2 * k)
-        row[j] = 1
-        A_cone.append(row)
-        b_cone.append(1)
+    # cone probe: tile sums >= 0 and u, v <= 1; maximize +-w_c for every color
+    A_cone, b_cone = boxed([])
     for i in range(k):
         for sign in (1, -1):
             cost = [0] * (2 * k)
@@ -283,9 +275,7 @@ def classify_balance(alphabet: TileAlphabet) -> BalanceVerdict:
             res = solve_lp(cost, A_cone, b_cone)
             _check_lp_status(res, "cone")
             if res.objective > 0:
-                w = {c: res.x[j] - res.x[k + j] for j, c in enumerate(colors)}
-                witness = WeightFunction(w).integer_scaled()
-                sums = [witness.tile_sum(t) for t in alphabet.tiles]
+                witness, sums = witness_of(res)
                 if not (witness.nontrivial and all(s >= 0 for s in sums)):
                     raise StructureError("semibalanced witness is zero or has a tile sum < 0")
                 return BalanceVerdict("semibalanced", witness, sums)

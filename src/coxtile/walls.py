@@ -58,15 +58,23 @@ class WallSet:
         raise InconclusiveError(f"chamber {cid} has norm {norm} and its {s}-neighbour lies "
                                 f"outside {where}; enlarge the radius to at least {norm + 1}")
 
+    def check_chamber(self, cid: int) -> int:
+        """cid, or OutOfBallError when it is no chamber id (-1 would read `sep` from its end)."""
+        if not 0 <= cid < len(self.sep):
+            raise OutOfBallError(f"no chamber {cid}: the radius-{self.ball.radius} ball has "
+                                 f"chambers 0..{len(self.sep) - 1}")
+        return cid
+
     def separates(self, wid: int, a: int, b: int) -> bool:
         """True iff the wall separates chambers a and b (crossing parity)."""
-        return (wid in self.sep[a]) != (wid in self.sep[b])
+        return (wid in self.sep[self.check_chamber(a)]) != (wid in self.sep[self.check_chamber(b)])
 
     def near_chamber(self, wid: int, base: int = 0) -> int:
         """Endpoint of the wall's least crossed edge on the base's side."""
+        at_base = wid in self.sep[self.check_chamber(base)]
         cid, s = self.walls[wid].edges[0]
         for x in (cid, self.ball.nbr[cid * self.ball.system.rank + s]):
-            if (wid in self.sep[x]) == (wid in self.sep[base]):
+            if (wid in self.sep[x]) == at_base:
                 return x
         raise StructureError(f"wall {wid} does not separate its own edge endpoints")
 
@@ -263,7 +271,7 @@ def _class_chains(wallset: WallSet, class_wids, base: int) -> dict:
     sep, walls = wallset.sep, wallset.walls
     n, nbr = wallset.ball.system.rank, wallset.ball.nbr
     class_set = frozenset(class_wids)
-    at_base = sep[base]
+    at_base = sep[wallset.check_chamber(base)]
     chains = {}
     for w in class_wids:
         cid, s = walls[w].edges[0]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from coxtile import ratlp
-from coxtile.errors import StructureError
+from coxtile.errors import ValidationError
 from coxtile.ratlp import solve_lp
 
 
@@ -26,20 +26,6 @@ def test_unbounded():
     assert res.status == "unbounded"
 
 
-def test_infeasible():
-    # x <= -1 with x >= 0
-    res = solve_lp([1], [[1]], [-1])
-    assert res.status == "infeasible"
-
-
-def test_negative_rhs_feasible():
-    # x >= 2 written as -x <= -2, maximize -x: optimum at x = 2
-    res = solve_lp([-1], [[-1]], [-2])
-    assert res.status == "optimal"
-    assert res.objective == -2
-    assert res.x == [2]
-
-
 def test_degenerate_cycling_guard():
     # classic Beale-style degeneracy; Bland's rule must terminate
     c = [Fraction(3, 4), -150, Fraction(1, 50), -6]
@@ -54,35 +40,42 @@ def test_degenerate_cycling_guard():
     assert res.objective == Fraction(1, 20)
 
 
-def test_mixed_constraints():
-    # max 2x + 3y s.t. x + y <= 4, x >= 1 (as -x <= -1), y <= 2
-    res = solve_lp([2, 3], [[1, 1], [-1, 0], [0, 1]], [4, -1, 2])
-    assert res.status == "optimal"
-    assert res.objective == 2 * 2 + 3 * 2
-    assert res.x == [2, 2]
-
-
-def test_redundant_equality_like_rows():
-    # x <= 1 twice plus x >= 1: optimum pinned at 1
-    res = solve_lp([1], [[1], [1], [-1]], [1, 1, -1])
-    assert res.status == "optimal"
-    assert res.objective == 1
-
-
 def test_solution_satisfies_constraints():
     c = [1, 2, -1]
-    A = [[1, 1, 1], [2, 0, 1], [-1, 3, 0], [0, -1, -1]]
-    b = [10, 8, 5, -2]
+    A = [[1, 1, 1], [2, 0, 1], [-1, 3, 0], [0, 1, 1]]
+    b = [10, 8, 5, 2]
     res = solve_lp(c, A, b)
     assert res.status == "optimal"
+    assert res.x == [4, 2, 0] and res.objective == 8
     for Ai, bi in zip(A, b):
         assert sum(a * x for a, x in zip(Ai, res.x)) <= bi
     assert all(x >= 0 for x in res.x)
 
 
-def test_phase1_status_is_checked(monkeypatch):
-    # phase 1 is bounded by construction; a solver that says otherwise must
-    # raise, not return a verdict (and not rely on a stripped assert)
-    monkeypatch.setattr(ratlp._Tableau, "run", lambda self, ncols: "unbounded")
-    with pytest.raises(StructureError, match="phase 1"):
-        solve_lp([-1], [[-1]], [-2])
+# LPs whose origin is infeasible or lies outside some row: the simplex starts
+# at the slack basis, x = 0, so each is refused before a tableau is built
+NEGATIVE_RHS = {
+    "infeasible": ([1], [[1]], [-1]),  # x <= -1 with x >= 0
+    "negative-rhs-feasible": ([-1], [[-1]], [-2]),  # x >= 2 written as -x <= -2
+    "mixed-constraints": ([2, 3], [[1, 1], [-1, 0], [0, 1]], [4, -1, 2]),  # x >= 1 among <= rows
+    "redundant-equality-like-rows": ([1], [[1], [1], [-1]], [1, 1, -1]),  # x <= 1 twice, x >= 1
+    "solution-satisfies-constraints": (
+        [1, 2, -1],
+        [[1, 1, 1], [2, 0, 1], [-1, 3, 0], [0, -1, -1]],
+        [10, 8, 5, -2],
+    ),
+    "phase1-status-is-checked": ([-1], [[-1]], [-2]),
+    "zero-row-below-zero": ([1, 1], [[0, 0]], [-1]),  # 0 <= -1
+    "equality-as-two-rows": ([1, 1], [[1, 1], [-1, -1]], [2, -2]),  # x + y = 2
+}
+
+
+@pytest.mark.parametrize("c, A, b", list(NEGATIVE_RHS.values()), ids=list(NEGATIVE_RHS))
+def test_negative_rhs_is_rejected(monkeypatch, c, A, b):
+    def refuse(*args):
+        pytest.fail("solve_lp reached the tableau of an LP it must reject")
+
+    monkeypatch.setattr(ratlp._Tableau, "__init__", refuse)
+    monkeypatch.setattr(ratlp._Tableau, "pivot", refuse)
+    with pytest.raises(ValidationError, match=r"needs b >= 0, so that x = 0 is feasible"):
+        solve_lp(c, A, b)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -247,3 +249,72 @@ def test_classify_balance_rejects_bad_semibalanced_witness(monkeypatch, x):
     monkeypatch.setattr(tiles_module, "solve_lp", fake_solve_lp)
     with pytest.raises(StructureError, match="semibalanced witness"):
         classify_balance(toy_alphabet([[("c", 1)], [("c", -1)]]))
+
+
+def _lp_sequence_digest(monkeypatch, alphabet):
+    """sha256 of every (c, A, b) that classify_balance hands to solve_lp, in order."""
+    calls = []
+    solve = tiles_module.solve_lp
+
+    def recording(c, A, b):
+        calls.append([[str(v) for v in c], [[str(v) for v in row] for row in A], [str(v) for v in b]])
+        return solve(c, A, b)
+
+    monkeypatch.setattr(tiles_module, "solve_lp", recording)
+    verdict = classify_balance(alphabet)
+    digest = hashlib.sha256(json.dumps(calls, separators=(",", ":")).encode()).hexdigest()
+    return verdict.verdict, len(calls), digest
+
+
+def _hexagon_alphabet(radius, make, refine):
+    hexsys = CoxeterSystem.right_angled_polygon(6)
+    _, ws = build_walls(hexsys, radius)
+    return make(ws, alternating_palette(hexsys), refine=refine).alphabet
+
+
+# recorded before the simplex lost its phase 1, so they pin the LPs themselves:
+# a strictly balanced report carries no witness, and its bytes show no LP
+LP_SEQUENCES = {
+    "hexagon-r5-alternating": (
+        lambda: _hexagon_alphabet(5, alternating_resolution, False),
+        "strictly_balanced",
+        5,
+        "aa7a1025a96f1a0fa63629f43929c88339d8ae58f1aa778698432e669a8078ea",
+    ),
+    "hexagon-r5-all-plus": (
+        lambda: _hexagon_alphabet(5, all_plus_resolution, False),
+        "unbalanced",
+        1,
+        "3a748146290f78713015e4b9fe6f509e9dcf7b515b6c828cda739b252575af15",
+    ),
+    "refined-hexagon-r4-alternating": (
+        lambda: _hexagon_alphabet(4, alternating_resolution, True),
+        "unbalanced",
+        1,
+        "6252254c98ef0c80e779a70d1c3bfe3cf76c18b599acab4f37040d44f17d7b0e",
+    ),
+    "refined-hexagon-r4-all-plus": (
+        lambda: _hexagon_alphabet(4, all_plus_resolution, True),
+        "unbalanced",
+        1,
+        "b8dffcff2645c9cd7f82111031cc8935c83d142bdb94fd37e7220781a19a8d4e",
+    ),
+    "refined-hexagon-r5-alternating": (
+        lambda: _hexagon_alphabet(5, alternating_resolution, True),
+        "semibalanced",
+        5,
+        "4a5b7ac2430a57b624b4b7fdd6a0a51dd9f7f855a0974f37023a50b7872c684f",
+    ),
+    "semibalanced-toy": (
+        lambda: toy_alphabet([[("c", 1), ("c", -1)], [("d", 1)]]),
+        "semibalanced",
+        2,
+        "f599da291e18094887e7ded8eb4a7268b85fc7bfa67b02c2f024f3feb9556247",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LP_SEQUENCES))
+def test_classifier_lp_sequence_pinned(monkeypatch, name):
+    make, verdict, ncalls, digest = LP_SEQUENCES[name]
+    assert _lp_sequence_digest(monkeypatch, make()) == (verdict, ncalls, digest)

@@ -1,7 +1,8 @@
 import pytest
 
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
-from coxtile.errors import InconclusiveError, ValidationError
+from coxtile.errors import InconclusiveError, OutOfBallError, ValidationError
+from coxtile.tiles import rebased_alternating
 from coxtile.walls import (
     alternating_palette,
     build_wall_tree,
@@ -283,3 +284,28 @@ def test_component_error_names_count_and_radius():
     message = str(err.value)
     assert f"wall {shattered.wid} split the radius-2 ball into {shattered.count} components" in message
     assert "raise the radius above 2" in message
+
+
+# every entry point that takes a chamber id, called with that id set to `cid`
+CHAMBER_ENTRY_POINTS = {
+    "separates-a": lambda ws, wids, cid: ws.separates(wids[0], cid, 0),
+    "separates-b": lambda ws, wids, cid: ws.separates(wids[0], 0, cid),
+    "near_chamber": lambda ws, wids, cid: ws.near_chamber(wids[0], cid),
+    "separating_walls": lambda ws, wids, cid: ws.separating_walls(wids[0], cid),
+    "peel_levels": lambda ws, wids, cid: peel_levels(ws, wids, base=cid),
+    "build_wall_tree": lambda ws, wids, cid: build_wall_tree(ws, wids, base=cid),
+    "rebased_alternating": lambda ws, wids, cid: rebased_alternating(ws, {"a": wids}, cid),
+}
+
+
+@pytest.mark.parametrize("where", ["minus-one", "ball-size"])
+@pytest.mark.parametrize("entry", sorted(CHAMBER_ENTRY_POINTS))
+def test_chamber_outside_the_ball_is_rejected(entry, where):
+    # -1 would otherwise read the last chamber, and |ball| raise a bare IndexError
+    hexsys = CoxeterSystem.right_angled_polygon(6)
+    ball, ws = make(hexsys, 3)
+    wids = color_walls(ws, alternating_palette(hexsys)).by_color["a"]
+    cid = -1 if where == "minus-one" else len(ball)
+    message = rf"no chamber {cid}: the radius-3 ball has chambers 0\.\.{len(ball) - 1}$"
+    with pytest.raises(OutOfBallError, match=message):
+        CHAMBER_ENTRY_POINTS[entry](ws, wids, cid)
