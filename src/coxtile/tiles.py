@@ -13,7 +13,7 @@ the nonnegativity cone is {0} (strictly balanced).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import StructureError, ValidationError
 from .ratlp import solve_lp
@@ -62,17 +62,14 @@ def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> dic
     """The alternating orientation as constructed from another base chamber,
     expressed in the canonical frame of the original base.
 
-    Levels are re-peeled from `chamber`; moving the "left side" reference
-    back to the original base flips exactly the walls separating the two
-    chambers.
+    Re-peeling from `chamber` and moving the "left side" reference back to
+    the original base flip a whole disjoint class at once, by the parity of
+    the class walls separating the two chambers (see walls.class_tree).
     """
-    orientation = {}
-    for cls, wids in class_wids.items():
-        levels = peel_levels(wallset, wids, base=chamber)
-        for wid, lev in levels.items():
-            side = -1 if wid in wallset.sep[chamber] else 1
-            orientation[wid] = side * (-1) ** lev
-    return orientation
+    crossed = wallset.sep[chamber]
+    flips = {cls: len(crossed.intersection(wids)) % 2 for cls, wids in class_wids.items()}
+    levels = {cls: peel_levels(wallset, wids) for cls, wids in class_wids.items()}
+    return orient_alternating(levels, flips)
 
 
 # -- alphabets -------------------------------------------------------------------
@@ -188,17 +185,10 @@ class WeightFunction:
         return any(v != 0 for v in self.weights.values())
 
     def integer_scaled(self) -> "WeightFunction":
-        vals = [Fraction(v) for v in self.weights.values()]
-        denom = 1
-        for v in vals:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+        denom = lcm(*(Fraction(v).denominator for v in self.weights.values()))
         scaled = {c: Fraction(v) * denom for c, v in self.weights.items()}
-        g = 0
-        for v in scaled.values():
-            g = gcd(g, int(v))
-        if g > 1:
-            scaled = {c: v / g for c, v in scaled.items()}
-        return WeightFunction(scaled)
+        g = gcd(*map(int, scaled.values())) or 1  # 0 only when every weight is 0
+        return WeightFunction({c: v / g for c, v in scaled.items()})
 
 
 def _tile_vectors(alphabet: TileAlphabet):
@@ -288,20 +278,13 @@ def verify_unbalanced_witness(alphabet: TileAlphabet, w) -> tuple[list, bool]:
     Accepts a WeightFunction or a raw face->value map, which must then be
     antisymmetric.
     """
-    if isinstance(w, WeightFunction):
-        wf = w
-    else:
-        weights = {}
+    if not isinstance(w, WeightFunction):
         for face, val in w.items():
-            color, sign = face
-            expect = -Fraction(val) if sign == 1 else Fraction(val)
             other = w.get(opposite(face))
-            if other is None or Fraction(other) != expect:
+            if other is None or Fraction(other) != -Fraction(val):
                 raise ValidationError(f"weights violate antisymmetry at {face}")
-            if sign == 1:
-                weights[color] = Fraction(val)
-        wf = WeightFunction(weights)
-    sums = [wf.tile_sum(t) for t in alphabet.tiles]
+        w = WeightFunction({color: Fraction(val) for (color, sign), val in w.items() if sign == 1})
+    sums = [w.tile_sum(t) for t in alphabet.tiles]
     return sums, all(s > 0 for s in sums)
 
 
@@ -353,16 +336,14 @@ def rebase_parity_check(
 
     The rebased alternating orientation, carried back to the original
     canonical frame, must differ from the original by a global flip on each
-    class; the report records the per-class flip pattern.
+    class; the report records the per-class flip pattern.  It re-peels from
+    the chamber, independent of `rebased_alternating`'s closed-form sign.
     """
-    reor = rebased_alternating(wallset, class_wids, chamber)
-    flips = {}
-    ok = True
+    crossed = wallset.sep[chamber]
+    reor, flips = {}, {}
     for cls, wids in class_wids.items():
+        for wid, lev in peel_levels(wallset, wids, base=chamber).items():
+            reor[wid] = (-1 if wid in crossed else 1) * (-1) ** lev
         pattern = {(1 - base_orientation[w] * reor[w]) // 2 for w in wids}
-        if len(pattern) != 1:
-            ok = False
-            flips[cls] = None
-        else:
-            flips[cls] = pattern.pop()
-    return RebaseReport(chamber, flips, ok, reor)
+        flips[cls] = pattern.pop() if len(pattern) == 1 else None
+    return RebaseReport(chamber, flips, None not in flips.values(), reor)

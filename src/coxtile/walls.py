@@ -4,15 +4,16 @@ A wall is the fixed locus of a reflection g s g^{-1}: the set of Cayley-graph
 edges the reflection flips.  The edge {g, gs} crosses the wall of the root
 g.alpha_s, so walls are identified by their exact roots
 (coxeter.ExactReflection) in one pass over the ball, right at every radius for
-every Coxeter matrix.  The result lives in flat tables beside `Ball.nbr`:
+every Coxeter matrix.  The result is one flat table beside `Ball.nbr`:
 `WallSet.faces[g * rank + s]` is the wall of the edge {g, gs} (-1 outside the
-ball), and `sep[g]` is the set of walls a ShortLex geodesic from e to g
-crosses, each at most once, so separation is crossing parity.
+ball).  Read along g's ShortLex word, `faces` lists the walls a geodesic from
+e to g crosses, each once, so separation is crossing parity.
 
-A class's levels and tree are one structure, built once per call: each
-wall's in-class separators are read from `sep`, and their Kahn layers are
-the peeling rounds.  On a disjoint class the separators form a chain, and the
-tree parent is its innermost wall, one level down.  Levels depend on walls
+A disjoint class cuts the ball into regions that, with the class walls, form
+a tree (Davis 2008; Sageev 1995).  One pass in id (ShortLex) order names each
+chamber's region by the last class wall its geodesic crosses; a check of
+every crossed class edge proves the table right, and a wall's level from any
+base is its tree distance from the base's region.  Levels depend on walls
 beyond the ball too, which is why a wall whose edges all lie near the
 boundary is flagged not `determinate`.
 """
@@ -33,17 +34,23 @@ class Wall:
 
 
 class WallSet:
-    """All walls crossing edges of a ball, plus per-chamber crossing sets."""
+    """All walls crossing edges of a ball, with the wall of every face."""
 
-    def __init__(self, ball: Ball, walls, faces, sep):
+    def __init__(self, ball: Ball, walls, faces):
         self.ball = ball
         self.walls = walls
         self.faces = faces  # laid out like Ball.nbr: chamber * rank + s -> wall id, or -1
-        self.sep = sep  # chamber id -> frozenset of wall ids separating it from e
         self._canonical_cache = {}
+        self._tree_cache = {}  # frozenset of class wall ids -> (region, parent), see class_tree
 
     def __len__(self):
         return len(self.walls)
+
+    @property
+    def sep(self):
+        """Read-only view: chamber id -> frozenset of the walls separating it from
+        e, read off `faces` along the chamber's word on each lookup."""
+        return _CrossingSets(self)
 
     def wall_of_face(self, cid: int, s: int) -> int:
         """Wall through the face of chamber cid crossed by generator s."""
@@ -52,29 +59,28 @@ class WallSet:
             return self.faces[cid * n + s]
         where = f"the radius-{ball.radius} ball"
         if not (0 <= cid < len(ball) and 0 <= s < n):
-            raise InconclusiveError(f"no face ({cid}, {s}): {where} has chambers "
-                                    f"0..{len(ball) - 1} and generators 0..{n - 1}")
+            raise OutOfBallError(f"no face ({cid}, {s}): {where} has chambers "
+                                 f"0..{len(ball) - 1} and generators 0..{n - 1}")
         norm = ball.norms[cid]  # only a chamber on the outer sphere misses an edge
         raise InconclusiveError(f"chamber {cid} has norm {norm} and its {s}-neighbour lies "
                                 f"outside {where}; enlarge the radius to at least {norm + 1}")
 
     def check_chamber(self, cid: int) -> int:
-        """cid, or OutOfBallError when it is no chamber id (-1 would read `sep` from its end)."""
-        if not 0 <= cid < len(self.sep):
+        """cid, or OutOfBallError when it is no chamber id (-1 would read a table from its end)."""
+        if not 0 <= cid < len(self.ball):
             raise OutOfBallError(f"no chamber {cid}: the radius-{self.ball.radius} ball has "
-                                 f"chambers 0..{len(self.sep) - 1}")
+                                 f"chambers 0..{len(self.ball) - 1}")
         return cid
 
     def separates(self, wid: int, a: int, b: int) -> bool:
         """True iff the wall separates chambers a and b (crossing parity)."""
-        return (wid in self.sep[self.check_chamber(a)]) != (wid in self.sep[self.check_chamber(b)])
+        return (wid in self.sep[a]) != (wid in self.sep[b])
 
     def near_chamber(self, wid: int, base: int = 0) -> int:
         """Endpoint of the wall's least crossed edge on the base's side."""
-        at_base = wid in self.sep[self.check_chamber(base)]
         cid, s = self.walls[wid].edges[0]
         for x in (cid, self.ball.nbr[cid * self.ball.system.rank + s]):
-            if (wid in self.sep[x]) == at_base:
+            if not self.separates(wid, base, x):
                 return x
         raise StructureError(f"wall {wid} does not separate its own edge endpoints")
 
@@ -102,6 +108,16 @@ class WallSet:
         return self._word_index[nf]
 
 
+class _CrossingSets:
+    def __init__(self, wallset: WallSet):
+        self.wallset = wallset
+
+    def __getitem__(self, cid: int) -> frozenset:
+        ws, index, n = self.wallset, self.wallset.ball.index, self.wallset.ball.system.rank
+        word = ws.ball.words[ws.check_chamber(cid)]  # each prefix is a normal form in the ball
+        return frozenset(ws.faces[index[word[:i]] * n + s] for i, s in enumerate(word))
+
+
 def enumerate_walls(ball: Ball) -> WallSet:
     """Identify every wall crossing an edge of the ball by its root.
 
@@ -117,14 +133,11 @@ def enumerate_walls(ball: Ball) -> WallSet:
     positive = []  # wall id -> its positive root
     wall_of_root = {}
     walls = []
-    sep = [frozenset()] * len(ball)
     for g, word in enumerate(ball.words):
         row = g * n
         if g:
             t = word[-1]
-            parent = nbr[row + t]  # g's ShortLex parent g t, one level down
-            up = parent * n
-            sep[g] = sep[parent].union((faces[up + t],))
+            up = nbr[row + t] * n  # g's ShortLex parent g t, one level down
         level = norms[g]
         if level == ball.radius:
             continue
@@ -149,7 +162,7 @@ def enumerate_walls(ball: Ball) -> WallSet:
                 walls.append(Wall(wid, [], s, determinate=level + 1 <= ball.radius - 2))
             walls[wid].edges.append((g, s))
             faces[row + s] = faces[h * n + s] = wid
-    return WallSet(ball, walls, faces, sep)
+    return WallSet(ball, walls, faces)
 
 
 @dataclass
@@ -264,51 +277,66 @@ def alternating_palette(system) -> dict:
 # -- levels ------------------------------------------------------------------
 
 
-def _class_chains(wallset: WallSet, class_wids, base: int) -> dict:
-    """Each class wall's in-class separators, read from `sep`: the class walls
-    between the base and the wall's near side (the lower end of its least edge
-    unless the base lies beyond the wall), as tuples the collector untracks."""
-    sep, walls = wallset.sep, wallset.walls
-    n, nbr = wallset.ball.system.rank, wallset.ball.nbr
+def class_tree(wallset: WallSet, class_wids):
+    """The regions a class cuts the ball into, as (region, parent), built once
+    per WallSet.  A region is named by the class wall between it and e (-1 for
+    e's own): region[g] is the class wall g's geodesic from e crosses last, and
+    wall w leads from region parent[w] into region w.
+
+    One pass in id order meets each ShortLex parent first; a check of both ends
+    of every crossed class edge then proves, by induction on |g|, that the class
+    walls separating g from e are region[g] and its ancestors, or raises
+    StructureError when the class walls are not nested."""
     class_set = frozenset(class_wids)
-    at_base = sep[wallset.check_chamber(base)]
-    chains = {}
-    for w in class_wids:
-        cid, s = walls[w].edges[0]
-        near = nbr[cid * n + s] if w in at_base else cid
-        chains[w] = tuple(filter(class_set.__contains__, sep[near] ^ at_base))
-    return chains
+    if class_set in wallset._tree_cache:
+        return wallset._tree_cache[class_set]
+    ball, walls, faces = wallset.ball, wallset.walls, wallset.faces
+    n, nbr = ball.system.rank, ball.nbr
+    region = [-1] * len(ball)
+    for g, word in enumerate(ball.words[1:], 1):
+        i = g * n + word[-1]  # the face g shares with its ShortLex parent
+        u = faces[i]
+        region[g] = u if u in class_set else region[nbr[i]]
+    parent = {-1: None}  # e's region first: a wall's parent region has a lower id
+    for w in sorted(class_set):
+        edges = walls[w].edges
+        p = region[edges[0][0]]
+        if p not in parent or any(region[g] != p or region[nbr[g * n + s]] != w for g, s in edges):
+            raise StructureError(f"separators of wall {w} are not nested; class is not disjoint")
+        parent[w] = p
+    del parent[-1]  # the rest keeps wall id order
+    wallset._tree_cache[class_set] = region, parent
+    return region, parent
 
 
-def _kahn_levels(chains: dict) -> dict:
-    """Kahn layers of the blocker graph, met in one breadth-first pass: a wall
-    joins layer k once every in-class separator of it lies in layers < k."""
-    waiting = {w: len(chain) for w, chain in chains.items()}
-    blocks: dict = {}  # wall -> the walls it separates from the base
-    for w, chain in chains.items():
-        for b in chain:
-            blocks.setdefault(b, []).append(w)
-    order = [w for w, count in waiting.items() if not count]
-    levels = dict.fromkeys(order, 1)
-    for w in order:  # levels never decrease along the queue
-        for v in blocks.get(w, ()):
-            waiting[v] -= 1
-            if not waiting[v]:
-                levels[v] = levels[w] + 1
-                order.append(v)
-    if len(levels) < len(chains):
-        raise StructureError("peeling stalled: class walls mutually separated (intersecting class?)")
-    return levels
+def _peel(wallset: WallSet, class_wids, base: int):
+    """Levels of the class walls peeled from `base`, and each wall's innermost
+    in-class separator (None at level 1).  The walls separating the base from
+    w are the tree path from the base's region to w's near side: region w if
+    the base lies beyond w, else parent[w]."""
+    region, parent = class_tree(wallset, class_wids)
+    start = region[wallset.check_chamber(base)]
+    path = [start]  # regions from start to e's region
+    while path[-1] != -1:
+        path.append(parent[path[-1]])
+    toward = dict(zip(path, [None] + path))  # region on the path -> its neighbour toward start
+    dist = {-1: len(path) - 1}  # region -> tree distance from start
+    levels, inner = {}, {}
+    for w, p in parent.items():
+        beyond = w in toward  # the base lies beyond w
+        dist[w] = dist[p] - 1 if beyond else dist[p] + 1
+        levels[w] = max(dist[w], dist[p])
+        near = w if beyond else p
+        inner[w] = None if near == start else toward.get(near, near)
+    return levels, inner
 
 
 def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
-    """Iterated peeling of a pairwise-disjoint wall class away from `base`.
-
-    Round k removes the walls not separated from the base chamber by any
-    remaining wall of the class and labels them level k: the Kahn layers of
-    the blocker graph.
-    """
-    return _kahn_levels(_class_chains(wallset, class_wids, base))
+    """Iterated peeling of a pairwise-disjoint wall class away from `base`:
+    round k removes the walls no remaining class wall separates from the base
+    chamber and labels them level k.  Raises StructureError on walls that are
+    not nested."""
+    return _peel(wallset, class_wids, base)[0]
 
 
 # -- wall trees --------------------------------------------------------------
@@ -316,14 +344,10 @@ def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
 
 @dataclass
 class WallTree:
-    """Rooted tree on the walls of one disjoint class, read off its peeling.
-
-    A wall's in-class separators form a chain, one wall per lower level; the
-    wall hangs under the innermost of them, its separator one level down.
-    The level-1 walls hang under the root, the level-1 wall with
-    ShortLex-least reflection word, so a wall's depth is its level, less one
-    when the root separates it from the base chamber.
-    """
+    """Rooted tree on the walls of one disjoint class, read off its peeling: a
+    wall hangs under its innermost in-class separator, one level down, and the
+    level-1 walls under the root, the level-1 wall with ShortLex-least word, so
+    a wall's depth is its level, less one when the root separates it from the base."""
 
     vertices: list
     edges: list
@@ -334,21 +358,15 @@ class WallTree:
 
 
 def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
-    chains = _class_chains(wallset, class_wids, base)
-    levels = _kahn_levels(chains)
-    level_one = [w for w in class_wids if not chains[w]]
+    levels, inner = _peel(wallset, class_wids, base)
+    level_one = [w for w in class_wids if inner[w] is None]
     if not level_one:
         raise StructureError("class has no level-1 wall")
     root = min(level_one, key=lambda w: _shortlex_key(wallset.canonical_word(w)))
-    parent, depth = {}, {root: 0}
-    for w in class_wids:
-        chain = chains[w]
-        p = max(chain, key=levels.__getitem__, default=root)  # its separator one level down
-        inner = chains[p]  # nested, by induction on level, iff chain is inner plus p
-        if chain and (len(inner) != len(chain) - 1 or not all(map(chain.__contains__, inner))):
-            raise StructureError(f"separators of wall {w} are not nested; class is not disjoint")
-        if w != root:
-            parent[w], depth[w] = p, levels[w] - (root in chain)
+    parent = {w: root if p is None else p for w, p in inner.items() if w != root}
+    depth = {root: 0}
+    for w in sorted(parent, key=levels.__getitem__):  # each parent sits one level down
+        depth[w] = depth[parent[w]] + 1
     edges = sorted((parent[w], w) for w in parent)
     return WallTree(sorted(class_wids), edges, root, parent, depth, levels)
 

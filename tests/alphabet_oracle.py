@@ -1,6 +1,6 @@
 """The tile alphabet builder that coxtile.tiles replaced, kept verbatim as a
-test oracle.  It asks WallSet.separates (crossing parity of the `sep`
-frozensets) for the side of every face, and sorts each chamber's
+test oracle.  It asks WallSet.separates (crossing parity of the walls each
+chamber's geodesic crosses) for the side of every face, and sorts each chamber's
 (color, sign) labels by their string keys.  Used only by tests.
 """
 

@@ -9,7 +9,7 @@ Ball.index.
 import pytest
 
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
-from coxtile.errors import InconclusiveError
+from coxtile.errors import InconclusiveError, OutOfBallError
 from coxtile.walls import enumerate_walls
 
 B3 = CoxeterSystem(("a", "b", "c"), ((1, 4, 2), (4, 1, 3), (2, 3, 1)))
@@ -96,6 +96,6 @@ def test_faces_hold_the_wall_of_every_ball_edge(system, radius):
                     ws.wall_of_face(cid, s)
             else:
                 assert ws.wall_of_face(cid, s) == wid
-    for cid, s in [(-1, 0), (0, -1), (0, n), (len(ball), 0)]:
-        with pytest.raises(InconclusiveError):
+    for cid, s in [(-1, 0), (0, -1), (0, n), (len(ball), 0)]:  # no such face: bad input
+        with pytest.raises(OutOfBallError):
             ws.wall_of_face(cid, s)

@@ -231,11 +231,13 @@ def test_system_file_that_is_not_text_exits_2(tmp_path):
     assert code == 2 and out == ""
 
 
-def _walls_with_corrupt_crossings(ball):
+def _walls_with_corrupt_faces(ball):
     ws = enumerate_walls(ball)
-    # only the identity lies beyond wall `rank`, whose least edge avoids it
-    wid = ball.system.rank
-    ws.sep = [frozenset({wid}) if cid == 0 else frozenset() for cid in range(len(ball))]
+    # the edge {e, s0} at wall 0's near chamber claims another wall of wall 0's
+    # color, so no corner sees a clash but s0's region is not beyond wall 0
+    n = ball.system.rank
+    other = next(w.wid for w in ws.walls[1:] if w.generator == 0)
+    ws.faces[0] = ws.faces[ball.nbr[0] * n] = other
     return ws
 
 
@@ -250,7 +252,7 @@ def _walls_with_corrupt_crossings(ball):
         ("coxtile.sequences._mt_cache", [1], ["seq", "--kind", "morse_thue", "--n", "8"]),
         (
             "coxtile.pipeline.enumerate_walls",
-            _walls_with_corrupt_crossings,
+            _walls_with_corrupt_faces,
             ["walls", "--system", "hexagon", "--radius", "2"],
         ),
     ],

@@ -15,10 +15,13 @@ were pinned while a numpy cumulative sum scanned every period in full, before
 the anchored-run scan.  The two `space` reports and the other three `render`
 SVGs (unrefined, undeformed, and the octagon) were pinned while tile signs
 came from `WallSet.separates` probes and vertex geometry from numpy 3-vectors,
-before both were read off descents and plain floats.  The smoke runs start every perfbench workload at tiny
-sizes, traced, so its checks (Ball.edges, WallSet.sep, WallSet.separates) and
-its tracer's hooks (WallSet.separating_walls, WallSet.canonical_word, the
-walls, hyperbolic and other span functions) must still bind.
+before both were read off descents and plain floats.  Every pin predates the
+per-class region trees that replaced the stored per-chamber `WallSet.sep`
+frozensets.  The smoke runs start every perfbench workload at tiny sizes,
+traced, so its checks (Ball.edges, the read-only WallSet.sep view,
+WallSet.separates) and its tracer's hooks (WallSet.separating_walls,
+WallSet.canonical_word, the walls, hyperbolic and other span functions) must
+still bind.
 """
 
 import hashlib

@@ -134,6 +134,15 @@ def test_verify_witness_zero_and_antisymmetry_error():
         verify_unbalanced_witness(alpha, {("c", 1): 1, ("c", -1): 1})
 
 
+def test_verify_witness_accepts_an_antisymmetric_face_map():
+    # a raw face -> value map is read as the weight function it spells
+    alpha = toy_alphabet([[("c", 1), ("d", -1)], [("c", -1)]])
+    raw = {("c", 1): 2, ("c", -1): -2, ("d", 1): Fraction(1, 2), ("d", -1): Fraction(-1, 2)}
+    sums, allpos = verify_unbalanced_witness(alpha, raw)
+    assert (sums, allpos) == verify_unbalanced_witness(alpha, WeightFunction({"c": 2, "d": Fraction(1, 2)}))
+    assert sorted(sums) == [-2, Fraction(3, 2)] and not allpos
+
+
 def test_hexagon_alternating_strictly_balanced_small():
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = build_walls(hexsys, 4)
@@ -210,20 +219,29 @@ def test_refined_resolution_palette():
             assert res.orientation[w] == (-1) ** res.levels[(cls, pair)][w]
 
 
-@pytest.mark.parametrize("status", ["unbounded", "infeasible"])
-@pytest.mark.parametrize("failing_call", [0, 1], ids=["positivity-lp", "cone-lp"])
-def test_classify_balance_rejects_bad_lp_status(monkeypatch, status, failing_call):
+@pytest.mark.parametrize(
+    "failing_call",
+    [
+        pytest.param(0, id="positivity-lp-unbounded"),
+        pytest.param(1, id="cone-lp-unbounded"),
+        pytest.param(2, id="second-cone-lp-unbounded"),
+        pytest.param(4, id="last-cone-lp-unbounded"),
+    ],
+)
+def test_classify_balance_rejects_bad_lp_status(monkeypatch, failing_call):
+    # two colors: the positivity LP, then the cone LPs maximizing +-w_c and +-w_d
     calls = []
 
     def fake_solve_lp(c, A, b):
         calls.append(c)
         if len(calls) - 1 == failing_call:
-            return LPResult(status, None, None)
+            return LPResult("unbounded", None, None)
         return LPResult("optimal", [Fraction(0)] * len(c), Fraction(0))
 
     monkeypatch.setattr(tiles_module, "solve_lp", fake_solve_lp)
-    with pytest.raises(StructureError, match=status):
-        classify_balance(toy_alphabet([[("c", 1)], [("c", -1)]]))
+    with pytest.raises(StructureError, match="unbounded"):
+        classify_balance(toy_alphabet([[("c", 1)], [("c", -1)], [("d", 1)], [("d", -1)]]))
+    assert len(calls) == failing_call + 1
 
 
 def test_classify_balance_rejects_bad_unbalanced_witness(monkeypatch):

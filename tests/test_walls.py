@@ -270,7 +270,8 @@ def test_wall_of_face_error_names_norm_and_radius():
     message = str(err.value)
     assert f"chamber {outer} has norm 3" in message and "radius-3 ball" in message
     assert "enlarge the radius to at least 4" in message
-    with pytest.raises(InconclusiveError, match=r"radius-3 ball has chambers 0\.\.60 and generators 0\.\.4"):
+    # an id outside the ball is bad input, as at every other entry point
+    with pytest.raises(OutOfBallError, match=r"radius-3 ball has chambers 0\.\.60 and generators 0\.\.4"):
         ws.wall_of_face(len(ball), 0)
 
 
