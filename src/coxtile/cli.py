@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import is_
 
 from . import __version__
 from .colorings import aperiodicity_report, norm_coloring
@@ -37,6 +38,7 @@ REPORT_VERSION = 1
 
 
 _PLAIN = frozenset({str, int, bool, float, type(None)})
+_STR = frozenset({str})
 
 
 def _jsonable(x):
@@ -44,10 +46,16 @@ def _jsonable(x):
         return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    # a dict with str keys, or a list, that nothing inside changed is returned as is
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        same = type(x) is dict and _STR.issuperset(map(type, x))
+        if same and _PLAIN.issuperset(map(type, x.values())):  # flat: no call per value
+            return x
+        values = list(map(_jsonable, x.values()))
+        return x if same and all(map(is_, values, x.values())) else dict(zip(map(str, x), values))
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        items = list(map(_jsonable, x))
+        return x if type(x) is list and all(map(is_, items, x)) else items
     if isinstance(x, (str, int, float, bool)) or x is None:
         return x
     return str(x)

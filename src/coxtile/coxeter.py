@@ -9,6 +9,12 @@ proven error bounds, at doubled precision until the bounds decide.  Nothing
 is identified by floating point: a ball of a general system tells its
 elements apart by the exact dual vectors g^-1 f0 of ExactReflection, whose
 roots identify walls.
+
+A Ball stores its ShortLex tree rather than a word per element: the norm,
+the neighbours and the last letter of each element's normal form, so an
+element's ShortLex parent is one lookup in the neighbour table.  Its words
+and the word -> id index are built from that tree on first use; sphere
+sizes, walls and separation never need them.
 """
 
 import json
@@ -454,26 +460,48 @@ class EdgeView(Mapping):
 class Ball:
     """All elements of norm <= radius with their generator edges.
 
-    `words[i]` is the ShortLex normal form of element i.  The chamber graph
-    is the flat neighbour table `nbr`: `nbr[i * rank + s]` is the id of
-    element i * s, or -1 when that product lies outside the ball.  `edges`
-    is a read-only {(i, s): id} view of the same table.
+    Elements are ids 0, 1, ... in ShortLex order of their normal forms, e
+    first.  The chamber graph is the flat neighbour table `nbr`:
+    `nbr[i * rank + s]` is the id of element i * s, or -1 when that product
+    lies outside the ball.  `edges` is a read-only {(i, s): id} view of the
+    same table.  `norms[i]` is the length of element i.
+
+    The ball keeps its ShortLex tree, not a word per element: `last[i]` is
+    the final letter of i's normal form (-1 for e), so i's ShortLex parent,
+    the element spelled by the word without that letter, is
+    `nbr[i * rank + last[i]]`, of lower id and norm one less.  `words[i]`
+    (the normal form of element i) and `index` (normal form -> id) are built
+    from the tree in one pass, the first time something reads them; a
+    right-angled ball keys its enumeration by normal forms and so has both
+    from the start.
     """
 
     system: CoxeterSystem
     radius: int
-    words: list[tuple[int, ...]]
-    index: dict
     norms: list[int]
     nbr: list[int]
+    last: list[int]
     sphere_sizes: list[int]
+
+    @cached_property
+    def words(self) -> list[tuple[int, ...]]:
+        n, nbr, last = self.system.rank, self.nbr, self.last
+        words = [()]
+        for i in range(1, len(last)):
+            s = last[i]
+            words.append(words[nbr[i * n + s]] + (s,))
+        return words
+
+    @cached_property
+    def index(self) -> dict:
+        return {w: i for i, w in enumerate(self.words)}
 
     @cached_property
     def edges(self) -> EdgeView:
         return EdgeView(self.nbr, self.system.rank)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.norms)
 
     def id_of(self, word) -> int:
         nf = self.system.normal_form(word)
@@ -493,12 +521,27 @@ class Ball:
         return self.system.norm(word)
 
     def mul(self, u, v):
-        if self.system.is_right_angled and u in self.index:
-            nf = u
-            for s in v:
-                nf = _ra_mul_gen(self.system, nf, s)
-            return nf
-        return self.system.mul(u, v)
+        """u v in normal form.  A member u walks `nbr` along v's letters while
+        the product stays in the ball; the rest of v is multiplied in from the
+        last element reached, as `CoxeterSystem.mul` would."""
+        system = self.system
+        i = self.index.get(u) if isinstance(u, tuple) else None
+        if i is None:
+            return system.mul(u, v)
+        v, n, nbr = tuple(v), system.rank, self.nbr
+        for k, s in enumerate(v):
+            j = nbr[i * n + s] if 0 <= s < n else -1
+            if j < 0:
+                break
+            i = j
+        else:
+            return self.words[i]
+        nf = self.words[i]
+        if not system.is_right_angled:
+            return system.mul(nf, v[k:])
+        for s in v[k:]:  # nf is a normal form already
+            nf = _ra_mul_gen(system, nf, s)
+        return nf
 
     def inv(self, u):
         return self.system.inv(u)
@@ -514,9 +557,10 @@ class Ball:
 def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -> Ball:
     """Breadth-first enumeration of the ball of the given radius.
 
-    Exploration is in ShortLex order, so each element is first reached by
-    its ShortLex-least geodesic word and the stored words are prefix-closed.
-    Elements are keyed exactly: by normal form when the system is right-angled,
+    Exploration is in ShortLex order, so each element is first reached from
+    its ShortLex parent by the last letter of its normal form, which is all
+    `Ball.last` records.  Elements are keyed exactly: by normal form when the
+    system is right-angled (the ball then keeps those words as `Ball.words`),
     else by the dual vector g^-1 f0 (ExactReflection.dual_step), one per
     element as W acts simply transitively on the chambers of the Tits cone.
     Descents g s are recorded from below, so two spheres of keys suffice.
@@ -526,17 +570,16 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
         raise ValidationError("radius must be nonnegative")
     cap = _cap_from_env() if cap is None else cap
     ra = system.is_right_angled
-    words: list[tuple[int, ...]] = [()]
-    index = {(): 0}
-    if ra:  # the key of an element is its normal form, so `index` keys it
-        step, start, seen = partial(_ra_mul_gen, system), (), index
+    if ra:  # the key of an element is its normal form, so `seen` is Ball.index
+        step, start = partial(_ra_mul_gen, system), ()
+        words: list[tuple[int, ...]] = [()]
     else:
         exact = ExactReflection(system)
         step, start = exact.dual_step, exact.chamber
-        seen = {start: 0}
+    seen = {start: 0}
     n = system.rank
     blank = [-1] * n
-    norms, nbr = [0], blank[:]
+    norms, nbr, last = [0], blank[:], [-1]
     sphere_sizes = [1]
     frontier, keys = [0], [start]
     for level in range(1, radius + 1):
@@ -549,16 +592,17 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
                 prod = step(key, s)
                 jid = seen.get(prod)
                 if jid is None:
-                    if len(words) >= cap:
+                    if len(norms) >= cap:
                         raise SizeLimitError(
                             f"ball cap {cap} exceeded at radius {level} of {radius}; "
                             f"radii 0..{level - 1} are complete with sphere sizes {sphere_sizes}; "
                             "raise COXTILE_BALL_CAP or use a smaller --radius",
-                            partial_count=len(words),
+                            partial_count=len(norms),
                         )
-                    jid = seen[prod] = len(words)
-                    words.append(prod if ra else words[eid] + (s,))
-                    index[words[jid]] = jid
+                    jid = seen[prod] = len(norms)
+                    if ra:
+                        words.append(prod)
+                    last.append(s)
                     norms.append(level)
                     nbr += blank
                     nxt.append(jid)
@@ -575,7 +619,10 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
             break
     while len(sphere_sizes) < radius + 1:
         sphere_sizes.append(0)
-    return Ball(system, radius, words, index, norms, nbr, sphere_sizes)
+    ball = Ball(system, radius, norms, nbr, last, sphere_sizes)
+    if ra:  # cached_property reads the instance dict first
+        vars(ball).update(words=words, index=seen)
+    return ball
 
 
 # -- geodesics and cocycles --------------------------------------------------

@@ -6,8 +6,9 @@ g.alpha_s, so walls are identified by their exact roots
 (coxeter.ExactReflection) in one pass over the ball, right at every radius for
 every Coxeter matrix.  The result is one flat table beside `Ball.nbr`:
 `WallSet.faces[g * rank + s]` is the wall of the edge {g, gs} (-1 outside the
-ball).  Read along g's ShortLex word, `faces` lists the walls a geodesic from
-e to g crosses, each once, so separation is crossing parity.
+ball).  Read up g's ShortLex parent chain (`Ball.last`), `faces` lists the
+walls a geodesic from e to g crosses, each once, so separation is crossing
+parity.
 
 A disjoint class cuts the ball into regions that, with the class walls, form
 a tree (Davis 2008; Sageev 1995).  One pass in id (ShortLex) order names each
@@ -49,7 +50,8 @@ class WallSet:
     @property
     def sep(self):
         """Read-only view: chamber id -> frozenset of the walls separating it from
-        e, read off `faces` along the chamber's word on each lookup."""
+        e, read off `faces` along the chamber's ShortLex parent chain
+        (`Ball.last`) on each lookup."""
         return _CrossingSets(self)
 
     def wall_of_face(self, cid: int, s: int) -> int:
@@ -113,9 +115,15 @@ class _CrossingSets:
         self.wallset = wallset
 
     def __getitem__(self, cid: int) -> frozenset:
-        ws, index, n = self.wallset, self.wallset.ball.index, self.wallset.ball.system.rank
-        word = ws.ball.words[ws.check_chamber(cid)]  # each prefix is a normal form in the ball
-        return frozenset(ws.faces[index[word[:i]] * n + s] for i, s in enumerate(word))
+        ws = self.wallset
+        ball, faces = ws.ball, ws.faces
+        n, nbr, last = ball.system.rank, ball.nbr, ball.last
+        g, crossed = ws.check_chamber(cid), []
+        while g:  # up the ShortLex tree: the face to g's parent, then the parent's
+            i = g * n + last[g]
+            crossed.append(faces[i])
+            g = nbr[i]
+        return frozenset(crossed)
 
 
 def enumerate_walls(ball: Ball) -> WallSet:
@@ -127,16 +135,15 @@ def enumerate_walls(ball: Ball) -> WallSet:
     (g, s) has a positive root; the first edge to show a root opens the
     next wall id.  Both faces of the edge get its wall in `faces`.
     """
-    n, m, norms, nbr = ball.system.rank, ball.system.matrix, ball.norms, ball.nbr
+    n, m, norms, nbr, last = ball.system.rank, ball.system.matrix, ball.norms, ball.nbr, ball.last
     roots = ExactReflection(ball.system)
     faces = [-1] * len(nbr)
     positive = []  # wall id -> its positive root
     wall_of_root = {}
     walls = []
-    for g, word in enumerate(ball.words):
+    for g, t in enumerate(last):
         row = g * n
         if g:
-            t = word[-1]
             up = nbr[row + t] * n  # g's ShortLex parent g t, one level down
         level = norms[g]
         if level == ball.radius:
@@ -291,10 +298,10 @@ def class_tree(wallset: WallSet, class_wids):
     if class_set in wallset._tree_cache:
         return wallset._tree_cache[class_set]
     ball, walls, faces = wallset.ball, wallset.walls, wallset.faces
-    n, nbr = ball.system.rank, ball.nbr
+    n, nbr, last = ball.system.rank, ball.nbr, ball.last
     region = [-1] * len(ball)
-    for g, word in enumerate(ball.words[1:], 1):
-        i = g * n + word[-1]  # the face g shares with its ShortLex parent
+    for g in range(1, len(ball)):
+        i = g * n + last[g]  # the face g shares with its ShortLex parent
         u = faces[i]
         region[g] = u if u in class_set else region[nbr[i]]
     parent = {-1: None}  # e's region first: a wall's parent region has a lower id

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,19 @@ def test_emit_report_empty():
     text = emit_report([], "demo")
     doc = parse_report(text)
     assert doc["results"] == [] and doc["version"] == 1
+
+
+def test_jsonable_returns_plain_containers_as_they_are():
+    from coxtile.cli import _jsonable
+
+    plain = {"walls": [{"wid": 0, "edges": [[0, 1]], "level": None}], "ok": True}
+    assert _jsonable(plain) is plain
+    assert _jsonable(plain["walls"]) is plain["walls"]
+    mixed = {"a": [1, Fraction(1, 2)], 3: (4, 5), "b": [2]}
+    out = _jsonable(mixed)
+    assert out == {"a": [1, "1/2"], "3": [4, 5], "b": [2]}
+    assert out["b"] is mixed["b"] and out["a"] is not mixed["a"]
+    assert mixed == {"a": [1, Fraction(1, 2)], 3: (4, 5), "b": [2]}  # the input is not changed
 
 
 def _run_cli_process(argv, **env):

@@ -14,7 +14,7 @@ from coxtile.coxeter import (
     radial_segment,
     reflection_cocycle,
 )
-from coxtile.errors import OutOfBallError, SizeLimitError, ValidationError
+from coxtile.errors import OutOfBallError, SizeLimitError, StructureError, ValidationError
 from coxtile.lattice import ZLattice
 
 
@@ -125,6 +125,79 @@ def test_ball_cap():
 def triangle(a, b, c):
     """Rank-3 system with m(0,1) = a, m(0,2) = b, m(1,2) = c (0 is infinity)."""
     return CoxeterSystem(("a", "b", "c"), ((1, a, b), (a, 1, c), (b, c, 1)))
+
+
+def test_ball_cap_message_on_a_system_that_is_not_right_angled():
+    # (3,3,inf) radii 0..4 hold 36 elements; the 26 of radius 5 overflow the cap
+    with pytest.raises(SizeLimitError) as err:
+        enumerate_ball(triangle(3, 3, 0), 8, cap=50)
+    assert err.value.partial_count == 50
+    assert str(err.value) == (
+        "ball cap 50 exceeded at radius 5 of 8; radii 0..4 are complete with sphere sizes "
+        "[1, 3, 6, 10, 16]; raise COXTILE_BALL_CAP or use a smaller --radius"
+    )
+
+
+def test_ball_norm_parity_error_when_keys_collide(monkeypatch):
+    import coxtile.coxeter as coxeter
+
+    class Collapsed(ExactReflection):  # every product keys like e
+        def __init__(self, system):
+            super().__init__(system)
+            self.dual_step = lambda f, s: self.chamber
+
+    monkeypatch.setattr(coxeter, "ExactReflection", Collapsed)
+    with pytest.raises(StructureError, match="^norm parity violated; element identification failed$"):
+        enumerate_ball(triangle(3, 3, 0), 3)
+
+
+# rank 4 with orders 5, 6, 7 and 8: the dual vectors live in Z[zeta_1680]
+RANK4_5678 = CoxeterSystem(("a", "b", "c", "d"), ((1, 5, 0, 8), (5, 1, 6, 0), (0, 6, 1, 7), (8, 0, 7, 1)))
+TREE_BALLS = {
+    "hexagon": (CoxeterSystem.right_angled_polygon(6), 5),
+    "(3,3,inf)": (triangle(3, 3, 0), 9),
+    "(2,3,7)": (triangle(2, 3, 7), 10),
+    "rank4-5678": (RANK4_5678, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_BALLS))
+def test_lazy_words_are_read_off_the_shortlex_tree(name):
+    system, radius = TREE_BALLS[name]
+    ball = enumerate_ball(system, radius)
+    n = system.rank
+    # a right-angled ball hands over its enumeration keys; any other builds words on first use
+    assert ("words" in vars(ball)) == ("index" in vars(ball)) == system.is_right_angled
+    words = ball.words
+    assert len(words) == len(ball) == len(ball.norms) == len(ball.last)
+    assert ball.last[0] == -1 and words[0] == ()
+    for g, word in enumerate(words):
+        assert system.normal_form(word) == word
+        assert len(word) == ball.norms[g]
+        assert ball.index[word] == g
+        letters, x = [], g
+        while x:  # the parent chain spells the word backwards, one norm per step
+            letters.append(ball.last[x])
+            x = ball.nbr[x * n + ball.last[x]]
+        assert tuple(reversed(letters)) == word
+    assert len(ball.index) == len(words)
+    assert type(ball).words.func(ball) == words  # the tree agrees with handed-over words
+
+
+@pytest.mark.parametrize("name", sorted(TREE_BALLS))
+def test_ball_mul_through_the_table_matches_the_system(name):
+    system, radius = TREE_BALLS[name]
+    ball = enumerate_ball(system, radius)
+    rng = random.Random(7)
+    members = rng.sample(ball.words, 25)
+    # v short (the walk stays in the ball), long (it leaves), or e
+    vs = [()] + [tuple(rng.randrange(system.rank) for _ in range(k)) for k in (1, 2, 3, 2 * radius)]
+    for u in members:
+        for v in vs + [tuple(reversed(u))]:
+            assert ball.mul(u, v) == system.mul(u, v)
+    if not system.is_right_angled:  # the descent engine checks every letter
+        with pytest.raises(ValidationError):
+            ball.mul(members[0], (system.rank,))
 
 
 def test_triangle_ball_r22_exact_spheres():

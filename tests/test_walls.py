@@ -261,6 +261,26 @@ def test_separation_set_equals_cocycle_entries():
         assert sep_words == set(entries)
 
 
+def test_sep_parent_chain_matches_word_prefixes():
+    # the crossing sets read up the ShortLex tree are those read along each word
+    ball, ws = make(CoxeterSystem(("a", "b", "c"), ((1, 2, 3), (2, 1, 7), (3, 7, 1))), 9)
+    assert "words" not in vars(ball)
+    n = ball.system.rank
+    for cid, word in enumerate(ball.words):
+        prefixes = frozenset(ws.faces[ball.index[word[:i]] * n + s] for i, s in enumerate(word))
+        assert ws.sep[cid] == prefixes and len(prefixes) == len(word)
+
+
+def test_spheres_walls_and_separation_build_no_words():
+    ball = enumerate_ball(CoxeterSystem(("a", "b", "c"), ((1, 3, 3), (3, 1, 0), (3, 0, 1))), 8)
+    assert ball.sphere_sizes == [1, 3, 6, 10, 16, 26, 42, 68, 110] and len(ball) == 282
+    ws = enumerate_walls(ball)
+    assert len(ws.sep[len(ball) - 1]) == 8
+    assert ws.separates(0, 0, 1)
+    color_walls(ws, {0: "a", 1: "b", 2: "c"})
+    assert "words" not in vars(ball) and "index" not in vars(ball)
+
+
 def test_wall_of_face_error_names_norm_and_radius():
     ball, ws = make(CoxeterSystem.right_angled_polygon(5), 3)
     outer = next(cid for cid in range(len(ball)) if ball.norms[cid] == 3)
