@@ -135,12 +135,17 @@ class CoxeterSystem:
 
     # -- word operations --------------------------------------------------
 
-    def normal_form(self, word) -> tuple[int, ...]:
-        """ShortLex-least geodesic word for the element spelled by `word`."""
+    def _letters(self, word) -> tuple[int, ...]:
+        """`word` as a tuple, after checking that each letter is a generator index."""
         word = tuple(word)
         for s in word:
             if not 0 <= s < self.rank:
                 raise ValidationError(f"letter {s} is not a generator index")
+        return word
+
+    def normal_form(self, word) -> tuple[int, ...]:
+        """ShortLex-least geodesic word for the element spelled by `word`."""
+        word = self._letters(word)
         if self.is_right_angled:
             nf = ()
             for s in word:
@@ -153,11 +158,6 @@ class CoxeterSystem:
 
     def mul(self, u, v) -> tuple[int, ...]:
         """Product of two elements given by words, in normal form."""
-        if self.is_right_angled:
-            nf = self.normal_form(u)
-            for s in v:
-                nf = _ra_mul_gen(self, nf, s)
-            return nf
         return self.normal_form(tuple(u) + tuple(v))
 
     def inv(self, word) -> tuple[int, ...]:
@@ -539,7 +539,7 @@ class Ball:
         nf = self.words[i]
         if not system.is_right_angled:
             return system.mul(nf, v[k:])
-        for s in v[k:]:  # nf is a normal form already
+        for s in system._letters(v[k:]):  # nf is a normal form already
             nf = _ra_mul_gen(system, nf, s)
         return nf
 

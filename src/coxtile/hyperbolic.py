@@ -4,22 +4,33 @@ vertex deformation, convexity checks, and SVG output.
 All geometry lives in the hyperboloid model (x, y, z) with x^2+y^2-z^2 = -1,
 z > 0, where isometries are linear; the Klein disk is used for convexity
 (geodesics are chords there) and the Poincare disk only at render time.
+Points are tuples of three floats and matrices tuples of three rows; sums
+run left to right in plain floats, so no BLAS kernel can change the bits.
 """
 
+import random
 from dataclasses import dataclass
 from math import acos, acosh, cos, cosh, pi, sin, sinh, sqrt
 
-import numpy as np
-
 from .errors import GeometryError
 
-J = np.diag([1.0, 1.0, -1.0])
-BASEPOINT = np.array([0.0, 0.0, 1.0])
+BASEPOINT = (0.0, 0.0, 1.0)
 TICK_LENGTH = 0.02  # a drawn tick's length at the disk centre, shrinking toward the rim
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _lin(a, x, b, y) -> tuple[float, float, float]:
+    """a x + b y for 3-vectors x and y."""
+    return (a * x[0] + b * y[0], a * x[1] + b * y[1], a * x[2] + b * y[2])
+
+
+def _mat_vec(M, v) -> tuple[float, float, float]:
+    """M v for a matrix given by its rows."""
+    return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in M)
 
 
 def lorentz_dot(u, v) -> float:
-    return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
+    return u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
 
 
 def hyp_dist(u, v) -> float:
@@ -30,8 +41,8 @@ def on_hyperboloid(p, tol=1e-8) -> bool:
     return abs(lorentz_dot(p, p) + 1.0) < tol and p[2] > 0
 
 
-def polar_point(r: float, theta: float) -> np.ndarray:
-    return np.array([sinh(r) * cos(theta), sinh(r) * sin(theta), cosh(r)])
+def polar_point(r: float, theta: float) -> tuple[float, float, float]:
+    return (sinh(r) * cos(theta), sinh(r) * sin(theta), cosh(r))
 
 
 def to_klein(p) -> tuple[float, float]:
@@ -42,13 +53,14 @@ def to_poincare(p) -> tuple[float, float]:
     return (p[0] / (1.0 + p[2]), p[1] / (1.0 + p[2]))
 
 
-def tangent_toward(base, target) -> np.ndarray:
+def tangent_toward(base, target) -> tuple[float, float, float]:
     """Unit tangent at base pointing along the geodesic to target."""
-    u = target + lorentz_dot(target, base) * base
+    u = _lin(1.0, target, lorentz_dot(target, base), base)
     nn = lorentz_dot(u, u)
     if nn <= 0:
         raise GeometryError("degenerate tangent direction")
-    return u / sqrt(nn)
+    q = sqrt(nn)
+    return tuple(x / q for x in u)
 
 
 def angle_at(b, a, c) -> float:
@@ -58,11 +70,21 @@ def angle_at(b, a, c) -> float:
     return acos(max(-1.0, min(1.0, lorentz_dot(ta, tc))))
 
 
-def geodesic_point(a, b, t: float) -> np.ndarray:
+def geodesic_point(a, b, t: float) -> tuple[float, float, float]:
     d = hyp_dist(a, b)
     if d < 1e-15:
-        return a.copy()
-    return (sinh((1.0 - t) * d) * a + sinh(t * d) * b) / sinh(d)
+        return a
+    q = sinh(d)
+    return tuple(x / q for x in _lin(sinh((1.0 - t) * d), a, sinh(t * d), b))
+
+
+def center_of(vertices) -> tuple[float, float, float]:
+    """The vertex sum, scaled back onto the hyperboloid."""
+    c = vertices[0]
+    for v in vertices[1:]:
+        c = _lin(1.0, c, 1.0, v)
+    q = sqrt(-lorentz_dot(c, c))
+    return tuple(x / q for x in c)
 
 
 # -- the base polygon -----------------------------------------------------------
@@ -72,7 +94,7 @@ def geodesic_point(a, b, t: float) -> np.ndarray:
 class HPolygon:
     """Counterclockwise vertex list on the hyperboloid."""
 
-    vertices: np.ndarray  # shape (p, 3)
+    vertices: tuple  # p points
 
     @property
     def p(self) -> int:
@@ -93,7 +115,7 @@ class HPolygon:
 
 
 def _regular_polygon(p: int, radius: float) -> HPolygon:
-    return HPolygon(np.array([polar_point(radius, 2.0 * pi * k / p) for k in range(p)]))
+    return HPolygon(tuple(polar_point(radius, 2.0 * pi * k / p) for k in range(p)))
 
 
 def build_polygon(n: int) -> HPolygon:
@@ -128,9 +150,12 @@ def build_polygon(n: int) -> HPolygon:
 # -- reflections ------------------------------------------------------------------
 
 
-def _side_normal(a0, a1, a2, b0, b1, b2) -> tuple[float, float, float]:
-    # J (a x b), the cross product spelled in numpy's operation order and J's
-    # -1 as a negation, so every float matches `J @ np.cross(a, b)` exactly
+def side_normal(a, b) -> tuple[float, float, float]:
+    """Unit spacelike Lorentz normal of the geodesic through a and b: the
+    cross product a x b with its last coordinate negated, scaled to Lorentz
+    norm 1."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
     n0 = a1 * b2 - a2 * b1
     n1 = a2 * b0 - a0 * b2
     n2 = -(a0 * b1 - a1 * b0)
@@ -141,40 +166,39 @@ def _side_normal(a0, a1, a2, b0, b1, b2) -> tuple[float, float, float]:
     return n0 / q, n1 / q, n2 / q
 
 
-def side_normal(a, b) -> np.ndarray:
-    """Unit spacelike Lorentz normal of the geodesic through a and b.
-
-    Computed on plain floats in numpy's own operation order, so it equals
-    `J @ np.cross(a, b)` divided by its Lorentz norm bit for bit.
-    """
-    return np.array(_side_normal(*map(float, a), *map(float, b)))
-
-
-def reflection_matrix(normal) -> np.ndarray:
-    return np.eye(3) - 2.0 * np.outer(normal, J @ normal)
+def reflection_matrix(normal) -> tuple:
+    """I - 2 n (J n)^T, with J = diag(1, 1, -1) the Lorentz form."""
+    jn = (normal[0], normal[1], -normal[2])
+    return tuple(
+        tuple(e - 2.0 * (x * y) for e, y in zip(row, jn)) for row, x in zip(_EYE, normal)
+    )
 
 
-def reflection_matrices(polygon: HPolygon) -> list[np.ndarray]:
+def reflection_matrices(polygon: HPolygon) -> list[tuple]:
     """One Lorentz reflection per side, side k joining vertices k and k+1."""
     return [reflection_matrix(side_normal(*polygon.side(k))) for k in range(polygon.p)]
 
 
 def preserves_lorentz_form(M, tol=1e-9) -> bool:
-    return bool(np.max(np.abs(M.T @ J @ M - J)) < tol) and M[2, 2] > 0
+    # M^T J M holds the Lorentz products of M's columns, J those of the unit vectors
+    cols = tuple(zip(*M))
+    return M[2][2] > 0 and all(
+        abs(lorentz_dot(a, b) - lorentz_dot(e, f)) < tol
+        for a, e in zip(cols, _EYE) for b, f in zip(cols, _EYE)
+    )
 
 
-def lorentz_renormalize(M) -> np.ndarray:
+def lorentz_renormalize(M) -> tuple:
     """Gram-Schmidt in the Lorentz form, keeping the upper sheet."""
-    c0, c1, c2 = M[:, 0].copy(), M[:, 1].copy(), M[:, 2].copy()
-    c0 /= sqrt(lorentz_dot(c0, c0))
-    c1 -= lorentz_dot(c1, c0) * c0
-    c1 /= sqrt(lorentz_dot(c1, c1))
-    c2 -= lorentz_dot(c2, c0) * c0
-    c2 -= lorentz_dot(c2, c1) * c1
-    c2 /= sqrt(-lorentz_dot(c2, c2))
-    if c2[2] < 0:
-        c2 = -c2
-    return np.column_stack([c0, c1, c2])
+    cols = []
+    for c, sign in zip(zip(*M), (1.0, 1.0, -1.0)):  # two spacelike columns, one timelike
+        for b in cols:
+            c = _lin(1.0, c, -lorentz_dot(c, b), b)
+        q = sqrt(sign * lorentz_dot(c, c))
+        cols.append(tuple(x / q for x in c))
+    if cols[2][2] < 0:
+        cols[2] = tuple(-x for x in cols[2])
+    return tuple(zip(*cols))
 
 
 # -- tile placement ----------------------------------------------------------------
@@ -183,15 +207,17 @@ def lorentz_renormalize(M) -> np.ndarray:
 @dataclass
 class PlacedTile:
     word: tuple
-    matrix: np.ndarray
-    vertices: np.ndarray
+    matrix: tuple
+    vertices: tuple
 
 
 def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[PlacedTile]:
     """One placed polygon per ball element, by evaluating its normal form
     in the side reflections; matrices are re-orthonormalized every six
     letters to keep drift below tolerance."""
-    mats = {(): np.eye(3)}
+    mats = {(): _EYE}
+    # row i of M R is R^T applied to row i of M
+    transposed = [tuple(zip(*R)) for R in matrices]
     placed = []
     limit = ball.radius if max_norm is None else max_norm
     for eid in range(len(ball.words)):
@@ -199,11 +225,11 @@ def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[Placed
         if len(w) > limit:
             continue
         if w:
-            M = mats[w[:-1]] @ matrices[w[-1]]
+            M = tuple(_mat_vec(transposed[w[-1]], row) for row in mats[w[:-1]])
             if len(w) % 6 == 0:
                 M = lorentz_renormalize(M)
             mats[w] = M
-        placed.append(PlacedTile(w, mats[w], (mats[w] @ polygon.vertices.T).T))
+        placed.append(PlacedTile(w, mats[w], tuple(_mat_vec(mats[w], v) for v in polygon.vertices)))
     return placed
 
 
@@ -280,13 +306,8 @@ def sample_overlap_fraction(tiles, samples_per_tile=40, seed=0, margin=1e-6) -> 
     Reflected placements come out clockwise in the Klein disk, so rings are
     reoriented before the half-plane containment test.
     """
-    rng = np.random.RandomState(seed)
-
-    def center_of(t):
-        c = t.vertices.sum(axis=0)
-        return c / sqrt(-lorentz_dot(c, c))
-
-    centers = [center_of(t) for t in tiles]
+    rng = random.Random(seed)
+    centers = [center_of(t.vertices) for t in tiles]
     radius = max(hyp_dist(tiles[0].vertices[k], centers[0]) for k in range(len(tiles[0].vertices)))
     klein = [_ccw([to_klein(v) for v in t.vertices]) for t in tiles]
     samples = []
@@ -295,8 +316,8 @@ def sample_overlap_fraction(tiles, samples_per_tile=40, seed=0, margin=1e-6) -> 
         c = to_klein(ct)
         sams = []
         for _ in range(samples_per_tile):
-            i = rng.randint(0, len(pts))
-            u, v = rng.random_sample(2)
+            i = rng.randrange(len(pts))
+            u, v = rng.random(), rng.random()
             if u + v > 1:
                 u, v = 1 - u, 1 - v
             a, b = pts[i], pts[(i + 1) % len(pts)]
@@ -324,7 +345,7 @@ def sample_overlap_fraction(tiles, samples_per_tile=40, seed=0, margin=1e-6) -> 
 @dataclass
 class DeformedTile:
     word: tuple
-    vertices: np.ndarray
+    vertices: tuple
     vertex_keys: list
 
 
@@ -386,7 +407,7 @@ def deform_vertices(
                     orientation, magnitude,
                 )
             new_vertices.append(displaced[key])
-        verts = np.array(new_vertices)
+        verts = tuple(new_vertices)
         if not is_simple(verts):
             bad = keys[0]
             raise GeometryError(f"deformation breaks simplicity near vertex {bad}")
@@ -395,17 +416,17 @@ def deform_vertices(
 
 
 def _displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, orientation, magnitude):
-    # plain floats, each operation in the order of the vector form (normals
-    # summed into a zero vector, normalized, projected to the tangent plane,
-    # renormalized) so every coordinate is bit-identical to it; the tests keep
-    # that form as the reference
+    # each operation in the order of the vector form (normals summed into a
+    # zero vector, normalized, projected to the tangent plane, renormalized)
+    # so every coordinate is bit-identical to it; the tests keep that form as
+    # the reference
     p = ball.system.rank
-    verts = tile.vertices.tolist()
+    verts = tile.vertices
     labels = {}
     d0 = d1 = d2 = 0.0
     for s in ((k - 1) % p, k):
         wid = wallset.wall_of_face(cid, s)
-        n0, n1, n2 = _side_normal(*verts[s], *verts[(s + 1) % p])
+        n0, n1, n2 = side_normal(verts[s], verts[(s + 1) % p])
         # the basepoint (0, 0, 1) has Lorentz product -n2 with the normal
         f = (1.0 if n2 < 0 else -1.0) * orientation[wid]
         d0 += n0 * f
@@ -429,7 +450,7 @@ def _displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, o
     q = sqrt(u0 * u0 + u1 * u1 - u2 * u2)
     u0, u1, u2 = u0 / q, u1 / q, u2 / q
     c, sh = cosh(d), sinh(d)
-    return np.array([c * x0 + sh * u0, c * x1 + sh * u1, c * x2 + sh * u2])
+    return (c * x0 + sh * u0, c * x1 + sh * u1, c * x2 + sh * u2)
 
 
 def max_convex_epsilon(probe, lo=0.0, hi=1.0, steps=24) -> float:
@@ -469,7 +490,6 @@ def _fmt(x: float) -> str:
 
 def _sample_edge(a, b, tol=0.005):
     """Poincare-disk polyline for the geodesic a-b with chordal error <= tol."""
-    pts = [(0.0, a), (1.0, b)]
     out = [to_poincare(a)]
 
     def recurse(t0, p0, t1, p1, depth):
@@ -491,10 +511,10 @@ def _sample_edge(a, b, tol=0.005):
 def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
     """Poincare-disk SVG of placed or deformed tiles.
 
-    `face_data[i][k]` may carry (color, seen_sign, tick_direction_point) for
-    side k of tile i: sides are stroked by color and a tick is drawn from
-    the side midpoint toward the wall's positive side.  Deterministic: no
-    timestamps, fixed float formatting.
+    `face_data[i][k]` may carry (color, tick tip) for side k of tile i: the
+    side is stroked by color and a tick is drawn from its midpoint toward the
+    tip, on the wall's positive side.  Deterministic: no timestamps, fixed
+    float formatting.
     """
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

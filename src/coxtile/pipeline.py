@@ -9,8 +9,6 @@ alphabet.  Both the CLI and the acceptance suite drive this module.
 from dataclasses import dataclass
 from math import cosh, sinh, sqrt
 
-import numpy as np
-
 from .coxeter import CoxeterSystem, enumerate_ball
 from .errors import ValidationError
 from .tiles import TileAlphabet, build_alphabet, orient_all_plus, orient_alternating
@@ -100,7 +98,7 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
     side the tile is on is a descent, as in `build_alphabet`: the wall of
     side k lies between the base chamber and g exactly when |g s_k| < |g|.
     """
-    from .hyperbolic import geodesic_point, lorentz_dot, tangent_toward
+    from .hyperbolic import center_of, geodesic_point, tangent_toward
 
     rank, norms, nbr = ball.system.rank, ball.norms, ball.nbr
     data = []
@@ -108,8 +106,7 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
         cid = ball.index[tile.word]
         verts = tile.vertices
         p = len(verts)
-        c = verts.sum(axis=0)
-        c = c / sqrt(-lorentz_dot(c, c))
+        c = center_of(verts)
         sides = []
         for k in range(p):
             wid = wallset.faces[cid * rank + k]
@@ -117,10 +114,13 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
                 sides.append(None)
                 continue
             seen = orientation[wid] * (-1 if norms[nbr[cid * rank + k]] < norms[cid] else 1)
-            mid = geodesic_point(verts[k], verts[(k + 1) % p], 0.5)
+            a, b = verts[k], verts[(k + 1) % p]
+            mid = geodesic_point(a, b, 0.5)
             u = tangent_toward(mid, c)
-            delta = TICK * max(1e-9, float(np.linalg.norm(verts[k] - verts[(k + 1) % p])))
-            tip = cosh(delta) * mid + seen * sinh(delta) * u
+            d0, d1, d2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+            delta = TICK * max(1e-9, sqrt(d0 * d0 + d1 * d1 + d2 * d2))
+            ch, sh = cosh(delta), seen * sinh(delta)
+            tip = tuple(ch * m + sh * x for m, x in zip(mid, u))
             sides.append((wall_colors[wid], tip))
         data.append(sides)
     return data

@@ -322,7 +322,7 @@ def test_criterion_9_geometry():
     for ang in poly.angles():
         if abs(ang - pi / 2) >= 1e-9:
             _fail(9, desc, t0, f"interior angle {ang}")
-    mats = reflection_matrices(poly)
+    mats = [np.array(R) for R in reflection_matrices(poly)]
     for k in range(6):
         prod = mats[k] @ mats[(k + 1) % 6]
         if np.max(np.abs(np.linalg.matrix_power(prod, 2) - np.eye(3))) >= 1e-8:

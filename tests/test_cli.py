@@ -184,16 +184,32 @@ def test_jsonable_returns_plain_containers_as_they_are():
     assert mixed == {"a": [1, Fraction(1, 2)], 3: (4, 5), "b": [2]}  # the input is not changed
 
 
-def _run_cli_process(argv, **env):
+def _run_python(args, **env):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "coxtile.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
         timeout=120,
     )
+
+
+def _run_cli_process(argv, **env):
+    return _run_python(["-m", "coxtile.cli", *argv], **env)
+
+
+def test_runtime_loads_no_numpy():
+    # numpy is a test dependency only: importing the package and rendering a
+    # tiling must not load it
+    code = (
+        "import io, sys, coxtile, coxtile.cli, coxtile.pipeline, coxtile.hyperbolic\n"
+        "assert coxtile.cli.main(['render', '--n', '3', '--radius', '1'], out=io.StringIO()) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    run = _run_python(["-c", code])
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import GeometryError
 from coxtile.hyperbolic import (
     BASEPOINT,
-    J,
     HPolygon,
     _displace_vertex,
     build_polygon,
@@ -16,6 +15,7 @@ from coxtile.hyperbolic import (
     geodesic_point,
     hyp_dist,
     lorentz_dot,
+    lorentz_renormalize,
     on_hyperboloid,
     place_tiles,
     polar_point,
@@ -28,6 +28,8 @@ from coxtile.hyperbolic import (
 )
 from coxtile.pipeline import alternating_resolution, build_walls, render_bundle
 from coxtile.walls import alternating_palette
+
+J = np.diag([1.0, 1.0, -1.0])
 
 
 def law_of_cosines_angle(b, a, c):
@@ -57,8 +59,8 @@ def test_build_polygon_rotation_invariance():
     rot = np.array(
         [[np.cos(th), -np.sin(th), 0], [np.sin(th), np.cos(th), 0], [0, 0, 1]]
     )
-    rotated = (rot @ poly.vertices.T).T
-    rolled = np.roll(poly.vertices, -1, axis=0)
+    rotated = (rot @ np.array(poly.vertices).T).T
+    rolled = np.roll(np.array(poly.vertices), -1, axis=0)
     assert np.max(np.abs(rotated - rolled)) < 1e-9
 
 
@@ -69,10 +71,10 @@ def test_build_polygon_nonexistence():
 
 def test_reflection_matrices_properties():
     poly = build_polygon(3)
-    mats = reflection_matrices(poly)
+    assert all(preserves_lorentz_form(R, tol=1e-9) for R in reflection_matrices(poly))
+    mats = [np.array(R) for R in reflection_matrices(poly)]
     assert len(mats) == 6
     for R in mats:
-        assert preserves_lorentz_form(R, tol=1e-9)
         assert np.max(np.abs(R @ R - np.eye(3))) < 1e-9
     for k in range(6):
         prod = mats[k] @ mats[(k + 1) % 6]
@@ -96,7 +98,7 @@ def test_place_tiles_counts_and_constraints():
     mats = reflection_matrices(poly)
     placed = place_tiles(ball, poly, mats)
     assert len(placed) == len(ball)
-    assert np.max(np.abs(placed[0].vertices - poly.vertices)) == 0
+    assert np.max(np.abs(np.array(placed[0].vertices) - np.array(poly.vertices))) == 0
     for t in placed:
         for v in t.vertices:
             assert abs(lorentz_dot(v, v) + 1) < 1e-8 and v[2] > 0
@@ -118,7 +120,7 @@ def test_neighbors_share_full_side():
         for va, vb in zip(pa, pb):
             # coordinate distance: acosh amplifies dot-product roundoff far
             # beyond the actual agreement of the points
-            assert np.linalg.norm(va - vb) < 1e-7
+            assert np.linalg.norm(np.array(va) - np.array(vb)) < 1e-7
 
 
 def test_overlap_fraction_small():
@@ -133,15 +135,15 @@ def test_convexity_check_basics():
     poly = build_polygon(3)
     assert convexity_check(poly.vertices)
     # pull one vertex inward past the chord of its neighbors
-    bad = poly.vertices.copy()
+    bad = list(poly.vertices)
     bad[0] = geodesic_point(bad[0], BASEPOINT, 0.9)
     assert not convexity_check(bad)
 
 
 def test_convexity_check_self_intersection():
     poly = build_polygon(3)
-    crossed = poly.vertices.copy()
-    crossed[[0, 2]] = crossed[[2, 0]]
+    crossed = list(poly.vertices)
+    crossed[0], crossed[2] = crossed[2], crossed[0]
     with pytest.raises(GeometryError):
         convexity_check(crossed)
 
@@ -158,7 +160,7 @@ def test_deformation_zero_magnitude_is_identity():
     bundle = render_bundle(3, 1, refine=False, deform=True, epsilon_factor=0.0)
     placed = place_tiles(bundle.ball, bundle.polygon, bundle.matrices, max_norm=1)
     for t0, t1 in zip(placed, bundle.tiles):
-        assert np.max(np.abs(t0.vertices - t1.vertices)) < 1e-12
+        assert np.max(np.abs(np.array(t0.vertices) - np.array(t1.vertices))) < 1e-12
 
 
 def test_deformed_tiles_convex_and_face_to_face():
@@ -176,7 +178,7 @@ def test_deformed_tiles_convex_and_face_to_face():
             (a.vertices[s], b.vertices[s]),
             (a.vertices[(s + 1) % 6], b.vertices[(s + 1) % 6]),
         ]:
-            assert np.linalg.norm(va - vb) < 1e-7
+            assert np.linalg.norm(np.array(va) - np.array(vb)) < 1e-7
 
 
 def test_deformed_hyperboloid_constraint():
@@ -262,12 +264,13 @@ def numpy_side_normal(a, b):
 def numpy_displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, orientation, magnitude):
     # the numpy vector form _displace_vertex replaced, kept as its reference
     p = ball.system.rank
-    point = tile.vertices[k]
+    verts = np.array(tile.vertices)
+    point = verts[k]
     labels = {}
     direction = np.zeros(3)
     for s in ((k - 1) % p, k):
         wid = wallset.wall_of_face(cid, s)
-        n = numpy_side_normal(tile.vertices[s], tile.vertices[(s + 1) % p])
+        n = numpy_side_normal(verts[s], verts[(s + 1) % p])
         base_side = lorentz_dot(BASEPOINT, n)
         direction += n * (1.0 if base_side > 0 else -1.0) * orientation[wid]
         color = wall_colors[wid]
@@ -294,7 +297,66 @@ def test_float_geometry_matches_numpy_bit_for_bit(n):
         cid = ball.index[tile.word]
         for k in range(2 * n):
             a, b = tile.vertices[k], tile.vertices[(k + 1) % (2 * n)]
-            assert side_normal(a, b).tobytes() == numpy_side_normal(a, b).tobytes()
+            assert np.array(side_normal(a, b)).tobytes() == numpy_side_normal(a, b).tobytes()
             got = _displace_vertex(ball, ws, tile, cid, k, *args)
             want = numpy_displace_vertex(ball, ws, tile, cid, k, *args)
-            assert got.tobytes() == want.tobytes()
+            assert np.array(got).tobytes() == want.tobytes()
+
+
+def numpy_reflection_matrices(polygon):
+    # the numpy matrix form of reflection_matrices, kept as its reference
+    out = []
+    for k in range(polygon.p):
+        n = numpy_side_normal(*polygon.side(k))
+        out.append(np.eye(3) - 2.0 * np.outer(n, J @ n))
+    return out
+
+
+def numpy_lorentz_renormalize(M):
+    # the numpy column form of lorentz_renormalize, kept as its reference
+    c0, c1, c2 = M[:, 0].copy(), M[:, 1].copy(), M[:, 2].copy()
+    c0 /= sqrt(lorentz_dot(c0, c0))
+    c1 -= lorentz_dot(c1, c0) * c0
+    c1 /= sqrt(lorentz_dot(c1, c1))
+    c2 -= lorentz_dot(c2, c0) * c0
+    c2 -= lorentz_dot(c2, c1) * c1
+    c2 /= sqrt(-lorentz_dot(c2, c2))
+    if c2[2] < 0:
+        c2 = -c2
+    return np.column_stack([c0, c1, c2])
+
+
+def numpy_place_tiles(ball, polygon, matrices, max_norm):
+    # the numpy `@` form of place_tiles for words shorter than the six letters
+    # that trigger renormalization, kept as its reference: word -> (matrix, vertices)
+    assert max_norm < 6
+    mats = {(): np.eye(3)}
+    vertices = np.array(polygon.vertices)
+    out = {}
+    for w in ball.words:
+        if len(w) > max_norm:
+            continue
+        if w:
+            mats[w] = mats[w[:-1]] @ matrices[w[-1]]
+        out[w] = (mats[w], (mats[w] @ vertices.T).T)
+    return out
+
+
+@pytest.mark.parametrize("n, radius", [(3, 4), (4, 3)])
+def test_float_placement_matches_numpy(n, radius):
+    # BLAS may fuse or reorder the 3x3 products, so agreement is relative to
+    # each entry's scale rather than bit for bit
+    ball = enumerate_ball(CoxeterSystem.right_angled_polygon(2 * n), radius)
+    poly = build_polygon(n)
+    mats = reflection_matrices(poly)
+    for got, want in zip(mats, numpy_reflection_matrices(poly)):
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    want = numpy_place_tiles(ball, poly, [np.array(R) for R in mats], radius)
+    placed = place_tiles(ball, poly, mats, max_norm=radius)
+    assert [t.word for t in placed] == list(want)
+    for tile in placed:
+        for got, ref in zip((tile.matrix, tile.vertices), want[tile.word]):
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        # renormalization does no matrix product, so it matches bit for bit
+        M = tile.matrix
+        assert np.array(lorentz_renormalize(M)).tobytes() == numpy_lorentz_renormalize(np.array(M)).tobytes()

@@ -17,7 +17,11 @@ SVGs (unrefined, undeformed, and the octagon) were pinned while tile signs
 came from `WallSet.separates` probes and vertex geometry from numpy 3-vectors,
 before both were read off descents and plain floats.  Every pin predates the
 per-class region trees that replaced the stored per-chamber `WallSet.sep`
-frozensets.  The smoke runs start every perfbench workload at tiny sizes,
+frozensets.  The undeformed `render --n 3 --radius 3 --no-deform` SVG was
+re-recorded when tile placement moved from numpy's BLAS matrix products to
+left-to-right float sums: three coordinates printed as -0.000000 now print
+as 0.000000, and no other number changed; the other SVG pins kept their
+bytes.  The smoke runs start every perfbench workload at tiny sizes,
 traced, so its checks (Ball.edges, the read-only WallSet.sep view,
 WallSet.separates) and its tracer's hooks (WallSet.separating_walls,
 WallSet.canonical_word, the walls, hyperbolic and other span functions) must
@@ -69,7 +73,7 @@ REPORT_SHA256 = {
     "render-n3-r3-no-deform": (
         ["render", "--n", "3", "--radius", "3", "--no-deform"],
         0,
-        "2ecbc81e16e24800b73601910b5544c407bd5adeaf87b90d10afa0b5a440eec0",
+        "ecb692392fcf6d71fe258863a6420306bd3baec081696464173dde6507398b54",
     ),
     "render-n3-r4-no-refine": (
         ["render", "--n", "3", "--radius", "4", "--no-refine"],
