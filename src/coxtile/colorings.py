@@ -29,11 +29,13 @@ class GroupColoring:
     assignment: dict
     by_norm: object = None  # callable norm -> color, or None
 
-    def value(self, key):
+    def value(self, key, norm=None):
+        """The color of `key`.  A caller that already knows |key| passes it
+        as `norm`, so the carrier need not compute it."""
         if key in self.assignment:
             return self.assignment[key]
         if self.by_norm is not None:
-            return self.by_norm(self.carrier.norm(key))
+            return self.by_norm(self.carrier.norm(key) if norm is None else norm)
         raise OutOfBallError(f"coloring undefined at {key} and not norm-determined")
 
     def overridden(self, overrides: dict) -> "GroupColoring":
@@ -286,10 +288,11 @@ def pair_witness(group, coloring: GroupColoring, g, h, rho: int, window=None):
 
 
 def _witness(group, coloring: GroupColoring, ginv, h, window):
-    """First x = h u, u in the window, with phi(ginv x) != phi(x), or None."""
+    """First x = h u, u in the window, with phi(ginv x) != phi(x), or None.
+    Each product carries its norm, so a norm coloring never recomputes it."""
     for u in window:
-        x = group.mul(h, u)
-        if coloring.value(group.mul(ginv, x)) != coloring.value(x):
+        x, x_norm = group.mul_norm(h, u)
+        if coloring.value(*group.mul_norm(ginv, x)) != coloring.value(x, x_norm):
             return x
     return None
 

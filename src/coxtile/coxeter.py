@@ -6,9 +6,15 @@ get an exact rewriting backend; every other system gets DescentEngine,
 which reads the normal form off the signs of the dual vector g f0, in
 integers when every order is 2, 3 or infinity and else in fixed point with
 proven error bounds, at doubled precision until the bounds decide.  Nothing
-is identified by floating point: a ball of a general system tells its
-elements apart by the exact dual vectors g^-1 f0 of ExactReflection, whose
-roots identify walls.
+is identified by floating point, and walls are identified by the exact roots
+of ExactReflection.
+
+A ball needs no element keys at all.  Its edges come from the dihedral coset
+lemma (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2.4): an element
+with two descents s and t is the top of a coset u<s, t> of a finite dihedral
+group, so its second descent is found by walking around that coset in the
+edges already enumerated.  One code path serves every Coxeter matrix, and
+its cost does not depend on the ring the roots live in.
 
 A Ball stores its ShortLex tree rather than a word per element: the norm,
 the neighbours and the last letter of each element's normal form, so an
@@ -21,8 +27,7 @@ import json
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, sub
 
@@ -240,7 +245,7 @@ def _cyclotomic(n: int) -> list[int]:
 
 
 class ExactReflection:
-    """The standard reflection representation and its dual, exactly.
+    """The roots of the standard reflection representation, exactly.
 
     Every 2cos(pi/m) lies in Z[zeta_2N] = Z[x]/Phi_2N(x), where N is the lcm
     of the orders m whose 2cos(pi/m) is irrational.  A coordinate is its
@@ -249,9 +254,8 @@ class ExactReflection:
     coordinate i in block i, so equal tuples are equal vectors.  When every
     order is 2, 3 or infinity, N = 1 and d = 1: coordinates are plain integers.
 
-    Roots (walls) use `add_multiple`; chambers (balls) use `dual_step` on the
-    dual vectors f with f(alpha_t) stored as coordinate t, starting from
-    `chamber`, the f0 with f0(alpha_t) = 1 for every t.
+    Walls are identified by their roots: `simple_roots` and `add_multiple`,
+    which steps a root across a face.  Balls need no ring arithmetic.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -262,7 +266,6 @@ class ExactReflection:
         d = len(phi) - 1
         lower = [(j, c) for j, c in enumerate(phi[:d]) if c]
         self.simple_roots = [tuple(int(k == i * d) for k in range(n * d)) for i in range(n)]
-        self.chamber = tuple(int(k % d == 0) for k in range(n * d))
 
         def scaler(m):
             if m in _INTEGER_2COS:
@@ -294,17 +297,6 @@ class ExactReflection:
             [lambda x, y, c=scale[system.m(t, s)]: tuple(map(add, x, c(y))) for s in range(n)]
             for t in range(n)
         ]
-        # dual_step(f, s) is s.f: coordinate t gains 2cos(pi/m_st) f(alpha_s),
-        # and m_ss = 1 negates f(alpha_s) itself
-        if d == 1:
-            cols = [[_INTEGER_2COS[m] for m in row] for row in system.matrix]
-            self.dual_step = lambda f, s: tuple(map(add, f, map(f[s].__mul__, cols[s])))
-        else:
-            cols = [[scale[m] for m in row] for row in system.matrix]
-            self.dual_step = lambda f, s: tuple(chain.from_iterable(
-                map(add, f[t * d : t * d + d], c(f[s * d : s * d + d]))
-                for t, c in enumerate(cols[s])
-            ))
 
 
 # -- the descent engine (every system that is not right-angled) --------------
@@ -471,9 +463,8 @@ class Ball:
     the element spelled by the word without that letter, is
     `nbr[i * rank + last[i]]`, of lower id and norm one less.  `words[i]`
     (the normal form of element i) and `index` (normal form -> id) are built
-    from the tree in one pass, the first time something reads them; a
-    right-angled ball keys its enumeration by normal forms and so has both
-    from the start.
+    from the tree in one pass each, the first time something reads them;
+    the enumeration itself never spells a word.
     """
 
     system: CoxeterSystem
@@ -494,7 +485,14 @@ class Ball:
 
     @cached_property
     def index(self) -> dict:
-        return {w: i for i, w in enumerate(self.words)}
+        # i's id is the int object nbr already holds at its parent's row, so
+        # the index allocates no new ints
+        n, nbr, last, words = self.system.rank, self.nbr, self.last, self.words
+        index = {(): 0}
+        for i in range(1, len(last)):
+            s = last[i]
+            index[words[i]] = nbr[nbr[i * n + s] * n + s]
+        return index
 
     @cached_property
     def edges(self) -> EdgeView:
@@ -543,6 +541,11 @@ class Ball:
             nf = _ra_mul_gen(system, nf, s)
         return nf
 
+    def mul_norm(self, u, v):
+        """(u v, |u v|): the product is a normal form, so its norm is its length."""
+        uv = self.mul(u, v)
+        return uv, len(uv)
+
     def inv(self, u):
         return self.system.inv(u)
 
@@ -555,74 +558,83 @@ class Ball:
 
 
 def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -> Ball:
-    """Breadth-first enumeration of the ball of the given radius.
+    """Breadth-first enumeration of the ball of the given radius that hashes
+    no element keys: every edge is read off the neighbour table built so far.
 
-    Exploration is in ShortLex order, so each element is first reached from
-    its ShortLex parent by the last letter of its normal form, which is all
-    `Ball.last` records.  Elements are keyed exactly: by normal form when the
-    system is right-angled (the ball then keeps those words as `Ball.words`),
-    else by the dual vector g^-1 f0 (ExactReflection.dual_step), one per
-    element as W acts simply transitively on the chambers of the Tits cone.
-    Descents g s are recorded from below, so two spheres of keys suffice.
-    The edges go straight into the flat neighbour table `Ball.nbr`.
+    Each sphere is built from the one below in id order, s = 0..n-1, so ids
+    follow ShortLex order and an element is first reached from its ShortLex
+    parent by the last letter of its normal form, which is all `Ball.last`
+    records.  Every down-edge of an element is set when it is created, so
+    an unset `nbr[g * n + s]` at the frontier means g s is new.  The other
+    descents t of h = g s come from the dihedral coset lemma (Bjorner and
+    Brenti 2.4): t is a descent of h exactly when m = m_st is finite and g
+    walks down m - 1 steps along t, s, t, ..., the norm dropping at each;
+    h t is then reached from the bottom element u by m - 1 more steps of the
+    same alternation, up the other side of the coset u<s, t>.  That walk
+    must end one level below h, which is the ball's structural check.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     cap = _cap_from_env() if cap is None else cap
-    ra = system.is_right_angled
-    if ra:  # the key of an element is its normal form, so `seen` is Ball.index
-        step, start = partial(_ra_mul_gen, system), ()
-        words: list[tuple[int, ...]] = [()]
-    else:
-        exact = ExactReflection(system)
-        step, start = exact.dual_step, exact.chamber
-    seen = {start: 0}
     n = system.rank
+    # for each s, the t != s of finite order m_st: the cosets <s, t> that close
+    dihedral = [
+        [(t, m) for t, m in enumerate(row) if t != s and m] for s, row in enumerate(system.matrix)
+    ]
     blank = [-1] * n
     norms, nbr, last = [0], blank[:], [-1]
     sphere_sizes = [1]
-    frontier, keys = [0], [start]
+    # the frontier holds the int objects that nbr holds, so nbr[h * n + s] = g
+    # allocates no second int per element
+    frontier = [0]
     for level in range(1, radius + 1):
-        nxt, nxt_keys = [], []
-        for eid, key in zip(frontier, keys):
-            row = eid * n
+        nxt = []
+        for g in frontier:
+            row = g * n
             for s in range(n):
                 if nbr[row + s] >= 0:
                     continue
-                prod = step(key, s)
-                jid = seen.get(prod)
-                if jid is None:
-                    if len(norms) >= cap:
-                        raise SizeLimitError(
-                            f"ball cap {cap} exceeded at radius {level} of {radius}; "
-                            f"radii 0..{level - 1} are complete with sphere sizes {sphere_sizes}; "
-                            "raise COXTILE_BALL_CAP or use a smaller --radius",
-                            partial_count=len(norms),
-                        )
-                    jid = seen[prod] = len(norms)
-                    if ra:
-                        words.append(prod)
-                    last.append(s)
-                    norms.append(level)
-                    nbr += blank
-                    nxt.append(jid)
-                    nxt_keys.append(prod)
-                elif norms[jid] != level:
-                    raise StructureError("norm parity violated; element identification failed")
-                nbr[row + s] = jid
-                nbr[jid * n + s] = eid
-        if not ra:  # later spheres never meet the finished one again
-            seen = dict(zip(nxt_keys, nxt))
+                h = len(norms)
+                if h >= cap:
+                    raise SizeLimitError(
+                        f"ball cap {cap} exceeded at radius {level} of {radius}; "
+                        f"radii 0..{level - 1} are complete with sphere sizes {sphere_sizes}; "
+                        "raise COXTILE_BALL_CAP or use a smaller --radius",
+                        partial_count=h,
+                    )
+                last.append(s)
+                norms.append(level)
+                nxt.append(h)
+                nbr += blank
+                nbr[row + s] = h
+                nbr[h * n + s] = g
+                for t, m in dihedral[s]:
+                    x, a, b, k = g, t, s, level - 1
+                    for _ in range(m - 1):  # down from g along t, s, t, ...
+                        y = nbr[x * n + a]
+                        if y < 0 or norms[y] != k - 1:
+                            break
+                        x, a, b, k = y, b, a, k - 1
+                    else:
+                        for _ in range(m - 1):  # and up the other side
+                            x = nbr[x * n + a]
+                            if x < 0:
+                                break
+                            a, b = b, a
+                        if x < 0 or norms[x] != level - 1:
+                            raise StructureError(
+                                f"norm parity violated: the <{s}, {t}> coset walk from "
+                                f"element {g} does not end at norm {level - 1}"
+                            )
+                        nbr[h * n + t] = x
+                        nbr[x * n + t] = h
         sphere_sizes.append(len(nxt))
-        frontier, keys = nxt, nxt_keys
+        frontier = nxt
         if not frontier:
             break
     while len(sphere_sizes) < radius + 1:
         sphere_sizes.append(0)
-    ball = Ball(system, radius, norms, nbr, last, sphere_sizes)
-    if ra:  # cached_property reads the instance dict first
-        vars(ball).update(words=words, index=seen)
-    return ball
+    return Ball(system, radius, norms, nbr, last, sphere_sizes)
 
 
 # -- geodesics and cocycles --------------------------------------------------

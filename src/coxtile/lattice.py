@@ -55,6 +55,10 @@ class LatticeBall:
     def mul(self, u, v):
         return tuple(a + b for a, b in zip(u, v))
 
+    def mul_norm(self, u, v):
+        uv = self.mul(u, v)
+        return uv, self.norm(uv)
+
     def inv(self, u):
         return tuple(-a for a in u)
 

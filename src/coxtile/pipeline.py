@@ -27,9 +27,21 @@ class Resolution:
     wallset: WallSet
     wall_colors: dict  # wall id -> color
     class_wids: dict  # color class -> wall ids (classes the orientation alternates over)
-    levels: dict  # color class -> {wall id: level}
     orientation: dict  # wall id -> +1 / -1
     alphabet: TileAlphabet
+    peeled: dict | None = None  # the levels, when the orientation was built from them
+
+    @property
+    def levels(self) -> dict:
+        """Color class -> {wall id: level}.  An orientation that reads no
+        level (all-plus) leaves the peeling to the first read."""
+        if self.peeled is None:
+            self.peeled = _peel_classes(self.wallset, self.class_wids)
+        return self.peeled
+
+
+def _peel_classes(wallset: WallSet, class_wids: dict) -> dict:
+    return {cls: peel_levels(wallset, wids) for cls, wids in class_wids.items()}
 
 
 def _classes(wallset: WallSet, palette: dict, refine: bool):
@@ -56,19 +68,18 @@ def alternating_resolution(
 ) -> Resolution:
     """The level-alternating resolution: sign (-1)^level per color class."""
     wall_colors, class_wids = _classes(wallset, palette, refine)
-    levels = {cls: peel_levels(wallset, wids) for cls, wids in class_wids.items()}
+    levels = _peel_classes(wallset, class_wids)
     orientation = orient_alternating(levels, flips)
     alphabet = build_alphabet(wallset, wall_colors, orientation, provenance="alternating")
-    return Resolution(wallset, wall_colors, class_wids, levels, orientation, alphabet)
+    return Resolution(wallset, wall_colors, class_wids, orientation, alphabet, levels)
 
 
 def all_plus_resolution(wallset: WallSet, palette: dict, refine: bool = False) -> Resolution:
     """The resolution orienting every wall canonically."""
     wall_colors, class_wids = _classes(wallset, palette, refine)
-    levels = {cls: peel_levels(wallset, wids) for cls, wids in class_wids.items()}
     orientation = orient_all_plus(wallset)
     alphabet = build_alphabet(wallset, wall_colors, orientation, provenance="all-plus")
-    return Resolution(wallset, wall_colors, class_wids, levels, orientation, alphabet)
+    return Resolution(wallset, wall_colors, class_wids, orientation, alphabet)
 
 
 # -- hyperbolic-plane demo -------------------------------------------------------

@@ -275,9 +275,9 @@ def _walls_with_corrupt_faces(ball):
     "target, fake, argv",
     [
         (
-            "coxtile.coxeter._ra_mul_gen",
-            lambda system, nf, s: nf,  # every product lands on its own factor
-            ["ball", "--system", "hexagon", "--radius", "2"],
+            "coxtile.coxeter.CoxeterSystem.__post_init__",
+            lambda self: None,  # an asymmetric matrix reaches the coset walks
+            ["ball", "--system", '{"generators":["s","t"],"matrix":[[1,2],[3,1]]}', "--radius", "3"],
         ),
         ("coxtile.sequences._mt_cache", [1], ["seq", "--kind", "morse_thue", "--n", "8"]),
         (

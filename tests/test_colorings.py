@@ -212,6 +212,33 @@ def test_aperiodicity_report_inverts_each_g_once(monkeypatch):
         assert x == pair_witness(ball, col, g, h, 2)
 
 
+def test_aperiodicity_report_reads_norms_off_its_products(monkeypatch):
+    # rank 4 with orders infinity, 7 and 8 at R=3: with h_range 3 and window 2
+    # most products h u leave the ball, and a norm coloring still never asks
+    # the system for a norm, as each product is a normal form
+    system = CoxeterSystem(("a", "b", "c", "d"), ((1, 0, 0, 0), (0, 1, 0, 7), (0, 0, 1, 8), (0, 7, 8, 1)))
+    ball = enumerate_ball(system, 3)
+    col = norm_coloring(ball)
+    asked = []
+    monkeypatch.setattr(CoxeterSystem, "norm", lambda self, word: asked.append(word))
+    rep = aperiodicity_report(ball, col, g_range=2, h_range=3, window=2)
+    monkeypatch.undo()
+    assert asked == []
+    window = [u for u in ball.members() if ball.norm(u) <= 2]
+    outside = 0
+    for (g, h), x in rep.records.items():
+        ginv = ball.inv(g)
+        for u in window:  # the first u whose product sees two colors, norms from the system
+            hu = system.mul(h, u)
+            outside += hu not in ball.index
+            if norm_color(system.norm(system.mul(ginv, hu))) != norm_color(system.norm(hu)):
+                assert x == hu
+                break
+        else:
+            assert x is None
+    assert outside > 500
+
+
 def test_aperiodicity_constant_coloring_unwitnessed():
     ball = enumerate_ball(CoxeterSystem.right_angled_polygon(5), 4)
     const = GroupColoring(ball, ["c"], {g: "c" for g in ball.members()}, by_norm=lambda n: "c")

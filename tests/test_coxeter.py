@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from ball_oracle import DualVectors, oracle_ball
 from braid_oracle import naive_ball, oracle_canonical
 
 from coxtile.coxeter import (
     CoxeterSystem,
     DisplacementVerdict,
-    ExactReflection,
     displacement_exponent,
     enumerate_ball,
     load_system,
@@ -138,17 +138,17 @@ def test_ball_cap_message_on_a_system_that_is_not_right_angled():
     )
 
 
-def test_ball_norm_parity_error_when_keys_collide(monkeypatch):
-    import coxtile.coxeter as coxeter
-
-    class Collapsed(ExactReflection):  # every product keys like e
-        def __init__(self, system):
-            super().__init__(system)
-            self.dual_step = lambda f, s: self.chamber
-
-    monkeypatch.setattr(coxeter, "ExactReflection", Collapsed)
-    with pytest.raises(StructureError, match="^norm parity violated; element identification failed$"):
-        enumerate_ball(triangle(3, 3, 0), 3)
+def test_ball_norm_parity_error_when_a_coset_walk_ends_off_level(monkeypatch):
+    # with validation switched off an asymmetric matrix gets through: a new
+    # element g s walks its <s, t> coset with order m_st, so m_01 = 2 and
+    # m_10 = 3 disagree, and at radius 3 one up-walk ends at e, not at norm 2
+    monkeypatch.setattr(CoxeterSystem, "__post_init__", lambda self: None)
+    system = CoxeterSystem(("s", "t"), ((1, 2), (3, 1)))
+    with pytest.raises(
+        StructureError,
+        match=r"^norm parity violated: the <0, 1> coset walk from element 3 does not end at norm 2$",
+    ):
+        enumerate_ball(system, 3)
 
 
 # rank 4 with orders 5, 6, 7 and 8: the dual vectors live in Z[zeta_1680]
@@ -166,8 +166,8 @@ def test_lazy_words_are_read_off_the_shortlex_tree(name):
     system, radius = TREE_BALLS[name]
     ball = enumerate_ball(system, radius)
     n = system.rank
-    # a right-angled ball hands over its enumeration keys; any other builds words on first use
-    assert ("words" in vars(ball)) == ("index" in vars(ball)) == system.is_right_angled
+    # the enumeration spells no words: every ball builds them on first use
+    assert "words" not in vars(ball) and "index" not in vars(ball)
     words = ball.words
     assert len(words) == len(ball) == len(ball.norms) == len(ball.last)
     assert ball.last[0] == -1 and words[0] == ()
@@ -181,7 +181,6 @@ def test_lazy_words_are_read_off_the_shortlex_tree(name):
             x = ball.nbr[x * n + ball.last[x]]
         assert tuple(reversed(letters)) == word
     assert len(ball.index) == len(words)
-    assert type(ball).words.func(ball) == words  # the tree agrees with handed-over words
 
 
 @pytest.mark.parametrize("name", sorted(TREE_BALLS))
@@ -223,7 +222,8 @@ def test_ball_matches_naive_oracle_random_rank3():
         sizes, words = naive_ball(system, radius)
         assert ball.sphere_sizes == sizes, (a, b, c, radius)
         assert set(ball.words) == words, (a, b, c, radius)
-        rings.add(len(ExactReflection(system).chamber) // 3)
+        assert_tables_match_oracle(ball)
+        rings.add(DualVectors(system).d)
     # plain integers (d = 1) and several cyclotomic rings (d > 1) were both covered
     assert 1 in rings and len(rings - {1}) >= 4
 
@@ -278,14 +278,57 @@ def test_sphere_sizes_match_growth_series_random_rank3():
 
 
 def test_dual_step_is_an_involution_and_flips_its_coordinate():
-    rep = ExactReflection(triangle(5, 0, 7))
-    d = len(rep.chamber) // 3
-    f = rep.chamber
+    dual = DualVectors(triangle(5, 0, 7))
+    d = dual.d
+    f = dual.chamber
     for s in (0, 1, 2, 1, 0):
-        g = rep.dual_step(f, s)
-        assert rep.dual_step(g, s) == f
+        g = dual.step(f, s)
+        assert dual.step(g, s) == f
         assert g[s * d : s * d + d] == tuple(-x for x in f[s * d : s * d + d])
         f = g
+
+
+def assert_tables_match_oracle(ball):
+    """The key-free ball has the table of the dual-vector-keyed search."""
+    norms, nbr, last, sphere_sizes = oracle_ball(ball.system, ball.radius)
+    assert ball.norms == norms
+    assert ball.nbr == nbr
+    assert ball.last == last
+    assert ball.sphere_sizes == sphere_sizes
+
+
+def random_system(rng, rank):
+    orders = [2, 3, 4, 5, 6, 7, 8, 0, 0, 12]
+    matrix = [[1] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            matrix[i][j] = matrix[j][i] = rng.choice(orders)
+    return CoxeterSystem(tuple("abcde"[:rank]), tuple(map(tuple, matrix)))
+
+
+@pytest.mark.parametrize("rank, radius", [(4, 4), (5, 3)])
+def test_ball_tables_match_the_dual_vector_oracle_random(rank, radius):
+    rng = random.Random(1000 * rank + 18)
+    rings = set()
+    for _ in range(12):
+        system = random_system(rng, rank)
+        assert_tables_match_oracle(enumerate_ball(system, radius))
+        rings.add(DualVectors(system).d)
+    assert len(rings) >= 3
+
+
+@pytest.mark.parametrize(
+    "system, radius",
+    [
+        (triangle(5, 2, 3), 16),  # H3, 120 elements: the ball stops growing at 15
+        (triangle(4, 2, 3), 10),  # B3, 48 elements
+        (triangle(3, 3, 3), 8),  # affine A2
+        (RANK4_5678, 5),
+    ],
+    ids=["H3", "B3", "affine-A2", "rank4-5678"],
+)
+def test_ball_tables_match_the_dual_vector_oracle(system, radius):
+    assert_tables_match_oracle(enumerate_ball(system, radius))
 
 
 def test_radial_segment():

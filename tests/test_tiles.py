@@ -219,6 +219,24 @@ def test_refined_resolution_palette():
             assert res.orientation[w] == (-1) ** res.levels[(cls, pair)][w]
 
 
+@pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
+def test_all_plus_resolution_peels_on_first_read(monkeypatch, refine):
+    import coxtile.pipeline as pipeline
+
+    hexsys = CoxeterSystem.right_angled_polygon(6)
+    ball, ws = build_walls(hexsys, 4)
+    palette = alternating_palette(hexsys)
+    peeled = []
+    monkeypatch.setattr(pipeline, "peel_levels", lambda *args: peeled.append(args) or peel_levels(*args))
+    res = all_plus_resolution(ws, palette, refine=refine)
+    assert peeled == []  # the all-plus orientation reads no level
+    levels = res.levels
+    assert len(peeled) == len(res.class_wids)  # one peeling per class on the first read
+    assert res.levels is levels and len(peeled) == len(res.class_wids)  # and none after
+    assert levels == alternating_resolution(ws, palette, refine=refine).levels
+    assert levels == {cls: peel_levels(ws, wids) for cls, wids in res.class_wids.items()}
+
+
 @pytest.mark.parametrize(
     "failing_call",
     [

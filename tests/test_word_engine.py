@@ -5,9 +5,9 @@ that braid closure could not finish.
 A left descent t of g is read off the sign of coordinate t of g f0.  When an
 order is not 2, 3 or infinity those coordinates are fixed-point numbers with
 error bounds, so the bounds are the one place a mistake could enter: they are
-checked against the exact coordinates of ExactReflection, a word too long
-for 64 bits is shown to need more, and a refused first precision forces the
-doubled-precision fallback.
+checked against the exact dual vectors of tests/ball_oracle.py, a word too
+long for 64 bits is shown to need more, and a refused first precision forces
+the doubled-precision fallback.
 """
 
 import io
@@ -17,13 +17,13 @@ from math import isqrt, lcm
 
 import numpy as np
 import pytest
+from ball_oracle import DualVectors
 from braid_oracle import oracle_canonical
 
 from coxtile.cli import main, parse_report
 from coxtile.coxeter import (
     CoxeterSystem,
     DescentEngine,
-    ExactReflection,
     _fixed_cos,
     _step,
     enumerate_ball,
@@ -87,14 +87,15 @@ def test_fixed_cos_is_within_one(prec):
 
 
 def exact_coordinates(system, word):
-    """Coordinates of g f0 from ExactReflection, as floats, with the float
-    error of each: coordinate t is sum_j c_j cos(pi j / N) in Z[zeta_2N]."""
-    rep = ExactReflection(system)
-    f = rep.chamber
+    """Coordinates of g f0 from the ball oracle's exact dual vectors, as
+    floats, with the float error of each: coordinate t is
+    sum_j c_j cos(pi j / N) in Z[zeta_2N]."""
+    dual = DualVectors(system)
+    f = dual.chamber
     for s in reversed(word):
-        f = rep.dual_step(f, s)
+        f = dual.step(f, s)
     n = lcm(1, *(m for row in system.matrix for m in row if m not in (0, 1, 2, 3)))
-    d = len(f) // system.rank
+    d = dual.d
     out = []
     for t in range(system.rank):
         coeffs = f[t * d : t * d + d]
