@@ -62,8 +62,14 @@ def _jsonable(x):
 
 
 def emit_report(results, command: str = "") -> str:
+    """The report as one line of JSON, without the newline `_write_report` adds."""
     doc = {"version": REPORT_VERSION, "command": command, "results": _jsonable(results)}
-    return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
+    return json.dumps(doc, indent=None, separators=(",", ":"))
+
+
+def _write_report(out, results, command: str) -> None:
+    out.write(emit_report(results, command))
+    out.write("\n")  # written on its own: appending it would copy the whole report
 
 
 def parse_report(text: str) -> dict:
@@ -162,7 +168,7 @@ def _cmd_ball(args, out) -> int:
         "sphere_sizes": ball.sphere_sizes,
         "normal_forms": [_word_str(system, w) for w in ball.words] if args.words else None,
     }
-    out.write(emit_report(results, "ball"))
+    _write_report(out, results, "ball")
     return 0
 
 
@@ -191,7 +197,7 @@ def _cmd_color(args, out) -> int:
         "all_witnessed": report.all_witnessed,
         "pairs": records,
     }
-    out.write(emit_report(results, "color"))
+    _write_report(out, results, "color")
     return 0 if report.all_witnessed else 1
 
 
@@ -232,7 +238,7 @@ def _cmd_walls(args, out) -> int:
         ],
         "walls": walls,
     }
-    out.write(emit_report(results, "walls"))
+    _write_report(out, results, "walls")
     return 0 if classes.disjoint else 1
 
 
@@ -257,7 +263,7 @@ def _cmd_balance(args, out) -> int:
         "witness": witness,
         "tile_sums": verdict.tile_sums,
     }
-    out.write(emit_report(results, "balance"))
+    _write_report(out, results, "balance")
     return 0
 
 
@@ -322,7 +328,7 @@ def _cmd_space(args, out) -> int:
         "translate_comparisons": comparisons,
         "rebased_patch_distances": distances,
     }
-    out.write(emit_report(results, "space"))
+    _write_report(out, results, "space")
     return 0
 
 

@@ -6,15 +6,16 @@ get an exact rewriting backend; every other system gets DescentEngine,
 which reads the normal form off the signs of the dual vector g f0, in
 integers when every order is 2, 3 or infinity and else in fixed point with
 proven error bounds, at doubled precision until the bounds decide.  Nothing
-is identified by floating point, and walls are identified by the exact roots
-of ExactReflection.
+is identified by floating point.
 
 A ball needs no element keys at all.  Its edges come from the dihedral coset
 lemma (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2.4): an element
 with two descents s and t is the top of a coset u<s, t> of a finite dihedral
 group, so its second descent is found by walking around that coset in the
 edges already enumerated.  One code path serves every Coxeter matrix, and
-its cost does not depend on the ring the roots live in.
+its cost does not depend on the ring the roots live in.  Walls come from the
+same coset walks (coxtile.walls.enumerate_walls), so no root is ever
+computed.
 
 A Ball stores its ShortLex tree rather than a word per element: the norm,
 the neighbours and the last letter of each element's normal form, so an
@@ -28,9 +29,6 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
-from operator import add, sub
-
 from .errors import OutOfBallError, SizeLimitError, StructureError, ValidationError
 
 DEFAULT_BALL_CAP = 200_000
@@ -208,98 +206,11 @@ def _ra_mul_gen(system: CoxeterSystem, nf: tuple[int, ...], s: int) -> tuple[int
     return nf[:pos] + (s,) + nf[pos:]
 
 
-# -- exact reflection representation ----------------------------------------
+# -- the descent engine (every system that is not right-angled) --------------
 
 
 #: 2cos(pi/m) for the orders where it is an integer (0 encodes infinity)
 _INTEGER_2COS = {0: 2, 1: -2, 2: 0, 3: 1}
-
-
-def _poly_quotient(poly: list[int], monic: list[int]) -> list[int]:
-    """Quotient by a monic integer polynomial (constant term first)."""
-    rem, e = list(poly), len(monic) - 1
-    quot = [0] * (len(rem) - e)
-    for k in range(len(rem) - 1, e - 1, -1):
-        quot[k - e] = c = rem[k]
-        for j, m in enumerate(monic):
-            rem[k - e + j] -= c * m
-    return quot
-
-
-def _substitute_power(poly: list[int], k: int) -> list[int]:
-    """Coefficients of p(x^k) from those of p(x)."""
-    out = [0] * ((len(poly) - 1) * k + 1)
-    out[::k] = poly
-    return out
-
-
-def _cyclotomic(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first:
-    Phi_rp(x) = Phi_r(x^p) / Phi_r(x) for each prime p of n, from Phi_1 = x - 1
-    up to the radical r of n, and then Phi_n(x) = Phi_r(x^(n/r))."""
-    poly, rad = [-1, 1], 1
-    for p in range(2, n + 1):
-        if n % p == 0 and gcd(p, rad) == 1:  # p is prime: its smaller factors are in rad
-            poly, rad = _poly_quotient(_substitute_power(poly, p), poly), rad * p
-    return _substitute_power(poly, n // rad)
-
-
-class ExactReflection:
-    """The roots of the standard reflection representation, exactly.
-
-    Every 2cos(pi/m) lies in Z[zeta_2N] = Z[x]/Phi_2N(x), where N is the lcm
-    of the orders m whose 2cos(pi/m) is irrational.  A coordinate is its
-    integer vector in the power basis 1, x, ..., x^(d-1), d = deg Phi_2N, and
-    a vector of the rank-n representation is a flat tuple of n*d integers,
-    coordinate i in block i, so equal tuples are equal vectors.  When every
-    order is 2, 3 or infinity, N = 1 and d = 1: coordinates are plain integers.
-
-    Walls are identified by their roots: `simple_roots` and `add_multiple`,
-    which steps a root across a face.  Balls need no ring arithmetic.
-    """
-
-    def __init__(self, system: CoxeterSystem):
-        n = system.rank
-        orders = {m for row in system.matrix for m in row}
-        big = lcm(1, *(m for m in orders if m not in _INTEGER_2COS))
-        phi = _cyclotomic(2 * big)
-        d = len(phi) - 1
-        lower = [(j, c) for j, c in enumerate(phi[:d]) if c]
-        self.simple_roots = [tuple(int(k == i * d) for k in range(n * d)) for i in range(n)]
-
-        def scaler(m):
-            if m in _INTEGER_2COS:
-                return lambda y, c=_INTEGER_2COS[m]: map(c.__mul__, y)
-            # 2cos(pi/m) = x^a + x^-a with x^a = zeta_2m, a = N/m; multiply in
-            # Z[x]/(x^N + 1), which Phi_2N divides, then reduce
-            a = big // m
-
-            def scale(y):
-                out = []
-                for i in range(0, len(y), d):
-                    z = [0] * (2 * big)  # coefficients mod x^2N - 1; l - a < 0 wraps
-                    for l, v in enumerate(y[i : i + d]):
-                        z[l + a] += v
-                        z[l - a] += v
-                    z = list(map(sub, z[:big], z[big:]))  # x^N = -1
-                    for k in range(big - 1, d - 1, -1):  # reduce mod Phi_2N
-                        if c := z[k]:
-                            for j, p in lower:
-                                z[k - d + j] -= c * p
-                    out += z[:d]
-                return out
-
-            return scale
-
-        scale = {m: scaler(m) for m in orders}
-        # add_multiple[t][s](x, y) is the vector x + 2cos(pi/m_ts) y
-        self.add_multiple = [
-            [lambda x, y, c=scale[system.m(t, s)]: tuple(map(add, x, c(y))) for s in range(n)]
-            for t in range(n)
-        ]
-
-
-# -- the descent engine (every system that is not right-angled) --------------
 
 
 def _fixed_pi(bits: int) -> int:
@@ -338,7 +249,7 @@ def _fixed_cos(m: int, prec: int) -> int:
 class DescentEngine:
     """ShortLex normal forms from the signs of the dual vector g f0.
 
-    Coordinate t of g f0 (f0(alpha_s) = 1, as in ExactReflection) is the
+    Coordinate t of g f0 (f0(alpha_s) = 1 on every simple root) is the
     coefficient sum of the root g^-1 alpha_t, negative exactly when t is a
     left descent of g (Bjorner and Brenti, Combinatorics of Coxeter Groups,
     4.2).  So fold the reversed word into f0, emit the least t whose
@@ -557,6 +468,11 @@ class Ball:
         return ()
 
 
+def _dihedral_pairs(system: CoxeterSystem) -> list:
+    """For each s, the (t, m_st) with t != s and m_st finite: the cosets <s, t> that close."""
+    return [[(t, m) for t, m in enumerate(row) if t != s and m] for s, row in enumerate(system.matrix)]
+
+
 def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -> Ball:
     """Breadth-first enumeration of the ball of the given radius that hashes
     no element keys: every edge is read off the neighbour table built so far.
@@ -577,10 +493,7 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
         raise ValidationError("radius must be nonnegative")
     cap = _cap_from_env() if cap is None else cap
     n = system.rank
-    # for each s, the t != s of finite order m_st: the cosets <s, t> that close
-    dihedral = [
-        [(t, m) for t, m in enumerate(row) if t != s and m] for s, row in enumerate(system.matrix)
-    ]
+    dihedral = _dihedral_pairs(system)
     blank = [-1] * n
     norms, nbr, last = [0], blank[:], [-1]
     sphere_sizes = [1]

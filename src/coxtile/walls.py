@@ -1,10 +1,12 @@
 """Walls of the chamber graph: enumeration, separation, classes, levels, trees.
 
 A wall is the fixed locus of a reflection g s g^{-1}: the set of Cayley-graph
-edges the reflection flips.  The edge {g, gs} crosses the wall of the root
-g.alpha_s, so walls are identified by their exact roots
-(coxeter.ExactReflection) in one pass over the ball, right at every radius for
-every Coxeter matrix.  The result is one flat table beside `Ball.nbr`:
+edges the reflection flips.  Each reflection of a finite dihedral coset
+u<s, t> flips two opposite edges of it, and those links, followed from e
+outwards, identify every wall exactly (Tits' word theorem; see
+enumerate_walls) in one pass over the ball with no roots and no keys, right
+at every radius for every Coxeter matrix.  The result is one flat table
+beside `Ball.nbr`:
 `WallSet.faces[g * rank + s]` is the wall of the edge {g, gs} (-1 outside the
 ball).  Read up g's ShortLex parent chain (`Ball.last`), `faces` lists the
 walls a geodesic from e to g crosses, each once, so separation is crossing
@@ -20,9 +22,8 @@ boundary is flagged not `determinate`.
 """
 
 from dataclasses import dataclass
-from operator import neg
 
-from .coxeter import Ball, ExactReflection
+from .coxeter import Ball, _dihedral_pairs
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
 
 
@@ -127,48 +128,107 @@ class _CrossingSets:
 
 
 def enumerate_walls(ball: Ball) -> WallSet:
-    """Identify every wall crossing an edge of the ball by its root.
+    """Identify every wall crossing an edge of the ball, level by level,
+    from walks around dihedral cosets in `Ball.nbr`: no roots, no keys.
 
-    Chambers are visited in id (ShortLex) order, and the face roots of g
-    come from its ShortLex parent g' = g t: rho(g, t) = -rho(g', t) and
-    rho(g, s) = rho(g', s) + 2cos(pi/m_ts) rho(g', t).  An upward edge
-    (g, s) has a positive root; the first edge to show a root opens the
-    next wall id.  Both faces of the edge get its wall in `faces`.
+    Let (g, s) be an upward edge (|gs| > |g|) and t != s a descent of g with
+    m = m_st finite.  Then g lies k >= 1 steps above the bottom u of the
+    coset u<s, t>, found by walking down along t, s, t, ... while the norm
+    drops (Bjorner and Brenti 2.4).  The coset is a 2m-gon whose reflections
+    each flip two opposite edges, so (g, s) shares its wall with the edge
+    j = m - 1 - k steps up the other side, read off by walking up from u.
+    Chambers are visited in id (ShortLex) order, so every lower edge (j < k)
+    already has its wall.  Edges tied at one level (j = k, m odd) form
+    classes: a class takes the wall of any member's lower opposite, and a
+    class with none opens the next wall id at its least edge, which the
+    visit reaches first.  A class is explored only until a member shows a
+    wall, as a lower opposite or as a tie placed already; members left out
+    find that wall the same way when the visit reaches them.  Both faces of
+    an edge get its wall in `faces`.
+
+    Why this names each wall exactly once.  Opposite edges of a residue lie
+    on one wall, so no two walls merge.  Conversely let P = (g, x) be an
+    upward edge at level l = |g| on the wall H of r = g x g^-1.  The word
+    g.x.g^-1 spells a gallery e -> r of length 2l + 1 that crosses H once, at
+    P.  A gallery of length L from e to r that crosses H once, at (c, x'),
+    has c on e's side and d(c x', r) = |(c x')^-1 c x' c^-1| = |c|, so
+    L >= 2|c| + 1: the crossing edge has level at most (L - 1) / 2.  A braid
+    move keeps the number of times the gallery crosses each wall, and when it
+    works in the residue where the gallery crosses H it moves the crossing to
+    that residue's opposite edge.  If H has an edge below level l, then
+    |r| < 2l + 1 and the word is not reduced, so by Tits' word theorem (Tits
+    1969; Bjorner and Brenti, Thm 3.3.1) braid moves reach a word with a
+    factor ss.  Along the way every crossing of H has level at most l, and
+    deleting ss (a wall crossed twice, so not H) leaves a gallery of length
+    2l - 1 that crosses H at the same edge, now of level at most l - 1.  The
+    crossing edges thus lead from P through ties at level l to the first one
+    with a lower opposite.  If instead l is H's least level, the word is
+    reduced, and Tits' theorem joins it to the word of any other least edge
+    of H by braid moves that keep the crossing at level l: the least edges of
+    a wall are one tie class.  So, by induction on the level, a class with a
+    lower opposite lies on that opposite's wall, and a class without one
+    holds exactly the least edges of a new wall: every edge gets the id of
+    its wall, and every wall gets one id.
     """
-    n, m, norms, nbr, last = ball.system.rank, ball.system.matrix, ball.norms, ball.nbr, ball.last
-    roots = ExactReflection(ball.system)
+    n, norms, nbr, radius = ball.system.rank, ball.norms, ball.nbr, ball.radius
+    dihedral = _dihedral_pairs(ball.system)
     faces = [-1] * len(nbr)
-    positive = []  # wall id -> its positive root
-    wall_of_root = {}
     walls = []
-    for g, t in enumerate(last):
+
+    def opposite_wall(g, s, level, ties):
+        """Wall of an opposite of the upward edge (g, s) that lies lower, or
+        at its level and has a wall already; else -1, with the faces of the
+        opposites tied at its level appended to `ties`."""
         row = g * n
-        if g:
-            up = nbr[row + t] * n  # g's ShortLex parent g t, one level down
-        level = norms[g]
-        if level == ball.radius:
-            continue
-        for s in range(n):
-            h = nbr[row + s]
-            if norms[h] < level:
+        for t, m in dihedral[s]:
+            x = nbr[row + t]
+            if norms[x] > level:  # g is the bottom of g<s, t>: its opposite lies higher
                 continue
-            if not g:
-                root = roots.simple_roots[s]
-                wid = wall_of_root.get(root)
-            elif m[t][s] == 2:  # rho(g, s) = rho(g', s): no arithmetic
-                wid = faces[up + s]
-            else:
-                rho_s = positive[faces[up + s]]
-                if norms[nbr[up + s]] < level - 1:  # s goes down from g'
-                    rho_s = tuple(map(neg, rho_s))
-                root = roots.add_multiple[t][s](rho_s, positive[faces[up + t]])
-                wid = wall_of_root.get(root)
-            if wid is None:
-                wid = wall_of_root[root] = len(walls)
-                positive.append(root)
-                walls.append(Wall(wid, [], s, determinate=level + 1 <= ball.radius - 2))
+            if m == 2:  # the opposite edge is (g t, s), one level down
+                return faces[x * n + s]
+            a, b, k = s, t, 1
+            while k < m - 1:  # down along t, s, t, ... to the coset's bottom
+                y = nbr[x * n + a]
+                if norms[y] > level - k:
+                    break
+                x, a, b, k = y, b, a, k + 1
+            j = m - 1 - k
+            if j > k:
+                continue
+            for _ in range(j):  # and j steps up the other side
+                x = nbr[x * n + a]
+                a, b = b, a
+            wid = faces[x * n + a]
+            if wid >= 0:  # always so when j < k: lower edges are done
+                return wid
+            ties.append(x * n + a)
+        return -1
+
+    for g, level in enumerate(norms):
+        if level == radius:
+            break
+        row = g * n
+        for s in range(n):
+            i = row + s
+            if norms[nbr[i]] < level:
+                continue
+            wid = faces[i]
+            if wid < 0:
+                ties = []
+                wid = opposite_wall(g, s, level, ties)
+                tied = [i]
+                while wid < 0 and ties:  # explore the tie class of (g, s)
+                    i2 = ties.pop()
+                    if i2 in tied:
+                        continue
+                    tied.append(i2)
+                    wid = opposite_wall(*divmod(i2, n), level, ties)
+                if wid < 0:  # no lower opposite: (g, s) is the class's least edge
+                    wid = len(walls)
+                    walls.append(Wall(wid, [], s, determinate=level + 1 <= radius - 2))
+                for i2 in tied:
+                    faces[i2] = faces[nbr[i2] * n + i2 % n] = wid
             walls[wid].edges.append((g, s))
-            faces[row + s] = faces[h * n + s] = wid
     return WallSet(ball, walls, faces)
 
 

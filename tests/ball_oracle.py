@@ -3,14 +3,15 @@ kept as a test oracle.
 
 A chamber of the Tits cone is keyed by its dual vector g^-1 f0, f0 the
 functional with f0(alpha_t) = 1 for every simple root, in the exact ring
-arithmetic of ExactReflection; W acts simply transitively on the chambers,
-so equal keys are equal elements.  The breadth-first search hashes one key
+arithmetic of root_oracle.ExactReflection; W acts simply transitively on the
+chambers, so equal keys are equal elements.  The breadth-first search hashes one key
 per product and records descents from below, keeping two spheres of keys.
 It knows nothing of dihedral cosets, so it checks the key-free enumeration
 of `coxtile.coxeter.enumerate_ball` table for table.  Used only by tests.
 """
 
-from coxtile.coxeter import ExactReflection
+from root_oracle import ExactReflection
+
 from coxtile.errors import SizeLimitError, StructureError
 
 

@@ -17,7 +17,9 @@ SVGs (unrefined, undeformed, and the octagon) were pinned while tile signs
 came from `WallSet.separates` probes and vertex geometry from numpy 3-vectors,
 before both were read off descents and plain floats.  Every pin predates the
 per-class region trees that replaced the stored per-chamber `WallSet.sep`
-frozensets.  The undeformed `render --n 3 --radius 3 --no-deform` SVG was
+frozensets, and every pin predates walls read off dihedral coset walks: the
+rank-4 {5,6,7,8} R=6 `walls` report was recorded while walls were still keyed
+by their exact roots.  The undeformed `render --n 3 --radius 3 --no-deform` SVG was
 re-recorded when tile placement moved from numpy's BLAS matrix products to
 left-to-right float sums: three coordinates printed as -0.000000 now print
 as 0.000000, and no other number changed; the other SVG pins kept their
@@ -44,6 +46,8 @@ TRIANGLE_33INF = '{"generators":["a","b","c"],"matrix":[[1,3,3],[3,1,0],[3,0,1]]
 TRIANGLE_237 = '{"generators":["a","b","c"],"matrix":[[1,2,3],[2,1,7],[3,7,1]]}'
 # rank 4 with orders infinity, 7 and 8 (tests/test_word_engine.py's RANK4)
 RANK4 = '{"generators":["a","b","c","d"],"matrix":[[1,0,0,0],[0,1,0,7],[0,0,1,8],[0,7,8,1]]}'
+# rank 4 with orders 5, 6, 7 and 8, no infinity (tests/test_wall_identification.py's RANK4_5678)
+RANK4_5678 = '{"generators":["a","b","c","d"],"matrix":[[1,5,6,7],[5,1,8,5],[6,8,1,6],[7,5,6,1]]}'
 
 REPORT_SHA256 = {
     "balance-r7-alternating": (
@@ -121,6 +125,13 @@ REPORT_SHA256 = {
         ["walls", "--system", TRIANGLE_237, "--radius", "12", "--palette", "distinct"],
         1,
         "90e8d42c5156e4270016047ec11caed012f300417c2b83ea1e3b9459af842855",
+    ),
+    "walls-rank4-5678-r6-distinct": (
+        # recorded while walls were keyed by exact roots in Z[zeta_1680]; exit 1:
+        # walls of one color meet
+        ["walls", "--system", RANK4_5678, "--radius", "6", "--palette", "distinct"],
+        1,
+        "9b62aaefd5a4a0d170847a769874bbb24c826ef945822a399e91618d50606be0",
     ),
     "walls-33inf-r10-distinct": (
         # exit 1: the report lists corners where walls of one color meet

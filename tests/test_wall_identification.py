@@ -1,26 +1,26 @@
-"""Walls identified by exact roots, checked against the braid-closure oracle.
+"""Walls identified by dihedral coset walks, checked against two oracles.
 
 Two upward edges (g, s) and (h, u) cross one wall exactly when the
 reflections g s g^-1 and h u h^-1 are equal; oracle_canonical spells each
-reflection in braid-closure normal form, independently of the root
-arithmetic in coxtile.coxeter.ExactReflection.  The right-angled `walls`
-reports are pinned by sha256, so any change to a wall id, class, level or
-tree parent shows.
+reflection in braid-closure normal form.  root_oracle.oracle_walls names each
+wall by its exact root in Z[zeta_2N] (root_oracle.ExactReflection), as
+coxtile.walls did before the coset walks; the seeded differential test
+compares it with `enumerate_walls` face for face and wall for wall.  Neither
+oracle walks a coset.  The right-angled `walls` reports are pinned by sha256,
+so any change to a wall id, class, level or tree parent shows.
 """
 
 import hashlib
 import io
+import random
 
 import pytest
 from braid_oracle import oracle_canonical
+from root_oracle import ExactReflection, _cyclotomic, oracle_walls
 
 from coxtile.cli import main
-from coxtile.coxeter import (
-    CoxeterSystem,
-    ExactReflection,
-    _cyclotomic,
-    enumerate_ball,
-)
+from coxtile.coxeter import CoxeterSystem, enumerate_ball
+from coxtile.errors import SizeLimitError
 from coxtile.walls import enumerate_walls
 
 
@@ -97,6 +97,52 @@ def test_irrational_coefficient_squares_exactly():
     zero = (0,) * 8
     once = rep.add_multiple[0][1](zero, rep.simple_roots[0])
     assert rep.add_multiple[0][1](zero, once) == tuple(2 * x for x in rep.simple_roots[0])
+
+
+# orders 5, 6, 7 and 8: the roots live in Z[zeta_1680], 384 integers per coordinate
+RANK4_5678 = CoxeterSystem(tuple("abcd"), ((1, 5, 6, 7), (5, 1, 8, 5), (6, 8, 1, 6), (7, 5, 6, 1)))
+
+
+def assert_walls_match_root_oracle(ball):
+    ws, oracle = enumerate_walls(ball), oracle_walls(ball)
+    assert ws.faces == oracle.faces
+    table = [(w.wid, w.edges, w.generator, w.determinate) for w in ws.walls]
+    assert table == [(w.wid, w.edges, w.generator, w.determinate) for w in oracle.walls]
+
+
+@pytest.mark.parametrize(
+    "system, radius",
+    [
+        (CoxeterSystem.right_angled_polygon(6), 8),
+        (triangle(3, 3, 0), 20),
+        (triangle(2, 3, 7), 30),
+        (triangle(3, 3, 3), 40),  # affine A2: every order is 3, so ties at every level
+        (RANK4_5678, 7),
+    ],
+    ids=["hexagon", "(3,3,inf)", "(2,3,7)", "(3,3,3)", "rank4-5678"],
+)
+def test_walls_match_the_root_oracle(system, radius):
+    assert_walls_match_root_oracle(enumerate_ball(system, radius))
+
+
+def test_walls_match_the_root_oracle_random():
+    orders = [2, 3, 4, 5, 6, 8, 10, 12, 0]
+    rng = random.Random(20261018)
+    for _ in range(12):
+        rank = rng.randint(3, 6)
+        matrix = [[1] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                matrix[i][j] = matrix[j][i] = rng.choice(orders)
+        system = CoxeterSystem(tuple("abcdef"[:rank]), tuple(map(tuple, matrix)))
+        radius = rng.randint(5, 12)
+        while True:  # the largest radius up to the drawn one whose ball fits the cap
+            try:
+                ball = enumerate_ball(system, radius, cap=6000)
+                break
+            except SizeLimitError:
+                radius -= 1
+        assert_walls_match_root_oracle(ball)
 
 
 WALLS_REPORT_SHA256 = {
