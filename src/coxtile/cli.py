@@ -213,20 +213,16 @@ def _cmd_walls(args, out) -> int:
             tree = build_wall_tree(wallset, wids)
             levels.update(tree.levels)
             parents.update(tree.parent)
-    walls = []
-    for w in wallset.walls:
-        walls.append(
-            {
-                "canonical_word": _word_str(system, wallset.canonical_word(w.wid)),
-                "color": str(classes.color_of[w.wid]),
-                "level": (levels.get(w.wid) if w.determinate else "indeterminate"),
-                "tree_parent": (
-                    _word_str(system, wallset.canonical_word(parents[w.wid]))
-                    if w.wid in parents and w.determinate
-                    else None
-                ),
-            }
-        )
+    names = [_word_str(system, wallset.canonical_word(w.wid)) for w in wallset.walls]
+    walls = [
+        {
+            "canonical_word": names[w.wid],
+            "color": str(classes.color_of[w.wid]),
+            "level": (levels.get(w.wid) if w.determinate else "indeterminate"),
+            "tree_parent": names[parents[w.wid]] if w.wid in parents and w.determinate else None,
+        }
+        for w in wallset.walls
+    ]
     results = {
         "radius": args.radius,
         "palette": args.palette,

@@ -19,11 +19,18 @@ every crossed class edge proves the table right, and a wall's level from any
 base is its tree distance from the base's region.  Levels depend on walls
 beyond the ball too, which is why a wall whose edges all lie near the
 boundary is flagged not `determinate`.
+
+A wall's reflection word is read off its parent wall one level lower: with
+(g, s) its least edge, g s g^-1 = t r' t for t = g[0] and r' the wall of the
+face (g[1:], s), both read off tables over the ShortLex tree, so no chamber's
+word is spelled (WallSet.canonical_word; coxeter._ra_gen_mul for t r').
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
-from .coxeter import Ball, _dihedral_pairs
+from .coxeter import Ball, _dihedral_pairs, _ra_gen_mul, _ra_mul_gen
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
 
 
@@ -42,7 +49,7 @@ class WallSet:
         self.ball = ball
         self.walls = walls
         self.faces = faces  # laid out like Ball.nbr: chamber * rank + s -> wall id, or -1
-        self._canonical_cache = {}
+        self._words = [None] * len(walls)  # wall id -> canonical word, see canonical_word
         self._tree_cache = {}  # frozenset of class wall ids -> (region, parent), see class_tree
 
     def __len__(self):
@@ -93,22 +100,50 @@ class WallSet:
         return frozenset(w for w in self.sep[x] ^ self.sep[base] if w != wid)
 
     def canonical_word(self, wid: int):
-        """Normal form of the wall's reflection word."""
-        if wid not in self._canonical_cache:
-            # the ball holds g s in normal form; only g^-1 is left to multiply in
-            cid, s = self.walls[wid].edges[0]
-            gs = self.ball.words[self.ball.nbr[cid * self.ball.system.rank + s]]
-            self._canonical_cache[wid] = self.ball.mul(gs, tuple(reversed(self.ball.words[cid])))
-        return self._canonical_cache[wid]
+        """Normal form of the wall's reflection word, spelled from its parent wall.
 
-    def find_wall(self, reflection_word) -> int:
-        """Wall id of a reflection given by any word for it."""
-        nf = self.ball.system.normal_form(reflection_word)
-        if not hasattr(self, "_word_index"):
-            self._word_index = {self.canonical_word(w.wid): w.wid for w in self.walls}
-        if nf not in self._word_index:
-            raise OutOfBallError(f"no enumerated wall with reflection {nf}")
-        return self._word_index[nf]
+        With (g, s) the wall's least edge and t = g[0], r = g s g^-1 = t r' t,
+        r' the wall of the face (g[1:], s): ShortLex is closed under taking
+        factors, so g[1:] is in the ball.  As g s g^-1 is reduced (see
+        enumerate_walls), |r'| <= 2|g| - 1 forces |r| = |r'| + 2, so t r' t is
+        reduced and r' lies one level lower.  A right-angled system multiplies t
+        in on the right, then on the left (coxeter._ra_gen_mul); any other
+        renormalizes t r' t.  Words are kept by wall id, spelled on first use.
+        """
+        return self._words[wid] or self._spell(wid)
+
+    @cached_property
+    def _suffixes(self):
+        """(suffix, first): for each chamber g below the outer sphere, the id of g[1:], and g[0]."""
+        ball = self.ball
+        n, nbr, last = ball.system.rank, ball.nbr, ball.last
+        size = len(last) - ball.sphere_sizes[ball.radius]
+        suffix, first = [0] * size, last[:size]  # right for e and ids 1..n, the generators
+        for g in range(1 + n, size):  # in id order, so g's ShortLex parent p comes first
+            x = last[g]
+            p = nbr[g * n + x]  # g = p x, so g[1:] = p[1:] x
+            suffix[g], first[g] = nbr[suffix[p] * n + x], first[p]
+        return suffix, first
+
+    def _spell(self, wid: int):
+        words, (suffix, first) = self._words, self._suffixes
+        system = self.ball.system
+        chain = []  # (wall, its t) down the parent walls, to one spelled or at e
+        while words[wid] is None:
+            g, s = self.walls[wid].edges[0]
+            if not g:
+                words[wid] = (s,)
+                break
+            chain.append((wid, first[g]))
+            wid = self.faces[suffix[g] * system.rank + s]
+        word = words[wid]
+        for wid, t in reversed(chain):
+            if system.is_right_angled:
+                word = _ra_gen_mul(system, t, _ra_mul_gen(system, word, t))
+            else:
+                word = system.normal_form((t, *word, t))
+            words[wid] = word
+        return word
 
 
 class _CrossingSets:
@@ -296,13 +331,16 @@ class WallClasses:
     """Palette-induced wall classes with an empirical disjointness check.
 
     Two walls "meet" when some chamber has both on adjacent faces whose
-    generators span a finite dihedral (m != 0); the certificate scans every
-    enumerated chamber corner.
+    generators span a finite dihedral (m != 0), or when both cross one finite
+    residue u<s, t>, whose m_st walls all pass through its centre.  The
+    certificate scans every enumerated chamber corner, then every residue
+    with m_st >= 4 for pairs not met at a corner: at m_st <= 3 each two walls
+    of a residue are faces of one of its chambers.
     """
 
     by_color: dict
     color_of: dict  # wall id -> color
-    violations: list  # (chamber id, wall id, wall id)
+    violations: list  # (chamber id, wall id, wall id): a corner, or a residue's bottom
     radius: int
 
     @property
@@ -311,8 +349,8 @@ class WallClasses:
 
 
 def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
-    """Assign each wall the palette color of its generator and certify
-    that same-colored walls never meet at a chamber corner."""
+    """Assign each wall the palette color of its generator and certify that
+    same-colored walls never meet at a chamber corner or in a finite residue."""
     ball = wallset.ball
     system = ball.system
     missing = [s for s in range(system.rank) if s not in palette]
@@ -323,15 +361,37 @@ def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
     by_color: dict = {}
     for wid, c in enumerate(color):
         by_color.setdefault(c, []).append(wid)
-    n, faces = system.rank, wallset.faces
+    n, faces, nbr, norms = system.rank, wallset.faces, ball.nbr, ball.norms
     found = []  # (chamber, pair number, wall, wall), one scan per corner pair
     pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if system.m(s, t) != 0]
     for k, (s, t) in enumerate(pairs):
         for cid, (w1, w2) in enumerate(zip(faces[s::n], faces[t::n])):
             if w1 != w2 and w1 >= 0 and w2 >= 0 and color[w1] == color[w2]:
                 found.append((cid, k, w1, w2))
+    met = {frozenset(f[2:]) for f in found}
+    for k, (s, t) in enumerate(pairs, len(pairs)):  # residues sort after the corners
+        m = system.m(s, t)
+        if m < 4:
+            continue
+        for u, level in enumerate(norms):
+            if level < ball.radius and norms[nbr[u * n + s]] > level < norms[nbr[u * n + t]]:
+                # u is the bottom of u<s, t>: its walls are met going up either side
+                ring = sorted({w for a, b in ((s, t), (t, s)) for w in _climb(wallset, u, a, b, m)})
+                found += [(u, k, *p) for p in combinations(ring, 2)
+                          if color[p[0]] == color[p[1]] and frozenset(p) not in met]
     violations = [(cid, w1, w2) for cid, _, w1, w2 in sorted(found)]
     return WallClasses(by_color, color_of, violations, ball.radius)
+
+
+def _climb(wallset: WallSet, x: int, a: int, b: int, steps: int):
+    """Walls of the edges up from chamber x along a, b, a, ..., at most `steps`, in the ball."""
+    n, nbr = wallset.ball.system.rank, wallset.ball.nbr
+    for _ in range(steps):
+        i = x * n + a
+        if nbr[i] < 0:
+            return
+        yield wallset.faces[i]
+        x, a, b = nbr[i], b, a
 
 
 def alternating_palette(system) -> dict:

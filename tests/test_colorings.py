@@ -282,6 +282,7 @@ def test_product_coloring_pentagon_wall_trees():
     tree_colorings = []
     orbit_maps = []
     inner = [g for g in ball.members() if ball.norm(g) <= 2]
+    wall_of = {ws.canonical_word(w.wid): w.wid for w in ws.walls}
     for s in range(5):
         tree = build_wall_tree(ws, classes.by_color[s])
         colors = tree_norm_coloring(tree.vertices, tree.edges, tree.root)
@@ -290,7 +291,7 @@ def test_product_coloring_pentagon_wall_trees():
 
         def orbit(g, root_word=root_word):
             refl = ball.mul(ball.mul(g, root_word), ball.inv(g))
-            return ws.find_wall(refl)
+            return wall_of[refl]
 
         orbit_maps.append(orbit)
 

@@ -23,7 +23,11 @@ by their exact roots.  The undeformed `render --n 3 --radius 3 --no-deform` SVG 
 re-recorded when tile placement moved from numpy's BLAS matrix products to
 left-to-right float sums: three coordinates printed as -0.000000 now print
 as 0.000000, and no other number changed; the other SVG pins kept their
-bytes.  The smoke runs start every perfbench workload at tiny sizes,
+bytes.  Every `walls` pin predates canonical words spelled from the parent
+wall.  The (2,3,7) and {5,6,7,8} `walls` reports were re-recorded when the
+disjointness certificate began to list walls that cross in a residue of
+order 4 or more: only their violation lists grew, keeping every earlier entry
+in order.  The (4,4,4) R=6 report pins one such crossing.  The smoke runs start every perfbench workload at tiny sizes,
 traced, so its checks (Ball.edges, the read-only WallSet.sep view,
 WallSet.separates) and its tracer's hooks (WallSet.separating_walls,
 WallSet.canonical_word, the walls, hyperbolic and other span functions) must
@@ -44,6 +48,7 @@ from coxtile.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE_33INF = '{"generators":["a","b","c"],"matrix":[[1,3,3],[3,1,0],[3,0,1]]}'
 TRIANGLE_237 = '{"generators":["a","b","c"],"matrix":[[1,2,3],[2,1,7],[3,7,1]]}'
+TRIANGLE_444 = '{"generators":["a","b","c"],"matrix":[[1,4,4],[4,1,4],[4,4,1]]}'
 # rank 4 with orders infinity, 7 and 8 (tests/test_word_engine.py's RANK4)
 RANK4 = '{"generators":["a","b","c","d"],"matrix":[[1,0,0,0],[0,1,0,7],[0,0,1,8],[0,7,8,1]]}'
 # rank 4 with orders 5, 6, 7 and 8, no infinity (tests/test_wall_identification.py's RANK4_5678)
@@ -121,17 +126,27 @@ REPORT_SHA256 = {
         "4785b71da113b0717723eb6dc9069891d7de2ed15df1a6b859a8cb39442439e0",
     ),
     "walls-237-r12-distinct": (
-        # recorded with the braid-closure word engine, before the descent engine
+        # re-recorded when the certificate began listing walls that cross in a
+        # residue of order 7: 108 violations joined the 321 corner ones, and
+        # nothing else changed
         ["walls", "--system", TRIANGLE_237, "--radius", "12", "--palette", "distinct"],
         1,
-        "90e8d42c5156e4270016047ec11caed012f300417c2b83ea1e3b9459af842855",
+        "f8f11ac4801b480f15b6b5fe8c9fb454804a28956b22d168822917f2f2fe4414",
     ),
     "walls-rank4-5678-r6-distinct": (
-        # recorded while walls were keyed by exact roots in Z[zeta_1680]; exit 1:
-        # walls of one color meet
+        # exit 1: walls of one color meet.  Re-recorded when the certificate
+        # began listing walls that cross in residues of order 5 to 8: 1,429
+        # violations joined the 84 corner ones, and nothing else changed
         ["walls", "--system", RANK4_5678, "--radius", "6", "--palette", "distinct"],
         1,
-        "9b62aaefd5a4a0d170847a769874bbb24c826ef945822a399e91618d50606be0",
+        "0c336632dbab14e10aa0c0e9197293492258bca1f623097a491f2a93893fe833",
+    ),
+    "walls-444-r6-distinct": (
+        # exit 1: walls 0 (a) and 5 (b.a.b) share generator a and cross in the
+        # residue <a, b> of order 4 without sharing a chamber
+        ["walls", "--system", TRIANGLE_444, "--radius", "6", "--palette", "distinct"],
+        1,
+        "09f0d17556a6b368a53d6d8ab32858cc49deceed12c8718fb397ef27a888bf4b",
     ),
     "walls-33inf-r10-distinct": (
         # exit 1: the report lists corners where walls of one color meet

@@ -94,6 +94,30 @@ def test_color_walls_dihedral_single_color_violation():
     assert any(cid == 0 for cid, _, _ in classes.violations)
 
 
+@pytest.mark.parametrize("orders", [(4, 4, 4), (4, 4, 0)], ids=["(4,4,4)", "(4,4,inf)"])
+def test_color_walls_flags_walls_crossing_in_a_residue(orders):
+    # walls 0 (a) and 5 (b.a.b) share generator a and cross at the centre of
+    # the order-4 residue <a, b> at e, yet no chamber has both as faces
+    a, b, c = orders
+    system = CoxeterSystem(("a", "b", "c"), ((1, a, b), (a, 1, c), (b, c, 1)))
+    ball, ws = make(system, 6)
+    assert ws.canonical_word(5) == (1, 0, 1)
+    classes = color_walls(ws, {s: s for s in range(3)})
+    assert (0, 0, 5) in classes.violations
+    entries = [v for v in classes.violations if v[1:] == (0, 5)]
+    assert entries == [(0, 0, 5)]  # listed once, at the residue's bottom
+
+
+def test_color_walls_residue_scan_keeps_corner_verdicts():
+    # at order 3 every two walls of a residue share a chamber, so the corner
+    # scan alone decides: the dihedral group of order 6 with one color
+    ball, ws = make(CoxeterSystem.dihedral(3), 3)
+    classes = color_walls(ws, {0: "c", 1: "c"})
+    faces = {cid: set(ws.faces[2 * cid : 2 * cid + 2]) for cid in range(len(ball))}
+    assert len(classes.violations) == 6
+    assert all({w1, w2} == faces[cid] for cid, w1, w2 in classes.violations)
+
+
 def test_color_walls_pentagon_identity_palette():
     pent = CoxeterSystem.right_angled_polygon(5)
     ball, ws = make(pent, 3)
