@@ -79,10 +79,6 @@ def parse_report(text: str) -> dict:
     return doc
 
 
-def _word_str(system, word) -> str:
-    return ".".join(system.generators[s] for s in word) if word else "e"
-
-
 def _parse_word(system, text) -> tuple:
     if text in ("e", ""):
         return ()
@@ -166,7 +162,7 @@ def _cmd_ball(args, out) -> int:
         "radius": args.radius,
         "size": len(ball),
         "sphere_sizes": ball.sphere_sizes,
-        "normal_forms": [_word_str(system, w) for w in ball.words] if args.words else None,
+        "normal_forms": list(map(system.spell, ball.words)) if args.words else None,
     }
     _write_report(out, results, "ball")
     return 0
@@ -182,9 +178,9 @@ def _cmd_color(args, out) -> int:
     for (g, h), x in sorted(report.records.items()):
         records.append(
             {
-                "g": _word_str(system, g),
-                "h": _word_str(system, h),
-                "witness_x": None if x is None else _word_str(system, x),
+                "g": system.spell(g),
+                "h": system.spell(h),
+                "witness_x": None if x is None else system.spell(x),
                 "radius_used": None if x is None else ball.norm(ball.mul(h_inv[h], x)),
             }
         )
@@ -206,36 +202,48 @@ def _cmd_walls(args, out) -> int:
     ball, wallset = build_walls(system, args.radius)
     palette = _palette_from_arg(system, args.palette)
     classes = color_walls(wallset, palette)
-    levels = {}
-    parents = {}
+    count = len(wallset)
+    levels = parents = [None] * count  # read only: classes that meet get no trees
     if classes.disjoint:
-        for wids in classes.by_color.values():
-            tree = build_wall_tree(wallset, wids)
-            levels.update(tree.levels)
-            parents.update(tree.parent)
-    names = [_word_str(system, wallset.canonical_word(w.wid)) for w in wallset.walls]
+        levels, parents = _tree_tables(wallset, classes)
+    names = [system.spell(wallset.canonical_word(w)) for w in range(count)]
     walls = [
         {
-            "canonical_word": names[w.wid],
-            "color": str(classes.color_of[w.wid]),
-            "level": (levels.get(w.wid) if w.determinate else "indeterminate"),
-            "tree_parent": names[parents[w.wid]] if w.wid in parents and w.determinate else None,
+            "canonical_word": name,
+            "color": str(color),
+            "level": level if det else "indeterminate",
+            "tree_parent": names[p] if p is not None and det else None,
         }
-        for w in wallset.walls
+        for name, color, level, p, det in zip(
+            names, classes.color_of.values(), levels, parents, wallset.determinate()
+        )
     ]
     results = {
         "radius": args.radius,
         "palette": args.palette,
-        "wall_count": len(wallset),
+        "wall_count": count,
         "classes_disjoint": classes.disjoint,
         "violations": [
-            {"chamber": _word_str(system, ball.words[cid]), "walls": [w1, w2]}
+            {"chamber": system.spell(ball.words[cid]), "walls": [w1, w2]}
             for cid, w1, w2 in classes.violations
         ],
         "walls": walls,
     }
     _write_report(out, results, "walls")
     return 0 if classes.disjoint else 1
+
+
+def _tree_tables(wallset, classes):
+    """Wall id -> level and wall id -> tree parent (None at a root), one tree
+    per class; no tree outlives the call, so none is alive while the report is encoded."""
+    levels, parents = [None] * len(wallset), [None] * len(wallset)
+    for wids in classes.by_color.values():
+        tree = build_wall_tree(wallset, wids)
+        for w, level in tree.levels.items():
+            levels[w] = level
+        for w, p in tree.parent.items():
+            parents[w] = p
+    return levels, parents
 
 
 def _cmd_balance(args, out) -> int:
@@ -300,7 +308,7 @@ def _cmd_space(args, out) -> int:
         v = translate_compare(tiling, g, args.depth)
         comparisons.append(
             {
-                "g": _word_str(system, g),
+                "g": system.spell(g),
                 "verdict": "fixed" if v.fixed else "differs",
                 "first_depth": v.first_depth,
             }
@@ -315,7 +323,7 @@ def _cmd_space(args, out) -> int:
         d = patch_distance(
             restrict_patch(tiling, args.depth), restrict_patch(other, args.depth)
         )
-        distances.append({"base": _word_str(system, g), "distance": d})
+        distances.append({"base": system.spell(g), "distance": d})
     results = {
         "n": args.n,
         "radius": args.radius,

@@ -143,6 +143,10 @@ class CoxeterSystem:
 
     # -- word operations --------------------------------------------------
 
+    def spell(self, word) -> str:
+        """The word in generator names joined by dots, "e" when empty."""
+        return ".".join(map(self.generators.__getitem__, word)) if word else "e"
+
     def _letters(self, word) -> tuple[int, ...]:
         """`word` as a tuple, after checking that each letter is a generator index."""
         word = tuple(word)

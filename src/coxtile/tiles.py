@@ -40,7 +40,7 @@ def opposite(face):
 
 def orient_all_plus(wallset: WallSet) -> dict:
     """Every wall keeps its canonical orientation (base chamber on the left)."""
-    return {w.wid: 1 for w in wallset.walls}
+    return dict.fromkeys(range(len(wallset)), 1)
 
 
 def orient_alternating(levels_by_class: dict, flips: dict | None = None) -> dict:
@@ -102,7 +102,7 @@ def _label_tables(wallset: WallSet, wall_colors: dict, orientation: dict):
     ValidationError when two labels share a key, since numbers could not then
     keep the order the string keys give.
     """
-    count = len(wallset.walls)
+    count = len(wallset)
     walls_of = {}  # (color, sign seen from the base side) -> wall ids
     for wid, color in wall_colors.items():
         sign = orientation.get(wid)

@@ -41,13 +41,10 @@ class TilingPatch:
 
 def patch_as_dict(patch: TilingPatch, system) -> dict:
     """JSON-ready form: depth plus the sorted chamber -> tile map."""
-    def name(word):
-        return ".".join(system.generators[s] for s in word) if word else "e"
-
     tiles = sorted({t for t in patch.labels.values()}, key=str)
     tile_ids = {t: i for i, t in enumerate(tiles)}
     chambers = {
-        name(w): tile_ids[t]
+        system.spell(w): tile_ids[t]
         for w, t in sorted(patch.labels.items(), key=lambda kv: (len(kv[0]), kv[0]))
     }
     return {

@@ -5,12 +5,15 @@ edges the reflection flips.  Each reflection of a finite dihedral coset
 u<s, t> flips two opposite edges of it, and those links, followed from e
 outwards, identify every wall exactly (Tits' word theorem; see
 enumerate_walls) in one pass over the ball with no roots and no keys, right
-at every radius for every Coxeter matrix.  The result is one flat table
-beside `Ball.nbr`:
-`WallSet.faces[g * rank + s]` is the wall of the edge {g, gs} (-1 outside the
-ball).  Read up g's ShortLex parent chain (`Ball.last`), `faces` lists the
-walls a geodesic from e to g crosses, each once, so separation is crossing
-parity.
+at every radius for every Coxeter matrix.  The result is three flat tables.
+`WallSet.faces[g * rank + s]`, laid out beside `Ball.nbr`, is the wall of the
+edge {g, gs} (-1 outside the ball).  Read up g's ShortLex parent chain
+(`Ball.last`), `faces` lists the walls a geodesic from e to g crosses, each
+once, so separation is crossing parity.  The other two list each wall's
+upward edges as faces, CSR-style: `edge_faces[edge_start[w]:edge_start[w + 1]]`
+in increasing order, the first being the wall's least edge, which gives its
+generator and whether it is `determinate`.  No object per wall is kept;
+`WallSet.walls` spells the tables as Wall objects when something reads it.
 
 A disjoint class cuts the ball into regions that, with the class walls, form
 a tree (Davis 2008; Sageev 1995).  One pass in id (ShortLex) order names each
@@ -26,15 +29,16 @@ face (g[1:], s), both read off tables over the ShortLex tree, so no chamber's
 word is spelled (WallSet.canonical_word; coxeter._ra_gen_mul for t r').
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .coxeter import Ball, _dihedral_pairs, _ra_gen_mul, _ra_mul_gen
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
 
 
-@dataclass
+@dataclass(slots=True)
 class Wall:
     wid: int
     edges: list  # (chamber id, generator) with the lower-norm endpoint first
@@ -43,17 +47,42 @@ class Wall:
 
 
 class WallSet:
-    """All walls crossing edges of a ball, with the wall of every face."""
+    """All walls crossing edges of a ball, with the wall of every face.
 
-    def __init__(self, ball: Ball, walls, faces):
+    Wall w's upward edges are the faces edge_faces[edge_start[w]:edge_start[w + 1]],
+    each g * rank + s for the edge {g, gs} with |gs| > |g|, in increasing order,
+    so the first is the wall's least edge.  `walls` spells the same tables as
+    Wall objects, built on first read.
+    """
+
+    def __init__(self, ball: Ball, faces, edge_start, edge_faces):
         self.ball = ball
-        self.walls = walls
         self.faces = faces  # laid out like Ball.nbr: chamber * rank + s -> wall id, or -1
-        self._words = [None] * len(walls)  # wall id -> canonical word, see canonical_word
+        self.edge_start = edge_start  # wall id -> its first entry in edge_faces; one more at the end
+        self.edge_faces = edge_faces
+        self._words = [None] * len(self)  # wall id -> canonical word, see canonical_word
         self._tree_cache = {}  # frozenset of class wall ids -> (region, parent), see class_tree
 
     def __len__(self):
-        return len(self.walls)
+        return len(self.edge_start) - 1
+
+    def least_faces(self) -> list:
+        """Wall id -> the face g * rank + s of its least edge."""
+        return list(map(self.edge_faces.__getitem__, self.edge_start[:-1]))
+
+    def determinate(self) -> list:
+        """Wall id -> True when its least edge leaves a chamber of norm at most
+        radius - 3, so that walls beyond the ball cannot change its level."""
+        ball = self.ball
+        n, norms, top = ball.system.rank, ball.norms, ball.radius - 3
+        return [norms[f // n] <= top for f in self.least_faces()]
+
+    @cached_property
+    def walls(self) -> list:
+        """Wall id -> Wall, spelled from the edge tables on first read."""
+        n, start, table = self.ball.system.rank, self.edge_start, self.edge_faces
+        return [Wall(w, [divmod(f, n) for f in table[a:b]], table[a] % n, det)
+                for w, (a, b, det) in enumerate(zip(start, start[1:], self.determinate()))]
 
     @property
     def sep(self):
@@ -88,8 +117,8 @@ class WallSet:
 
     def near_chamber(self, wid: int, base: int = 0) -> int:
         """Endpoint of the wall's least crossed edge on the base's side."""
-        cid, s = self.walls[wid].edges[0]
-        for x in (cid, self.ball.nbr[cid * self.ball.system.rank + s]):
+        f = self.edge_faces[self.edge_start[wid]]
+        for x in (f // self.ball.system.rank, self.ball.nbr[f]):
             if not self.separates(wid, base, x):
                 return x
         raise StructureError(f"wall {wid} does not separate its own edge endpoints")
@@ -127,10 +156,10 @@ class WallSet:
 
     def _spell(self, wid: int):
         words, (suffix, first) = self._words, self._suffixes
-        system = self.ball.system
+        system, start, table = self.ball.system, self.edge_start, self.edge_faces
         chain = []  # (wall, its t) down the parent walls, to one spelled or at e
         while words[wid] is None:
-            g, s = self.walls[wid].edges[0]
+            g, s = divmod(table[start[wid]], system.rank)
             if not g:
                 words[wid] = (s,)
                 break
@@ -179,7 +208,8 @@ def enumerate_walls(ball: Ball) -> WallSet:
     visit reaches first.  A class is explored only until a member shows a
     wall, as a lower opposite or as a tie placed already; members left out
     find that wall the same way when the visit reaches them.  Both faces of
-    an edge get its wall in `faces`.
+    an edge get its wall in `faces`, and each upward edge is counted for its
+    wall; one stable sort by wall then lays the edge tables out.
 
     Why this names each wall exactly once.  Opposite edges of a residue lie
     on one wall, so no two walls merge.  Conversely let P = (g, x) be an
@@ -208,7 +238,8 @@ def enumerate_walls(ball: Ball) -> WallSet:
     n, norms, nbr, radius = ball.system.rank, ball.norms, ball.nbr, ball.radius
     dihedral = _dihedral_pairs(ball.system)
     faces = [-1] * len(nbr)
-    walls = []
+    count = []  # wall id -> number of its upward edges
+    ups = []  # the upward edges, as faces, in increasing order
 
     def opposite_wall(g, s, level, ties):
         """Wall of an opposite of the upward edge (g, s) that lies lower, or
@@ -259,12 +290,15 @@ def enumerate_walls(ball: Ball) -> WallSet:
                     tied.append(i2)
                     wid = opposite_wall(*divmod(i2, n), level, ties)
                 if wid < 0:  # no lower opposite: (g, s) is the class's least edge
-                    wid = len(walls)
-                    walls.append(Wall(wid, [], s, determinate=level + 1 <= radius - 2))
+                    wid = len(count)
+                    count.append(0)
                 for i2 in tied:
                     faces[i2] = faces[nbr[i2] * n + i2 % n] = wid
-            walls[wid].edges.append((g, s))
-    return WallSet(ball, walls, faces)
+            count[wid] += 1
+            ups.append(i)
+    # group the upward edges by wall; the sort is stable, so each wall's stay in order
+    edge_faces = array("q", sorted(ups, key=faces.__getitem__))
+    return WallSet(ball, faces, array("q", accumulate(count, initial=0)), edge_faces)
 
 
 @dataclass
@@ -297,7 +331,8 @@ def wall_components(wallset: WallSet, wid: int) -> WallComponents:
     independent of the crossing-parity sets."""
     ball = wallset.ball
     n, nbr = ball.system.rank, ball.nbr
-    cut = {i for cid, s in wallset.walls[wid].edges for i in (cid * n + s, nbr[cid * n + s] * n + s)}
+    lo, hi = wallset.edge_start[wid:wid + 2]
+    cut = {i for f in wallset.edge_faces[lo:hi] for i in (f, nbr[f] * n + f % n)}
     comp = [-1] * len(ball)
     ncomp = 0
     for start in range(len(ball)):
@@ -356,12 +391,13 @@ def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
     missing = [s for s in range(system.rank) if s not in palette]
     if missing:
         raise ValidationError(f"palette misses generators {missing}")
-    color = [palette[w.generator] for w in wallset.walls]  # wall id -> color
+    n = system.rank
+    color = [palette[f % n] for f in wallset.least_faces()]  # wall id -> color
     color_of = dict(enumerate(color))
     by_color: dict = {}
     for wid, c in enumerate(color):
         by_color.setdefault(c, []).append(wid)
-    n, faces, nbr, norms = system.rank, wallset.faces, ball.nbr, ball.norms
+    faces, nbr, norms = wallset.faces, ball.nbr, ball.norms
     found = []  # (chamber, pair number, wall, wall), one scan per corner pair
     pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if system.m(s, t) != 0]
     for k, (s, t) in enumerate(pairs):
@@ -417,7 +453,7 @@ def class_tree(wallset: WallSet, class_wids):
     class_set = frozenset(class_wids)
     if class_set in wallset._tree_cache:
         return wallset._tree_cache[class_set]
-    ball, walls, faces = wallset.ball, wallset.walls, wallset.faces
+    ball, faces, start, table = wallset.ball, wallset.faces, wallset.edge_start, wallset.edge_faces
     n, nbr, last = ball.system.rank, ball.nbr, ball.last
     region = [-1] * len(ball)
     for g in range(1, len(ball)):
@@ -426,9 +462,9 @@ def class_tree(wallset: WallSet, class_wids):
         region[g] = u if u in class_set else region[nbr[i]]
     parent = {-1: None}  # e's region first: a wall's parent region has a lower id
     for w in sorted(class_set):
-        edges = walls[w].edges
-        p = region[edges[0][0]]
-        if p not in parent or any(region[g] != p or region[nbr[g * n + s]] != w for g, s in edges):
+        edges = table[start[w]:start[w + 1]]  # the wall's upward edges, as faces
+        p = region[edges[0] // n]
+        if p not in parent or any(region[f // n] != p or region[nbr[f]] != w for f in edges):
             raise StructureError(f"separators of wall {w} are not nested; class is not disjoint")
         parent[w] = p
     del parent[-1]  # the rest keeps wall id order

@@ -9,6 +9,7 @@ of `coxtile.walls.enumerate_walls` table for table.  tests/ball_oracle.py
 keys its chambers with the same arithmetic.  Used only by tests.
 """
 
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, neg, sub
 
@@ -107,7 +108,9 @@ def oracle_walls(ball: Ball) -> WallSet:
     come from its ShortLex parent g' = g t: rho(g, t) = -rho(g', t) and
     rho(g, s) = rho(g', s) + 2cos(pi/m_ts) rho(g', t).  An upward edge
     (g, s) has a positive root; the first edge to show a root opens the
-    next wall id.  Both faces of the edge get its wall in `faces`.
+    next wall id.  Both faces of the edge get its wall in `faces`.  The
+    edge tables are laid out from the oracle's own Wall objects, which it
+    keeps as the WallSet's `walls`, so they are not spelled from the tables.
     """
     n, m, norms, nbr, last = ball.system.rank, ball.system.matrix, ball.norms, ball.nbr, ball.last
     roots = ExactReflection(ball.system)
@@ -143,4 +146,7 @@ def oracle_walls(ball: Ball) -> WallSet:
                 walls.append(Wall(wid, [], s, determinate=level + 1 <= ball.radius - 2))
             walls[wid].edges.append((g, s))
             faces[row + s] = faces[h * n + s] = wid
-    return WallSet(ball, walls, faces)
+    edge_start = list(accumulate((len(w.edges) for w in walls), initial=0))
+    wallset = WallSet(ball, faces, edge_start, [g * n + s for w in walls for g, s in w.edges])
+    wallset.walls = walls
+    return wallset

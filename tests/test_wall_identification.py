@@ -6,8 +6,10 @@ reflection in braid-closure normal form.  root_oracle.oracle_walls names each
 wall by its exact root in Z[zeta_2N] (root_oracle.ExactReflection), as
 coxtile.walls did before the coset walks; the seeded differential test
 compares it with `enumerate_walls` face for face and wall for wall.  Neither
-oracle walks a coset.  The right-angled `walls` reports are pinned by sha256,
-so any change to a wall id, class, level or tree parent shows.
+oracle walks a coset.  The Wall objects `WallSet.walls` spells on first read
+must say what the flat edge tables say.  The right-angled `walls` reports are
+pinned by sha256, so any change to a wall id, class, level or tree parent
+shows.
 """
 
 import hashlib
@@ -61,6 +63,41 @@ def test_walls_equal_oracle_partition(system, radius, count):
         assert len(ws.sep[cid]) == ball.norms[cid]
 
 
+def random_system(rng, rank, orders):
+    """Rank-`rank` system with each off-diagonal order drawn from `orders`."""
+    matrix = [[1] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            matrix[i][j] = matrix[j][i] = rng.choice(orders)
+    return CoxeterSystem(tuple("abcdef"[:rank]), tuple(map(tuple, matrix)))
+
+
+@pytest.mark.parametrize(
+    "system, radius",
+    [(random_system(random.Random(seed), 3 + seed % 4, (2, 0)), 9 - seed % 4) for seed in range(6)]
+    + [(triangle(3, 3, 0), 10), (triangle(4, 5, 0), 7), (triangle(4, 2, 3), 9)],
+    ids=[f"right-angled-{seed}" for seed in range(6)] + ["(3,3,inf)", "(4,5,inf)", "B3"],
+)
+def test_wall_objects_spell_the_edge_tables(system, radius):
+    ball = enumerate_ball(system, radius)
+    ws = enumerate_walls(ball)
+    n, start, table = system.rank, ws.edge_start, ws.edge_faces
+    assert start[0] == 0 and start[-1] == len(table)
+    assert "walls" not in vars(ws) and len(ws.walls) == len(ws) == len(start) - 1
+    for w, wall in enumerate(ws.walls):
+        faces = list(table[start[w]:start[w + 1]])
+        # the wall's upward edges, in increasing order
+        assert faces and faces == sorted(faces)
+        assert all(ws.faces[f] == w and ball.norms[ball.nbr[f]] > ball.norms[f // n] for f in faces)
+        g, s = divmod(faces[0], n)
+        assert wall.wid == w and wall.edges == [divmod(f, n) for f in faces]
+        assert wall.generator == s and wall.determinate == (ball.norms[g] + 1 <= radius - 2)
+    # every upward edge below the outer sphere belongs to exactly one wall
+    upward = [i for i, h in enumerate(ball.nbr)
+              if ball.norms[i // n] < radius and ball.norms[h] > ball.norms[i // n]]
+    assert sorted(table) == upward
+
+
 def test_h3_has_one_wall_per_reflection():
     ball = enumerate_ball(triangle(5, 2, 3), 15)
     ws = enumerate_walls(ball)
@@ -106,6 +143,7 @@ RANK4_5678 = CoxeterSystem(tuple("abcd"), ((1, 5, 6, 7), (5, 1, 8, 5), (6, 8, 1,
 def assert_walls_match_root_oracle(ball):
     ws, oracle = enumerate_walls(ball), oracle_walls(ball)
     assert ws.faces == oracle.faces
+    assert list(ws.edge_start) == oracle.edge_start and list(ws.edge_faces) == oracle.edge_faces
     table = [(w.wid, w.edges, w.generator, w.determinate) for w in ws.walls]
     assert table == [(w.wid, w.edges, w.generator, w.determinate) for w in oracle.walls]
 
@@ -129,12 +167,7 @@ def test_walls_match_the_root_oracle_random():
     orders = [2, 3, 4, 5, 6, 8, 10, 12, 0]
     rng = random.Random(20261018)
     for _ in range(12):
-        rank = rng.randint(3, 6)
-        matrix = [[1] * rank for _ in range(rank)]
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                matrix[i][j] = matrix[j][i] = rng.choice(orders)
-        system = CoxeterSystem(tuple("abcdef"[:rank]), tuple(map(tuple, matrix)))
+        system = random_system(rng, rng.randint(3, 6), orders)
         radius = rng.randint(5, 12)
         while True:  # the largest radius up to the drawn one whose ball fits the cap
             try:

@@ -1,8 +1,12 @@
+import io
+
 import pytest
 
+from coxtile import cli
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import InconclusiveError, OutOfBallError, ValidationError
-from coxtile.tiles import rebased_alternating
+from coxtile.pipeline import alternating_resolution, build_walls
+from coxtile.tiles import build_alphabet, rebased_alternating
 from coxtile.walls import (
     alternating_palette,
     build_wall_tree,
@@ -303,6 +307,26 @@ def test_spheres_walls_and_separation_build_no_words():
     assert ws.separates(0, 0, 1)
     color_walls(ws, {0: "a", 1: "b", 2: "c"})
     assert "words" not in vars(ball) and "index" not in vars(ball)
+
+
+def test_walls_cli_never_spells_wall_objects(monkeypatch):
+    # the report reads each wall off the edge tables, never through WallSet.walls
+    built = []
+    monkeypatch.setattr(cli, "build_walls", lambda *a: built.append(build_walls(*a)) or built[-1])
+    argv = ["walls", "--system", "hexagon", "--radius", "5", "--palette", "alternating"]
+    assert cli.main(argv, out=io.StringIO()) == 0
+    ((_ball, ws),) = built
+    assert len(ws) == 1254 and "walls" not in vars(ws)
+
+
+def test_refined_resolutions_never_spell_wall_objects():
+    hexsys = CoxeterSystem.right_angled_polygon(6)
+    ball, ws = make(hexsys, 5)
+    res = alternating_resolution(ws, alternating_palette(hexsys), refine=True)
+    for chamber in (1, 100, len(ball) - 1):
+        orientation = rebased_alternating(ws, res.class_wids, chamber)
+        build_alphabet(ws, res.wall_colors, orientation)
+    assert "walls" not in vars(ws)
 
 
 def test_wall_of_face_error_names_norm_and_radius():
