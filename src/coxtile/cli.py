@@ -9,8 +9,6 @@ no timestamps, rationals serialized as "p/q" strings.
 import argparse
 import json
 import sys
-from fractions import Fraction
-from operator import is_
 
 from . import __version__
 from .colorings import aperiodicity_report, norm_coloring
@@ -32,39 +30,19 @@ from .tiling_space import (
     restrict_patch,
     translate_compare,
 )
-from .walls import alternating_palette, build_wall_tree, color_walls
+from .walls import alternating_palette, class_forest, color_walls, least_word_wall
 
 REPORT_VERSION = 1
 
 
-_PLAIN = frozenset({str, int, bool, float, type(None)})
-_STR = frozenset({str})
-
-
-def _jsonable(x):
-    if type(x) in _PLAIN:  # most of a report: answered before the other branches
-        return x
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    # a dict with str keys, or a list, that nothing inside changed is returned as is
-    if isinstance(x, dict):
-        same = type(x) is dict and _STR.issuperset(map(type, x))
-        if same and _PLAIN.issuperset(map(type, x.values())):  # flat: no call per value
-            return x
-        values = list(map(_jsonable, x.values()))
-        return x if same and all(map(is_, values, x.values())) else dict(zip(map(str, x), values))
-    if isinstance(x, (list, tuple)):
-        items = list(map(_jsonable, x))
-        return x if type(x) is list and all(map(is_, items, x)) else items
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    return str(x)
-
-
 def emit_report(results, command: str = "") -> str:
-    """The report as one line of JSON, without the newline `_write_report` adds."""
-    doc = {"version": REPORT_VERSION, "command": command, "results": _jsonable(results)}
-    return json.dumps(doc, indent=None, separators=(",", ":"))
+    """The report as one line of JSON, without the newline `_write_report` adds.
+
+    Report dicts are keyed by str (or int, which JSON writes as str(key) too).
+    A value JSON has no type for is written as str(value): "p/q" for a
+    Fraction, or its integer when the denominator is 1."""
+    doc = {"version": REPORT_VERSION, "command": command, "results": results}
+    return json.dumps(doc, indent=None, separators=(",", ":"), default=str)
 
 
 def _write_report(out, results, command: str) -> None:
@@ -234,16 +212,21 @@ def _cmd_walls(args, out) -> int:
 
 
 def _tree_tables(wallset, classes):
-    """Wall id -> level and wall id -> tree parent (None at a root), one tree
-    per class; no tree outlives the call, so none is alive while the report is encoded."""
-    levels, parents = [None] * len(wallset), [None] * len(wallset)
-    for wids in classes.by_color.values():
-        tree = build_wall_tree(wallset, wids)
-        for w, level in tree.levels.items():
-            levels[w] = level
-        for w, p in tree.parent.items():
-            parents[w] = p
-    return levels, parents
+    """Wall id -> level from e and wall id -> tree parent (None at a root), read
+    off the palette's class forest: a wall hangs under its parent in the forest,
+    and a level-1 wall under its class's root, the level-1 wall with the least word."""
+    forest, numbers = class_forest(wallset, classes.by_color.values())
+    for c in numbers:  # in by_color order, so that an error names the wall it always named
+        forest.check(c)
+    level_one = {}
+    for w, p in enumerate(forest.parent):
+        if p < 0:
+            level_one.setdefault(forest.klass[w], []).append(w)
+    roots = {c: least_word_wall(wallset, wids) for c, wids in level_one.items()}
+    parents = [roots[c] if p < 0 else p for p, c in zip(forest.parent, forest.klass)]
+    for root in roots.values():
+        parents[root] = None
+    return forest.level, parents
 
 
 def _cmd_balance(args, out) -> int:

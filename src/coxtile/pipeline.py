@@ -12,7 +12,7 @@ from math import cosh, sinh, sqrt
 from .coxeter import CoxeterSystem, enumerate_ball
 from .errors import ValidationError
 from .tiles import TileAlphabet, build_alphabet, orient_all_plus, orient_alternating
-from .walls import WallSet, color_walls, enumerate_walls, peel_levels, wall_coloring
+from .walls import WallSet, class_forest, color_walls, enumerate_walls, peel_levels, wall_coloring
 
 
 def build_walls(system: CoxeterSystem, radius: int):
@@ -41,6 +41,7 @@ class Resolution:
 
 
 def _peel_classes(wallset: WallSet, class_wids: dict) -> dict:
+    class_forest(wallset, class_wids.values())  # one forest for all classes, read once per class
     return {cls: peel_levels(wallset, wids) for cls, wids in class_wids.items()}
 
 

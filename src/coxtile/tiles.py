@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from .errors import StructureError, ValidationError
 from .ratlp import solve_lp
-from .walls import WallSet, peel_levels
+from .walls import WallSet, class_forest, peel_levels
 
 
 def _face_key(face):
@@ -64,10 +64,12 @@ def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> dic
 
     Re-peeling from `chamber` and moving the "left side" reference back to
     the original base flip a whole disjoint class at once, by the parity of
-    the class walls separating the two chambers (see walls.class_tree).
+    the class walls separating the two chambers (see walls.class_forest), so
+    the levels from e, kept in the classes' forest, serve every chamber.
     """
     crossed = wallset.sep[chamber]
     flips = {cls: len(crossed.intersection(wids)) % 2 for cls, wids in class_wids.items()}
+    class_forest(wallset, class_wids.values())
     levels = {cls: peel_levels(wallset, wids) for cls, wids in class_wids.items()}
     return orient_alternating(levels, flips)
 
@@ -341,6 +343,7 @@ def rebase_parity_check(
     """
     crossed = wallset.sep[chamber]
     reor, flips = {}, {}
+    class_forest(wallset, class_wids.values())
     for cls, wids in class_wids.items():
         for wid, lev in peel_levels(wallset, wids, base=chamber).items():
             reor[wid] = (-1 if wid in crossed else 1) * (-1) ** lev

@@ -16,12 +16,18 @@ generator and whether it is `determinate`.  No object per wall is kept;
 `WallSet.walls` spells the tables as Wall objects when something reads it.
 
 A disjoint class cuts the ball into regions that, with the class walls, form
-a tree (Davis 2008; Sageev 1995).  One pass in id (ShortLex) order names each
-chamber's region by the last class wall its geodesic crosses; a check of
-every crossed class edge proves the table right, and a wall's level from any
-base is its tree distance from the base's region.  Levels depend on walls
-beyond the ball too, which is why a wall whose edges all lie near the
-boundary is flagged not `determinate`.
+a tree (Davis 2008; Sageev 1995).  The trees of all classes of a palette
+form one ClassForest, kept on the WallSet: one pass in id (ShortLex) order
+names each chamber's region in every class at once, by the last class wall
+its geodesic crosses; one check of every crossed class edge, over the edge
+tables, proves the regions right and gives each wall its parent region and
+its level from e.  A class inside a palette class, such as a refined color
+of wall_coloring, gets its tree by contraction: a wall's parent becomes its
+nearest ancestor in its own class, with no pass over the ball.  A wall's
+level from another base is its tree distance from the base's region, the
+first class wall up the base's parent chain.  Levels depend on walls beyond
+the ball too, which is why a wall whose edges all lie near the boundary is
+flagged not `determinate`.
 
 A wall's reflection word is read off its parent wall one level lower: with
 (g, s) its least edge, g s g^-1 = t r' t for t = g[0] and r' the wall of the
@@ -61,7 +67,7 @@ class WallSet:
         self.edge_start = edge_start  # wall id -> its first entry in edge_faces; one more at the end
         self.edge_faces = edge_faces
         self._words = [None] * len(self)  # wall id -> canonical word, see canonical_word
-        self._tree_cache = {}  # frozenset of class wall ids -> (region, parent), see class_tree
+        self._forests = []  # ClassForest objects, see class_forest
 
     def __len__(self):
         return len(self.edge_start) - 1
@@ -368,9 +374,11 @@ class WallClasses:
     Two walls "meet" when some chamber has both on adjacent faces whose
     generators span a finite dihedral (m != 0), or when both cross one finite
     residue u<s, t>, whose m_st walls all pass through its centre.  The
-    certificate scans every enumerated chamber corner, then every residue
-    with m_st >= 4 for pairs not met at a corner: at m_st <= 3 each two walls
-    of a residue are faces of one of its chambers.
+    certificate scans the enumerated chamber corners of every generator pair
+    whose odd components share a palette color (see color_walls), then every
+    residue with m_st >= 4 for pairs not met at a corner: at m_st <= 3 each
+    two walls of a residue are faces of one of its chambers.  The classes of
+    a disjoint palette get their region trees from one ClassForest pass.
     """
 
     by_color: dict
@@ -385,7 +393,20 @@ class WallClasses:
 
 def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
     """Assign each wall the palette color of its generator and certify that
-    same-colored walls never meet at a chamber corner or in a finite residue."""
+    same-colored walls never meet at a chamber corner or in a finite residue.
+
+    The corners of a generator pair (s, t) are scanned only when the palette
+    colors of s's odd component and of t's share a color.  That skips no
+    violation: the wall through the s-face of chamber g is the reflection
+    g s g^-1, and its least edge (h, s') spells the same reflection, so s' is
+    conjugate to s; generators are conjugate only when a path of odd m joins
+    them (Bjorner and Brenti, Combinatorics of Coxeter Groups, Ex. 1.16).  So
+    that wall's color is among the palette colors of s's odd component.  On a
+    right-angled system every component is one generator, and the
+    alternating palette scans no corner at all.  Residues are always
+    scanned: two walls conjugate to one generator can cross in a residue
+    with m >= 4 without sharing a chamber.
+    """
     ball = wallset.ball
     system = ball.system
     missing = [s for s in range(system.rank) if s not in palette]
@@ -400,7 +421,10 @@ def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
     faces, nbr, norms = wallset.faces, ball.nbr, ball.norms
     found = []  # (chamber, pair number, wall, wall), one scan per corner pair
     pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if system.m(s, t) != 0]
+    shades = _conjugate_colors(system, palette)
     for k, (s, t) in enumerate(pairs):
+        if shades[s].isdisjoint(shades[t]):
+            continue
         for cid, (w1, w2) in enumerate(zip(faces[s::n], faces[t::n])):
             if w1 != w2 and w1 >= 0 and w2 >= 0 and color[w1] == color[w2]:
                 found.append((cid, k, w1, w2))
@@ -417,6 +441,26 @@ def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
                           if color[p[0]] == color[p[1]] and frozenset(p) not in met]
     violations = [(cid, w1, w2) for cid, _, w1, w2 in sorted(found)]
     return WallClasses(by_color, color_of, violations, ball.radius)
+
+
+def _conjugate_colors(system, palette) -> list:
+    """Generator -> the set of palette colors of the generators conjugate to
+    it, its component in the graph of odd m_st."""
+    n = system.rank
+    shades = [None] * n
+    for s in range(n):
+        if shades[s] is None:
+            component, stack = {s}, [s]
+            while stack:
+                x = stack.pop()
+                for y in range(n):
+                    if y not in component and system.m(x, y) % 2:  # odd and finite: 0 is infinity
+                        component.add(y)
+                        stack.append(y)
+            shade = {palette[x] for x in component}
+            for x in component:
+                shades[x] = shade
+    return shades
 
 
 def _climb(wallset: WallSet, x: int, a: int, b: int, steps: int):
@@ -440,65 +484,182 @@ def alternating_palette(system) -> dict:
 # -- levels ------------------------------------------------------------------
 
 
-def class_tree(wallset: WallSet, class_wids):
-    """The regions a class cuts the ball into, as (region, parent), built once
-    per WallSet.  A region is named by the class wall between it and e (-1 for
-    e's own): region[g] is the class wall g's geodesic from e crosses last, and
-    wall w leads from region parent[w] into region w.
+@dataclass
+class ClassForest:
+    """The region trees of some disjoint wall classes, one tree per class.
 
-    One pass in id order meets each ShortLex parent first; a check of both ends
-    of every crossed class edge then proves, by induction on |g|, that the class
-    walls separating g from e are region[g] and its ancestors, or raises
-    StructureError when the class walls are not nested."""
-    class_set = frozenset(class_wids)
-    if class_set in wallset._tree_cache:
-        return wallset._tree_cache[class_set]
+    A class cuts the ball into regions, each named by the class wall between
+    it and e (-1 for e's own).  klass[w] is wall w's class number (-1 outside
+    every class); wall w leads from region parent[w] into region w, and
+    level[w] is its depth in that tree, which is its peeling level from e.
+    failed[c] is the least wall of class c whose separators are not nested,
+    or -1; a class that failed has no tree, and its parent and level entries
+    mean nothing.
+    """
+
+    klass: list
+    sizes: list  # class number -> number of its walls
+    parent: list
+    level: list
+    failed: list
+
+    def home(self, wids) -> int:
+        """The class holding every wall of the list wids, or -1 (also when it is empty)."""
+        found = set(map(self.klass.__getitem__, wids))
+        return found.pop() if len(found) == 1 else -1
+
+    def check(self, c: int) -> None:
+        """Raise StructureError when class c failed the nesting check."""
+        if self.failed[c] >= 0:
+            raise StructureError(f"separators of wall {self.failed[c]} are not nested; class is not disjoint")
+
+
+def class_forest(wallset: WallSet, classes) -> tuple:
+    """A forest holding each of `classes` (wall id lists) as one class, and
+    their class numbers in it; forests are kept on the WallSet.
+
+    A kept forest serves as it is when each class is one of its classes.
+    When each lies inside a class of one kept forest that passed the nesting
+    check, as the refined colors of wall_coloring lie in their palette
+    classes, the trees are contracted from that forest's, with no pass over
+    the ball (_contract).  Otherwise one pass builds them (_region_pass).
+    """
+    classes = [sorted(wids) for wids in classes]
+    inside = None  # a kept forest with each class inside one of its nested classes
+    for forest in wallset._forests:
+        homes = [forest.home(wids) for wids in classes]
+        if all(c >= 0 and forest.sizes[c] == len(wids) for c, wids in zip(homes, classes)):
+            return forest, homes
+        if inside is None and all(c >= 0 and forest.failed[c] < 0 for c in homes):
+            inside = forest
+    forest = _region_pass(wallset, classes) if inside is None else _contract(inside, classes)
+    wallset._forests.append(forest)
+    return forest, list(range(len(classes)))
+
+
+def _class_numbers(count: int, classes) -> list:
+    klass = [-1] * count
+    for c, wids in enumerate(classes):
+        for w in wids:
+            klass[w] = c
+    return klass
+
+
+def _region_pass(wallset: WallSet, classes) -> ClassForest:
+    """The region trees of the classes from one pass over the ball.
+
+    Visited in id order, each chamber meets its ShortLex parent first, so one
+    pass names each chamber's region for every class at once: the class wall
+    its geodesic from e crosses last.  A check of both ends of every crossed
+    class edge then proves, by induction on |g|, that the class walls
+    separating g from e are its region and that region's ancestors.  Walls go
+    in id order, so a wall's parent region, e's or a wall of lower id, is
+    placed first, and its level is one more than its parent's.
+    """
     ball, faces, start, table = wallset.ball, wallset.faces, wallset.edge_start, wallset.edge_faces
     n, nbr, last = ball.system.rank, ball.nbr, ball.last
-    region = [-1] * len(ball)
+    klass = _class_numbers(len(wallset), classes)
+    regions = [[-1] * len(ball) for _ in classes]
     for g in range(1, len(ball)):
         i = g * n + last[g]  # the face g shares with its ShortLex parent
-        u = faces[i]
-        region[g] = u if u in class_set else region[nbr[i]]
-    parent = {-1: None}  # e's region first: a wall's parent region has a lower id
-    for w in sorted(class_set):
-        edges = table[start[w]:start[w + 1]]  # the wall's upward edges, as faces
-        p = region[edges[0] // n]
-        if p not in parent or any(region[f // n] != p or region[nbr[f]] != w for f in edges):
-            raise StructureError(f"separators of wall {w} are not nested; class is not disjoint")
-        parent[w] = p
-    del parent[-1]  # the rest keeps wall id order
-    wallset._tree_cache[class_set] = region, parent
-    return region, parent
+        p = nbr[i]
+        for region in regions:
+            region[g] = region[p]
+        c = klass[faces[i]]
+        if c >= 0:
+            regions[c][g] = faces[i]
+    parent, failed = [-1] * len(wallset), [-1] * len(classes)
+    level = [0] * (len(wallset) + 1)  # level[-1], the entry popped at the end, is e's region's
+    for w, (a, b) in enumerate(zip(start, start[1:])):
+        c = klass[w]
+        if c < 0 or failed[c] >= 0:
+            continue
+        region = regions[c]
+        p = region[table[a] // n]  # the region on the near side of the wall's least edge
+        if p < w:
+            for f in table[a:b]:
+                if region[f // n] != p or region[nbr[f]] != w:
+                    break
+            else:
+                parent[w], level[w] = p, level[p] + 1
+                continue
+        failed[c] = w
+    level.pop()
+    return ClassForest(klass, list(map(len, classes)), parent, level, failed)
+
+
+def _contract(forest: ClassForest, classes) -> ClassForest:
+    """Trees of classes that each lie inside a nested class of `forest`.
+
+    The walls of a subclass S that separate g from e are those of S among
+    the class walls separating g from e, which are g's region and its
+    ancestors; so the S wall g's geodesic crosses last is the deepest S wall
+    on that chain, and a wall's parent in S's tree is its nearest ancestor
+    in S.  Ancestors have lower ids, so one pass in id order places them first.
+    """
+    up = forest.parent
+    klass = _class_numbers(len(up), classes)
+    parent, level = [-1] * len(up), [0] * (len(up) + 1)  # level[-1] as in _region_pass
+    for w, c in enumerate(klass):
+        if c >= 0:
+            p = up[w]
+            while p >= 0 and klass[p] != c:
+                p = up[p]
+            parent[w], level[w] = p, level[p] + 1
+    level.pop()
+    return ClassForest(klass, list(map(len, classes)), parent, level, [-1] * len(classes))
 
 
 def _peel(wallset: WallSet, class_wids, base: int):
     """Levels of the class walls peeled from `base`, and each wall's innermost
-    in-class separator (None at level 1).  The walls separating the base from
+    in-class separator (-1 at level 1).  The walls separating the base from
     w are the tree path from the base's region to w's near side: region w if
-    the base lies beyond w, else parent[w]."""
-    region, parent = class_tree(wallset, class_wids)
-    start = region[wallset.check_chamber(base)]
+    the base lies beyond w, else parent[w].  From e these are the forest's
+    levels and parents as they stand."""
+    if not class_wids:
+        return {}, {}
+    forest, (c,) = class_forest(wallset, [class_wids])
+    forest.check(c)
+    base = wallset.check_chamber(base)
+    wids, parent = sorted(class_wids), forest.parent
+    if not base:
+        levels = dict(zip(wids, map(forest.level.__getitem__, wids)))
+        return levels, dict(zip(wids, map(parent.__getitem__, wids)))
+    start = _region_of(wallset, forest.klass, c, base)
     path = [start]  # regions from start to e's region
     while path[-1] != -1:
         path.append(parent[path[-1]])
     toward = dict(zip(path, [None] + path))  # region on the path -> its neighbour toward start
     dist = {-1: len(path) - 1}  # region -> tree distance from start
     levels, inner = {}, {}
-    for w, p in parent.items():
+    for w in wids:
+        p = parent[w]
         beyond = w in toward  # the base lies beyond w
         dist[w] = dist[p] - 1 if beyond else dist[p] + 1
         levels[w] = max(dist[w], dist[p])
         near = w if beyond else p
-        inner[w] = None if near == start else toward.get(near, near)
+        inner[w] = -1 if near == start else toward.get(near, near)
     return levels, inner
+
+
+def _region_of(wallset: WallSet, klass: list, c: int, g: int) -> int:
+    """The region of class c holding chamber g: the first class wall met going
+    up g's ShortLex parent chain, which is the last one its geodesic crosses."""
+    faces, nbr, last, n = wallset.faces, wallset.ball.nbr, wallset.ball.last, wallset.ball.system.rank
+    while g:
+        i = g * n + last[g]
+        if klass[faces[i]] == c:
+            return faces[i]
+        g = nbr[i]
+    return -1
 
 
 def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
     """Iterated peeling of a pairwise-disjoint wall class away from `base`:
     round k removes the walls no remaining class wall separates from the base
-    chamber and labels them level k.  Raises StructureError on walls that are
-    not nested."""
+    chamber and labels them level k, read off the class's tree in a
+    ClassForest (class_forest).  Raises StructureError on walls that are not
+    nested."""
     return _peel(wallset, class_wids, base)[0]
 
 
@@ -522,16 +683,21 @@ class WallTree:
 
 def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
     levels, inner = _peel(wallset, class_wids, base)
-    level_one = [w for w in class_wids if inner[w] is None]
+    level_one = [w for w in class_wids if inner[w] < 0]
     if not level_one:
         raise StructureError("class has no level-1 wall")
-    root = min(level_one, key=lambda w: _shortlex_key(wallset.canonical_word(w)))
-    parent = {w: root if p is None else p for w, p in inner.items() if w != root}
+    root = least_word_wall(wallset, level_one)
+    parent = {w: root if p < 0 else p for w, p in inner.items() if w != root}
     depth = {root: 0}
     for w in sorted(parent, key=levels.__getitem__):  # each parent sits one level down
         depth[w] = depth[parent[w]] + 1
     edges = sorted((parent[w], w) for w in parent)
     return WallTree(sorted(class_wids), edges, root, parent, depth, levels)
+
+
+def least_word_wall(wallset: WallSet, wids) -> int:
+    """The wall of wids whose reflection word is ShortLex-least: the root of a class tree."""
+    return min(wids, key=lambda w: _shortlex_key(wallset.canonical_word(w)))
 
 
 def _shortlex_key(word):
@@ -553,7 +719,9 @@ def wall_coloring(wallset: WallSet, classes: WallClasses, base: int = 0):
     trees = {}
     color_of = {}
     max_depth = 0
-    for color, wids in sorted(classes.by_color.items(), key=lambda kv: str(kv[0])):
+    ordered = sorted(classes.by_color.items(), key=lambda kv: str(kv[0]))
+    class_forest(wallset, [wids for _color, wids in ordered])  # one pass for every class
+    for color, wids in ordered:
         tree = build_wall_tree(wallset, wids, base)
         trees[color] = tree
         max_depth = max(max_depth, max(tree.depth.values(), default=0))

@@ -171,17 +171,28 @@ def test_emit_report_empty():
     assert doc["results"] == [] and doc["version"] == 1
 
 
-def test_jsonable_returns_plain_containers_as_they_are():
-    from coxtile.cli import _jsonable
+def test_emit_report_matches_the_jsonable_oracle():
+    # the json.dumps hook against the pre-walk it replaced, byte for byte
+    from jsonable_oracle import _jsonable
 
     plain = {"walls": [{"wid": 0, "edges": [[0, 1]], "level": None}], "ok": True}
     assert _jsonable(plain) is plain
-    assert _jsonable(plain["walls"]) is plain["walls"]
-    mixed = {"a": [1, Fraction(1, 2)], 3: (4, 5), "b": [2]}
-    out = _jsonable(mixed)
-    assert out == {"a": [1, "1/2"], "3": [4, 5], "b": [2]}
-    assert out["b"] is mixed["b"] and out["a"] is not mixed["a"]
-    assert mixed == {"a": [1, Fraction(1, 2)], 3: (4, 5), "b": [2]}  # the input is not changed
+    mixed = {
+        "a": [1, Fraction(1, 2), Fraction(-4, 2), Fraction(0)],
+        3: (4, 5, (Fraction(7, 3), [None, 1.5, True])),
+        "nested": [[{"k": Fraction(5, 10), 0: [("x", -1)]}], []],
+        "other": [{1, 2}, complex(1, 2)],
+    }
+    for results in (plain, mixed, [], [mixed, (plain,)], Fraction(3, 4)):
+        oracle = json.dumps({"version": 1, "command": "demo", "results": _jsonable(results)},
+                            separators=(",", ":"))
+        assert emit_report(results, "demo") == oracle
+    assert parse_report(emit_report(mixed))["results"] == {
+        "a": [1, "1/2", "-2", "0"],
+        "3": [4, 5, ["7/3", [None, 1.5, True]]],
+        "nested": [[{"k": "1/2", "0": [["x", -1]]}], []],
+        "other": ["{1, 2}", "(1+2j)"],
+    }
 
 
 def _run_python(args, **env):

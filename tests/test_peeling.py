@@ -11,13 +11,14 @@ while the edge check rejects the class from every base.
 """
 
 import io
+import json
 import random
 
 import peel_oracle
 import pytest
 
 import coxtile.walls
-from coxtile.cli import main
+from coxtile.cli import _tree_tables, main
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import StructureError
 from coxtile.pipeline import alternating_resolution
@@ -25,6 +26,7 @@ from coxtile.tiles import rebased_alternating
 from coxtile.walls import (
     alternating_palette,
     build_wall_tree,
+    class_forest,
     color_walls,
     enumerate_walls,
     peel_levels,
@@ -125,20 +127,105 @@ def test_rebased_levels_match_oracle():
 
 @pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
 @pytest.mark.parametrize("system, radius", [(HEXAGON, 6), (OCTAGON, 5)], ids=["hexagon-6", "octagon-5"])
-def test_rebased_alternating_matches_oracle_repeeling(system, radius, refine):
+def test_rebased_alternating_matches_oracle_repeeling(system, radius, refine, monkeypatch):
     # the closed-form sign per class against levels re-peeled by the oracle
     # from the new base, each wall's side taken from crossing parity
+    passes = count_region_passes(monkeypatch)
     ball, ws = make(system, radius)
     res = alternating_resolution(ws, alternating_palette(system), refine=refine)
-    trees = dict(ws._tree_cache)
+    # one pass for the palette; refined colors are contracted from its trees
+    assert passes == [[len(w) for w in color_walls(ws, alternating_palette(system)).by_color.values()]]
+    forests = list(ws._forests)
     for base in random.Random(radius).sample(range(1, len(ball)), 25):
         expected = {}
         for wids in res.class_wids.values():
             for w, level in peel_oracle.peel_levels(ws, wids, base).items():
                 expected[w] = (-1 if ws.separates(w, 0, base) else 1) * (-1) ** level
         assert rebased_alternating(ws, res.class_wids, base) == expected
-    # every rebase reused the trees the resolution built
-    assert ws._tree_cache.keys() == trees.keys()
+    # every rebase read the forests the resolution built, with no further pass over the ball
+    assert len(passes) == 1 and ws._forests == forests
+
+
+def random_right_angled(rng, rank):
+    """A right-angled system and a proper coloring of its order-2 graph, greedy
+    in generator order: walls of one color then never meet."""
+    matrix = [[1] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            matrix[i][j] = matrix[j][i] = rng.choice((2, 0))
+    system = CoxeterSystem(tuple(f"s{i}" for i in range(rank)), tuple(map(tuple, matrix)))
+    palette = {}
+    for s in range(rank):
+        palette[s] = min(set(range(rank)) - {palette[t] for t in range(s) if matrix[s][t] == 2})
+    return system, palette
+
+
+FOREST_INPUTS = [
+    *[pytest.param(HEXAGON, alternating_palette(HEXAGON), r, id=f"hexagon-{r}") for r in (4, 5, 6)],
+    pytest.param(OCTAGON, alternating_palette(OCTAGON), 5, id="octagon-5"),
+    *[pytest.param(*random_right_angled(random.Random(seed), 4 + seed % 3), 7 - seed % 3,
+                   id=f"right-angled-{seed}") for seed in range(4)],
+]
+
+
+@pytest.mark.parametrize("system, palette, radius", FOREST_INPUTS)
+def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
+    # one pass for the palette, one contraction for its refined colors; levels
+    # and innermost separators from e read off the forest as they stand, and
+    # from seeded bases through peel_levels and build_wall_tree
+    passes = count_region_passes(monkeypatch)
+    ball, ws = make(system, radius)
+    classes = color_walls(ws, palette)
+    assert classes.disjoint
+    color_of, _trees, _palette = wall_coloring(ws, classes)
+    refined = {}
+    for wid, color in color_of.items():
+        refined.setdefault(color, []).append(wid)
+    palette_forest = class_forest(ws, classes.by_color.values())[0]
+    refined_forest = class_forest(ws, refined.values())[0]
+    assert len(passes) == 1 and ws._forests == [palette_forest, refined_forest]
+    bases = random.Random(radius).sample(range(1, len(ball)), 3)
+    for forest, group in ((palette_forest, classes.by_color), (refined_forest, refined)):
+        for wids in group.values():
+            tree = peel_oracle.build_wall_tree(ws, wids)
+            assert {w: forest.level[w] for w in wids} == tree.levels
+            inner = {w: p for w, p in tree.parent.items() if tree.levels[w] > 1}
+            assert {w: forest.parent[w] for w in wids if forest.parent[w] >= 0} == inner
+            for base in bases:
+                assert peel_levels(ws, wids, base) == peel_oracle.peel_levels(ws, wids, base)
+                assert_same_tree(ws, wids, base)
+    assert len(passes) == 1 and len(ws._forests) == 2
+
+
+@pytest.mark.parametrize(
+    "system, name, palette_name, radius",
+    [
+        (HEXAGON, "hexagon", "alternating", 5),
+        (PENTAGON, "pentagon", "distinct", 5),
+        (OCTAGON, "polygon:8", "alternating", 4),
+    ],
+    ids=["hexagon-5", "pentagon-5-distinct", "octagon-4"],
+)
+def test_walls_cli_levels_and_parents_match_oracle_trees(system, name, palette_name, radius):
+    # every wall's level and tree parent in the report against the oracle's trees
+    palette = alternating_palette(system) if palette_name == "alternating" else distinct(system)
+    argv = ["walls", "--system", name, "--radius", str(radius), "--palette", palette_name]
+    out = io.StringIO()
+    assert main(argv, out=out) == 0
+    records = json.loads(out.getvalue())["results"]["walls"]
+    ball, ws = make(system, radius)
+    names = [system.spell(ws.canonical_word(w)) for w in range(len(ws))]
+    expected = [None] * len(ws)
+    for wids in color_walls(ws, palette).by_color.values():
+        tree = peel_oracle.build_wall_tree(ws, wids)
+        for w in wids:
+            p = tree.parent.get(w)
+            expected[w] = (tree.levels[w], None if p is None else names[p])
+    det = ws.determinate()
+    assert [(r["level"], r["tree_parent"]) for r in records] == [
+        e if d else ("indeterminate", None) for e, d in zip(expected, det)
+    ]
+    assert any(det) and any(r["tree_parent"] for r in records)
 
 
 @pytest.mark.parametrize("end", ["far", "near"])
@@ -151,7 +238,7 @@ def test_corrupt_face_trips_the_edge_check(end):
     classes = color_walls(ws, alternating_palette(HEXAGON))
     wids, other = classes.by_color["a"], classes.by_color["b"][0]
     assert peel_levels(ws, wids) == peel_oracle.peel_levels(ws, wids)
-    region = coxtile.walls.class_tree(ws, wids)[0]
+    parent = coxtile.walls.class_forest(ws, [wids])[0].parent  # the region on each wall's near side
     n = HEXAGON.rank
     spread = [w for w in wids if ws.walls[w].edges[0][0] < ws.walls[w].edges[-1][0]]
     for w in random.Random(4).sample(spread, 20):
@@ -161,7 +248,7 @@ def test_corrupt_face_trips_the_edge_check(end):
         else:
             x = ws.walls[w].edges[-1][0]
             t = ball.words[x][-1]
-            label = min(set(wids) - {w, ws.faces[x * n + t], region[ws.walls[w].edges[0][0]]})
+            label = min(set(wids) - {w, ws.faces[x * n + t], parent[w]})
         t = ball.words[x][-1]
         broken = enumerate_walls(ball)
         broken.faces[x * n + t] = broken.faces[ball.nbr[x * n + t] * n + t] = label
@@ -189,20 +276,26 @@ def test_single_colour_class_matches_oracle():
         "StructureError", "separators of wall 24 are not nested; class is not disjoint")
 
 
-def test_walls_cli_reads_each_class_once(monkeypatch):
-    sizes = []
-    real = coxtile.walls.class_tree
+def count_region_passes(monkeypatch):
+    """Class sizes of every forest built by a pass over the ball, from now on."""
+    passes = []
+    real = coxtile.walls._region_pass
 
-    def counting(wallset, class_wids):
-        sizes.append(len(class_wids))
-        return real(wallset, class_wids)
+    def counting(wallset, classes):
+        passes.append(list(map(len, classes)))
+        return real(wallset, classes)
 
-    monkeypatch.setattr(coxtile.walls, "class_tree", counting)
+    monkeypatch.setattr(coxtile.walls, "_region_pass", counting)
+    return passes
+
+
+def test_walls_cli_makes_one_forest_pass_per_palette(monkeypatch):
+    passes = count_region_passes(monkeypatch)
     argv = ["walls", "--system", "hexagon", "--radius", "5", "--palette", "alternating"]
     assert main(argv, out=io.StringIO()) == 0
     ball, ws = make(HEXAGON, 5)
     classes = color_walls(ws, alternating_palette(HEXAGON))
-    assert sorted(sizes) == sorted(map(len, classes.by_color.values()))
+    assert passes == [list(map(len, classes.by_color.values()))]
 
 
 def plant_cycle(ws, cycle):
@@ -241,6 +334,31 @@ def test_cyclic_blockers_stall_both_versions(length):
         peel_oracle.peel_levels(ws, wids)
     with pytest.raises(StructureError, match="separators of wall [0-9]+ are not nested"):
         peel_levels(ws, wids)
+
+
+def test_walls_report_names_the_first_failing_class_in_by_color_order():
+    # both classes fail the nesting check; the report's trees raise for the
+    # first class in by_color order, naming the wall a pass over that class alone names
+    def corrupted():
+        ball, ws = make(HEXAGON, 4)
+        classes = color_walls(ws, alternating_palette(HEXAGON))
+        nears = set()  # one plant per near chamber, so that the second keeps the first
+        for wids in classes.by_color.values():
+            cycle = pick_walls(ws, [w for w in wids if ws.walls[w].edges[0][0] not in nears], 2)
+            nears.update(ws.walls[w].edges[0][0] for w in cycle)
+            plant_cycle(ws, cycle)
+        return ws, classes
+
+    ws, classes = corrupted()
+    messages = []
+    for wids in classes.by_color.values():
+        with pytest.raises(StructureError, match="separators of wall [0-9]+ are not nested") as err:
+            peel_levels(corrupted()[0], wids)
+        messages.append(str(err.value))
+    assert len(set(messages)) == 2
+    with pytest.raises(StructureError) as err:
+        _tree_tables(ws, classes)
+    assert str(err.value) == messages[0]
 
 
 def test_cycle_through_separating_walls_stalls_oracle(monkeypatch):

@@ -1,5 +1,7 @@
 import io
+import random
 
+import corner_oracle
 import pytest
 
 from coxtile import cli
@@ -14,6 +16,7 @@ from coxtile.walls import (
     enumerate_walls,
     peel_levels,
     separates_by_components,
+    _conjugate_colors,
     wall_coloring,
     wall_components,
 )
@@ -120,6 +123,57 @@ def test_color_walls_residue_scan_keeps_corner_verdicts():
     faces = {cid: set(ws.faces[2 * cid : 2 * cid + 2]) for cid in range(len(ball))}
     assert len(classes.violations) == 6
     assert all({w1, w2} == faces[cid] for cid, w1, w2 in classes.violations)
+
+
+def triangle(a, b, c):
+    return CoxeterSystem(("a", "b", "c"), ((1, a, b), (a, 1, c), (b, c, 1)))
+
+
+# (system, radius): odd components {a, b, c}, {a, b, c}, {a}/{b, c}, three
+# singletons, and {a, b}/{c, d}
+CORNER_SYSTEMS = {
+    "(3,3,inf)": (triangle(3, 3, 0), 9),
+    "(2,3,7)": (triangle(2, 3, 7), 12),
+    "B3": (triangle(4, 2, 3), 9),
+    "(4,4,4)": (triangle(4, 4, 4), 6),
+    "rank4-5678": (
+        CoxeterSystem(("a", "b", "c", "d"), ((1, 5, 0, 8), (5, 1, 6, 0), (0, 6, 1, 7), (8, 0, 7, 1))),
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_SYSTEMS))
+def test_corner_pruning_matches_the_unpruned_scan(name):
+    system, radius = CORNER_SYSTEMS[name]
+    ball, ws = make(system, radius)
+    n, rng = system.rank, random.Random(name)
+    palettes = [dict.fromkeys(range(n), "x"), {s: s for s in range(n)}]
+    palettes += [{s: rng.choice("xyz"[:k]) for s in range(n)} for k in (2, 3) for _ in range(6)]
+    for palette in palettes:
+        assert color_walls(ws, palette).violations == corner_oracle.violations(ws, palette)
+
+
+def test_corner_pruning_keeps_every_pair_when_all_generators_are_conjugate():
+    # (3,3,inf): a-b and a-c have order 3, so a, b and c are one odd
+    # component, and the palette {a, b, a} leaves no pair to skip
+    system, radius = CORNER_SYSTEMS["(3,3,inf)"]
+    ball, ws = make(system, radius)
+    palette = {0: "a", 1: "b", 2: "a"}
+    assert _conjugate_colors(system, palette) == [{"a", "b"}] * 3
+    violations = color_walls(ws, palette).violations
+    assert violations and violations == corner_oracle.violations(ws, palette)
+    # both pairs of finite order hold corners where two walls of one color meet
+    pairs = {frozenset(s for s in range(3) if ws.faces[cid * 3 + s] in (w1, w2)) for cid, w1, w2 in violations}
+    assert pairs == {frozenset({0, 1}), frozenset({0, 2})}
+
+
+def test_conjugate_colors_follow_odd_orders():
+    b3 = CORNER_SYSTEMS["B3"][0]
+    assert _conjugate_colors(b3, {0: "x", 1: "y", 2: "z"}) == [{"x"}, {"y", "z"}, {"y", "z"}]
+    assert _conjugate_colors(triangle(4, 4, 4), {0: 0, 1: 1, 2: 0}) == [{0}, {1}, {0}]
+    hexagon = CoxeterSystem.right_angled_polygon(6)
+    assert _conjugate_colors(hexagon, alternating_palette(hexagon)) == [{"a"}, {"b"}] * 3
 
 
 def test_color_walls_pentagon_identity_palette():
