@@ -30,7 +30,7 @@ from .tiling_space import (
     restrict_patch,
     translate_compare,
 )
-from .walls import alternating_palette, class_forest, color_walls, least_word_wall
+from .walls import alternating_palette, class_trees, color_walls
 
 REPORT_VERSION = 1
 
@@ -183,7 +183,7 @@ def _cmd_walls(args, out) -> int:
     count = len(wallset)
     levels = parents = [None] * count  # read only: classes that meet get no trees
     if classes.disjoint:
-        levels, parents = _tree_tables(wallset, classes)
+        levels, parents = class_trees(wallset, classes)
     names = [system.spell(wallset.canonical_word(w)) for w in range(count)]
     walls = [
         {
@@ -209,24 +209,6 @@ def _cmd_walls(args, out) -> int:
     }
     _write_report(out, results, "walls")
     return 0 if classes.disjoint else 1
-
-
-def _tree_tables(wallset, classes):
-    """Wall id -> level from e and wall id -> tree parent (None at a root), read
-    off the palette's class forest: a wall hangs under its parent in the forest,
-    and a level-1 wall under its class's root, the level-1 wall with the least word."""
-    forest, numbers = class_forest(wallset, classes.by_color.values())
-    for c in numbers:  # in by_color order, so that an error names the wall it always named
-        forest.check(c)
-    level_one = {}
-    for w, p in enumerate(forest.parent):
-        if p < 0:
-            level_one.setdefault(forest.klass[w], []).append(w)
-    roots = {c: least_word_wall(wallset, wids) for c, wids in level_one.items()}
-    parents = [roots[c] if p < 0 else p for p, c in zip(forest.parent, forest.klass)]
-    for root in roots.values():
-        parents[root] = None
-    return forest.level, parents
 
 
 def _cmd_balance(args, out) -> int:

@@ -63,7 +63,7 @@ def tree_norm_coloring(vertices, edges, root) -> dict:
     Raises ValidationError when the edge set does not connect the vertices
     or contains a cycle.
     """
-    vertices = list(vertices)
+    vertices, edges = list(vertices), list(edges)
     if root not in vertices:
         raise ValidationError("root must be a vertex")
     adj = {v: [] for v in vertices}
@@ -82,7 +82,7 @@ def tree_norm_coloring(vertices, edges, root) -> dict:
         frontier = nxt
     if len(depth) != len(vertices):
         raise ValidationError("input graph is disconnected")
-    if len(list(edges)) != len(vertices) - 1:
+    if len(edges) != len(vertices) - 1:
         raise ValidationError("input graph is not a tree")
     return {v: norm_color(d) for v, d in depth.items()}
 

@@ -7,12 +7,13 @@ alphabet.  Both the CLI and the acceptance suite drive this module.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cosh, sinh, sqrt
 
 from .coxeter import CoxeterSystem, enumerate_ball
 from .errors import ValidationError
 from .tiles import TileAlphabet, build_alphabet, orient_all_plus, orient_alternating
-from .walls import WallSet, class_forest, color_walls, enumerate_walls, peel_levels, wall_coloring
+from .walls import WallSet, class_levels, color_walls, enumerate_walls, wall_coloring
 
 
 def build_walls(system: CoxeterSystem, radius: int):
@@ -29,20 +30,11 @@ class Resolution:
     class_wids: dict  # color class -> wall ids (classes the orientation alternates over)
     orientation: dict  # wall id -> +1 / -1
     alphabet: TileAlphabet
-    peeled: dict | None = None  # the levels, when the orientation was built from them
 
-    @property
+    @cached_property
     def levels(self) -> dict:
-        """Color class -> {wall id: level}.  An orientation that reads no
-        level (all-plus) leaves the peeling to the first read."""
-        if self.peeled is None:
-            self.peeled = _peel_classes(self.wallset, self.class_wids)
-        return self.peeled
-
-
-def _peel_classes(wallset: WallSet, class_wids: dict) -> dict:
-    class_forest(wallset, class_wids.values())  # one forest for all classes, read once per class
-    return {cls: peel_levels(wallset, wids) for cls, wids in class_wids.items()}
+        """Color class -> {wall id: level}, peeled on first read."""
+        return class_levels(self.wallset, self.class_wids)
 
 
 def _classes(wallset: WallSet, palette: dict, refine: bool):
@@ -54,7 +46,7 @@ def _classes(wallset: WallSet, palette: dict, refine: bool):
             f"of one color meet at chamber {cid}"
         )
     if refine:
-        wall_colors, _trees, _palette = wall_coloring(wallset, classes)
+        wall_colors, _palette = wall_coloring(wallset, classes)
         class_wids: dict = {}
         for wid, color in wall_colors.items():
             class_wids.setdefault(color, []).append(wid)
@@ -69,10 +61,9 @@ def alternating_resolution(
 ) -> Resolution:
     """The level-alternating resolution: sign (-1)^level per color class."""
     wall_colors, class_wids = _classes(wallset, palette, refine)
-    levels = _peel_classes(wallset, class_wids)
-    orientation = orient_alternating(levels, flips)
+    orientation = orient_alternating(class_levels(wallset, class_wids), flips)
     alphabet = build_alphabet(wallset, wall_colors, orientation, provenance="alternating")
-    return Resolution(wallset, wall_colors, class_wids, orientation, alphabet, levels)
+    return Resolution(wallset, wall_colors, class_wids, orientation, alphabet)
 
 
 def all_plus_resolution(wallset: WallSet, palette: dict, refine: bool = False) -> Resolution:

@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from .errors import StructureError, ValidationError
 from .ratlp import solve_lp
-from .walls import WallSet, class_forest, peel_levels
+from .walls import WallSet, class_forest, class_levels
 
 
 def _face_key(face):
@@ -64,14 +64,19 @@ def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> dic
 
     Re-peeling from `chamber` and moving the "left side" reference back to
     the original base flip a whole disjoint class at once, by the parity of
-    the class walls separating the two chambers (see walls.class_forest), so
-    the levels from e, kept in the classes' forest, serve every chamber.
+    the class walls separating the two chambers: the chamber's region in the
+    class's tree and its ancestors (see walls.class_forest), as many as that
+    region's level.  The levels from e in the same forest give the signs.
     """
-    crossed = wallset.sep[chamber]
-    flips = {cls: len(crossed.intersection(wids)) % 2 for cls, wids in class_wids.items()}
-    class_forest(wallset, class_wids.values())
-    levels = {cls: peel_levels(wallset, wids) for cls, wids in class_wids.items()}
-    return orient_alternating(levels, flips)
+    forest, numbers = class_forest(wallset, class_wids.values())
+    level, orientation = forest.level, {}
+    for wids, c in zip(class_wids.values(), numbers):
+        region = forest.region_of(wallset, c, chamber)  # checks the chamber before any class
+        forest.check(c)
+        f = -1 if region >= 0 and level[region] % 2 else 1
+        for wid in sorted(wids):
+            orientation[wid] = f * (-1) ** level[wid]
+    return orientation
 
 
 # -- alphabets -------------------------------------------------------------------
@@ -343,10 +348,9 @@ def rebase_parity_check(
     """
     crossed = wallset.sep[chamber]
     reor, flips = {}, {}
-    class_forest(wallset, class_wids.values())
-    for cls, wids in class_wids.items():
-        for wid, lev in peel_levels(wallset, wids, base=chamber).items():
+    for cls, levels in class_levels(wallset, class_wids, base=chamber).items():
+        for wid, lev in levels.items():
             reor[wid] = (-1 if wid in crossed else 1) * (-1) ** lev
-        pattern = {(1 - base_orientation[w] * reor[w]) // 2 for w in wids}
+        pattern = {(1 - base_orientation[w] * reor[w]) // 2 for w in levels}
         flips[cls] = pattern.pop() if len(pattern) == 1 else None
     return RebaseReport(chamber, flips, None not in flips.values(), reor)

@@ -17,17 +17,17 @@ generator and whether it is `determinate`.  No object per wall is kept;
 
 A disjoint class cuts the ball into regions that, with the class walls, form
 a tree (Davis 2008; Sageev 1995).  The trees of all classes of a palette
-form one ClassForest, kept on the WallSet: one pass in id (ShortLex) order
-names each chamber's region in every class at once, by the last class wall
-its geodesic crosses; one check of every crossed class edge, over the edge
-tables, proves the regions right and gives each wall its parent region and
-its level from e.  A class inside a palette class, such as a refined color
-of wall_coloring, gets its tree by contraction: a wall's parent becomes its
-nearest ancestor in its own class, with no pass over the ball.  A wall's
-level from another base is its tree distance from the base's region, the
-first class wall up the base's parent chain.  Levels depend on walls beyond
-the ball too, which is why a wall whose edges all lie near the boundary is
-flagged not `determinate`.
+form one ClassForest, and the WallSet keeps the last one built: one pass in
+id (ShortLex) order names each chamber's region in every class at once, by
+the last class wall its geodesic crosses; one check of every crossed class
+edge, over the edge tables, proves the regions right and gives each wall its
+parent region and its level from e.  A class inside a palette class, such as
+a refined color of wall_coloring, gets its tree by contraction: a wall's
+parent becomes its nearest ancestor in its own class, with no pass over the
+ball.  A wall's level from another base is its tree distance from the base's
+region, the first class wall up the base's parent chain.  Levels depend on
+walls beyond the ball too, which is why a wall whose edges all lie near the
+boundary is flagged not `determinate`.
 
 A wall's reflection word is read off its parent wall one level lower: with
 (g, s) its least edge, g s g^-1 = t r' t for t = g[0] and r' the wall of the
@@ -67,7 +67,7 @@ class WallSet:
         self.edge_start = edge_start  # wall id -> its first entry in edge_faces; one more at the end
         self.edge_faces = edge_faces
         self._words = [None] * len(self)  # wall id -> canonical word, see canonical_word
-        self._forests = []  # ClassForest objects, see class_forest
+        self._forest = None  # the ClassForest of the last pass over the ball, see class_forest
 
     def __len__(self):
         return len(self.edge_start) - 1
@@ -513,28 +513,68 @@ class ClassForest:
         if self.failed[c] >= 0:
             raise StructureError(f"separators of wall {self.failed[c]} are not nested; class is not disjoint")
 
+    def region_of(self, wallset: WallSet, c: int, g: int) -> int:
+        """The region of class c holding chamber g: the first class wall met
+        going up g's ShortLex parent chain, which is the last one its geodesic
+        crosses.  It and its ancestors are the class walls separating g from e."""
+        klass, faces, ball = self.klass, wallset.faces, wallset.ball
+        nbr, last, n = ball.nbr, ball.last, ball.system.rank
+        g = wallset.check_chamber(g)
+        while g:
+            i = g * n + last[g]
+            if klass[faces[i]] == c:
+                return faces[i]
+            g = nbr[i]
+        return -1
+
+    def peel(self, wallset: WallSet, c: int, wids, base: int):
+        """Levels of class c's walls wids from `base`, and each one's innermost
+        in-class separator (-1 at level 1): the walls separating the base from w
+        are the tree path from the base's region to w's near side, region w if
+        the base lies beyond w, else parent[w]; from e, level and parent as they stand."""
+        self.check(c)
+        wids, parent = sorted(wids), self.parent
+        if not base:
+            levels = dict(zip(wids, map(self.level.__getitem__, wids)))
+            return levels, dict(zip(wids, map(parent.__getitem__, wids)))
+        start = self.region_of(wallset, c, base)
+        path = [start]  # regions from start to e's region
+        while path[-1] != -1:
+            path.append(parent[path[-1]])
+        toward = dict(zip(path, [None] + path))  # region on the path -> its neighbour toward start
+        dist = {-1: len(path) - 1}  # region -> tree distance from start
+        levels, inner = {}, {}
+        for w in wids:
+            p = parent[w]
+            beyond = w in toward  # the base lies beyond w
+            dist[w] = dist[p] - 1 if beyond else dist[p] + 1
+            levels[w] = max(dist[w], dist[p])
+            near = w if beyond else p
+            inner[w] = -1 if near == start else toward.get(near, near)
+        return levels, inner
+
 
 def class_forest(wallset: WallSet, classes) -> tuple:
     """A forest holding each of `classes` (wall id lists) as one class, and
-    their class numbers in it; forests are kept on the WallSet.
+    their class numbers in it.
 
-    A kept forest serves as it is when each class is one of its classes.
-    When each lies inside a class of one kept forest that passed the nesting
-    check, as the refined colors of wall_coloring lie in their palette
-    classes, the trees are contracted from that forest's, with no pass over
-    the ball (_contract).  Otherwise one pass builds them (_region_pass).
+    The WallSet keeps the forest of its last pass over the ball, which serves
+    as it is when each class is one of its classes.  When each lies inside
+    one of its classes that passed the nesting check, as the refined colors
+    of wall_coloring lie in their palette classes, a contraction of its
+    trees (_contract) is returned, not kept.  Otherwise a pass builds the
+    trees (_region_pass), and its forest replaces the kept one.
     """
     classes = [sorted(wids) for wids in classes]
-    inside = None  # a kept forest with each class inside one of its nested classes
-    for forest in wallset._forests:
-        homes = [forest.home(wids) for wids in classes]
-        if all(c >= 0 and forest.sizes[c] == len(wids) for c, wids in zip(homes, classes)):
-            return forest, homes
-        if inside is None and all(c >= 0 and forest.failed[c] < 0 for c in homes):
-            inside = forest
-    forest = _region_pass(wallset, classes) if inside is None else _contract(inside, classes)
-    wallset._forests.append(forest)
-    return forest, list(range(len(classes)))
+    kept = wallset._forest
+    if kept is not None:
+        homes = [kept.home(wids) for wids in classes]
+        if all(c >= 0 and kept.sizes[c] == len(wids) for c, wids in zip(homes, classes)):
+            return kept, homes
+        if all(c >= 0 and kept.failed[c] < 0 for c in homes):
+            return _contract(kept, classes), list(range(len(classes)))
+    wallset._forest = _region_pass(wallset, classes)
+    return wallset._forest, list(range(len(classes)))
 
 
 def _class_numbers(count: int, classes) -> list:
@@ -610,57 +650,21 @@ def _contract(forest: ClassForest, classes) -> ClassForest:
     return ClassForest(klass, list(map(len, classes)), parent, level, [-1] * len(classes))
 
 
-def _peel(wallset: WallSet, class_wids, base: int):
-    """Levels of the class walls peeled from `base`, and each wall's innermost
-    in-class separator (-1 at level 1).  The walls separating the base from
-    w are the tree path from the base's region to w's near side: region w if
-    the base lies beyond w, else parent[w].  From e these are the forest's
-    levels and parents as they stand."""
-    if not class_wids:
-        return {}, {}
-    forest, (c,) = class_forest(wallset, [class_wids])
-    forest.check(c)
-    base = wallset.check_chamber(base)
-    wids, parent = sorted(class_wids), forest.parent
-    if not base:
-        levels = dict(zip(wids, map(forest.level.__getitem__, wids)))
-        return levels, dict(zip(wids, map(parent.__getitem__, wids)))
-    start = _region_of(wallset, forest.klass, c, base)
-    path = [start]  # regions from start to e's region
-    while path[-1] != -1:
-        path.append(parent[path[-1]])
-    toward = dict(zip(path, [None] + path))  # region on the path -> its neighbour toward start
-    dist = {-1: len(path) - 1}  # region -> tree distance from start
-    levels, inner = {}, {}
-    for w in wids:
-        p = parent[w]
-        beyond = w in toward  # the base lies beyond w
-        dist[w] = dist[p] - 1 if beyond else dist[p] + 1
-        levels[w] = max(dist[w], dist[p])
-        near = w if beyond else p
-        inner[w] = -1 if near == start else toward.get(near, near)
-    return levels, inner
-
-
-def _region_of(wallset: WallSet, klass: list, c: int, g: int) -> int:
-    """The region of class c holding chamber g: the first class wall met going
-    up g's ShortLex parent chain, which is the last one its geodesic crosses."""
-    faces, nbr, last, n = wallset.faces, wallset.ball.nbr, wallset.ball.last, wallset.ball.system.rank
-    while g:
-        i = g * n + last[g]
-        if klass[faces[i]] == c:
-            return faces[i]
-        g = nbr[i]
-    return -1
+def class_levels(wallset: WallSet, class_wids: dict, base: int = 0) -> dict:
+    """Class -> {wall id: level} peeled from `base`, for disjoint classes (class
+    -> wall ids) read off one forest (class_forest).  Raises StructureError for
+    the first class, in dict order, whose walls are not nested."""
+    forest, nums = class_forest(wallset, class_wids.values())
+    return {cls: forest.peel(wallset, c, wids, base)[0] for (cls, wids), c in zip(class_wids.items(), nums)}
 
 
 def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
     """Iterated peeling of a pairwise-disjoint wall class away from `base`:
     round k removes the walls no remaining class wall separates from the base
     chamber and labels them level k, read off the class's tree in a
-    ClassForest (class_forest).  Raises StructureError on walls that are not
+    ClassForest (class_levels).  Raises StructureError on walls that are not
     nested."""
-    return _peel(wallset, class_wids, base)[0]
+    return class_levels(wallset, {0: class_wids}, base)[0]
 
 
 # -- wall trees --------------------------------------------------------------
@@ -682,7 +686,8 @@ class WallTree:
 
 
 def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
-    levels, inner = _peel(wallset, class_wids, base)
+    forest, (c,) = class_forest(wallset, [class_wids])
+    levels, inner = forest.peel(wallset, c, class_wids, base)
     level_one = [w for w in class_wids if inner[w] < 0]
     if not level_one:
         raise StructureError("class has no level-1 wall")
@@ -704,11 +709,31 @@ def _shortlex_key(word):
     return (len(word), word)
 
 
+def class_trees(wallset: WallSet, classes: WallClasses) -> tuple:
+    """Wall id -> level from e, and wall id -> tree parent (None at a root), for
+    the trees of a palette's classes: a wall hangs under its forest parent, a
+    level-1 wall under its class's root, the level-1 wall with the least word.
+    Raises StructureError for the first class, in by_color order, that is not nested."""
+    forest, numbers = class_forest(wallset, classes.by_color.values())
+    for c in numbers:
+        forest.check(c)
+    level_one = {}
+    for w, p in enumerate(forest.parent):
+        if p < 0:
+            level_one.setdefault(forest.klass[w], []).append(w)
+    roots = {c: least_word_wall(wallset, wids) for c, wids in level_one.items()}
+    parents = [roots[c] if p < 0 else p for p, c in zip(forest.parent, forest.klass)]
+    for root in roots.values():
+        parents[root] = None
+    return forest.level, parents
+
+
 # -- the wall coloring built from per-class trees ------------------------------
 
 
-def wall_coloring(wallset: WallSet, classes: WallClasses, base: int = 0):
-    """Color every wall by (class color, tree-depth color of its class tree).
+def wall_coloring(wallset: WallSet, classes: WallClasses):
+    """Color every wall by (class color, depth color in its WallTree, the depth
+    read off class_trees), and return the coloring and the palette.
 
     Per class the nine depth colors are (t(d), d mod 3) with t the ternary
     square-free sequence, so distinct classes never share a color and the
@@ -716,24 +741,21 @@ def wall_coloring(wallset: WallSet, classes: WallClasses, base: int = 0):
     """
     from .sequences import square_free_prefix
 
-    trees = {}
+    levels, parents = class_trees(wallset, classes)
+    depth = []  # wall id -> level, less one for the root and the walls beyond it
+    for level, p in zip(levels, parents):  # a forest parent has a lower id
+        depth.append(level - (p is None or (level > 1 and depth[p] < levels[p])))
+    tern = square_free_prefix(max(depth, default=0) + 1)
+    colors = sorted(classes.by_color, key=str)
     color_of = {}
-    max_depth = 0
-    ordered = sorted(classes.by_color.items(), key=lambda kv: str(kv[0]))
-    class_forest(wallset, [wids for _color, wids in ordered])  # one pass for every class
-    for color, wids in ordered:
-        tree = build_wall_tree(wallset, wids, base)
-        trees[color] = tree
-        max_depth = max(max_depth, max(tree.depth.values(), default=0))
-    tern = square_free_prefix(max_depth + 1)
-    for color, tree in trees.items():
-        for w in tree.vertices:
-            d = tree.depth[w]
+    for color in colors:
+        for w in sorted(classes.by_color[color]):
+            d = depth[w]
             color_of[w] = (color, (tern[d], d % 3))
     palette = [
         (color, (i, j))
-        for color in sorted(trees, key=str)
+        for color in colors
         for i in range(3)
         for j in range(3)
     ]
-    return color_of, trees, palette
+    return color_of, palette

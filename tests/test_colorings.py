@@ -46,6 +46,8 @@ def test_tree_norm_coloring_path_matches_line_restriction():
     assert colors[0] == (0, 0)
     for d in range(n):
         assert colors[d] == norm_color(d)
+    # edges read once, as from a generator
+    assert tree_norm_coloring(range(n), iter(edges), 0) == colors
 
 
 def test_tree_norm_coloring_depth_uniform():

@@ -18,15 +18,18 @@ import peel_oracle
 import pytest
 
 import coxtile.walls
-from coxtile.cli import _tree_tables, main
+from coxtile.cli import main
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import StructureError
 from coxtile.pipeline import alternating_resolution
+from coxtile.sequences import square_free_prefix
 from coxtile.tiles import rebased_alternating
 from coxtile.walls import (
+    ClassForest,
     alternating_palette,
     build_wall_tree,
     class_forest,
+    class_trees,
     color_walls,
     enumerate_walls,
     peel_levels,
@@ -103,7 +106,7 @@ def test_levels_and_trees_match_oracle(system, palette, radius):
 @pytest.mark.parametrize("radius", [4, 5])
 def test_refined_classes_match_oracle(radius):
     ball, ws = make(HEXAGON, radius)
-    color_of, _trees, _palette = wall_coloring(ws, color_walls(ws, alternating_palette(HEXAGON)))
+    color_of, _palette = wall_coloring(ws, color_walls(ws, alternating_palette(HEXAGON)))
     refined = {}
     for wid, color in color_of.items():
         refined.setdefault(color, []).append(wid)
@@ -135,15 +138,15 @@ def test_rebased_alternating_matches_oracle_repeeling(system, radius, refine, mo
     res = alternating_resolution(ws, alternating_palette(system), refine=refine)
     # one pass for the palette; refined colors are contracted from its trees
     assert passes == [[len(w) for w in color_walls(ws, alternating_palette(system)).by_color.values()]]
-    forests = list(ws._forests)
+    kept = ws._forest
     for base in random.Random(radius).sample(range(1, len(ball)), 25):
         expected = {}
         for wids in res.class_wids.values():
             for w, level in peel_oracle.peel_levels(ws, wids, base).items():
                 expected[w] = (-1 if ws.separates(w, 0, base) else 1) * (-1) ** level
         assert rebased_alternating(ws, res.class_wids, base) == expected
-    # every rebase read the forests the resolution built, with no further pass over the ball
-    assert len(passes) == 1 and ws._forests == forests
+    # every rebase read the palette's forest, the one kept, with no further pass over the ball
+    assert len(passes) == 1 and ws._forest is kept
 
 
 def random_right_angled(rng, rank):
@@ -170,20 +173,20 @@ FOREST_INPUTS = [
 
 @pytest.mark.parametrize("system, palette, radius", FOREST_INPUTS)
 def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
-    # one pass for the palette, one contraction for its refined colors; levels
+    # one pass for the palette, kept, and a contraction for its refined colors; levels
     # and innermost separators from e read off the forest as they stand, and
     # from seeded bases through peel_levels and build_wall_tree
     passes = count_region_passes(monkeypatch)
     ball, ws = make(system, radius)
     classes = color_walls(ws, palette)
     assert classes.disjoint
-    color_of, _trees, _palette = wall_coloring(ws, classes)
+    color_of, _palette = wall_coloring(ws, classes)
     refined = {}
     for wid, color in color_of.items():
         refined.setdefault(color, []).append(wid)
     palette_forest = class_forest(ws, classes.by_color.values())[0]
     refined_forest = class_forest(ws, refined.values())[0]
-    assert len(passes) == 1 and ws._forests == [palette_forest, refined_forest]
+    assert len(passes) == 1 and ws._forest is palette_forest is not refined_forest
     bases = random.Random(radius).sample(range(1, len(ball)), 3)
     for forest, group in ((palette_forest, classes.by_color), (refined_forest, refined)):
         for wids in group.values():
@@ -194,7 +197,40 @@ def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
             for base in bases:
                 assert peel_levels(ws, wids, base) == peel_oracle.peel_levels(ws, wids, base)
                 assert_same_tree(ws, wids, base)
-    assert len(passes) == 1 and len(ws._forests) == 2
+    assert len(passes) == 1 and ws._forest is palette_forest
+
+
+@pytest.mark.parametrize("system, palette, radius", FOREST_INPUTS)
+def test_wall_coloring_matches_oracle_tree_depths(system, palette, radius):
+    # each wall's color is its class and the norm color of its depth in the
+    # oracle's class tree, which wall_coloring no longer builds
+    ball, ws = make(system, radius)
+    classes = color_walls(ws, palette)
+    depth = {}
+    for color, wids in classes.by_color.items():
+        tree = peel_oracle.build_wall_tree(ws, wids)
+        depth.update((w, (color, tree.depth[w])) for w in wids)
+    tern = square_free_prefix(max(d for _color, d in depth.values()) + 1)
+    color_of, _palette = wall_coloring(ws, classes)
+    assert color_of == {w: (color, (tern[d], d % 3)) for w, (color, d) in depth.items()}
+
+
+def test_wall_set_keeps_one_forest(monkeypatch):
+    # refined colors are contracted from the palette's forest and palette
+    # classes read it as it stands: neither adds a forest or a pass
+    passes = count_region_passes(monkeypatch)
+    ball, ws = make(HEXAGON, 5)
+    classes = color_walls(ws, alternating_palette(HEXAGON))
+    color_of, _palette = wall_coloring(ws, classes)
+    kept = ws._forest
+    refined = {}
+    for wid, color in color_of.items():
+        refined.setdefault(color, []).append(wid)
+    for wids in [*refined.values(), *classes.by_color.values()]:
+        peel_levels(ws, wids)
+    held = [x for v in vars(ws).values() for x in (v if isinstance(v, list) else [v])
+            if isinstance(x, ClassForest)]
+    assert held == [kept] and len(passes) == 1
 
 
 @pytest.mark.parametrize(
@@ -357,7 +393,10 @@ def test_walls_report_names_the_first_failing_class_in_by_color_order():
         messages.append(str(err.value))
     assert len(set(messages)) == 2
     with pytest.raises(StructureError) as err:
-        _tree_tables(ws, classes)
+        class_trees(ws, classes)
+    assert str(err.value) == messages[0]
+    with pytest.raises(StructureError) as err:
+        wall_coloring(*corrupted())
     assert str(err.value) == messages[0]
 
 

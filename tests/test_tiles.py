@@ -226,13 +226,13 @@ def test_all_plus_resolution_peels_on_first_read(monkeypatch, refine):
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = build_walls(hexsys, 4)
     palette = alternating_palette(hexsys)
-    peeled = []
-    monkeypatch.setattr(pipeline, "peel_levels", lambda *args: peeled.append(args) or peel_levels(*args))
+    calls, real = [], pipeline.class_levels
+    monkeypatch.setattr(pipeline, "class_levels", lambda *args: calls.append(args) or real(*args))
     res = all_plus_resolution(ws, palette, refine=refine)
-    assert peeled == []  # the all-plus orientation reads no level
+    assert calls == []  # the all-plus orientation reads no level
     levels = res.levels
-    assert len(peeled) == len(res.class_wids)  # one peeling per class on the first read
-    assert res.levels is levels and len(peeled) == len(res.class_wids)  # and none after
+    assert len(calls) == 1  # one read of every class on the first read
+    assert res.levels is levels and len(calls) == 1  # and none after
     assert levels == alternating_resolution(ws, palette, refine=refine).levels
     assert levels == {cls: peel_levels(ws, wids) for cls, wids in res.class_wids.items()}
 

@@ -288,10 +288,10 @@ def test_wall_coloring_palette_and_root_colors():
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = make(hexsys, 4)
     classes = color_walls(ws, alternating_palette(hexsys))
-    color_of, trees, palette = wall_coloring(ws, classes)
+    color_of, palette = wall_coloring(ws, classes)
     assert len(palette) == 18  # nine per class
-    for color, tree in trees.items():
-        assert color_of[tree.root] == (color, (0, 0))
+    for color, wids in classes.by_color.items():
+        assert color_of[build_wall_tree(ws, wids).root] == (color, (0, 0))
     assert set(color_of) == {w.wid for w in ws.walls}
 
 
@@ -301,8 +301,8 @@ def test_wall_coloring_single_class_reduces_to_tree_coloring():
     # single color is not disjoint for the infinite dihedral? walls never meet:
     # m(0,1) = 0, so no corner joins them; one class covering all walls is fine
     assert classes.disjoint
-    color_of, trees, palette = wall_coloring(ws, classes)
-    tree = trees["c"]
+    color_of, palette = wall_coloring(ws, classes)
+    tree = build_wall_tree(ws, classes.by_color["c"])
     from coxtile.sequences import square_free_prefix
 
     tern = square_free_prefix(max(tree.depth.values()) + 1)
