@@ -65,7 +65,7 @@ def _parse_word(system, text) -> tuple:
     for part in text.replace(",", ".").split("."):
         if part in names:
             out.append(names[part])
-        elif part.isdigit() and int(part) < system.rank:
+        elif part.isascii() and part.isdigit() and int(part) < system.rank:
             out.append(int(part))
         else:
             raise ValidationError(f"unknown generator {part!r}")

@@ -87,11 +87,6 @@ class CoxeterSystem:
     def _descents(self) -> "DescentEngine":
         return DescentEngine(self)
 
-    @cached_property
-    def _commuting(self) -> list[int]:
-        """Bit t of entry s is set when s and t commute (m_st = 2)."""
-        return [sum(1 << t for t, m in enumerate(row) if m == 2) for row in self.matrix]
-
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -213,66 +208,6 @@ def _ra_mul_gen(system: CoxeterSystem, nf: tuple[int, ...], s: int) -> tuple[int
     while pos < len(nf) and nf[pos] < s:
         pos += 1
     return nf[:pos] + (s,) + nf[pos:]
-
-
-def _ra_gen_mul(system: CoxeterSystem, t: int, nf: tuple[int, ...]) -> tuple[int, ...]:
-    """Normal form of t * nf for a normal form nf: one pass when t nf is reduced.
-
-    Reduced words of one element differ by swaps of adjacent commuting letters
-    (Tits' word theorem with every order 2 or infinity), and nf is the least
-    of them.  Lemma: a reduced word w is least iff it has no factor b v a with
-    a < b and a commuting with b and with every letter of v.  Such a factor
-    could move a before b.  Conversely, if a smaller word of the class first
-    differs from w at i, with letter a < w_i, the first a of w[i:] commutes
-    with every letter before it there, which gives the factor.
-
-    Call a letter of nf blocked when it fails to commute with t or with an
-    earlier blocked letter; every other letter commutes with t and with each
-    blocked letter before it.  Let J be the unblocked letters, in order, up to
-    the first unblocked y > t, and R the rest of nf in order.  Moving J to the
-    front spells t nf as J t R.  t is a left descent of nf only if the first
-    blocked letter is t, met before y, as nf has no factor y ... t.
-    Otherwise, if no blocked letter before y fails to commute with a letter of
-    J before it, J t R has no factor b v a as in the lemma:
-      - a in J: between b and a nf holds only letters of J and blocked
-        letters, which a commutes with, so nf would hold the factor;
-      - a = t: every letter of J is below t;
-      - a in R, b in J or t: v holds t and every letter of R before a, so a
-        is unblocked, outside J, and y or after y.  Only letters of R lie
-        between y and a in nf, so a < y would give nf the factor: a >= y > t
-        >= b;
-      - a, b in R: if nf lacks the factor, a letter of J lies between b and
-        a and fails to commute with a, so a is y or after y and, as in the
-        case before, a >= y.  b is blocked, and the first letter c of J after
-        b commutes with b and the blocked letters between, so b < c < t < a.
-    Where a blocked letter before y meets a letter of J, R need not be least
-    (orders 2 on {0, 1}, {1, 2}, {2, 3}, infinity elsewhere: t = 3 and nf =
-    (1, 2, 0) give (2, 3, 0, 1)), so that case, like a descent, is multiplied
-    in from the right.  Short of that, letters of J commute with every
-    blocked letter, so none leaves `free`: once `free` is empty, so is J.
-    Inserting t before the first blocked letter alone would miss J: on the
-    hexagon, t = 2 and nf = (0, 1) give (1, 2, 0), not (2, 0, 1).
-    """
-    commuting = system._commuting
-    free, seen, lead, blocked = commuting[t], 0, [], False
-    for i, x in enumerate(nf):  # lead: the positions of J; seen: its letters, as bits
-        if free >> x & 1:
-            if x > t:
-                break
-            lead.append(i)
-            seen |= 1 << x
-        elif seen & ~commuting[x] or x == t and not blocked:
-            return system.normal_form((t,) + nf)
-        else:
-            blocked, free = True, free & commuting[x]
-            if not free:  # every later letter is blocked, and J is empty
-                return (t,) + nf
-    else:
-        i = len(nf)
-    if not lead:
-        return (t,) + nf
-    rest = [x for j, x in enumerate(nf[:i]) if j not in lead]
-    return (*(nf[j] for j in lead), t, *rest, *nf[i:])
 
 
 # -- the descent engine (every system that is not right-angled) --------------

@@ -537,14 +537,12 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
             "" if sd is None else str(sd[0]) for sd in sides
         )
         lines.append(f'<g data-word="{word}" data-colors="{colors_attr}">')
-        outline = []
-        for k in range(p):
-            outline.extend(_sample_edge(verts[k], verts[(k + 1) % p])[:-1])
+        polylines = [_sample_edge(verts[k], verts[(k + 1) % p]) for k in range(p)]
+        outline = [q for pts in polylines for q in pts[:-1]]
         path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in outline) + " Z"
         lines.append(f'<path d="{path}" fill="#ffffff" fill-opacity="0.0" stroke="none"/>')
-        for k in range(p):
+        for k, pts in enumerate(polylines):
             a, b = verts[k], verts[(k + 1) % p]
-            pts = _sample_edge(a, b)
             d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
             sd = sides[k]
             stroke = "#444444" if sd is None else css(sd[0])

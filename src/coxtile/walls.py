@@ -29,10 +29,11 @@ region, the first class wall up the base's parent chain.  Levels depend on
 walls beyond the ball too, which is why a wall whose edges all lie near the
 boundary is flagged not `determinate`.
 
-A wall's reflection word is read off its parent wall one level lower: with
-(g, s) its least edge, g s g^-1 = t r' t for t = g[0] and r' the wall of the
-face (g[1:], s), both read off tables over the ShortLex tree, so no chamber's
-word is spelled (WallSet.canonical_word; coxeter._ra_gen_mul for t r').
+A wall's reflection word is read straight off the ball: with (g, s) its
+least edge, nf(g s g^-1) = nf(g) s nf(g^-1) in every Coxeter system, so ids,
+which open each wall at its least edge, follow the ShortLex order of wall
+words, and the least-word wall of a class is its least id
+(WallSet.canonical_word).
 """
 
 from array import array
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 
-from .coxeter import Ball, _dihedral_pairs, _ra_gen_mul, _ra_mul_gen
+from .coxeter import Ball, _dihedral_pairs
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
 
 
@@ -66,7 +67,6 @@ class WallSet:
         self.faces = faces  # laid out like Ball.nbr: chamber * rank + s -> wall id, or -1
         self.edge_start = edge_start  # wall id -> its first entry in edge_faces; one more at the end
         self.edge_faces = edge_faces
-        self._words = [None] * len(self)  # wall id -> canonical word, see canonical_word
         self._forest = None  # the ClassForest of the last pass over the ball, see class_forest
 
     def __len__(self):
@@ -135,50 +135,51 @@ class WallSet:
         return frozenset(w for w in self.sep[x] ^ self.sep[base] if w != wid)
 
     def canonical_word(self, wid: int):
-        """Normal form of the wall's reflection word, spelled from its parent wall.
+        """Normal form of the wall's reflection word: nf(g) s nf(g^-1) for the
+        wall's least edge (g, s), in every Coxeter system.
 
-        With (g, s) the wall's least edge and t = g[0], r = g s g^-1 = t r' t,
-        r' the wall of the face (g[1:], s): ShortLex is closed under taking
-        factors, so g[1:] is in the ball.  As g s g^-1 is reduced (see
-        enumerate_walls), |r'| <= 2|g| - 1 forces |r| = |r'| + 2, so t r' t is
-        reduced and r' lies one level lower.  A right-angled system multiplies t
-        in on the right, then on the left (coxeter._ra_gen_mul); any other
-        renormalizes t r' t.  Words are kept by wall id, spelled on first use.
+        1. Every reduced word of r = g s g^-1 spells a gallery e -> r that
+           crosses the wall H_r once, at some edge (c, y).  As d(c y, r) = |c|,
+           the crossing is the word's middle letter, r = c y c^-1, and
+           |c| = (|r| - 1) / 2 is the wall's least level (see enumerate_walls).
+        2. So nf(r) = u y v with |u| = |v| = |c|, u = nf(c) and v reduced for
+           c^-1.  ShortLex is closed under taking factors, so v = nf(c^-1):
+           nf(r) = nf(c) y nf(c^-1) for some least edge (c, y).
+        3. Every least edge gives a reduced word of r of this form, and these
+           words compare as the pairs (nf(c), y) compare.  Chamber ids follow
+           ShortLex order, so the least of them comes from the least edge.
+        4. enumerate_walls opens each wall id at that wall's least edge, in
+           face order, so wall ids follow the ShortLex order of wall words:
+           the wall with the least word in any set is the one with least id.
+
+        The words and inverses of the chambers below the outer sphere are read
+        off the ShortLex tree on first use (_chamber_tables); no word is
+        renormalized.
         """
-        return self._words[wid] or self._spell(wid)
+        words, inverse = self._chamber_tables
+        g, s = divmod(self.edge_faces[self.edge_start[wid]], self.ball.system.rank)
+        return words[g] + (s,) + words[inverse[g]]
 
     @cached_property
-    def _suffixes(self):
-        """(suffix, first): for each chamber g below the outer sphere, the id of g[1:], and g[0]."""
+    def _chamber_tables(self):
+        """(words, inverse): for each chamber g below the outer sphere, nf(g)
+        and the id of g^-1, in one pass in id order.  nf(g) is its ShortLex
+        parent's word and last[g]; g^-1 = g[1:]^-1 g[0], with the id of g[1:]
+        read off the parent's (g = p x, so g[1:] = p[1:] x)."""
         ball = self.ball
         n, nbr, last = ball.system.rank, ball.nbr, ball.last
         size = len(last) - ball.sphere_sizes[ball.radius]
-        suffix, first = [0] * size, last[:size]  # right for e and ids 1..n, the generators
-        for g in range(1 + n, size):  # in id order, so g's ShortLex parent p comes first
+        words, inverse, suffix = [()] * size, [0] * size, [0] * size
+        for g in range(1, size):  # in id order, so g's ShortLex parent p comes first
             x = last[g]
-            p = nbr[g * n + x]  # g = p x, so g[1:] = p[1:] x
-            suffix[g], first[g] = nbr[suffix[p] * n + x], first[p]
-        return suffix, first
-
-    def _spell(self, wid: int):
-        words, (suffix, first) = self._words, self._suffixes
-        system, start, table = self.ball.system, self.edge_start, self.edge_faces
-        chain = []  # (wall, its t) down the parent walls, to one spelled or at e
-        while words[wid] is None:
-            g, s = divmod(table[start[wid]], system.rank)
-            if not g:
-                words[wid] = (s,)
-                break
-            chain.append((wid, first[g]))
-            wid = self.faces[suffix[g] * system.rank + s]
-        word = words[wid]
-        for wid, t in reversed(chain):
-            if system.is_right_angled:
-                word = _ra_gen_mul(system, t, _ra_mul_gen(system, word, t))
-            else:
-                word = system.normal_form((t, *word, t))
-            words[wid] = word
-        return word
+            p = nbr[g * n + x]
+            words[g] = word = words[p] + (x,)
+            if p:
+                suffix[g] = nbr[suffix[p] * n + x]
+                inverse[g] = nbr[inverse[suffix[g]] * n + word[0]]
+            else:  # a generator: its own inverse, with suffix e
+                inverse[g] = g
+        return words, inverse
 
 
 class _CrossingSets:
@@ -674,8 +675,9 @@ def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
 class WallTree:
     """Rooted tree on the walls of one disjoint class, read off its peeling: a
     wall hangs under its innermost in-class separator, one level down, and the
-    level-1 walls under the root, the level-1 wall with ShortLex-least word, so
-    a wall's depth is its level, less one when the root separates it from the base."""
+    level-1 walls under the root, the level-1 wall of least id and so of
+    ShortLex-least word (WallSet.canonical_word), so a wall's depth is its
+    level, less one when the root separates it from the base."""
 
     vertices: list
     edges: list
@@ -691,7 +693,7 @@ def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
     level_one = [w for w in class_wids if inner[w] < 0]
     if not level_one:
         raise StructureError("class has no level-1 wall")
-    root = least_word_wall(wallset, level_one)
+    root = min(level_one)
     parent = {w: root if p < 0 else p for w, p in inner.items() if w != root}
     depth = {root: 0}
     for w in sorted(parent, key=levels.__getitem__):  # each parent sits one level down
@@ -700,28 +702,19 @@ def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
     return WallTree(sorted(class_wids), edges, root, parent, depth, levels)
 
 
-def least_word_wall(wallset: WallSet, wids) -> int:
-    """The wall of wids whose reflection word is ShortLex-least: the root of a class tree."""
-    return min(wids, key=lambda w: _shortlex_key(wallset.canonical_word(w)))
-
-
-def _shortlex_key(word):
-    return (len(word), word)
-
-
 def class_trees(wallset: WallSet, classes: WallClasses) -> tuple:
     """Wall id -> level from e, and wall id -> tree parent (None at a root), for
     the trees of a palette's classes: a wall hangs under its forest parent, a
-    level-1 wall under its class's root, the level-1 wall with the least word.
-    Raises StructureError for the first class, in by_color order, that is not nested."""
+    level-1 wall under its class's root, its level-1 wall of least id and so
+    of least word (WallSet.canonical_word).  Raises StructureError for the
+    first class, in by_color order, that is not nested."""
     forest, numbers = class_forest(wallset, classes.by_color.values())
     for c in numbers:
         forest.check(c)
-    level_one = {}
+    roots = {}  # class number -> its least level-1 wall
     for w, p in enumerate(forest.parent):
         if p < 0:
-            level_one.setdefault(forest.klass[w], []).append(w)
-    roots = {c: least_word_wall(wallset, wids) for c, wids in level_one.items()}
+            roots.setdefault(forest.klass[w], w)
     parents = [roots[c] if p < 0 else p for p, c in zip(forest.parent, forest.klass)]
     for root in roots.values():
         parents[root] = None

@@ -6,7 +6,7 @@ tests.
 """
 
 from coxtile.errors import StructureError
-from coxtile.walls import WallSet, WallTree, _shortlex_key
+from coxtile.walls import WallSet, WallTree
 
 
 def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
@@ -49,7 +49,8 @@ def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
     level_one = [w for w in class_wids if not chains[w]]
     if not level_one:
         raise StructureError("class has no level-1 wall")
-    root = min(level_one, key=lambda w: _shortlex_key(wallset.canonical_word(w)))
+    # the ShortLex-least word, chosen by the words themselves, not by wall id
+    root = min(level_one, key=lambda w: (len(wallset.canonical_word(w)), wallset.canonical_word(w)))
     parent = {}
     for w in class_wids:
         if w == root:

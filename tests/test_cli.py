@@ -245,6 +245,17 @@ def test_bad_input_exits_2_with_one_error_line(argv, env):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("g", ["²", "٣", "s0.²"], ids=["superscript", "arabic-indic", "after-a-name"])
+def test_space_rejects_digits_that_are_not_ascii(g):
+    # str.isdigit accepts these: int() then raises on the superscript and
+    # reads the Arabic-Indic three as generator 3
+    proc = _run_cli_process(["space", "--n", "3", "--radius", "3", "--depth", "1", "--g", g])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown generator ")
+
+
 def test_ball_cap_exits_2_naming_how_far_it_got():
     matrix = [[1, 3, 3], [3, 1, 0], [3, 0, 1]]
     triangle = json.dumps({"generators": ["a", "b", "c"], "matrix": matrix})

@@ -1,14 +1,14 @@
-"""Wall words read off the parent wall, checked against the letter-by-letter
-spelling of tests/wall_word_oracle.py, and the one-pass left multiplication
-`coxeter._ra_gen_mul` that the right-angled recursion runs on.
+"""Wall words read straight off the ball, checked against the letter-by-letter
+spelling of tests/wall_word_oracle.py.
 
-`WallSet.canonical_word` spells r = t r' t from the wall r' one letter in,
-with t and the suffix g[1:] read off tables over the ShortLex tree.  Every
-word must equal the normal form of g s g^-1 on right-angled polygons, on
-seeded random right-angled systems and on systems with braid relations; the
-left multiplication must equal `normal_form((t,) + nf)`, including the cases
-that the naive insertion and the one-pass spelling get wrong.  A right-angled
-`walls` run must not build `Ball.words` or `Ball.index`.
+With (g, s) a wall's least edge, `WallSet.canonical_word` returns
+nf(g) s nf(g^-1), read off tables over the ShortLex tree, with no word
+renormalized.  Every word must equal the normal form of g s g^-1 on
+right-angled polygons, on seeded random systems (right-angled, with braid
+relations and finite) and on systems with braid relations, even with every
+normal form engine disabled; wall ids must follow the ShortLex order of the
+words, which is what lets class trees take their least id as the least-word
+root.  A right-angled `walls` run must not build `Ball.words` or `Ball.index`.
 """
 
 import io
@@ -18,7 +18,7 @@ import pytest
 from wall_word_oracle import oracle_wall_words
 
 from coxtile import cli
-from coxtile.coxeter import CoxeterSystem, _ra_gen_mul, enumerate_ball
+from coxtile.coxeter import CoxeterSystem, DescentEngine, enumerate_ball
 from coxtile.walls import alternating_palette, build_wall_tree, color_walls, enumerate_walls
 
 HEXAGON = CoxeterSystem.right_angled_polygon(6)
@@ -26,23 +26,42 @@ TRIANGLE_33INF = CoxeterSystem(("a", "b", "c"), ((1, 3, 3), (3, 1, 0), (3, 0, 1)
 RANK4_5678 = CoxeterSystem(
     ("a", "b", "c", "d"), ((1, 5, 6, 7), (5, 1, 8, 5), (6, 8, 1, 6), (7, 5, 6, 1))
 )
-# orders 2 on {0, 1}, {1, 2}, {2, 3}: a path, where J t R is not least
+# orders 2 on {0, 1}, {1, 2}, {2, 3}: a path, where inserting a letter in
+# front of a normal form can leave the rest of the word not least
 PATH4 = CoxeterSystem(("a", "b", "c", "d"), ((1, 2, 0, 0), (2, 1, 2, 0), (0, 2, 1, 2), (0, 0, 2, 1)))
 
 
-def random_right_angled(rng, rank):
+def random_system(rng, rank, orders):
     matrix = [[1] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(i + 1, rank):
-            matrix[i][j] = matrix[j][i] = rng.choice((2, 0))
+            matrix[i][j] = matrix[j][i] = rng.choice(orders)
     return CoxeterSystem(tuple(f"s{i}" for i in range(rank)), tuple(map(tuple, matrix)))
 
 
-def assert_words_match_oracle(system, radius):
-    ws = enumerate_walls(enumerate_ball(system, radius))
-    # the last wall first, so each word is spelled down a chain of parent walls
-    words = [ws.canonical_word(wid) for wid in reversed(range(len(ws)))][::-1]
+def random_right_angled(rng, rank):
+    return random_system(rng, rank, (2, 0))
+
+
+def ball_within(system, size):
+    """The ball of largest radius up to 30 with at most `size` elements, which
+    is the whole group when its last sphere is empty."""
+    ball = enumerate_ball(system, 1)
+    while ball.sphere_sizes[-1] and ball.radius < 30:
+        bigger = enumerate_ball(system, ball.radius + 1)
+        if len(bigger) > size:
+            break
+        ball = bigger
+    return ball
+
+
+def assert_words_match_oracle(ball):
+    ws = enumerate_walls(ball)
+    words = [ws.canonical_word(wid) for wid in range(len(ws))]
     assert words == oracle_wall_words(ws)
+    # wall ids follow the ShortLex order of the words
+    keys = [(len(word), word) for word in words]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     return len(ws)
 
 
@@ -54,28 +73,56 @@ def assert_words_match_oracle(system, radius):
         (CoxeterSystem.right_angled_polygon(7), 6, 18480),
         (TRIANGLE_33INF, 14, 3191),
         (RANK4_5678, 6, 1269),
+        (PATH4, 9, 1534),
     ],
-    ids=["hexagon", "pentagon", "heptagon", "(3,3,inf)", "rank4-5678"],
+    ids=["hexagon", "pentagon", "heptagon", "(3,3,inf)", "rank4-5678", "path4"],
 )
 def test_wall_words_match_the_oracle(system, radius, count):
-    assert assert_words_match_oracle(system, radius) == count
+    assert assert_words_match_oracle(enumerate_ball(system, radius)) == count
 
 
 @pytest.mark.parametrize("rank", [4, 5, 6, 7])
 def test_wall_words_match_the_oracle_on_random_right_angled_systems(rank):
     rng = random.Random(20261018 + rank)
     for _ in range(3):
-        assert_words_match_oracle(random_right_angled(rng, rank), 9 - rank)
+        assert_words_match_oracle(enumerate_ball(random_right_angled(rng, rank), 9 - rank))
 
 
-def test_wall_words_are_spelled_down_the_parent_chain_only():
-    ws = enumerate_walls(enumerate_ball(HEXAGON, 6))
-    wid = len(ws) - 1
-    g, _ = ws.walls[wid].edges[0]
-    ws.canonical_word(wid)
-    spelled = [w for w, word in enumerate(ws._words) if word is not None]
-    # one wall per letter of g, plus the wall at e that ends the chain
-    assert wid in spelled and len(spelled) <= ws.ball.norms[g] + 1
+@pytest.mark.parametrize("seed", range(4))
+def test_wall_words_match_the_oracle_on_random_matrices(seed):
+    rng = random.Random(seed)
+    kinds = set()
+    for k in range(12):
+        if k % 4 == 0:
+            system = random_system(rng, rng.randint(3, 5), (2, 0))
+        elif k % 4 == 1:  # rank 3 with two small orders: often finite
+            a, b, c = rng.choice((2, 3, 4, 5, 6, 7, 8, 0)), rng.choice((2, 2, 3)), rng.choice((2, 2, 3))
+            system = CoxeterSystem(("s0", "s1", "s2"), ((1, a, b), (a, 1, c), (b, c, 1)))
+        else:
+            system = random_system(rng, rng.randint(3, 5), (2, 3, 4, 5, 6, 7, 8, 0))
+        ball = ball_within(system, 1000)
+        kinds.add("right-angled" if system.is_right_angled else "braided")
+        if not ball.sphere_sizes[-1]:
+            kinds.add("finite")
+        assert_words_match_oracle(ball)
+    assert kinds == {"right-angled", "braided", "finite"}
+
+
+@pytest.mark.parametrize(
+    "system, radius",
+    [(RANK4_5678, 6), (TRIANGLE_33INF, 14), (HEXAGON, 6)],
+    ids=["rank4-5678", "(3,3,inf)", "hexagon"],
+)
+def test_wall_words_need_no_normal_form_engine(monkeypatch, system, radius):
+    ws = enumerate_walls(enumerate_ball(system, radius))
+    expected = oracle_wall_words(ws)
+
+    def refuse(self, word):
+        raise AssertionError(f"normal_form({word}) called")
+
+    monkeypatch.setattr(CoxeterSystem, "normal_form", refuse)
+    monkeypatch.setattr(DescentEngine, "normal_form", refuse)
+    assert [ws.canonical_word(wid) for wid in range(len(ws))] == expected
 
 
 def test_a_deep_wall_is_spelled_without_recursion():
@@ -84,29 +131,6 @@ def test_a_deep_wall_is_spelled_without_recursion():
     ws = enumerate_walls(enumerate_ball(CoxeterSystem.infinite_dihedral(), 3001))
     assert ws.walls[-1].edges[0] == (6000, 1)
     assert ws.canonical_word(len(ws) - 1) == (1, 0) * 3000 + (1,)
-
-
-def test_left_multiplication_hexagon_example():
-    # naive insertion before the first letter that fails to commute with 2
-    # would give (2, 0, 1); 1 commutes with 2 and moves in front
-    assert _ra_gen_mul(HEXAGON, 2, (0, 1)) == (1, 2, 0) == HEXAGON.normal_form((2, 0, 1))
-
-
-def test_left_multiplication_where_the_rest_is_not_least():
-    # J = (2) and R = (1, 0): 0 commutes with 1 but followed 2 in nf, so J t R
-    # = (2, 3, 1, 0) is not least; the right-multiplication fallback answers
-    assert _ra_gen_mul(PATH4, 3, (1, 2, 0)) == (2, 3, 0, 1) == PATH4.normal_form((3, 1, 2, 0))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_left_multiplication_matches_normal_form(seed):
-    rng = random.Random(seed)
-    systems = [HEXAGON, PATH4] + [random_right_angled(rng, rank) for rank in (3, 4, 5, 6, 7)]
-    for system in systems:
-        for _ in range(300):
-            nf = system.normal_form([rng.randrange(system.rank) for _ in range(rng.randint(0, 14))])
-            t = rng.randrange(system.rank)  # a left descent of nf sometimes: t nf is shorter
-            assert _ra_gen_mul(system, t, nf) == system.normal_form((t,) + nf), (system, t, nf)
 
 
 def test_walls_and_trees_leave_words_and_index_unbuilt():

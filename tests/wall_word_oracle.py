@@ -1,10 +1,10 @@
 """Wall words spelled letter by letter, as coxtile.walls did before it read
-each word off the parent wall.
+each word straight off the ball as nf(g) s nf(g^-1).
 
 The wall of the upward edge (g, s) is the reflection g s g^-1; this oracle
 writes that palindrome out from the ball's stored word for g and hands it to
-`CoxeterSystem.normal_form`, with no parent wall, suffix table or left
-insertion.
+`CoxeterSystem.normal_form`, with no inverse table and no claim about which
+reduced word of the reflection is least.
 """
 
 
