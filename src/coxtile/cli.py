@@ -184,7 +184,7 @@ def _cmd_walls(args, out) -> int:
     levels = parents = [None] * count  # read only: classes that meet get no trees
     if classes.disjoint:
         levels, parents = class_trees(wallset, classes)
-    names = [system.spell(wallset.canonical_word(w)) for w in range(count)]
+    names = wallset.spelled_words()
     walls = [
         {
             "canonical_word": name,
@@ -266,7 +266,7 @@ def _cmd_space(args, out) -> int:
     gs = (
         [_parse_word(system, args.g)]
         if args.g
-        else [w for w in ball.members() if 0 < ball.norm(w) <= 2]
+        else ball.words[1:1 + sum(ball.sphere_sizes[1:3])]  # ids follow ShortLex: norms 1 and 2
     )
     comparisons = []
     for g in gs:

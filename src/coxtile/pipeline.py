@@ -29,12 +29,17 @@ class Resolution:
     wall_colors: dict  # wall id -> color
     class_wids: dict  # color class -> wall ids (classes the orientation alternates over)
     orientation: dict  # wall id -> +1 / -1
-    alphabet: TileAlphabet
+    provenance: str = ""
 
     @cached_property
     def levels(self) -> dict:
         """Color class -> {wall id: level}, peeled on first read."""
         return class_levels(self.wallset, self.class_wids)
+
+    @cached_property
+    def alphabet(self) -> TileAlphabet:
+        """The tile alphabet, built on first read: rendering never reads it."""
+        return build_alphabet(self.wallset, self.wall_colors, self.orientation, self.provenance)
 
 
 def _classes(wallset: WallSet, palette: dict, refine: bool):
@@ -62,16 +67,14 @@ def alternating_resolution(
     """The level-alternating resolution: sign (-1)^level per color class."""
     wall_colors, class_wids = _classes(wallset, palette, refine)
     orientation = orient_alternating(class_levels(wallset, class_wids), flips)
-    alphabet = build_alphabet(wallset, wall_colors, orientation, provenance="alternating")
-    return Resolution(wallset, wall_colors, class_wids, orientation, alphabet)
+    return Resolution(wallset, wall_colors, class_wids, orientation, "alternating")
 
 
 def all_plus_resolution(wallset: WallSet, palette: dict, refine: bool = False) -> Resolution:
     """The resolution orienting every wall canonically."""
     wall_colors, class_wids = _classes(wallset, palette, refine)
     orientation = orient_all_plus(wallset)
-    alphabet = build_alphabet(wallset, wall_colors, orientation, provenance="all-plus")
-    return Resolution(wallset, wall_colors, class_wids, orientation, alphabet)
+    return Resolution(wallset, wall_colors, class_wids, orientation, "all-plus")
 
 
 # -- hyperbolic-plane demo -------------------------------------------------------

@@ -134,41 +134,52 @@ def build_alphabet(
 ) -> TileAlphabet:
     """Label every interior chamber with its (color, sign) face multiset.
 
-    A chamber is interior when all its generator edges lie in the ball;
-    chambers with a face on an uncolored or unoriented wall are excluded
-    and recorded.  The side comes from a descent: the wall of the edge
-    {g, gs} separates the base chamber e from g exactly when |gs| < |g|
-    (Bjorner & Brenti, Combinatorics of Coxeter Groups, 1.4), so no
-    separation set is probed.  Each oriented face label is numbered once,
-    in `_face_key` order, so a chamber's tile is collected as a sorted
-    tuple of numbers and only the distinct tuples are turned back into
-    (color, sign) faces.
+    A chamber is interior when all its generator edges lie in the ball.  A
+    chamber meeting an uncolored or unoriented wall is excluded, and recorded
+    as (cid, s) for the first such face s in generator order, unless an edge
+    leaving the ball comes first.  The side comes from a descent, read off the
+    wall set's cached, orientation-free face rows (WallSet.face_rows): each
+    face is 2 * wall + far, far when |gs| < |g| (Bjorner & Brenti,
+    Combinatorics of Coxeter Groups, 1.4).  Each oriented face label is
+    numbered once, in `_face_key` order, so a call only maps every face to
+    its label number, sorts each chamber's numbers into a tuple and turns the
+    distinct tuples back into (color, sign) faces.
     """
     ball = wallset.ball
-    rank, norms, nbr, faces = ball.system.rank, ball.norms, ball.nbr, wallset.faces
+    rank = ball.system.rank
     labels, near, far = _label_tables(wallset, wall_colors, orientation)
-    chamber_code = {}
+    interior, rows = wallset.face_rows
+    number = [0] * (2 * len(near))  # face code 2 * wall + far -> label number
+    number[0::2], number[1::2] = near, far
+    slots = map(number.__getitem__, rows)  # zip below takes them `rank` at a time
+    codes = list(map(tuple, map(sorted, zip(*[slots] * rank)))) if rank else [()] * len(interior)
     excluded = []
-    for cid in range(len(ball)):
-        row, level = cid * rank, norms[cid]
-        code = []
-        for s in range(rank):
-            wid = faces[row + s]
+    if -1 in near:  # a wall without a label excludes the chambers it bounds
+        excluded = _excluded_faces(wallset, near)
+        # an unlabeled face's -1 sorts first, so code[0] tells whether there is one
+        kept = [(cid, code) for cid, code in zip(interior, codes) if not code or code[0] >= 0]
+        interior, codes = [cid for cid, _ in kept], [code for _, code in kept]
+    distinct = sorted(set(codes))
+    tiles = [tuple(labels[i] for i in code) for code in distinct]
+    tile_ids = {t: i for i, t in enumerate(tiles)}
+    code_ids = {code: i for i, code in enumerate(distinct)}
+    chamber_tile = dict(zip(interior, map(code_ids.__getitem__, codes)))
+    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, ball.radius, provenance)
+
+
+def _excluded_faces(wallset: WallSet, near: list) -> list:
+    """(cid, s) for each chamber's first face on a wall without a label (near
+    -1), when no edge leaving the ball comes before it, in chamber order."""
+    n, faces = wallset.ball.system.rank, wallset.faces
+    excluded = []
+    for cid in range(len(wallset.ball)):
+        for s, wid in enumerate(faces[cid * n:cid * n + n]):
             if wid < 0:  # the s-edge leaves the ball
                 break
             if near[wid] < 0:
                 excluded.append((cid, s))
                 break
-            code.append(far[wid] if norms[nbr[row + s]] < level else near[wid])
-        else:
-            code.sort()
-            chamber_code[cid] = tuple(code)
-    codes = sorted(set(chamber_code.values()))
-    tiles = [tuple(labels[i] for i in code) for code in codes]
-    tile_ids = {t: i for i, t in enumerate(tiles)}
-    code_ids = {code: i for i, code in enumerate(codes)}
-    chamber_tile = {cid: code_ids[code] for cid, code in chamber_code.items()}
-    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, ball.radius, provenance)
+    return excluded
 
 
 # -- weight functions and balance ---------------------------------------------------

@@ -17,7 +17,9 @@ from .tiles import TileAlphabet
 
 @dataclass
 class ChamberTiling:
-    """A labeled tiling: chamber (by normal-form word) -> tile."""
+    """A labeled tiling of an enumerated Ball: chamber -> tile, keyed by the
+    chamber's normal-form word (Ball.words), as reports spell chambers.
+    translate_compare walks the ball's ShortLex tree and reads labels by word."""
 
     ball: object
     labels: dict
@@ -61,7 +63,7 @@ def restrict_patch(tiling: ChamberTiling, n: int) -> TilingPatch:
         raise WindowError(
             f"depth {n} exceeds the labeled interior of a radius-{tiling.ball.radius} ball"
         )
-    labels = {w: t for w, t in tiling.labels.items() if tiling.ball.norm(w) <= n}
+    labels = {w: t for w, t in tiling.labels.items() if len(w) <= n}  # normal forms: length is norm
     return TilingPatch(n, labels)
 
 
@@ -94,33 +96,37 @@ def translate_compare(tiling: ChamberTiling, g, depth: int) -> TranslateVerdict:
     """Compare the tiling with its g-translate out to the given depth.
 
     The translate labels x by the tile at g^{-1} x.  Levels are scanned
-    outward and the first disagreeing depth reported; a level that cannot
-    be fully compared (labels missing near the boundary) raises unless the
+    outward, each in id (ShortLex) order, and the first disagreeing depth
+    reported; a level that cannot be fully compared (a chamber without a
+    label, or one whose image leaves the ball) raises unless the
     disagreement was already found on it.
+
+    x -> g^{-1} x commutes with right multiplication, so for x = p s with p
+    x's ShortLex parent, g^{-1} x = (g^{-1} p) s: the images are one lookup
+    each in Ball.nbr, filled in id order from the id of g^{-1}, which a
+    walk from e along reversed(g) finds (normal_form only where that walk
+    leaves the ball).  A level is compared only when the one below was
+    complete, so every parent's image lies in the ball.
     """
     if depth < 0:
         raise WindowError(f"depth must be nonnegative, got {depth}")
-    ball = tiling.ball
-    ginv = ball.inv(g)
-    by_depth: dict = {}
-    for w in tiling.labels:
-        by_depth.setdefault(ball.norm(w), []).append(w)
-    sphere_sizes = getattr(ball, "sphere_sizes", None)
-    for d in range(depth + 1):
-        level = sorted(by_depth.get(d, []), key=lambda w: (len(w), w))
-        if sphere_sizes is not None:
-            expected = sphere_sizes[d] if d < len(sphere_sizes) else 0
-        else:
-            expected = sum(1 for w in ball.members() if ball.norm(w) == d)
-        missing = len(level) < expected
-        for x in level:
-            gx = ball.mul(ginv, x)
-            here = tiling.labels[x]
-            there = tiling.labels.get(gx)
-            if there is None:
+    ball, labels = tiling.ball, tiling.labels
+    n, nbr, last, words = ball.system.rank, ball.nbr, ball.last, ball.words
+    img = []  # chamber id -> id of g^{-1} x, or -1 outside the ball
+    for d in range(min(depth, ball.radius) + 1):
+        missing = False
+        for x in range(len(img), len(img) + ball.sphere_sizes[d]):
+            if x:
+                s = last[x]
+                y = nbr[img[nbr[x * n + s]] * n + s]
+            else:
+                y = _inverse_id(ball, g)
+            img.append(y)
+            here = labels.get(words[x])
+            there = labels.get(words[y]) if y >= 0 else None
+            if here is None or there is None:
                 missing = True
-                continue
-            if here != there:
+            elif here != there:
                 return TranslateVerdict(False, d)
         if missing:
             raise WindowError(
@@ -128,3 +134,14 @@ def translate_compare(tiling: ChamberTiling, g, depth: int) -> TranslateVerdict:
                 f"radius {ball.radius}"
             )
     return TranslateVerdict(True)
+
+
+def _inverse_id(ball, g) -> int:
+    """The id of g^{-1} in the ball, or -1 outside it: a walk from e along
+    reversed(g) in Ball.nbr, and the normal form of g^{-1} where it leaves."""
+    n, nbr, i = ball.system.rank, ball.nbr, 0
+    for s in reversed(tuple(g)):
+        if not 0 <= s < n or nbr[i * n + s] < 0:
+            return ball.index.get(ball.inv(g), -1)
+        i = nbr[i * n + s]
+    return i

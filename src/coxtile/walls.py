@@ -14,6 +14,8 @@ upward edges as faces, CSR-style: `edge_faces[edge_start[w]:edge_start[w + 1]]`
 in increasing order, the first being the wall's least edge, which gives its
 generator and whether it is `determinate`.  No object per wall is kept;
 `WallSet.walls` spells the tables as Wall objects when something reads it.
+`WallSet.face_rows` lists each interior chamber's faces with their sides
+from e, once per wall set, for every tile alphabet over it.
 
 A disjoint class cuts the ball into regions that, with the class walls, form
 a tree (Davis 2008; Sageev 1995).  The trees of all classes of a palette
@@ -24,7 +26,8 @@ edge, over the edge tables, proves the regions right and gives each wall its
 parent region and its level from e.  A class inside a palette class, such as
 a refined color of wall_coloring, gets its tree by contraction: a wall's
 parent becomes its nearest ancestor in its own class, with no pass over the
-ball.  A wall's level from another base is its tree distance from the base's
+ball, and the kept forest holds the last contraction made from it.  A
+wall's level from another base is its tree distance from the base's
 region, the first class wall up the base's parent chain.  Levels depend on
 walls beyond the ball too, which is why a wall whose edges all lie near the
 boundary is flagged not `determinate`.
@@ -33,11 +36,12 @@ A wall's reflection word is read straight off the ball: with (g, s) its
 least edge, nf(g s g^-1) = nf(g) s nf(g^-1) in every Coxeter system, so ids,
 which open each wall at its least edge, follow the ShortLex order of wall
 words, and the least-word wall of a class is its least id
-(WallSet.canonical_word).
+(WallSet.canonical_word).  WallSet.spelled_words spells the same words in
+generator names from one name per chamber, with no word tuple.
 """
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
 
@@ -100,7 +104,7 @@ class WallSet:
     def wall_of_face(self, cid: int, s: int) -> int:
         """Wall through the face of chamber cid crossed by generator s."""
         ball, n = self.ball, self.ball.system.rank
-        if (cid, s) in ball.edges:
+        if 0 <= cid < len(ball) and 0 <= s < n and ball.nbr[cid * n + s] >= 0:
             return self.faces[cid * n + s]
         where = f"the radius-{ball.radius} ball"
         if not (0 <= cid < len(ball) and 0 <= s < n):
@@ -153,33 +157,84 @@ class WallSet:
            the wall with the least word in any set is the one with least id.
 
         The words and inverses of the chambers below the outer sphere are read
-        off the ShortLex tree on first use (_chamber_tables); no word is
-        renormalized.
+        off the ShortLex tree on first use (_chamber_words, _chamber_inverse);
+        no word is renormalized.
         """
-        words, inverse = self._chamber_tables
         g, s = divmod(self.edge_faces[self.edge_start[wid]], self.ball.system.rank)
-        return words[g] + (s,) + words[inverse[g]]
+        words = self._chamber_words
+        return words[g] + (s,) + words[self._chamber_inverse[g]]
+
+    def spelled_words(self) -> list:
+        """Wall id -> its canonical word in generator names, as
+        system.spell(canonical_word(w)) spells it: spelled(g).s.spelled(g^-1)
+        for the wall's least edge (g, s), or s alone when g = e.  Each chamber
+        below the outer sphere is spelled once, from its ShortLex parent's name."""
+        ball = self.ball
+        n, nbr, last, names = ball.system.rank, ball.nbr, ball.last, ball.system.generators
+        inverse = self._chamber_inverse
+        spelled = [""] * len(inverse)
+        for g in range(1, len(inverse)):  # in id order, so g's ShortLex parent p comes first
+            x = last[g]
+            p = nbr[g * n + x]
+            spelled[g] = f"{spelled[p]}.{names[x]}" if p else names[x]
+        out = []
+        for f in self.least_faces():
+            g, s = divmod(f, n)
+            out.append(f"{spelled[g]}.{names[s]}.{spelled[inverse[g]]}" if g else names[s])
+        return out
 
     @cached_property
-    def _chamber_tables(self):
-        """(words, inverse): for each chamber g below the outer sphere, nf(g)
-        and the id of g^-1, in one pass in id order.  nf(g) is its ShortLex
-        parent's word and last[g]; g^-1 = g[1:]^-1 g[0], with the id of g[1:]
-        read off the parent's (g = p x, so g[1:] = p[1:] x)."""
+    def _chamber_words(self) -> list:
+        """Chamber id -> nf(g), for the chambers below the outer sphere: its
+        ShortLex parent's word and last[g], in one pass in id order."""
+        ball = self.ball
+        n, nbr, last = ball.system.rank, ball.nbr, ball.last
+        words = [()] * len(self._chamber_inverse)
+        for g in range(1, len(words)):
+            x = last[g]
+            words[g] = words[nbr[g * n + x]] + (x,)
+        return words
+
+    @cached_property
+    def _chamber_inverse(self) -> list:
+        """Chamber id -> the id of g^-1, for the chambers below the outer
+        sphere, in one pass in id order.  g^-1 = g[1:]^-1 g[0], with the id of
+        g[1:] read off the ShortLex parent's (g = p x, so g[1:] = p[1:] x) and
+        g's first letter off the parent's."""
         ball = self.ball
         n, nbr, last = ball.system.rank, ball.nbr, ball.last
         size = len(last) - ball.sphere_sizes[ball.radius]
-        words, inverse, suffix = [()] * size, [0] * size, [0] * size
+        inverse, suffix, first = [0] * size, [0] * size, [0] * size
         for g in range(1, size):  # in id order, so g's ShortLex parent p comes first
             x = last[g]
             p = nbr[g * n + x]
-            words[g] = word = words[p] + (x,)
             if p:
+                first[g] = a = first[p]
                 suffix[g] = nbr[suffix[p] * n + x]
-                inverse[g] = nbr[inverse[suffix[g]] * n + word[0]]
+                inverse[g] = nbr[inverse[suffix[g]] * n + a]
             else:  # a generator: its own inverse, with suffix e
-                inverse[g] = g
-        return words, inverse
+                first[g], inverse[g] = x, g
+        return inverse
+
+    @cached_property
+    def face_rows(self) -> tuple:
+        """(interior, rows): the ids of the chambers whose every edge lies in the
+        ball, in id order, and for each of them its `rank` faces, row after row
+        in array('q') rows, as 2 * wall + far.  far is 1 when the wall
+        separates the chamber from e, which is a descent: the wall of the edge
+        {g, gs} separates e from g exactly when |gs| < |g| (Bjorner & Brenti,
+        Combinatorics of Coxeter Groups, 1.4).  No orientation enters, so every
+        alphabet over the wall set reads these rows (tiles.build_alphabet)."""
+        ball, faces = self.ball, self.faces
+        n, norms, nbr = ball.system.rank, ball.norms, ball.nbr
+        interior, rows = array("q"), array("q")
+        for g, level in enumerate(norms):
+            a = g * n
+            row = faces[a:a + n]
+            if -1 not in row:  # every edge of g lies in the ball
+                interior.append(g)
+                rows.extend([2 * w + (norms[x] < level) for w, x in zip(row, nbr[a:a + n])])
+        return interior, rows
 
 
 class _CrossingSets:
@@ -495,7 +550,8 @@ class ClassForest:
     level[w] is its depth in that tree, which is its peeling level from e.
     failed[c] is the least wall of class c whose separators are not nested,
     or -1; a class that failed has no tree, and its parent and level entries
-    mean nothing.
+    mean nothing.  contracted holds the last contraction made from this
+    forest, with the classes it was made for (see class_forest).
     """
 
     klass: list
@@ -503,6 +559,7 @@ class ClassForest:
     parent: list
     level: list
     failed: list
+    contracted: tuple | None = field(default=None, repr=False, compare=False)  # (classes, forest)
 
     def home(self, wids) -> int:
         """The class holding every wall of the list wids, or -1 (also when it is empty)."""
@@ -563,19 +620,26 @@ def class_forest(wallset: WallSet, classes) -> tuple:
     as it is when each class is one of its classes.  When each lies inside
     one of its classes that passed the nesting check, as the refined colors
     of wall_coloring lie in their palette classes, a contraction of its
-    trees (_contract) is returned, not kept.  Otherwise a pass builds the
-    trees (_region_pass), and its forest replaces the kept one.
+    trees (_contract) is returned.  The kept forest holds the contraction
+    for the last class list asked for, so the rebases of one refined
+    resolution share one; another list replaces it.  Otherwise a pass
+    builds the trees (_region_pass), and its forest replaces the kept one.
+    So a WallSet holds one forest and at most one contraction of it.
     """
     classes = [sorted(wids) for wids in classes]
+    numbers = list(range(len(classes)))
     kept = wallset._forest
     if kept is not None:
+        if kept.contracted is not None and kept.contracted[0] == classes:
+            return kept.contracted[1], numbers
         homes = [kept.home(wids) for wids in classes]
         if all(c >= 0 and kept.sizes[c] == len(wids) for c, wids in zip(homes, classes)):
             return kept, homes
         if all(c >= 0 and kept.failed[c] < 0 for c in homes):
-            return _contract(kept, classes), list(range(len(classes)))
+            kept.contracted = (classes, _contract(kept, classes))
+            return kept.contracted[1], numbers
     wallset._forest = _region_pass(wallset, classes)
-    return wallset._forest, list(range(len(classes)))
+    return wallset._forest, numbers
 
 
 def _class_numbers(count: int, classes) -> list:

@@ -8,7 +8,8 @@ non-right-angled systems, for canonical, alternating, flipped, rebased and
 random orientations, and for colorings or orientations that leave walls out.
 The descent identity the fast path rests on, that the wall of the edge
 {g, gs} separates e from g exactly when |gs| < |g|, is checked on its own
-against the crossing sets `sep`.
+against the crossing sets `sep`.  One wall set builds its orientation-free
+face rows (WallSet.face_rows) once, for every alphabet over it.
 """
 
 import random
@@ -20,7 +21,7 @@ from coxtile.coxeter import CoxeterSystem
 from coxtile.errors import ValidationError
 from coxtile.pipeline import alternating_resolution, build_walls
 from coxtile.tiles import build_alphabet, orient_all_plus, orient_alternating, rebased_alternating
-from coxtile.walls import alternating_palette, color_walls
+from coxtile.walls import WallSet, alternating_palette, color_walls
 
 HEXAGON = CoxeterSystem.right_angled_polygon(6)
 OCTAGON = CoxeterSystem.right_angled_polygon(8)
@@ -131,3 +132,25 @@ def test_face_side_is_a_descent(system, radius):
             edges += 1
             assert (ws.faces[g * n + s] in ws.sep[g]) == (ball.norms[gs] < ball.norms[g])
     assert edges == len(ball.edges)
+
+
+def test_one_wall_set_reads_its_face_rows_once(monkeypatch):
+    # alphabets of every orientation over one wall set share its face rows:
+    # built on the first call, read by every later one, excluded faces and
+    # chamber order included
+    built = []
+    rows = WallSet.face_rows  # the cached_property itself
+    monkeypatch.setattr(rows, "func", lambda ws, build=rows.func: built.append(ws) or build(ws))
+    ball, ws = build_walls(HEXAGON, 6)
+    res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=True)
+    assert_same_alphabet(ws, res.wall_colors, res.orientation)
+    assert_same_alphabet(ws, res.wall_colors, orient_all_plus(ws))
+    for word in [(0,), (3,), (1, 4)]:
+        ori = rebased_alternating(ws, res.class_wids, ball.id_of(word))
+        assert_same_alphabet(ws, res.wall_colors, ori)
+    dropped = set(random.Random(6).sample(range(len(ws)), 40))
+    colors = {w: c for w, c in res.wall_colors.items() if w not in dropped}
+    alpha = assert_same_alphabet(ws, colors, res.orientation)
+    assert alpha.excluded and alpha.chamber_tile
+    assert not assert_same_alphabet(ws, res.wall_colors, res.orientation).excluded
+    assert built == [ws]

@@ -217,8 +217,13 @@ def test_wall_coloring_matches_oracle_tree_depths(system, palette, radius):
 
 def test_wall_set_keeps_one_forest(monkeypatch):
     # refined colors are contracted from the palette's forest and palette
-    # classes read it as it stands: neither adds a forest or a pass
+    # classes read it as it stands: neither adds a pass.  The palette forest
+    # holds one contraction, for the last class list asked for, and the wall
+    # set holds nothing else: one forest plus at most one contraction
     passes = count_region_passes(monkeypatch)
+    contractions = []
+    real = coxtile.walls._contract
+    monkeypatch.setattr(coxtile.walls, "_contract", lambda f, c: contractions.append(c) or real(f, c))
     ball, ws = make(HEXAGON, 5)
     classes = color_walls(ws, alternating_palette(HEXAGON))
     color_of, _palette = wall_coloring(ws, classes)
@@ -226,11 +231,27 @@ def test_wall_set_keeps_one_forest(monkeypatch):
     refined = {}
     for wid, color in color_of.items():
         refined.setdefault(color, []).append(wid)
+
+    def held():
+        forests = [x for v in vars(ws).values() for x in (v if isinstance(v, list) else [v])
+                   if isinstance(x, ClassForest)]
+        nested = [f.contracted[1] for f in forests if f.contracted is not None]
+        assert all(f.contracted is None for f in nested)
+        return forests, nested
+
     for wids in [*refined.values(), *classes.by_color.values()]:
         peel_levels(ws, wids)
-    held = [x for v in vars(ws).values() for x in (v if isinstance(v, list) else [v])
-            if isinstance(x, ClassForest)]
-    assert held == [kept] and len(passes) == 1
+        forests, nested = held()
+        assert forests == [kept] and len(nested) <= 1
+    # refined -> palette -> refined: the second refined read reuses the contraction
+    made = len(contractions)
+    first, _ = class_forest(ws, refined.values())
+    assert class_forest(ws, classes.by_color.values())[0] is kept
+    assert class_forest(ws, refined.values())[0] is first
+    forests, nested = held()
+    assert len(contractions) == made + 1
+    assert len(forests) == len(nested) == 1 and forests[0] is kept and nested[0] is first
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize(
