@@ -184,7 +184,7 @@ def _cmd_walls(args, out) -> int:
     levels = parents = [None] * count  # read only: classes that meet get no trees
     if classes.disjoint:
         levels, parents = class_trees(wallset, classes)
-    names = wallset.spelled_words()
+    names = [system.spell(wallset.canonical_word(w)) for w in range(count)]
     walls = [
         {
             "canonical_word": name,

@@ -11,18 +11,27 @@ beyond that class.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import WindowError
+from .coxeter import Ball
+from .errors import ValidationError, WindowError
 from .tiles import TileAlphabet
 
 
 @dataclass
 class ChamberTiling:
-    """A labeled tiling of an enumerated Ball: chamber -> tile, keyed by the
-    chamber's normal-form word (Ball.words), as reports spell chambers.
-    translate_compare walks the ball's ShortLex tree and reads labels by word."""
+    """A labeled tiling of an enumerated coxeter.Ball: chamber -> tile, keyed
+    by the chamber's normal-form word (Ball.words), as reports spell chambers.
+    translate_compare walks the ball's ShortLex tree and reads labels by word,
+    and restrict_patch reads a chamber's norm off its word's length, so any
+    other ball (a lattice.LatticeBall, say) is refused."""
 
-    ball: object
+    ball: Ball
     labels: dict
+
+    def __post_init__(self):
+        if not isinstance(self.ball, Ball):
+            raise ValidationError(
+                f"a chamber tiling needs an enumerated Coxeter ball, got {type(self.ball).__name__}"
+            )
 
     @classmethod
     def from_alphabet(cls, ball, alphabet: TileAlphabet) -> "ChamberTiling":
@@ -104,9 +113,8 @@ def translate_compare(tiling: ChamberTiling, g, depth: int) -> TranslateVerdict:
     x -> g^{-1} x commutes with right multiplication, so for x = p s with p
     x's ShortLex parent, g^{-1} x = (g^{-1} p) s: the images are one lookup
     each in Ball.nbr, filled in id order from the id of g^{-1}, which a
-    walk from e along reversed(g) finds (normal_form only where that walk
-    leaves the ball).  A level is compared only when the one below was
-    complete, so every parent's image lies in the ball.
+    walk from e along its normal form finds.  A level is compared only when
+    the one below was complete, so every parent's image lies in the ball.
     """
     if depth < 0:
         raise WindowError(f"depth must be nonnegative, got {depth}")
@@ -137,11 +145,12 @@ def translate_compare(tiling: ChamberTiling, g, depth: int) -> TranslateVerdict:
 
 
 def _inverse_id(ball, g) -> int:
-    """The id of g^{-1} in the ball, or -1 outside it: a walk from e along
-    reversed(g) in Ball.nbr, and the normal form of g^{-1} where it leaves."""
+    """The id of g^{-1} in the ball, or -1 outside it.  Its normal form is a
+    reduced word, so its prefixes lie in the ball exactly when it does, and a
+    walk from e along it in Ball.nbr meets -1 only outside."""
     n, nbr, i = ball.system.rank, ball.nbr, 0
-    for s in reversed(tuple(g)):
-        if not 0 <= s < n or nbr[i * n + s] < 0:
-            return ball.index.get(ball.inv(g), -1)
+    for s in ball.inv(g):
         i = nbr[i * n + s]
+        if i < 0:
+            return -1
     return i

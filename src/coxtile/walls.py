@@ -36,8 +36,7 @@ A wall's reflection word is read straight off the ball: with (g, s) its
 least edge, nf(g s g^-1) = nf(g) s nf(g^-1) in every Coxeter system, so ids,
 which open each wall at its least edge, follow the ShortLex order of wall
 words, and the least-word wall of a class is its least id
-(WallSet.canonical_word).  WallSet.spelled_words spells the same words in
-generator names from one name per chamber, with no word tuple.
+(WallSet.canonical_word).
 """
 
 from array import array
@@ -157,70 +156,39 @@ class WallSet:
            the wall with the least word in any set is the one with least id.
 
         The words and inverses of the chambers below the outer sphere are read
-        off the ShortLex tree on first use (_chamber_words, _chamber_inverse);
-        no word is renormalized.
+        off the ShortLex tree on first use (_chamber_tables); no word is
+        renormalized.
         """
+        words, inverse = self._chamber_tables
         g, s = divmod(self.edge_faces[self.edge_start[wid]], self.ball.system.rank)
-        words = self._chamber_words
-        return words[g] + (s,) + words[self._chamber_inverse[g]]
-
-    def spelled_words(self) -> list:
-        """Wall id -> its canonical word in generator names, as
-        system.spell(canonical_word(w)) spells it: spelled(g).s.spelled(g^-1)
-        for the wall's least edge (g, s), or s alone when g = e.  Each chamber
-        below the outer sphere is spelled once, from its ShortLex parent's name."""
-        ball = self.ball
-        n, nbr, last, names = ball.system.rank, ball.nbr, ball.last, ball.system.generators
-        inverse = self._chamber_inverse
-        spelled = [""] * len(inverse)
-        for g in range(1, len(inverse)):  # in id order, so g's ShortLex parent p comes first
-            x = last[g]
-            p = nbr[g * n + x]
-            spelled[g] = f"{spelled[p]}.{names[x]}" if p else names[x]
-        out = []
-        for f in self.least_faces():
-            g, s = divmod(f, n)
-            out.append(f"{spelled[g]}.{names[s]}.{spelled[inverse[g]]}" if g else names[s])
-        return out
+        return words[g] + (s,) + words[inverse[g]]
 
     @cached_property
-    def _chamber_words(self) -> list:
-        """Chamber id -> nf(g), for the chambers below the outer sphere: its
-        ShortLex parent's word and last[g], in one pass in id order."""
-        ball = self.ball
-        n, nbr, last = ball.system.rank, ball.nbr, ball.last
-        words = [()] * len(self._chamber_inverse)
-        for g in range(1, len(words)):
-            x = last[g]
-            words[g] = words[nbr[g * n + x]] + (x,)
-        return words
-
-    @cached_property
-    def _chamber_inverse(self) -> list:
-        """Chamber id -> the id of g^-1, for the chambers below the outer
-        sphere, in one pass in id order.  g^-1 = g[1:]^-1 g[0], with the id of
-        g[1:] read off the ShortLex parent's (g = p x, so g[1:] = p[1:] x) and
-        g's first letter off the parent's."""
+    def _chamber_tables(self):
+        """(words, inverse): for each chamber g below the outer sphere, nf(g)
+        and the id of g^-1, in one pass in id order.  nf(g) is its ShortLex
+        parent's word and last[g]; g^-1 = g[1:]^-1 g[0], with the id of g[1:]
+        read off the parent's (g = p x, so g[1:] = p[1:] x)."""
         ball = self.ball
         n, nbr, last = ball.system.rank, ball.nbr, ball.last
         size = len(last) - ball.sphere_sizes[ball.radius]
-        inverse, suffix, first = [0] * size, [0] * size, [0] * size
+        words, inverse, suffix = [()] * size, [0] * size, [0] * size
         for g in range(1, size):  # in id order, so g's ShortLex parent p comes first
             x = last[g]
             p = nbr[g * n + x]
+            words[g] = word = words[p] + (x,)
             if p:
-                first[g] = a = first[p]
                 suffix[g] = nbr[suffix[p] * n + x]
-                inverse[g] = nbr[inverse[suffix[g]] * n + a]
+                inverse[g] = nbr[inverse[suffix[g]] * n + word[0]]
             else:  # a generator: its own inverse, with suffix e
-                first[g], inverse[g] = x, g
-        return inverse
+                inverse[g] = g
+        return words, inverse
 
     @cached_property
     def face_rows(self) -> tuple:
         """(interior, rows): the ids of the chambers whose every edge lies in the
         ball, in id order, and for each of them its `rank` faces, row after row
-        in array('q') rows, as 2 * wall + far.  far is 1 when the wall
+        in one array('q'), as 2 * wall + far.  far is 1 when the wall
         separates the chamber from e, which is a descent: the wall of the edge
         {g, gs} separates e from g exactly when |gs| < |g| (Bjorner & Brenti,
         Combinatorics of Coxeter Groups, 1.4).  No orientation enters, so every

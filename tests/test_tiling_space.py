@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from coxtile.coxeter import CoxeterSystem
-from coxtile.errors import WindowError
+from coxtile.errors import ValidationError, WindowError
+from coxtile.lattice import ZLattice
 from coxtile.pipeline import alternating_resolution, build_walls
 from coxtile.tiles import build_alphabet, rebased_alternating
 from coxtile.tiling_space import (
@@ -36,6 +37,15 @@ def constant_tiling(radius=5):
     tile = tuple(("c",) for _ in range(6))
     labels = {w: tile for w in ball.members() if ball.norm(w) <= radius - 1}
     return ball, ChamberTiling(ball, labels)
+
+
+def test_lattice_ball_tiling_is_refused():
+    # labels are keyed by normal forms whose length is their norm, and
+    # translates walk the ShortLex tree: a lattice ball has neither
+    ball = ZLattice(2).ball(3)
+    labels = {p: ("c",) for p in ball.members()}
+    with pytest.raises(ValidationError, match="enumerated Coxeter ball, got LatticeBall"):
+        ChamberTiling(ball, labels)
 
 
 def test_restrict_patch_base_only():

@@ -157,22 +157,3 @@ def test_walls_cli_leaves_words_and_index_unbuilt(monkeypatch):
     assert cli.main(argv, out=io.StringIO()) == 0
     (ball, _), = built
     assert "words" not in ball.__dict__ and "index" not in ball.__dict__
-
-
-@pytest.mark.parametrize(
-    "system, radius",
-    [
-        (HEXAGON, 6),
-        (TRIANGLE_33INF, 12),
-        (RANK4_5678, 5),
-        (CoxeterSystem(("up", "s10", "long_name"), ((1, 4, 0), (4, 1, 3), (0, 3, 1))), 8),
-    ],
-    ids=["hexagon-r6", "33inf-r12", "rank4-5678-r5", "long-names-r8"],
-)
-def test_spelled_words_spell_the_canonical_words(system, radius):
-    # the walls report spells each word from per-chamber names; it must read
-    # exactly as the canonical word spelled letter by letter
-    ws = enumerate_walls(enumerate_ball(system, radius))
-    spelled = ws.spelled_words()
-    assert len(spelled) == len(ws) > 0
-    assert spelled == [system.spell(ws.canonical_word(w)) for w in range(len(ws))]
