@@ -280,7 +280,7 @@ def _cmd_space(args, out) -> int:
         )
     distances = []
     for g in gs:
-        if ball.norm(g) > 1:
+        if system.norm(g) > 1:
             continue
         ori = rebased_alternating(wallset, res.class_wids, ball.id_of(g))
         alpha = build_alphabet(wallset, res.wall_colors, ori)

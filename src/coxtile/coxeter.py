@@ -1,12 +1,11 @@
 """Coxeter systems, word normal forms, and Cayley-ball enumeration.
 
 Elements are represented by ShortLex-least geodesic words in generator
-indices.  Right-angled systems (all off-diagonal orders in {2, infinity})
-get an exact rewriting backend; every other system gets DescentEngine,
-which reads the normal form off the signs of the dual vector g f0, in
-integers when every order is 2, 3 or infinity and else in fixed point with
-proven error bounds, at doubled precision until the bounds decide.  Nothing
-is identified by floating point.
+indices.  Every system gets one engine, DescentEngine, which reads the
+normal form off the signs of the dual vector g f0, in integers when every
+order is 2, 3 or infinity (right-angled systems among them) and else in
+fixed point with proven error bounds, at doubled precision until the bounds
+decide.  Nothing is identified by floating point.
 
 A ball needs no element keys at all.  Its edges come from the dihedral coset
 lemma (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2.4): an element
@@ -21,7 +20,7 @@ A Ball stores its ShortLex tree rather than a word per element: the norm,
 the neighbours and the last letter of each element's normal form, so an
 element's ShortLex parent is one lookup in the neighbour table.  Its words
 and the word -> id index are built from that tree on first use; sphere
-sizes, walls and separation never need them.
+sizes, walls, separation and element ids (Ball.find) never need them.
 """
 
 import json
@@ -152,13 +151,7 @@ class CoxeterSystem:
 
     def normal_form(self, word) -> tuple[int, ...]:
         """ShortLex-least geodesic word for the element spelled by `word`."""
-        word = self._letters(word)
-        if self.is_right_angled:
-            nf = ()
-            for s in word:
-                nf = _ra_mul_gen(self, nf, s)
-            return nf
-        return self._descents.normal_form(word)
+        return self._descents.normal_form(self._letters(word))
 
     def norm(self, word) -> int:
         return len(self.normal_form(word))
@@ -185,32 +178,7 @@ def load_system(source) -> CoxeterSystem:
         return CoxeterSystem.from_json(fh.read())
 
 
-# -- right-angled rewriting ------------------------------------------------
-#
-# Canonical form = lexicographically least reduced word.  Appending one
-# generator preserves canonicity: either it cancels against a matching
-# letter whose suffix commutes with it, or it is inserted in front of the
-# larger letters of the maximal commuting suffix.
-
-
-def _ra_mul_gen(system: CoxeterSystem, nf: tuple[int, ...], s: int) -> tuple[int, ...]:
-    m = system.matrix
-    for i in range(len(nf) - 1, -1, -1):
-        x = nf[i]
-        if x == s:
-            return nf[:i] + nf[i + 1 :]
-        if m[x][s] != 2:
-            blocker = i
-            break
-    else:
-        blocker = -1
-    pos = blocker + 1
-    while pos < len(nf) and nf[pos] < s:
-        pos += 1
-    return nf[:pos] + (s,) + nf[pos:]
-
-
-# -- the descent engine (every system that is not right-angled) --------------
+# -- the descent engine ------------------------------------------------------
 
 
 #: 2cos(pi/m) for the orders where it is an integer (0 encodes infinity)
@@ -416,11 +384,25 @@ class Ball:
     def __len__(self) -> int:
         return len(self.norms)
 
+    def find(self, word) -> int:
+        """The id of the element spelled by `word`, or -1 outside the ball.
+        Its normal form is a reduced word, so its prefixes lie in the ball
+        exactly when it does, and a walk from e along it in `nbr` meets -1
+        only outside."""
+        n, nbr, i = self.system.rank, self.nbr, 0
+        for s in self.system.normal_form(word):
+            i = nbr[i * n + s]
+            if i < 0:
+                break
+        return i
+
     def id_of(self, word) -> int:
-        nf = self.system.normal_form(word)
-        if nf not in self.index:
+        word = tuple(word)
+        i = self.find(word)
+        if i < 0:
+            nf = self.system.normal_form(word)
             raise OutOfBallError(f"element {nf} is outside the radius-{self.radius} ball")
-        return self.index[nf]
+        return i
 
     # group-ops protocol shared with the lattice backend (keys are words)
 
@@ -429,7 +411,7 @@ class Ball:
 
     def norm(self, word) -> int:
         # members are stored in normal form, so their norm is their length
-        if word in self.index:
+        if isinstance(word, tuple) and word in self.index:
             return len(word)
         return self.system.norm(word)
 
@@ -449,12 +431,7 @@ class Ball:
             i = j
         else:
             return self.words[i]
-        nf = self.words[i]
-        if not system.is_right_angled:
-            return system.mul(nf, v[k:])
-        for s in system._letters(v[k:]):  # nf is a normal form already
-            nf = _ra_mul_gen(system, nf, s)
-        return nf
+        return system.mul(self.words[i], v[k:])
 
     def mul_norm(self, u, v):
         """(u v, |u v|): the product is a normal form, so its norm is its length."""
@@ -465,7 +442,7 @@ class Ball:
         return self.system.inv(u)
 
     def contains(self, word) -> bool:
-        return self.system.normal_form(word) in self.index
+        return self.find(word) >= 0
 
     @property
     def identity(self):
@@ -561,7 +538,7 @@ def radial_segment(ball: Ball, g) -> list[tuple[int, ...]]:
     """The prefix path of g's normal form: a geodesic from e to g along
     which norms strictly increase."""
     nf = ball.system.normal_form(g)
-    if nf not in ball.index:
+    if ball.find(nf) < 0:
         raise OutOfBallError(f"{nf} not in the enumerated ball")
     return [nf[:i] for i in range(len(nf) + 1)]
 

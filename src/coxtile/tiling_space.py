@@ -112,9 +112,9 @@ def translate_compare(tiling: ChamberTiling, g, depth: int) -> TranslateVerdict:
 
     x -> g^{-1} x commutes with right multiplication, so for x = p s with p
     x's ShortLex parent, g^{-1} x = (g^{-1} p) s: the images are one lookup
-    each in Ball.nbr, filled in id order from the id of g^{-1}, which a
-    walk from e along its normal form finds.  A level is compared only when
-    the one below was complete, so every parent's image lies in the ball.
+    each in Ball.nbr, filled in id order from the id of g^{-1}, which
+    Ball.find gives.  A level is compared only when the one below was
+    complete, so every parent's image lies in the ball.
     """
     if depth < 0:
         raise WindowError(f"depth must be nonnegative, got {depth}")
@@ -128,7 +128,7 @@ def translate_compare(tiling: ChamberTiling, g, depth: int) -> TranslateVerdict:
                 s = last[x]
                 y = nbr[img[nbr[x * n + s]] * n + s]
             else:
-                y = _inverse_id(ball, g)
+                y = ball.find(reversed(g))
             img.append(y)
             here = labels.get(words[x])
             there = labels.get(words[y]) if y >= 0 else None
@@ -143,14 +143,3 @@ def translate_compare(tiling: ChamberTiling, g, depth: int) -> TranslateVerdict:
             )
     return TranslateVerdict(True)
 
-
-def _inverse_id(ball, g) -> int:
-    """The id of g^{-1} in the ball, or -1 outside it.  Its normal form is a
-    reduced word, so its prefixes lie in the ball exactly when it does, and a
-    walk from e along it in Ball.nbr meets -1 only outside."""
-    n, nbr, i = ball.system.rank, ball.nbr, 0
-    for s in ball.inv(g):
-        i = nbr[i * n + s]
-        if i < 0:
-            return -1
-    return i

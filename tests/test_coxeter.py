@@ -192,6 +192,7 @@ def test_ball_mul_through_the_table_matches_the_system(name):
     # v short (the walk stays in the ball), long (it leaves), or e
     vs = [()] + [tuple(rng.randrange(system.rank) for _ in range(k)) for k in (1, 2, 3, 2 * radius)]
     for u in members:
+        assert ball.norm(list(u)) == ball.norm(u) == len(u)
         for v in vs + [tuple(reversed(u))]:
             assert ball.mul(u, v) == system.mul(u, v)
     # letters outside 0..rank-1 in v, first or after the table walk has taken a step
@@ -201,6 +202,37 @@ def test_ball_mul_through_the_table_matches_the_system(name):
             ball.mul(u, v)
         with pytest.raises(ValidationError):
             system.mul(u, v)
+
+
+@pytest.mark.parametrize(
+    "system, radius",
+    [(CoxeterSystem.right_angled_polygon(6), 5), (triangle(3, 3, 0), 8), (RANK4_5678, 4)],
+    ids=["hexagon", "(3,3,inf)", "rank4-5678"],
+)
+def test_ball_find_walks_the_tree_to_an_id(system, radius):
+    ball = enumerate_ball(system, radius)
+    n = system.rank
+    assert [ball.find(w) for w in ball.words] == list(range(len(ball)))
+    assert ball.find(list(ball.words[-1])) == len(ball) - 1
+    far = [w for w in enumerate_ball(system, radius + 2).words if len(w) > radius]
+    rng = random.Random(radius)
+    for w in rng.sample(far, 20):
+        assert ball.find(w) == -1
+        with pytest.raises(OutOfBallError) as exc:
+            ball.id_of(w)
+        assert str(exc.value) == f"element {w} is outside the radius-{radius} ball"
+    # from the outer sphere out of the ball and back: u s s, u w w^-1
+    for u in rng.sample(range(len(ball) - ball.sphere_sizes[radius], len(ball)), 20):
+        word = ball.words[u]
+        s = next(s for s in range(n) if ball.nbr[u * n + s] < 0)
+        w = rng.choice(far)
+        for detour in [word + (s, s), word + w + tuple(reversed(w))]:
+            assert ball.find(detour) == ball.id_of(detour) == u
+    for w in [(n,), (-1,), (0, n)]:
+        with pytest.raises(ValidationError):
+            ball.find(w)
+    for w in ball.words[::7] + far[::7] + [(0, 1, 1, 0), (0,) * (2 * radius + 1)]:
+        assert ball.contains(w) == (ball.find(w) >= 0)
 
 
 def test_triangle_ball_r22_exact_spheres():

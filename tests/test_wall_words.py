@@ -144,7 +144,8 @@ def test_walls_and_trees_leave_words_and_index_unbuilt():
     assert "words" not in ball.__dict__ and "index" not in ball.__dict__
 
 
-def test_walls_cli_leaves_words_and_index_unbuilt(monkeypatch):
+def cli_ball(monkeypatch, argv):
+    """The one ball that a successful CLI run builds."""
     built = []
 
     def build_walls(system, radius):
@@ -153,7 +154,20 @@ def test_walls_cli_leaves_words_and_index_unbuilt(monkeypatch):
 
     original = cli.build_walls
     monkeypatch.setattr(cli, "build_walls", build_walls)
-    argv = ["walls", "--system", "hexagon", "--radius", "6", "--palette", "alternating"]
     assert cli.main(argv, out=io.StringIO()) == 0
     (ball, _), = built
+    return ball
+
+
+def test_walls_cli_leaves_words_and_index_unbuilt(monkeypatch):
+    argv = ["walls", "--system", "hexagon", "--radius", "6", "--palette", "alternating"]
+    ball = cli_ball(monkeypatch, argv)
     assert "words" not in ball.__dict__ and "index" not in ball.__dict__
+
+
+@pytest.mark.parametrize("g", [None, "s1"])
+def test_space_cli_leaves_index_unbuilt(monkeypatch, g):
+    # Ball.words stays: the tiling is keyed by normal-form words
+    argv = ["space", "--n", "3", "--radius", "5", "--depth", "3"] + (["--g", g] if g else [])
+    ball = cli_ball(monkeypatch, argv)
+    assert "index" not in ball.__dict__
