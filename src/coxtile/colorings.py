@@ -10,8 +10,10 @@ a finite proxy whose scale parameters travel with the verdict.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
+from types import SimpleNamespace
 
-from .errors import OutOfBallError, ValidationError
+from .errors import OutOfBallError, ValidationError, WindowError
 from .sequences import ternary_term
 
 
@@ -52,9 +54,9 @@ NORM_PALETTE = [(i, j) for i in range(3) for j in range(3)]
 
 
 def norm_coloring(ball) -> GroupColoring:
-    """Color g by (t(|g|), |g| mod 3); nine colors."""
-    assignment = {g: norm_color(ball.norm(g)) for g in ball.members()}
-    return GroupColoring(ball, list(NORM_PALETTE), assignment, by_norm=norm_color)
+    """Color g by (t(|g|), |g| mod 3); nine colors.  The rule alone: every
+    color is read off the norm, so no member's color is stored."""
+    return GroupColoring(ball, list(NORM_PALETTE), {}, by_norm=norm_color)
 
 
 def tree_norm_coloring(vertices, edges, root) -> dict:
@@ -110,17 +112,25 @@ def radial_claim_check(ball, coloring: GroupColoring, g, segment) -> ClaimVerdic
     for x, y in zip(seg, seg[1:]):
         if ball.norm(ball.mul(ball.inv(x), y)) != 1:
             return ClaimVerdict("hypotheses-not-satisfied", "not a geodesic path")
+    return _claim(ball, coloring.value, g, seg)
+
+
+def _claim(group, color, g, seg) -> ClaimVerdict:
+    """The color, displacement and norm tests of `radial_claim_check` on a
+    radial geodesic `seg`; x is translated only as far as the colors hold."""
     k = len(seg)
-    translated = [ball.mul(g, x) for x in seg]
-    for x, gx in zip(seg, translated):
-        if coloring.value(x) != coloring.value(gx):
+    translated = []
+    for x in seg:
+        gx = group.mul(g, x)
+        if color(x) != color(gx):
             return ClaimVerdict("hypotheses-not-satisfied", "colors not preserved")
+        translated.append(gx)
     if not any(
-        ball.norm(ball.mul(ball.inv(x), gx)) * 2 < k for x, gx in zip(seg, translated)
+        group.norm(group.mul(group.inv(x), gx)) * 2 < k for x, gx in zip(seg, translated)
     ):
         return ClaimVerdict("hypotheses-not-satisfied", "displacement never below k/2")
     for i, (x, gx) in enumerate(zip(seg, translated)):
-        if ball.norm(gx) != ball.norm(x):
+        if group.norm(gx) != group.norm(x):
             return ClaimVerdict("fail", i)
     return ClaimVerdict("pass")
 
@@ -135,91 +145,72 @@ class ClaimScan:
 
 def radial_claim_scan(ball, coloring, max_g_norm: int, min_len: int) -> ClaimScan:
     """Exhaustive radial_claim_check over all radial segments with at least
-    `min_len` vertices and all g of norm <= max_g_norm in the ball."""
-    ids = range(len(ball.words))
-    n, norms = ball.system.rank, ball.norms
-    up = {}
-    for i in ids:
-        up[i] = [j for j in ball.nbr[i * n : i * n + n] if j >= 0 and norms[j] == norms[i] + 1]
+    `min_len` vertices and all g of norm <= max_g_norm in the ball.
+
+    The segments are the paths that climb the ball's edges one norm at a
+    time, so each is a radial geodesic by construction and only the tests
+    of `_claim` run on it.  Products, inverses, norms and colors are
+    memoized for the scan, as segments share their points.
+    """
+    group = SimpleNamespace(mul=cache(ball.mul), inv=cache(ball.inv), norm=cache(ball.norm))
+    color = cache(coloring.value)
+    n, norms, nbr = ball.system.rank, ball.norms, ball.nbr
     gs = [w for w in ball.members() if ball.norm(w) <= max_g_norm]
-    # g * x norms, precomputed once per (g, x)
-    norm_gx = {}
-    color_x = {}
-    for x in ball.members():
-        color_x[x] = coloring.value(x)
-    gx_cache = {}
-    for g in gs:
-        for x in ball.members():
-            gx = ball.mul(g, x)
-            gx_cache[(g, x)] = gx
-            norm_gx[(g, x)] = ball.norm(gx)
-    disp_cache = {}
-
-    def displacement(g, x):
-        if (g, x) not in disp_cache:
-            disp_cache[(g, x)] = ball.norm(ball.mul(ball.inv(x), gx_cache[(g, x)]))
-        return disp_cache[(g, x)]
-
     segments = 0
     checked = 0
     hypotheses_met = 0
     failures = []
-    stack = [(i, [i]) for i in ids]
+    stack = [(i, [i]) for i in range(len(ball.words))]
     while stack:
         i, path = stack.pop()
-        for j in up[i]:
-            stack.append((j, path + [j]))
+        for j in nbr[i * n : i * n + n]:
+            if j >= 0 and norms[j] == norms[i] + 1:
+                stack.append((j, path + [j]))
         if len(path) < min_len:
             continue
         segments += 1
         words = [ball.words[p] for p in path]
-        k = len(words)
         for g in gs:
             checked += 1
-            ok = True
-            for x in words:
-                gx = gx_cache[(g, x)]
-                cx = color_x[x]
-                cgx = color_x.get(gx)
-                if cgx is None:
-                    cgx = coloring.value(gx)
-                if cx != cgx:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if not any(2 * displacement(g, x) < k for x in words):
+            verdict = _claim(group, color, g, words)
+            if verdict.status == "hypotheses-not-satisfied":
                 continue
             hypotheses_met += 1
-            for idx, x in enumerate(words):
-                if norm_gx[(g, x)] != ball.norm(x):
-                    failures.append((g, words, idx))
-                    break
+            if verdict.status == "fail":
+                failures.append((g, words, verdict.detail))
     return ClaimScan(segments, checked, hypotheses_met, failures)
 
 
 # -- finite index transfer -----------------------------------------------------
 
 
-def _validate_transversal(group, reps, membership):
+def _cosets(group, reps, membership):
+    """(x, i, x y_i^{-1}) for each member x, where x lies in H y_i.
+
+    Raises ValidationError unless the reps start at the identity and put
+    every member in exactly one coset.
+    """
+    if not reps or reps[0] != group.identity:
+        raise ValidationError("first coset representative must be the identity")
     inv_reps = [group.inv(y) for y in reps]
+    cosets = []
     for x in group.members():
-        hits = [i for i, yinv in enumerate(inv_reps) if membership(group.mul(x, yinv))]
+        products = (group.mul(x, yinv) for yinv in inv_reps)
+        hits = [(i, h) for i, h in enumerate(products) if membership(h)]
         if len(hits) != 1:
             raise ValidationError(
                 f"coset reps do not partition the ball: element {x} lies in "
                 f"{len(hits)} cosets"
             )
+        cosets.append((x, *hits[0]))
+    return cosets
 
 
 def transfer_to_subgroup(group, coloring: GroupColoring, reps, membership) -> GroupColoring:
     """Tuple-color the subgroup: psi(x) = (phi(x y_1), ..., phi(x y_n))."""
-    if not reps or reps[0] != group.identity:
-        raise ValidationError("first coset representative must be the identity")
-    _validate_transversal(group, reps, membership)
     assignment = {}
-    for x in group.members():
-        if not membership(x):
+    for x, i, _h in _cosets(group, reps, membership):
+        if i != 0:
             continue
         try:
             assignment[x] = tuple(coloring.value(group.mul(x, y)) for y in reps)
@@ -231,15 +222,8 @@ def transfer_to_subgroup(group, coloring: GroupColoring, reps, membership) -> Gr
 
 def transfer_from_subgroup(group, sub_coloring: GroupColoring, reps, membership) -> GroupColoring:
     """Color the group: phi(x) = (psi(y_i^{-1} x), i) for x in H y_i."""
-    if not reps or reps[0] != group.identity:
-        raise ValidationError("first coset representative must be the identity")
-    _validate_transversal(group, reps, membership)
-    inv_reps = [group.inv(y) for y in reps]
     assignment = {}
-    for x in group.members():
-        hits = [i for i, yinv in enumerate(inv_reps) if membership(group.mul(x, yinv))]
-        i = hits[0]
-        h = group.mul(x, inv_reps[i])
+    for x, i, h in _cosets(group, reps, membership):
         try:
             assignment[x] = (sub_coloring.value(h), i + 1)
         except OutOfBallError:
@@ -323,7 +307,11 @@ def aperiodicity_report(
     group, coloring: GroupColoring, g_range: int, h_range: int, window: int, extra_pairs=()
 ) -> AperiodicityReport:
     """Witness search over all g != e with |g| <= g_range and |h| <= h_range,
-    plus any explicitly supplied (g, h) pairs."""
+    plus any explicitly supplied (g, h) pairs.  Raises WindowError when a
+    range or the window is negative."""
+    for name, value in (("g range", g_range), ("h range", h_range), ("window", window)):
+        if value < 0:
+            raise WindowError(f"{name} must be nonnegative, got {value}")
     report = AperiodicityReport(g_range, h_range, window)
     win = [u for u in group.members() if group.norm(u) <= window]
     gs = [g for g in group.members() if 0 < group.norm(g) <= g_range]

@@ -10,9 +10,9 @@ run left to right in plain floats, so no BLAS kernel can change the bits.
 
 import random
 from dataclasses import dataclass
-from math import acos, acosh, cos, cosh, pi, sin, sinh, sqrt
+from math import acos, acosh, cos, cosh, isfinite, isinf, pi, sin, sinh, sqrt
 
-from .errors import GeometryError
+from .errors import GeometryError, ValidationError
 
 BASEPOINT = (0.0, 0.0, 1.0)
 TICK_LENGTH = 0.02  # a drawn tick's length at the disk centre, shrinking toward the rim
@@ -68,6 +68,15 @@ def angle_at(b, a, c) -> float:
     ta = tangent_toward(b, a)
     tc = tangent_toward(b, c)
     return acos(max(-1.0, min(1.0, lorentz_dot(ta, tc))))
+
+
+def cosh_sinh(d: float) -> tuple[float, float]:
+    """(cosh d, sinh d).  Raises OverflowError when they leave the floats,
+    also for an infinite d, where math.cosh returns inf without raising."""
+    c, s = cosh(d), sinh(d)
+    if isinf(c):
+        raise OverflowError("math range error")
+    return c, s
 
 
 def geodesic_point(a, b, t: float) -> tuple[float, float, float]:
@@ -449,7 +458,13 @@ def _displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, o
     u0, u1, u2 = u0 + t * x0, u1 + t * x1, u2 + t * x2
     q = sqrt(u0 * u0 + u1 * u1 - u2 * u2)
     u0, u1, u2 = u0 / q, u1 / q, u2 / q
-    c, sh = cosh(d), sinh(d)
+    try:
+        c, sh = cosh_sinh(d)
+    except OverflowError:
+        raise GeometryError(
+            f"vertex {k} of chamber {tile.word} moves out of the float range: "
+            "use an epsilon of smaller magnitude"
+        ) from None
     return (c * x0 + sh * u0, c * x1 + sh * u1, c * x2 + sh * u2)
 
 
@@ -514,8 +529,11 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
     `face_data[i][k]` may carry (color, tick tip) for side k of tile i: the
     side is stroked by color and a tick is drawn from its midpoint toward the
     tip, on the wall's positive side.  Deterministic: no timestamps, fixed
-    float formatting.
+    float formatting.  Raises ValidationError for a stroke width that is
+    negative or not finite.
     """
+    if not (isfinite(stroke_width) and stroke_width >= 0):
+        raise ValidationError(f"stroke width must be finite and nonnegative, got {stroke_width}")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.05 -1.05 2.10 2.10">',

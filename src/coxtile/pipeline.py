@@ -8,10 +8,11 @@ alphabet.  Both the CLI and the acceptance suite drive this module.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import cosh, sinh, sqrt
+from math import isfinite, sqrt
 
+from .colorings import NORM_PALETTE
 from .coxeter import CoxeterSystem, enumerate_ball
-from .errors import ValidationError
+from .errors import GeometryError, ValidationError
 from .tiles import TileAlphabet, build_alphabet, orient_all_plus, orient_alternating
 from .walls import WallSet, class_levels, color_walls, enumerate_walls, wall_coloring
 
@@ -104,7 +105,7 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
     side the tile is on is a descent, as in `build_alphabet`: the wall of
     side k lies between the base chamber and g exactly when |g s_k| < |g|.
     """
-    from .hyperbolic import center_of, geodesic_point, tangent_toward
+    from .hyperbolic import center_of, cosh_sinh, geodesic_point, tangent_toward
 
     rank, norms, nbr = ball.system.rank, ball.norms, ball.nbr
     data = []
@@ -125,8 +126,14 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
             u = tangent_toward(mid, c)
             d0, d1, d2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
             delta = TICK * max(1e-9, sqrt(d0 * d0 + d1 * d1 + d2 * d2))
-            ch, sh = cosh(delta), seen * sinh(delta)
-            tip = tuple(ch * m + sh * x for m, x in zip(mid, u))
+            try:
+                ch, sh = cosh_sinh(delta)
+            except OverflowError:
+                raise GeometryError(
+                    f"tick of chamber {tile.word} leaves the float range: "
+                    "use a smaller radius or epsilon"
+                ) from None
+            tip = tuple(ch * m + seen * sh * x for m, x in zip(mid, u))
             sides.append((wall_colors[wid], tip))
         data.append(sides)
     return data
@@ -146,6 +153,8 @@ def render_bundle(
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
+    if not isfinite(epsilon_factor):
+        raise ValidationError(f"epsilon factor must be finite, got {epsilon_factor}")
     from .hyperbolic import (
         build_polygon,
         default_magnitudes,
@@ -165,8 +174,8 @@ def render_bundle(
     if deform:
         if refine:
             class_of = lambda color: color[0]
-            a_colors = [("a", (i, j)) for i in range(3) for j in range(3)]
-            b_colors = [("b", (i, j)) for i in range(3) for j in range(3)]
+            a_colors = [("a", c) for c in NORM_PALETTE]
+            b_colors = [("b", c) for c in NORM_PALETTE]
         else:
             class_of = lambda color: color
             a_colors, b_colors = ["a"], ["b"]

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
 
+from .colorings import NORM_PALETTE, norm_color
 from .coxeter import Ball, _dihedral_pairs
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
 
@@ -760,27 +761,19 @@ def wall_coloring(wallset: WallSet, classes: WallClasses):
     """Color every wall by (class color, depth color in its WallTree, the depth
     read off class_trees), and return the coloring and the palette.
 
-    Per class the nine depth colors are (t(d), d mod 3) with t the ternary
-    square-free sequence, so distinct classes never share a color and the
-    total palette has nine colors per class.
+    Per class the nine depth colors are `norm_color(d)` = (t(d), d mod 3)
+    with t the ternary square-free sequence, so distinct classes never share
+    a color and the total palette has nine colors per class.
     """
-    from .sequences import square_free_prefix
-
     levels, parents = class_trees(wallset, classes)
     depth = []  # wall id -> level, less one for the root and the walls beyond it
     for level, p in zip(levels, parents):  # a forest parent has a lower id
         depth.append(level - (p is None or (level > 1 and depth[p] < levels[p])))
-    tern = square_free_prefix(max(depth, default=0) + 1)
+    by_depth = [norm_color(d) for d in range(max(depth, default=0) + 1)]
     colors = sorted(classes.by_color, key=str)
     color_of = {}
     for color in colors:
         for w in sorted(classes.by_color[color]):
-            d = depth[w]
-            color_of[w] = (color, (tern[d], d % 3))
-    palette = [
-        (color, (i, j))
-        for color in colors
-        for i in range(3)
-        for j in range(3)
-    ]
+            color_of[w] = (color, by_depth[depth[w]])
+    palette = [(color, c) for color in colors for c in NORM_PALETTE]
     return color_of, palette

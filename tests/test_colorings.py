@@ -14,7 +14,7 @@ from coxtile.colorings import (
     tree_norm_coloring,
 )
 from coxtile.coxeter import CoxeterSystem, enumerate_ball, radial_segment
-from coxtile.errors import OutOfBallError, ValidationError
+from coxtile.errors import OutOfBallError, ValidationError, WindowError
 from coxtile.lattice import ZLattice
 from coxtile.sequences import MORSE_THUE, SQUARES, square_free_prefix, z_color
 
@@ -156,6 +156,12 @@ def test_transfer_rejects_bad_transversal():
     phi = GroupColoring(ball, [0], {x: 0 for x in ball.members()})
     with pytest.raises(ValidationError):
         transfer_to_subgroup(ball, phi, [(0,), (2,)], lambda x: x[0] % 2 == 0)
+    # a transversal that does not start at the identity, for both transfers
+    even = lambda x: x[0] % 2 == 0
+    for transfer in (transfer_to_subgroup, transfer_from_subgroup):
+        for reps in ([(1,), (0,)], []):
+            with pytest.raises(ValidationError, match="^first coset representative must be the identity$"):
+                transfer(ball, phi, reps, even)
 
 
 def test_product_coloring_single_tree_reduces():
@@ -239,6 +245,13 @@ def test_aperiodicity_report_reads_norms_off_its_products(monkeypatch):
         else:
             assert x is None
     assert outside > 500
+
+
+@pytest.mark.parametrize("ranges", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)], ids=["g", "h", "window"])
+def test_aperiodicity_report_rejects_negative_ranges(ranges):
+    ball = enumerate_ball(CoxeterSystem.right_angled_polygon(5), 2)
+    with pytest.raises(WindowError, match="must be nonnegative, got -1$"):
+        aperiodicity_report(ball, norm_coloring(ball), *ranges)
 
 
 def test_aperiodicity_constant_coloring_unwitnessed():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
-from coxtile.errors import GeometryError
+from coxtile.errors import GeometryError, ValidationError
 from coxtile.hyperbolic import (
     BASEPOINT,
     HPolygon,
@@ -221,6 +221,27 @@ def test_deform_simplicity_error_names_vertex():
     # with the 81 refined magnitudes, a large epsilon collides vertices
     with pytest.raises(GeometryError, match="vertex"):
         render_bundle(3, 2, refine=True, deform=True, epsilon_factor=10.0)
+
+
+def test_render_overflow_raises_geometry_error_naming_the_chamber():
+    # past its range the tick or the vertex displacement leaves the floats
+    with pytest.raises(GeometryError, match=r"^tick of chamber \(.*smaller radius or epsilon$"):
+        render_bundle(3, 5)
+    with pytest.raises(GeometryError, match=r"^vertex 0 of chamber \(\).*smaller magnitude$"):
+        render_bundle(3, 1, epsilon_factor=1e6)
+    # a finite factor whose magnitudes are infinite: math.cosh(inf) does not raise
+    with pytest.raises(GeometryError, match="smaller magnitude$"):
+        render_bundle(3, 1, epsilon_factor=1.7e308)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_render_rejects_floats_that_are_not_finite(value):
+    with pytest.raises(ValidationError, match="epsilon factor must be finite"):
+        render_bundle(3, 1, epsilon_factor=value)
+    with pytest.raises(ValidationError, match="stroke width must be finite and nonnegative"):
+        render_svg([], stroke_width=value)
+    with pytest.raises(ValidationError, match="stroke width must be finite and nonnegative"):
+        render_svg([], stroke_width=-0.5)
 
 
 def test_max_convex_epsilon_probe():
