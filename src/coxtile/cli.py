@@ -278,6 +278,7 @@ def _cmd_space(args, out) -> int:
                 "first_depth": v.first_depth,
             }
         )
+    base = restrict_patch(tiling, args.depth)
     distances = []
     for g in gs:
         if system.norm(g) > 1:
@@ -285,15 +286,13 @@ def _cmd_space(args, out) -> int:
         ori = rebased_alternating(wallset, res.class_wids, ball.id_of(g))
         alpha = build_alphabet(wallset, res.wall_colors, ori)
         other = ChamberTiling.from_alphabet(ball, alpha)
-        d = patch_distance(
-            restrict_patch(tiling, args.depth), restrict_patch(other, args.depth)
-        )
+        d = patch_distance(base, restrict_patch(other, args.depth))
         distances.append({"base": system.spell(g), "distance": d})
     results = {
         "n": args.n,
         "radius": args.radius,
         "depth": args.depth,
-        "base_patch": patch_as_dict(restrict_patch(tiling, args.depth), system),
+        "base_patch": patch_as_dict(base, system),
         "translate_comparisons": comparisons,
         "rebased_patch_distances": distances,
     }

@@ -215,30 +215,33 @@ def lorentz_renormalize(M) -> tuple:
 
 @dataclass
 class PlacedTile:
+    cid: int  # the chamber's ball id
     word: tuple
     matrix: tuple
     vertices: tuple
 
 
 def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[PlacedTile]:
-    """One placed polygon per ball element, by evaluating its normal form
-    in the side reflections; matrices are re-orthonormalized every six
-    letters to keep drift below tolerance."""
-    mats = {(): _EYE}
+    """One placed polygon per ball element of norm at most max_norm (the
+    ball's radius by default), in id order.  Ids follow ShortLex, so norms
+    never decrease along them, and each element's matrix is its ShortLex
+    parent's times the reflection in its last letter; matrices are
+    re-orthonormalized every six letters to keep drift below tolerance."""
+    n, nbr, last, words = ball.system.rank, ball.nbr, ball.last, ball.words
     # row i of M R is R^T applied to row i of M
     transposed = [tuple(zip(*R)) for R in matrices]
     placed = []
     limit = ball.radius if max_norm is None else max_norm
-    for eid in range(len(ball.words)):
-        w = ball.words[eid]
-        if len(w) > limit:
-            continue
-        if w:
-            M = tuple(_mat_vec(transposed[w[-1]], row) for row in mats[w[:-1]])
-            if len(w) % 6 == 0:
+    for i, norm in enumerate(ball.norms):
+        if norm > limit:
+            break
+        M = _EYE
+        if i:
+            s = last[i]
+            M = tuple(_mat_vec(transposed[s], row) for row in placed[nbr[i * n + s]].matrix)
+            if norm % 6 == 0:
                 M = lorentz_renormalize(M)
-            mats[w] = M
-        placed.append(PlacedTile(w, mats[w], tuple(_mat_vec(mats[w], v) for v in polygon.vertices)))
+        placed.append(PlacedTile(i, words[i], M, tuple(_mat_vec(M, v) for v in polygon.vertices)))
     return placed
 
 
@@ -353,9 +356,9 @@ def sample_overlap_fraction(tiles, samples_per_tile=40, seed=0, margin=1e-6) -> 
 
 @dataclass
 class DeformedTile:
+    cid: int  # the chamber's ball id
     word: tuple
     vertices: tuple
-    vertex_keys: list
 
 
 def default_magnitudes(a_colors, b_colors, epsilon: float):
@@ -372,20 +375,6 @@ def default_magnitudes(a_colors, b_colors, epsilon: float):
     return magnitude
 
 
-def _vertex_key(ball, cid: int, k: int):
-    """Canonical id of the geometric vertex k of chamber cid = g.
-
-    The four chambers around the vertex are g, g s_{k-1}, g s_k and
-    g s_{k-1} s_k, and each sees the point as its own vertex k.  Ids are in
-    ShortLex order and the least of the four has norm at most |g|, so the
-    least in-ball id among them names the point by that ShortLex-least word.
-    """
-    p, nbr = ball.system.rank, ball.nbr
-    a, b = nbr[cid * p + (k - 1) % p], nbr[cid * p + k]
-    ab = nbr[a * p + k] if a >= 0 else -1
-    return (ball.words[min(x for x in (cid, a, b, ab) if x >= 0)], k)
-
-
 def deform_vertices(
     ball,
     wallset,
@@ -398,43 +387,52 @@ def deform_vertices(
     """Move every geometric vertex along the bisector of the positive
     quadrant of its two oriented walls, by the magnitude assigned to the
     color pair; each vertex is displaced once, so tiles stay face to face.
-    Raises GeometryError when a deformed tile is no longer simple.
+
+    Vertex k of chamber g is where the walls of its sides k-1 and k cross.
+    The group is right-angled, so the four chambers around it, g, g s_{k-1},
+    g s_k and g s_{k-1} s_k, all see those two walls there as their sides
+    k-1 and k; two walls of the hyperbolic plane cross at most once, so the
+    pair (wall of side k-1, wall of side k) names the point.  Raises
+    InconclusiveError when a tile's face leaves the ball and GeometryError,
+    naming the chamber, when a vertex cannot be moved or a deformed tile is
+    no longer simple.
     """
-    p = ball.system.rank
+    p, spell = ball.system.rank, ball.system.spell
     displaced: dict = {}
     out = []
     for tile in placed:
-        cid = ball.index[tile.word]
+        walls = [wallset.wall_of_face(tile.cid, s) for s in range(p)]
         new_vertices = []
-        keys = []
         for k in range(p):
-            key = _vertex_key(ball, cid, k)
-            keys.append(key)
+            key = (walls[k - 1], walls[k])
             if key not in displaced:
-                displaced[key] = _displace_vertex(
-                    ball, wallset, tile, cid, k, wall_colors, class_of_color,
-                    orientation, magnitude,
-                )
+                try:
+                    displaced[key] = _displace_vertex(
+                        tile, k, key, wall_colors, class_of_color, orientation, magnitude
+                    )
+                except GeometryError as exc:
+                    raise GeometryError(f"vertex {k} of chamber {spell(tile.word)}: {exc}") from None
             new_vertices.append(displaced[key])
         verts = tuple(new_vertices)
         if not is_simple(verts):
-            bad = keys[0]
-            raise GeometryError(f"deformation breaks simplicity near vertex {bad}")
-        out.append(DeformedTile(tile.word, verts, keys))
+            raise GeometryError(
+                f"deformation breaks simplicity at chamber {spell(tile.word)}: its moved "
+                "vertex ring crosses itself; use an epsilon of smaller magnitude"
+            )
+        out.append(DeformedTile(tile.cid, tile.word, verts))
     return out
 
 
-def _displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, orientation, magnitude):
+def _displace_vertex(tile, k, walls, wall_colors, class_of_color, orientation, magnitude):
     # each operation in the order of the vector form (normals summed into a
     # zero vector, normalized, projected to the tangent plane, renormalized)
     # so every coordinate is bit-identical to it; the tests keep that form as
-    # the reference
-    p = ball.system.rank
+    # the reference.  The caller names the vertex and chamber in its errors.
     verts = tile.vertices
+    p = len(verts)
     labels = {}
     d0 = d1 = d2 = 0.0
-    for s in ((k - 1) % p, k):
-        wid = wallset.wall_of_face(cid, s)
+    for s, wid in zip(((k - 1) % p, k), walls):
         n0, n1, n2 = side_normal(verts[s], verts[(s + 1) % p])
         # the basepoint (0, 0, 1) has Lorentz product -n2 with the normal
         f = (1.0 if n2 < 0 else -1.0) * orientation[wid]
@@ -444,13 +442,13 @@ def _displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, o
         color = wall_colors[wid]
         labels[class_of_color(color)] = color
     if set(labels) != {"a", "b"}:
-        raise GeometryError(f"vertex of chamber {tile.word} not an a/b crossing")
+        raise GeometryError("not an a/b crossing")
     d = magnitude(labels["a"], labels["b"])
     if d == 0:
         return tile.vertices[k]
     nn = d0 * d0 + d1 * d1 - d2 * d2
     if nn <= 0:
-        raise GeometryError("degenerate deformation direction")
+        raise GeometryError("degenerate deformation direction; use a smaller radius")
     q = sqrt(nn)
     u0, u1, u2 = d0 / q, d1 / q, d2 / q
     x0, x1, x2 = verts[k]
@@ -461,10 +459,7 @@ def _displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, o
     try:
         c, sh = cosh_sinh(d)
     except OverflowError:
-        raise GeometryError(
-            f"vertex {k} of chamber {tile.word} moves out of the float range: "
-            "use an epsilon of smaller magnitude"
-        ) from None
+        raise GeometryError("moved out of the float range; use an epsilon of smaller magnitude") from None
     return (c * x0 + sh * u0, c * x1 + sh * u1, c * x2 + sh * u2)
 
 

@@ -107,10 +107,10 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
     """
     from .hyperbolic import center_of, cosh_sinh, geodesic_point, tangent_toward
 
-    rank, norms, nbr = ball.system.rank, ball.norms, ball.nbr
+    rank, norms, nbr, spell = ball.system.rank, ball.norms, ball.nbr, ball.system.spell
     data = []
     for tile in tiles:
-        cid = ball.index[tile.word]
+        cid = tile.cid
         verts = tile.vertices
         p = len(verts)
         c = center_of(verts)
@@ -123,14 +123,20 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
             seen = orientation[wid] * (-1 if norms[nbr[cid * rank + k]] < norms[cid] else 1)
             a, b = verts[k], verts[(k + 1) % p]
             mid = geodesic_point(a, b, 0.5)
-            u = tangent_toward(mid, c)
+            try:
+                u = tangent_toward(mid, c)
+            except GeometryError as exc:
+                raise GeometryError(
+                    f"side {k} of chamber {spell(tile.word)}: {exc}; "
+                    "use an epsilon of smaller magnitude"
+                ) from None
             d0, d1, d2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
             delta = TICK * max(1e-9, sqrt(d0 * d0 + d1 * d1 + d2 * d2))
             try:
                 ch, sh = cosh_sinh(delta)
             except OverflowError:
                 raise GeometryError(
-                    f"tick of chamber {tile.word} leaves the float range: "
+                    f"tick of chamber {spell(tile.word)} leaves the float range: "
                     "use a smaller radius or epsilon"
                 ) from None
             tip = tuple(ch * m + seen * sh * x for m, x in zip(mid, u))

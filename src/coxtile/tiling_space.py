@@ -10,6 +10,7 @@ beyond that class.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .coxeter import Ball
 from .errors import ValidationError, WindowError
@@ -77,19 +78,18 @@ def restrict_patch(tiling: ChamberTiling, n: int) -> TilingPatch:
 
 
 def patch_distance(p: TilingPatch, q: TilingPatch) -> Fraction:
-    """0 when the label maps agree; else 2^-k for the largest agreeing depth k."""
+    """0 when the label maps agree; else 2^-k for the largest agreeing depth k,
+    one less than the least norm of a chamber the two label differently
+    (2 when they differ at e)."""
     if p.depth != q.depth:
         raise WindowError(f"patch depths differ: {p.depth} vs {q.depth}")
-    if p.labels == q.labels:
+    pl, ql = p.labels, q.labels
+    # norms of the chambers labeled differently, read without building a set of chambers
+    differ = chain((len(w) for w, t in pl.items() if ql.get(w) != t), (len(w) for w in ql if w not in pl))
+    first = min(differ, default=None)
+    if first is None:
         return Fraction(0)
-    k = -1
-    for d in range(p.depth + 1):
-        pl = {w: t for w, t in p.labels.items() if len(w) <= d}
-        ql = {w: t for w, t in q.labels.items() if len(w) <= d}
-        if pl != ql:
-            break
-        k = d
-    return Fraction(2) if k < 0 else Fraction(1, 2**k)
+    return Fraction(2) if first == 0 else Fraction(1, 2 ** (first - 1))
 
 
 @dataclass

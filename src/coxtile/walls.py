@@ -765,10 +765,10 @@ def wall_coloring(wallset: WallSet, classes: WallClasses):
     with t the ternary square-free sequence, so distinct classes never share
     a color and the total palette has nine colors per class.
     """
-    levels, parents = class_trees(wallset, classes)
-    depth = []  # wall id -> level, less one for the root and the walls beyond it
-    for level, p in zip(levels, parents):  # a forest parent has a lower id
-        depth.append(level - (p is None or (level > 1 and depth[p] < levels[p])))
+    parents = class_trees(wallset, classes)[1]
+    depth = []  # wall id -> depth in its class tree
+    for p in parents:  # a tree parent has a lower id
+        depth.append(0 if p is None else depth[p] + 1)
     by_depth = [norm_color(d) for d in range(max(depth, default=0) + 1)]
     colors = sorted(classes.by_color, key=str)
     color_of = {}

@@ -236,6 +236,8 @@ def test_runtime_loads_no_numpy():
         (["render", "--n", "3", "--radius", "5"], {}),
         (["render", "--n", "4", "--radius", "4"], {}),
         (["render", "--n", "3", "--radius", "1", "--epsilon", "1e6"], {}),
+        (["render", "--n", "3", "--radius", "1", "--epsilon", "50"], {}),
+        (["render", "--n", "3", "--radius", "2", "--epsilon", "10"], {}),
         (["render", "--n", "3", "--radius", "1", "--epsilon", "nan"], {}),
         (["render", "--n", "3", "--radius", "1", "--stroke-width", "-1"], {}),
         (["color", "--system", "hexagon", "--radius", "2", "--window", "-1"], {}),
@@ -243,7 +245,8 @@ def test_runtime_loads_no_numpy():
     ],
     ids=["polygon", "dihedral", "ball-cap-env", "space-negative-depth", "render-negative-radius",
          "seq-negative-scan-without-power", "seq-long-scan-without-power", "render-tick-overflow",
-         "render-tick-overflow-n4", "render-epsilon-overflow", "render-epsilon-nan",
+         "render-tick-overflow-n4", "render-epsilon-overflow", "render-degenerate-tangent",
+         "render-not-simple", "render-epsilon-nan",
          "render-negative-stroke", "color-negative-window", "color-negative-g-range"],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, env):

@@ -9,6 +9,7 @@ from coxtile.pipeline import alternating_resolution, build_walls
 from coxtile.tiles import build_alphabet, rebased_alternating
 from coxtile.tiling_space import (
     ChamberTiling,
+    TilingPatch,
     patch_distance,
     restrict_patch,
     translate_compare,
@@ -104,6 +105,30 @@ def test_patch_distance_ultrametric():
         for q in tilings:
             for r in tilings:
                 assert patch_distance(p, r) <= max(patch_distance(p, q), patch_distance(q, r))
+
+
+def depthwise_patch_distance(p, q):
+    # the depth-by-depth comparison patch_distance replaced, kept as its reference
+    k = -1
+    for d in range(p.depth + 1):
+        if {w: t for w, t in p.labels.items() if len(w) <= d} != {w: t for w, t in q.labels.items() if len(w) <= d}:
+            break
+        k = d
+    return Fraction(0) if p.labels == q.labels else Fraction(2) if k < 0 else Fraction(1, 2**k)
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
+def test_patch_distance_matches_the_depthwise_comparison(refine):
+    ball, t0 = hex_tiling(5, refine=refine)
+    patches = [restrict_patch(t0, 4)]
+    for word in [(0,), (3,), (0, 2), (1, 4, 1)]:
+        patches.append(restrict_patch(hex_tiling(5, refine=refine, chamber=ball.id_of(word))[1], 4))
+    # a patch missing one chamber of norm 3, and one that labels e differently
+    patches.append(TilingPatch(4, {w: t for w, t in patches[0].labels.items() if w != (0, 2, 0)}))
+    patches.append(TilingPatch(4, {**patches[0].labels, (): "other"}))
+    for p in patches:
+        for q in patches:
+            assert patch_distance(p, q) == depthwise_patch_distance(p, q)
 
 
 def test_translate_identity_fixed():
