@@ -193,7 +193,7 @@ def _cmd_walls(args, out) -> int:
             "tree_parent": names[p] if p is not None and det else None,
         }
         for name, color, level, p, det in zip(
-            names, classes.color_of.values(), levels, parents, wallset.determinate()
+            names, classes.color, levels, parents, wallset.determinate()
         )
     ]
     results = {

@@ -228,16 +228,20 @@ class DescentEngine:
     coordinate is negative, step by t, and repeat until none is negative.
 
     A step by s negates f_s and adds c_st f_s to each other f_t, c_st =
-    2cos(pi/m_st), 2 for infinity.  Integers F_t and E_t keep
-    |F_t - 2^prec f_t| <= E_t.  With orders 2, 3 and infinity only, prec is 0
-    and E stays 0: exact.  Otherwise C_st = 2 _fixed_cos is within g = 2 of
-    2^prec c_st, so floor(C_st F_s / 2^prec) is off by at most
-    ((|C_st| + 3g) E_s + g |F_s|) / 2^prec + 1, which E_t gains.  A sign is
-    used only once |F_t| > E_t proves it, else the word is redone at doubled
-    precision.  The first attempt takes 64 + 2 |word| bits, as the error
-    bounds grow with the word.  That ends, as |f_t| >= 1: a root
-    beta = sum b_s alpha_s has 1 = B(beta, beta) <= (sum |b_s|)^2, no
-    |B(alpha_s, alpha_t)| exceeding 1.
+    2cos(pi/m_st), 2 for infinity.  Integers F_t and one bound B per word
+    keep |F_t - 2^prec f_t| <= B for every t.  With orders 2, 3 and infinity
+    only, prec is 0 and B stays 0: exact.  Otherwise C_st = 2 _fixed_cos is
+    within g = 2 of 2^prec c_st, so floor(C_st F_s / 2^prec) is off by at
+    most ((|C_st| + 3g) B + g |F_s|) / 2^prec + 1.  So no coordinate's error
+    grows by more than ((A_s B + g_s |F_s| + 2^prec - 1) >> prec) + loss_s,
+    which B gains: A_s is the largest |C_st| + 3g of s's moves, and g_s = 2,
+    loss_s = 1 when some c_st of s is not an integer, else both are 0.  A
+    sign is used only once |F_t| > B proves it, else the word is redone at
+    doubled precision.  The first attempt takes 64 + 2 |word| bits, as B
+    grows with the word.  That ends: B does not grow with prec, while |F_t|
+    is about 2^prec |f_t| and |f_t| >= 1, as a root
+    beta = sum b_s alpha_s has 1 = <beta, beta> <= (sum |b_s|)^2, no
+    |<alpha_s, alpha_t>| exceeding 1.
     """
 
     def __init__(self, system: CoxeterSystem):
@@ -246,31 +250,29 @@ class DescentEngine:
         self._moves = {}
 
     def moves(self, prec: int) -> list:
-        """moves[s]: (t, C_st, |C_st| + 3g, g, floor loss) for each t != s with m_st != 2."""
+        """moves[s]: ([(t, C_st) for t != s with m_st != 2], A_s, g_s, loss_s)."""
         if prec not in self._moves:
-            def move(t, m):
-                exact = m in _INTEGER_2COS
-                c, g = (_INTEGER_2COS[m] << prec, 0) if exact else (2 * _fixed_cos(m, prec), 2)
-                return t, c, abs(c) + 3 * g, g, int(not exact)
+            def row_moves(s, row):
+                pairs = [(t, _INTEGER_2COS[m] << prec if m in _INTEGER_2COS else 2 * _fixed_cos(m, prec))
+                         for t, m in enumerate(row) if t != s and m != 2]
+                g = 2 * any(m not in _INTEGER_2COS for m in row)
+                return pairs, max((abs(c) for _, c in pairs), default=0) + 3 * g, g, 1 if g else 0
 
-            self._moves[prec] = [
-                [move(t, m) for t, m in enumerate(row) if t != s and m != 2]
-                for s, row in enumerate(self.matrix)
-            ]
+            self._moves[prec] = [row_moves(s, row) for s, row in enumerate(self.matrix)]
         return self._moves[prec]
 
     def attempt(self, word, prec: int):
         """The normal form, or None when `prec` bits do not prove every sign."""
         moves = self.moves(prec)
-        F, E = [1 << prec] * len(self.matrix), [0] * len(self.matrix)
+        F, bound = [1 << prec] * len(self.matrix), 0
         for s in reversed(word):
-            _step(F, E, moves[s], s, prec)
+            bound = _step(F, moves[s], s, prec, bound)
         out = []
         while True:
-            for t, (f, e) in enumerate(zip(F, E)):
-                if f > e:
+            for t, f in enumerate(F):
+                if f > bound:
                     continue
-                if f < -e:
+                if f < -bound:
                     break
                 return None
             else:
@@ -278,7 +280,7 @@ class DescentEngine:
             if len(out) == len(word):  # a proven descent shortens g: never reached
                 raise StructureError(f"descents of {tuple(word)} outrun its length")
             out.append(t)
-            _step(F, E, moves[t], t, prec)
+            bound = _step(F, moves[t], t, prec, bound)
 
     def normal_form(self, word) -> tuple[int, ...]:
         prec = 0 if self.exact else 64 + 2 * len(word)
@@ -287,14 +289,14 @@ class DescentEngine:
         return nf
 
 
-def _step(F: list, E: list, moves, s: int, prec: int) -> None:
-    """Replace (F, E) by those of s.f in place (see DescentEngine)."""
-    fs, es = F[s], E[s]
-    size, round_up = abs(fs), (1 << prec) - 1
-    for t, c, a, g, loss in moves:
+def _step(F: list, move, s: int, prec: int, bound: int) -> int:
+    """Replace F by that of s.f in place; return the grown error bound (see DescentEngine)."""
+    pairs, a, g, loss = move
+    fs = F[s]
+    for t, c in pairs:
         F[t] += c * fs >> prec
-        E[t] += ((a * es + g * size + round_up) >> prec) + loss
     F[s] = -fs
+    return bound + ((a * bound + g * abs(fs) + (1 << prec) - 1) >> prec) + loss
 
 
 # -- ball enumeration -------------------------------------------------------

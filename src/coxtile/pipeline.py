@@ -13,7 +13,7 @@ from math import isfinite, sqrt
 from .colorings import NORM_PALETTE
 from .coxeter import CoxeterSystem, enumerate_ball
 from .errors import GeometryError, ValidationError
-from .tiles import TileAlphabet, build_alphabet, orient_all_plus, orient_alternating
+from .tiles import TileAlphabet, build_alphabet, orient_all_plus, rebased_alternating
 from .walls import WallSet, class_levels, color_walls, enumerate_walls, wall_coloring
 
 
@@ -57,7 +57,7 @@ def _classes(wallset: WallSet, palette: dict, refine: bool):
         for wid, color in wall_colors.items():
             class_wids.setdefault(color, []).append(wid)
     else:
-        wall_colors = classes.color_of
+        wall_colors = dict(enumerate(classes.color))
         class_wids = classes.by_color
     return wall_colors, class_wids
 
@@ -65,9 +65,15 @@ def _classes(wallset: WallSet, palette: dict, refine: bool):
 def alternating_resolution(
     wallset: WallSet, palette: dict, refine: bool = False, flips: dict | None = None
 ) -> Resolution:
-    """The level-alternating resolution: sign (-1)^level per color class."""
+    """The level-alternating resolution: sign (-1)^level per color class, as
+    rebased to e itself, negated on the classes that `flips` marks."""
     wall_colors, class_wids = _classes(wallset, palette, refine)
-    orientation = orient_alternating(class_levels(wallset, class_wids), flips)
+    orientation = rebased_alternating(wallset, class_wids, 0)
+    flips = flips or {}
+    for cls, wids in class_wids.items():
+        if flips.get(cls):
+            for wid in wids:
+                orientation[wid] = -orientation[wid]
     return Resolution(wallset, wall_colors, class_wids, orientation, "alternating")
 
 

@@ -1,6 +1,7 @@
 """Substitution sequences and the integer-line colorings built from them.
 
-Provides the Thue-Morse binary sequence (cube-free), the square-free
+Provides the Thue-Morse binary sequence (cube-free; term i is the parity
+of the binary digit sum of i, so no prefix is kept), the square-free
 ternary sequence obtained by recoding its length-2 factors, power-freeness
 scanning, and the two colorings of the integers (Thue-Morse by |x|, and
 the perfect-square indicator) together with their witness searches.
@@ -17,34 +18,25 @@ from itertools import compress
 from math import isqrt
 from operator import eq
 
-from .errors import StructureError, ValidationError, WindowError
+from .errors import ValidationError, WindowError
 
 MORSE_THUE = "morse_thue"
 SQUARES = "squares"
 
 _PAIR_CODES = {(0, 1): 0, (1, 0): 1, (0, 0): 2, (1, 1): 2}
 
-# Materialized prefix, grown on demand by applying 0->01, 1->10.
-_mt_cache: list[int] = [0]
 
-
-def _grow_mt(n: int) -> None:
-    global _mt_cache
-    while len(_mt_cache) < n:
-        old = len(_mt_cache)
-        _mt_cache = [b for a in _mt_cache for b in (a, 1 - a)]
-        # Guard against drift: term i must equal the parity of popcount(i).
-        for i in range(old, len(_mt_cache)):
-            if _mt_cache[i] != (bin(i).count("1") & 1):
-                raise StructureError(f"substitution/digit-sum mismatch at {i}")
+def _term(i: int) -> int:
+    """Thue-Morse term i, the parity of the binary digit sum of i (Allouche
+    and Shallit, Automatic Sequences, 2003)."""
+    return i.bit_count() & 1
 
 
 def thue_morse_prefix(n: int) -> list[int]:
     """First n terms of the Thue-Morse sequence (0-indexed, starts 0,1,1,0...)."""
     if n < 0:
         raise ValidationError("prefix length must be nonnegative")
-    _grow_mt(n)
-    return _mt_cache[:n]
+    return list(map(_term, range(n)))
 
 
 def square_free_prefix(n: int) -> list[int]:
@@ -60,11 +52,10 @@ def square_free_prefix(n: int) -> list[int]:
 
 
 def ternary_term(i: int) -> int:
-    """Term i of the ternary square-free sequence (cached prefix lookup)."""
+    """Term i of the ternary square-free sequence, from Thue-Morse terms i and i + 1."""
     if i < 0:
         raise ValidationError("index must be nonnegative")
-    _grow_mt(i + 2)
-    return _PAIR_CODES[(_mt_cache[i], _mt_cache[i + 1])]
+    return _PAIR_CODES[(_term(i), _term(i + 1))]
 
 
 @dataclass(frozen=True)
@@ -137,8 +128,7 @@ def is_perfect_square(x: int) -> bool:
 def z_color(kind: str, x: int) -> int:
     """Value of the integer-line coloring at x (both kinds depend on |x| only)."""
     if kind == MORSE_THUE:
-        _grow_mt(abs(x) + 1)
-        return _mt_cache[abs(x)]
+        return _term(abs(x))
     if kind == SQUARES:
         return 1 if is_perfect_square(x) else 0
     raise ValidationError(f"unknown coloring kind {kind!r}")

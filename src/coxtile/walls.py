@@ -407,7 +407,7 @@ class WallClasses:
     """
 
     by_color: dict
-    color_of: dict  # wall id -> color
+    color: list  # wall id -> color
     violations: list  # (chamber id, wall id, wall id): a corner, or a residue's bottom
     radius: int
 
@@ -439,7 +439,6 @@ def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
         raise ValidationError(f"palette misses generators {missing}")
     n = system.rank
     color = [palette[f % n] for f in wallset.least_faces()]  # wall id -> color
-    color_of = dict(enumerate(color))
     by_color: dict = {}
     for wid, c in enumerate(color):
         by_color.setdefault(c, []).append(wid)
@@ -465,7 +464,7 @@ def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
                 found += [(u, k, *p) for p in combinations(ring, 2)
                           if color[p[0]] == color[p[1]] and frozenset(p) not in met]
     violations = [(cid, w1, w2) for cid, _, w1, w2 in sorted(found)]
-    return WallClasses(by_color, color_of, violations, ball.radius)
+    return WallClasses(by_color, color, violations, ball.radius)
 
 
 def _conjugate_colors(system, palette) -> list:

@@ -43,7 +43,7 @@ def assert_same_alphabet(wallset, wall_colors, orientation):
 
 def distinct_colors(wallset):
     system = wallset.ball.system
-    return color_walls(wallset, {s: system.generators[s] for s in range(system.rank)}).color_of
+    return dict(enumerate(color_walls(wallset, {s: system.generators[s] for s in range(system.rank)}).color))
 
 
 @pytest.mark.parametrize("radius", range(1, 7))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from coxtile.cli import emit_report, main, parse_report
+from coxtile.ratlp import LPResult
 from coxtile.walls import enumerate_walls
 
 
@@ -313,14 +314,18 @@ def _walls_with_corrupt_faces(ball):
             lambda self: None,  # an asymmetric matrix reaches the coset walks
             ["ball", "--system", '{"generators":["s","t"],"matrix":[[1,2],[3,1]]}', "--radius", "3"],
         ),
-        ("coxtile.sequences._mt_cache", [1], ["seq", "--kind", "morse_thue", "--n", "8"]),
+        (
+            "coxtile.tiles.solve_lp",
+            lambda c, A, b: LPResult("unbounded", None, None),  # the boxed positivity LP
+            ["balance", "--system", "hexagon", "--radius", "3", "--palette", "alternating"],
+        ),
         (
             "coxtile.pipeline.enumerate_walls",
             _walls_with_corrupt_faces,
             ["walls", "--system", "hexagon", "--radius", "2"],
         ),
     ],
-    ids=["norm-parity", "thue-morse-drift", "near-chamber"],
+    ids=["norm-parity", "lp-unbounded", "near-chamber"],
 )
 def test_broken_invariant_exits_2_with_one_error_line(monkeypatch, capsys, target, fake, argv):
     monkeypatch.setattr(target, fake)

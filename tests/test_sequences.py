@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from coxtile import sequences
 from coxtile.errors import ValidationError, WindowError
 from coxtile.sequences import (
     MORSE_THUE,
@@ -7,6 +10,7 @@ from coxtile.sequences import (
     PowerWitness,
     square_free_prefix,
     squares_limit_defect,
+    ternary_term,
     thue_morse_prefix,
     verify_power_free,
     z_color,
@@ -20,6 +24,11 @@ def substitution_oracle(k):
     for _ in range(k):
         word = [b for a in word for b in (a, 1 - a)]
     return word
+
+
+def digit_oracle(i):
+    # Independent re-derivation from the binary digits: t(2i) = t(i), t(2i+1) = 1 - t(i).
+    return 0 if i == 0 else digit_oracle(i // 2) if i % 2 == 0 else 1 - digit_oracle(i // 2)
 
 
 def naive_power_scan(seq, power, n):
@@ -44,6 +53,34 @@ def test_thue_morse_single_term():
 def test_thue_morse_matches_substitution_iterates():
     for k in range(13):
         assert thue_morse_prefix(2**k) == substitution_oracle(k)
+
+
+def test_thue_morse_terms_match_the_digit_recursion():
+    assert thue_morse_prefix(3000) == [digit_oracle(i) for i in range(3000)]
+    codes = {(0, 1): 0, (1, 0): 1, (0, 0): 2, (1, 1): 2}
+    rng = random.Random(60)
+    for i in [rng.randrange(2 ** rng.randrange(1, 61)) for _ in range(400)] + [2**60 - 1, 2**60]:
+        t = digit_oracle(i)
+        assert z_color(MORSE_THUE, i) == z_color(MORSE_THUE, -i) == t, i
+        assert ternary_term(i) == codes[(t, digit_oracle(i + 1))], i
+
+
+def test_z_witness_far_from_zero():
+    q = z_witness(1, 2**50)
+    assert abs(q - 2**50) <= 3 and digit_oracle(q) != digit_oracle(q + 1)
+
+
+def test_sequences_keep_no_growing_table():
+    def sizes():
+        tables = {k: v for k, v in vars(sequences).items() if not k.startswith("__")}
+        return {k: len(v) for k, v in tables.items() if isinstance(v, (list, dict, set, bytearray))}
+
+    before = sizes()
+    z_color(MORSE_THUE, 10**9)
+    ternary_term(2**40)
+    z_witness(7, 2**45)
+    square_free_prefix(5000)
+    assert sizes() == before
 
 
 def test_thue_morse_power_of_two_indices_are_one():

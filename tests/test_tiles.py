@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,10 @@ from coxtile.tiles import (
     tile_of_faces,
     verify_unbalanced_witness,
 )
-from coxtile.walls import alternating_palette, color_walls, peel_levels
+from coxtile.walls import alternating_palette, class_levels, color_walls, peel_levels
+
+HEXAGON = CoxeterSystem.right_angled_polygon(6)
+OCTAGON = CoxeterSystem.right_angled_polygon(8)
 
 
 def toy_alphabet(tiles):
@@ -46,7 +50,7 @@ def test_all_plus_and_base_chamber_faces():
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = build_walls(hexsys, 3)
     classes = color_walls(ws, alternating_palette(hexsys))
-    alpha = build_alphabet(ws, classes.color_of, orient_all_plus(ws))
+    alpha = build_alphabet(ws, dict(enumerate(classes.color)), orient_all_plus(ws))
     base_tile = alpha.tiles[alpha.chamber_tile[0]]
     assert all(sign == 1 for _, sign in base_tile)
 
@@ -167,7 +171,7 @@ def test_pentagon_alphabet_stable_radius4_to_5():
     for r in (4, 5):
         ball, ws = build_walls(pent, r)
         classes = color_walls(ws, {s: s for s in range(5)})
-        alpha = build_alphabet(ws, classes.color_of, orient_all_plus(ws))
+        alpha = build_alphabet(ws, dict(enumerate(classes.color)), orient_all_plus(ws))
         alphas[r] = set(alpha.tiles)
     assert alphas[4] == alphas[5]
 
@@ -235,6 +239,40 @@ def test_all_plus_resolution_peels_on_first_read(monkeypatch, refine):
     assert res.levels is levels and len(calls) == 1  # and none after
     assert levels == alternating_resolution(ws, palette, refine=refine).levels
     assert levels == {cls: peel_levels(ws, wids) for cls, wids in res.class_wids.items()}
+
+
+@pytest.mark.parametrize(
+    "system, radius",
+    [(HEXAGON, 5), (HEXAGON, 6), (HEXAGON, 7), (OCTAGON, 5)],
+    ids=["hexagon-5", "hexagon-6", "hexagon-7", "octagon-5"],
+)
+@pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
+def test_alternating_signs_match_peeled_levels(system, radius, refine):
+    # the resolution reads its signs off the class forest (rebased at e); the
+    # levels peeled per class and orient_alternating build them independently
+    _, ws = build_walls(system, radius)
+    palette = alternating_palette(system)
+    classes = alternating_resolution(ws, palette, refine=refine).class_wids
+    seeded = sorted(classes, key=str)
+    random.Random(radius * 2 + refine).shuffle(seeded)
+    seeded = {cls: i % 2 == 0 for i, cls in enumerate(seeded)}  # flips at least one class
+    for flips in (None, {}, seeded):
+        res = alternating_resolution(ws, palette, refine=refine, flips=flips)
+        want = orient_alternating(class_levels(ws, res.class_wids), flips)
+        assert list(res.orientation.items()) == list(want.items())
+
+
+def test_alternating_resolution_peels_no_levels(monkeypatch):
+    import coxtile.pipeline as pipeline
+
+    def refuse(*args):
+        raise AssertionError("class_levels called")
+
+    monkeypatch.setattr(pipeline, "class_levels", refuse)
+    _, ws = build_walls(HEXAGON, 4)
+    for refine in (False, True):
+        res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=refine, flips={"a": True})
+        assert set(res.orientation) == set(range(len(ws)))
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,11 @@ oracle and against exact ring arithmetic, and the (2,3,7) computations
 that braid closure could not finish.
 
 A left descent t of g is read off the sign of coordinate t of g f0.  When an
-order is not 2, 3 or infinity those coordinates are fixed-point numbers with
-error bounds, so the bounds are the one place a mistake could enter: they are
-checked against the exact dual vectors of tests/ball_oracle.py, a word too
-long for 64 bits is shown to need more, and a refused first precision forces
-the doubled-precision fallback.
+order is not 2, 3 or infinity those coordinates are fixed-point numbers
+under one error bound per word, so the bound is the one place a mistake
+could enter: it is checked against the exact dual vectors of
+tests/ball_oracle.py, a word too long for 64 bits is shown to need more,
+and a refused first precision forces the doubled-precision fallback.
 """
 
 import io
@@ -105,12 +105,13 @@ def exact_coordinates(system, word):
 
 
 def fold(engine, word, prec):
-    """The engine's (F, E) for g f0, folded as DescentEngine.attempt does."""
+    """The engine's coordinates F and error bound for g f0, folded as
+    DescentEngine.attempt does."""
     moves = engine.moves(prec)
-    F, E = [1 << prec] * len(engine.matrix), [0] * len(engine.matrix)
+    F, bound = [1 << prec] * len(engine.matrix), 0
     for s in reversed(word):
-        _step(F, E, moves[s], s, prec)
-    return F, E
+        bound = _step(F, moves[s], s, prec, bound)
+    return F, bound
 
 
 @pytest.mark.parametrize("name", ["(2,3,7)", "(4,5,inf)", "H3", "B3", "I2(7)", "(3,3,inf)", "rank4"])
@@ -129,14 +130,15 @@ def test_fixed_point_bounds_hold_against_exact_coordinates(name):
         for value, slack in coordinates:
             assert abs(value) > 1 - slack  # the coefficient sum of a root
         for prec in precisions:
-            F, E = fold(engine, word, prec)
-            for f, e, (value, slack) in zip(F, E, coordinates):
-                assert abs(f / 2**prec - value) <= e / 2**prec + slack, (word, prec)
-                if abs(f) > e:
+            F, bound = fold(engine, word, prec)
+            # the one bound covers every coordinate's error
+            for f, (value, slack) in zip(F, coordinates):
+                assert abs(f / 2**prec - value) <= bound / 2**prec + slack, (word, prec)
+                if abs(f) > bound:
                     assert (f > 0) == (value > 0)
                     proven[prec] += 1
             if engine.exact:
-                assert not any(E)
+                assert bound == 0
     assert proven[precisions[-1]] >= 0.9 * total  # 64 bits nearly always suffice
 
 
