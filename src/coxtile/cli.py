@@ -140,7 +140,7 @@ def _cmd_ball(args, out) -> int:
         "radius": args.radius,
         "size": len(ball),
         "sphere_sizes": ball.sphere_sizes,
-        "normal_forms": list(map(system.spell, ball.words)) if args.words else None,
+        "normal_forms": ball.names() if args.words else None,
     }
     _write_report(out, results, "ball")
     return 0
@@ -184,11 +184,12 @@ def _cmd_walls(args, out) -> int:
     levels = parents = [None] * count  # read only: classes that meet get no trees
     if classes.disjoint:
         levels, parents = class_trees(wallset, classes)
-    names = [system.spell(wallset.canonical_word(w)) for w in range(count)]
+    names = wallset.canonical_names()
+    shown = {color: str(color) for color in classes.by_color}
     walls = [
         {
             "canonical_word": name,
-            "color": str(color),
+            "color": shown[color],
             "level": level if det else "indeterminate",
             "tree_parent": names[p] if p is not None and det else None,
         }
@@ -202,7 +203,7 @@ def _cmd_walls(args, out) -> int:
         "wall_count": count,
         "classes_disjoint": classes.disjoint,
         "violations": [
-            {"chamber": system.spell(ball.words[cid]), "walls": [w1, w2]}
+            {"chamber": system.spell(ball.word(cid)), "walls": [w1, w2]}
             for cid, w1, w2 in classes.violations
         ],
         "walls": walls,

@@ -57,6 +57,10 @@ class CoxeterSystem:
         n = len(self.generators)
         if len(set(self.generators)) != n:
             raise ValidationError("generator names must be distinct")
+        for name in self.generators:  # spelled words split at "." and ",", and "e" is the identity
+            if name in ("", "e") or "." in name or "," in name:
+                raise ValidationError(f"generator name {name!r} makes spelled words ambiguous: "
+                                      "a name is nonempty, not \"e\", and holds no \".\" or \",\"")
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValidationError("matrix must be square of rank = #generators")
         for i in range(n):
@@ -138,7 +142,9 @@ class CoxeterSystem:
     # -- word operations --------------------------------------------------
 
     def spell(self, word) -> str:
-        """The word in generator names joined by dots, "e" when empty."""
+        """The word in generator names joined by dots, "e" when empty.  Names
+        are nonempty, not "e" and free of "." and ",", so the spelling is
+        one-to-one and cli._parse_word reads it back."""
         return ".".join(map(self.generators.__getitem__, word)) if word else "e"
 
     def _letters(self, word) -> tuple[int, ...]:
@@ -349,7 +355,9 @@ class Ball:
     `nbr[i * rank + last[i]]`, of lower id and norm one less.  `words[i]`
     (the normal form of element i) and `index` (normal form -> id) are built
     from the tree in one pass each, the first time something reads them;
-    the enumeration itself never spells a word.
+    the enumeration itself never spells a word.  `names` spells the first
+    elements in generator names by one pass over the same tree, and `word`
+    reads one normal form up the parent chain; neither builds `words`.
     """
 
     system: CoxeterSystem
@@ -378,6 +386,30 @@ class Ball:
             s = last[i]
             index[words[i]] = nbr[nbr[i * n + s] * n + s]
         return index
+
+    def names(self, count: int | None = None) -> list[str]:
+        """Elements 0..count-1 (all by default) spelled as `CoxeterSystem.spell`
+        spells their normal forms, in id order: e is "e", a generator its name,
+        and any other element its ShortLex parent's name, ".", and the name of
+        its last letter.  No word tuple is built."""
+        n, nbr, last, gens = self.system.rank, self.nbr, self.last, self.system.generators
+        count = len(last) if count is None else count
+        names = ["e"] if count else []
+        for i in range(1, count):
+            s = last[i]
+            p = nbr[i * n + s]
+            names.append(f"{names[p]}.{gens[s]}" if p else gens[s])
+        return names
+
+    def word(self, i: int) -> tuple[int, ...]:
+        """The normal form of element i, read up its ShortLex parent chain."""
+        n, nbr, last = self.system.rank, self.nbr, self.last
+        letters = []
+        while i:
+            s = last[i]
+            letters.append(s)
+            i = nbr[i * n + s]
+        return tuple(reversed(letters))
 
     @cached_property
     def edges(self) -> EdgeView:

@@ -36,7 +36,11 @@ A wall's reflection word is read straight off the ball: with (g, s) its
 least edge, nf(g s g^-1) = nf(g) s nf(g^-1) in every Coxeter system, so ids,
 which open each wall at its least edge, follow the ShortLex order of wall
 words, and the least-word wall of a class is its least id
-(WallSet.canonical_word).
+(WallSet.canonical_word).  Reports spell the words as strings
+(WallSet.canonical_names): one pass over the ShortLex tree names the
+chambers below the outer sphere, each name its parent's plus one letter,
+and finds the id of each one's inverse, so a wall's name joins three
+strings and no word tuple is built.
 """
 
 from array import array
@@ -156,34 +160,49 @@ class WallSet:
            face order, so wall ids follow the ShortLex order of wall words:
            the wall with the least word in any set is the one with least id.
 
-        The words and inverses of the chambers below the outer sphere are read
-        off the ShortLex tree on first use (_chamber_tables); no word is
-        renormalized.
+        The id of g^-1 comes from _inverse_ids, and both normal forms are
+        read up the ShortLex tree (Ball.word); no word is renormalized.
+        canonical_names spells every wall's word at once.
         """
-        words, inverse = self._chamber_tables
         g, s = divmod(self.edge_faces[self.edge_start[wid]], self.ball.system.rank)
-        return words[g] + (s,) + words[inverse[g]]
+        return self.ball.word(g) + (s,) + self.ball.word(self._inverse_ids[g])
+
+    def canonical_names(self) -> list:
+        """Wall id -> its canonical word spelled in generator names, as
+        CoxeterSystem.spell spells canonical_word: name(g).s.name(g^-1) for the
+        least edge (g, s), or s alone when g = e.  The names of the chambers
+        below the outer sphere, where every least edge starts, come from
+        Ball.names and are dropped on return."""
+        inverse = self._inverse_ids
+        names = self.ball.names(len(inverse))
+        n, gens = self.ball.system.rank, self.ball.system.generators
+        spelled = []
+        for f in self.least_faces():
+            g, s = divmod(f, n)
+            spelled.append(f"{names[g]}.{gens[s]}.{names[inverse[g]]}" if g else gens[s])
+        return spelled
 
     @cached_property
-    def _chamber_tables(self):
-        """(words, inverse): for each chamber g below the outer sphere, nf(g)
-        and the id of g^-1, in one pass in id order.  nf(g) is its ShortLex
-        parent's word and last[g]; g^-1 = g[1:]^-1 g[0], with the id of g[1:]
-        read off the parent's (g = p x, so g[1:] = p[1:] x)."""
+    def _inverse_ids(self):
+        """For each chamber g below the outer sphere, the id of g^-1, in one
+        pass in id order.  g^-1 = g[1:]^-1 g[0], with the id of g[1:] read off
+        the ShortLex parent's (g = p x, so g[1:] = p[1:] x) and the first
+        letter g[0] the parent's, so no chamber keeps its word."""
         ball = self.ball
         n, nbr, last = ball.system.rank, ball.nbr, ball.last
         size = len(last) - ball.sphere_sizes[ball.radius]
-        words, inverse, suffix = [()] * size, [0] * size, [0] * size
+        inverse, suffix, first = [0] * size, [0] * size, [0] * size
         for g in range(1, size):  # in id order, so g's ShortLex parent p comes first
             x = last[g]
             p = nbr[g * n + x]
-            words[g] = word = words[p] + (x,)
             if p:
+                first[g] = a = first[p]
                 suffix[g] = nbr[suffix[p] * n + x]
-                inverse[g] = nbr[inverse[suffix[g]] * n + word[0]]
+                inverse[g] = nbr[inverse[suffix[g]] * n + a]
             else:  # a generator: its own inverse, with suffix e
+                first[g] = x
                 inverse[g] = g
-        return words, inverse
+        return inverse
 
     @cached_property
     def face_rows(self) -> tuple:

@@ -243,12 +243,19 @@ def test_runtime_loads_no_numpy():
         (["render", "--n", "3", "--radius", "1", "--stroke-width", "-1"], {}),
         (["color", "--system", "hexagon", "--radius", "2", "--window", "-1"], {}),
         (["color", "--system", "hexagon", "--radius", "2", "--g-range", "-1"], {}),
+        (["ball", "--words", "--radius", "2", "--system",
+          '{"generators":["a","a.a"],"matrix":[[1,0],[0,1]]}'], {}),
+        (["ball", "--words", "--radius", "2", "--system",
+          '{"generators":["","e"],"matrix":[[1,0],[0,1]]}'], {}),
+        (["walls", "--radius", "2", "--system",
+          '{"generators":["a,b","b"],"matrix":[[1,0],[0,1]]}'], {}),
     ],
     ids=["polygon", "dihedral", "ball-cap-env", "space-negative-depth", "render-negative-radius",
          "seq-negative-scan-without-power", "seq-long-scan-without-power", "render-tick-overflow",
          "render-tick-overflow-n4", "render-epsilon-overflow", "render-degenerate-tangent",
          "render-not-simple", "render-epsilon-nan",
-         "render-negative-stroke", "color-negative-window", "color-negative-g-range"],
+         "render-negative-stroke", "color-negative-window", "color-negative-g-range",
+         "generator-name-with-a-dot", "generator-names-empty-and-e", "generator-name-with-a-comma"],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, env):
     proc = _run_cli_process(argv, **env)

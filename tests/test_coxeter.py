@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from ball_oracle import DualVectors, oracle_ball
 from braid_oracle import naive_ball, oracle_canonical
+from spelling_cases import SPELLING_CASES, lettered_balls
 
 from coxtile.coxeter import (
     CoxeterSystem,
@@ -183,6 +184,35 @@ def test_lazy_words_are_read_off_the_shortlex_tree(name):
     assert len(ball.index) == len(words)
 
 
+def assert_ball_names_match_spell(ball):
+    names = ball.names()
+    assert names == list(map(ball.system.spell, ball.words))
+    assert all(ball.names(k) == names[:k] for k in (0, 1, len(ball) // 2))
+    assert [ball.word(i) for i in range(len(ball))] == ball.words
+
+
+@pytest.mark.parametrize("name", list(SPELLING_CASES))
+def test_names_are_read_off_the_shortlex_tree(name):
+    system, radius = SPELLING_CASES[name]
+    ball = enumerate_ball(system, radius)
+    names = ball.names()
+    assert "words" not in vars(ball)  # the spelling pass builds no word tuples
+    assert_ball_names_match_spell(ball)
+    assert len(set(names)) == len(names)
+
+
+def test_names_are_read_off_the_shortlex_tree_on_random_lettered_systems():
+    for ball in lettered_balls():
+        assert_ball_names_match_spell(ball)
+
+
+@pytest.mark.parametrize("generators", [("a", "a.a"), ("", "e"), ("e", "b"), ("a,b", "b"), ("a", "")])
+def test_generator_names_that_make_spelled_words_ambiguous_are_refused(generators):
+    # with ("a", "a.a"), "a.a.a" would spell both a.(a.a) and (a.a).a
+    with pytest.raises(ValidationError, match="ambiguous"):
+        load_system({"generators": list(generators), "matrix": [[1, 0], [0, 1]]})
+
+
 @pytest.mark.parametrize("name", sorted(TREE_BALLS))
 def test_ball_mul_through_the_table_matches_the_system(name):
     system, radius = TREE_BALLS[name]
@@ -335,7 +365,7 @@ def random_system(rng, rank):
     for i in range(rank):
         for j in range(i + 1, rank):
             matrix[i][j] = matrix[j][i] = rng.choice(orders)
-    return CoxeterSystem(tuple("abcde"[:rank]), tuple(map(tuple, matrix)))
+    return CoxeterSystem(tuple("abcdf"[:rank]), tuple(map(tuple, matrix)))
 
 
 @pytest.mark.parametrize("rank, radius", [(4, 4), (5, 3)])

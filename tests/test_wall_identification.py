@@ -69,7 +69,7 @@ def random_system(rng, rank, orders):
     for i in range(rank):
         for j in range(i + 1, rank):
             matrix[i][j] = matrix[j][i] = rng.choice(orders)
-    return CoxeterSystem(tuple("abcdef"[:rank]), tuple(map(tuple, matrix)))
+    return CoxeterSystem(tuple("abcdfg"[:rank]), tuple(map(tuple, matrix)))
 
 
 @pytest.mark.parametrize(

@@ -9,17 +9,23 @@ relations and finite) and on systems with braid relations, even with every
 normal form engine disabled; wall ids must follow the ShortLex order of the
 words, which is what lets class trees take their least id as the least-word
 root.  A right-angled `walls` run must not build `Ball.words` or `Ball.index`.
+
+`WallSet.canonical_names` spells every word at once from chamber names and
+inverse ids; it must equal `CoxeterSystem.spell` of `canonical_word` on the
+balls of tests/spelling_cases.py, and the `walls` report must come from it
+alone, with no word tuple spelled.
 """
 
 import io
 import random
 
 import pytest
+from spelling_cases import SPELLING_CASES, ball_within, lettered_balls
 from wall_word_oracle import oracle_wall_words
 
 from coxtile import cli
 from coxtile.coxeter import CoxeterSystem, DescentEngine, enumerate_ball
-from coxtile.walls import alternating_palette, build_wall_tree, color_walls, enumerate_walls
+from coxtile.walls import WallSet, alternating_palette, build_wall_tree, color_walls, enumerate_walls
 
 HEXAGON = CoxeterSystem.right_angled_polygon(6)
 TRIANGLE_33INF = CoxeterSystem(("a", "b", "c"), ((1, 3, 3), (3, 1, 0), (3, 0, 1)))
@@ -41,18 +47,6 @@ def random_system(rng, rank, orders):
 
 def random_right_angled(rng, rank):
     return random_system(rng, rank, (2, 0))
-
-
-def ball_within(system, size):
-    """The ball of largest radius up to 30 with at most `size` elements, which
-    is the whole group when its last sphere is empty."""
-    ball = enumerate_ball(system, 1)
-    while ball.sphere_sizes[-1] and ball.radius < 30:
-        bigger = enumerate_ball(system, ball.radius + 1)
-        if len(bigger) > size:
-            break
-        ball = bigger
-    return ball
 
 
 def assert_words_match_oracle(ball):
@@ -171,3 +165,36 @@ def test_space_cli_leaves_index_unbuilt(monkeypatch, g):
     argv = ["space", "--n", "3", "--radius", "5", "--depth", "3"] + (["--g", g] if g else [])
     ball = cli_ball(monkeypatch, argv)
     assert "index" not in ball.__dict__
+
+
+def assert_names_match_spelled_words(ball):
+    ws = enumerate_walls(ball)
+    spell = ball.system.spell
+    assert ws.canonical_names() == [spell(ws.canonical_word(wid)) for wid in range(len(ws))]
+    return len(ws)
+
+
+@pytest.mark.parametrize("name", list(SPELLING_CASES))
+def test_wall_names_match_the_spelled_words(name):
+    system, radius = SPELLING_CASES[name]
+    count = assert_names_match_spelled_words(enumerate_ball(system, radius))
+    assert count > 0 or radius == 0
+
+
+def test_wall_names_match_the_spelled_words_on_random_lettered_systems():
+    assert sum(map(assert_names_match_spelled_words, lettered_balls())) > 0
+
+
+def test_walls_cli_spells_no_word_tuples(monkeypatch):
+    argv = ["walls", "--system", "hexagon", "--radius", "5"]
+    expected = io.StringIO()
+    assert cli.main(argv, out=expected) == 0
+
+    def refuse(*args):
+        raise AssertionError(f"called with {args[1:]}")
+
+    monkeypatch.setattr(WallSet, "canonical_word", refuse)
+    monkeypatch.setattr(CoxeterSystem, "spell", refuse)
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == 0
+    assert out.getvalue() == expected.getvalue()
