@@ -9,6 +9,8 @@ no timestamps, rationals serialized as "p/q" strings.
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from itertools import islice
 
 from . import __version__
 from .colorings import aperiodicity_report, norm_coloring
@@ -35,6 +37,10 @@ from .walls import alternating_palette, class_trees, color_walls
 REPORT_VERSION = 1
 
 
+_ENCODER = json.JSONEncoder(indent=None, separators=(",", ":"), default=str)
+_CHUNK_ROWS = 4096  # rows encoded per call when a report streams its last value
+
+
 def emit_report(results, command: str = "") -> str:
     """The report as one line of JSON, without the newline `_write_report` adds.
 
@@ -42,11 +48,29 @@ def emit_report(results, command: str = "") -> str:
     A value JSON has no type for is written as str(value): "p/q" for a
     Fraction, or its integer when the denominator is 1."""
     doc = {"version": REPORT_VERSION, "command": command, "results": results}
-    return json.dumps(doc, indent=None, separators=(",", ":"), default=str)
+    return _ENCODER.encode(doc)
 
 
 def _write_report(out, results, command: str) -> None:
-    out.write(emit_report(results, command))
+    """Write emit_report's bytes and a newline.  The last value of `results`,
+    a dict in every command, may be an iterator of rows: the report is then
+    written as emit_report writes it with those rows as a list, without
+    holding it whole.  Its head is emit_report with the rows [], and the rows
+    go in between, encoded _CHUNK_ROWS at a time by the same encoder, each
+    chunk's brackets stripped, the chunks joined by ","."""
+    key = next(reversed(results))
+    rows = results[key]
+    if not isinstance(rows, Iterator):
+        out.write(emit_report(results, command))
+    else:
+        head = emit_report({**results, key: []}, command)
+        out.write(head[:-3])  # through the rows' "["; "]}}" closes them, results and the report
+        sep = ""
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            out.write(sep)
+            out.write(_ENCODER.encode(chunk)[1:-1])
+            sep = ","
+        out.write(head[-3:])
     out.write("\n")  # written on its own: appending it would copy the whole report
 
 
@@ -186,7 +210,7 @@ def _cmd_walls(args, out) -> int:
         levels, parents = class_trees(wallset, classes)
     names = wallset.canonical_names()
     shown = {color: str(color) for color in classes.by_color}
-    walls = [
+    walls = (  # rows, streamed by _write_report
         {
             "canonical_word": name,
             "color": shown[color],
@@ -196,7 +220,7 @@ def _cmd_walls(args, out) -> int:
         for name, color, level, p, det in zip(
             names, classes.color, levels, parents, wallset.determinate()
         )
-    ]
+    )
     results = {
         "radius": args.radius,
         "palette": args.palette,

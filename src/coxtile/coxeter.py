@@ -483,9 +483,13 @@ class Ball:
         return ()
 
 
-def _dihedral_pairs(system: CoxeterSystem) -> list:
-    """For each s, the (t, m_st) with t != s and m_st finite: the cosets <s, t> that close."""
-    return [[(t, m) for t, m in enumerate(row) if t != s and m] for s, row in enumerate(system.matrix)]
+def _coset_walks(system: CoxeterSystem) -> list:
+    """For each s, the (t, m, letters) with t != s and m = m_st finite, m read
+    from row s: the cosets <s, t> that close, each with `letters` = (t, s) * m,
+    its alternating walk spelled once.  enumerate_ball and
+    walls.enumerate_walls read the letters of their coset walks off it."""
+    return [[(t, m, (t, s) * m) for t, m in enumerate(row) if t != s and m]
+            for s, row in enumerate(system.matrix)]
 
 
 def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -> Ball:
@@ -502,13 +506,21 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
     walks down m - 1 steps along t, s, t, ..., the norm dropping at each;
     h t is then reached from the bottom element u by m - 1 more steps of the
     same alternation, up the other side of the coset u<s, t>.  That walk
-    must end one level below h, which is the ball's structural check.
+    must end one level below h, which is the ball's structural check.  Both
+    walks read one letter table (_coset_walks): with letters = (t, s) * m,
+    the way down is letters[:m - 1] and the way up letters[m - 1:2m - 2].
+    The first step down, along t, reads g's own row, and most t are no
+    descent of g, so most walks end at that one lookup.  An unset edge (-1)
+    reads the norm of the last element made, the level, which no step down
+    expects.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     cap = _cap_from_env() if cap is None else cap
     n = system.rank
-    dihedral = _dihedral_pairs(system)
+    # each walk's way down past its first letter t, and its way up, sliced once per system
+    walks = [[(t, letters[1:m - 1], letters[m - 1:2 * m - 2]) for t, m, letters in row]
+             for row in _coset_walks(system)]
     blank = [-1] * n
     norms, nbr, last = [0], blank[:], [-1]
     sphere_sizes = [1]
@@ -536,19 +548,21 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
                 nbr += blank
                 nbr[row + s] = h
                 nbr[h * n + s] = g
-                for t, m in dihedral[s]:
-                    x, a, b, k = g, t, s, level - 1
-                    for _ in range(m - 1):  # down from g along t, s, t, ...
-                        y = nbr[x * n + a]
-                        if y < 0 or norms[y] != k - 1:
+                for t, down, up in walks[s]:
+                    x = nbr[row + t]
+                    if norms[x] != level - 2:  # t is no descent of g (-1 reads h's norm)
+                        continue
+                    k = level - 3
+                    for a in down:  # on down from g t along s, t, s, ...
+                        x = nbr[x * n + a]
+                        if norms[x] != k:
                             break
-                        x, a, b, k = y, b, a, k - 1
+                        k -= 1
                     else:
-                        for _ in range(m - 1):  # and up the other side
+                        for a in up:  # and up the other side
                             x = nbr[x * n + a]
                             if x < 0:
                                 break
-                            a, b = b, a
                         if x < 0 or norms[x] != level - 1:
                             raise StructureError(
                                 f"norm parity violated: the <{s}, {t}> coset walk from "

@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 
 from .colorings import NORM_PALETTE, norm_color
-from .coxeter import Ball, _dihedral_pairs
+from .coxeter import Ball, _coset_walks
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
 
 
@@ -251,6 +251,9 @@ def enumerate_walls(ball: Ball) -> WallSet:
     drops (Bjorner and Brenti 2.4).  The coset is a 2m-gon whose reflections
     each flip two opposite edges, so (g, s) shares its wall with the edge
     j = m - 1 - k steps up the other side, read off by walking up from u.
+    Both walks read the letter table of coxeter._coset_walks: with letters
+    = (t, s) * m, the way down is letters[:k], the way up letters[k:m - 1],
+    and the opposite edge is crossed by letters[m - 1].
     Chambers are visited in id (ShortLex) order, so every lower edge (j < k)
     already has its wall.  Edges tied at one level (j = k, m odd) form
     classes: a class takes the wall of any member's lower opposite, and a
@@ -286,7 +289,7 @@ def enumerate_walls(ball: Ball) -> WallSet:
     its wall, and every wall gets one id.
     """
     n, norms, nbr, radius = ball.system.rank, ball.norms, ball.nbr, ball.radius
-    dihedral = _dihedral_pairs(ball.system)
+    walks = _coset_walks(ball.system)
     faces = [-1] * len(nbr)
     count = []  # wall id -> number of its upward edges
     ups = []  # the upward edges, as faces, in increasing order
@@ -296,28 +299,28 @@ def enumerate_walls(ball: Ball) -> WallSet:
         at its level and has a wall already; else -1, with the faces of the
         opposites tied at its level appended to `ties`."""
         row = g * n
-        for t, m in dihedral[s]:
+        for t, m, letters in walks[s]:
             x = nbr[row + t]
             if norms[x] > level:  # g is the bottom of g<s, t>: its opposite lies higher
                 continue
             if m == 2:  # the opposite edge is (g t, s), one level down
                 return faces[x * n + s]
-            a, b, k = s, t, 1
-            while k < m - 1:  # down along t, s, t, ... to the coset's bottom
-                y = nbr[x * n + a]
+            k = 1
+            while k < m - 1:  # down along letters[k] = s, t, s, ... to the coset's bottom
+                y = nbr[x * n + letters[k]]
                 if norms[y] > level - k:
                     break
-                x, a, b, k = y, b, a, k + 1
+                x, k = y, k + 1
             j = m - 1 - k
             if j > k:
                 continue
-            for _ in range(j):  # and j steps up the other side
+            for a in letters[k:m - 1]:  # and j steps up the other side
                 x = nbr[x * n + a]
-                a, b = b, a
-            wid = faces[x * n + a]
+            i = x * n + letters[m - 1]
+            wid = faces[i]
             if wid >= 0:  # always so when j < k: lower edges are done
                 return wid
-            ties.append(x * n + a)
+            ties.append(i)
         return -1
 
     for g, level in enumerate(norms):

@@ -393,6 +393,22 @@ def test_ball_tables_match_the_dual_vector_oracle(system, radius):
     assert_tables_match_oracle(enumerate_ball(system, radius))
 
 
+# rank-3 orders that between them hold every m in 2..12 and infinity (0)
+WALK_ORDERS = [(4, 8, 0), (5, 10, 2), (6, 12, 3), (2, 7, 11), (9, 2, 3)]
+
+
+@pytest.mark.parametrize("orders", WALK_ORDERS, ids=str)
+def test_ball_tables_match_the_oracle_on_every_coset_walk_length(orders):
+    # a coset <s, t> closes once the ball reaches its top, at norm m_st, and
+    # then its walk runs m_st - 1 letters down and m_st - 1 up: at radius 6
+    # and at the largest order every walk length of the system runs.  A
+    # seeded shuffle gives the orders to the generator pairs.
+    assert set().union(*WALK_ORDERS) == {0, *range(2, 13)}
+    system = triangle(*random.Random(f"walks:{orders}").sample(orders, 3))
+    for radius in sorted({6, max(orders)}):
+        assert_tables_match_oracle(enumerate_ball(system, radius))
+
+
 def test_radial_segment():
     ball = enumerate_ball(CoxeterSystem.right_angled_polygon(5), 4)
     assert radial_segment(ball, ()) == [()]

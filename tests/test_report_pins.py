@@ -39,11 +39,13 @@ import io
 import json
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
-from coxtile.cli import main
+import coxtile.cli as cli
+from coxtile.cli import emit_report, main
 
 ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE_33INF = '{"generators":["a","b","c"],"matrix":[[1,3,3],[3,1,0],[3,0,1]]}'
@@ -163,6 +165,35 @@ def test_report_bytes(name):
     buf = io.StringIO()
     assert main(argv, out=buf) == code
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+WALLS_RUNS = {name: argv for name, (argv, _, _) in REPORT_SHA256.items() if argv[0] == "walls"}
+WALLS_RUNS["walls-hexagon-r0"] = ["walls", "--system", "hexagon", "--radius", "0"]  # no walls
+
+
+@pytest.mark.parametrize("name", sorted(WALLS_RUNS))
+def test_streamed_walls_report_equals_the_joined_one(name, monkeypatch):
+    # the walls report hands its rows to _write_report as an iterator; written
+    # in chunks, of the default size and of 3 rows, they must give emit_report's
+    # bytes for the same results with the rows as a list
+    write, seen = cli._write_report, []
+
+    def compare(out, results, command):
+        assert isinstance(results["walls"], Iterator)
+        rows = list(results["walls"])
+        joined = emit_report({**results, "walls": rows}, command) + "\n"
+        for chunk_rows in (cli._CHUNK_ROWS, 3):
+            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+            streamed = io.StringIO()
+            write(streamed, {**results, "walls": iter(rows)}, command)
+            same = streamed.getvalue() == joined  # not in the assert: a diff of 7 MB takes minutes
+            assert same, f"the report streamed {chunk_rows} rows at a time differs from emit_report's"
+        seen.append(len(rows))
+        out.write(joined)
+
+    monkeypatch.setattr(cli, "_write_report", compare)
+    main(WALLS_RUNS[name], out=io.StringIO())
+    assert len(seen) == 1 and (seen[0] > 0) == (name != "walls-hexagon-r0")
 
 
 @pytest.mark.parametrize("workload", ["hexagon-r8", "refined-balance", "tiling-render", "general-coxeter"])
