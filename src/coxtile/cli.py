@@ -2,12 +2,14 @@
 hyperbolic rendering, and tiling-space comparisons, all as JSON reports.
 
 Exit codes: 0 success, 1 a verification the command performs failed,
-2 invalid input or usage.  Reports are deterministic: stable field order,
-no timestamps, rationals serialized as "p/q" strings.
+2 invalid input or usage, 141 stdout closed by its reader.  Reports are
+deterministic: stable field order, no timestamps, rationals serialized as
+"p/q" strings.
 """
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from itertools import islice
@@ -401,7 +403,16 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        out.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: not bad input.  Quiet the interpreter's final
+        # flush and exit as a shell reports a death by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (CoxtileError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -375,10 +375,27 @@ def default_magnitudes(a_colors, b_colors, epsilon: float):
     return magnitude
 
 
+def face_signs(ball, wallset, orientation: dict, cid: int) -> list:
+    """(wall, sign) for each side of chamber g = cid: the sign g sees on the
+    face, orientation[wall] negated when s is a descent (|g s| < |g|), since
+    the wall then lies between e and g.  `build_alphabet` reads the side off
+    the same descent.  Raises InconclusiveError when a face leaves the ball."""
+    rank, norms = ball.system.rank, ball.norms
+    row, norm = cid * rank, norms[cid]
+    out = []
+    for s, (wid, j) in enumerate(zip(wallset.faces[row:row + rank], ball.nbr[row:row + rank])):
+        if j < 0:
+            wallset.wall_of_face(cid, s)  # raises InconclusiveError: the face leaves the ball
+        sign = orientation[wid]
+        out.append((wid, -sign if norms[j] < norm else sign))
+    return out
+
+
 def deform_vertices(
     ball,
     wallset,
     placed,
+    polygon: HPolygon,
     wall_colors: dict,
     class_of_color,
     orientation: dict,
@@ -392,27 +409,40 @@ def deform_vertices(
     The group is right-angled, so the four chambers around it, g, g s_{k-1},
     g s_k and g s_{k-1} s_k, all see those two walls there as their sides
     k-1 and k; two walls of the hyperbolic plane cross at most once, so the
-    pair (wall of side k-1, wall of side k) names the point.  Raises
-    InconclusiveError when a tile's face leaves the ball and GeometryError,
-    naming the chamber, when a vertex cannot be moved or a deformed tile is
-    no longer simple.
+    pair (wall of side k-1, wall of side k) names the point.  The move is
+    made in the base tile's frame and carried by g's matrix M: base vertex
+    v_k lies on sides k-1 and k, whose inward unit normals n_{k-1} and n_k
+    are orthonormal tangents there, so the vertex goes to
+    M (cosh d v_k + sinh d (a n_{k-1} + b n_k) / sqrt 2), with a and b the
+    signs g sees on those faces (`face_signs`).  Raises InconclusiveError
+    when a tile's face leaves the ball and GeometryError, naming the
+    chamber, when a vertex cannot be moved or a deformed tile is no longer
+    simple.
     """
     p, spell = ball.system.rank, ball.system.spell
+    base = polygon.vertices
+    normals = [side_normal(*polygon.side(k)) for k in range(p)]
     displaced: dict = {}
     out = []
     for tile in placed:
-        walls = [wallset.wall_of_face(tile.cid, s) for s in range(p)]
+        sides = face_signs(ball, wallset, orientation, tile.cid)
         new_vertices = []
         for k in range(p):
-            key = (walls[k - 1], walls[k])
-            if key not in displaced:
+            (wa, a), (wb, b) = sides[k - 1], sides[k]
+            if (wa, wb) not in displaced:
+                labels = {class_of_color(wall_colors[w]): wall_colors[w] for w in (wa, wb)}
+                if set(labels) != {"a", "b"}:
+                    raise GeometryError(f"vertex {k} of chamber {spell(tile.word)}: not an a/b crossing")
                 try:
-                    displaced[key] = _displace_vertex(
-                        tile, k, key, wall_colors, class_of_color, orientation, magnitude
-                    )
-                except GeometryError as exc:
-                    raise GeometryError(f"vertex {k} of chamber {spell(tile.word)}: {exc}") from None
-            new_vertices.append(displaced[key])
+                    c, sh = cosh_sinh(magnitude(labels["a"], labels["b"]))
+                except OverflowError:
+                    raise GeometryError(
+                        f"vertex {k} of chamber {spell(tile.word)}: moved out of the float range; "
+                        "use an epsilon of smaller magnitude"
+                    ) from None
+                moved = _lin(c, base[k], sh / sqrt(2.0), _lin(a, normals[k - 1], b, normals[k]))
+                displaced[wa, wb] = _mat_vec(tile.matrix, moved)
+            new_vertices.append(displaced[wa, wb])
         verts = tuple(new_vertices)
         if not is_simple(verts):
             raise GeometryError(
@@ -421,46 +451,6 @@ def deform_vertices(
             )
         out.append(DeformedTile(tile.cid, tile.word, verts))
     return out
-
-
-def _displace_vertex(tile, k, walls, wall_colors, class_of_color, orientation, magnitude):
-    # each operation in the order of the vector form (normals summed into a
-    # zero vector, normalized, projected to the tangent plane, renormalized)
-    # so every coordinate is bit-identical to it; the tests keep that form as
-    # the reference.  The caller names the vertex and chamber in its errors.
-    verts = tile.vertices
-    p = len(verts)
-    labels = {}
-    d0 = d1 = d2 = 0.0
-    for s, wid in zip(((k - 1) % p, k), walls):
-        n0, n1, n2 = side_normal(verts[s], verts[(s + 1) % p])
-        # the basepoint (0, 0, 1) has Lorentz product -n2 with the normal
-        f = (1.0 if n2 < 0 else -1.0) * orientation[wid]
-        d0 += n0 * f
-        d1 += n1 * f
-        d2 += n2 * f
-        color = wall_colors[wid]
-        labels[class_of_color(color)] = color
-    if set(labels) != {"a", "b"}:
-        raise GeometryError("not an a/b crossing")
-    d = magnitude(labels["a"], labels["b"])
-    if d == 0:
-        return tile.vertices[k]
-    nn = d0 * d0 + d1 * d1 - d2 * d2
-    if nn <= 0:
-        raise GeometryError("degenerate deformation direction; use a smaller radius")
-    q = sqrt(nn)
-    u0, u1, u2 = d0 / q, d1 / q, d2 / q
-    x0, x1, x2 = verts[k]
-    t = u0 * x0 + u1 * x1 - u2 * x2  # project to the tangent plane at the vertex
-    u0, u1, u2 = u0 + t * x0, u1 + t * x1, u2 + t * x2
-    q = sqrt(u0 * u0 + u1 * u1 - u2 * u2)
-    u0, u1, u2 = u0 / q, u1 / q, u2 / q
-    try:
-        c, sh = cosh_sinh(d)
-    except OverflowError:
-        raise GeometryError("moved out of the float range; use an epsilon of smaller magnitude") from None
-    return (c * x0 + sh * u0, c * x1 + sh * u1, c * x2 + sh * u2)
 
 
 def max_convex_epsilon(probe, lo=0.0, hi=1.0, steps=24) -> float:

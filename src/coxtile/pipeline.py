@@ -108,25 +108,19 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
     The tick points toward the wall's positive side: into the tile when the
     tile sees the face with sign +, away otherwise; computed from the
     tile's own vertices so it applies to deformed tiles unchanged.  The
-    side the tile is on is a descent, as in `build_alphabet`: the wall of
-    side k lies between the base chamber and g exactly when |g s_k| < |g|.
+    sign comes from `face_signs`, read off a descent as in `build_alphabet`
+    and `deform_vertices`.
     """
-    from .hyperbolic import center_of, cosh_sinh, geodesic_point, tangent_toward
+    from .hyperbolic import center_of, cosh_sinh, face_signs, geodesic_point, tangent_toward
 
-    rank, norms, nbr, spell = ball.system.rank, ball.norms, ball.nbr, ball.system.spell
+    spell = ball.system.spell
     data = []
     for tile in tiles:
-        cid = tile.cid
         verts = tile.vertices
         p = len(verts)
         c = center_of(verts)
         sides = []
-        for k in range(p):
-            wid = wallset.faces[cid * rank + k]
-            if wid < 0 or wid not in wall_colors or wid not in orientation:
-                sides.append(None)
-                continue
-            seen = orientation[wid] * (-1 if norms[nbr[cid * rank + k]] < norms[cid] else 1)
+        for k, (wid, seen) in enumerate(face_signs(ball, wallset, orientation, tile.cid)):
             a, b = verts[k], verts[(k + 1) % p]
             mid = geodesic_point(a, b, 0.5)
             try:
@@ -194,7 +188,7 @@ def render_bundle(
         eps = epsilon_factor * polygon.side_length()
         magnitude = default_magnitudes(a_colors, b_colors, eps)
         tiles = deform_vertices(
-            ball, wallset, placed, res.wall_colors, class_of, res.orientation, magnitude
+            ball, wallset, placed, polygon, res.wall_colors, class_of, res.orientation, magnitude
         )
     data = face_metadata(tiles, ball, wallset, res.wall_colors, res.orientation)
     return RenderBundle(system, ball, wallset, res, polygon, matrices, tiles, data)

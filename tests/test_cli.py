@@ -196,12 +196,13 @@ def test_emit_report_matches_the_jsonable_oracle():
     }
 
 
-def _run_python(args, **env):
+def _run_python(args, stdout=subprocess.PIPE, **env):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
         timeout=120,
@@ -263,6 +264,43 @@ def test_bad_input_exits_2_with_one_error_line(argv, env):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walls", "--system", "hexagon", "--radius", "6", "--palette", "alternating"],
+        ["ball", "--system", "hexagon", "--radius", "7", "--words"],
+        ["ball", "--system", "pentagon", "--radius", "2", "--words"],
+    ],
+    ids=["walls-streamed", "ball-words", "ball-words-buffered"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # a reader that went away, as in `coxtile walls ... | head -c 10`, is not
+    # bad input.  The small report fits the stdout buffer, so it fails at the
+    # flush main makes, not at the interpreter's exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli_process(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def test_unwritable_out_path_exits_2(tmp_path):
+    code, out = run(["render", "--n", "3", "--radius", "0", "--out", str(tmp_path / "missing" / "t.svg")])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_render_radius_4_stops_at_the_tick(n, capsys):
+    # the decagon and the 12-gon deform at R=4; the tick is what leaves the floats
+    code, out = run(["render", "--n", str(n), "--radius", "4"])
+    assert code == 2 and out == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: tick of chamber ")
 
 
 @pytest.mark.parametrize("g", ["²", "٣", "s0.²"], ids=["superscript", "arabic-indic", "after-a-name"])

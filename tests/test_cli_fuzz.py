@@ -20,7 +20,10 @@ the prefix; its verdicts are checked against the numpy scanner it replaced
 (tests/power_free_oracle.py).  `space` meets polygons with too few sides,
 negative radii and depths, depths past the labeled interior, and --g words
 that are valid, unreduced, longer than the ball or spelled with unknown
-generators.
+generators.  `render` meets polygons with too few sides, negative radii,
+and epsilons that are zero, small of either sign, large enough to break
+simplicity or leave the floats, or not finite, with and without
+refinement and deformation.
 """
 
 import io
@@ -247,3 +250,38 @@ def test_space_keeps_exit_code_contract(drawn):
     assert all(c["verdict"] in ("fixed", "differs") for c in comparisons)
     if g:
         assert len(comparisons) == 1
+
+
+@st.composite
+def render_argvs(draw):
+    n = draw(st.integers(1, 6))
+    radius = draw(st.integers(-1, 3))
+    epsilon = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-0.2, 0.2),
+            st.builds(lambda m, sign: sign * m, st.floats(10.0, 1e3), st.sampled_from([1, -1])),
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        )
+    )
+    argv = ["render", "--n", str(n), "--radius", str(radius), f"--epsilon={epsilon}"]
+    if draw(st.booleans()):
+        argv.append("--no-refine")
+    if draw(st.booleans()):
+        argv.append("--no-deform")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(render_argvs())
+def test_render_keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        _failure_is_one_error_line(out, err)
+    else:
+        assert err.getvalue() == ""
+        assert out.getvalue().startswith("<?xml")
