@@ -41,10 +41,6 @@ def on_hyperboloid(p, tol=1e-8) -> bool:
     return abs(lorentz_dot(p, p) + 1.0) < tol and p[2] > 0
 
 
-def polar_point(r: float, theta: float) -> tuple[float, float, float]:
-    return (sinh(r) * cos(theta), sinh(r) * sin(theta), cosh(r))
-
-
 def to_klein(p) -> tuple[float, float]:
     return (p[0] / p[2], p[1] / p[2])
 
@@ -101,9 +97,12 @@ def center_of(vertices) -> tuple[float, float, float]:
 
 @dataclass
 class HPolygon:
-    """Counterclockwise vertex list on the hyperboloid."""
+    """Counterclockwise vertex list on the hyperboloid, with the unit Lorentz
+    normal of each side, side k joining vertices k and k+1; the basepoint
+    lies on the positive side of every normal."""
 
     vertices: tuple  # p points
+    normals: tuple  # p spacelike unit vectors
 
     @property
     def p(self) -> int:
@@ -123,56 +122,34 @@ class HPolygon:
         return hyp_dist(self.vertices[0], self.vertices[1])
 
 
-def _regular_polygon(p: int, radius: float) -> HPolygon:
-    return HPolygon(tuple(polar_point(radius, 2.0 * pi * k / p) for k in range(p)))
-
-
 def build_polygon(n: int) -> HPolygon:
-    """Regular right-angled 2n-gon centered at the basepoint.
+    """Regular right-angled 2n-gon centered at the basepoint, in closed form.
 
-    The circumradius is found by bisection on the interior angle, which
-    decreases from the Euclidean limit toward zero as the radius grows; a
-    right angle needs 2n >= 5.
+    The right triangle of the centre, a vertex and a side's midpoint has
+    angles pi/p and pi/4, so the circumradius r has cosh r = cot(pi/p) and
+    the inradius h has cosh h = 1 / (sqrt 2 sin(pi/p)) and
+    sinh h = sqrt(cos(2 pi/p)) cosh h; a right angle needs p = 2n >= 5.
+    Vertex k lies at angle 2 pi k/p, the midpoint of side k at
+    (2k+1) pi/p, and the normal of side k is minus the unit vector dual to
+    that midpoint.
     """
     p = 2 * n
     if p <= 4:
         raise GeometryError(f"no right-angled regular {p}-gon exists in the hyperbolic plane")
-    target = pi / 2.0
-
-    def angle_of(radius):
-        return _regular_polygon(p, radius).angles()[0]
-
-    lo, hi = 1e-9, 1.0
-    while angle_of(hi) > target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if angle_of(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return _regular_polygon(p, 0.5 * (lo + hi))
+    c = sqrt(cos(2.0 * pi / p))
+    sin_a = sin(pi / p)
+    ch_r, sh_r = cos(pi / p) / sin_a, c / sin_a
+    ch_h = 1.0 / (sqrt(2.0) * sin_a)
+    sh_h = c * ch_h
+    vertices, normals = [], []
+    for k in range(p):
+        theta, phi = 2.0 * pi * k / p, (2 * k + 1) * pi / p
+        vertices.append((sh_r * cos(theta), sh_r * sin(theta), ch_r))
+        normals.append((-ch_h * cos(phi), -ch_h * sin(phi), -sh_h))
+    return HPolygon(tuple(vertices), tuple(normals))
 
 
 # -- reflections ------------------------------------------------------------------
-
-
-def side_normal(a, b) -> tuple[float, float, float]:
-    """Unit spacelike Lorentz normal of the geodesic through a and b: the
-    cross product a x b with its last coordinate negated, scaled to Lorentz
-    norm 1."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    n0 = a1 * b2 - a2 * b1
-    n1 = a2 * b0 - a0 * b2
-    n2 = -(a0 * b1 - a1 * b0)
-    nn = n0 * n0 + n1 * n1 - n2 * n2
-    if nn <= 1e-12:
-        raise GeometryError("degenerate side normal")
-    q = sqrt(nn)
-    return n0 / q, n1 / q, n2 / q
 
 
 def reflection_matrix(normal) -> tuple:
@@ -185,7 +162,7 @@ def reflection_matrix(normal) -> tuple:
 
 def reflection_matrices(polygon: HPolygon) -> list[tuple]:
     """One Lorentz reflection per side, side k joining vertices k and k+1."""
-    return [reflection_matrix(side_normal(*polygon.side(k))) for k in range(polygon.p)]
+    return [reflection_matrix(n) for n in polygon.normals]
 
 
 def preserves_lorentz_form(M, tol=1e-9) -> bool:
@@ -195,19 +172,6 @@ def preserves_lorentz_form(M, tol=1e-9) -> bool:
         abs(lorentz_dot(a, b) - lorentz_dot(e, f)) < tol
         for a, e in zip(cols, _EYE) for b, f in zip(cols, _EYE)
     )
-
-
-def lorentz_renormalize(M) -> tuple:
-    """Gram-Schmidt in the Lorentz form, keeping the upper sheet."""
-    cols = []
-    for c, sign in zip(zip(*M), (1.0, 1.0, -1.0)):  # two spacelike columns, one timelike
-        for b in cols:
-            c = _lin(1.0, c, -lorentz_dot(c, b), b)
-        q = sqrt(sign * lorentz_dot(c, c))
-        cols.append(tuple(x / q for x in c))
-    if cols[2][2] < 0:
-        cols[2] = tuple(-x for x in cols[2])
-    return tuple(zip(*cols))
 
 
 # -- tile placement ----------------------------------------------------------------
@@ -225,8 +189,7 @@ def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[Placed
     """One placed polygon per ball element of norm at most max_norm (the
     ball's radius by default), in id order.  Ids follow ShortLex, so norms
     never decrease along them, and each element's matrix is its ShortLex
-    parent's times the reflection in its last letter; matrices are
-    re-orthonormalized every six letters to keep drift below tolerance."""
+    parent's times the reflection in its last letter."""
     n, nbr, last, words = ball.system.rank, ball.nbr, ball.last, ball.words
     # row i of M R is R^T applied to row i of M
     transposed = [tuple(zip(*R)) for R in matrices]
@@ -239,8 +202,6 @@ def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[Placed
         if i:
             s = last[i]
             M = tuple(_mat_vec(transposed[s], row) for row in placed[nbr[i * n + s]].matrix)
-            if norm % 6 == 0:
-                M = lorentz_renormalize(M)
         placed.append(PlacedTile(i, words[i], M, tuple(_mat_vec(M, v) for v in polygon.vertices)))
     return placed
 
@@ -393,12 +354,11 @@ def face_signs(ball, wallset, orientation: dict, cid: int) -> list:
 
 def deform_vertices(
     ball,
-    wallset,
     placed,
     polygon: HPolygon,
+    signs,
     wall_colors: dict,
     class_of_color,
-    orientation: dict,
     magnitude,
 ) -> list[DeformedTile]:
     """Move every geometric vertex along the bisector of the positive
@@ -414,18 +374,17 @@ def deform_vertices(
     v_k lies on sides k-1 and k, whose inward unit normals n_{k-1} and n_k
     are orthonormal tangents there, so the vertex goes to
     M (cosh d v_k + sinh d (a n_{k-1} + b n_k) / sqrt 2), with a and b the
-    signs g sees on those faces (`face_signs`).  Raises InconclusiveError
-    when a tile's face leaves the ball and GeometryError, naming the
-    chamber, when a vertex cannot be moved or a deformed tile is no longer
-    simple.
+    signs g sees on those faces.  `signs[cid]` holds the (wall, sign) pairs
+    of chamber cid's sides, as `face_signs` gives them.  Raises
+    GeometryError, naming the chamber, when a vertex cannot be moved or a
+    deformed tile is no longer simple.
     """
-    p, spell = ball.system.rank, ball.system.spell
-    base = polygon.vertices
-    normals = [side_normal(*polygon.side(k)) for k in range(p)]
+    p, spell = polygon.p, ball.system.spell
+    base, normals = polygon.vertices, polygon.normals
     displaced: dict = {}
     out = []
     for tile in placed:
-        sides = face_signs(ball, wallset, orientation, tile.cid)
+        sides = signs[tile.cid]
         new_vertices = []
         for k in range(p):
             (wa, a), (wb, b) = sides[k - 1], sides[k]
@@ -485,7 +444,9 @@ _SVG_COLORS = [
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+    # the sign of a value that rounds to zero is rounding residue, not data
+    s = f"{x:.6f}"
+    return "0.000000" if s == "-0.000000" else s
 
 
 def _sample_edge(a, b, tol=0.005):

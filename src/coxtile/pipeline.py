@@ -102,16 +102,16 @@ class RenderBundle:
 TICK = 0.12  # tick depth per unit of ambient distance between a side's two vertices
 
 
-def face_metadata(tiles, ball, wallset, wall_colors, orientation):
+def face_metadata(tiles, ball, signs, wall_colors):
     """Per-side (color, tick-tip) records for rendering.
 
     The tick points toward the wall's positive side: into the tile when the
     tile sees the face with sign +, away otherwise; computed from the
-    tile's own vertices so it applies to deformed tiles unchanged.  The
-    sign comes from `face_signs`, read off a descent as in `build_alphabet`
-    and `deform_vertices`.
+    tile's own vertices so it applies to deformed tiles unchanged.
+    `signs[cid]` holds the (wall, sign) pairs of chamber cid's sides, as
+    `face_signs` reads them off descents for `deform_vertices` too.
     """
-    from .hyperbolic import center_of, cosh_sinh, face_signs, geodesic_point, tangent_toward
+    from .hyperbolic import center_of, cosh_sinh, geodesic_point, tangent_toward
 
     spell = ball.system.spell
     data = []
@@ -120,7 +120,7 @@ def face_metadata(tiles, ball, wallset, wall_colors, orientation):
         p = len(verts)
         c = center_of(verts)
         sides = []
-        for k, (wid, seen) in enumerate(face_signs(ball, wallset, orientation, tile.cid)):
+        for k, (wid, seen) in enumerate(signs[tile.cid]):
             a, b = verts[k], verts[(k + 1) % p]
             mid = geodesic_point(a, b, 0.5)
             try:
@@ -165,6 +165,7 @@ def render_bundle(
         build_polygon,
         default_magnitudes,
         deform_vertices,
+        face_signs,
         place_tiles,
         reflection_matrices,
     )
@@ -176,6 +177,7 @@ def render_bundle(
     polygon = build_polygon(n)
     matrices = reflection_matrices(polygon)
     placed = place_tiles(ball, polygon, matrices, max_norm=radius)
+    signs = [face_signs(ball, wallset, res.orientation, tile.cid) for tile in placed]
     tiles = placed
     if deform:
         if refine:
@@ -187,8 +189,6 @@ def render_bundle(
             a_colors, b_colors = ["a"], ["b"]
         eps = epsilon_factor * polygon.side_length()
         magnitude = default_magnitudes(a_colors, b_colors, eps)
-        tiles = deform_vertices(
-            ball, wallset, placed, polygon, res.wall_colors, class_of, res.orientation, magnitude
-        )
-    data = face_metadata(tiles, ball, wallset, res.wall_colors, res.orientation)
+        tiles = deform_vertices(ball, placed, polygon, signs, res.wall_colors, class_of, magnitude)
+    data = face_metadata(tiles, ball, signs, res.wall_colors)
     return RenderBundle(system, ball, wallset, res, polygon, matrices, tiles, data)

@@ -6,6 +6,7 @@ import pytest
 from coxtile.colorings import NORM_PALETTE
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
 import coxtile.pipeline as pipeline
+import placement_oracle
 import vertex_key_oracle
 from coxtile.errors import GeometryError, InconclusiveError, ValidationError
 from coxtile.hyperbolic import (
@@ -16,24 +17,28 @@ from coxtile.hyperbolic import (
     convexity_check,
     default_magnitudes,
     deform_vertices,
+    face_signs,
     geodesic_point,
     hyp_dist,
     lorentz_dot,
-    lorentz_renormalize,
     on_hyperboloid,
     place_tiles,
-    polar_point,
     preserves_lorentz_form,
     reflection_matrices,
     render_svg,
     sample_overlap_fraction,
-    side_normal,
     to_klein,
+    to_poincare,
 )
 from coxtile.pipeline import alternating_resolution, build_walls, render_bundle
 from coxtile.walls import alternating_palette
 
 J = np.diag([1.0, 1.0, -1.0])
+
+
+def signs_of(ball, wallset, orientation, placed):
+    # the (wall, sign) pairs of every placed chamber, indexed by its id
+    return [face_signs(ball, wallset, orientation, tile.cid) for tile in placed]
 
 
 def law_of_cosines_angle(b, a, c):
@@ -243,8 +248,9 @@ def test_render_overflow_raises_geometry_error_naming_the_chamber():
 def test_render_errors_name_the_chamber_and_the_cure():
     with pytest.raises(GeometryError, match=r"^deformation breaks simplicity at chamber s2\.s3: .*smaller magnitude$"):
         render_bundle(3, 2, epsilon_factor=10.0)
-    # the deformed vertices have moved so far that a side's tick leaves the floats
-    with pytest.raises(GeometryError, match=r"^tick of chamber e leaves the float range: use a smaller radius or epsilon$"):
+    # the deformed vertices have moved so far (about 1e30) that a side's
+    # midpoint has no tangent toward the tile's center
+    with pytest.raises(GeometryError, match=r"^side 1 of chamber e: degenerate tangent direction; use an epsilon of smaller magnitude$"):
         render_bundle(3, 1, epsilon_factor=50.0)
 
 
@@ -254,8 +260,9 @@ def test_face_metadata_names_a_side_without_a_tangent():
     bundle = render_bundle(3, 1, deform=False)
     res = bundle.resolution
     tile = DeformedTile(0, (), (bundle.polygon.vertices[0],) * 6)
+    signs = signs_of(bundle.ball, bundle.wallset, res.orientation, [tile])
     with pytest.raises(GeometryError, match=r"^side 0 of chamber e: degenerate tangent direction; .*smaller magnitude$"):
-        pipeline.face_metadata([tile], bundle.ball, bundle.wallset, res.wall_colors, res.orientation)
+        pipeline.face_metadata([tile], bundle.ball, signs, res.wall_colors)
 
 
 def test_render_builds_no_word_index():
@@ -270,9 +277,9 @@ def test_deforming_the_outer_sphere_is_inconclusive():
     res = alternating_resolution(ws, alternating_palette(system))
     poly = build_polygon(3)
     placed = place_tiles(ball, poly, reflection_matrices(poly))
-    magnitude = default_magnitudes(["a"], ["b"], 0.05 * poly.side_length())
+    # the signs deform_vertices reads are taken before it runs, and stop there
     with pytest.raises(InconclusiveError, match="enlarge the radius"):
-        deform_vertices(ball, ws, placed, poly, res.wall_colors, lambda c: c, res.orientation, magnitude)
+        signs_of(ball, ws, res.orientation, placed)
 
 
 @pytest.mark.parametrize("n, radius", [(n, r) for n in (3, 4, 5) for r in (2, 3, 4)])
@@ -348,7 +355,7 @@ def test_total_area_bounded_by_covering_disk():
 
 
 def numpy_side_normal(a, b):
-    # the numpy vector form side_normal replaced, kept as its reference
+    # the cross-product side normal, a reference for the closed-form polygon.normals
     n = J @ np.cross(a, b)
     return n / sqrt(lorentz_dot(n, n))
 
@@ -384,7 +391,7 @@ def assert_moved_on_bisectors(placed, deformed, polygon, wallset, res, class_of_
     # the placed geometry, the side of the wall's normal the basepoint is on,
     # not off a descent.  Each within 1e-12 |P|^2.
     p = polygon.p
-    normals = [np.array(side_normal(*polygon.side(k))) for k in range(p)]
+    normals = [np.array(n) for n in polygon.normals]
     assert [t.cid for t in deformed] == [t.cid for t in placed]
     for tile, moved in zip(placed, deformed):
         M = np.array(tile.matrix)
@@ -406,11 +413,13 @@ def assert_moved_on_bisectors(placed, deformed, polygon, wallset, res, class_of_
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_float_geometry_matches_numpy_bit_for_bit(n):
-    # side normals match the numpy form bit for bit.  The deformation moves
-    # vertices in the base tile's frame, so it matches the numpy form, which
-    # takes its normals from the placed vertices, within rounding at n = 3;
-    # at n = 4 the reference's own cross products cancel to 1.5e-8, so the
-    # moved vertices are checked against their defining identities instead.
+    # the closed-form side normals match the numpy cross products of the base
+    # sides within 1e-15 of their largest entry; each form is about 1e-15 off
+    # the exact normal at n = 4.  The deformation moves vertices in the base
+    # tile's frame, so it matches the numpy form, which takes its normals from
+    # the placed vertices, within rounding at n = 3; at n = 4 the reference's
+    # own cross products cancel to 1.5e-8, so the moved vertices are checked
+    # against their defining identities instead.
     system = CoxeterSystem.right_angled_polygon(2 * n)
     ball, ws = build_walls(system, 4)
     res = alternating_resolution(ws, alternating_palette(system), refine=True)
@@ -420,12 +429,14 @@ def test_float_geometry_matches_numpy_bit_for_bit(n):
     b_colors = [("b", (i, j)) for i in range(3) for j in range(3)]
     magnitude = default_magnitudes(a_colors, b_colors, 0.05 * poly.side_length())
     class_of = lambda color: color[0]
+    for k, normal in enumerate(poly.normals):
+        want = numpy_side_normal(*poly.side(k))
+        assert np.max(np.abs(np.array(normal) - want)) <= 1e-15 * np.max(np.abs(want))
     args = (res.wall_colors, class_of, res.orientation, magnitude)
-    deformed = deform_vertices(ball, ws, placed, poly, *args)
+    signs = signs_of(ball, ws, res.orientation, placed)
+    deformed = deform_vertices(ball, placed, poly, signs, res.wall_colors, class_of, magnitude)
     for tile, moved in zip(placed, deformed):
         for k in range(2 * n):
-            a, b = tile.vertices[k], tile.vertices[(k + 1) % (2 * n)]
-            assert np.array(side_normal(a, b)).tobytes() == numpy_side_normal(a, b).tobytes()
             if n == 3:
                 want = numpy_displace_vertex(ball, ws, tile, tile.cid, k, *args)
                 assert np.max(np.abs(np.array(moved.vertices[k]) - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
@@ -445,10 +456,9 @@ def test_a_vertex_moves_alike_from_each_of_its_four_chambers(n):
     poly = build_polygon(n)
     placed = place_tiles(ball, poly, reflection_matrices(poly), max_norm=3)
     magnitude = default_magnitudes(["a"], ["b"], 0.05 * poly.side_length())
-    args = (ball, ws)
-    rest = (poly, res.wall_colors, lambda c: c, res.orientation, magnitude)
-    forward = deform_vertices(*args, placed, *rest)
-    backward = deform_vertices(*args, placed[::-1], *rest)[::-1]
+    rest = (poly, signs_of(ball, ws, res.orientation, placed), res.wall_colors, lambda c: c, magnitude)
+    forward = deform_vertices(ball, placed, *rest)
+    backward = deform_vertices(ball, placed[::-1], *rest)[::-1]
     for tile, a, b in zip(placed, forward, backward):
         for P, u, v in zip(tile.vertices, a.vertices, b.vertices):
             assert np.max(np.abs(np.array(u) - np.array(v))) <= 1e-12 * float(np.dot(P, P))
@@ -479,24 +489,8 @@ def numpy_reflection_matrices(polygon):
     return out
 
 
-def numpy_lorentz_renormalize(M):
-    # the numpy column form of lorentz_renormalize, kept as its reference
-    c0, c1, c2 = M[:, 0].copy(), M[:, 1].copy(), M[:, 2].copy()
-    c0 /= sqrt(lorentz_dot(c0, c0))
-    c1 -= lorentz_dot(c1, c0) * c0
-    c1 /= sqrt(lorentz_dot(c1, c1))
-    c2 -= lorentz_dot(c2, c0) * c0
-    c2 -= lorentz_dot(c2, c1) * c1
-    c2 /= sqrt(-lorentz_dot(c2, c2))
-    if c2[2] < 0:
-        c2 = -c2
-    return np.column_stack([c0, c1, c2])
-
-
 def numpy_place_tiles(ball, polygon, matrices, max_norm):
-    # the numpy `@` form of place_tiles for words shorter than the six letters
-    # that trigger renormalization, kept as its reference: word -> (matrix, vertices)
-    assert max_norm < 6
+    # the numpy `@` form of place_tiles, kept as its reference: word -> (matrix, vertices)
     mats = {(): np.eye(3)}
     vertices = np.array(polygon.vertices)
     out = {}
@@ -509,7 +503,7 @@ def numpy_place_tiles(ball, polygon, matrices, max_norm):
     return out
 
 
-@pytest.mark.parametrize("n, radius", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("n, radius", [(3, 4), (3, 6), (4, 3)])
 def test_float_placement_matches_numpy(n, radius):
     # BLAS may fuse or reorder the 3x3 products, so agreement is relative to
     # each entry's scale rather than bit for bit
@@ -524,6 +518,19 @@ def test_float_placement_matches_numpy(n, radius):
     for tile in placed:
         for got, ref in zip((tile.matrix, tile.vertices), want[tile.word]):
             assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-        # renormalization does no matrix product, so it matches bit for bit
-        M = tile.matrix
-        assert np.array(lorentz_renormalize(M)).tobytes() == numpy_lorentz_renormalize(np.array(M)).tobytes()
+
+
+@pytest.mark.parametrize("radius", [6, 7])
+def test_placement_matches_the_integer_oracle(radius):
+    # the hexagon's tiles placed by exact integer matrices in the basis of its
+    # side normals (tests/placement_oracle.py): the plain float product stays
+    # within 1e-13 of them in the Poincare disk
+    ball = enumerate_ball(CoxeterSystem.right_angled_polygon(6), radius)
+    poly = build_polygon(3)
+    want = placement_oracle.placed_vertices(ball.words, poly.vertices)
+    worst = 0.0
+    for tile in place_tiles(ball, poly, reflection_matrices(poly)):
+        ref = want[tile.word]
+        got = np.array([to_poincare(v) for v in tile.vertices])
+        worst = max(worst, np.max(np.abs(got - ref[:, :2] / (1.0 + ref[:, 2:]))))
+    assert worst <= 1e-13

@@ -23,7 +23,9 @@ by their exact roots.  The undeformed `render --n 3 --radius 3 --no-deform` SVG 
 re-recorded when tile placement moved from numpy's BLAS matrix products to
 left-to-right float sums: three coordinates printed as -0.000000 now print
 as 0.000000, and no other number changed; the other SVG pins kept their
-bytes.  Every `walls` pin predates canonical words spelled from the parent
+bytes.  All four SVG pins were re-recorded when the base polygon took its
+closed form and the SVG stopped printing signed zeros: each new output is
+its old bytes with every -0.000000 (33 to 56 of them) read as 0.000000.  Every `walls` pin predates canonical words spelled from the parent
 wall.  The (2,3,7) and {5,6,7,8} `walls` reports were re-recorded when the
 disjointness certificate began to list walls that cross in a residue of
 order 4 or more: only their violation lists grew, keeping every earlier entry
@@ -79,22 +81,22 @@ REPORT_SHA256 = {
     "render-n3-r4": (
         ["render", "--n", "3", "--radius", "4"],
         0,
-        "76059cbc2e49eb2cce082044f254b17bb44bf973c4dc4fa777586bca0a35b2b8",
+        "6485591d7838d4448c2ac8ec421dac14b2163cfdaedadfee9d12d3386aefb469",
     ),
     "render-n3-r3-no-deform": (
         ["render", "--n", "3", "--radius", "3", "--no-deform"],
         0,
-        "ecb692392fcf6d71fe258863a6420306bd3baec081696464173dde6507398b54",
+        "2f02c4cf8e0db34b39811e053aead05d515e6fae35c5b998ac2ed67905f92af8",
     ),
     "render-n3-r4-no-refine": (
         ["render", "--n", "3", "--radius", "4", "--no-refine"],
         0,
-        "99f4c515ffa1d20a89355400eefd5b827c53cc5c15d4fa166e7c93f6ef55aaee",
+        "00453ed81040086b26d35fa08cb7a2f84fafd0ca86a85040dba5ac38991fb451",
     ),
     "render-n4-r3": (
         ["render", "--n", "4", "--radius", "3"],
         0,
-        "15a101cda35315f14a513a988c5f88886e3ba87ec1112093ed530c66089d3518",
+        "0abb128cfad8275cd0e3745def408173f25eb4f25cb264d0910ffd6e7a8c8edd",
     ),
     "space-n3-r6-d4": (
         ["space", "--n", "3", "--radius", "6", "--depth", "4"],
