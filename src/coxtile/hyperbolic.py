@@ -10,7 +10,7 @@ run left to right in plain floats, so no BLAS kernel can change the bits.
 
 import random
 from dataclasses import dataclass
-from math import acos, acosh, cos, cosh, isfinite, isinf, pi, sin, sinh, sqrt
+from math import acosh, cos, cosh, isfinite, isinf, pi, sin, sinh, sqrt
 
 from .errors import GeometryError, ValidationError
 
@@ -59,13 +59,6 @@ def tangent_toward(base, target) -> tuple[float, float, float]:
     return tuple(x / q for x in u)
 
 
-def angle_at(b, a, c) -> float:
-    """Interior angle at b of the geodesic triangle a-b-c."""
-    ta = tangent_toward(b, a)
-    tc = tangent_toward(b, c)
-    return acos(max(-1.0, min(1.0, lorentz_dot(ta, tc))))
-
-
 def cosh_sinh(d: float) -> tuple[float, float]:
     """(cosh d, sinh d).  Raises OverflowError when they leave the floats,
     also for an infinite d, where math.cosh returns inf without raising."""
@@ -107,16 +100,6 @@ class HPolygon:
     @property
     def p(self) -> int:
         return len(self.vertices)
-
-    def side(self, k: int):
-        return self.vertices[k], self.vertices[(k + 1) % self.p]
-
-    def angles(self):
-        p = self.p
-        return [
-            angle_at(self.vertices[k], self.vertices[k - 1], self.vertices[(k + 1) % p])
-            for k in range(p)
-        ]
 
     def side_length(self) -> float:
         return hyp_dist(self.vertices[0], self.vertices[1])
@@ -336,7 +319,7 @@ def default_magnitudes(a_colors, b_colors, epsilon: float):
     return magnitude
 
 
-def face_signs(ball, wallset, orientation: dict, cid: int) -> list:
+def face_signs(ball, wallset, orientation: list, cid: int) -> list:
     """(wall, sign) for each side of chamber g = cid: the sign g sees on the
     face, orientation[wall] negated when s is a descent (|g s| < |g|), since
     the wall then lies between e and g.  `build_alphabet` reads the side off
@@ -357,7 +340,7 @@ def deform_vertices(
     placed,
     polygon: HPolygon,
     signs,
-    wall_colors: dict,
+    wall_colors: list,
     class_of_color,
     magnitude,
 ) -> list[DeformedTile]:

@@ -27,9 +27,9 @@ class Resolution:
     """A signed tile system: wall colors, per-class levels, orientation, tiles."""
 
     wallset: WallSet
-    wall_colors: dict  # wall id -> color
+    wall_colors: list  # wall id -> color, None for a wall left out
     class_wids: dict  # color class -> wall ids (classes the orientation alternates over)
-    orientation: dict  # wall id -> +1 / -1
+    orientation: list  # wall id -> +1 / -1, None for a wall left out
     provenance: str = ""
 
     @cached_property
@@ -54,11 +54,10 @@ def _classes(wallset: WallSet, palette: dict, refine: bool):
     if refine:
         wall_colors, _palette = wall_coloring(wallset, classes)
         class_wids: dict = {}
-        for wid, color in wall_colors.items():
+        for wid, color in enumerate(wall_colors):
             class_wids.setdefault(color, []).append(wid)
     else:
-        wall_colors = dict(enumerate(classes.color))
-        class_wids = classes.by_color
+        wall_colors, class_wids = classes.color, classes.by_color
     return wall_colors, class_wids
 
 

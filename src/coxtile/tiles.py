@@ -38,19 +38,20 @@ def opposite(face):
 # -- orientations --------------------------------------------------------------
 
 
-def orient_all_plus(wallset: WallSet) -> dict:
+def orient_all_plus(wallset: WallSet) -> list:
     """Every wall keeps its canonical orientation (base chamber on the left)."""
-    return dict.fromkeys(range(len(wallset)), 1)
+    return [1] * len(wallset)
 
 
-def orient_alternating(levels_by_class: dict, flips: dict | None = None) -> dict:
-    """Sign (-1)^level per wall, with an optional global flip per class.
+def orient_alternating(wallset: WallSet, levels_by_class: dict, flips: dict | None = None) -> list:
+    """Sign (-1)^level per wall, with an optional global flip per class, as a
+    list indexed by wall id; a wall in no class gets None.
 
     Any flip pattern yields an "allowed" orientation; the default pattern
     starts -, +, -, ... outward from the base chamber.
     """
     flips = flips or {}
-    orientation = {}
+    orientation = [None] * len(wallset)
     for cls, levels in levels_by_class.items():
         f = -1 if flips.get(cls) else 1
         for wid, lev in levels.items():
@@ -58,9 +59,10 @@ def orient_alternating(levels_by_class: dict, flips: dict | None = None) -> dict
     return orientation
 
 
-def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> dict:
+def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> list:
     """The alternating orientation as constructed from another base chamber,
-    expressed in the canonical frame of the original base.
+    expressed in the canonical frame of the original base, as a list indexed
+    by wall id; a wall in no class gets None.
 
     Re-peeling from `chamber` and moving the "left side" reference back to
     the original base flip a whole disjoint class at once, by the parity of
@@ -69,12 +71,12 @@ def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> dic
     region's level.  The levels from e in the same forest give the signs.
     """
     forest, numbers = class_forest(wallset, class_wids.values())
-    level, orientation = forest.level, {}
+    level, orientation = forest.level, [None] * len(wallset)
     for wids, c in zip(class_wids.values(), numbers):
         region = forest.region_of(wallset, c, chamber)  # checks the chamber before any class
         forest.check(c)
         f = -1 if region >= 0 and level[region] % 2 else 1
-        for wid in sorted(wids):
+        for wid in wids:
             orientation[wid] = f * (-1) ** level[wid]
     return orientation
 
@@ -101,19 +103,18 @@ class TileAlphabet:
         return sorted(cs, key=str)
 
 
-def _label_tables(wallset: WallSet, wall_colors: dict, orientation: dict):
+def _label_tables(wallset: WallSet, wall_colors: list, orientation: list):
     """Every oriented face label, numbered once in `_face_key` order, and per
     wall the number of the label seen from the base side and from beyond.
 
-    Walls without a color or an orientation get -1 on both sides.  Raises
+    Walls whose color or orientation is None get -1 on both sides.  Raises
     ValidationError when two labels share a key, since numbers could not then
     keep the order the string keys give.
     """
     count = len(wallset)
     walls_of = {}  # (color, sign seen from the base side) -> wall ids
-    for wid, color in wall_colors.items():
-        sign = orientation.get(wid)
-        if sign is not None and 0 <= wid < count:
+    for wid, (color, sign) in enumerate(zip(wall_colors, orientation)):
+        if color is not None and sign is not None:
             walls_of.setdefault((color, sign), []).append(wid)
     labels = sorted({f for c, s in walls_of for f in ((c, s), (c, -s))}, key=_face_key)
     for f, g in zip(labels, labels[1:]):
@@ -130,21 +131,30 @@ def _label_tables(wallset: WallSet, wall_colors: dict, orientation: dict):
 
 
 def build_alphabet(
-    wallset: WallSet, wall_colors: dict, orientation: dict, provenance: str = ""
+    wallset: WallSet, wall_colors: list, orientation: list, provenance: str = ""
 ) -> TileAlphabet:
     """Label every interior chamber with its (color, sign) face multiset.
 
-    A chamber is interior when all its generator edges lie in the ball.  A
-    chamber meeting an uncolored or unoriented wall is excluded, and recorded
-    as (cid, s) for the first such face s in generator order, unless an edge
-    leaving the ball comes first.  The side comes from a descent, read off the
-    wall set's cached, orientation-free face rows (WallSet.face_rows): each
-    face is 2 * wall + far, far when |gs| < |g| (Bjorner & Brenti,
-    Combinatorics of Coxeter Groups, 1.4).  Each oriented face label is
-    numbered once, in `_face_key` order, so a call only maps every face to
-    its label number, sorts each chamber's numbers into a tuple and turns the
-    distinct tuples back into (color, sign) faces.
+    `wall_colors` and `orientation` are lists indexed by wall id, one entry
+    per wall, None for a wall left out; ValidationError is raised when either
+    has another length.  A chamber is interior when all its generator edges
+    lie in the ball.  A chamber meeting an uncolored or unoriented wall is
+    excluded, and recorded as (cid, s) for the first such face s in
+    generator order, unless an edge leaving the ball comes first.  The side
+    comes from a descent, read off the wall set's cached, orientation-free
+    face rows (WallSet.face_rows): each face is 2 * wall + far, far when
+    |gs| < |g| (Bjorner & Brenti, Combinatorics of Coxeter Groups, 1.4).
+    Each oriented face label is numbered once, in `_face_key` order, so a
+    call only maps every face to its label number, sorts each chamber's
+    numbers into a tuple and turns the distinct tuples back into (color,
+    sign) faces.
     """
+    count = len(wallset)
+    if len(wall_colors) != count or len(orientation) != count:
+        raise ValidationError(
+            f"{len(wall_colors)} wall colors and {len(orientation)} orientations "
+            f"for {count} walls: both need one entry per wall"
+        )
     ball = wallset.ball
     rank = ball.system.rank
     labels, near, far = _label_tables(wallset, wall_colors, orientation)
@@ -344,7 +354,7 @@ class RebaseReport:
     chamber: int
     flips: dict  # class -> 0 or 1 parity shift
     is_global_flip: bool
-    orientation: dict
+    orientation: list  # wall id -> +1 / -1, None for a wall in no class
 
 
 def rebase_parity_check(
@@ -358,7 +368,7 @@ def rebase_parity_check(
     the chamber, independent of `rebased_alternating`'s closed-form sign.
     """
     crossed = wallset.sep[chamber]
-    reor, flips = {}, {}
+    reor, flips = [None] * len(wallset), {}
     for cls, levels in class_levels(wallset, class_wids, base=chamber).items():
         for wid, lev in levels.items():
             reor[wid] = (-1 if wid in crossed else 1) * (-1) ** lev

@@ -780,21 +780,20 @@ def class_trees(wallset: WallSet, classes: WallClasses) -> tuple:
 
 def wall_coloring(wallset: WallSet, classes: WallClasses):
     """Color every wall by (class color, depth color in its WallTree, the depth
-    read off class_trees), and return the coloring and the palette.
+    read off class_trees), and return the coloring, a list indexed by wall id,
+    and the palette.
 
     Per class the nine depth colors are `norm_color(d)` = (t(d), d mod 3)
     with t the ternary square-free sequence, so distinct classes never share
-    a color and the total palette has nine colors per class.
+    a color and the total palette has nine colors per class.  The walls of
+    one class at one depth share one color tuple.
     """
     parents = class_trees(wallset, classes)[1]
     depth = []  # wall id -> depth in its class tree
     for p in parents:  # a tree parent has a lower id
         depth.append(0 if p is None else depth[p] + 1)
     by_depth = [norm_color(d) for d in range(max(depth, default=0) + 1)]
-    colors = sorted(classes.by_color, key=str)
-    color_of = {}
-    for color in colors:
-        for w in sorted(classes.by_color[color]):
-            color_of[w] = (color, by_depth[depth[w]])
-    palette = [(color, c) for color in colors for c in NORM_PALETTE]
+    shades = {color: [(color, c) for c in by_depth] for color in classes.by_color}
+    color_of = [shades[color][d] for color, d in zip(classes.color, depth)]
+    palette = [(color, c) for color in sorted(classes.by_color, key=str) for c in NORM_PALETTE]
     return color_of, palette

@@ -12,6 +12,7 @@ from math import pi
 import numpy as np
 import pytest
 from braid_oracle import naive_ball
+from polygon_geometry import angles
 
 from coxtile.cli import main as cli_main
 from coxtile.colorings import (
@@ -240,7 +241,7 @@ def test_criterion_6_walls_levels_trees():
         levels_by_class[color] = peel_levels(ws, wids)
     from coxtile.tiles import orient_alternating
 
-    orientation = orient_alternating(levels_by_class)
+    orientation = orient_alternating(ws, levels_by_class)
     class_wids = dict(classes.by_color)
     for cid in range(len(ball)):
         if not 0 < ball.norms[cid] <= 2:
@@ -319,7 +320,7 @@ def test_criterion_9_geometry():
     t0 = time.monotonic()
     desc = "right angles, involutions, tile count, overlap, convexity, stable bytes"
     poly = build_polygon(3)
-    for ang in poly.angles():
+    for ang in angles(poly):
         if abs(ang - pi / 2) >= 1e-9:
             _fail(9, desc, t0, f"interior angle {ang}")
     mats = [np.array(R) for R in reflection_matrices(poly)]

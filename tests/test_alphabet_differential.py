@@ -30,9 +30,14 @@ TRIANGLE_237 = CoxeterSystem(("a", "b", "c"), ((1, 2, 3), (2, 1, 7), (3, 7, 1)))
 RANK4 = CoxeterSystem(("a", "b", "c", "d"), ((1, 0, 0, 0), (0, 1, 0, 7), (0, 0, 1, 8), (0, 7, 8, 1)))
 
 
+def as_map(table):
+    # the oracle's wall id -> entry map, without the walls left out (None)
+    return {w: x for w, x in enumerate(table) if x is not None}
+
+
 def assert_same_alphabet(wallset, wall_colors, orientation):
     got = build_alphabet(wallset, wall_colors, orientation, provenance="p")
-    want = oracle_alphabet(wallset, wall_colors, orientation, provenance="p")
+    want = oracle_alphabet(wallset, as_map(wall_colors), as_map(orientation), provenance="p")
     assert got.tiles == want.tiles
     assert list(got.tile_ids.items()) == list(want.tile_ids.items())
     assert list(got.chamber_tile.items()) == list(want.chamber_tile.items())
@@ -43,7 +48,7 @@ def assert_same_alphabet(wallset, wall_colors, orientation):
 
 def distinct_colors(wallset):
     system = wallset.ball.system
-    return dict(enumerate(color_walls(wallset, {s: system.generators[s] for s in range(system.rank)}).color))
+    return color_walls(wallset, {s: system.generators[s] for s in range(system.rank)}).color
 
 
 @pytest.mark.parametrize("radius", range(1, 7))
@@ -56,7 +61,7 @@ def test_hexagon_resolutions_match_the_oracle(radius, refine):
     rng = random.Random(radius * 2 + refine)
     for _ in range(3):
         flips = {cls: rng.random() < 0.5 for cls in res.levels}
-        assert_same_alphabet(ws, res.wall_colors, orient_alternating(res.levels, flips))
+        assert_same_alphabet(ws, res.wall_colors, orient_alternating(ws, res.levels, flips))
 
 
 @pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
@@ -87,7 +92,7 @@ def test_triangle_groups_match_the_oracle(system, radius):
     assert len(alpha) > 1
     rng = random.Random(radius)
     for _ in range(3):
-        ori = {w.wid: rng.choice((1, -1)) for w in ws.walls}
+        ori = [rng.choice((1, -1)) for w in ws.walls]
         assert_same_alphabet(ws, colors, ori)
 
 
@@ -96,21 +101,21 @@ def test_walls_left_out_are_excluded_alike():
     res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=True)
     rng = random.Random(5)
     dropped = set(rng.sample(range(len(ws)), 40))
-    colors = {w: c for w, c in res.wall_colors.items() if w not in dropped}
+    colors = [None if w in dropped else c for w, c in enumerate(res.wall_colors)]
     alpha = assert_same_alphabet(ws, colors, res.orientation)
     assert alpha.excluded and alpha.chamber_tile
-    unoriented = {w: o for w, o in res.orientation.items() if w not in dropped}
+    unoriented = [None if w in dropped else o for w, o in enumerate(res.orientation)]
     alpha = assert_same_alphabet(ws, res.wall_colors, unoriented)
     assert alpha.excluded and alpha.chamber_tile
     # a chamber whose every face is left out is excluded at its first face
-    alpha = assert_same_alphabet(ws, {}, res.orientation)
+    alpha = assert_same_alphabet(ws, [None] * len(ws), res.orientation)
     assert not alpha.tiles and (0, 0) in alpha.excluded
 
 
 def test_colors_that_print_alike_are_refused():
     # numbered labels keep the string-key order only when the keys differ
     _, ws = build_walls(HEXAGON, 2)
-    colors = {w.wid: (1 if w.wid % 2 else "1") for w in ws.walls}
+    colors = [1 if w.wid % 2 else "1" for w in ws.walls]
     with pytest.raises(ValidationError, match="print alike"):
         build_alphabet(ws, colors, orient_all_plus(ws))
 
@@ -149,7 +154,7 @@ def test_one_wall_set_reads_its_face_rows_once(monkeypatch):
         ori = rebased_alternating(ws, res.class_wids, ball.id_of(word))
         assert_same_alphabet(ws, res.wall_colors, ori)
     dropped = set(random.Random(6).sample(range(len(ws)), 40))
-    colors = {w: c for w, c in res.wall_colors.items() if w not in dropped}
+    colors = [None if w in dropped else c for w, c in enumerate(res.wall_colors)]
     alpha = assert_same_alphabet(ws, colors, res.orientation)
     assert alpha.excluded and alpha.chamber_tile
     assert not assert_same_alphabet(ws, res.wall_colors, res.orientation).excluded

@@ -8,6 +8,7 @@ from coxtile.coxeter import CoxeterSystem, enumerate_ball
 import coxtile.pipeline as pipeline
 import placement_oracle
 import vertex_key_oracle
+from polygon_geometry import side
 from coxtile.errors import GeometryError, InconclusiveError, ValidationError
 from coxtile.hyperbolic import (
     BASEPOINT,
@@ -270,7 +271,7 @@ def test_render_builds_no_word_index():
     assert "index" not in render_bundle(3, 2).ball.__dict__
 
 
-def test_deforming_the_outer_sphere_is_inconclusive():
+def test_face_signs_on_the_outer_sphere_are_inconclusive():
     # a tile on the ball's outer sphere has faces whose walls the ball does not reach
     system = CoxeterSystem.right_angled_polygon(6)
     ball, ws = build_walls(system, 2)
@@ -412,7 +413,7 @@ def assert_moved_on_bisectors(placed, deformed, polygon, wallset, res, class_of_
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_float_geometry_matches_numpy_bit_for_bit(n):
+def test_side_normals_and_moved_vertices_match_numpy(n):
     # the closed-form side normals match the numpy cross products of the base
     # sides within 1e-15 of their largest entry; each form is about 1e-15 off
     # the exact normal at n = 4.  The deformation moves vertices in the base
@@ -430,7 +431,7 @@ def test_float_geometry_matches_numpy_bit_for_bit(n):
     magnitude = default_magnitudes(a_colors, b_colors, 0.05 * poly.side_length())
     class_of = lambda color: color[0]
     for k, normal in enumerate(poly.normals):
-        want = numpy_side_normal(*poly.side(k))
+        want = numpy_side_normal(*side(poly, k))
         assert np.max(np.abs(np.array(normal) - want)) <= 1e-15 * np.max(np.abs(want))
     args = (res.wall_colors, class_of, res.orientation, magnitude)
     signs = signs_of(ball, ws, res.orientation, placed)
@@ -484,7 +485,7 @@ def numpy_reflection_matrices(polygon):
     # the numpy matrix form of reflection_matrices, kept as its reference
     out = []
     for k in range(polygon.p):
-        n = numpy_side_normal(*polygon.side(k))
+        n = numpy_side_normal(*side(polygon, k))
         out.append(np.eye(3) - 2.0 * np.outer(n, J @ n))
     return out
 

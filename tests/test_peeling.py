@@ -108,7 +108,7 @@ def test_refined_classes_match_oracle(radius):
     ball, ws = make(HEXAGON, radius)
     color_of, _palette = wall_coloring(ws, color_walls(ws, alternating_palette(HEXAGON)))
     refined = {}
-    for wid, color in color_of.items():
+    for wid, color in enumerate(color_of):
         refined.setdefault(color, []).append(wid)
     assert len(refined) > 2
     for wids in refined.values():
@@ -144,7 +144,7 @@ def test_rebased_alternating_matches_oracle_repeeling(system, radius, refine, mo
         for wids in res.class_wids.values():
             for w, level in peel_oracle.peel_levels(ws, wids, base).items():
                 expected[w] = (-1 if ws.separates(w, 0, base) else 1) * (-1) ** level
-        assert rebased_alternating(ws, res.class_wids, base) == expected
+        assert dict(enumerate(rebased_alternating(ws, res.class_wids, base))) == expected
     # every rebase read the palette's forest, the one kept, with no further pass over the ball
     assert len(passes) == 1 and ws._forest is kept
 
@@ -182,7 +182,7 @@ def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
     assert classes.disjoint
     color_of, _palette = wall_coloring(ws, classes)
     refined = {}
-    for wid, color in color_of.items():
+    for wid, color in enumerate(color_of):
         refined.setdefault(color, []).append(wid)
     palette_forest = class_forest(ws, classes.by_color.values())[0]
     refined_forest = class_forest(ws, refined.values())[0]
@@ -212,7 +212,7 @@ def test_wall_coloring_matches_oracle_tree_depths(system, palette, radius):
         depth.update((w, (color, tree.depth[w])) for w in wids)
     tern = square_free_prefix(max(d for _color, d in depth.values()) + 1)
     color_of, _palette = wall_coloring(ws, classes)
-    assert color_of == {w: (color, (tern[d], d % 3)) for w, (color, d) in depth.items()}
+    assert dict(enumerate(color_of)) == {w: (color, (tern[d], d % 3)) for w, (color, d) in depth.items()}
 
 
 def test_wall_set_keeps_one_forest(monkeypatch):
@@ -229,7 +229,7 @@ def test_wall_set_keeps_one_forest(monkeypatch):
     color_of, _palette = wall_coloring(ws, classes)
     kept = ws._forest
     refined = {}
-    for wid, color in color_of.items():
+    for wid, color in enumerate(color_of):
         refined.setdefault(color, []).append(wid)
 
     def held():

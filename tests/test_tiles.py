@@ -39,18 +39,19 @@ def toy_alphabet(tiles):
 
 
 def test_orient_alternating_signs():
+    _, ws = build_walls(CoxeterSystem.dihedral(3), 3)  # the three reflections
     levels = {"a": {0: 1, 1: 2, 2: 3}}
-    ori = orient_alternating(levels)
-    assert ori == {0: -1, 1: 1, 2: -1}
-    flipped = orient_alternating(levels, flips={"a": True})
-    assert flipped == {0: 1, 1: -1, 2: 1}
+    ori = orient_alternating(ws, levels)
+    assert dict(enumerate(ori)) == {0: -1, 1: 1, 2: -1}
+    flipped = orient_alternating(ws, levels, flips={"a": True})
+    assert dict(enumerate(flipped)) == {0: 1, 1: -1, 2: 1}
 
 
 def test_all_plus_and_base_chamber_faces():
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = build_walls(hexsys, 3)
     classes = color_walls(ws, alternating_palette(hexsys))
-    alpha = build_alphabet(ws, dict(enumerate(classes.color)), orient_all_plus(ws))
+    alpha = build_alphabet(ws, classes.color, orient_all_plus(ws))
     base_tile = alpha.tiles[alpha.chamber_tile[0]]
     assert all(sign == 1 for _, sign in base_tile)
 
@@ -171,7 +172,7 @@ def test_pentagon_alphabet_stable_radius4_to_5():
     for r in (4, 5):
         ball, ws = build_walls(pent, r)
         classes = color_walls(ws, {s: s for s in range(5)})
-        alpha = build_alphabet(ws, dict(enumerate(classes.color)), orient_all_plus(ws))
+        alpha = build_alphabet(ws, classes.color, orient_all_plus(ws))
         alphas[r] = set(alpha.tiles)
     assert alphas[4] == alphas[5]
 
@@ -211,10 +212,10 @@ def test_refined_resolution_palette():
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = build_walls(hexsys, 4)
     res = alternating_resolution(ws, alternating_palette(hexsys), refine=True)
-    used = {color for color in res.wall_colors.values()}
+    used = {color for color in res.wall_colors}
     # every refined color is (class, (t, d mod 3)); nine possible per class
     assert all(cls in ("a", "b") and len(pair) == 2 for cls, pair in used)
-    assert set(res.wall_colors) == {w.wid for w in ws.walls}
+    assert {w for w, c in enumerate(res.wall_colors) if c is not None} == {w.wid for w in ws.walls}
     # refined classes are subsets of the palette classes, still disjoint,
     # and their levels alternate the orientation
     for (cls, pair), wids in res.class_wids.items():
@@ -258,8 +259,8 @@ def test_alternating_signs_match_peeled_levels(system, radius, refine):
     seeded = {cls: i % 2 == 0 for i, cls in enumerate(seeded)}  # flips at least one class
     for flips in (None, {}, seeded):
         res = alternating_resolution(ws, palette, refine=refine, flips=flips)
-        want = orient_alternating(class_levels(ws, res.class_wids), flips)
-        assert list(res.orientation.items()) == list(want.items())
+        want = orient_alternating(ws, class_levels(ws, res.class_wids), flips)
+        assert res.orientation == want
 
 
 def test_alternating_resolution_peels_no_levels(monkeypatch):
@@ -272,7 +273,7 @@ def test_alternating_resolution_peels_no_levels(monkeypatch):
     _, ws = build_walls(HEXAGON, 4)
     for refine in (False, True):
         res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=refine, flips={"a": True})
-        assert set(res.orientation) == set(range(len(ws)))
+        assert {w for w, o in enumerate(res.orientation) if o is not None} == set(range(len(ws)))
 
 
 @pytest.mark.parametrize(

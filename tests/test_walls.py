@@ -292,7 +292,7 @@ def test_wall_coloring_palette_and_root_colors():
     assert len(palette) == 18  # nine per class
     for color, wids in classes.by_color.items():
         assert color_of[build_wall_tree(ws, wids).root] == (color, (0, 0))
-    assert set(color_of) == {w.wid for w in ws.walls}
+    assert {w for w, c in enumerate(color_of) if c is not None} == {w.wid for w in ws.walls}
 
 
 def test_wall_coloring_single_class_reduces_to_tree_coloring():
