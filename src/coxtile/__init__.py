@@ -39,7 +39,6 @@ from .tiles import (
     classify_balance,
     orient_all_plus,
     orient_alternating,
-    rebase_parity_check,
     verify_unbalanced_witness,
 )
 from .tiling_space import ChamberTiling, patch_distance, restrict_patch, translate_compare
@@ -78,7 +77,6 @@ __all__ = [
     "product_coloring",
     "radial_claim_check",
     "radial_segment",
-    "rebase_parity_check",
     "reflection_cocycle",
     "restrict_patch",
     "square_free_prefix",

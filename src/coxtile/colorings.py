@@ -260,14 +260,13 @@ def product_coloring(group, tree_colorings, orbit_maps) -> GroupColoring:
 # -- aperiodicity reports ---------------------------------------------------------
 
 
-def pair_witness(group, coloring: GroupColoring, g, h, rho: int, window=None):
+def pair_witness(group, coloring: GroupColoring, g, h, rho: int):
     """Search the rho-window around h for x with phi(g^{-1} x) != phi(x).
 
     The window is scanned by increasing distance from h (ShortLex within a
     distance), so reports are reproducible.  Returns the witness x or None.
     """
-    if window is None:
-        window = [u for u in group.members() if group.norm(u) <= rho]
+    window = [u for u in group.members() if group.norm(u) <= rho]
     return _witness(group, coloring, group.inv(g), h, window)
 
 
@@ -304,11 +303,10 @@ class AperiodicityReport:
 
 
 def aperiodicity_report(
-    group, coloring: GroupColoring, g_range: int, h_range: int, window: int, extra_pairs=()
+    group, coloring: GroupColoring, g_range: int, h_range: int, window: int
 ) -> AperiodicityReport:
-    """Witness search over all g != e with |g| <= g_range and |h| <= h_range,
-    plus any explicitly supplied (g, h) pairs.  Raises WindowError when a
-    range or the window is negative."""
+    """Witness search over all g != e with |g| <= g_range and |h| <= h_range.
+    Raises WindowError when a range or the window is negative."""
     for name, value in (("g range", g_range), ("h range", h_range), ("window", window)):
         if value < 0:
             raise WindowError(f"{name} must be nonnegative, got {value}")
@@ -320,6 +318,4 @@ def aperiodicity_report(
         ginv = group.inv(g)
         for h in hs:
             report.records[(g, h)] = _witness(group, coloring, ginv, h, win)
-    for g, h in extra_pairs:
-        report.records[(g, h)] = pair_witness(group, coloring, g, h, window, win)
     return report

@@ -319,22 +319,6 @@ def default_magnitudes(a_colors, b_colors, epsilon: float):
     return magnitude
 
 
-def face_signs(ball, wallset, orientation: list, cid: int) -> list:
-    """(wall, sign) for each side of chamber g = cid: the sign g sees on the
-    face, orientation[wall] negated when s is a descent (|g s| < |g|), since
-    the wall then lies between e and g.  `build_alphabet` reads the side off
-    the same descent.  Raises InconclusiveError when a face leaves the ball."""
-    rank, norms = ball.system.rank, ball.norms
-    row, norm = cid * rank, norms[cid]
-    out = []
-    for s, (wid, j) in enumerate(zip(wallset.faces[row:row + rank], ball.nbr[row:row + rank])):
-        if j < 0:
-            wallset.wall_of_face(cid, s)  # raises InconclusiveError: the face leaves the ball
-        sign = orientation[wid]
-        out.append((wid, -sign if norms[j] < norm else sign))
-    return out
-
-
 def deform_vertices(
     ball,
     placed,
@@ -358,7 +342,8 @@ def deform_vertices(
     are orthonormal tangents there, so the vertex goes to
     M (cosh d v_k + sinh d (a n_{k-1} + b n_k) / sqrt 2), with a and b the
     signs g sees on those faces.  `signs[cid]` holds the (wall, sign) pairs
-    of chamber cid's sides, as `face_signs` gives them.  Raises
+    of chamber cid's sides, as `pipeline.render_bundle` reads them off
+    WallSet.face_rows.  Raises
     GeometryError, naming the chamber, when a vertex cannot be moved or a
     deformed tile is no longer simple.
     """
@@ -393,27 +378,6 @@ def deform_vertices(
             )
         out.append(DeformedTile(tile.cid, tile.word, verts))
     return out
-
-
-def max_convex_epsilon(probe, lo=0.0, hi=1.0, steps=24) -> float:
-    """Bisect for the largest epsilon whose deformation stays convex.
-
-    `probe` maps epsilon to True (all tiles convex) or False; reported, not
-    derived from any bound.
-    """
-    if not probe(lo):
-        return 0.0
-    while probe(hi):
-        hi *= 2.0
-        if hi > 64:
-            return hi
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # -- SVG ---------------------------------------------------------------------------------

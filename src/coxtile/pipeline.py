@@ -12,9 +12,9 @@ from math import isfinite, sqrt
 
 from .colorings import NORM_PALETTE
 from .coxeter import CoxeterSystem, enumerate_ball
-from .errors import GeometryError, ValidationError
-from .tiles import TileAlphabet, build_alphabet, orient_all_plus, rebased_alternating
-from .walls import WallSet, class_levels, color_walls, enumerate_walls, wall_coloring
+from .errors import GeometryError, StructureError, ValidationError
+from .tiles import TileAlphabet, build_alphabet, orient_all_plus, orient_alternating
+from .walls import WallSet, color_walls, enumerate_walls, wall_coloring
 
 
 def build_walls(system: CoxeterSystem, radius: int):
@@ -24,23 +24,17 @@ def build_walls(system: CoxeterSystem, radius: int):
 
 @dataclass
 class Resolution:
-    """A signed tile system: wall colors, per-class levels, orientation, tiles."""
+    """A signed tile system: wall colors, color classes, orientation, tiles."""
 
     wallset: WallSet
     wall_colors: list  # wall id -> color, None for a wall left out
     class_wids: dict  # color class -> wall ids (classes the orientation alternates over)
     orientation: list  # wall id -> +1 / -1, None for a wall left out
-    provenance: str = ""
-
-    @cached_property
-    def levels(self) -> dict:
-        """Color class -> {wall id: level}, peeled on first read."""
-        return class_levels(self.wallset, self.class_wids)
 
     @cached_property
     def alphabet(self) -> TileAlphabet:
         """The tile alphabet, built on first read: rendering never reads it."""
-        return build_alphabet(self.wallset, self.wall_colors, self.orientation, self.provenance)
+        return build_alphabet(self.wallset, self.wall_colors, self.orientation)
 
 
 def _classes(wallset: WallSet, palette: dict, refine: bool):
@@ -64,23 +58,18 @@ def _classes(wallset: WallSet, palette: dict, refine: bool):
 def alternating_resolution(
     wallset: WallSet, palette: dict, refine: bool = False, flips: dict | None = None
 ) -> Resolution:
-    """The level-alternating resolution: sign (-1)^level per color class, as
-    rebased to e itself, negated on the classes that `flips` marks."""
+    """The level-alternating resolution: sign (-1)^level per color class,
+    negated on the classes that `flips` marks."""
     wall_colors, class_wids = _classes(wallset, palette, refine)
-    orientation = rebased_alternating(wallset, class_wids, 0)
-    flips = flips or {}
-    for cls, wids in class_wids.items():
-        if flips.get(cls):
-            for wid in wids:
-                orientation[wid] = -orientation[wid]
-    return Resolution(wallset, wall_colors, class_wids, orientation, "alternating")
+    orientation = orient_alternating(wallset, class_wids, flips)
+    return Resolution(wallset, wall_colors, class_wids, orientation)
 
 
 def all_plus_resolution(wallset: WallSet, palette: dict, refine: bool = False) -> Resolution:
     """The resolution orienting every wall canonically."""
     wall_colors, class_wids = _classes(wallset, palette, refine)
     orientation = orient_all_plus(wallset)
-    return Resolution(wallset, wall_colors, class_wids, orientation, "all-plus")
+    return Resolution(wallset, wall_colors, class_wids, orientation)
 
 
 # -- hyperbolic-plane demo -------------------------------------------------------
@@ -108,7 +97,7 @@ def face_metadata(tiles, ball, signs, wall_colors):
     tile sees the face with sign +, away otherwise; computed from the
     tile's own vertices so it applies to deformed tiles unchanged.
     `signs[cid]` holds the (wall, sign) pairs of chamber cid's sides, as
-    `face_signs` reads them off descents for `deform_vertices` too.
+    `render_bundle` reads them off WallSet.face_rows for `deform_vertices` too.
     """
     from .hyperbolic import center_of, cosh_sinh, geodesic_point, tangent_toward
 
@@ -154,7 +143,10 @@ def render_bundle(
     """Assemble the full hyperbolic-plane demo for the right-angled 2n-gon.
 
     The ball is enumerated one radius deeper than the rendered tiles so
-    every rendered face lies on an identified, colored wall.
+    every rendered face lies on an identified, colored wall, and the placed
+    tiles (norm <= radius) are the ball's first interior chambers, in id
+    order: row i of WallSet.face_rows holds chamber i's faces, each 2 * wall
+    + far, and the side sees orientation[wall], negated when far is set.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -164,7 +156,6 @@ def render_bundle(
         build_polygon,
         default_magnitudes,
         deform_vertices,
-        face_signs,
         place_tiles,
         reflection_matrices,
     )
@@ -176,7 +167,12 @@ def render_bundle(
     polygon = build_polygon(n)
     matrices = reflection_matrices(polygon)
     placed = place_tiles(ball, polygon, matrices, max_norm=radius)
-    signs = [face_signs(ball, wallset, res.orientation, tile.cid) for tile in placed]
+    interior, rows = wallset.face_rows
+    count, rank, orientation = len(placed), system.rank, res.orientation
+    if count > len(interior) or interior[count - 1] != count - 1:  # signs are read by position
+        raise StructureError(f"the first {count} interior chambers are not chambers 0 to {count - 1}")
+    sides = [(f >> 1, -orientation[f >> 1] if f & 1 else orientation[f >> 1]) for f in rows[:count * rank]]
+    signs = [sides[i:i + rank] for i in range(0, len(sides), rank)]
     tiles = placed
     if deform:
         if refine:

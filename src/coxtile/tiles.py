@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from .errors import StructureError, ValidationError
 from .ratlp import solve_lp
-from .walls import WallSet, class_forest, class_levels
+from .walls import WallSet, class_forest
 
 
 def _face_key(face):
@@ -43,20 +43,17 @@ def orient_all_plus(wallset: WallSet) -> list:
     return [1] * len(wallset)
 
 
-def orient_alternating(wallset: WallSet, levels_by_class: dict, flips: dict | None = None) -> list:
-    """Sign (-1)^level per wall, with an optional global flip per class, as a
-    list indexed by wall id; a wall in no class gets None.
+def orient_alternating(wallset: WallSet, class_wids: dict, flips: dict | None = None) -> list:
+    """Sign (-1)^level per wall, the level read off the class forest (see
+    walls.class_forest), negated on every class that `flips` marks, as a list
+    indexed by wall id; a wall in no class gets None.
 
     Any flip pattern yields an "allowed" orientation; the default pattern
-    starts -, +, -, ... outward from the base chamber.
+    starts -, +, -, ... outward from the base chamber.  Raises StructureError
+    for the first class, in dict order, whose walls are not nested.
     """
-    flips = flips or {}
-    orientation = [None] * len(wallset)
-    for cls, levels in levels_by_class.items():
-        f = -1 if flips.get(cls) else 1
-        for wid, lev in levels.items():
-            orientation[wid] = f * (-1) ** lev
-    return orientation
+    forest, numbers = class_forest(wallset, class_wids.values())
+    return _alternate(wallset, class_wids, forest, numbers, flips or {})
 
 
 def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> list:
@@ -68,14 +65,23 @@ def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> lis
     the original base flip a whole disjoint class at once, by the parity of
     the class walls separating the two chambers: the chamber's region in the
     class's tree and its ancestors (see walls.class_forest), as many as that
-    region's level.  The levels from e in the same forest give the signs.
+    region's level.  So a rebase is orient_alternating with those flips.
     """
     forest, numbers = class_forest(wallset, class_wids.values())
-    level, orientation = forest.level, [None] * len(wallset)
-    for wids, c in zip(class_wids.values(), numbers):
+    flips = {}
+    for cls, c in zip(class_wids, numbers):
         region = forest.region_of(wallset, c, chamber)  # checks the chamber before any class
+        flips[cls] = region >= 0 and forest.level[region] % 2
+    return _alternate(wallset, class_wids, forest, numbers, flips)
+
+
+def _alternate(wallset: WallSet, class_wids: dict, forest, numbers, flips: dict) -> list:
+    """flip * (-1)^level for the walls of each class, read off `forest`, in
+    which the classes have the numbers `numbers`."""
+    level, orientation = forest.level, [None] * len(wallset)
+    for (cls, wids), c in zip(class_wids.items(), numbers):
         forest.check(c)
-        f = -1 if region >= 0 and level[region] % 2 else 1
+        f = -1 if flips.get(cls) else 1
         for wid in wids:
             orientation[wid] = f * (-1) ** level[wid]
     return orientation
@@ -93,7 +99,6 @@ class TileAlphabet:
     chamber_tile: dict  # chamber id -> tile id
     excluded: list
     radius: int
-    provenance: str = ""
 
     def __len__(self):
         return len(self.tiles)
@@ -130,9 +135,7 @@ def _label_tables(wallset: WallSet, wall_colors: list, orientation: list):
     return labels, near, far
 
 
-def build_alphabet(
-    wallset: WallSet, wall_colors: list, orientation: list, provenance: str = ""
-) -> TileAlphabet:
+def build_alphabet(wallset: WallSet, wall_colors: list, orientation: list) -> TileAlphabet:
     """Label every interior chamber with its (color, sign) face multiset.
 
     `wall_colors` and `orientation` are lists indexed by wall id, one entry
@@ -174,7 +177,7 @@ def build_alphabet(
     tile_ids = {t: i for i, t in enumerate(tiles)}
     code_ids = {code: i for i, code in enumerate(distinct)}
     chamber_tile = dict(zip(interior, map(code_ids.__getitem__, codes)))
-    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, ball.radius, provenance)
+    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, ball.radius)
 
 
 def _excluded_faces(wallset: WallSet, near: list) -> list:
@@ -344,34 +347,3 @@ def grid_oracle(alphabet: TileAlphabet, bound: int = 2) -> dict:
         "positive_witness": found_positive,
         "nonnegative_witness": found_nonneg,
     }
-
-
-# -- rebasing --------------------------------------------------------------------
-
-
-@dataclass
-class RebaseReport:
-    chamber: int
-    flips: dict  # class -> 0 or 1 parity shift
-    is_global_flip: bool
-    orientation: list  # wall id -> +1 / -1, None for a wall in no class
-
-
-def rebase_parity_check(
-    wallset: WallSet, class_wids: dict, base_orientation: dict, chamber: int
-) -> RebaseReport:
-    """Re-peel levels from another chamber and compare oriented signs.
-
-    The rebased alternating orientation, carried back to the original
-    canonical frame, must differ from the original by a global flip on each
-    class; the report records the per-class flip pattern.  It re-peels from
-    the chamber, independent of `rebased_alternating`'s closed-form sign.
-    """
-    crossed = wallset.sep[chamber]
-    reor, flips = [None] * len(wallset), {}
-    for cls, levels in class_levels(wallset, class_wids, base=chamber).items():
-        for wid, lev in levels.items():
-            reor[wid] = (-1 if wid in crossed else 1) * (-1) ** lev
-        pattern = {(1 - base_orientation[w] * reor[w]) // 2 for w in levels}
-        flips[cls] = pattern.pop() if len(pattern) == 1 else None
-    return RebaseReport(chamber, flips, None not in flips.values(), reor)

@@ -705,21 +705,14 @@ def _contract(forest: ClassForest, classes) -> ClassForest:
     return ClassForest(klass, list(map(len, classes)), parent, level, [-1] * len(classes))
 
 
-def class_levels(wallset: WallSet, class_wids: dict, base: int = 0) -> dict:
-    """Class -> {wall id: level} peeled from `base`, for disjoint classes (class
-    -> wall ids) read off one forest (class_forest).  Raises StructureError for
-    the first class, in dict order, whose walls are not nested."""
-    forest, nums = class_forest(wallset, class_wids.values())
-    return {cls: forest.peel(wallset, c, wids, base)[0] for (cls, wids), c in zip(class_wids.items(), nums)}
-
-
 def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
     """Iterated peeling of a pairwise-disjoint wall class away from `base`:
     round k removes the walls no remaining class wall separates from the base
     chamber and labels them level k, read off the class's tree in a
-    ClassForest (class_levels).  Raises StructureError on walls that are not
-    nested."""
-    return class_levels(wallset, {0: class_wids}, base)[0]
+    ClassForest (class_forest, ClassForest.peel).  Raises StructureError on
+    walls that are not nested."""
+    forest, (c,) = class_forest(wallset, [class_wids])
+    return forest.peel(wallset, c, class_wids, base)[0]
 
 
 # -- wall trees --------------------------------------------------------------

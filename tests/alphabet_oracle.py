@@ -8,9 +8,7 @@ from coxtile.tiles import TileAlphabet, _face_key, tile_of_faces
 from coxtile.walls import WallSet
 
 
-def build_alphabet(
-    wallset: WallSet, wall_colors: dict, orientation: dict, provenance: str = ""
-) -> TileAlphabet:
+def build_alphabet(wallset: WallSet, wall_colors: dict, orientation: dict) -> TileAlphabet:
     """Label every interior chamber with its (color, sign) face multiset.
 
     A chamber is interior when all its generator edges lie in the ball;
@@ -41,4 +39,4 @@ def build_alphabet(
     tiles = sorted(set(chamber_faces.values()), key=lambda t: [(_face_key(f)) for f in t])
     tile_ids = {t: i for i, t in enumerate(tiles)}
     chamber_tile = {cid: tile_ids[t] for cid, t in chamber_faces.items()}
-    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, ball.radius, provenance)
+    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, ball.radius)

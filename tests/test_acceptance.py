@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from braid_oracle import naive_ball
 from polygon_geometry import angles
+from rebase_oracle import rebase_parity_check
 
 from coxtile.cli import main as cli_main
 from coxtile.colorings import (
@@ -57,7 +58,7 @@ from coxtile.tiles import (
     WeightFunction,
     classify_balance,
     grid_oracle,
-    rebase_parity_check,
+    orient_alternating,
     tile_of_faces,
     TileAlphabet,
     verify_unbalanced_witness,
@@ -228,7 +229,8 @@ def test_criterion_6_walls_levels_trees():
     classes = color_walls(ws, alternating_palette(hexsys))
     if not classes.disjoint:
         _fail(6, desc, t0, "classes not disjoint")
-    levels_by_class = {}
+    class_wids = dict(classes.by_color)
+    orientation = orient_alternating(ws, class_wids)
     for color, wids in classes.by_color.items():
         tree = build_wall_tree(ws, wids)
         # structural tree on the whole class
@@ -238,11 +240,8 @@ def test_criterion_6_walls_levels_trees():
         for w in det:
             if w != tree.root and tree.parent[w] not in det:
                 _fail(6, desc, t0, f"determinate core disconnected at wall {w}")
-        levels_by_class[color] = peel_levels(ws, wids)
-    from coxtile.tiles import orient_alternating
-
-    orientation = orient_alternating(ws, levels_by_class)
-    class_wids = dict(classes.by_color)
+        if any(orientation[w] != (-1) ** level for w, level in peel_levels(ws, wids).items()):
+            _fail(6, desc, t0, f"orientation of class {color} does not alternate by level")
     for cid in range(len(ball)):
         if not 0 < ball.norms[cid] <= 2:
             continue

@@ -36,13 +36,13 @@ def as_map(table):
 
 
 def assert_same_alphabet(wallset, wall_colors, orientation):
-    got = build_alphabet(wallset, wall_colors, orientation, provenance="p")
-    want = oracle_alphabet(wallset, as_map(wall_colors), as_map(orientation), provenance="p")
+    got = build_alphabet(wallset, wall_colors, orientation)
+    want = oracle_alphabet(wallset, as_map(wall_colors), as_map(orientation))
     assert got.tiles == want.tiles
     assert list(got.tile_ids.items()) == list(want.tile_ids.items())
     assert list(got.chamber_tile.items()) == list(want.chamber_tile.items())
     assert got.excluded == want.excluded
-    assert (got.radius, got.provenance) == (want.radius, want.provenance)
+    assert got.radius == want.radius
     return got
 
 
@@ -60,8 +60,8 @@ def test_hexagon_resolutions_match_the_oracle(radius, refine):
     assert_same_alphabet(ws, res.wall_colors, orient_all_plus(ws))
     rng = random.Random(radius * 2 + refine)
     for _ in range(3):
-        flips = {cls: rng.random() < 0.5 for cls in res.levels}
-        assert_same_alphabet(ws, res.wall_colors, orient_alternating(ws, res.levels, flips))
+        flips = {cls: rng.random() < 0.5 for cls in res.class_wids}
+        assert_same_alphabet(ws, res.wall_colors, orient_alternating(ws, res.class_wids, flips))
 
 
 @pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])

@@ -207,15 +207,14 @@ def test_aperiodicity_report_norm_coloring_small():
 def test_aperiodicity_report_inverts_each_g_once(monkeypatch):
     ball = enumerate_ball(CoxeterSystem.right_angled_polygon(5), 5)
     col = norm_coloring(ball)
-    extra = [(ball.words[1], ball.words[3])]
     inverted = []
     real = ball.inv
     monkeypatch.setattr(ball, "inv", lambda u: inverted.append(u) or real(u))
-    rep = aperiodicity_report(ball, col, g_range=2, h_range=2, window=2, extra_pairs=extra)
+    rep = aperiodicity_report(ball, col, g_range=2, h_range=2, window=2)
     monkeypatch.undo()
     gs = [g for g in ball.members() if 0 < ball.norm(g) <= 2]
-    assert len(rep.records) > len(gs) + len(extra)
-    assert sorted(inverted) == sorted(gs + [g for g, _h in extra])
+    assert len(rep.records) > len(gs)
+    assert sorted(inverted) == sorted(gs)
     for (g, h), x in rep.records.items():
         assert x == pair_witness(ball, col, g, h, 2)
 

@@ -8,8 +8,9 @@ from coxtile.coxeter import CoxeterSystem, enumerate_ball
 import coxtile.pipeline as pipeline
 import placement_oracle
 import vertex_key_oracle
+from face_sign_oracle import face_signs
 from polygon_geometry import side
-from coxtile.errors import GeometryError, InconclusiveError, ValidationError
+from coxtile.errors import GeometryError, InconclusiveError, StructureError, ValidationError
 from coxtile.hyperbolic import (
     BASEPOINT,
     DeformedTile,
@@ -18,7 +19,6 @@ from coxtile.hyperbolic import (
     convexity_check,
     default_magnitudes,
     deform_vertices,
-    face_signs,
     geodesic_point,
     hyp_dist,
     lorentz_dot,
@@ -38,7 +38,8 @@ J = np.diag([1.0, 1.0, -1.0])
 
 
 def signs_of(ball, wallset, orientation, placed):
-    # the (wall, sign) pairs of every placed chamber, indexed by its id
+    # the (wall, sign) pairs of every placed chamber, indexed by its id, by
+    # the descent rule of tests/face_sign_oracle.py
     return [face_signs(ball, wallset, orientation, tile.cid) for tile in placed]
 
 
@@ -272,15 +273,47 @@ def test_render_builds_no_word_index():
 
 
 def test_face_signs_on_the_outer_sphere_are_inconclusive():
-    # a tile on the ball's outer sphere has faces whose walls the ball does not reach
+    # a tile on the ball's outer sphere has faces whose walls the ball does not
+    # reach, so the descent rule has no sign for them; render_bundle places
+    # no such tile, as it enumerates one radius past the tiles it draws
     system = CoxeterSystem.right_angled_polygon(6)
     ball, ws = build_walls(system, 2)
     res = alternating_resolution(ws, alternating_palette(system))
     poly = build_polygon(3)
     placed = place_tiles(ball, poly, reflection_matrices(poly))
-    # the signs deform_vertices reads are taken before it runs, and stop there
     with pytest.raises(InconclusiveError, match="enlarge the radius"):
         signs_of(ball, ws, res.orientation, placed)
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refined", "unrefined"])
+@pytest.mark.parametrize("n, radius", [(n, r) for n in (3, 4, 5, 6) for r in range(5)])
+def test_render_reads_the_descent_rule_off_face_rows(n, radius, refine, monkeypatch):
+    # the signs render_bundle hands to deform_vertices and face_metadata,
+    # read off WallSet.face_rows, against the descent rule on every placed tile
+    seen = []
+    monkeypatch.setattr(pipeline, "face_metadata", lambda tiles, ball, signs, colors: seen.append(signs))
+    bundle = render_bundle(n, radius, refine=refine, deform=False)
+    (signs,) = seen
+    assert len(signs) == len(bundle.tiles) == sum(bundle.ball.sphere_sizes[:radius + 1])
+    orientation = bundle.resolution.orientation
+    for tile in bundle.tiles:
+        assert signs[tile.cid] == face_signs(bundle.ball, bundle.wallset, orientation, tile.cid)
+
+
+def test_render_refuses_face_rows_that_do_not_start_at_e(monkeypatch):
+    # signs are read by position, so a planted face_rows whose interior
+    # starts at chamber 1 would mis-sign every tile without the check
+    real = pipeline.build_walls
+
+    def planted(system, radius):
+        ball, ws = real(system, radius)
+        interior, rows = ws.face_rows
+        ws.__dict__["face_rows"] = (interior[1:], rows[system.rank:])
+        return ball, ws
+
+    monkeypatch.setattr(pipeline, "build_walls", planted)
+    with pytest.raises(StructureError, match=r"^the first 7 interior chambers are not chambers 0 to 6$"):
+        render_bundle(3, 1)
 
 
 @pytest.mark.parametrize("n, radius", [(n, r) for n in (3, 4, 5) for r in (2, 3, 4)])
@@ -323,9 +356,7 @@ def test_render_rejects_floats_that_are_not_finite(value):
         render_svg([], stroke_width=-0.5)
 
 
-def test_max_convex_epsilon_probe():
-    from coxtile.hyperbolic import max_convex_epsilon
-
+def test_deformation_is_convex_at_small_epsilon():
     def probe(eps):
         try:
             bundle = render_bundle(3, 2, refine=True, deform=True, epsilon_factor=eps)
@@ -333,9 +364,7 @@ def test_max_convex_epsilon_probe():
             return False
         return all(convexity_check(t.vertices) for t in bundle.tiles)
 
-    eps_max = max_convex_epsilon(probe, lo=0.05, hi=1.0, steps=8)
-    assert eps_max >= 0.05
-    assert probe(eps_max)
+    assert probe(0.05)
     assert not probe(10.0)
 
 

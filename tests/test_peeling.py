@@ -23,7 +23,7 @@ from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import StructureError
 from coxtile.pipeline import alternating_resolution
 from coxtile.sequences import square_free_prefix
-from coxtile.tiles import rebased_alternating
+from coxtile.tiles import orient_alternating, rebased_alternating
 from coxtile.walls import (
     ClassForest,
     alternating_palette,
@@ -132,19 +132,27 @@ def test_rebased_levels_match_oracle():
 @pytest.mark.parametrize("system, radius", [(HEXAGON, 6), (OCTAGON, 5)], ids=["hexagon-6", "octagon-5"])
 def test_rebased_alternating_matches_oracle_repeeling(system, radius, refine, monkeypatch):
     # the closed-form sign per class against levels re-peeled by the oracle
-    # from the new base, each wall's side taken from crossing parity
+    # from the new base, each wall's side taken from crossing parity; and the
+    # rebase is the alternating rule with the one flip per class that the
+    # oracle's levels from e and from the base give
     passes = count_region_passes(monkeypatch)
     ball, ws = make(system, radius)
     res = alternating_resolution(ws, alternating_palette(system), refine=refine)
     # one pass for the palette; refined colors are contracted from its trees
     assert passes == [[len(w) for w in color_walls(ws, alternating_palette(system)).by_color.values()]]
     kept = ws._forest
+    from_e = {cls: peel_oracle.peel_levels(ws, wids) for cls, wids in res.class_wids.items()}
     for base in random.Random(radius).sample(range(1, len(ball)), 25):
-        expected = {}
-        for wids in res.class_wids.values():
+        expected, flips = {}, {}
+        for cls, wids in res.class_wids.items():
             for w, level in peel_oracle.peel_levels(ws, wids, base).items():
                 expected[w] = (-1 if ws.separates(w, 0, base) else 1) * (-1) ** level
-        assert dict(enumerate(rebased_alternating(ws, res.class_wids, base))) == expected
+            pattern = {expected[w] != (-1) ** level for w, level in from_e[cls].items()}
+            assert len(pattern) == 1  # a rebase flips whole classes
+            flips[cls] = pattern.pop()
+        rebased = rebased_alternating(ws, res.class_wids, base)
+        assert dict(enumerate(rebased)) == expected
+        assert rebased == orient_alternating(ws, res.class_wids, flips)
     # every rebase read the palette's forest, the one kept, with no further pass over the ball
     assert len(passes) == 1 and ws._forest is kept
 

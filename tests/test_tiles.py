@@ -3,7 +3,9 @@ import json
 import random
 from fractions import Fraction
 
+import peel_oracle
 import pytest
+from rebase_oracle import rebase_parity_check
 
 from coxtile import tiles as tiles_module
 from coxtile.coxeter import CoxeterSystem
@@ -19,12 +21,11 @@ from coxtile.tiles import (
     grid_oracle,
     orient_all_plus,
     orient_alternating,
-    rebase_parity_check,
     rebased_alternating,
     tile_of_faces,
     verify_unbalanced_witness,
 )
-from coxtile.walls import alternating_palette, class_levels, color_walls, peel_levels
+from coxtile.walls import ClassForest, alternating_palette, color_walls, peel_levels
 
 HEXAGON = CoxeterSystem.right_angled_polygon(6)
 OCTAGON = CoxeterSystem.right_angled_polygon(8)
@@ -33,18 +34,17 @@ OCTAGON = CoxeterSystem.right_angled_polygon(8)
 def toy_alphabet(tiles):
     tiles = [tile_of_faces(t) for t in tiles]
     tiles = sorted(set(tiles), key=lambda t: [(str(f[0]), f[1]) for f in t])
-    return TileAlphabet(
-        tiles, {t: i for i, t in enumerate(tiles)}, {}, [], radius=0, provenance="toy"
-    )
+    return TileAlphabet(tiles, {t: i for i, t in enumerate(tiles)}, {}, [], radius=0)
 
 
 def test_orient_alternating_signs():
-    _, ws = build_walls(CoxeterSystem.dihedral(3), 3)  # the three reflections
-    levels = {"a": {0: 1, 1: 2, 2: 3}}
-    ori = orient_alternating(ws, levels)
-    assert dict(enumerate(ori)) == {0: -1, 1: 1, 2: -1}
-    flipped = orient_alternating(ws, levels, flips={"a": True})
-    assert dict(enumerate(flipped)) == {0: 1, 1: -1, 2: 1}
+    # the infinite dihedral group: walls a, aba, ababa (ids 0, 2, 4) lie at
+    # levels 1, 2, 3 from e, and so do b, bab, babab (ids 1, 3, 5)
+    _, ws = build_walls(CoxeterSystem(("a", "b"), ((1, 0), (0, 1))), 3)
+    classes = {"a": [0, 2, 4], "b": [1, 3, 5]}
+    assert orient_alternating(ws, classes) == [-1, -1, 1, 1, -1, -1]
+    assert orient_alternating(ws, classes, flips={"a": True}) == [1, -1, -1, 1, 1, -1]
+    assert orient_alternating(ws, {"a": [0, 2, 4]}) == [-1, None, 1, None, -1, None]
 
 
 def test_all_plus_and_base_chamber_faces():
@@ -219,27 +219,10 @@ def test_refined_resolution_palette():
     # refined classes are subsets of the palette classes, still disjoint,
     # and their levels alternate the orientation
     for (cls, pair), wids in res.class_wids.items():
+        levels = peel_levels(ws, wids)
         for w in wids:
             assert res.wall_colors[w] == (cls, pair)
-            assert res.orientation[w] == (-1) ** res.levels[(cls, pair)][w]
-
-
-@pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
-def test_all_plus_resolution_peels_on_first_read(monkeypatch, refine):
-    import coxtile.pipeline as pipeline
-
-    hexsys = CoxeterSystem.right_angled_polygon(6)
-    ball, ws = build_walls(hexsys, 4)
-    palette = alternating_palette(hexsys)
-    calls, real = [], pipeline.class_levels
-    monkeypatch.setattr(pipeline, "class_levels", lambda *args: calls.append(args) or real(*args))
-    res = all_plus_resolution(ws, palette, refine=refine)
-    assert calls == []  # the all-plus orientation reads no level
-    levels = res.levels
-    assert len(calls) == 1  # one read of every class on the first read
-    assert res.levels is levels and len(calls) == 1  # and none after
-    assert levels == alternating_resolution(ws, palette, refine=refine).levels
-    assert levels == {cls: peel_levels(ws, wids) for cls, wids in res.class_wids.items()}
+            assert res.orientation[w] == (-1) ** levels[w]
 
 
 @pytest.mark.parametrize(
@@ -249,31 +232,52 @@ def test_all_plus_resolution_peels_on_first_read(monkeypatch, refine):
 )
 @pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
 def test_alternating_signs_match_peeled_levels(system, radius, refine):
-    # the resolution reads its signs off the class forest (rebased at e); the
-    # levels peeled per class and orient_alternating build them independently
+    # orient_alternating, which the resolution reads, against flip * (-1)^level
+    # with the levels peeled per class by the round-based oracle
+    # (tests/peel_oracle.py), for the default and 20 seeded flip patterns
     _, ws = build_walls(system, radius)
     palette = alternating_palette(system)
-    classes = alternating_resolution(ws, palette, refine=refine).class_wids
-    seeded = sorted(classes, key=str)
-    random.Random(radius * 2 + refine).shuffle(seeded)
-    seeded = {cls: i % 2 == 0 for i, cls in enumerate(seeded)}  # flips at least one class
-    for flips in (None, {}, seeded):
-        res = alternating_resolution(ws, palette, refine=refine, flips=flips)
-        want = orient_alternating(ws, class_levels(ws, res.class_wids), flips)
-        assert res.orientation == want
+    class_wids = alternating_resolution(ws, palette, refine=refine).class_wids
+    levels = {cls: peel_oracle.peel_levels(ws, wids) for cls, wids in class_wids.items()}
+    rng = random.Random(radius * 2 + refine)
+    seeded = [{cls: rng.random() < 0.5 for cls in class_wids} for _ in range(20)]
+    assert any(any(flips.values()) for flips in seeded)
+    for i, flips in enumerate([None, {}] + seeded):
+        want = [None] * len(ws)
+        for cls, lev in levels.items():
+            f = -1 if flips and flips[cls] else 1
+            for w, level in lev.items():
+                want[w] = f * (-1) ** level
+        assert orient_alternating(ws, class_wids, flips) == want
+        if i < 3:
+            assert alternating_resolution(ws, palette, refine=refine, flips=flips).orientation == want
 
 
 def test_alternating_resolution_peels_no_levels(monkeypatch):
-    import coxtile.pipeline as pipeline
+    # both resolutions read levels off class forests and peel nothing: a
+    # refined one reads the palette's forest to color (wall_coloring), and the
+    # alternating orientation reads one more forest (orient_alternating)
+    import coxtile.walls as walls
+
+    calls = []
+    for module in (tiles_module, walls):
+        real = module.class_forest
+        monkeypatch.setattr(module, "class_forest", lambda *args, real=real: calls.append(args) or real(*args))
 
     def refuse(*args):
-        raise AssertionError("class_levels called")
+        raise AssertionError("ClassForest.peel called")
 
-    monkeypatch.setattr(pipeline, "class_levels", refuse)
+    monkeypatch.setattr(ClassForest, "peel", refuse)
     _, ws = build_walls(HEXAGON, 4)
+    palette = alternating_palette(HEXAGON)
     for refine in (False, True):
-        res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=refine, flips={"a": True})
+        calls.clear()
+        res = alternating_resolution(ws, palette, refine=refine, flips={"a": True})
+        assert len(calls) == 1 + refine
         assert {w for w, o in enumerate(res.orientation) if o is not None} == set(range(len(ws)))
+        calls.clear()
+        all_plus_resolution(ws, palette, refine=refine)
+        assert len(calls) == refine
 
 
 @pytest.mark.parametrize(

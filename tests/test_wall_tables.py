@@ -5,17 +5,12 @@ list of another length.
 """
 
 import pytest
+from rebase_oracle import rebase_parity_check
 
 from coxtile.coxeter import CoxeterSystem
 from coxtile.errors import ValidationError
 from coxtile.pipeline import all_plus_resolution, alternating_resolution, build_walls
-from coxtile.tiles import (
-    build_alphabet,
-    orient_all_plus,
-    orient_alternating,
-    rebase_parity_check,
-    rebased_alternating,
-)
+from coxtile.tiles import build_alphabet, orient_all_plus, orient_alternating, rebased_alternating
 from coxtile.walls import alternating_palette, class_trees, color_walls, wall_coloring
 
 HEXAGON = CoxeterSystem.right_angled_polygon(6)
@@ -47,7 +42,7 @@ def test_builders_return_one_entry_per_wall(hexagon_r5, refine):
         plus.wall_colors,
         plus.orientation,
         orient_all_plus(ws),
-        orient_alternating(ws, res.levels, flips),
+        orient_alternating(ws, res.class_wids, flips),
         rebased_alternating(ws, res.class_wids, ball.id_of((1, 4))),
         rebase_parity_check(ws, res.class_wids, res.orientation, ball.id_of((2,))).orientation,
     ]
