@@ -275,9 +275,35 @@ def test_alternating_resolution_peels_no_levels(monkeypatch):
         res = alternating_resolution(ws, palette, refine=refine, flips={"a": True})
         assert len(calls) == 1 + refine
         assert {w for w, o in enumerate(res.orientation) if o is not None} == set(range(len(ws)))
-        calls.clear()
-        all_plus_resolution(ws, palette, refine=refine)
-        assert len(calls) == refine
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
+def test_all_plus_resolution_peels_on_first_read(monkeypatch, refine):
+    # the all-plus orientation reads no level: building it peels nothing and
+    # reads a class forest only to color a refined palette; the levels peeled
+    # off its classes on a first read are those the alternating one signs by
+    import coxtile.walls as walls
+
+    calls = []
+    for module in (tiles_module, walls):
+        real = module.class_forest
+        monkeypatch.setattr(module, "class_forest", lambda *args, real=real: calls.append(args) or real(*args))
+
+    def refuse(*args):
+        raise AssertionError("ClassForest.peel called")
+
+    _, ws = build_walls(HEXAGON, 4)
+    palette = alternating_palette(HEXAGON)
+    with monkeypatch.context() as m:
+        m.setattr(ClassForest, "peel", refuse)
+        res = all_plus_resolution(ws, palette, refine=refine)
+    assert len(calls) == refine
+    assert res.orientation == [1] * len(ws)
+    alt = alternating_resolution(ws, palette, refine=refine)
+    assert res.class_wids == alt.class_wids
+    for wids in res.class_wids.values():
+        for w, level in peel_levels(ws, wids).items():
+            assert alt.orientation[w] == (-1) ** level
 
 
 @pytest.mark.parametrize(
