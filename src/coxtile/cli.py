@@ -13,6 +13,7 @@ import os
 import sys
 from collections.abc import Iterator
 from itertools import islice
+from math import isfinite
 
 from . import __version__
 from .colorings import aperiodicity_report, norm_coloring
@@ -270,8 +271,8 @@ def _cmd_render(args, out) -> int:
         args.n,
         args.radius,
         refine=not args.no_refine,
-        deform=not args.no_deform,
-        epsilon_factor=args.epsilon,
+        # a non-finite epsilon is refused with --no-deform too
+        epsilon_factor=0.0 if args.no_deform and isfinite(args.epsilon) else args.epsilon,
     )
     svg = render_svg(bundle.tiles, bundle.face_data, stroke_width=args.stroke_width)
     if args.out:
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="half the polygon side count")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--no-deform", action="store_true")
+    p.add_argument("--no-deform", action="store_true", help="the epsilon = 0 deformation: undeformed tiles")
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--stroke-width", type=float, default=0.004)
     p.add_argument("--out")

@@ -298,39 +298,12 @@ def sample_overlap_fraction(tiles, samples_per_tile=40, seed=0, margin=1e-6) -> 
 # -- vertex deformation -------------------------------------------------------------------
 
 
-@dataclass
-class DeformedTile:
-    cid: int  # the chamber's ball id
-    word: tuple
-    vertices: tuple
-
-
-def default_magnitudes(a_colors, b_colors, epsilon: float):
-    """d for the (i, j)-th color pair: epsilon * (9 i + j + 1) / 100.
-
-    With nine colors per class all 81 values are distinct.
-    """
-    a_index = {c: i for i, c in enumerate(sorted(a_colors, key=str))}
-    b_index = {c: i for i, c in enumerate(sorted(b_colors, key=str))}
-
-    def magnitude(ca, cb):
-        return epsilon * (9 * a_index[ca] + b_index[cb] + 1) / 100.0
-
-    return magnitude
-
-
-def deform_vertices(
-    ball,
-    placed,
-    polygon: HPolygon,
-    signs,
-    wall_colors: list,
-    class_of_color,
-    magnitude,
-) -> list[DeformedTile]:
+def deform_vertices(ball, placed, polygon: HPolygon, signs, shades: list, epsilon: float) -> list[PlacedTile]:
     """Move every geometric vertex along the bisector of the positive
-    quadrant of its two oriented walls, by the magnitude assigned to the
-    color pair; each vertex is displaced once, so tiles stay face to face.
+    quadrant of its two oriented walls wa and wb, by the magnitude
+    d = epsilon (shades[wa] + shades[wb] + 1) / 100; each vertex is
+    displaced once, so tiles stay face to face, and at epsilon = 0 each
+    vertex stays where the first of its tiles placed it.
 
     Vertex k of chamber g is where the walls of its sides k-1 and k cross.
     The group is right-angled, so the four chambers around it, g, g s_{k-1},
@@ -357,11 +330,8 @@ def deform_vertices(
         for k in range(p):
             (wa, a), (wb, b) = sides[k - 1], sides[k]
             if (wa, wb) not in displaced:
-                labels = {class_of_color(wall_colors[w]): wall_colors[w] for w in (wa, wb)}
-                if set(labels) != {"a", "b"}:
-                    raise GeometryError(f"vertex {k} of chamber {spell(tile.word)}: not an a/b crossing")
                 try:
-                    c, sh = cosh_sinh(magnitude(labels["a"], labels["b"]))
+                    c, sh = cosh_sinh(epsilon * (shades[wa] + shades[wb] + 1) / 100.0)
                 except OverflowError:
                     raise GeometryError(
                         f"vertex {k} of chamber {spell(tile.word)}: moved out of the float range; "
@@ -376,7 +346,7 @@ def deform_vertices(
                 f"deformation breaks simplicity at chamber {spell(tile.word)}: its moved "
                 "vertex ring crosses itself; use an epsilon of smaller magnitude"
             )
-        out.append(DeformedTile(tile.cid, tile.word, verts))
+        out.append(PlacedTile(tile.cid, tile.word, tile.matrix, verts))
     return out
 
 
@@ -417,7 +387,7 @@ def _sample_edge(a, b, tol=0.005):
 
 
 def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
-    """Poincare-disk SVG of placed or deformed tiles.
+    """Poincare-disk SVG of placed tiles.
 
     `face_data[i][k]` may carry (color, tick tip) for side k of tile i: the
     side is stroked by color and a tick is drawn from its midpoint toward the

@@ -14,7 +14,7 @@ from .colorings import NORM_PALETTE
 from .coxeter import CoxeterSystem, enumerate_ball
 from .errors import GeometryError, StructureError, ValidationError
 from .tiles import TileAlphabet, build_alphabet, orient_all_plus, orient_alternating
-from .walls import WallSet, color_walls, enumerate_walls, wall_coloring
+from .walls import WallSet, alternating_palette, color_walls, enumerate_walls, wall_coloring
 
 
 def build_walls(system: CoxeterSystem, radius: int):
@@ -83,7 +83,7 @@ class RenderBundle:
     resolution: Resolution
     polygon: object
     matrices: list
-    tiles: list  # placed or deformed
+    tiles: list  # deformed PlacedTile per chamber of norm <= radius
     face_data: list  # per tile, per side: (color, tick tip point) or None
 
 
@@ -133,38 +133,33 @@ def face_metadata(tiles, ball, signs, wall_colors):
     return data
 
 
-def render_bundle(
-    n: int,
-    radius: int,
-    refine: bool = True,
-    deform: bool = True,
-    epsilon_factor: float = 0.05,
-) -> RenderBundle:
-    """Assemble the full hyperbolic-plane demo for the right-angled 2n-gon.
+def render_bundle(n: int, radius: int, refine: bool = True, epsilon_factor: float = 0.05) -> RenderBundle:
+    """Assemble the full hyperbolic-plane demo for the right-angled 2n-gon,
+    deformed by epsilon_factor times the side length; a factor of 0 leaves
+    every tile the base polygon's image.
 
     The ball is enumerated one radius deeper than the rendered tiles so
     every rendered face lies on an identified, colored wall, and the placed
     tiles (norm <= radius) are the ball's first interior chambers, in id
     order: row i of WallSet.face_rows holds chamber i's faces, each 2 * wall
     + far, and the side sees orientation[wall], negated when far is set.
+    Every vertex is where an a wall and a b wall cross: in a right-angled
+    group a generator is conjugate only to itself, so the walls of sides k-1
+    and k reflect conjugates of s_{k-1} and s_k, of opposite parity.
+    shades[w] is 9 i for an a wall and i for a b wall of depth color
+    NORM_PALETTE[i] (0 unrefined), so the 81 color pairs get the distinct
+    vertex magnitudes epsilon (9 i + j + 1) / 100.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     if not isfinite(epsilon_factor):
         raise ValidationError(f"epsilon factor must be finite, got {epsilon_factor}")
-    from .hyperbolic import (
-        build_polygon,
-        default_magnitudes,
-        deform_vertices,
-        place_tiles,
-        reflection_matrices,
-    )
-    from .walls import alternating_palette
+    from .hyperbolic import build_polygon, deform_vertices, place_tiles, reflection_matrices
 
     system = CoxeterSystem.right_angled_polygon(2 * n)
+    polygon = build_polygon(n)
     ball, wallset = build_walls(system, radius + 1)
     res = alternating_resolution(wallset, alternating_palette(system), refine=refine)
-    polygon = build_polygon(n)
     matrices = reflection_matrices(polygon)
     placed = place_tiles(ball, polygon, matrices, max_norm=radius)
     interior, rows = wallset.face_rows
@@ -173,17 +168,9 @@ def render_bundle(
         raise StructureError(f"the first {count} interior chambers are not chambers 0 to {count - 1}")
     sides = [(f >> 1, -orientation[f >> 1] if f & 1 else orientation[f >> 1]) for f in rows[:count * rank]]
     signs = [sides[i:i + rank] for i in range(0, len(sides), rank)]
-    tiles = placed
-    if deform:
-        if refine:
-            class_of = lambda color: color[0]
-            a_colors = [("a", c) for c in NORM_PALETTE]
-            b_colors = [("b", c) for c in NORM_PALETTE]
-        else:
-            class_of = lambda color: color
-            a_colors, b_colors = ["a"], ["b"]
-        eps = epsilon_factor * polygon.side_length()
-        magnitude = default_magnitudes(a_colors, b_colors, eps)
-        tiles = deform_vertices(ball, placed, polygon, signs, res.wall_colors, class_of, magnitude)
+    shades = [
+        NORM_PALETTE.index(c[1]) * (9 if c[0] == "a" else 1) if refine else 0 for c in res.wall_colors
+    ]
+    tiles = deform_vertices(ball, placed, polygon, signs, shades, epsilon_factor * polygon.side_length())
     data = face_metadata(tiles, ball, signs, res.wall_colors)
     return RenderBundle(system, ball, wallset, res, polygon, matrices, tiles, data)

@@ -327,7 +327,7 @@ def test_criterion_9_geometry():
         prod = mats[k] @ mats[(k + 1) % 6]
         if np.max(np.abs(np.linalg.matrix_power(prod, 2) - np.eye(3))) >= 1e-8:
             _fail(9, desc, t0, f"adjacent product order at side {k}")
-    bundle = render_bundle(3, 4, refine=True, deform=True)
+    bundle = render_bundle(3, 4, refine=True)
     b4 = sum(bundle.ball.sphere_sizes[: 4 + 1])
     if len(bundle.tiles) != b4:
         _fail(9, desc, t0, f"{len(bundle.tiles)} tiles != |B_4| = {b4}")

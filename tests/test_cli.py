@@ -241,6 +241,7 @@ def test_runtime_loads_no_numpy():
         (["render", "--n", "3", "--radius", "1", "--epsilon", "50"], {}),
         (["render", "--n", "3", "--radius", "2", "--epsilon", "10"], {}),
         (["render", "--n", "3", "--radius", "1", "--epsilon", "nan"], {}),
+        (["render", "--n", "3", "--radius", "1", "--no-deform", "--epsilon", "nan"], {}),
         (["render", "--n", "3", "--radius", "1", "--stroke-width", "-1"], {}),
         (["color", "--system", "hexagon", "--radius", "2", "--window", "-1"], {}),
         (["color", "--system", "hexagon", "--radius", "2", "--g-range", "-1"], {}),
@@ -254,7 +255,7 @@ def test_runtime_loads_no_numpy():
     ids=["polygon", "dihedral", "ball-cap-env", "space-negative-depth", "render-negative-radius",
          "seq-negative-scan-without-power", "seq-long-scan-without-power", "render-tick-overflow",
          "render-tick-overflow-n4", "render-epsilon-overflow", "render-degenerate-tangent",
-         "render-not-simple", "render-epsilon-nan",
+         "render-not-simple", "render-epsilon-nan", "render-no-deform-epsilon-nan",
          "render-negative-stroke", "color-negative-window", "color-negative-g-range",
          "generator-name-with-a-dot", "generator-names-empty-and-e", "generator-name-with-a-comma"],
 )
@@ -301,6 +302,16 @@ def test_render_radius_4_stops_at_the_tick(n, capsys):
     assert code == 2 and out == ""
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: tick of chamber ")
+
+
+def test_render_refuses_the_square_before_enumerating(capsys):
+    # no right-angled 4-gon exists in the hyperbolic plane, so --n 2 is
+    # refused before any ball is built, not when the ball outgrows its cap
+    code, out = run(["render", "--n", "2", "--radius", "400"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no right-angled regular 4-gon exists in the hyperbolic plane"
+    ]
 
 
 @pytest.mark.parametrize("g", ["²", "٣", "s0.²"], ids=["superscript", "arabic-indic", "after-a-name"])

@@ -1,23 +1,24 @@
+from itertools import product
 from math import acosh, cosh, pi, sinh, sqrt
 
 import numpy as np
 import pytest
 
-from coxtile.colorings import NORM_PALETTE
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
+import coxtile.hyperbolic as hyperbolic
 import coxtile.pipeline as pipeline
 import placement_oracle
 import vertex_key_oracle
 from face_sign_oracle import face_signs
+from magnitude_oracle import default_magnitudes, render_colors, wall_pair_magnitude
 from polygon_geometry import side
 from coxtile.errors import GeometryError, InconclusiveError, StructureError, ValidationError
 from coxtile.hyperbolic import (
     BASEPOINT,
-    DeformedTile,
     HPolygon,
+    PlacedTile,
     build_polygon,
     convexity_check,
-    default_magnitudes,
     deform_vertices,
     geodesic_point,
     hyp_dist,
@@ -160,41 +161,67 @@ def test_convexity_check_self_intersection():
         convexity_check(crossed)
 
 
-def test_default_magnitudes_distinct():
-    a = [("a", (i, j)) for i in range(3) for j in range(3)]
-    b = [("b", (i, j)) for i in range(3) for j in range(3)]
-    mag = default_magnitudes(a, b, 1.0)
-    values = {mag(ca, cb) for ca in a for cb in b}
-    assert len(values) == 81
+def test_vertex_magnitudes_follow_the_reference_rule(monkeypatch):
+    # render's per-wall shades give each displaced vertex of the refined
+    # hexagon at R=4 the d that tests/magnitude_oracle.py assigns its a and b
+    # colors, bit for bit; every d reaches cosh_sinh, which is spied on
+    # while face_metadata, its other caller, is patched out
+    seen = []
+    real = hyperbolic.cosh_sinh
+    monkeypatch.setattr(hyperbolic, "cosh_sinh", lambda d: seen.append(d) or real(d))
+    monkeypatch.setattr(pipeline, "face_metadata", lambda *args: None)
+    bundle = render_bundle(3, 4)
+    epsilon = 0.05 * bundle.polygon.side_length()
+    magnitude = wall_pair_magnitude(bundle.resolution.wall_colors, True, epsilon)
+    want, moved = [], set()
+    for tile in bundle.tiles:
+        walls = [bundle.wallset.wall_of_face(tile.cid, s) for s in range(6)]
+        for k in range(6):
+            if (walls[k - 1], walls[k]) not in moved:
+                moved.add((walls[k - 1], walls[k]))
+                want.append(magnitude(walls[k - 1], walls[k]))
+    assert seen == want
+    a_colors, b_colors = render_colors(True)
+    rule = default_magnitudes(a_colors, b_colors, epsilon)
+    assert len({rule(ca, cb) for ca in a_colors for cb in b_colors}) == 81
 
 
-def test_deformation_zero_magnitude_is_identity():
-    bundle = render_bundle(3, 1, refine=False, deform=True, epsilon_factor=0.0)
-    placed = place_tiles(bundle.ball, bundle.polygon, bundle.matrices, max_norm=1)
-    for t0, t1 in zip(placed, bundle.tiles):
-        assert np.max(np.abs(np.array(t0.vertices) - np.array(t1.vertices))) < 1e-12
+def test_deformation_zero_magnitude_is_identity(monkeypatch):
+    # each shared vertex is moved once, from the first of its four tiles, so
+    # at epsilon 0 a tile's vertices are another tile's placement of them:
+    # within 1e-12 of its own, relative to the coordinate's scale, for
+    # n = 3-6 and R <= 4.  The ticks overflow past R=4 on the hexagon and
+    # sooner on larger polygons, so no face data is made.
+    monkeypatch.setattr(pipeline, "face_metadata", lambda *args: None)
+    for n, radius, refine in product((3, 4, 5, 6), range(5), (True, False)):
+        bundle = render_bundle(n, radius, refine=refine, epsilon_factor=0.0)
+        placed = place_tiles(bundle.ball, bundle.polygon, bundle.matrices, max_norm=radius)
+        assert [(t.cid, t.matrix) for t in bundle.tiles] == [(t.cid, t.matrix) for t in placed]
+        for t0, t1 in zip(placed, bundle.tiles):
+            want, got = np.array(t0.vertices), np.array(t1.vertices)
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12, (n, radius, refine)
 
 
 def test_deformed_tiles_convex_and_face_to_face():
-    bundle = render_bundle(3, 2, refine=True, deform=True)
-    ball = bundle.ball
-    by_word = {t.word: t for t in bundle.tiles}
-    for t in bundle.tiles:
-        assert convexity_check(t.vertices)
-    for (i, s), j in ball.edges.items():
-        wa, wb = ball.words[i], ball.words[j]
-        if wa not in by_word or wb not in by_word:
-            continue
-        a, b = by_word[wa], by_word[wb]
-        for va, vb in [
-            (a.vertices[s], b.vertices[s]),
-            (a.vertices[(s + 1) % 6], b.vertices[(s + 1) % 6]),
-        ]:
-            assert np.linalg.norm(np.array(va) - np.array(vb)) < 1e-7
+    # each shared vertex is one float triple, moved or not, so neighbours
+    # meet exactly, deformed and at epsilon 0, refined and not
+    for epsilon, refine in [(0.05, True), (0.05, False), (0.0, True), (0.0, False)]:
+        bundle = render_bundle(3, 3, refine=refine, epsilon_factor=epsilon)
+        ball = bundle.ball
+        by_word = {t.word: t for t in bundle.tiles}
+        for t in bundle.tiles:
+            assert convexity_check(t.vertices)
+        for (i, s), j in ball.edges.items():
+            wa, wb = ball.words[i], ball.words[j]
+            if wa not in by_word or wb not in by_word:
+                continue
+            a, b = by_word[wa], by_word[wb]
+            for k in (s, (s + 1) % 6):
+                assert a.vertices[k] == b.vertices[k], (epsilon, refine, wa, wb, k)
 
 
 def test_deformed_hyperboloid_constraint():
-    bundle = render_bundle(3, 2, refine=True, deform=True)
+    bundle = render_bundle(3, 2, refine=True)
     for t in bundle.tiles:
         for v in t.vertices:
             assert abs(lorentz_dot(v, v) + 1) < 1e-8
@@ -214,7 +241,7 @@ def test_render_svg_empty_and_single():
 
 
 def test_render_svg_tile_count_and_determinism():
-    bundle = render_bundle(3, 1, refine=False, deform=False)
+    bundle = render_bundle(3, 1, refine=False, epsilon_factor=0.0)
     svg1 = render_svg(bundle.tiles, bundle.face_data)
     svg2 = render_svg(bundle.tiles, bundle.face_data)
     assert svg1 == svg2
@@ -222,7 +249,7 @@ def test_render_svg_tile_count_and_determinism():
 
 
 def test_render_points_inside_disk():
-    bundle = render_bundle(3, 1, refine=False, deform=False)
+    bundle = render_bundle(3, 1, refine=False, epsilon_factor=0.0)
     for t in bundle.tiles:
         for v in t.vertices:
             x, y = v[0] / (1 + v[2]), v[1] / (1 + v[2])
@@ -232,7 +259,7 @@ def test_render_points_inside_disk():
 def test_deform_simplicity_error_names_vertex():
     # with the 81 refined magnitudes, a large epsilon collides vertices
     with pytest.raises(GeometryError, match="vertex"):
-        render_bundle(3, 2, refine=True, deform=True, epsilon_factor=10.0)
+        render_bundle(3, 2, refine=True, epsilon_factor=10.0)
 
 
 def test_render_overflow_raises_geometry_error_naming_the_chamber():
@@ -259,9 +286,9 @@ def test_render_errors_name_the_chamber_and_the_cure():
 def test_face_metadata_names_a_side_without_a_tangent():
     # a planted tile whose vertices coincide: no side's midpoint has a tangent
     # toward the tile's center
-    bundle = render_bundle(3, 1, deform=False)
+    bundle = render_bundle(3, 1, epsilon_factor=0.0)
     res = bundle.resolution
-    tile = DeformedTile(0, (), (bundle.polygon.vertices[0],) * 6)
+    tile = PlacedTile(0, (), bundle.tiles[0].matrix, (bundle.polygon.vertices[0],) * 6)
     signs = signs_of(bundle.ball, bundle.wallset, res.orientation, [tile])
     with pytest.raises(GeometryError, match=r"^side 0 of chamber e: degenerate tangent direction; .*smaller magnitude$"):
         pipeline.face_metadata([tile], bundle.ball, signs, res.wall_colors)
@@ -292,7 +319,7 @@ def test_render_reads_the_descent_rule_off_face_rows(n, radius, refine, monkeypa
     # read off WallSet.face_rows, against the descent rule on every placed tile
     seen = []
     monkeypatch.setattr(pipeline, "face_metadata", lambda tiles, ball, signs, colors: seen.append(signs))
-    bundle = render_bundle(n, radius, refine=refine, deform=False)
+    bundle = render_bundle(n, radius, refine=refine, epsilon_factor=0.0)
     (signs,) = seen
     assert len(signs) == len(bundle.tiles) == sum(bundle.ball.sphere_sizes[:radius + 1])
     orientation = bundle.resolution.orientation
@@ -359,7 +386,7 @@ def test_render_rejects_floats_that_are_not_finite(value):
 def test_deformation_is_convex_at_small_epsilon():
     def probe(eps):
         try:
-            bundle = render_bundle(3, 2, refine=True, deform=True, epsilon_factor=eps)
+            bundle = render_bundle(3, 2, refine=True, epsilon_factor=eps)
         except GeometryError:
             return False
         return all(convexity_check(t.vertices) for t in bundle.tiles)
@@ -374,7 +401,7 @@ def test_total_area_bounded_by_covering_disk():
     # covers every vertex
     from math import cosh, pi
 
-    bundle = render_bundle(3, 2, refine=False, deform=False)
+    bundle = render_bundle(3, 2, refine=False, epsilon_factor=0.0)
     tile_area = (6 - 2) * pi - 6 * (pi / 2)
     total = len(bundle.tiles) * tile_area
     r_max = max(
@@ -390,30 +417,28 @@ def numpy_side_normal(a, b):
     return n / sqrt(lorentz_dot(n, n))
 
 
-def numpy_displace_vertex(ball, wallset, tile, cid, k, wall_colors, class_of_color, orientation, magnitude):
+def numpy_displace_vertex(ball, wallset, tile, cid, k, orientation, magnitude):
     # the numpy vector form of the deformation before it moved vertices in the
     # base tile's frame, kept as its reference: side normals from the placed
-    # vertices, each signed by the side of it the basepoint is on
+    # vertices, each signed by the side of it the basepoint is on, and d from
+    # the reference magnitude of the two walls
     p = ball.system.rank
     verts = np.array(tile.vertices)
     point = verts[k]
-    labels = {}
+    walls = [wallset.wall_of_face(cid, s) for s in ((k - 1) % p, k)]
     direction = np.zeros(3)
-    for s in ((k - 1) % p, k):
-        wid = wallset.wall_of_face(cid, s)
+    for s, wid in zip(((k - 1) % p, k), walls):
         n = numpy_side_normal(verts[s], verts[(s + 1) % p])
         base_side = lorentz_dot(BASEPOINT, n)
         direction += n * (1.0 if base_side > 0 else -1.0) * orientation[wid]
-        color = wall_colors[wid]
-        labels[class_of_color(color)] = color
-    d = magnitude(labels["a"], labels["b"])
+    d = magnitude(*walls)
     u = direction / sqrt(lorentz_dot(direction, direction))
     u = u + lorentz_dot(u, point) * point
     u /= sqrt(lorentz_dot(u, u))
     return cosh(d) * point + sinh(d) * u
 
 
-def assert_moved_on_bisectors(placed, deformed, polygon, wallset, res, class_of_color, magnitude):
+def assert_moved_on_bisectors(placed, deformed, polygon, wallset, res, magnitude):
     # every moved vertex P' of a placed vertex P lies on the hyperboloid, at
     # distance d from P, and on the bisector of the quadrant its two walls
     # bound on the positive side each tile sees: its Lorentz product with
@@ -433,8 +458,7 @@ def assert_moved_on_bisectors(placed, deformed, polygon, wallset, res, class_of_
         for k in range(p):
             P, Q = tile.vertices[k], moved.vertices[k]
             tol = 1e-12 * float(np.dot(P, P))
-            colors = {class_of_color(res.wall_colors[w]): res.wall_colors[w] for w in (walls[k - 1], walls[k])}
-            d = magnitude(colors["a"], colors["b"])
+            d = magnitude(walls[k - 1], walls[k])
             assert abs(lorentz_dot(Q, Q) + 1.0) <= tol
             assert abs(-lorentz_dot(P, Q) - cosh(d)) <= tol
             for n in (signed[k - 1], signed[k]):
@@ -450,28 +474,20 @@ def test_side_normals_and_moved_vertices_match_numpy(n):
     # the placed vertices, within rounding at n = 3; at n = 4 the reference's
     # own cross products cancel to 1.5e-8, so the moved vertices are checked
     # against their defining identities instead.
-    system = CoxeterSystem.right_angled_polygon(2 * n)
-    ball, ws = build_walls(system, 4)
-    res = alternating_resolution(ws, alternating_palette(system), refine=True)
-    poly = build_polygon(n)
-    placed = place_tiles(ball, poly, reflection_matrices(poly), max_norm=3)
-    a_colors = [("a", (i, j)) for i in range(3) for j in range(3)]
-    b_colors = [("b", (i, j)) for i in range(3) for j in range(3)]
-    magnitude = default_magnitudes(a_colors, b_colors, 0.05 * poly.side_length())
-    class_of = lambda color: color[0]
+    bundle = render_bundle(n, 3)
+    ball, ws, res, poly = bundle.ball, bundle.wallset, bundle.resolution, bundle.polygon
+    placed = place_tiles(ball, poly, bundle.matrices, max_norm=3)
+    magnitude = wall_pair_magnitude(res.wall_colors, True, 0.05 * poly.side_length())
     for k, normal in enumerate(poly.normals):
         want = numpy_side_normal(*side(poly, k))
         assert np.max(np.abs(np.array(normal) - want)) <= 1e-15 * np.max(np.abs(want))
-    args = (res.wall_colors, class_of, res.orientation, magnitude)
-    signs = signs_of(ball, ws, res.orientation, placed)
-    deformed = deform_vertices(ball, placed, poly, signs, res.wall_colors, class_of, magnitude)
-    for tile, moved in zip(placed, deformed):
+    for tile, moved in zip(placed, bundle.tiles):
         for k in range(2 * n):
             if n == 3:
-                want = numpy_displace_vertex(ball, ws, tile, tile.cid, k, *args)
+                want = numpy_displace_vertex(ball, ws, tile, tile.cid, k, res.orientation, magnitude)
                 assert np.max(np.abs(np.array(moved.vertices[k]) - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
     if n == 4:
-        assert_moved_on_bisectors(placed, deformed, poly, ws, res, class_of, magnitude)
+        assert_moved_on_bisectors(placed, bundle.tiles, poly, ws, res, magnitude)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -485,8 +501,8 @@ def test_a_vertex_moves_alike_from_each_of_its_four_chambers(n):
     res = alternating_resolution(ws, alternating_palette(system))
     poly = build_polygon(n)
     placed = place_tiles(ball, poly, reflection_matrices(poly), max_norm=3)
-    magnitude = default_magnitudes(["a"], ["b"], 0.05 * poly.side_length())
-    rest = (poly, signs_of(ball, ws, res.orientation, placed), res.wall_colors, lambda c: c, magnitude)
+    shades = [0] * len(res.wall_colors)  # unrefined, every wall's shade is 0
+    rest = (poly, signs_of(ball, ws, res.orientation, placed), shades, 0.05 * poly.side_length())
     forward = deform_vertices(ball, placed, *rest)
     backward = deform_vertices(ball, placed[::-1], *rest)[::-1]
     for tile, a, b in zip(placed, forward, backward):
@@ -502,12 +518,8 @@ def test_radius_4_deforms_with_every_vertex_on_its_bisector(n, monkeypatch):
     monkeypatch.setattr(pipeline, "face_metadata", lambda *args: None)
     bundle = render_bundle(n, 4)
     placed = place_tiles(bundle.ball, bundle.polygon, bundle.matrices, max_norm=4)
-    a_colors = [("a", c) for c in NORM_PALETTE]
-    b_colors = [("b", c) for c in NORM_PALETTE]
-    magnitude = default_magnitudes(a_colors, b_colors, 0.05 * bundle.polygon.side_length())
-    assert_moved_on_bisectors(
-        placed, bundle.tiles, bundle.polygon, bundle.wallset, bundle.resolution, lambda color: color[0], magnitude
-    )
+    magnitude = wall_pair_magnitude(bundle.resolution.wall_colors, True, 0.05 * bundle.polygon.side_length())
+    assert_moved_on_bisectors(placed, bundle.tiles, bundle.polygon, bundle.wallset, bundle.resolution, magnitude)
 
 
 def numpy_reflection_matrices(polygon):
