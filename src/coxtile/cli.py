@@ -77,13 +77,6 @@ def _write_report(out, results, command: str) -> None:
     out.write("\n")  # written on its own: appending it would copy the whole report
 
 
-def parse_report(text: str) -> dict:
-    doc = json.loads(text)
-    if "version" not in doc or "results" not in doc:
-        raise ValidationError("not a coxtile report")
-    return doc
-
-
 def _parse_word(system, text) -> tuple:
     if text in ("e", ""):
         return ()

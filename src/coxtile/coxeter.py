@@ -438,7 +438,7 @@ class Ball:
             raise OutOfBallError(f"element {nf} is outside the radius-{self.radius} ball")
         return i
 
-    # group-ops protocol shared with the lattice backend (keys are words)
+    # group-ops protocol of colorings and their window searches (keys are words)
 
     def members(self):
         return self.words
@@ -579,16 +579,7 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
     return Ball(system, radius, norms, nbr, last, sphere_sizes)
 
 
-# -- geodesics and cocycles --------------------------------------------------
-
-
-def radial_segment(ball: Ball, g) -> list[tuple[int, ...]]:
-    """The prefix path of g's normal form: a geodesic from e to g along
-    which norms strictly increase."""
-    nf = ball.system.normal_form(g)
-    if ball.find(nf) < 0:
-        raise OutOfBallError(f"{nf} not in the enumerated ball")
-    return [nf[:i] for i in range(len(nf) + 1)]
+# -- cocycles ----------------------------------------------------------------
 
 
 def reflection_cocycle(system: CoxeterSystem, word):
@@ -608,53 +599,3 @@ def reflection_cocycle(system: CoxeterSystem, word):
         entries.append(system.normal_form(refl))
     return entries, was_reduced
 
-
-# -- displacement exponents ---------------------------------------------------
-
-
-@dataclass
-class DisplacementVerdict:
-    """Result of the bounded-displacement search for powers of `a`.
-
-    `exponent` is the least n such that every ball element g sees a norm
-    change within n steps along powers of a; when some g never does within
-    n_max, `witnesses` lists those g and exponent is None.  `order_of_a`
-    reports a detected finite order (the search is meaningful only for
-    infinite-order a, so this is surfaced rather than asserted away).
-    """
-
-    exponent: int | None
-    witnesses: list
-    order_of_a: int | None = None
-    n_max: int = 0
-
-
-def displacement_exponent(group, a, members=None, n_max: int = 10) -> DisplacementVerdict:
-    """Search for the least n with: every g has some k <= n, |g a^k| != |g|.
-
-    `group` is a Ball or a lattice ball (the shared group-ops protocol);
-    `members` defaults to everything enumerated in `group`.
-    """
-    ident = group.identity
-    if a == ident:
-        raise ValidationError("a must differ from the identity")
-    powers = [ident]
-    order = None
-    for _ in range(n_max):
-        powers.append(group.mul(powers[-1], a))
-        if powers[-1] == ident and order is None:
-            order = len(powers) - 1
-    members = list(group.members() if members is None else members)
-    witnesses = []
-    worst = 0
-    for g in members:
-        base = group.norm(g)
-        for k in range(1, n_max + 1):
-            if group.norm(group.mul(g, powers[k])) != base:
-                worst = max(worst, k)
-                break
-        else:
-            witnesses.append(g)
-    if witnesses:
-        return DisplacementVerdict(None, witnesses, order, n_max)
-    return DisplacementVerdict(worst, [], order, n_max)

@@ -1,20 +1,19 @@
 """Hyperbolic-plane realization: right-angled polygons, reflections, tiling,
-vertex deformation, convexity checks, and SVG output.
+vertex deformation, a simplicity check, and SVG output.
 
 All geometry lives in the hyperboloid model (x, y, z) with x^2+y^2-z^2 = -1,
-z > 0, where isometries are linear; the Klein disk is used for convexity
+z > 0, where isometries are linear; the Klein disk is used for simplicity
 (geodesics are chords there) and the Poincare disk only at render time.
+The convexity and overlap checks of placed tiles are in tests/paper_checks.py.
 Points are tuples of three floats and matrices tuples of three rows; sums
 run left to right in plain floats, so no BLAS kernel can change the bits.
 """
 
-import random
 from dataclasses import dataclass
 from math import acosh, cos, cosh, isfinite, isinf, pi, sin, sinh, sqrt
 
 from .errors import GeometryError, ValidationError
 
-BASEPOINT = (0.0, 0.0, 1.0)
 TICK_LENGTH = 0.02  # a drawn tick's length at the disk centre, shrinking toward the rim
 _EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -37,8 +36,6 @@ def hyp_dist(u, v) -> float:
     return acosh(max(1.0, -lorentz_dot(u, v)))
 
 
-def on_hyperboloid(p, tol=1e-8) -> bool:
-    return abs(lorentz_dot(p, p) + 1.0) < tol and p[2] > 0
 
 
 def to_klein(p) -> tuple[float, float]:
@@ -148,15 +145,6 @@ def reflection_matrices(polygon: HPolygon) -> list[tuple]:
     return [reflection_matrix(n) for n in polygon.normals]
 
 
-def preserves_lorentz_form(M, tol=1e-9) -> bool:
-    # M^T J M holds the Lorentz products of M's columns, J those of the unit vectors
-    cols = tuple(zip(*M))
-    return M[2][2] > 0 and all(
-        abs(lorentz_dot(a, b) - lorentz_dot(e, f)) < tol
-        for a, e in zip(cols, _EYE) for b, f in zip(cols, _EYE)
-    )
-
-
 # -- tile placement ----------------------------------------------------------------
 
 
@@ -189,7 +177,7 @@ def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[Placed
     return placed
 
 
-# -- convexity and simplicity --------------------------------------------------------
+# -- simplicity ----------------------------------------------------------------------
 
 
 def _segments_intersect(a, b, c, d) -> bool:
@@ -211,88 +199,6 @@ def is_simple(vertices) -> bool:
             if _segments_intersect(pts[i], pts[(i + 1) % p], pts[j], pts[(j + 1) % p]):
                 return False
     return True
-
-
-def convexity_check(vertices, tol=1e-12) -> bool:
-    """Hyperbolic convexity via the Klein disk, where geodesics are chords.
-
-    Raises GeometryError when the polygon is not simple.
-    """
-    if not is_simple(vertices):
-        raise GeometryError("polygon is not simple")
-    pts = [to_klein(v) for v in vertices]
-    p = len(pts)
-    signs = set()
-    for i in range(p):
-        a, b, c = pts[i], pts[(i + 1) % p], pts[(i + 2) % p]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if abs(cross) > tol:
-            signs.add(cross > 0)
-    return len(signs) <= 1
-
-
-# -- overlap sampling ------------------------------------------------------------------
-
-
-def _signed_area(pts) -> float:
-    p = len(pts)
-    return 0.5 * sum(
-        pts[i][0] * pts[(i + 1) % p][1] - pts[(i + 1) % p][0] * pts[i][1] for i in range(p)
-    )
-
-
-def _ccw(pts):
-    return pts if _signed_area(pts) >= 0 else list(reversed(pts))
-
-
-def _klein_contains(pts, q, margin=1e-9) -> bool:
-    # convex counterclockwise polygon in the Klein disk
-    p = len(pts)
-    for i in range(p):
-        a, b = pts[i], pts[(i + 1) % p]
-        cross = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-        if cross < margin:
-            return False
-    return True
-
-
-def sample_overlap_fraction(tiles, samples_per_tile=40, seed=0, margin=1e-6) -> float:
-    """Largest sampled interior-overlap fraction over nearby tile pairs.
-
-    Reflected placements come out clockwise in the Klein disk, so rings are
-    reoriented before the half-plane containment test.
-    """
-    rng = random.Random(seed)
-    centers = [center_of(t.vertices) for t in tiles]
-    radius = max(hyp_dist(tiles[0].vertices[k], centers[0]) for k in range(len(tiles[0].vertices)))
-    klein = [_ccw([to_klein(v) for v in t.vertices]) for t in tiles]
-    samples = []
-    for t, ct in zip(tiles, centers):
-        pts = [to_klein(v) for v in t.vertices]
-        c = to_klein(ct)
-        sams = []
-        for _ in range(samples_per_tile):
-            i = rng.randrange(len(pts))
-            u, v = rng.random(), rng.random()
-            if u + v > 1:
-                u, v = 1 - u, 1 - v
-            a, b = pts[i], pts[(i + 1) % len(pts)]
-            sams.append(
-                (
-                    c[0] + u * (a[0] - c[0]) + v * (b[0] - c[0]),
-                    c[1] + u * (a[1] - c[1]) + v * (b[1] - c[1]),
-                )
-            )
-        samples.append(sams)
-    worst = 0.0
-    for i in range(len(tiles)):
-        for j in range(i + 1, len(tiles)):
-            if hyp_dist(centers[i], centers[j]) > 2.05 * radius:
-                continue
-            hits = sum(1 for q in samples[i] if _klein_contains(klein[j], q, margin))
-            hits += sum(1 for q in samples[j] if _klein_contains(klein[i], q, margin))
-            worst = max(worst, hits / (2.0 * samples_per_tile))
-    return worst
 
 
 # -- vertex deformation -------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Substitution sequences and the integer-line colorings built from them.
+"""Substitution sequences and power-freeness scanning.
 
 Provides the Thue-Morse binary sequence (cube-free; term i is the parity
 of the binary digit sum of i, so no prefix is kept), the square-free
-ternary sequence obtained by recoding its length-2 factors, power-freeness
-scanning, and the two colorings of the integers (Thue-Morse by |x|, and
-the perfect-square indicator) together with their witness searches.
+ternary sequence obtained by recoding its length-2 factors, and
+power-freeness scanning.  The two colorings of the integers built from
+them (Thue-Morse by |x|, and the perfect-square indicator) and their
+witness searches are in tests/paper_checks.py.
 
 The power-freeness scan is exact and pure Python.  For each period p it
 extends runs of s[k] == s[k + p] outward from anchors at multiples of p
@@ -15,13 +16,9 @@ ties.
 
 from dataclasses import dataclass
 from itertools import compress
-from math import isqrt
 from operator import eq
 
 from .errors import ValidationError, WindowError
-
-MORSE_THUE = "morse_thue"
-SQUARES = "squares"
 
 _PAIR_CODES = {(0, 1): 0, (1, 0): 1, (0, 0): 2, (1, 1): 2}
 
@@ -116,57 +113,3 @@ def verify_power_free(seq, power: int, n: int):
     if not best_period:
         return None
     return PowerWitness(best_start, tuple(s[best_start : best_start + best_period]))
-
-
-def is_perfect_square(x: int) -> bool:
-    """True iff |x| is k*k for some integer k >= 0."""
-    x = abs(x)
-    r = isqrt(x)
-    return r * r == x
-
-
-def z_color(kind: str, x: int) -> int:
-    """Value of the integer-line coloring at x (both kinds depend on |x| only)."""
-    if kind == MORSE_THUE:
-        return _term(abs(x))
-    if kind == SQUARES:
-        return 1 if is_perfect_square(x) else 0
-    raise ValidationError(f"unknown coloring kind {kind!r}")
-
-
-def z_witness(n: int, m: int):
-    """Find q with |q - m| <= 3|n| and differing Thue-Morse colors at q, q + n.
-
-    Scans outward from m (at equal distance the smaller q is tried first);
-    returns q, or None if the whole window fails, which falsifies the
-    bounded-displacement property at this instance.
-    """
-    if n == 0:
-        raise ValidationError("n must be nonzero")
-    bound = 3 * abs(n)
-    for d in range(bound + 1):
-        for q in ((m - d, m + d) if d else (m,)):
-            if z_color(MORSE_THUE, q) != z_color(MORSE_THUE, q + n):
-                return q
-    return None
-
-
-def squares_limit_defect(a: int, rho: int) -> int:
-    """Least m >= 1 whose square sits in an otherwise square-free window.
-
-    Returns the least m such that every x in [-rho-|a|, rho+|a|] except
-    x = 0 has non-square m*m + x: around m*m the squares coloring looks
-    like a window of zeros, so translating by squares drives the coloring
-    toward a fixed pattern regardless of the displacement a.
-    """
-    if a == 0:
-        raise ValidationError("a must be nonzero")
-    if rho < 0:
-        raise ValidationError("rho must be nonnegative")
-    width = rho + abs(a)
-    m = 1
-    while True:
-        c = m * m
-        if all(not is_perfect_square(c + x) for x in range(-width, width + 1) if x):
-            return m
-        m += 1

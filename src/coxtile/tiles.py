@@ -25,16 +25,6 @@ def _face_key(face):
     return (str(color), sign)
 
 
-def tile_of_faces(faces) -> tuple:
-    """Canonical tile: the face multiset as a sorted tuple."""
-    return tuple(sorted(faces, key=_face_key))
-
-
-def opposite(face):
-    color, sign = face
-    return (color, -sign)
-
-
 # -- orientations --------------------------------------------------------------
 
 
@@ -301,22 +291,6 @@ def classify_balance(alphabet: TileAlphabet) -> BalanceVerdict:
                     raise StructureError("semibalanced witness is zero or has a tile sum < 0")
                 return BalanceVerdict("semibalanced", witness, sums)
     return BalanceVerdict("strictly_balanced")
-
-
-def verify_unbalanced_witness(alphabet: TileAlphabet, w) -> tuple[list, bool]:
-    """Tile sums under w and whether they are all positive.
-
-    Accepts a WeightFunction or a raw face->value map, which must then be
-    antisymmetric.
-    """
-    if not isinstance(w, WeightFunction):
-        for face, val in w.items():
-            other = w.get(opposite(face))
-            if other is None or Fraction(other) != -Fraction(val):
-                raise ValidationError(f"weights violate antisymmetry at {face}")
-        w = WeightFunction({color: Fraction(val) for (color, sign), val in w.items() if sign == 1})
-    sums = [w.tile_sum(t) for t in alphabet.tiles]
-    return sums, all(s > 0 for s in sums)
 
 
 def grid_oracle(alphabet: TileAlphabet, bound: int = 2) -> dict:

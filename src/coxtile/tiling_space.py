@@ -23,7 +23,7 @@ class ChamberTiling:
     by the chamber's normal-form word (Ball.words), as reports spell chambers.
     translate_compare walks the ball's ShortLex tree and reads labels by word,
     and restrict_patch reads a chamber's norm off its word's length, so any
-    other ball (a lattice.LatticeBall, say) is refused."""
+    other carrier of group elements is refused."""
 
     ball: Ball
     labels: dict

@@ -27,10 +27,11 @@ parent region and its level from e.  A class inside a palette class, such as
 a refined color of wall_coloring, gets its tree by contraction: a wall's
 parent becomes its nearest ancestor in its own class, with no pass over the
 ball, and the kept forest holds the last contraction made from it.  A
-wall's level from another base is its tree distance from the base's
-region, the first class wall up the base's parent chain.  Levels depend on
-walls beyond the ball too, which is why a wall whose edges all lie near the
-boundary is flagged not `determinate`.
+chamber's region in a class, the first class wall up its parent chain, and
+that region's level count the class walls separating the chamber from e
+(tiles.rebased_alternating).  Levels depend on walls beyond the ball too,
+which is why a wall whose edges all lie near the boundary is flagged not
+`determinate`.
 
 A wall's reflection word is read straight off the ball: with (g, s) its
 least edge, nf(g s g^-1) = nf(g) s nf(g^-1) in every Coxeter system, so ids,
@@ -541,7 +542,7 @@ class ClassForest:
     failed[c] is the least wall of class c whose separators are not nested,
     or -1; a class that failed has no tree, and its parent and level entries
     mean nothing.  contracted holds the last contraction made from this
-    forest, with the classes it was made for (see class_forest).
+    forest (see class_forest).
     """
 
     klass: list
@@ -549,7 +550,7 @@ class ClassForest:
     parent: list
     level: list
     failed: list
-    contracted: tuple | None = field(default=None, repr=False, compare=False)  # (classes, forest)
+    contracted: "ClassForest | None" = field(default=None, repr=False, compare=False)
 
     def home(self, wids) -> int:
         """The class holding every wall of the list wids, or -1 (also when it is empty)."""
@@ -575,61 +576,35 @@ class ClassForest:
             g = nbr[i]
         return -1
 
-    def peel(self, wallset: WallSet, c: int, wids, base: int):
-        """Levels of class c's walls wids from `base`, and each one's innermost
-        in-class separator (-1 at level 1): the walls separating the base from w
-        are the tree path from the base's region to w's near side, region w if
-        the base lies beyond w, else parent[w]; from e, level and parent as they stand."""
-        self.check(c)
-        wids, parent = sorted(wids), self.parent
-        if not base:
-            levels = dict(zip(wids, map(self.level.__getitem__, wids)))
-            return levels, dict(zip(wids, map(parent.__getitem__, wids)))
-        start = self.region_of(wallset, c, base)
-        path = [start]  # regions from start to e's region
-        while path[-1] != -1:
-            path.append(parent[path[-1]])
-        toward = dict(zip(path, [None] + path))  # region on the path -> its neighbour toward start
-        dist = {-1: len(path) - 1}  # region -> tree distance from start
-        levels, inner = {}, {}
-        for w in wids:
-            p = parent[w]
-            beyond = w in toward  # the base lies beyond w
-            dist[w] = dist[p] - 1 if beyond else dist[p] + 1
-            levels[w] = max(dist[w], dist[p])
-            near = w if beyond else p
-            inner[w] = -1 if near == start else toward.get(near, near)
-        return levels, inner
-
 
 def class_forest(wallset: WallSet, classes) -> tuple:
     """A forest holding each of `classes` (wall id lists) as one class, and
     their class numbers in it.
 
-    The WallSet keeps the forest of its last pass over the ball, which serves
-    as it is when each class is one of its classes.  When each lies inside
-    one of its classes that passed the nesting check, as the refined colors
-    of wall_coloring lie in their palette classes, a contraction of its
-    trees (_contract) is returned.  The kept forest holds the contraction
-    for the last class list asked for, so the rebases of one refined
-    resolution share one; another list replaces it.  Otherwise a pass
-    builds the trees (_region_pass), and its forest replaces the kept one.
-    So a WallSet holds one forest and at most one contraction of it.
+    The WallSet keeps the forest of its last pass over the ball, and that
+    forest keeps its last contraction.  Either serves as it is when each
+    class is one of its classes, matched by home and size.  Otherwise, when
+    each lies inside one of the kept forest's classes that passed the nesting
+    check, as the refined colors of wall_coloring lie in their palette
+    classes, a contraction of its trees (_contract) is made and kept, so the
+    rebases and peels of one refined resolution share one; it replaces the
+    contraction kept before.  Otherwise a pass builds the trees
+    (_region_pass), and its forest replaces the kept one.  So a WallSet holds
+    one forest and at most one contraction of it.
     """
     classes = [sorted(wids) for wids in classes]
-    numbers = list(range(len(classes)))
     kept = wallset._forest
     if kept is not None:
-        if kept.contracted is not None and kept.contracted[0] == classes:
-            return kept.contracted[1], numbers
-        homes = [kept.home(wids) for wids in classes]
-        if all(c >= 0 and kept.sizes[c] == len(wids) for c, wids in zip(homes, classes)):
-            return kept, homes
-        if all(c >= 0 and kept.failed[c] < 0 for c in homes):
-            kept.contracted = (classes, _contract(kept, classes))
-            return kept.contracted[1], numbers
+        for forest in (kept, kept.contracted):
+            if forest is not None:
+                homes = [forest.home(wids) for wids in classes]
+                if all(c >= 0 and forest.sizes[c] == len(wids) for c, wids in zip(homes, classes)):
+                    return forest, homes
+        if all(c >= 0 and kept.failed[c] < 0 for c in map(kept.home, classes)):
+            kept.contracted = _contract(kept, classes)
+            return kept.contracted, list(range(len(classes)))
     wallset._forest = _region_pass(wallset, classes)
-    return wallset._forest, numbers
+    return wallset._forest, list(range(len(classes)))
 
 
 def _class_numbers(count: int, classes) -> list:
@@ -705,14 +680,14 @@ def _contract(forest: ClassForest, classes) -> ClassForest:
     return ClassForest(klass, list(map(len, classes)), parent, level, [-1] * len(classes))
 
 
-def peel_levels(wallset: WallSet, class_wids, base: int = 0) -> dict:
-    """Iterated peeling of a pairwise-disjoint wall class away from `base`:
-    round k removes the walls no remaining class wall separates from the base
-    chamber and labels them level k, read off the class's tree in a
-    ClassForest (class_forest, ClassForest.peel).  Raises StructureError on
-    walls that are not nested."""
+def peel_levels(wallset: WallSet, class_wids) -> dict:
+    """Iterated peeling of a pairwise-disjoint wall class away from e: round
+    k removes the walls no remaining class wall separates from e and labels
+    them level k, read off the class's tree in a ClassForest (class_forest).
+    Raises StructureError on walls that are not nested."""
     forest, (c,) = class_forest(wallset, [class_wids])
-    return forest.peel(wallset, c, class_wids, base)[0]
+    forest.check(c)
+    return {w: forest.level[w] for w in sorted(class_wids)}
 
 
 # -- wall trees --------------------------------------------------------------
@@ -724,7 +699,7 @@ class WallTree:
     wall hangs under its innermost in-class separator, one level down, and the
     level-1 walls under the root, the level-1 wall of least id and so of
     ShortLex-least word (WallSet.canonical_word), so a wall's depth is its
-    level, less one when the root separates it from the base."""
+    level, less one when the root separates it from e."""
 
     vertices: list
     edges: list
@@ -734,10 +709,13 @@ class WallTree:
     levels: dict  # wall id -> peeling level (peel_levels)
 
 
-def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
+def build_wall_tree(wallset: WallSet, class_wids) -> WallTree:
     forest, (c,) = class_forest(wallset, [class_wids])
-    levels, inner = forest.peel(wallset, c, class_wids, base)
-    level_one = [w for w in class_wids if inner[w] < 0]
+    forest.check(c)
+    wids = sorted(class_wids)
+    inner = {w: forest.parent[w] for w in wids}  # innermost in-class separator, -1 at level 1
+    levels = {w: forest.level[w] for w in wids}
+    level_one = [w for w in wids if inner[w] < 0]
     if not level_one:
         raise StructureError("class has no level-1 wall")
     root = min(level_one)
@@ -746,7 +724,7 @@ def build_wall_tree(wallset: WallSet, class_wids, base: int = 0) -> WallTree:
     for w in sorted(parent, key=levels.__getitem__):  # each parent sits one level down
         depth[w] = depth[parent[w]] + 1
     edges = sorted((parent[w], w) for w in parent)
-    return WallTree(sorted(class_wids), edges, root, parent, depth, levels)
+    return WallTree(wids, edges, root, parent, depth, levels)
 
 
 def class_trees(wallset: WallSet, classes: WallClasses) -> tuple:

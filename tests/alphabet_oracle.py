@@ -4,7 +4,9 @@ chamber's geodesic crosses) for the side of every face, and sorts each chamber's
 (color, sign) labels by their string keys.  Used only by tests.
 """
 
-from coxtile.tiles import TileAlphabet, _face_key, tile_of_faces
+from paper_checks import tile_of_faces
+
+from coxtile.tiles import TileAlphabet, _face_key
 from coxtile.walls import WallSet
 
 

@@ -1,10 +1,10 @@
-"""The radial-claim scan that coxtile.colorings replaced with one that runs
+"""The radial-claim scan that paper_checks.py replaced with one that runs
 `radial_claim_check`'s own tests, kept verbatim as a test oracle: it tests
 color, displacement and norm itself, behind caches of its own.  Used only by
 tests.
 """
 
-from coxtile.colorings import ClaimScan
+from paper_checks import ClaimScan
 
 
 def radial_claim_scan(ball, coloring, max_g_norm: int, min_len: int) -> ClaimScan:

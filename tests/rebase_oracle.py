@@ -1,11 +1,14 @@
 """The rebase check that re-peels every class from the new base chamber, kept
 as a test oracle for coxtile.tiles.rebased_alternating, which reads each
-class's flip off the class forest instead.  Used only by tests.
+class's flip off the class forest instead.  It re-peels with the round-based
+peeling of peel_oracle.py, so it reads no class forest.  Used only by tests.
 """
 
 from dataclasses import dataclass
 
-from coxtile.walls import WallSet, peel_levels
+import peel_oracle
+
+from coxtile.walls import WallSet
 
 
 @dataclass
@@ -29,7 +32,7 @@ def rebase_parity_check(
     crossed = wallset.sep[chamber]
     reor, flips = [None] * len(wallset), {}
     for cls, wids in class_wids.items():
-        levels = peel_levels(wallset, wids, base=chamber)
+        levels = peel_oracle.peel_levels(wallset, wids, base=chamber)
         for wid, lev in levels.items():
             reor[wid] = (-1 if wid in crossed else 1) * (-1) ** lev
         pattern = {(1 - base_orientation[w] * reor[w]) // 2 for w in levels}

@@ -12,32 +12,39 @@ from math import pi
 import numpy as np
 import pytest
 from braid_oracle import naive_ball
-from polygon_geometry import angles
-from rebase_oracle import rebase_parity_check
-
-from coxtile.cli import main as cli_main
-from coxtile.colorings import (
+from paper_checks import (
+    MORSE_THUE,
+    SQUARES,
     GroupColoring,
+    convexity_check,
+    displacement_exponent,
     norm_coloring,
     pair_witness,
     radial_claim_check,
     radial_claim_scan,
+    sample_overlap_fraction,
+    squares_limit_defect,
+    tile_of_faces,
+    verify_unbalanced_witness,
+    z_color,
+    z_witness,
 )
+from polygon_geometry import angles
+from rebase_oracle import rebase_parity_check
+from zlattice import ZLattice
+
+from coxtile.cli import main as cli_main
 from coxtile.coxeter import (
     CoxeterSystem,
-    displacement_exponent,
     enumerate_ball,
 )
 from coxtile.errors import InconclusiveError
 from coxtile.hyperbolic import (
     build_polygon,
-    convexity_check,
     hyp_dist,
     reflection_matrices,
     render_svg,
-    sample_overlap_fraction,
 )
-from coxtile.lattice import ZLattice
 from coxtile.pipeline import (
     all_plus_resolution,
     alternating_resolution,
@@ -45,23 +52,16 @@ from coxtile.pipeline import (
     render_bundle,
 )
 from coxtile.sequences import (
-    MORSE_THUE,
-    SQUARES,
     square_free_prefix,
-    squares_limit_defect,
     thue_morse_prefix,
     verify_power_free,
-    z_color,
-    z_witness,
 )
 from coxtile.tiles import (
     WeightFunction,
     classify_balance,
     grid_oracle,
     orient_alternating,
-    tile_of_faces,
     TileAlphabet,
-    verify_unbalanced_witness,
 )
 from coxtile.tiling_space import ChamberTiling, translate_compare
 from coxtile.walls import (

@@ -8,8 +8,9 @@ tile sums with the signs its verdict promises.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_checks import tile_of_faces
 
-from coxtile.tiles import TileAlphabet, classify_balance, grid_oracle, tile_of_faces
+from coxtile.tiles import TileAlphabet, classify_balance, grid_oracle
 
 faces = st.tuples(st.sampled_from("abcd"), st.sampled_from([1, -1]))
 tilesets = st.lists(st.lists(faces, min_size=1, max_size=4), min_size=1, max_size=6)

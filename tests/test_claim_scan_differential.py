@@ -10,8 +10,8 @@ compared there are not empty.
 
 import pytest
 from claim_scan_oracle import radial_claim_scan as oracle_scan
+from paper_checks import norm_coloring, radial_claim_scan
 
-from coxtile.colorings import norm_coloring, radial_claim_scan
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
 
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from cli_report import parse_report
 
-from coxtile.cli import emit_report, main, parse_report
+from coxtile.cli import emit_report, main
 from coxtile.ratlp import LPResult
 from coxtile.walls import enumerate_walls
 

@@ -12,8 +12,8 @@ traceback.  Exceptions are not caught here: one that escapes `main` fails
 the test with its traceback.  `walls` also meets rank-1, radius-0 and finite
 groups, whose chamber graphs have few or no edges leaving the ball (the -1
 entries of Ball.nbr and WallSet.faces).  `color` on systems that are not
-right-angled multiplies words through the descent engine (Ball.mul and
-pair_witness), with g, h and window ranges from -1 to 3; `balance` builds
+right-angled multiplies words through the descent engine (Ball.mul in
+aperiodicity_report's witness search), with g, h and window ranges from -1 to 3; `balance` builds
 the tile alphabet of either orientation, refined or not.  `seq` meets
 negative lengths, a power the parser refuses, and scans below zero or past
 the prefix; its verdicts are checked against the numpy scanner it replaced
@@ -33,9 +33,10 @@ from contextlib import redirect_stderr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_report import parse_report
 from power_free_oracle import verify_power_free as oracle_scan
 
-from coxtile.cli import main, parse_report
+from coxtile.cli import main
 from coxtile.sequences import square_free_prefix, thue_morse_prefix
 
 ORDERS = [0, 2, 3, 4, 5, 6, 7, 8]

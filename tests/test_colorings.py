@@ -1,22 +1,26 @@
+import paper_checks
 import pytest
-
-from coxtile.colorings import (
+from paper_checks import (
+    MORSE_THUE,
+    SQUARES,
     GroupColoring,
-    aperiodicity_report,
-    norm_color,
-    norm_coloring,
     pair_witness,
     product_coloring,
     radial_claim_check,
     radial_claim_scan,
+    radial_segment,
+    squares_limit_defect,
     transfer_from_subgroup,
     transfer_to_subgroup,
     tree_norm_coloring,
+    z_color,
 )
-from coxtile.coxeter import CoxeterSystem, enumerate_ball, radial_segment
+from zlattice import ZLattice
+
+from coxtile.colorings import aperiodicity_report, norm_color, norm_coloring
+from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import OutOfBallError, ValidationError, WindowError
-from coxtile.lattice import ZLattice
-from coxtile.sequences import MORSE_THUE, SQUARES, square_free_prefix, z_color
+from coxtile.sequences import square_free_prefix
 
 
 def test_norm_coloring_values():
@@ -90,7 +94,7 @@ def test_radial_claim_planted_violation_detected():
     # the far end is 1, and recoloring the (disjoint) image forces the
     # hypotheses, so the norm conclusion must be reported violated
     ball = enumerate_ball(CoxeterSystem.infinite_dihedral(), 14)
-    col = norm_coloring(ball)
+    col = paper_checks.norm_coloring(ball)
     seg = []
     x = ()
     for s in (0, 1, 0, 1, 0):
@@ -262,8 +266,6 @@ def test_aperiodicity_constant_coloring_unwitnessed():
 
 
 def test_aperiodicity_squares_gap_pair():
-    from coxtile.sequences import squares_limit_defect
-
     lat = ZLattice(1)
     rho = 10
     # a defect window wide enough that the gap midpoint clears rho on both

@@ -4,19 +4,17 @@ from fractions import Fraction
 import pytest
 from ball_oracle import DualVectors, oracle_ball
 from braid_oracle import naive_ball, oracle_canonical
+from paper_checks import DisplacementVerdict, displacement_exponent, radial_segment
 from spelling_cases import SPELLING_CASES, lettered_balls
+from zlattice import ZLattice
 
 from coxtile.coxeter import (
     CoxeterSystem,
-    DisplacementVerdict,
-    displacement_exponent,
     enumerate_ball,
     load_system,
-    radial_segment,
     reflection_cocycle,
 )
 from coxtile.errors import OutOfBallError, SizeLimitError, StructureError, ValidationError
-from coxtile.lattice import ZLattice
 
 
 def test_load_system_dihedral():

@@ -11,24 +11,26 @@ import placement_oracle
 import vertex_key_oracle
 from face_sign_oracle import face_signs
 from magnitude_oracle import default_magnitudes, render_colors, wall_pair_magnitude
+from paper_checks import (
+    BASEPOINT,
+    convexity_check,
+    on_hyperboloid,
+    preserves_lorentz_form,
+    sample_overlap_fraction,
+)
 from polygon_geometry import side
 from coxtile.errors import GeometryError, InconclusiveError, StructureError, ValidationError
 from coxtile.hyperbolic import (
-    BASEPOINT,
     HPolygon,
     PlacedTile,
     build_polygon,
-    convexity_check,
     deform_vertices,
     geodesic_point,
     hyp_dist,
     lorentz_dot,
-    on_hyperboloid,
     place_tiles,
-    preserves_lorentz_form,
     reflection_matrices,
     render_svg,
-    sample_overlap_fraction,
     to_klein,
     to_poincare,
 )

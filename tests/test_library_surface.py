@@ -1,0 +1,118 @@
+"""The library is what the CLI and the benchmark run.
+
+Every top-level function, class and constant of a `src/coxtile` module must
+be read somewhere other than its own definition: in its own module, in
+another module of the package, or by the benchmark under `perfbench/`.
+Every module but `__init__` and `cli` must be imported by another module of
+the package or by the benchmark.  What only the tests read lives in
+`tests/`.  The scan parses the sources and imports none of them.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "coxtile"
+BENCHMARK = ROOT / "perfbench"
+EXEMPT = {("cli", "main")}  # the console script's entry point
+
+
+def defined_names(tree):
+    """(name, node) for each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def read_names(tree, skip=None):
+    """Every name the tree reads: identifiers, attributes, imported names, and
+    string constants that are one identifier (the benchmark's tracer names the
+    functions it wraps that way), outside the node `skip`."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def imported_modules(tree):
+    """The short names of the coxtile modules a tree imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("coxtile"):
+                continue
+            name = module.removeprefix("coxtile").lstrip(".")
+            found.update([name] if name else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("coxtile."))
+    return found
+
+
+def parse(paths):
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
+MODULES = parse(sorted(PACKAGE.glob("*.py")))
+BENCH = parse(sorted(BENCHMARK.glob("*.py")))
+
+
+def unread_definitions():
+    bench_reads = set().union(*(read_names(t) for t in BENCH.values()))
+    unread = []
+    for module, tree in MODULES.items():
+        if module == "__init__":
+            continue
+        others = set().union(*(read_names(t) for m, t in MODULES.items() if m not in (module, "__init__")))
+        for name, node in defined_names(tree):
+            if (module, name) in EXEMPT:
+                continue
+            if name not in bench_reads | others | read_names(tree, skip=node):
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def unimported_modules():
+    imports = {m: imported_modules(t) for m, t in {**MODULES, **BENCH}.items()}
+    return sorted(
+        m for m in MODULES
+        if m not in ("__init__", "cli")
+        and not any(m in found for who, found in imports.items() if who != m and who != "__init__")
+    )
+
+
+def test_every_definition_is_read_by_the_library_or_the_benchmark():
+    assert unread_definitions() == []
+
+
+def test_every_module_is_imported_by_the_library_or_the_benchmark():
+    assert unimported_modules() == []
+
+
+def test_the_scan_sees_a_planted_orphan():
+    # a definition nobody reads, added to a parsed copy of a module, is reported
+    tree = MODULES["walls"]
+    orphan = ast.parse("def _orphan_for_the_scan():\n    return 0\n").body[0]
+    tree.body.append(orphan)
+    try:
+        assert unread_definitions() == ["walls._orphan_for_the_scan"]
+    finally:
+        tree.body.remove(orphan)

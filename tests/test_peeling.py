@@ -5,9 +5,11 @@ The oracle asks WallSet.separating_walls for each wall and rescans every
 active wall per round; coxtile.walls names each chamber's region by the last
 class wall its geodesic crosses, checks every crossed class edge against
 that table, and reads levels and trees off the region tree.  Levels and
-trees (with their levels) must agree on every disjoint class and base tried.
-On a class whose walls are not nested the oracle may still peel, or stall,
-while the edge check rejects the class from every base.
+trees (with their levels) must agree on every disjoint class tried.  The
+library peels from e only; rebased signs come from region parity
+(tiles.rebased_alternating), checked here against the oracle's peeling from
+other bases.  On a class whose walls are not nested the oracle may still
+peel, or stall, while the edge check rejects the class.
 """
 
 import io
@@ -51,25 +53,25 @@ def distinct(system):
     return {s: system.generators[s] for s in range(system.rank)}
 
 
-def outcome(peel, ws, wids, base=0):
+def outcome(peel, *args):
     """Levels, or the StructureError message when peeling stalls."""
     try:
-        return peel(ws, wids, base)
+        return peel(*args)
     except StructureError as exc:
         return ("StructureError", str(exc))
 
 
-def tree_outcome(build, ws, wids, base=0):
+def tree_outcome(build, ws, wids):
     try:
-        t = build(ws, wids, base)
+        t = build(ws, wids)
     except StructureError as exc:
         return ("StructureError", str(exc))
     return t.vertices, t.edges, t.root, t.parent, t.depth, t.levels
 
 
-def assert_same_tree(ws, wids, base=0):
-    new = tree_outcome(build_wall_tree, ws, wids, base)
-    assert new == tree_outcome(peel_oracle.build_wall_tree, ws, wids, base)
+def assert_same_tree(ws, wids):
+    new = tree_outcome(build_wall_tree, ws, wids)
+    assert new == tree_outcome(peel_oracle.build_wall_tree, ws, wids)
     return new
 
 
@@ -113,19 +115,6 @@ def test_refined_classes_match_oracle(radius):
     assert len(refined) > 2
     for wids in refined.values():
         assert outcome(peel_levels, ws, wids) == outcome(peel_oracle.peel_levels, ws, wids)
-
-
-def test_rebased_levels_match_oracle():
-    # the bases rebased_alternating uses (norm <= 2) plus seeded deeper chambers
-    ball, ws = make(HEXAGON, 5)
-    classes = color_walls(ws, alternating_palette(HEXAGON))
-    rng = random.Random(5)
-    bases = [c for c in range(1, len(ball)) if ball.norms[c] <= 2]
-    bases += rng.sample(range(len(bases) + 1, len(ball)), 12)
-    for wids in classes.by_color.values():
-        for base in bases:
-            assert outcome(peel_levels, ws, wids, base) == outcome(peel_oracle.peel_levels, ws, wids, base)
-            assert_same_tree(ws, wids, base)
 
 
 @pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
@@ -182,8 +171,7 @@ FOREST_INPUTS = [
 @pytest.mark.parametrize("system, palette, radius", FOREST_INPUTS)
 def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
     # one pass for the palette, kept, and a contraction for its refined colors; levels
-    # and innermost separators from e read off the forest as they stand, and
-    # from seeded bases through peel_levels and build_wall_tree
+    # and innermost separators from e read off the forest as they stand
     passes = count_region_passes(monkeypatch)
     ball, ws = make(system, radius)
     classes = color_walls(ws, palette)
@@ -195,16 +183,12 @@ def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
     palette_forest = class_forest(ws, classes.by_color.values())[0]
     refined_forest = class_forest(ws, refined.values())[0]
     assert len(passes) == 1 and ws._forest is palette_forest is not refined_forest
-    bases = random.Random(radius).sample(range(1, len(ball)), 3)
     for forest, group in ((palette_forest, classes.by_color), (refined_forest, refined)):
         for wids in group.values():
             tree = peel_oracle.build_wall_tree(ws, wids)
             assert {w: forest.level[w] for w in wids} == tree.levels
             inner = {w: p for w, p in tree.parent.items() if tree.levels[w] > 1}
             assert {w: forest.parent[w] for w in wids if forest.parent[w] >= 0} == inner
-            for base in bases:
-                assert peel_levels(ws, wids, base) == peel_oracle.peel_levels(ws, wids, base)
-                assert_same_tree(ws, wids, base)
     assert len(passes) == 1 and ws._forest is palette_forest
 
 
@@ -243,7 +227,7 @@ def test_wall_set_keeps_one_forest(monkeypatch):
     def held():
         forests = [x for v in vars(ws).values() for x in (v if isinstance(v, list) else [v])
                    if isinstance(x, ClassForest)]
-        nested = [f.contracted[1] for f in forests if f.contracted is not None]
+        nested = [f.contracted for f in forests if f.contracted is not None]
         assert all(f.contracted is None for f in nested)
         return forests, nested
 
@@ -260,6 +244,24 @@ def test_wall_set_keeps_one_forest(monkeypatch):
     assert len(contractions) == made + 1
     assert len(forests) == len(nested) == 1 and forests[0] is kept and nested[0] is first
     assert len(passes) == 1
+
+
+def test_peeling_refined_classes_keeps_the_resolution_contraction(monkeypatch):
+    # a refined resolution's rebases read one contraction of the palette's
+    # forest; each refined class peeled on its own is one of that
+    # contraction's classes, so neither the peels nor a later rebase contract again
+    contractions = []
+    real = coxtile.walls._contract
+    monkeypatch.setattr(coxtile.walls, "_contract", lambda f, c: contractions.append(c) or real(f, c))
+    ball, ws = make(HEXAGON, 5)
+    res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=True)
+    rebased = rebased_alternating(ws, res.class_wids, 7)
+    kept = ws._forest.contracted
+    assert kept is not None and len(contractions) == 1 and len(res.class_wids) > 2
+    for wids in res.class_wids.values():
+        assert peel_levels(ws, wids) == peel_oracle.peel_levels(ws, wids)
+    assert rebased_alternating(ws, res.class_wids, 7) == rebased
+    assert len(contractions) == 1 and ws._forest.contracted is kept
 
 
 @pytest.mark.parametrize(
@@ -330,10 +332,9 @@ def test_single_colour_class_matches_oracle():
     # the round-based oracle peels from some bases and stalls from others
     oracle = [outcome(peel_oracle.peel_levels, ws, wids, base) for base in (0, 1, 7, 40)]
     assert [max(r.values()) if isinstance(r, dict) else r[0] for r in oracle] == [4, 5, "StructureError", 7]
-    # the edge check rejects the class from every base, at the first wall whose edges disagree
-    for base in (0, 1, 7, 40):
-        with pytest.raises(StructureError, match="separators of wall 0 are not nested"):
-            peel_levels(ws, wids, base)
+    # the edge check rejects the class, at the first wall whose edges disagree
+    with pytest.raises(StructureError, match="separators of wall 0 are not nested"):
+        peel_levels(ws, wids)
     with pytest.raises(StructureError, match="separators of wall 0 are not nested"):
         build_wall_tree(ws, wids)
     # the oracle's own nesting check rejects its tree, naming another wall

@@ -1,20 +1,16 @@
 import random
 
 import pytest
+from paper_checks import MORSE_THUE, SQUARES, squares_limit_defect, z_color, z_witness
 
 from coxtile import sequences
 from coxtile.errors import ValidationError, WindowError
 from coxtile.sequences import (
-    MORSE_THUE,
-    SQUARES,
     PowerWitness,
     square_free_prefix,
-    squares_limit_defect,
     ternary_term,
     thue_morse_prefix,
     verify_power_free,
-    z_color,
-    z_witness,
 )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import peel_oracle
 import pytest
+from paper_checks import tile_of_faces, verify_unbalanced_witness
 from rebase_oracle import rebase_parity_check
 
 from coxtile import tiles as tiles_module
@@ -22,10 +23,8 @@ from coxtile.tiles import (
     orient_all_plus,
     orient_alternating,
     rebased_alternating,
-    tile_of_faces,
-    verify_unbalanced_witness,
 )
-from coxtile.walls import ClassForest, alternating_palette, color_walls, peel_levels
+from coxtile.walls import alternating_palette, color_walls, peel_levels
 
 HEXAGON = CoxeterSystem.right_angled_polygon(6)
 OCTAGON = CoxeterSystem.right_angled_polygon(8)
@@ -265,9 +264,10 @@ def test_alternating_resolution_peels_no_levels(monkeypatch):
         monkeypatch.setattr(module, "class_forest", lambda *args, real=real: calls.append(args) or real(*args))
 
     def refuse(*args):
-        raise AssertionError("ClassForest.peel called")
+        raise AssertionError("a peel was called")
 
-    monkeypatch.setattr(ClassForest, "peel", refuse)
+    for name in ("peel_levels", "build_wall_tree"):
+        monkeypatch.setattr(walls, name, refuse)
     _, ws = build_walls(HEXAGON, 4)
     palette = alternating_palette(HEXAGON)
     for refine in (False, True):
@@ -290,12 +290,13 @@ def test_all_plus_resolution_peels_on_first_read(monkeypatch, refine):
         monkeypatch.setattr(module, "class_forest", lambda *args, real=real: calls.append(args) or real(*args))
 
     def refuse(*args):
-        raise AssertionError("ClassForest.peel called")
+        raise AssertionError("a peel was called")
 
     _, ws = build_walls(HEXAGON, 4)
     palette = alternating_palette(HEXAGON)
     with monkeypatch.context() as m:
-        m.setattr(ClassForest, "peel", refuse)
+        for name in ("peel_levels", "build_wall_tree"):
+            m.setattr(walls, name, refuse)
         res = all_plus_resolution(ws, palette, refine=refine)
     assert len(calls) == refine
     assert res.orientation == [1] * len(ws)

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from zlattice import ZLattice
 
 from coxtile.coxeter import CoxeterSystem
 from coxtile.errors import ValidationError, WindowError
-from coxtile.lattice import ZLattice
 from coxtile.pipeline import alternating_resolution, build_walls
 from coxtile.tiles import build_alphabet, rebased_alternating
 from coxtile.tiling_space import (

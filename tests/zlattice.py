@@ -2,13 +2,15 @@
 
 A deliberately separate backend: the L1 balls here exist only so that
 integer-line and integer-plane phenomena (coset transfers, the failure of
-the bounded-displacement property on Z^2) are directly testable.
+the bounded-displacement property on Z^2) are directly testable.  The lemma
+checks of paper_checks.py run on these balls and on coxtile.coxeter.Ball
+alike.  Used only by tests.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import OutOfBallError, ValidationError
+from coxtile.errors import OutOfBallError, ValidationError
 
 
 @dataclass(frozen=True)
