@@ -82,11 +82,6 @@ class CoxeterSystem:
         return self.matrix[i][j]
 
     @cached_property
-    def is_right_angled(self) -> bool:
-        n = self.rank
-        return all(self.matrix[i][j] in (0, 2) for i in range(n) for j in range(n) if i != j)
-
-    @cached_property
     def _descents(self) -> "DescentEngine":
         return DescentEngine(self)
 
@@ -474,9 +469,6 @@ class Ball:
 
     def inv(self, u):
         return self.system.inv(u)
-
-    def contains(self, word) -> bool:
-        return self.find(word) >= 0
 
     @property
     def identity(self):

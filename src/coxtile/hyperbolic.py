@@ -7,6 +7,13 @@ z > 0, where isometries are linear; the Klein disk is used for simplicity
 The convexity and overlap checks of placed tiles are in tests/paper_checks.py.
 Points are tuples of three floats and matrices tuples of three rows; sums
 run left to right in plain floats, so no BLAS kernel can change the bits.
+The kernels spell each 3-vector out as a tuple of its three coordinates,
+each one the same float operations, in the same order, as the coordinate
+sums they replace, save products by 1.0, which are exact and left out; so
+the kernels keep every output bit, and a rendered SVG changes only when the
+geometry does.  Work that depends on a side's two end vertices alone (its
+midpoint, its sampled geodesic) is done once per side, for the two tiles
+that hold the same vertex tuples there.
 """
 
 from dataclasses import dataclass
@@ -25,7 +32,13 @@ def _lin(a, x, b, y) -> tuple[float, float, float]:
 
 def _mat_vec(M, v) -> tuple[float, float, float]:
     """M v for a matrix given by its rows."""
-    return tuple(r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in M)
+    r, s, t = M
+    x, y, z = v
+    return (
+        r[0] * x + r[1] * y + r[2] * z,
+        s[0] * x + s[1] * y + s[2] * z,
+        t[0] * x + t[1] * y + t[2] * z,
+    )
 
 
 def lorentz_dot(u, v) -> float:
@@ -36,24 +49,21 @@ def hyp_dist(u, v) -> float:
     return acosh(max(1.0, -lorentz_dot(u, v)))
 
 
-
-
-def to_klein(p) -> tuple[float, float]:
-    return (p[0] / p[2], p[1] / p[2])
-
-
 def to_poincare(p) -> tuple[float, float]:
     return (p[0] / (1.0 + p[2]), p[1] / (1.0 + p[2]))
 
 
 def tangent_toward(base, target) -> tuple[float, float, float]:
-    """Unit tangent at base pointing along the geodesic to target."""
-    u = _lin(1.0, target, lorentz_dot(target, base), base)
-    nn = lorentz_dot(u, u)
+    """Unit tangent at base pointing along the geodesic to target: the unit
+    vector along target + <target, base> base."""
+    x, y, z = base
+    s = lorentz_dot(target, base)
+    u, v, w = target[0] + s * x, target[1] + s * y, target[2] + s * z
+    nn = u * u + v * v - w * w
     if nn <= 0:
         raise GeometryError("degenerate tangent direction")
     q = sqrt(nn)
-    return tuple(x / q for x in u)
+    return (u / q, v / q, w / q)
 
 
 def cosh_sinh(d: float) -> tuple[float, float]:
@@ -70,16 +80,17 @@ def geodesic_point(a, b, t: float) -> tuple[float, float, float]:
     if d < 1e-15:
         return a
     q = sinh(d)
-    return tuple(x / q for x in _lin(sinh((1.0 - t) * d), a, sinh(t * d), b))
+    x, y = sinh((1.0 - t) * d), sinh(t * d)
+    return ((x * a[0] + y * b[0]) / q, (x * a[1] + y * b[1]) / q, (x * a[2] + y * b[2]) / q)
 
 
 def center_of(vertices) -> tuple[float, float, float]:
     """The vertex sum, scaled back onto the hyperboloid."""
-    c = vertices[0]
+    x, y, z = vertices[0]
     for v in vertices[1:]:
-        c = _lin(1.0, c, 1.0, v)
-    q = sqrt(-lorentz_dot(c, c))
-    return tuple(x / q for x in c)
+        x, y, z = x + v[0], y + v[1], z + v[2]
+    q = sqrt(-(x * x + y * y - z * z))
+    return (x / q, y / q, z / q)
 
 
 # -- the base polygon -----------------------------------------------------------
@@ -160,8 +171,10 @@ def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[Placed
     """One placed polygon per ball element of norm at most max_norm (the
     ball's radius by default), in id order.  Ids follow ShortLex, so norms
     never decrease along them, and each element's matrix is its ShortLex
-    parent's times the reflection in its last letter."""
-    n, nbr, last, words = ball.system.rank, ball.nbr, ball.last, ball.words
+    parent's times the reflection in its last letter, and its word the
+    parent's word and that letter, so only the placed tiles' words are built
+    (Ball.words is not read)."""
+    n, nbr, last, base = ball.system.rank, ball.nbr, ball.last, polygon.vertices
     # row i of M R is R^T applied to row i of M
     transposed = [tuple(zip(*R)) for R in matrices]
     placed = []
@@ -169,34 +182,38 @@ def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[Placed
     for i, norm in enumerate(ball.norms):
         if norm > limit:
             break
-        M = _EYE
         if i:
             s = last[i]
-            M = tuple(_mat_vec(transposed[s], row) for row in placed[nbr[i * n + s]].matrix)
-        placed.append(PlacedTile(i, words[i], M, tuple(_mat_vec(M, v) for v in polygon.vertices)))
+            parent = placed[nbr[i * n + s]]
+            R = transposed[s]
+            u, v, w = parent.matrix
+            M = (_mat_vec(R, u), _mat_vec(R, v), _mat_vec(R, w))
+            word = parent.word + (s,)
+        else:
+            M, word = _EYE, ()
+        placed.append(PlacedTile(i, word, M, tuple([_mat_vec(M, v) for v in base])))
     return placed
 
 
 # -- simplicity ----------------------------------------------------------------------
 
 
-def _segments_intersect(a, b, c, d) -> bool:
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+def _straddles(a, b, c, d) -> bool:
+    """True when c and d lie strictly on opposite sides of the line through
+    a and b: the orientations of (a, b, c) and (a, b, d) have opposite signs."""
+    x, y = b[0] - a[0], b[1] - a[1]
+    return (x * (c[1] - a[1]) - y * (c[0] - a[0])) * (x * (d[1] - a[1]) - y * (d[0] - a[0])) < 0
 
 
 def is_simple(vertices) -> bool:
-    pts = [to_klein(v) for v in vertices]
+    """True when no two sides that share no vertex cross in the Klein disk,
+    where geodesics are chords."""
+    pts = [(v[0] / v[2], v[1] / v[2]) for v in vertices]
     p = len(pts)
-    for i in range(p):
-        for j in range(i + 1, p):
-            if j in (i, (i + 1) % p) or (j + 1) % p == i:
-                continue
-            if _segments_intersect(pts[i], pts[(i + 1) % p], pts[j], pts[(j + 1) % p]):
+    sides = [(pts[k], pts[(k + 1) % p]) for k in range(p)]
+    for i, (a, b) in enumerate(sides):
+        for c, d in sides[i + 2:p - 1 if i == 0 else p]:
+            if _straddles(a, b, c, d) and _straddles(c, d, a, b):
                 return False
     return True
 
@@ -222,30 +239,39 @@ def deform_vertices(ball, placed, polygon: HPolygon, signs, shades: list, epsilo
     M (cosh d v_k + sinh d (a n_{k-1} + b n_k) / sqrt 2), with a and b the
     signs g sees on those faces.  `signs[cid]` holds the (wall, sign) pairs
     of chamber cid's sides, as `pipeline.render_bundle` reads them off
-    WallSet.face_rows.  Raises
+    WallSet.face_rows.  The base-frame move depends on k, a, b and the shade
+    sum only, so it is computed once for each of those, and only M's product
+    once per vertex.  Raises
     GeometryError, naming the chamber, when a vertex cannot be moved or a
     deformed tile is no longer simple.
     """
     p, spell = polygon.p, ball.system.spell
     base, normals = polygon.vertices, polygon.normals
-    displaced: dict = {}
+    root2 = sqrt(2.0)
+    displaced: dict = {}  # (wall of side k-1, wall of side k) -> the moved vertex
+    moves: dict = {}  # (k, a, b, shade sum) -> the move of base vertex k, in the base frame
     out = []
     for tile in placed:
-        sides = signs[tile.cid]
+        sides, M = signs[tile.cid], tile.matrix
         new_vertices = []
         for k in range(p):
             (wa, a), (wb, b) = sides[k - 1], sides[k]
-            if (wa, wb) not in displaced:
-                try:
-                    c, sh = cosh_sinh(epsilon * (shades[wa] + shades[wb] + 1) / 100.0)
-                except OverflowError:
-                    raise GeometryError(
-                        f"vertex {k} of chamber {spell(tile.word)}: moved out of the float range; "
-                        "use an epsilon of smaller magnitude"
-                    ) from None
-                moved = _lin(c, base[k], sh / sqrt(2.0), _lin(a, normals[k - 1], b, normals[k]))
-                displaced[wa, wb] = _mat_vec(tile.matrix, moved)
-            new_vertices.append(displaced[wa, wb])
+            vertex = displaced.get((wa, wb))
+            if vertex is None:
+                shade = shades[wa] + shades[wb]
+                moved = moves.get((k, a, b, shade))
+                if moved is None:
+                    try:
+                        c, sh = cosh_sinh(epsilon * (shade + 1) / 100.0)
+                    except OverflowError:
+                        raise GeometryError(
+                            f"vertex {k} of chamber {spell(tile.word)}: moved out of the float range; "
+                            "use an epsilon of smaller magnitude"
+                        ) from None
+                    toward = _lin(a, normals[k - 1], b, normals[k])
+                    moved = moves[k, a, b, shade] = _lin(c, base[k], sh / root2, toward)
+                vertex = displaced[wa, wb] = _mat_vec(M, moved)
+            new_vertices.append(vertex)
         verts = tuple(new_vertices)
         if not is_simple(verts):
             raise GeometryError(
@@ -273,22 +299,34 @@ def _fmt(x: float) -> str:
 
 
 def _sample_edge(a, b, tol=0.005):
-    """Poincare-disk polyline for the geodesic a-b with chordal error <= tol."""
-    out = [to_poincare(a)]
+    """Poincare-disk polyline for the geodesic a-b with chordal error <= tol.
+    Each sample is geodesic_point(a, b, t) in the Poincare disk, with the
+    distance a-b and its sinh computed once for the edge."""
+    d = hyp_dist(a, b)
+    q = sinh(d) if d >= 1e-15 else 0.0  # below 1e-15 every sample is a
 
-    def recurse(t0, p0, t1, p1, depth):
+    def sample(t):
+        if d < 1e-15:
+            return to_poincare(a)
+        x, y = sinh((1.0 - t) * d), sinh(t * d)
+        z = (x * a[2] + y * b[2]) / q
+        return (((x * a[0] + y * b[0]) / q) / (1.0 + z), ((x * a[1] + y * b[1]) / q) / (1.0 + z))
+
+    start, end = to_poincare(a), to_poincare(b)
+    out = [start]
+
+    def recurse(t0, q0, t1, q1, depth):
         tm = 0.5 * (t0 + t1)
-        pm = geodesic_point(a, b, tm)
-        q0, q1, qm = to_poincare(p0), to_poincare(p1), to_poincare(pm)
+        qm = sample(tm)
         mid = ((q0[0] + q1[0]) / 2, (q0[1] + q1[1]) / 2)
         err = sqrt((mid[0] - qm[0]) ** 2 + (mid[1] - qm[1]) ** 2)
         if err > tol and depth < 10:
-            recurse(t0, p0, tm, pm, depth + 1)
+            recurse(t0, q0, tm, qm, depth + 1)
             out.append(qm)
-            recurse(tm, pm, t1, p1, depth + 1)
+            recurse(tm, qm, t1, q1, depth + 1)
 
-    recurse(0.0, a, 1.0, b, 0)
-    out.append(to_poincare(b))
+    recurse(0.0, start, 1.0, end, 0)
+    out.append(end)
     return out
 
 
@@ -298,15 +336,19 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
     `face_data[i][k]` may carry (color, tick tip) for side k of tile i: the
     side is stroked by color and a tick is drawn from its midpoint toward the
     tip, on the wall's positive side.  Deterministic: no timestamps, fixed
-    float formatting.  Raises ValidationError for a stroke width that is
-    negative or not finite.
+    float formatting.  A side's sampled, formatted polyline and its midpoint
+    are computed once for its two end vertices, in order: the two tiles on
+    a side of a deformed tiling hold the same vertex tuples there, in the
+    same order.  Raises ValidationError for a stroke width that is negative
+    or not finite.
     """
     if not (isfinite(stroke_width) and stroke_width >= 0):
         raise ValidationError(f"stroke width must be finite and nonnegative, got {stroke_width}")
+    width = _fmt(stroke_width)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.05 -1.05 2.10 2.10">',
-        f'<circle cx="0" cy="0" r="1" fill="none" stroke="#000000" stroke-width="{_fmt(stroke_width)}"/>',
+        f'<circle cx="0" cy="0" r="1" fill="none" stroke="#000000" stroke-width="{width}"/>',
     ]
     color_index: dict = {}
 
@@ -315,6 +357,8 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
             color_index[color] = _SVG_COLORS[len(color_index) % len(_SVG_COLORS)]
         return color_index[color]
 
+    drawn: dict = {}  # (a, b) -> the side's polyline points, formatted
+    midpoints: dict = {}  # (a, b) -> the side's midpoint
     for i, tile in enumerate(tiles):
         verts = tile.vertices
         p = len(verts)
@@ -324,20 +368,26 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
             "" if sd is None else str(sd[0]) for sd in sides
         )
         lines.append(f'<g data-word="{word}" data-colors="{colors_attr}">')
-        polylines = [_sample_edge(verts[k], verts[(k + 1) % p]) for k in range(p)]
-        outline = [q for pts in polylines for q in pts[:-1]]
-        path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in outline) + " Z"
+        ends = [(verts[k], verts[(k + 1) % p]) for k in range(p)]
+        polylines = []
+        for a, b in ends:
+            pts = drawn.get((a, b))
+            if pts is None:
+                pts = drawn[a, b] = [f"{_fmt(x)} {_fmt(y)}" for x, y in _sample_edge(a, b)]
+            polylines.append(pts)
+        path = "M " + " L ".join([q for pts in polylines for q in pts[:-1]]) + " Z"
         lines.append(f'<path d="{path}" fill="#ffffff" fill-opacity="0.0" stroke="none"/>')
-        for k, pts in enumerate(polylines):
-            a, b = verts[k], verts[(k + 1) % p]
-            d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+        for k, ((a, b), pts) in enumerate(zip(ends, polylines)):
+            d = "M " + " L ".join(pts)
             sd = sides[k]
             stroke = "#444444" if sd is None else css(sd[0])
             lines.append(
-                f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>'
+                f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
             )
             if sd is not None and sd[1] is not None:
-                mid = geodesic_point(a, b, 0.5)
+                mid = midpoints.get((a, b))
+                if mid is None:
+                    mid = midpoints[a, b] = geodesic_point(a, b, 0.5)
                 tip = sd[1]
                 q0 = to_poincare(mid)
                 q1 = to_poincare(tip)
@@ -347,7 +397,7 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
                 lines.append(
                     f'<line x1="{_fmt(q0[0])}" y1="{_fmt(q0[1])}" '
                     f'x2="{_fmt(q0[0] + dx * scale)}" y2="{_fmt(q0[1] + dy * scale)}" '
-                    f'stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>'
+                    f'stroke="{stroke}" stroke-width="{width}"/>'
                 )
         lines.append("</g>")
     lines.append("</svg>")

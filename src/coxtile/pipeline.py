@@ -98,10 +98,14 @@ def face_metadata(tiles, ball, signs, wall_colors):
     tile's own vertices so it applies to deformed tiles unchanged.
     `signs[cid]` holds the (wall, sign) pairs of chamber cid's sides, as
     `render_bundle` reads them off WallSet.face_rows for `deform_vertices` too.
+    A side's midpoint and tick depth depend on its two end vertices only, so
+    they are computed once for the two tiles on it, which hold the same
+    vertex tuples there; the tangent toward each tile's centre is its own.
     """
     from .hyperbolic import center_of, cosh_sinh, geodesic_point, tangent_toward
 
     spell = ball.system.spell
+    shared = {}  # (a, b) -> the side's midpoint and the cosh and sinh of its tick depth
     data = []
     for tile in tiles:
         verts = tile.vertices
@@ -110,7 +114,8 @@ def face_metadata(tiles, ball, signs, wall_colors):
         sides = []
         for k, (wid, seen) in enumerate(signs[tile.cid]):
             a, b = verts[k], verts[(k + 1) % p]
-            mid = geodesic_point(a, b, 0.5)
+            side = shared.get((a, b))
+            mid = geodesic_point(a, b, 0.5) if side is None else side[0]
             try:
                 u = tangent_toward(mid, c)
             except GeometryError as exc:
@@ -118,16 +123,20 @@ def face_metadata(tiles, ball, signs, wall_colors):
                     f"side {k} of chamber {spell(tile.word)}: {exc}; "
                     "use an epsilon of smaller magnitude"
                 ) from None
-            d0, d1, d2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
-            delta = TICK * max(1e-9, sqrt(d0 * d0 + d1 * d1 + d2 * d2))
-            try:
-                ch, sh = cosh_sinh(delta)
-            except OverflowError:
-                raise GeometryError(
-                    f"tick of chamber {spell(tile.word)} leaves the float range: "
-                    "use a smaller radius or epsilon"
-                ) from None
-            tip = tuple(ch * m + seen * sh * x for m, x in zip(mid, u))
+            if side is None:  # after the tangent: a side failing both is named for its tangent
+                d0, d1, d2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+                delta = TICK * max(1e-9, sqrt(d0 * d0 + d1 * d1 + d2 * d2))
+                try:
+                    ch, sh = cosh_sinh(delta)
+                except OverflowError:
+                    raise GeometryError(
+                        f"tick of chamber {spell(tile.word)} leaves the float range: "
+                        "use a smaller radius or epsilon"
+                    ) from None
+                side = shared[a, b] = (mid, ch, sh)
+            _, ch, sh = side
+            t = seen * sh
+            tip = (ch * mid[0] + t * u[0], ch * mid[1] + t * u[1], ch * mid[2] + t * u[2])
             sides.append((wall_colors[wid], tip))
         data.append(sides)
     return data

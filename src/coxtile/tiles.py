@@ -9,10 +9,25 @@ antisymmetric, and the classifier decides, in exact rational arithmetic,
 whether some weight makes every tile sum positive (unbalanced), whether a
 nontrivial weight keeps every sum nonnegative (semibalanced), or whether
 the nonnegativity cone is {0} (strictly balanced).
+
+A wall set keeps the alphabet of build_alphabet's last full pass when that
+pass gave every wall a label and every sign was +1 or -1, with a private
+copy of the wall colors and, per wall, the label its base side sees, which
+holds the wall's color and sign.  A later call relabels the kept alphabet
+when its wall colors equal the kept ones, by value, and its orientation is
+the kept one times one factor, +1 or -1, per color, checked on every wall.
+A color's two labels, (c, -1) and (c, +1), are neighbours in `_face_key`
+order, and a factor of -1 swaps them: each kept tile, its labels swapped,
+re-sorted and the tiles re-numbered, is the tile a full pass would find,
+and each chamber keeps its tile.  The rebases of one resolution
+(rebased_alternating) are such calls.  Every other call makes a full pass,
+which replaces the kept alphabet, or drops it when it cannot be kept.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import StructureError, ValidationError
@@ -140,7 +155,8 @@ def build_alphabet(wallset: WallSet, wall_colors: list, orientation: list) -> Ti
     Each oriented face label is numbered once, in `_face_key` order, so a
     call only maps every face to its label number, sorts each chamber's
     numbers into a tuple and turns the distinct tuples back into (color,
-    sign) faces.
+    sign) faces.  A call that only negates whole colors of the wall set's
+    kept alphabet relabels that alphabet instead (see the module docstring).
     """
     count = len(wallset)
     if len(wall_colors) != count or len(orientation) != count:
@@ -149,6 +165,11 @@ def build_alphabet(wallset: WallSet, wall_colors: list, orientation: list) -> Ti
             f"for {count} walls: both need one entry per wall"
         )
     ball = wallset.ball
+    kept = wallset._alphabet
+    if kept is not None:
+        factors = kept.factors(wall_colors, orientation)
+        if factors is not None:
+            return kept.relabel(factors, ball.radius)
     rank = ball.system.rank
     labels, near, far = _label_tables(wallset, wall_colors, orientation)
     interior, rows = wallset.face_rows
@@ -160,14 +181,82 @@ def build_alphabet(wallset: WallSet, wall_colors: list, orientation: list) -> Ti
     if -1 in near:  # a wall without a label excludes the chambers it bounds
         excluded = _excluded_faces(wallset, near)
         # an unlabeled face's -1 sorts first, so code[0] tells whether there is one
-        kept = [(cid, code) for cid, code in zip(interior, codes) if not code or code[0] >= 0]
-        interior, codes = [cid for cid, _ in kept], [code for _, code in kept]
+        labeled = [(cid, code) for cid, code in zip(interior, codes) if not code or code[0] >= 0]
+        interior, codes = [cid for cid, _ in labeled], [code for _, code in labeled]
     distinct = sorted(set(codes))
+    code_ids = {code: i for i, code in enumerate(distinct)}
+    tids = list(map(code_ids.__getitem__, codes))
+    alphabet = _alphabet(labels, distinct, dict(zip(interior, tids)), excluded, ball.radius)
+    keep = -1 not in near and len(labels) % 2 == 0 and all(
+        s == -1 and t == (c, 1) for (c, s), t in zip(labels[0::2], labels[1::2])
+    )
+    wallset._alphabet = (
+        _KeptAlphabet(list(wall_colors), labels, array("i", near), distinct, interior, array("i", tids))
+        if keep
+        else None
+    )
+    return alphabet
+
+
+def _alphabet(labels, distinct, chamber_tile, excluded, radius) -> TileAlphabet:
+    """The alphabet whose tile i has the label numbers distinct[i]."""
     tiles = [tuple(labels[i] for i in code) for code in distinct]
     tile_ids = {t: i for i, t in enumerate(tiles)}
-    code_ids = {code: i for i, code in enumerate(distinct)}
-    chamber_tile = dict(zip(interior, map(code_ids.__getitem__, codes)))
-    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, ball.radius)
+    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, radius)
+
+
+@dataclass
+class _KeptAlphabet:
+    """The last full pass of build_alphabet over a wall set (WallSet._alphabet),
+    kept when every wall has a label and every sign is +1 or -1: labels 2p
+    and 2p + 1 are then (c, -1) and (c, +1), and the label a wall's base
+    side sees gives the wall's sign."""
+
+    wall_colors: list  # a private copy of the pass's colors
+    labels: list  # label number -> (color, sign), in `_face_key` order
+    near: array  # wall id -> the number of the label its base side sees
+    codes: list  # tile id -> its sorted label numbers
+    interior: array  # the chambers labeled, in id order
+    tids: array  # their tile ids
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """Label number -> a wall whose base side sees it."""
+        return dict(zip(self.near, range(len(self.near))))
+
+    def factors(self, wall_colors: list, orientation: list) -> list | None:
+        """Color pair p -> the factor, +1 or -1, that turns the kept
+        orientation into `orientation` on every wall of the pair's color;
+        None when the colors differ from the kept ones or no such factor
+        exists.
+
+        The factor belongs to the color pair, the labels (c, -1) and (c, +1):
+        one factor per label would pass the all-plus orientation after the
+        alternating one, which negates some walls of each color and not
+        others.  Every wall is checked."""
+        if wall_colors != self.wall_colors:
+            return None
+        factors = [0] * (len(self.labels) // 2)
+        for label, wid in self.witnesses.items():  # every color has a wall, so every pair a witness
+            sign = orientation[wid]
+            if sign not in (1, -1):
+                return None
+            factors[label >> 1] = sign if label & 1 else -sign  # label 2p's kept sign is -1, 2p + 1's is +1
+        signs = [f * s for f in factors for s in (-1, 1)]  # label number -> its walls' sign now
+        if list(map(signs.__getitem__, self.near)) != orientation:
+            return None
+        return factors
+
+    def relabel(self, factors: list, radius: int) -> TileAlphabet:
+        """The kept alphabet with the two labels of every color pair of factor
+        -1 swapped: the tiles a full pass finds for the negated orientation."""
+        swap = [i ^ 1 if factors[i >> 1] < 0 else i for i in range(len(self.labels))]
+        codes = [tuple(sorted(map(swap.__getitem__, code))) for code in self.codes]
+        distinct = sorted(codes)  # a bijection of labels keeps distinct tiles distinct
+        code_ids = {code: i for i, code in enumerate(distinct)}
+        tile_map = list(map(code_ids.__getitem__, codes))  # kept tile id -> new tile id
+        chamber_tile = dict(zip(self.interior, map(tile_map.__getitem__, self.tids)))
+        return _alphabet(self.labels, distinct, chamber_tile, [], radius)
 
 
 def _excluded_faces(wallset: WallSet, near: list) -> list:

@@ -69,6 +69,14 @@ class WallSet:
     each g * rank + s for the edge {g, gs} with |gs| > |g|, in increasing order,
     so the first is the wall's least edge.  `walls` spells the same tables as
     Wall objects, built on first read.
+
+    A wall set keeps what every alphabet and orientation over it can share:
+    its `face_rows`, the ClassForest of its last pass over the ball (see
+    class_forest), and the alphabet of tiles.build_alphabet's last full pass,
+    with a private copy of the wall colors it came from and the label each
+    wall's base side saw.  A later alphabet whose colors equal the kept ones
+    and whose orientation negates whole colors of the kept one is the kept
+    alphabet relabeled; any other makes a full pass, kept in its place.
     """
 
     def __init__(self, ball: Ball, faces, edge_start, edge_faces):
@@ -77,6 +85,7 @@ class WallSet:
         self.edge_start = edge_start  # wall id -> its first entry in edge_faces; one more at the end
         self.edge_faces = edge_faces
         self._forest = None  # the ClassForest of the last pass over the ball, see class_forest
+        self._alphabet = None  # what tiles.build_alphabet keeps of its last full pass, see there
 
     def __len__(self):
         return len(self.edge_start) - 1
@@ -105,19 +114,6 @@ class WallSet:
         e, read off `faces` along the chamber's ShortLex parent chain
         (`Ball.last`) on each lookup."""
         return _CrossingSets(self)
-
-    def wall_of_face(self, cid: int, s: int) -> int:
-        """Wall through the face of chamber cid crossed by generator s."""
-        ball, n = self.ball, self.ball.system.rank
-        if 0 <= cid < len(ball) and 0 <= s < n and ball.nbr[cid * n + s] >= 0:
-            return self.faces[cid * n + s]
-        where = f"the radius-{ball.radius} ball"
-        if not (0 <= cid < len(ball) and 0 <= s < n):
-            raise OutOfBallError(f"no face ({cid}, {s}): {where} has chambers "
-                                 f"0..{len(ball) - 1} and generators 0..{n - 1}")
-        norm = ball.norms[cid]  # only a chamber on the outer sphere misses an edge
-        raise InconclusiveError(f"chamber {cid} has norm {norm} and its {s}-neighbour lies "
-                                f"outside {where}; enlarge the radius to at least {norm + 1}")
 
     def check_chamber(self, cid: int) -> int:
         """cid, or OutOfBallError when it is no chamber id (-1 would read a table from its end)."""

@@ -3,6 +3,8 @@ before render_bundle read them off WallSet.face_rows: from the ball's norms,
 one descent test per face.  Kept as a test oracle; used only by tests.
 """
 
+from wall_faces import wall_of_face
+
 
 def face_signs(ball, wallset, orientation: list, cid: int) -> list:
     """(wall, sign) for each side of chamber g = cid: the sign g sees on the
@@ -14,7 +16,7 @@ def face_signs(ball, wallset, orientation: list, cid: int) -> list:
     out = []
     for s, (wid, j) in enumerate(zip(wallset.faces[row:row + rank], ball.nbr[row:row + rank])):
         if j < 0:
-            wallset.wall_of_face(cid, s)  # raises InconclusiveError: the face leaves the ball
+            wall_of_face(wallset, cid, s)  # raises InconclusiveError: the face leaves the ball
         sign = orientation[wid]
         out.append((wid, -sign if norms[j] < norm else sign))
     return out

@@ -23,7 +23,7 @@ from coxtile import colorings
 from coxtile.colorings import _witness, norm_color
 from coxtile.coxeter import Ball
 from coxtile.errors import GeometryError, OutOfBallError, ValidationError
-from coxtile.hyperbolic import _EYE, center_of, hyp_dist, is_simple, lorentz_dot, to_klein
+from coxtile.hyperbolic import _EYE, center_of, hyp_dist, is_simple, lorentz_dot
 from coxtile.sequences import _term
 from coxtile.tiles import TileAlphabet, WeightFunction, _face_key
 
@@ -371,6 +371,33 @@ def squares_limit_defect(a: int, rho: int) -> int:
 
 
 BASEPOINT = (0.0, 0.0, 1.0)
+
+
+def to_klein(p) -> tuple[float, float]:
+    return (p[0] / p[2], p[1] / p[2])
+
+
+def segments_cross(a, b, c, d) -> bool:
+    """The pairwise test coxtile.hyperbolic.is_simple once made for each two
+    sides: c and d on opposite sides of the line ab, and a and b of cd."""
+    def orient(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    return orient(a, b, c) * orient(a, b, d) < 0 and orient(c, d, a) * orient(c, d, b) < 0
+
+
+def is_simple_pairwise(vertices) -> bool:
+    """is_simple as it once read: every two sides that share no vertex, in the
+    Klein disk, by index arithmetic."""
+    pts = [to_klein(v) for v in vertices]
+    p = len(pts)
+    for i in range(p):
+        for j in range(i + 1, p):
+            if j in (i, (i + 1) % p) or (j + 1) % p == i:
+                continue
+            if segments_cross(pts[i], pts[(i + 1) % p], pts[j], pts[(j + 1) % p]):
+                return False
+    return True
 
 
 def on_hyperboloid(p, tol=1e-8) -> bool:

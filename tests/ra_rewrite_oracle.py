@@ -6,6 +6,12 @@ tests.
 
 from coxtile.coxeter import CoxeterSystem
 
+
+def is_right_angled(system: CoxeterSystem) -> bool:
+    """Every two distinct generators commute (order 2) or are free (order 0)."""
+    n, m = system.rank, system.matrix
+    return all(m[i][j] in (0, 2) for i in range(n) for j in range(n) if i != j)
+
 # -- right-angled rewriting ------------------------------------------------
 #
 # Canonical form = lexicographically least reduced word.  Appending one

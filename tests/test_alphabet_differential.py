@@ -10,6 +10,13 @@ The descent identity the fast path rests on, that the wall of the edge
 {g, gs} separates e from g exactly when |gs| < |g|, is checked on its own
 against the crossing sets `sep`.  One wall set builds its orientation-free
 face rows (WallSet.face_rows) once, for every alphabet over it.
+
+A wall set also keeps the alphabet of its last full pass, and relabels it
+for an orientation that negates whole colors of the kept one.  A wall set
+that keeps an alphabet must give, call after call, what a wall set keeping
+none gives: for rebases, for all-plus after alternating, for one wall's
+sign negated, for a None in the orientation, for an equal copy of the
+colors and for colors changed in place between calls.
 """
 
 import random
@@ -17,6 +24,7 @@ import random
 import pytest
 from alphabet_oracle import build_alphabet as oracle_alphabet
 
+from coxtile import tiles
 from coxtile.coxeter import CoxeterSystem
 from coxtile.errors import ValidationError
 from coxtile.pipeline import alternating_resolution, build_walls
@@ -159,3 +167,97 @@ def test_one_wall_set_reads_its_face_rows_once(monkeypatch):
     assert alpha.excluded and alpha.chamber_tile
     assert not assert_same_alphabet(ws, res.wall_colors, res.orientation).excluded
     assert built == [ws]
+
+
+# -- the kept alphabet ------------------------------------------------------------
+
+
+def full_pass(wallset, wall_colors, orientation):
+    """build_alphabet on a wall set keeping no alphabet, so a full pass."""
+    wallset._alphabet = None
+    return build_alphabet(wallset, wall_colors, orientation)
+
+
+def assert_same_tiles(got, want):
+    assert repr(got.tiles) == repr(want.tiles)  # the same label objects, as reports print them
+    assert list(got.tile_ids.items()) == list(want.tile_ids.items())
+    assert list(got.chamber_tile.items()) == list(want.chamber_tile.items())
+    assert got.excluded == want.excluded
+    assert got.radius == want.radius
+
+
+def seeded_rebases(ball, ws, res):
+    for cid in random.Random(len(ball)).sample(range(len(ball)), 20):
+        yield res.wall_colors, rebased_alternating(ws, res.class_wids, cid)
+
+
+def all_plus_after_alternating(ball, ws, res):
+    yield res.wall_colors, orient_all_plus(ws)
+
+
+def one_wall_negated(ball, ws, res):
+    for wid in (0, len(ws) // 2):
+        orientation = list(res.orientation)
+        orientation[wid] = -orientation[wid]
+        yield res.wall_colors, orientation
+
+
+def a_none_in_the_orientation(ball, ws, res):
+    orientation = rebased_alternating(ws, res.class_wids, 1)
+    orientation[len(ws) // 3] = None
+    yield res.wall_colors, orientation
+    yield res.wall_colors, rebased_alternating(ws, res.class_wids, 2)  # after a pass keeping the None
+
+
+def an_equal_copy_of_the_colors(ball, ws, res):
+    yield list(res.wall_colors), rebased_alternating(ws, res.class_wids, 1)
+
+
+def colors_changed_in_place(ball, ws, res):
+    colors = res.wall_colors  # the list the kept alphabet was built from
+    colors[0] = next(c for c in colors if c != colors[0])
+    yield colors, rebased_alternating(ws, res.class_wids, 1)
+    yield colors, rebased_alternating(ws, res.class_wids, 2)
+    colors[len(ws) // 2] = None
+    yield colors, rebased_alternating(ws, res.class_wids, 3)
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        seeded_rebases,
+        all_plus_after_alternating,
+        one_wall_negated,
+        a_none_in_the_orientation,
+        an_equal_copy_of_the_colors,
+        colors_changed_in_place,
+    ],
+)
+@pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
+@pytest.mark.parametrize("system, radius", [(HEXAGON, 6), (OCTAGON, 5)], ids=["hexagon-r6", "octagon-r5"])
+def test_kept_alphabet_matches_a_fresh_wall_set(system, radius, refine, calls):
+    ball, ws = build_walls(system, radius)
+    _, fresh = build_walls(system, radius)
+    res = alternating_resolution(ws, alternating_palette(system), refine=refine)
+    got = build_alphabet(ws, res.wall_colors, res.orientation)
+    assert_same_tiles(got, full_pass(fresh, res.wall_colors, res.orientation))
+    for colors, orientation in calls(ball, ws, res):
+        got = build_alphabet(ws, colors, orientation)
+        assert_same_tiles(got, full_pass(fresh, colors, orientation))
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
+def test_rebases_relabel_the_kept_alphabet(refine, monkeypatch):
+    # a rebase negates whole colors, so it makes no label pass; all-plus after
+    # alternating negates some walls of a color and not others, so it makes one
+    passes = []
+    label_tables = tiles._label_tables
+    monkeypatch.setattr(tiles, "_label_tables", lambda *args: passes.append(1) or label_tables(*args))
+    ball, ws = build_walls(HEXAGON, 6)
+    res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=refine)
+    build_alphabet(ws, res.wall_colors, res.orientation)
+    for word in [(0,), (3,), (1, 4)]:
+        build_alphabet(ws, res.wall_colors, rebased_alternating(ws, res.class_wids, ball.id_of(word)))
+    assert len(passes) == 1
+    build_alphabet(ws, res.wall_colors, orient_all_plus(ws))
+    assert len(passes) == 2

@@ -7,6 +7,7 @@ Ball.index.
 """
 
 import pytest
+from wall_faces import wall_of_face
 
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import InconclusiveError, OutOfBallError
@@ -93,9 +94,9 @@ def test_faces_hold_the_wall_of_every_ball_edge(system, radius):
             assert wid == by_edge.get((cid, s), -1)
             if wid < 0:
                 with pytest.raises(InconclusiveError):
-                    ws.wall_of_face(cid, s)
+                    wall_of_face(ws, cid, s)
             else:
-                assert ws.wall_of_face(cid, s) == wid
+                assert wall_of_face(ws, cid, s) == wid
     for cid, s in [(-1, 0), (0, -1), (0, n), (len(ball), 0)]:  # no such face: bad input
         with pytest.raises(OutOfBallError):
-            ws.wall_of_face(cid, s)
+            wall_of_face(ws, cid, s)

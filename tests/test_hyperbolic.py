@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import acosh, cosh, pi, sinh, sqrt
 
@@ -14,11 +15,13 @@ from magnitude_oracle import default_magnitudes, render_colors, wall_pair_magnit
 from paper_checks import (
     BASEPOINT,
     convexity_check,
+    is_simple_pairwise,
     on_hyperboloid,
     preserves_lorentz_form,
     sample_overlap_fraction,
 )
 from polygon_geometry import side
+from wall_faces import wall_of_face
 from coxtile.errors import GeometryError, InconclusiveError, StructureError, ValidationError
 from coxtile.hyperbolic import (
     HPolygon,
@@ -27,11 +30,11 @@ from coxtile.hyperbolic import (
     deform_vertices,
     geodesic_point,
     hyp_dist,
+    is_simple,
     lorentz_dot,
     place_tiles,
     reflection_matrices,
     render_svg,
-    to_klein,
     to_poincare,
 )
 from coxtile.pipeline import alternating_resolution, build_walls, render_bundle
@@ -166,8 +169,10 @@ def test_convexity_check_self_intersection():
 def test_vertex_magnitudes_follow_the_reference_rule(monkeypatch):
     # render's per-wall shades give each displaced vertex of the refined
     # hexagon at R=4 the d that tests/magnitude_oracle.py assigns its a and b
-    # colors, bit for bit; every d reaches cosh_sinh, which is spied on
-    # while face_metadata, its other caller, is patched out
+    # colors, bit for bit.  deform_vertices moves base vertex k once for each
+    # pair of signs and each d, so the first vertex, in tile order, of each
+    # (k, signs, d) brings its d to cosh_sinh, which is spied on while
+    # face_metadata, its other caller, is patched out
     seen = []
     real = hyperbolic.cosh_sinh
     monkeypatch.setattr(hyperbolic, "cosh_sinh", lambda d: seen.append(d) or real(d))
@@ -175,14 +180,19 @@ def test_vertex_magnitudes_follow_the_reference_rule(monkeypatch):
     bundle = render_bundle(3, 4)
     epsilon = 0.05 * bundle.polygon.side_length()
     magnitude = wall_pair_magnitude(bundle.resolution.wall_colors, True, epsilon)
-    want, moved = [], set()
+    want, moved, moves = [], set(), set()
     for tile in bundle.tiles:
-        walls = [bundle.wallset.wall_of_face(tile.cid, s) for s in range(6)]
+        walls = [wall_of_face(bundle.wallset, tile.cid, s) for s in range(6)]
+        sides = face_signs(bundle.ball, bundle.wallset, bundle.resolution.orientation, tile.cid)
+        signs = [sign for _, sign in sides]
         for k in range(6):
             if (walls[k - 1], walls[k]) not in moved:
                 moved.add((walls[k - 1], walls[k]))
-                want.append(magnitude(walls[k - 1], walls[k]))
-    assert seen == want
+                d = magnitude(walls[k - 1], walls[k])
+                if (k, signs[k - 1], signs[k], d) not in moves:
+                    moves.add((k, signs[k - 1], signs[k], d))
+                    want.append(d)
+    assert seen == want and len(moved) > 3 * len(moves)
     a_colors, b_colors = render_colors(True)
     rule = default_magnitudes(a_colors, b_colors, epsilon)
     assert len({rule(ca, cb) for ca in a_colors for cb in b_colors}) == 81
@@ -256,6 +266,30 @@ def test_render_points_inside_disk():
         for v in t.vertices:
             x, y = v[0] / (1 + v[2]), v[1] / (1 + v[2])
             assert x * x + y * y < 1.0
+
+
+def test_render_bundle_leaves_words_and_index_unbuilt():
+    # a placed tile's word is its ShortLex parent's and its last letter, so
+    # render spells the words of the placed tiles only, not the R+1 ball's
+    bundle = render_bundle(3, 4)
+    ball = bundle.ball
+    assert "words" not in ball.__dict__ and "index" not in ball.__dict__
+    assert [t.word for t in bundle.tiles] == ball.words[:len(bundle.tiles)]
+    assert len(bundle.tiles) < len(ball)
+
+
+def test_is_simple_matches_the_pairwise_segment_test():
+    # random rings of 3 to 9 points above the Klein disk's plane, and the
+    # deformed tiles of a render: the same verdict as the test by index pairs
+    rng = random.Random(11)
+    rings = [
+        [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 2)) for _ in range(rng.randint(3, 9))]
+        for _ in range(3000)
+    ]
+    rings += [t.vertices for t in render_bundle(3, 3).tiles]
+    verdicts = [is_simple(ring) for ring in rings]
+    assert verdicts == [is_simple_pairwise(ring) for ring in rings]
+    assert True in verdicts and False in verdicts
 
 
 def test_deform_simplicity_error_names_vertex():
@@ -351,7 +385,7 @@ def test_wall_pairs_name_vertices_as_the_four_chambers_do(n, radius):
     ball, ws = build_walls(CoxeterSystem.right_angled_polygon(2 * n), radius + 1)
     by_walls, by_name = {}, {}
     for cid in range(sum(ball.sphere_sizes[:radius + 1])):
-        walls = [ws.wall_of_face(cid, s) for s in range(2 * n)]
+        walls = [wall_of_face(ws, cid, s) for s in range(2 * n)]
         for k in range(2 * n):
             by_walls.setdefault((walls[k - 1], walls[k]), []).append((cid, k))
             by_name.setdefault(vertex_key_oracle._vertex_key(ball, cid, k), []).append((cid, k))
@@ -427,7 +461,7 @@ def numpy_displace_vertex(ball, wallset, tile, cid, k, orientation, magnitude):
     p = ball.system.rank
     verts = np.array(tile.vertices)
     point = verts[k]
-    walls = [wallset.wall_of_face(cid, s) for s in ((k - 1) % p, k)]
+    walls = [wall_of_face(wallset, cid, s) for s in ((k - 1) % p, k)]
     direction = np.zeros(3)
     for s, wid in zip(((k - 1) % p, k), walls):
         n = numpy_side_normal(verts[s], verts[(s + 1) % p])
@@ -452,7 +486,7 @@ def assert_moved_on_bisectors(placed, deformed, polygon, wallset, res, magnitude
     assert [t.cid for t in deformed] == [t.cid for t in placed]
     for tile, moved in zip(placed, deformed):
         M = np.array(tile.matrix)
-        walls = [wallset.wall_of_face(tile.cid, s) for s in range(p)]
+        walls = [wall_of_face(wallset, tile.cid, s) for s in range(p)]
         signed = [
             res.orientation[w] * np.sign(lorentz_dot(BASEPOINT, M @ n)) * (M @ n)
             for w, n in zip(walls, normals)

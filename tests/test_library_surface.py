@@ -1,8 +1,10 @@
 """The library is what the CLI and the benchmark run.
 
-Every top-level function, class and constant of a `src/coxtile` module must
-be read somewhere other than its own definition: in its own module, in
-another module of the package, or by the benchmark under `perfbench/`.
+Every top-level function, class and constant of a `src/coxtile` module, and
+every method and property of its classes but the dunder methods, must be
+read somewhere other than its own definition: in its own module, in another
+module of the package, or by the benchmark under `perfbench/`.  A method
+counts as read where its name is read as an attribute.
 Every module but `__init__` and `cli` must be imported by another module of
 the package or by the benchmark.  What only the tests read lives in
 `tests/`.  The scan parses the sources and imports none of them.
@@ -18,7 +20,9 @@ EXEMPT = {("cli", "main")}  # the console script's entry point
 
 
 def defined_names(tree):
-    """(name, node) for each top-level function, class and assigned name."""
+    """(name, node) for each top-level function, class and assigned name, and
+    for each method and property of a top-level class, save the dunder
+    methods the language calls itself."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -28,6 +32,12 @@ def defined_names(tree):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         yield name.id, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    yield f"{node.name}.{method.name}", method
 
 
 def read_names(tree, skip=None):
@@ -85,7 +95,7 @@ def unread_definitions():
         for name, node in defined_names(tree):
             if (module, name) in EXEMPT:
                 continue
-            if name not in bench_reads | others | read_names(tree, skip=node):
+            if name.rpartition(".")[2] not in bench_reads | others | read_names(tree, skip=node):
                 unread.append(f"{module}.{name}")
     return unread
 
@@ -108,11 +118,21 @@ def test_every_module_is_imported_by_the_library_or_the_benchmark():
 
 
 def test_the_scan_sees_a_planted_orphan():
-    # a definition nobody reads, added to a parsed copy of a module, is reported
+    # a function and a method nobody reads, added to a parsed copy of a
+    # module, are reported; a dunder method, which the language calls, is not
     tree = MODULES["walls"]
+    wallset = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "WallSet")
     orphan = ast.parse("def _orphan_for_the_scan():\n    return 0\n").body[0]
+    methods = ast.parse(
+        "class C:\n"
+        "    def orphan_method_for_the_scan(self):\n        return 0\n"
+        "    def __orphan_dunder_for_the_scan__(self):\n        return 0\n"
+    ).body[0].body
     tree.body.append(orphan)
+    wallset.body.extend(methods)
     try:
-        assert unread_definitions() == ["walls._orphan_for_the_scan"]
+        unread = unread_definitions()
+        assert unread == ["walls.WallSet.orphan_method_for_the_scan", "walls._orphan_for_the_scan"]
     finally:
         tree.body.remove(orphan)
+        del wallset.body[-len(methods):]

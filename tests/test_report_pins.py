@@ -29,7 +29,10 @@ its old bytes with every -0.000000 (33 to 56 of them) read as 0.000000.  Every `
 wall.  The (2,3,7) and {5,6,7,8} `walls` reports were re-recorded when the
 disjointness certificate began to list walls that cross in a residue of
 order 4 or more: only their violation lists grew, keeping every earlier entry
-in order.  The (4,4,4) R=6 report pins one such crossing.  The smoke runs start every perfbench workload at tiny sizes,
+in order.  The (4,4,4) R=6 report pins one such crossing.  The `space
+--n 3 --radius 7 --depth 5` report, the benchmark's tiling-render size, was
+pinned before a rebased alphabet became the wall set's kept alphabet
+relabeled, and before render's geometry kernels spelled out their 3-vectors.  The smoke runs start every perfbench workload at tiny sizes,
 traced, so its checks (Ball.edges, the read-only WallSet.sep view,
 WallSet.separates) and its tracer's hooks (WallSet.separating_walls,
 WallSet.canonical_word, the walls, hyperbolic and other span functions) must
@@ -102,6 +105,13 @@ REPORT_SHA256 = {
         ["space", "--n", "3", "--radius", "6", "--depth", "4"],
         0,
         "d74d9f27def1f2d0887d21ac306023fa0aff85d6bc44e0f3f08b4a2d81172bc7",
+    ),
+    "space-n3-r7-d5": (
+        # the benchmark's size: pinned before rebased alphabets relabeled the
+        # wall set's kept alphabet
+        ["space", "--n", "3", "--radius", "7", "--depth", "5"],
+        0,
+        "53fcf3677a11c6269ac897ec471aedaf9215f0b6ae63c66eb1500813558c11f5",
     ),
     "space-n4-r5-d2-no-refine": (
         ["space", "--n", "4", "--radius", "5", "--depth", "2", "--no-refine"],

@@ -7,6 +7,7 @@ import peel_oracle
 import pytest
 from paper_checks import tile_of_faces, verify_unbalanced_witness
 from rebase_oracle import rebase_parity_check
+from wall_faces import wall_of_face
 
 from coxtile import tiles as tiles_module
 from coxtile.coxeter import CoxeterSystem
@@ -66,7 +67,7 @@ def test_adjacent_chambers_see_opposite_signs():
             if (cid, s) not in ball.edges:
                 continue
             jid = ball.edges[(cid, s)]
-            wid = ws.wall_of_face(cid, s)
+            wid = wall_of_face(ws, cid, s)
             side_c = -1 if ws.separates(wid, base, cid) else 1
             side_j = -1 if ws.separates(wid, base, jid) else 1
             assert side_c == -side_j

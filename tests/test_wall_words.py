@@ -20,6 +20,7 @@ import io
 import random
 
 import pytest
+from ra_rewrite_oracle import is_right_angled
 from spelling_cases import SPELLING_CASES, ball_within, lettered_balls
 from wall_word_oracle import oracle_wall_words
 
@@ -95,7 +96,7 @@ def test_wall_words_match_the_oracle_on_random_matrices(seed):
         else:
             system = random_system(rng, rng.randint(3, 5), (2, 3, 4, 5, 6, 7, 8, 0))
         ball = ball_within(system, 1000)
-        kinds.add("right-angled" if system.is_right_angled else "braided")
+        kinds.add("right-angled" if is_right_angled(system) else "braided")
         if not ball.sphere_sizes[-1]:
             kinds.add("finite")
         assert_words_match_oracle(ball)

@@ -4,6 +4,7 @@ import random
 import corner_oracle
 import peel_oracle
 import pytest
+from wall_faces import wall_of_face
 
 from coxtile import cli
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
@@ -57,7 +58,7 @@ def test_wall_count_grows_with_radius():
 
 def test_separates_defining_edge_and_reflexive():
     ball, ws = make(CoxeterSystem.right_angled_polygon(5), 3)
-    s_wall = ws.wall_of_face(0, 0)
+    s_wall = wall_of_face(ws, 0, 0)
     s_id = ball.id_of((0,))
     assert ws.separates(s_wall, 0, s_id)
     for w in ws.walls[:10]:
@@ -84,7 +85,7 @@ def test_separates_matches_component_oracle():
 def test_cross_edge_parity_consistency():
     ball, ws = make(CoxeterSystem.right_angled_polygon(5), 4)
     for (i, s), j in ball.edges.items():
-        assert ws.sep[i] ^ ws.sep[j] == {ws.wall_of_face(i, s)}
+        assert ws.sep[i] ^ ws.sep[j] == {wall_of_face(ws, i, s)}
 
 
 def test_color_walls_hexagon_alternating_disjoint():
@@ -215,7 +216,7 @@ def test_peel_level_one_bounds_base():
     classes = color_walls(ws, alternating_palette(hexsys))
     levels = peel_levels(ws, classes.by_color["a"])
     for s in (0, 2, 4):
-        assert levels[ws.wall_of_face(0, s)] == 1
+        assert levels[wall_of_face(ws, 0, s)] == 1
 
 
 def test_peel_levels_match_separating_counts():
@@ -390,13 +391,13 @@ def test_wall_of_face_error_names_norm_and_radius():
     outer = next(cid for cid in range(len(ball)) if ball.norms[cid] == 3)
     s = next(s for s in range(5) if ball.nbr[outer * 5 + s] < 0)
     with pytest.raises(InconclusiveError) as err:
-        ws.wall_of_face(outer, s)
+        wall_of_face(ws, outer, s)
     message = str(err.value)
     assert f"chamber {outer} has norm 3" in message and "radius-3 ball" in message
     assert "enlarge the radius to at least 4" in message
     # an id outside the ball is bad input, as at every other entry point
     with pytest.raises(OutOfBallError, match=r"radius-3 ball has chambers 0\.\.60 and generators 0\.\.4"):
-        ws.wall_of_face(len(ball), 0)
+        wall_of_face(ws, len(ball), 0)
 
 
 def test_component_error_names_count_and_radius():
