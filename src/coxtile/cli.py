@@ -203,7 +203,7 @@ def _cmd_walls(args, out) -> int:
     count = len(wallset)
     levels = parents = [None] * count  # read only: classes that meet get no trees
     if classes.disjoint:
-        levels, parents = class_trees(wallset, classes)
+        levels, parents = class_trees(wallset, classes.by_color.values())
     names = wallset.canonical_names()
     shown = {color: str(color) for color in classes.by_color}
     walls = (  # rows, streamed by _write_report

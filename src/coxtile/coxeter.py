@@ -352,7 +352,8 @@ class Ball:
     from the tree in one pass each, the first time something reads them;
     the enumeration itself never spells a word.  `names` spells the first
     elements in generator names by one pass over the same tree, and `word`
-    reads one normal form up the parent chain; neither builds `words`.
+    reads one normal form up the parent chain (`parent_faces`); neither
+    builds `words`.
     """
 
     system: CoxeterSystem
@@ -396,15 +397,20 @@ class Ball:
             names.append(f"{names[p]}.{gens[s]}" if p else gens[s])
         return names
 
+    def parent_faces(self, i: int):
+        """The faces g * rank + last[g] of the edges from each g on element i's
+        ShortLex parent chain to its parent, from i up to e (none for e): the
+        edges of i's normal form, last letter first."""
+        n, nbr, last = self.system.rank, self.nbr, self.last
+        while i:
+            f = i * n + last[i]
+            yield f
+            i = nbr[f]
+
     def word(self, i: int) -> tuple[int, ...]:
         """The normal form of element i, read up its ShortLex parent chain."""
-        n, nbr, last = self.system.rank, self.nbr, self.last
-        letters = []
-        while i:
-            s = last[i]
-            letters.append(s)
-            i = nbr[i * n + s]
-        return tuple(reversed(letters))
+        n = self.system.rank
+        return tuple(reversed([f % n for f in self.parent_faces(i)]))
 
     @cached_property
     def edges(self) -> EdgeView:
@@ -504,11 +510,14 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
     The first step down, along t, reads g's own row, and most t are no
     descent of g, so most walks end at that one lookup.  An unset edge (-1)
     reads the norm of the last element made, the level, which no step down
-    expects.
+    expects.  At most `cap` elements are made (COXTILE_BALL_CAP when cap is
+    None); a cap below 1 is refused.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     cap = _cap_from_env() if cap is None else cap
+    if cap < 1:  # every ball holds e
+        raise ValidationError(f"ball cap must be at least 1, got {cap} (from cap= or COXTILE_BALL_CAP)")
     n = system.rank
     # each walk's way down past its first letter t, and its way up, sliced once per system
     walks = [[(t, letters[1:m - 1], letters[m - 1:2 * m - 2]) for t, m, letters in row]

@@ -12,8 +12,8 @@ each one the same float operations, in the same order, as the coordinate
 sums they replace, save products by 1.0, which are exact and left out; so
 the kernels keep every output bit, and a rendered SVG changes only when the
 geometry does.  Work that depends on a side's two end vertices alone (its
-midpoint, its sampled geodesic) is done once per side, for the two tiles
-that hold the same vertex tuples there.
+sampled geodesic here, its midpoint in pipeline.face_metadata) is done once
+per side, for the two tiles that hold the same vertex tuples there.
 """
 
 from dataclasses import dataclass
@@ -21,6 +21,7 @@ from math import acosh, cos, cosh, isfinite, isinf, pi, sin, sinh, sqrt
 
 from .errors import GeometryError, ValidationError
 
+TICK = 0.12  # tick depth per unit of ambient distance between a side's two vertices
 TICK_LENGTH = 0.02  # a drawn tick's length at the disk centre, shrinking toward the rim
 _EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -333,14 +334,14 @@ def _sample_edge(a, b, tol=0.005):
 def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
     """Poincare-disk SVG of placed tiles.
 
-    `face_data[i][k]` may carry (color, tick tip) for side k of tile i: the
-    side is stroked by color and a tick is drawn from its midpoint toward the
-    tip, on the wall's positive side.  Deterministic: no timestamps, fixed
-    float formatting.  A side's sampled, formatted polyline and its midpoint
-    are computed once for its two end vertices, in order: the two tiles on
-    a side of a deformed tiling hold the same vertex tuples there, in the
-    same order.  Raises ValidationError for a stroke width that is negative
-    or not finite.
+    `face_data[i][k]` may carry (color, tick tip, midpoint) for side k of
+    tile i, as pipeline.face_metadata computes them: the side is stroked by
+    color and a tick is drawn from its midpoint toward the tip, on the
+    wall's positive side.  Deterministic: no timestamps, fixed float
+    formatting.  A side's sampled, formatted polyline is computed once for
+    its two end vertices, in order: the two tiles on a side of a deformed
+    tiling hold the same vertex tuples there, in the same order.  Raises
+    ValidationError for a stroke width that is negative or not finite.
     """
     if not (isfinite(stroke_width) and stroke_width >= 0):
         raise ValidationError(f"stroke width must be finite and nonnegative, got {stroke_width}")
@@ -358,7 +359,6 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
         return color_index[color]
 
     drawn: dict = {}  # (a, b) -> the side's polyline points, formatted
-    midpoints: dict = {}  # (a, b) -> the side's midpoint
     for i, tile in enumerate(tiles):
         verts = tile.vertices
         p = len(verts)
@@ -377,18 +377,14 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
             polylines.append(pts)
         path = "M " + " L ".join([q for pts in polylines for q in pts[:-1]]) + " Z"
         lines.append(f'<path d="{path}" fill="#ffffff" fill-opacity="0.0" stroke="none"/>')
-        for k, ((a, b), pts) in enumerate(zip(ends, polylines)):
+        for pts, sd in zip(polylines, sides):
             d = "M " + " L ".join(pts)
-            sd = sides[k]
             stroke = "#444444" if sd is None else css(sd[0])
             lines.append(
                 f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
             )
-            if sd is not None and sd[1] is not None:
-                mid = midpoints.get((a, b))
-                if mid is None:
-                    mid = midpoints[a, b] = geodesic_point(a, b, 0.5)
-                tip = sd[1]
+            if sd is not None:
+                _, tip, mid = sd
                 q0 = to_poincare(mid)
                 q1 = to_poincare(tip)
                 dx, dy = q1[0] - q0[0], q1[1] - q0[1]

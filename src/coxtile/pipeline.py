@@ -27,9 +27,9 @@ class Resolution:
     """A signed tile system: wall colors, color classes, orientation, tiles."""
 
     wallset: WallSet
-    wall_colors: list  # wall id -> color, None for a wall left out
+    wall_colors: list  # wall id -> color, one for every wall
     class_wids: dict  # color class -> wall ids (classes the orientation alternates over)
-    orientation: list  # wall id -> +1 / -1, None for a wall left out
+    orientation: list  # wall id -> +1 / -1, one for every wall
 
     @cached_property
     def alphabet(self) -> TileAlphabet:
@@ -84,14 +84,11 @@ class RenderBundle:
     polygon: object
     matrices: list
     tiles: list  # deformed PlacedTile per chamber of norm <= radius
-    face_data: list  # per tile, per side: (color, tick tip point) or None
-
-
-TICK = 0.12  # tick depth per unit of ambient distance between a side's two vertices
+    face_data: list  # per tile, per side: (color, tick tip point, side midpoint) or None
 
 
 def face_metadata(tiles, ball, signs, wall_colors):
-    """Per-side (color, tick-tip) records for rendering.
+    """Per-side (color, tick tip, midpoint) records for rendering.
 
     The tick points toward the wall's positive side: into the tile when the
     tile sees the face with sign +, away otherwise; computed from the
@@ -101,8 +98,9 @@ def face_metadata(tiles, ball, signs, wall_colors):
     A side's midpoint and tick depth depend on its two end vertices only, so
     they are computed once for the two tiles on it, which hold the same
     vertex tuples there; the tangent toward each tile's centre is its own.
+    The midpoint is the record's third field, where render_svg reads it.
     """
-    from .hyperbolic import center_of, cosh_sinh, geodesic_point, tangent_toward
+    from .hyperbolic import TICK, center_of, cosh_sinh, geodesic_point, tangent_toward
 
     spell = ball.system.spell
     shared = {}  # (a, b) -> the side's midpoint and the cosh and sinh of its tick depth
@@ -137,7 +135,7 @@ def face_metadata(tiles, ball, signs, wall_colors):
             _, ch, sh = side
             t = seen * sh
             tip = (ch * mid[0] + t * u[0], ch * mid[1] + t * u[1], ch * mid[2] + t * u[2])
-            sides.append((wall_colors[wid], tip))
+            sides.append((wall_colors[wid], tip, mid))
         data.append(sides)
     return data
 

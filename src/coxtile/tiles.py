@@ -10,18 +10,19 @@ whether some weight makes every tile sum positive (unbalanced), whether a
 nontrivial weight keeps every sum nonnegative (semibalanced), or whether
 the nonnegativity cone is {0} (strictly balanced).
 
-A wall set keeps the alphabet of build_alphabet's last full pass when that
-pass gave every wall a label and every sign was +1 or -1, with a private
-copy of the wall colors and, per wall, the label its base side sees, which
-holds the wall's color and sign.  A later call relabels the kept alphabet
-when its wall colors equal the kept ones, by value, and its orientation is
-the kept one times one factor, +1 or -1, per color, checked on every wall.
+Every wall carries a label: build_alphabet refuses a wall without a color
+or with a sign other than +1 or -1.  A wall set keeps the alphabet of
+build_alphabet's last full pass, with a private copy of the wall colors
+and, per wall, the label its base side sees, which holds the wall's color
+and sign.  A later call relabels the kept alphabet when its wall colors
+equal the kept ones, by value, and its orientation is the kept one times
+one factor, +1 or -1, per color, checked on every wall.
 A color's two labels, (c, -1) and (c, +1), are neighbours in `_face_key`
 order, and a factor of -1 swaps them: each kept tile, its labels swapped,
 re-sorted and the tiles re-numbered, is the tile a full pass would find,
 and each chamber keeps its tile.  The rebases of one resolution
 (rebased_alternating) are such calls.  Every other call makes a full pass,
-which replaces the kept alphabet, or drops it when it cannot be kept.
+which replaces the kept alphabet.
 """
 
 from array import array
@@ -51,7 +52,8 @@ def orient_all_plus(wallset: WallSet) -> list:
 def orient_alternating(wallset: WallSet, class_wids: dict, flips: dict | None = None) -> list:
     """Sign (-1)^level per wall, the level read off the class forest (see
     walls.class_forest), negated on every class that `flips` marks, as a list
-    indexed by wall id; a wall in no class gets None.
+    indexed by wall id; a wall in no class gets None, which build_alphabet
+    refuses.
 
     Any flip pattern yields an "allowed" orientation; the default pattern
     starts -, +, -, ... outward from the base chamber.  Raises StructureError
@@ -64,7 +66,7 @@ def orient_alternating(wallset: WallSet, class_wids: dict, flips: dict | None = 
 def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> list:
     """The alternating orientation as constructed from another base chamber,
     expressed in the canonical frame of the original base, as a list indexed
-    by wall id; a wall in no class gets None.
+    by wall id; a wall in no class gets None, which build_alphabet refuses.
 
     Re-peeling from `chamber` and moving the "left side" reference back to
     the original base flip a whole disjoint class at once, by the parity of
@@ -102,7 +104,7 @@ class TileAlphabet:
     tiles: list
     tile_ids: dict
     chamber_tile: dict  # chamber id -> tile id
-    excluded: list
+    excluded: list  # always []: build_alphabet labels every wall, so no chamber is left out
     radius: int
 
     def __len__(self):
@@ -117,15 +119,15 @@ def _label_tables(wallset: WallSet, wall_colors: list, orientation: list):
     """Every oriented face label, numbered once in `_face_key` order, and per
     wall the number of the label seen from the base side and from beyond.
 
-    Walls whose color or orientation is None get -1 on both sides.  Raises
-    ValidationError when two labels share a key, since numbers could not then
-    keep the order the string keys give.
+    Every sign is +1 or -1, so the labels come in pairs, (c, -1) then
+    (c, +1), one pair per color.  Raises ValidationError when two labels
+    share a key, since numbers could not then keep the order the string keys
+    give.
     """
     count = len(wallset)
     walls_of = {}  # (color, sign seen from the base side) -> wall ids
     for wid, (color, sign) in enumerate(zip(wall_colors, orientation)):
-        if color is not None and sign is not None:
-            walls_of.setdefault((color, sign), []).append(wid)
+        walls_of.setdefault((color, sign), []).append(wid)
     labels = sorted({f for c, s in walls_of for f in ((c, s), (c, -s))}, key=_face_key)
     for f, g in zip(labels, labels[1:]):
         if _face_key(f) == _face_key(g):
@@ -144,19 +146,20 @@ def build_alphabet(wallset: WallSet, wall_colors: list, orientation: list) -> Ti
     """Label every interior chamber with its (color, sign) face multiset.
 
     `wall_colors` and `orientation` are lists indexed by wall id, one entry
-    per wall, None for a wall left out; ValidationError is raised when either
-    has another length.  A chamber is interior when all its generator edges
-    lie in the ball.  A chamber meeting an uncolored or unoriented wall is
-    excluded, and recorded as (cid, s) for the first such face s in
-    generator order, unless an edge leaving the ball comes first.  The side
+    per wall: every wall has a color, not None, and a sign, +1 or -1.
+    ValidationError is raised when either list has another length, or names
+    the first wall without a color or with another sign.  So every interior
+    chamber gets a tile, and `excluded` is always empty.  A chamber is
+    interior when all its generator edges lie in the ball.  The side
     comes from a descent, read off the wall set's cached, orientation-free
     face rows (WallSet.face_rows): each face is 2 * wall + far, far when
     |gs| < |g| (Bjorner & Brenti, Combinatorics of Coxeter Groups, 1.4).
     Each oriented face label is numbered once, in `_face_key` order, so a
     call only maps every face to its label number, sorts each chamber's
     numbers into a tuple and turns the distinct tuples back into (color,
-    sign) faces.  A call that only negates whole colors of the wall set's
-    kept alphabet relabels that alphabet instead (see the module docstring).
+    sign) faces.  Every full pass is kept; a call that only negates whole
+    colors of the wall set's kept alphabet relabels that alphabet instead
+    (see the module docstring).
     """
     count = len(wallset)
     if len(wall_colors) != count or len(orientation) != count:
@@ -164,6 +167,11 @@ def build_alphabet(wallset: WallSet, wall_colors: list, orientation: list) -> Ti
             f"{len(wall_colors)} wall colors and {len(orientation)} orientations "
             f"for {count} walls: both need one entry per wall"
         )
+    if None in wall_colors or orientation.count(1) + orientation.count(-1) != count:  # scans in C
+        wid = next(w for w, (c, s) in enumerate(zip(wall_colors, orientation))
+                   if c is None or s not in (1, -1))
+        raise ValidationError(f"wall {wid} has color {wall_colors[wid]!r} and sign {orientation[wid]!r}: "
+                              "every wall needs a color and a sign +1 or -1")
     ball = wallset.ball
     kept = wallset._alphabet
     if kept is not None:
@@ -177,40 +185,28 @@ def build_alphabet(wallset: WallSet, wall_colors: list, orientation: list) -> Ti
     number[0::2], number[1::2] = near, far
     slots = map(number.__getitem__, rows)  # zip below takes them `rank` at a time
     codes = list(map(tuple, map(sorted, zip(*[slots] * rank)))) if rank else [()] * len(interior)
-    excluded = []
-    if -1 in near:  # a wall without a label excludes the chambers it bounds
-        excluded = _excluded_faces(wallset, near)
-        # an unlabeled face's -1 sorts first, so code[0] tells whether there is one
-        labeled = [(cid, code) for cid, code in zip(interior, codes) if not code or code[0] >= 0]
-        interior, codes = [cid for cid, _ in labeled], [code for _, code in labeled]
     distinct = sorted(set(codes))
     code_ids = {code: i for i, code in enumerate(distinct)}
     tids = list(map(code_ids.__getitem__, codes))
-    alphabet = _alphabet(labels, distinct, dict(zip(interior, tids)), excluded, ball.radius)
-    keep = -1 not in near and len(labels) % 2 == 0 and all(
-        s == -1 and t == (c, 1) for (c, s), t in zip(labels[0::2], labels[1::2])
+    wallset._alphabet = _KeptAlphabet(
+        list(wall_colors), labels, array("i", near), distinct, interior, array("i", tids)
     )
-    wallset._alphabet = (
-        _KeptAlphabet(list(wall_colors), labels, array("i", near), distinct, interior, array("i", tids))
-        if keep
-        else None
-    )
-    return alphabet
+    return _alphabet(labels, distinct, dict(zip(interior, tids)), ball.radius)
 
 
-def _alphabet(labels, distinct, chamber_tile, excluded, radius) -> TileAlphabet:
+def _alphabet(labels, distinct, chamber_tile, radius) -> TileAlphabet:
     """The alphabet whose tile i has the label numbers distinct[i]."""
     tiles = [tuple(labels[i] for i in code) for code in distinct]
     tile_ids = {t: i for i, t in enumerate(tiles)}
-    return TileAlphabet(tiles, tile_ids, chamber_tile, excluded, radius)
+    return TileAlphabet(tiles, tile_ids, chamber_tile, [], radius)
 
 
 @dataclass
 class _KeptAlphabet:
-    """The last full pass of build_alphabet over a wall set (WallSet._alphabet),
-    kept when every wall has a label and every sign is +1 or -1: labels 2p
-    and 2p + 1 are then (c, -1) and (c, +1), and the label a wall's base
-    side sees gives the wall's sign."""
+    """The last full pass of build_alphabet over a wall set (WallSet._alphabet).
+    Every wall has a label and every sign is +1 or -1, so labels 2p and
+    2p + 1 are (c, -1) and (c, +1), and the label a wall's base side sees
+    gives the wall's sign."""
 
     wall_colors: list  # a private copy of the pass's colors
     labels: list  # label number -> (color, sign), in `_face_key` order
@@ -239,8 +235,6 @@ class _KeptAlphabet:
         factors = [0] * (len(self.labels) // 2)
         for label, wid in self.witnesses.items():  # every color has a wall, so every pair a witness
             sign = orientation[wid]
-            if sign not in (1, -1):
-                return None
             factors[label >> 1] = sign if label & 1 else -sign  # label 2p's kept sign is -1, 2p + 1's is +1
         signs = [f * s for f in factors for s in (-1, 1)]  # label number -> its walls' sign now
         if list(map(signs.__getitem__, self.near)) != orientation:
@@ -256,22 +250,7 @@ class _KeptAlphabet:
         code_ids = {code: i for i, code in enumerate(distinct)}
         tile_map = list(map(code_ids.__getitem__, codes))  # kept tile id -> new tile id
         chamber_tile = dict(zip(self.interior, map(tile_map.__getitem__, self.tids)))
-        return _alphabet(self.labels, distinct, chamber_tile, [], radius)
-
-
-def _excluded_faces(wallset: WallSet, near: list) -> list:
-    """(cid, s) for each chamber's first face on a wall without a label (near
-    -1), when no edge leaving the ball comes before it, in chamber order."""
-    n, faces = wallset.ball.system.rank, wallset.faces
-    excluded = []
-    for cid in range(len(wallset.ball)):
-        for s, wid in enumerate(faces[cid * n:cid * n + n]):
-            if wid < 0:  # the s-edge leaves the ball
-                break
-            if near[wid] < 0:
-                excluded.append((cid, s))
-                break
-    return excluded
+        return _alphabet(self.labels, distinct, chamber_tile, radius)
 
 
 # -- weight functions and balance ---------------------------------------------------

@@ -112,7 +112,7 @@ class WallSet:
     def sep(self):
         """Read-only view: chamber id -> frozenset of the walls separating it from
         e, read off `faces` along the chamber's ShortLex parent chain
-        (`Ball.last`) on each lookup."""
+        (`Ball.parent_faces`) on each lookup."""
         return _CrossingSets(self)
 
     def check_chamber(self, cid: int) -> int:
@@ -228,14 +228,7 @@ class _CrossingSets:
 
     def __getitem__(self, cid: int) -> frozenset:
         ws = self.wallset
-        ball, faces = ws.ball, ws.faces
-        n, nbr, last = ball.system.rank, ball.nbr, ball.last
-        g, crossed = ws.check_chamber(cid), []
-        while g:  # up the ShortLex tree: the face to g's parent, then the parent's
-            i = g * n + last[g]
-            crossed.append(faces[i])
-            g = nbr[i]
-        return frozenset(crossed)
+        return frozenset(map(ws.faces.__getitem__, ws.ball.parent_faces(ws.check_chamber(cid))))
 
 
 def enumerate_walls(ball: Ball) -> WallSet:
@@ -562,14 +555,10 @@ class ClassForest:
         """The region of class c holding chamber g: the first class wall met
         going up g's ShortLex parent chain, which is the last one its geodesic
         crosses.  It and its ancestors are the class walls separating g from e."""
-        klass, faces, ball = self.klass, wallset.faces, wallset.ball
-        nbr, last, n = ball.nbr, ball.last, ball.system.rank
-        g = wallset.check_chamber(g)
-        while g:
-            i = g * n + last[g]
+        klass, faces = self.klass, wallset.faces
+        for i in wallset.ball.parent_faces(wallset.check_chamber(g)):
             if klass[faces[i]] == c:
                 return faces[i]
-            g = nbr[i]
         return -1
 
 
@@ -588,7 +577,7 @@ def class_forest(wallset: WallSet, classes) -> tuple:
     (_region_pass), and its forest replaces the kept one.  So a WallSet holds
     one forest and at most one contraction of it.
     """
-    classes = [sorted(wids) for wids in classes]
+    classes = [list(wids) for wids in classes]
     kept = wallset._forest
     if kept is not None:
         for forest in (kept, kept.contracted):
@@ -706,30 +695,28 @@ class WallTree:
 
 
 def build_wall_tree(wallset: WallSet, class_wids) -> WallTree:
-    forest, (c,) = class_forest(wallset, [class_wids])
-    forest.check(c)
+    """The WallTree of one class, read off class_trees."""
+    levels, parents = class_trees(wallset, [class_wids])
     wids = sorted(class_wids)
-    inner = {w: forest.parent[w] for w in wids}  # innermost in-class separator, -1 at level 1
-    levels = {w: forest.level[w] for w in wids}
-    level_one = [w for w in wids if inner[w] < 0]
-    if not level_one:
+    root = next((w for w in wids if parents[w] is None), None)
+    if root is None:
         raise StructureError("class has no level-1 wall")
-    root = min(level_one)
-    parent = {w: root if p < 0 else p for w, p in inner.items() if w != root}
-    depth = {root: 0}
-    for w in sorted(parent, key=levels.__getitem__):  # each parent sits one level down
-        depth[w] = depth[parent[w]] + 1
-    edges = sorted((parent[w], w) for w in parent)
+    depth = _tree_depths(parents)
+    parent = {w: parents[w] for w in wids if w != root}
+    edges = sorted((p, w) for w, p in parent.items())
+    depth, levels = {w: depth[w] for w in wids}, {w: levels[w] for w in wids}
     return WallTree(wids, edges, root, parent, depth, levels)
 
 
-def class_trees(wallset: WallSet, classes: WallClasses) -> tuple:
+def class_trees(wallset: WallSet, classes) -> tuple:
     """Wall id -> level from e, and wall id -> tree parent (None at a root), for
-    the trees of a palette's classes: a wall hangs under its forest parent, a
-    level-1 wall under its class's root, its level-1 wall of least id and so
-    of least word (WallSet.canonical_word).  Raises StructureError for the
-    first class, in by_color order, that is not nested."""
-    forest, numbers = class_forest(wallset, classes.by_color.values())
+    the trees of `classes` (wall id lists, such as a palette's by_color
+    values): a wall hangs under its forest parent, a level-1 wall under its
+    class's root, its level-1 wall of least id and so of least word
+    (WallSet.canonical_word).  The entries of walls outside `classes` mean
+    nothing.  Raises StructureError for the first class, in the given order,
+    that is not nested."""
+    forest, numbers = class_forest(wallset, classes)
     for c in numbers:
         forest.check(c)
     roots = {}  # class number -> its least level-1 wall
@@ -740,6 +727,15 @@ def class_trees(wallset: WallSet, classes: WallClasses) -> tuple:
     for root in roots.values():
         parents[root] = None
     return forest.level, parents
+
+
+def _tree_depths(parents) -> list:
+    """Wall id -> depth in its class tree, from class_trees' parents, in id
+    order: a tree parent has a lower id, so its depth comes first."""
+    depth = []
+    for p in parents:
+        depth.append(0 if p is None else depth[p] + 1)
+    return depth
 
 
 # -- the wall coloring built from per-class trees ------------------------------
@@ -755,10 +751,7 @@ def wall_coloring(wallset: WallSet, classes: WallClasses):
     a color and the total palette has nine colors per class.  The walls of
     one class at one depth share one color tuple.
     """
-    parents = class_trees(wallset, classes)[1]
-    depth = []  # wall id -> depth in its class tree
-    for p in parents:  # a tree parent has a lower id
-        depth.append(0 if p is None else depth[p] + 1)
+    depth = _tree_depths(class_trees(wallset, classes.by_color.values())[1])
     by_depth = [norm_color(d) for d in range(max(depth, default=0) + 1)]
     shades = {color: [(color, c) for c in by_depth] for color in classes.by_color}
     color_of = [shades[color][d] for color, d in zip(classes.color, depth)]

@@ -3,20 +3,22 @@ replaced (tests/alphabet_oracle.py), which asks WallSet.separates for every
 face's side.
 
 Both must give the same tiles in the same order, the same tile ids, the same
-chamber labels and the same excluded faces, on right-angled and
+chamber labels and the same excluded faces, none, on right-angled and
 non-right-angled systems, for canonical, alternating, flipped, rebased and
-random orientations, and for colorings or orientations that leave walls out.
+random orientations.
 The descent identity the fast path rests on, that the wall of the edge
 {g, gs} separates e from g exactly when |gs| < |g|, is checked on its own
-against the crossing sets `sep`.  One wall set builds its orientation-free
+against the crossing sets `sep`, and those, with Ball.word, against a walk
+from e along each chamber's word.  One wall set builds its orientation-free
 face rows (WallSet.face_rows) once, for every alphabet over it.
 
 A wall set also keeps the alphabet of its last full pass, and relabels it
 for an orientation that negates whole colors of the kept one.  A wall set
 that keeps an alphabet must give, call after call, what a wall set keeping
 none gives: for rebases, for all-plus after alternating, for one wall's
-sign negated, for a None in the orientation, for an equal copy of the
-colors and for colors changed in place between calls.
+sign negated, for an equal copy of the colors and for colors changed in
+place between calls.  A None in the colors or the orientation is refused
+on both, and leaves the kept alphabet as it was.
 """
 
 import random
@@ -104,22 +106,6 @@ def test_triangle_groups_match_the_oracle(system, radius):
         assert_same_alphabet(ws, colors, ori)
 
 
-def test_walls_left_out_are_excluded_alike():
-    _, ws = build_walls(HEXAGON, 5)
-    res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=True)
-    rng = random.Random(5)
-    dropped = set(rng.sample(range(len(ws)), 40))
-    colors = [None if w in dropped else c for w, c in enumerate(res.wall_colors)]
-    alpha = assert_same_alphabet(ws, colors, res.orientation)
-    assert alpha.excluded and alpha.chamber_tile
-    unoriented = [None if w in dropped else o for w, o in enumerate(res.orientation)]
-    alpha = assert_same_alphabet(ws, res.wall_colors, unoriented)
-    assert alpha.excluded and alpha.chamber_tile
-    # a chamber whose every face is left out is excluded at its first face
-    alpha = assert_same_alphabet(ws, [None] * len(ws), res.orientation)
-    assert not alpha.tiles and (0, 0) in alpha.excluded
-
-
 def test_colors_that_print_alike_are_refused():
     # numbered labels keep the string-key order only when the keys differ
     _, ws = build_walls(HEXAGON, 2)
@@ -134,10 +120,18 @@ def test_colors_that_print_alike_are_refused():
     ids=["hexagon-r6", "33inf-r10", "237-r12", "rank4-r5"],
 )
 def test_face_side_is_a_descent(system, radius):
+    # also checks the parent-chain walk behind `sep` and Ball.word against a walk
+    # down from e along each chamber's word, which reads no parent chain
     ball, ws = build_walls(system, radius)
     n = system.rank
     edges = 0
     for g in range(len(ball)):
+        word, x, crossed = ball.words[g], 0, set()
+        for s in word:
+            crossed.add(ws.faces[x * n + s])
+            x = ball.nbr[x * n + s]
+        assert x == g and ball.word(g) == word
+        assert ws.sep[g] == crossed and len(crossed) == len(word)
         for s in range(n):
             gs = ball.nbr[g * n + s]
             if gs < 0:
@@ -149,8 +143,7 @@ def test_face_side_is_a_descent(system, radius):
 
 def test_one_wall_set_reads_its_face_rows_once(monkeypatch):
     # alphabets of every orientation over one wall set share its face rows:
-    # built on the first call, read by every later one, excluded faces and
-    # chamber order included
+    # built on the first call, read by every later one, chamber order included
     built = []
     rows = WallSet.face_rows  # the cached_property itself
     monkeypatch.setattr(rows, "func", lambda ws, build=rows.func: built.append(ws) or build(ws))
@@ -161,11 +154,6 @@ def test_one_wall_set_reads_its_face_rows_once(monkeypatch):
     for word in [(0,), (3,), (1, 4)]:
         ori = rebased_alternating(ws, res.class_wids, ball.id_of(word))
         assert_same_alphabet(ws, res.wall_colors, ori)
-    dropped = set(random.Random(6).sample(range(len(ws)), 40))
-    colors = [None if w in dropped else c for w, c in enumerate(res.wall_colors)]
-    alpha = assert_same_alphabet(ws, colors, res.orientation)
-    assert alpha.excluded and alpha.chamber_tile
-    assert not assert_same_alphabet(ws, res.wall_colors, res.orientation).excluded
     assert built == [ws]
 
 
@@ -205,8 +193,8 @@ def one_wall_negated(ball, ws, res):
 def a_none_in_the_orientation(ball, ws, res):
     orientation = rebased_alternating(ws, res.class_wids, 1)
     orientation[len(ws) // 3] = None
-    yield res.wall_colors, orientation
-    yield res.wall_colors, rebased_alternating(ws, res.class_wids, 2)  # after a pass keeping the None
+    yield res.wall_colors, orientation  # refused
+    yield res.wall_colors, rebased_alternating(ws, res.class_wids, 2)  # after the refusal
 
 
 def an_equal_copy_of_the_colors(ball, ws, res):
@@ -219,7 +207,9 @@ def colors_changed_in_place(ball, ws, res):
     yield colors, rebased_alternating(ws, res.class_wids, 1)
     yield colors, rebased_alternating(ws, res.class_wids, 2)
     colors[len(ws) // 2] = None
-    yield colors, rebased_alternating(ws, res.class_wids, 3)
+    yield colors, rebased_alternating(ws, res.class_wids, 3)  # refused
+    colors[len(ws) // 2] = colors[len(ws) // 2 + 1]
+    yield colors, rebased_alternating(ws, res.class_wids, 4)
 
 
 @pytest.mark.parametrize(
@@ -242,6 +232,13 @@ def test_kept_alphabet_matches_a_fresh_wall_set(system, radius, refine, calls):
     got = build_alphabet(ws, res.wall_colors, res.orientation)
     assert_same_tiles(got, full_pass(fresh, res.wall_colors, res.orientation))
     for colors, orientation in calls(ball, ws, res):
+        if None in colors or None in orientation:  # refused, before the kept alphabet is read
+            kept = ws._alphabet
+            for wallset in (ws, fresh):
+                with pytest.raises(ValidationError, match="every wall needs a color"):
+                    build_alphabet(wallset, colors, orientation)
+            assert ws._alphabet is kept
+            continue
         got = build_alphabet(ws, colors, orientation)
         assert_same_tiles(got, full_pass(fresh, colors, orientation))
 

@@ -232,6 +232,8 @@ def test_runtime_loads_no_numpy():
         (["ball", "--system", "polygon:x", "--radius", "2"], {}),
         (["ball", "--system", "dihedral:x", "--radius", "2"], {}),
         (["ball", "--system", "pentagon", "--radius", "2"], {"COXTILE_BALL_CAP": "abc"}),
+        (["ball", "--system", "hexagon", "--radius", "0"], {"COXTILE_BALL_CAP": "0"}),
+        (["ball", "--system", "hexagon", "--radius", "0"], {"COXTILE_BALL_CAP": "-5"}),
         (["space", "--n", "3", "--radius", "3", "--depth", "-1"], {}),
         (["render", "--n", "3", "--radius", "-1"], {}),
         (["seq", "--kind", "ternary", "--n", "10", "--scan", "-3"], {}),
@@ -253,7 +255,8 @@ def test_runtime_loads_no_numpy():
         (["walls", "--radius", "2", "--system",
           '{"generators":["a,b","b"],"matrix":[[1,0],[0,1]]}'], {}),
     ],
-    ids=["polygon", "dihedral", "ball-cap-env", "space-negative-depth", "render-negative-radius",
+    ids=["polygon", "dihedral", "ball-cap-env", "ball-cap-zero", "ball-cap-negative",
+         "space-negative-depth", "render-negative-radius",
          "seq-negative-scan-without-power", "seq-long-scan-without-power", "render-tick-overflow",
          "render-tick-overflow-n4", "render-epsilon-overflow", "render-degenerate-tangent",
          "render-not-simple", "render-epsilon-nan", "render-no-deform-epsilon-nan",

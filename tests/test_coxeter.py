@@ -122,6 +122,13 @@ def test_ball_cap():
     assert "COXTILE_BALL_CAP" in message and "--radius" in message
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_ball_cap_below_one_is_refused(cap):
+    with pytest.raises(ValidationError, match=f"ball cap must be at least 1, got {cap}"):
+        enumerate_ball(CoxeterSystem.right_angled_polygon(6), 0, cap=cap)
+    assert len(enumerate_ball(CoxeterSystem.right_angled_polygon(6), 0, cap=1)) == 1
+
+
 def triangle(a, b, c):
     """Rank-3 system with m(0,1) = a, m(0,2) = b, m(1,2) = c (0 is infinity)."""
     return CoxeterSystem(("a", "b", "c"), ((1, a, b), (a, 1, c), (b, c, 1)))

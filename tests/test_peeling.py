@@ -246,6 +246,41 @@ def test_wall_set_keeps_one_forest(monkeypatch):
     assert len(passes) == 1
 
 
+def hexagon_class_lists(ws, refine):
+    """The alternating palette's classes of ws, or its refined colors, each
+    an increasing list of wall ids."""
+    classes = color_walls(ws, alternating_palette(HEXAGON))
+    if not refine:
+        return list(classes.by_color.values())
+    refined = {}
+    for wid, color in enumerate(wall_coloring(ws, classes)[0]):
+        refined.setdefault(color, []).append(wid)
+    return list(refined.values())
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["palette", "refined"])
+def test_class_forest_reads_a_class_in_any_order(refine):
+    # class_forest reads each class as a set of walls (its home, its size and
+    # the class number of each wall), so shuffled and reversed lists give the
+    # forest and numbers the increasing ones give, on a fresh wall set, and on
+    # the wall set that keeps that forest they return it as it stands
+    rng = random.Random(5)
+    _, ws = make(HEXAGON, 5)
+    lists = hexagon_class_lists(ws, refine)
+    assert all(wids == sorted(wids) for wids in lists) and len(lists) > 1
+    forest, numbers = class_forest(ws, lists)
+    palette_forest = ws._forest
+    for order in ([wids[::-1] for wids in lists], [rng.sample(wids, len(wids)) for wids in lists]):
+        _, fresh = make(HEXAGON, 5)
+        assert hexagon_class_lists(fresh, refine) == lists
+        assert class_forest(fresh, order) == (forest, numbers)
+        got, got_numbers = class_forest(ws, order)
+        assert got is forest and got_numbers == numbers
+    # the wall set still holds one forest, and at most one contraction of it
+    assert ws._forest is palette_forest
+    assert (palette_forest.contracted is forest) if refine else (palette_forest is forest)
+
+
 def test_peeling_refined_classes_keeps_the_resolution_contraction(monkeypatch):
     # a refined resolution's rebases read one contraction of the palette's
     # forest; each refined class peeled on its own is one of that
@@ -423,7 +458,7 @@ def test_walls_report_names_the_first_failing_class_in_by_color_order():
         messages.append(str(err.value))
     assert len(set(messages)) == 2
     with pytest.raises(StructureError) as err:
-        class_trees(ws, classes)
+        class_trees(ws, classes.by_color.values())
     assert str(err.value) == messages[0]
     with pytest.raises(StructureError) as err:
         wall_coloring(*corrupted())

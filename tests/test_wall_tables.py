@@ -1,7 +1,7 @@
 """Per-wall colors and orientations are lists indexed by wall id, one entry per
-wall, None for a wall left out: every builder returns one, refined walls of
-one class at one depth share one color object, and build_alphabet refuses a
-list of another length.
+wall: every builder returns one, refined walls of one class at one depth
+share one color object, and build_alphabet refuses a list of another length,
+a wall without a color and a sign other than +1 or -1.
 """
 
 import pytest
@@ -57,7 +57,7 @@ def test_refined_walls_at_one_depth_share_one_color(hexagon_r5):
     classes = color_walls(ws, alternating_palette(HEXAGON))
     colors, _palette = wall_coloring(ws, classes)
     depth = []
-    for p in class_trees(ws, classes)[1]:
+    for p in class_trees(ws, classes.by_color.values())[1]:
         depth.append(0 if p is None else depth[p] + 1)
     groups = {}  # (class, depth) -> the colors of its walls
     for w, (cls, d) in enumerate(zip(classes.color, depth)):
@@ -74,3 +74,19 @@ def test_build_alphabet_refuses_tables_of_another_length(hexagon_r5):
         build_alphabet(ws, res.wall_colors[:-1], res.orientation)
     with pytest.raises(ValidationError, match="one entry per wall"):
         build_alphabet(ws, res.wall_colors, res.orientation + [1])
+
+
+@pytest.mark.parametrize(
+    "table, value",
+    [("colors", None), ("orientation", None), ("orientation", 0), ("orientation", 2)],
+    ids=["no-color", "no-sign", "sign-0", "sign-2"],
+)
+def test_build_alphabet_refuses_a_wall_without_a_label(hexagon_r5, table, value):
+    _, ws = hexagon_r5
+    res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=True)
+    colors, orientation = list(res.wall_colors), list(res.orientation)
+    wid = len(ws) // 3
+    for w in (wid + 7, wid):  # the first wall without a label is named
+        (colors if table == "colors" else orientation)[w] = value
+    with pytest.raises(ValidationError, match=f"^wall {wid} has color .* and sign .*: every wall needs"):
+        build_alphabet(ws, colors, orientation)
