@@ -44,7 +44,7 @@ _ENCODER = json.JSONEncoder(indent=None, separators=(",", ":"), default=str)
 _CHUNK_ROWS = 4096  # rows encoded per call when a report streams its last value
 
 
-def emit_report(results, command: str = "") -> str:
+def emit_report(results, command: str) -> str:
     """The report as one line of JSON, without the newline `_write_report` adds.
 
     Report dicts are keyed by str (or int, which JSON writes as str(key) too).

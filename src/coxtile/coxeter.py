@@ -33,10 +33,10 @@ from .errors import OutOfBallError, SizeLimitError, StructureError, ValidationEr
 DEFAULT_BALL_CAP = 200_000
 
 
-def _cap_from_env(default=DEFAULT_BALL_CAP):
+def _cap_from_env():
     raw = os.environ.get("COXTILE_BALL_CAP")
     if not raw:
-        return default
+        return DEFAULT_BALL_CAP
     try:
         return int(raw)
     except ValueError:
@@ -166,13 +166,9 @@ class CoxeterSystem:
         return self.normal_form(tuple(reversed(tuple(word))))
 
 
-def load_system(source) -> CoxeterSystem:
-    """Build a validated system from a dict, JSON text, or a file path."""
-    if isinstance(source, CoxeterSystem):
-        return source
-    if isinstance(source, dict):
-        return CoxeterSystem.from_dict(source)
-    text = str(source)
+def load_system(text: str) -> CoxeterSystem:
+    """Build a validated system from JSON text (starting with "{") or the
+    path of a file holding it."""
     if text.lstrip().startswith("{"):
         return CoxeterSystem.from_json(text)
     with open(text, "rb") as fh:  # json detects the encoding; bad bytes raise ValueError
@@ -400,8 +396,16 @@ class Ball:
     def parent_faces(self, i: int):
         """The faces g * rank + last[g] of the edges from each g on element i's
         ShortLex parent chain to its parent, from i up to e (none for e): the
-        edges of i's normal form, last letter first."""
+        edges of i's normal form, last letter first.
+
+        This is the one chamber-id check: `word`, WallSet.sep and
+        ClassForest.region_of all read the chain here, and an id outside
+        0..len - 1 raises OutOfBallError when the chain is first read (-1
+        would read the tables from their end)."""
         n, nbr, last = self.system.rank, self.nbr, self.last
+        if not 0 <= i < len(last):
+            raise OutOfBallError(f"no chamber {i}: the radius-{self.radius} ball has "
+                                 f"chambers 0..{len(last) - 1}")
         while i:
             f = i * n + last[i]
             yield f
@@ -475,10 +479,6 @@ class Ball:
 
     def inv(self, u):
         return self.system.inv(u)
-
-    @property
-    def identity(self):
-        return ()
 
 
 def _coset_walks(system: CoxeterSystem) -> list:

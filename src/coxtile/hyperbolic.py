@@ -23,6 +23,7 @@ from .errors import GeometryError, ValidationError
 
 TICK = 0.12  # tick depth per unit of ambient distance between a side's two vertices
 TICK_LENGTH = 0.02  # a drawn tick's length at the disk centre, shrinking toward the rim
+SAMPLE_TOL = 0.005  # the largest chordal error of a drawn geodesic in the Poincare disk
 _EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -168,20 +169,18 @@ class PlacedTile:
     vertices: tuple
 
 
-def place_tiles(ball, polygon: HPolygon, matrices, max_norm=None) -> list[PlacedTile]:
-    """One placed polygon per ball element of norm at most max_norm (the
-    ball's radius by default), in id order.  Ids follow ShortLex, so norms
-    never decrease along them, and each element's matrix is its ShortLex
-    parent's times the reflection in its last letter, and its word the
-    parent's word and that letter, so only the placed tiles' words are built
-    (Ball.words is not read)."""
+def place_tiles(ball, polygon: HPolygon, matrices, max_norm: int) -> list[PlacedTile]:
+    """One placed polygon per ball element of norm at most max_norm, in id
+    order.  Ids follow ShortLex, so norms never decrease along them, and
+    each element's matrix is its ShortLex parent's times the reflection in
+    its last letter, and its word the parent's word and that letter, so only
+    the placed tiles' words are built (Ball.words is not read)."""
     n, nbr, last, base = ball.system.rank, ball.nbr, ball.last, polygon.vertices
     # row i of M R is R^T applied to row i of M
     transposed = [tuple(zip(*R)) for R in matrices]
     placed = []
-    limit = ball.radius if max_norm is None else max_norm
     for i, norm in enumerate(ball.norms):
-        if norm > limit:
+        if norm > max_norm:
             break
         if i:
             s = last[i]
@@ -299,8 +298,8 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def _sample_edge(a, b, tol=0.005):
-    """Poincare-disk polyline for the geodesic a-b with chordal error <= tol.
+def _sample_edge(a, b):
+    """Poincare-disk polyline for the geodesic a-b with chordal error <= SAMPLE_TOL.
     Each sample is geodesic_point(a, b, t) in the Poincare disk, with the
     distance a-b and its sinh computed once for the edge."""
     d = hyp_dist(a, b)
@@ -321,7 +320,7 @@ def _sample_edge(a, b, tol=0.005):
         qm = sample(tm)
         mid = ((q0[0] + q1[0]) / 2, (q0[1] + q1[1]) / 2)
         err = sqrt((mid[0] - qm[0]) ** 2 + (mid[1] - qm[1]) ** 2)
-        if err > tol and depth < 10:
+        if err > SAMPLE_TOL and depth < 10:
             recurse(t0, q0, tm, qm, depth + 1)
             out.append(qm)
             recurse(tm, qm, t1, q1, depth + 1)
@@ -331,10 +330,10 @@ def _sample_edge(a, b, tol=0.005):
     return out
 
 
-def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
+def render_svg(tiles, face_data, stroke_width: float) -> str:
     """Poincare-disk SVG of placed tiles.
 
-    `face_data[i][k]` may carry (color, tick tip, midpoint) for side k of
+    `face_data[i][k]` carries (color, tick tip, midpoint) for side k of
     tile i, as pipeline.face_metadata computes them: the side is stroked by
     color and a tick is drawn from its midpoint toward the tip, on the
     wall's positive side.  Deterministic: no timestamps, fixed float
@@ -363,10 +362,8 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
         verts = tile.vertices
         p = len(verts)
         word = ".".join(str(s) for s in tile.word) or "e"
-        sides = face_data[i] if face_data is not None else [None] * p
-        colors_attr = ",".join(
-            "" if sd is None else str(sd[0]) for sd in sides
-        )
+        sides = face_data[i]
+        colors_attr = ",".join(str(color) for color, _tip, _mid in sides)
         lines.append(f'<g data-word="{word}" data-colors="{colors_attr}">')
         ends = [(verts[k], verts[(k + 1) % p]) for k in range(p)]
         polylines = []
@@ -377,24 +374,22 @@ def render_svg(tiles, face_data=None, stroke_width=0.004) -> str:
             polylines.append(pts)
         path = "M " + " L ".join([q for pts in polylines for q in pts[:-1]]) + " Z"
         lines.append(f'<path d="{path}" fill="#ffffff" fill-opacity="0.0" stroke="none"/>')
-        for pts, sd in zip(polylines, sides):
+        for pts, (color, tip, mid) in zip(polylines, sides):
             d = "M " + " L ".join(pts)
-            stroke = "#444444" if sd is None else css(sd[0])
+            stroke = css(color)
             lines.append(
                 f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
             )
-            if sd is not None:
-                _, tip, mid = sd
-                q0 = to_poincare(mid)
-                q1 = to_poincare(tip)
-                dx, dy = q1[0] - q0[0], q1[1] - q0[1]
-                norm = sqrt(dx * dx + dy * dy) or 1.0
-                scale = TICK_LENGTH * (1.0 - (q0[0] ** 2 + q0[1] ** 2)) / norm
-                lines.append(
-                    f'<line x1="{_fmt(q0[0])}" y1="{_fmt(q0[1])}" '
-                    f'x2="{_fmt(q0[0] + dx * scale)}" y2="{_fmt(q0[1] + dy * scale)}" '
-                    f'stroke="{stroke}" stroke-width="{width}"/>'
-                )
+            q0 = to_poincare(mid)
+            q1 = to_poincare(tip)
+            dx, dy = q1[0] - q0[0], q1[1] - q0[1]
+            norm = sqrt(dx * dx + dy * dy) or 1.0
+            scale = TICK_LENGTH * (1.0 - (q0[0] ** 2 + q0[1] ** 2)) / norm
+            lines.append(
+                f'<line x1="{_fmt(q0[0])}" y1="{_fmt(q0[1])}" '
+                f'x2="{_fmt(q0[0] + dx * scale)}" y2="{_fmt(q0[1] + dy * scale)}" '
+                f'stroke="{stroke}" stroke-width="{width}"/>'
+            )
         lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -84,7 +84,7 @@ class RenderBundle:
     polygon: object
     matrices: list
     tiles: list  # deformed PlacedTile per chamber of norm <= radius
-    face_data: list  # per tile, per side: (color, tick tip point, side midpoint) or None
+    face_data: list  # per tile, per side: (color, tick tip point, side midpoint)
 
 
 def face_metadata(tiles, ball, signs, wall_colors):
@@ -140,7 +140,7 @@ def face_metadata(tiles, ball, signs, wall_colors):
     return data
 
 
-def render_bundle(n: int, radius: int, refine: bool = True, epsilon_factor: float = 0.05) -> RenderBundle:
+def render_bundle(n: int, radius: int, refine: bool, epsilon_factor: float) -> RenderBundle:
     """Assemble the full hyperbolic-plane demo for the right-angled 2n-gon,
     deformed by epsilon_factor times the side length; a factor of 0 leaves
     every tile the base polygon's image.

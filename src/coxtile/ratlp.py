@@ -27,14 +27,19 @@ of the reduced costs and the order of the ratios rhs_i / a_i, with ties
 broken by basis index.  Scaling a row or the objective by a positive factor
 changes neither a sign nor a ratio, so this tableau visits exactly the bases
 that the dense Fraction tableau visits, and x and the objective come out
-equal.  Ratios are compared by cross-multiplying.  Fractions appear only at
-the boundary: the input rows are scaled to integers, and x and the
-objective are read back as Fractions.
+equal.  Ratios are compared by cross-multiplying.
+
+Integers in, Fractions out.  c, A and b must hold ints, as every LP of the
+balance classifier does, and anything else is refused with ValidationError.
+A caller with rational data scales each row (A_i | b_i) by a positive
+integer, which changes neither the feasible set nor, by the argument above,
+a pivot, and scales c by one, which divides out of the objective.  Only x
+and the objective are read back as Fractions.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ValidationError
 
@@ -44,16 +49,6 @@ class LPResult:
     status: str  # "optimal" | "unbounded"
     x: list | None
     objective: Fraction | None
-
-
-def _rational(v):
-    return v if isinstance(v, int) else Fraction(v)
-
-
-def _int_row(values):
-    """A list of ints and Fractions as (ints, positive common denominator)."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _primitive(row):
@@ -129,29 +124,28 @@ class _Tableau:
 
 
 def solve_lp(c, A, b) -> LPResult:
-    """Maximize c.x subject to A x <= b and x >= 0, exactly, for b >= 0."""
+    """Maximize c.x subject to A x <= b and x >= 0, exactly, for int c, A
+    and b with b >= 0."""
     m = len(A)
     n = len(c)
-    c = [_rational(v) for v in c]
-    rows = [[_rational(v) for v in Ai] for Ai in A]
-    rhs = [_rational(v) for v in b]
-    if any(len(r) != n for r in rows) or len(rhs) != m:
+    if any(len(r) != n for r in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
-    for i, v in enumerate(rhs):
+    for v in (*c, *b, *(v for row in A for v in row)):
+        if type(v) is not int:  # a bool is refused too
+            raise ValidationError(f"solve_lp takes int entries; scale rational rows to integers, got {v!r}")
+    for i, v in enumerate(b):
         if v < 0:
             raise ValidationError(f"solve_lp needs b >= 0, so that x = 0 is feasible; b[{i}] = {v}")
 
     tab_rows = []
-    for i in range(m):
-        coeffs, den = _int_row(rows[i] + [rhs[i]])
-        row = {j: v for j, v in enumerate(coeffs[:n]) if v}
-        if coeffs[n]:
-            row[_RHS] = coeffs[n]
-        row[n + i] = den  # the slack column, basic
-        tab_rows.append(_primitive(row))
-    cost, den = _int_row(c)
-    obj = {j: v for j, v in enumerate(cost) if v}  # slack columns cost nothing
-    obj[_Z] = den
+    for i, (Ai, bi) in enumerate(zip(A, b)):
+        row = {j: v for j, v in enumerate(Ai) if v}
+        if bi:
+            row[_RHS] = bi
+        row[n + i] = 1  # the slack column, basic; its 1 keeps the row primitive
+        tab_rows.append(row)
+    obj = {j: v for j, v in enumerate(c) if v}  # slack columns cost nothing
+    obj[_Z] = 1
     tab = _Tableau(tab_rows, [n + i for i in range(m)], obj)
 
     if tab.run() == "unbounded":

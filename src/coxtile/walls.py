@@ -115,20 +115,22 @@ class WallSet:
         (`Ball.parent_faces`) on each lookup."""
         return _CrossingSets(self)
 
-    def check_chamber(self, cid: int) -> int:
-        """cid, or OutOfBallError when it is no chamber id (-1 would read a table from its end)."""
-        if not 0 <= cid < len(self.ball):
-            raise OutOfBallError(f"no chamber {cid}: the radius-{self.ball.radius} ball has "
-                                 f"chambers 0..{len(self.ball) - 1}")
-        return cid
+    def least_face(self, wid: int) -> int:
+        """The face g * rank + s of wall wid's least edge, or OutOfBallError
+        when wid is no wall id (-1 would read the tables from their end)."""
+        if not 0 <= wid < len(self):
+            raise OutOfBallError(f"no wall {wid}: the radius-{self.ball.radius} ball has "
+                                 f"walls 0..{len(self) - 1}")
+        return self.edge_faces[self.edge_start[wid]]
 
     def separates(self, wid: int, a: int, b: int) -> bool:
         """True iff the wall separates chambers a and b (crossing parity)."""
+        self.least_face(wid)  # refuses an id that is no wall
         return (wid in self.sep[a]) != (wid in self.sep[b])
 
     def near_chamber(self, wid: int, base: int = 0) -> int:
         """Endpoint of the wall's least crossed edge on the base's side."""
-        f = self.edge_faces[self.edge_start[wid]]
+        f = self.least_face(wid)
         for x in (f // self.ball.system.rank, self.ball.nbr[f]):
             if not self.separates(wid, base, x):
                 return x
@@ -161,7 +163,7 @@ class WallSet:
         read up the ShortLex tree (Ball.word); no word is renormalized.
         canonical_names spells every wall's word at once.
         """
-        g, s = divmod(self.edge_faces[self.edge_start[wid]], self.ball.system.rank)
+        g, s = divmod(self.least_face(wid), self.ball.system.rank)
         return self.ball.word(g) + (s,) + self.ball.word(self._inverse_ids[g])
 
     def canonical_names(self) -> list:
@@ -228,7 +230,7 @@ class _CrossingSets:
 
     def __getitem__(self, cid: int) -> frozenset:
         ws = self.wallset
-        return frozenset(map(ws.faces.__getitem__, ws.ball.parent_faces(ws.check_chamber(cid))))
+        return frozenset(map(ws.faces.__getitem__, ws.ball.parent_faces(cid)))
 
 
 def enumerate_walls(ball: Ball) -> WallSet:
@@ -556,7 +558,7 @@ class ClassForest:
         going up g's ShortLex parent chain, which is the last one its geodesic
         crosses.  It and its ancestors are the class walls separating g from e."""
         klass, faces = self.klass, wallset.faces
-        for i in wallset.ball.parent_faces(wallset.check_chamber(g)):
+        for i in wallset.ball.parent_faces(g):
             if klass[faces[i]] == c:
                 return faces[i]
         return -1

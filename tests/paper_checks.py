@@ -83,6 +83,12 @@ class ClaimVerdict:
     detail: object = None
 
 
+def _identity(group):
+    """The identity of a Ball, whose members are normal forms, is (); a
+    zlattice.LatticeBall names its own."""
+    return () if isinstance(group, Ball) else group.identity
+
+
 def radial_claim_check(ball, coloring: GroupColoring, g, segment) -> ClaimVerdict:
     """Check the norm-rigidity claim on one radial segment.
 
@@ -90,7 +96,7 @@ def radial_claim_check(ball, coloring: GroupColoring, g, segment) -> ClaimVerdic
     and g displaces some segment point by less than half the vertex count.
     Conclusion checked: g preserves the norms of all segment points.
     """
-    seg = [ball.mul(x, ball.identity) for x in segment]
+    seg = [ball.mul(x, _identity(ball)) for x in segment]
     norms = [ball.norm(x) for x in seg]
     if any(b - a != 1 for a, b in zip(norms, norms[1:])):
         return ClaimVerdict("hypotheses-not-satisfied", "segment not radial")
@@ -172,7 +178,7 @@ def _cosets(group, reps, membership):
     Raises ValidationError unless the reps start at the identity and put
     every member in exactly one coset.
     """
-    if not reps or reps[0] != group.identity:
+    if not reps or reps[0] != _identity(group):
         raise ValidationError("first coset representative must be the identity")
     inv_reps = [group.inv(y) for y in reps]
     cosets = []
@@ -281,7 +287,7 @@ def displacement_exponent(group, a, members=None, n_max: int = 10) -> Displaceme
     `group` is a Ball or a lattice ball (the shared group-ops protocol);
     `members` defaults to everything enumerated in `group`.
     """
-    ident = group.identity
+    ident = _identity(group)
     if a == ident:
         raise ValidationError("a must differ from the identity")
     powers = [ident]

@@ -327,7 +327,7 @@ def test_criterion_9_geometry():
         prod = mats[k] @ mats[(k + 1) % 6]
         if np.max(np.abs(np.linalg.matrix_power(prod, 2) - np.eye(3))) >= 1e-8:
             _fail(9, desc, t0, f"adjacent product order at side {k}")
-    bundle = render_bundle(3, 4, refine=True)
+    bundle = render_bundle(3, 4, refine=True, epsilon_factor=0.05)
     b4 = sum(bundle.ball.sphere_sizes[: 4 + 1])
     if len(bundle.tiles) != b4:
         _fail(9, desc, t0, f"{len(bundle.tiles)} tiles != |B_4| = {b4}")
@@ -337,8 +337,8 @@ def test_criterion_9_geometry():
     frac = sample_overlap_fraction(bundle.tiles, samples_per_tile=30, seed=0)
     if frac >= 1e-6:
         _fail(9, desc, t0, f"overlap fraction {frac}")
-    svg1 = render_svg(bundle.tiles, bundle.face_data)
-    svg2 = render_svg(bundle.tiles, bundle.face_data)
+    svg1 = render_svg(bundle.tiles, bundle.face_data, stroke_width=0.004)
+    svg2 = render_svg(bundle.tiles, bundle.face_data, stroke_width=0.004)
     if svg1.encode() != svg2.encode():
         _fail(9, desc, t0, "SVG bytes differ")
     _report(9, desc, t0)

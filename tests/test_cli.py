@@ -189,7 +189,7 @@ def test_emit_report_matches_the_jsonable_oracle():
         oracle = json.dumps({"version": 1, "command": "demo", "results": _jsonable(results)},
                             separators=(",", ":"))
         assert emit_report(results, "demo") == oracle
-    assert parse_report(emit_report(mixed))["results"] == {
+    assert parse_report(emit_report(mixed, ""))["results"] == {
         "a": [1, "1/2", "-2", "0"],
         "3": [4, 5, ["7/3", [None, 1.5, True]]],
         "nested": [[{"k": "1/2", "0": [["x", -1]]}], []],

@@ -19,7 +19,7 @@ from coxtile.errors import OutOfBallError, SizeLimitError, StructureError, Valid
 
 
 def test_load_system_dihedral():
-    sys3 = load_system({"generators": ["s", "t"], "matrix": [[1, 3], [3, 1]]})
+    sys3 = load_system('{"generators": ["s", "t"], "matrix": [[1, 3], [3, 1]]}')
     ball = enumerate_ball(sys3, 6)
     assert len(ball) == 6  # dihedral group of order 6
 
@@ -32,11 +32,11 @@ def test_load_system_pentagon():
 
 def test_load_system_validation_errors():
     with pytest.raises(ValidationError, match=r"m\[0\]\[1\]"):
-        load_system({"generators": ["s", "t"], "matrix": [[1, 3], [2, 1]]})
+        CoxeterSystem.from_dict({"generators": ["s", "t"], "matrix": [[1, 3], [2, 1]]})
     with pytest.raises(ValidationError, match="diagonal"):
-        load_system({"generators": ["s", "t"], "matrix": [[2, 3], [3, 1]]})
+        CoxeterSystem.from_dict({"generators": ["s", "t"], "matrix": [[2, 3], [3, 1]]})
     with pytest.raises(ValidationError, match=r"m\[0\]\[1\]"):
-        load_system({"generators": ["s", "t"], "matrix": [[1, 1], [1, 1]]})
+        CoxeterSystem.from_dict({"generators": ["s", "t"], "matrix": [[1, 1], [1, 1]]})
 
 
 def test_normal_form_dihedral_braid():
@@ -216,7 +216,7 @@ def test_names_are_read_off_the_shortlex_tree_on_random_lettered_systems():
 def test_generator_names_that_make_spelled_words_ambiguous_are_refused(generators):
     # with ("a", "a.a"), "a.a.a" would spell both a.(a.a) and (a.a).a
     with pytest.raises(ValidationError, match="ambiguous"):
-        load_system({"generators": list(generators), "matrix": [[1, 0], [0, 1]]})
+        CoxeterSystem.from_dict({"generators": list(generators), "matrix": [[1, 0], [0, 1]]})
 
 
 @pytest.mark.parametrize("name", sorted(TREE_BALLS))

@@ -113,7 +113,7 @@ def test_place_tiles_counts_and_constraints():
     ball = enumerate_ball(system, 3)
     poly = build_polygon(3)
     mats = reflection_matrices(poly)
-    placed = place_tiles(ball, poly, mats)
+    placed = place_tiles(ball, poly, mats, max_norm=ball.radius)
     assert len(placed) == len(ball)
     assert [(t.cid, t.word) for t in placed] == list(enumerate(ball.words))
     assert np.max(np.abs(np.array(placed[0].vertices) - np.array(poly.vertices))) == 0
@@ -127,7 +127,7 @@ def test_neighbors_share_full_side():
     ball = enumerate_ball(system, 2)
     poly = build_polygon(3)
     mats = reflection_matrices(poly)
-    placed = place_tiles(ball, poly, mats)
+    placed = place_tiles(ball, poly, mats, max_norm=ball.radius)
     by_word = {t.word: t for t in placed}
     for (i, s), j in ball.edges.items():
         a = by_word[ball.words[i]]
@@ -145,7 +145,7 @@ def test_overlap_fraction_small():
     system = CoxeterSystem.right_angled_polygon(6)
     ball = enumerate_ball(system, 2)
     poly = build_polygon(3)
-    placed = place_tiles(ball, poly, reflection_matrices(poly))
+    placed = place_tiles(ball, poly, reflection_matrices(poly), max_norm=ball.radius)
     assert sample_overlap_fraction(placed, samples_per_tile=30, seed=0) < 1e-6
 
 
@@ -177,7 +177,7 @@ def test_vertex_magnitudes_follow_the_reference_rule(monkeypatch):
     real = hyperbolic.cosh_sinh
     monkeypatch.setattr(hyperbolic, "cosh_sinh", lambda d: seen.append(d) or real(d))
     monkeypatch.setattr(pipeline, "face_metadata", lambda *args: None)
-    bundle = render_bundle(3, 4)
+    bundle = render_bundle(3, 4, refine=True, epsilon_factor=0.05)
     epsilon = 0.05 * bundle.polygon.side_length()
     magnitude = wall_pair_magnitude(bundle.resolution.wall_colors, True, epsilon)
     want, moved, moves = [], set(), set()
@@ -233,29 +233,26 @@ def test_deformed_tiles_convex_and_face_to_face():
 
 
 def test_deformed_hyperboloid_constraint():
-    bundle = render_bundle(3, 2, refine=True)
+    bundle = render_bundle(3, 2, refine=True, epsilon_factor=0.05)
     for t in bundle.tiles:
         for v in t.vertices:
             assert abs(lorentz_dot(v, v) + 1) < 1e-8
 
 
 def test_render_svg_empty_and_single():
-    empty = render_svg([])
+    empty = render_svg([], [], stroke_width=0.004)
     assert empty.count("<circle") == 1
     assert "<g" not in empty
-    poly = build_polygon(3)
-    system = CoxeterSystem.right_angled_polygon(6)
-    ball = enumerate_ball(system, 0)
-    placed = place_tiles(ball, poly, reflection_matrices(poly))
-    one = render_svg(placed)
+    bundle = render_bundle(3, 0, refine=True, epsilon_factor=0.05)
+    one = render_svg(bundle.tiles, bundle.face_data, stroke_width=0.004)
     assert one.count("<g ") == 1
     assert 'data-word="e"' in one
 
 
 def test_render_svg_tile_count_and_determinism():
     bundle = render_bundle(3, 1, refine=False, epsilon_factor=0.0)
-    svg1 = render_svg(bundle.tiles, bundle.face_data)
-    svg2 = render_svg(bundle.tiles, bundle.face_data)
+    svg1 = render_svg(bundle.tiles, bundle.face_data, stroke_width=0.004)
+    svg2 = render_svg(bundle.tiles, bundle.face_data, stroke_width=0.004)
     assert svg1 == svg2
     assert svg1.count("<g ") == 7  # |B_1| of the hexagon group
 
@@ -271,7 +268,7 @@ def test_render_points_inside_disk():
 def test_render_bundle_leaves_words_and_index_unbuilt():
     # a placed tile's word is its ShortLex parent's and its last letter, so
     # render spells the words of the placed tiles only, not the R+1 ball's
-    bundle = render_bundle(3, 4)
+    bundle = render_bundle(3, 4, refine=True, epsilon_factor=0.05)
     ball = bundle.ball
     assert "words" not in ball.__dict__ and "index" not in ball.__dict__
     assert [t.word for t in bundle.tiles] == ball.words[:len(bundle.tiles)]
@@ -286,7 +283,7 @@ def test_is_simple_matches_the_pairwise_segment_test():
         [(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 2)) for _ in range(rng.randint(3, 9))]
         for _ in range(3000)
     ]
-    rings += [t.vertices for t in render_bundle(3, 3).tiles]
+    rings += [t.vertices for t in render_bundle(3, 3, refine=True, epsilon_factor=0.05).tiles]
     verdicts = [is_simple(ring) for ring in rings]
     assert verdicts == [is_simple_pairwise(ring) for ring in rings]
     assert True in verdicts and False in verdicts
@@ -302,27 +299,27 @@ def test_render_overflow_raises_geometry_error_naming_the_chamber():
     # past its range the tick or the vertex displacement leaves the floats
     # chambers are spelled in generator names, e for the identity
     with pytest.raises(GeometryError, match=r"^tick of chamber s2\.s5\.s2\.s5\.s2 .*smaller radius or epsilon$"):
-        render_bundle(3, 5)
+        render_bundle(3, 5, refine=True, epsilon_factor=0.05)
     with pytest.raises(GeometryError, match=r"^vertex 0 of chamber e: .*smaller magnitude$"):
-        render_bundle(3, 1, epsilon_factor=1e6)
+        render_bundle(3, 1, refine=True, epsilon_factor=1e6)
     # a finite factor whose magnitudes are infinite: math.cosh(inf) does not raise
     with pytest.raises(GeometryError, match="smaller magnitude$"):
-        render_bundle(3, 1, epsilon_factor=1.7e308)
+        render_bundle(3, 1, refine=True, epsilon_factor=1.7e308)
 
 
 def test_render_errors_name_the_chamber_and_the_cure():
     with pytest.raises(GeometryError, match=r"^deformation breaks simplicity at chamber s2\.s3: .*smaller magnitude$"):
-        render_bundle(3, 2, epsilon_factor=10.0)
+        render_bundle(3, 2, refine=True, epsilon_factor=10.0)
     # the deformed vertices have moved so far (about 1e30) that a side's
     # midpoint has no tangent toward the tile's center
     with pytest.raises(GeometryError, match=r"^side 1 of chamber e: degenerate tangent direction; use an epsilon of smaller magnitude$"):
-        render_bundle(3, 1, epsilon_factor=50.0)
+        render_bundle(3, 1, refine=True, epsilon_factor=50.0)
 
 
 def test_face_metadata_names_a_side_without_a_tangent():
     # a planted tile whose vertices coincide: no side's midpoint has a tangent
     # toward the tile's center
-    bundle = render_bundle(3, 1, epsilon_factor=0.0)
+    bundle = render_bundle(3, 1, refine=True, epsilon_factor=0.0)
     res = bundle.resolution
     tile = PlacedTile(0, (), bundle.tiles[0].matrix, (bundle.polygon.vertices[0],) * 6)
     signs = signs_of(bundle.ball, bundle.wallset, res.orientation, [tile])
@@ -332,7 +329,7 @@ def test_face_metadata_names_a_side_without_a_tangent():
 
 def test_render_builds_no_word_index():
     # tiles carry their chamber ids, so render looks no word up
-    assert "index" not in render_bundle(3, 2).ball.__dict__
+    assert "index" not in render_bundle(3, 2, refine=True, epsilon_factor=0.05).ball.__dict__
 
 
 def test_face_signs_on_the_outer_sphere_are_inconclusive():
@@ -343,7 +340,7 @@ def test_face_signs_on_the_outer_sphere_are_inconclusive():
     ball, ws = build_walls(system, 2)
     res = alternating_resolution(ws, alternating_palette(system))
     poly = build_polygon(3)
-    placed = place_tiles(ball, poly, reflection_matrices(poly))
+    placed = place_tiles(ball, poly, reflection_matrices(poly), max_norm=ball.radius)
     with pytest.raises(InconclusiveError, match="enlarge the radius"):
         signs_of(ball, ws, res.orientation, placed)
 
@@ -376,7 +373,7 @@ def test_render_refuses_face_rows_that_do_not_start_at_e(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_walls", planted)
     with pytest.raises(StructureError, match=r"^the first 7 interior chambers are not chambers 0 to 6$"):
-        render_bundle(3, 1)
+        render_bundle(3, 1, refine=True, epsilon_factor=0.05)
 
 
 @pytest.mark.parametrize("n, radius", [(n, r) for n in (3, 4, 5) for r in (2, 3, 4)])
@@ -400,7 +397,7 @@ def test_deformed_vertices_group_as_the_four_chamber_names(n, radius, refine, mo
     # The ticks overflow past R=4 on the hexagon and sooner on larger
     # polygons, so no face data is made.
     monkeypatch.setattr(pipeline, "face_metadata", lambda *args: None)
-    bundle = render_bundle(n, radius, refine=refine)
+    bundle = render_bundle(n, radius, refine=refine, epsilon_factor=0.05)
     by_point, by_name = {}, {}
     for tile in bundle.tiles:
         for k, v in enumerate(tile.vertices):
@@ -412,11 +409,11 @@ def test_deformed_vertices_group_as_the_four_chamber_names(n, radius, refine, mo
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_render_rejects_floats_that_are_not_finite(value):
     with pytest.raises(ValidationError, match="epsilon factor must be finite"):
-        render_bundle(3, 1, epsilon_factor=value)
+        render_bundle(3, 1, refine=True, epsilon_factor=value)
     with pytest.raises(ValidationError, match="stroke width must be finite and nonnegative"):
-        render_svg([], stroke_width=value)
+        render_svg([], [], stroke_width=value)
     with pytest.raises(ValidationError, match="stroke width must be finite and nonnegative"):
-        render_svg([], stroke_width=-0.5)
+        render_svg([], [], stroke_width=-0.5)
 
 
 def test_deformation_is_convex_at_small_epsilon():
@@ -510,7 +507,7 @@ def test_side_normals_and_moved_vertices_match_numpy(n):
     # the placed vertices, within rounding at n = 3; at n = 4 the reference's
     # own cross products cancel to 1.5e-8, so the moved vertices are checked
     # against their defining identities instead.
-    bundle = render_bundle(n, 3)
+    bundle = render_bundle(n, 3, refine=True, epsilon_factor=0.05)
     ball, ws, res, poly = bundle.ball, bundle.wallset, bundle.resolution, bundle.polygon
     placed = place_tiles(ball, poly, bundle.matrices, max_norm=3)
     magnitude = wall_pair_magnitude(res.wall_colors, True, 0.05 * poly.side_length())
@@ -552,7 +549,7 @@ def test_radius_4_deforms_with_every_vertex_on_its_bisector(n, monkeypatch):
     # normals taken from placed vertices cancel; moving in the base frame does
     # not.  The ticks overflow there, so no face data is made.
     monkeypatch.setattr(pipeline, "face_metadata", lambda *args: None)
-    bundle = render_bundle(n, 4)
+    bundle = render_bundle(n, 4, refine=True, epsilon_factor=0.05)
     placed = place_tiles(bundle.ball, bundle.polygon, bundle.matrices, max_norm=4)
     magnitude = wall_pair_magnitude(bundle.resolution.wall_colors, True, 0.05 * bundle.polygon.side_length())
     assert_moved_on_bisectors(placed, bundle.tiles, bundle.polygon, bundle.wallset, bundle.resolution, magnitude)
@@ -607,7 +604,7 @@ def test_placement_matches_the_integer_oracle(radius):
     poly = build_polygon(3)
     want = placement_oracle.placed_vertices(ball.words, poly.vertices)
     worst = 0.0
-    for tile in place_tiles(ball, poly, reflection_matrices(poly)):
+    for tile in place_tiles(ball, poly, reflection_matrices(poly), max_norm=ball.radius):
         ref = want[tile.word]
         got = np.array([to_poincare(v) for v in tile.vertices])
         worst = max(worst, np.max(np.abs(got - ref[:, :2] / (1.0 + ref[:, 2:]))))

@@ -4,7 +4,9 @@ Every top-level function, class and constant of a `src/coxtile` module, and
 every method and property of its classes but the dunder methods, must be
 read somewhere other than its own definition: in its own module, in another
 module of the package, or by the benchmark under `perfbench/`.  A method
-counts as read where its name is read as an attribute.
+counts as read where its name is read as an attribute.  A bare name the
+benchmark reads counts only when the benchmark does not define that name
+itself: its own `identity` reads nothing of the package.
 Every module but `__init__` and `cli` must be imported by another module of
 the package or by the benchmark.  What only the tests read lives in
 `tests/`.  The scan parses the sources and imports none of them.
@@ -40,10 +42,24 @@ def defined_names(tree):
                     yield f"{node.name}.{method.name}", method
 
 
-def read_names(tree, skip=None):
-    """Every name the tree reads: identifiers, attributes, imported names, and
-    string constants that are one identifier (the benchmark's tracer names the
-    functions it wraps that way), outside the node `skip`."""
+def own_names(tree):
+    """The names a tree defines: functions, classes, assigned names and parameters."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def read_names(tree, skip=None, own=frozenset()):
+    """Every name the tree reads: identifiers not in `own`, attributes,
+    imported names, and string constants that are one identifier (the
+    benchmark's tracer names the functions it wraps that way), outside the
+    node `skip`."""
     names = set()
     stack = [tree]
     while stack:
@@ -52,7 +68,8 @@ def read_names(tree, skip=None):
             continue
         stack.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if node.id not in own:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -86,7 +103,8 @@ BENCH = parse(sorted(BENCHMARK.glob("*.py")))
 
 
 def unread_definitions():
-    bench_reads = set().union(*(read_names(t) for t in BENCH.values()))
+    bench_own = set().union(*(own_names(t) for t in BENCH.values()))
+    bench_reads = set().union(*(read_names(t, own=bench_own) for t in BENCH.values()))
     unread = []
     for module, tree in MODULES.items():
         if module == "__init__":

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,17 +28,20 @@ def test_unbounded():
 
 
 def test_degenerate_cycling_guard():
-    # classic Beale-style degeneracy; Bland's rule must terminate
-    c = [Fraction(3, 4), -150, Fraction(1, 50), -6]
+    # classic Beale-style degeneracy; Bland's rule must terminate.  Beale's
+    # c = (3/4, -150, 1/50, -6) and rows (1/4, -60, -1/25, 9 | 0) and
+    # (1/2, -90, -1/50, 3 | 0) are each scaled by 100 to integers, which
+    # moves no pivot and multiplies the objective by 100
+    c = [75, -15000, 2, -600]
     A = [
-        [Fraction(1, 4), -60, Fraction(-1, 25), 9],
-        [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+        [25, -6000, -4, 900],
+        [50, -9000, -2, 300],
         [0, 0, 1, 0],
     ]
     b = [0, 0, 1]
     res = solve_lp(c, A, b)
     assert res.status == "optimal"
-    assert res.objective == Fraction(1, 20)
+    assert res.objective / 100 == Fraction(1, 20)
 
 
 def test_solution_satisfies_constraints():
@@ -78,4 +82,27 @@ def test_negative_rhs_is_rejected(monkeypatch, c, A, b):
     monkeypatch.setattr(ratlp._Tableau, "__init__", refuse)
     monkeypatch.setattr(ratlp._Tableau, "pivot", refuse)
     with pytest.raises(ValidationError, match=r"needs b >= 0, so that x = 0 is feasible"):
+        solve_lp(c, A, b)
+
+
+# solve_lp takes ints only: a Fraction, even a whole one, a float or a bool
+# anywhere is refused before a tableau is built
+NOT_INT = {"fraction": Fraction(1, 2), "whole-fraction": Fraction(2), "float": 1.0, "bool": True}
+
+
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+@pytest.mark.parametrize("value", list(NOT_INT.values()), ids=list(NOT_INT))
+def test_an_entry_that_is_not_an_int_is_refused(monkeypatch, where, value):
+    def refuse(*args):
+        pytest.fail("solve_lp reached the tableau of an LP it must reject")
+
+    monkeypatch.setattr(ratlp._Tableau, "__init__", refuse)
+    c, A, b = [1, 1], [[1, 0], [0, 1]], [3, 2]
+    if where == "c":
+        c[1] = value
+    elif where == "A":
+        A[1][0] = value
+    else:
+        b[0] = value
+    with pytest.raises(ValidationError, match=rf"^solve_lp takes int entries; .*got {re.escape(repr(value))}$"):
         solve_lp(c, A, b)

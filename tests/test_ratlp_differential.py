@@ -5,11 +5,18 @@ The integer tableau must take the very same pivots as the Fraction tableau
 the pivot sequence must all match exactly.  solve_lp takes only b >= 0, so
 every family draws b >= 0 and the oracle's phase 1 never runs; LPs with a
 negative b_i are rejection cases in tests/test_ratlp.py.
+
+solve_lp takes ints.  The oracle gets each LP as drawn, rational in the
+`fractional` family, and solve_lp gets it with each row (A_i | b_i), and c,
+scaled by the lcm of its denominators.  By the scaling argument of ratlp's
+docstring that moves no pivot and leaves x as it is, and the objective
+comes back times c's factor.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import dense_lp_oracle
 import pytest
@@ -72,6 +79,19 @@ def _random_lp(rng, kind):
     return c, A, b
 
 
+def _scaled(values):
+    """values times the lcm of their denominators, as ints, and that factor."""
+    k = lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * k) for v in values], k
+
+
+def _integer_lp(c, A, b):
+    """(c, A, b) with c and each row (A_i | b_i) scaled to ints, and c's factor."""
+    c, k = _scaled(c)
+    rows = [_scaled(Ai + [bi])[0] for Ai, bi in zip(A, b)]
+    return c, [row[:-1] for row in rows], [row[-1] for row in rows], k
+
+
 def _pivots(module, monkeypatch, c, A, b):
     seq = []
     pivot = module._Tableau.pivot
@@ -90,16 +110,19 @@ def test_solve_lp_matches_dense_oracle(monkeypatch):
     rng = random.Random(20061108)
     statuses = Counter()
     cone_weights = 0
+    scales = 0  # LPs whose c was scaled
     for case in range(N_LPS):
         kind = KINDS[case % len(KINDS)]
         c, A, b = _random_lp(rng, kind)
         want, want_pivots = _pivots(dense_lp_oracle, monkeypatch, c, A, b)
-        got, got_pivots = _pivots(ratlp, monkeypatch, c, A, b)
+        *integer_lp, scale = _integer_lp(c, A, b)
+        got, got_pivots = _pivots(ratlp, monkeypatch, *integer_lp)
         where = f"case {case} ({kind}): c={c} A={A} b={b}"
         assert got.status == want.status, where
         assert got.x == want.x, where
-        assert got.objective == want.objective, where
+        assert (got.objective if got.objective is None else got.objective / scale) == want.objective, where
         assert got_pivots == want_pivots, where
+        scales += scale > 1
         statuses[(kind, got.status)] += 1
         cone_weights += kind == "cone" and got.objective > 0
     # every family produced what it was built for; the boxed cones are all
@@ -108,6 +131,7 @@ def test_solve_lp_matches_dense_oracle(monkeypatch):
     assert statuses[("cone", "optimal")] == N_LPS // len(KINDS)
     assert all(statuses[(kind, "optimal")] > 50 for kind in ("random", "degenerate", "fractional"))
     assert cone_weights > N_LPS // len(KINDS) // 3
+    assert scales > N_LPS // len(KINDS) // 2
 
 
 @pytest.mark.parametrize(
@@ -117,7 +141,6 @@ def test_solve_lp_matches_dense_oracle(monkeypatch):
         ([-1, 0], [], []),  # no constraints, nothing to gain
         ([1, 1], [[0, 0]], [0]),  # 0 <= 0 stops nothing
         ([1, 1], [[1, 1], [-1, -1]], [0, 0]),  # x + y = 0 as two rows: only the origin
-        ([2.5, 1], [[0.5, 1]], [1.25]),  # float input converts exactly
     ],
 )
 def test_edge_cases_match_dense_oracle(c, A, b):

@@ -419,6 +419,8 @@ CHAMBER_ENTRY_POINTS = {
     "near_chamber": lambda ws, wids, cid: ws.near_chamber(wids[0], cid),
     "separating_walls": lambda ws, wids, cid: ws.separating_walls(wids[0], cid),
     "rebased_alternating": lambda ws, wids, cid: rebased_alternating(ws, {"a": wids}, cid),
+    "Ball.word": lambda ws, wids, cid: ws.ball.word(cid),
+    "Ball.parent_faces": lambda ws, wids, cid: list(ws.ball.parent_faces(cid)),
 }
 
 
@@ -433,3 +435,24 @@ def test_chamber_outside_the_ball_is_rejected(entry, where):
     message = rf"no chamber {cid}: the radius-3 ball has chambers 0\.\.{len(ball) - 1}$"
     with pytest.raises(OutOfBallError, match=message):
         CHAMBER_ENTRY_POINTS[entry](ws, wids, cid)
+
+
+# every entry point that takes a wall id, called with that id set to `wid`
+WALL_ENTRY_POINTS = {
+    "separates": lambda ws, wid: ws.separates(wid, 0, 1),
+    "near_chamber": lambda ws, wid: ws.near_chamber(wid),
+    "separating_walls": lambda ws, wid: ws.separating_walls(wid),
+    "canonical_word": lambda ws, wid: ws.canonical_word(wid),
+}
+
+
+@pytest.mark.parametrize("where", ["minus-one", "minus-two", "wall-count"])
+@pytest.mark.parametrize("entry", sorted(WALL_ENTRY_POINTS))
+def test_wall_outside_the_wall_set_is_rejected(entry, where):
+    # -1 and -2 would otherwise read the last walls' least faces, and |walls|
+    # raise a bare IndexError
+    _, ws = make(CoxeterSystem.right_angled_polygon(6), 2)
+    assert len(ws) == 24
+    wid = {"minus-one": -1, "minus-two": -2, "wall-count": len(ws)}[where]
+    with pytest.raises(OutOfBallError, match=rf"^no wall {wid}: the radius-2 ball has walls 0\.\.23$"):
+        WALL_ENTRY_POINTS[entry](ws, wid)
