@@ -13,6 +13,7 @@ import os
 import sys
 from collections.abc import Iterator
 from itertools import islice
+from json.encoder import encode_basestring_ascii as quote
 from math import isfinite
 
 from . import __version__
@@ -41,7 +42,7 @@ REPORT_VERSION = 1
 
 
 _ENCODER = json.JSONEncoder(indent=None, separators=(",", ":"), default=str)
-_CHUNK_ROWS = 4096  # rows encoded per call when a report streams its last value
+_CHUNK_ROWS = 4096  # rows joined per write when a report streams its last value
 
 
 def emit_report(results, command: str) -> str:
@@ -56,11 +57,11 @@ def emit_report(results, command: str) -> str:
 
 def _write_report(out, results, command: str) -> None:
     """Write emit_report's bytes and a newline.  The last value of `results`,
-    a dict in every command, may be an iterator of rows: the report is then
-    written as emit_report writes it with those rows as a list, without
-    holding it whole.  Its head is emit_report with the rows [], and the rows
-    go in between, encoded _CHUNK_ROWS at a time by the same encoder, each
-    chunk's brackets stripped, the chunks joined by ","."""
+    a dict in every command, may be an iterator of rows, each already spelled
+    as JSON text: the report is then written as emit_report writes it with
+    those rows as a list, without holding it whole.  Its head is emit_report
+    with the rows [], and the rows go in between, joined by "," _CHUNK_ROWS
+    at a time."""
     key = next(reversed(results))
     rows = results[key]
     if not isinstance(rows, Iterator):
@@ -71,7 +72,7 @@ def _write_report(out, results, command: str) -> None:
         sep = ""
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             out.write(sep)
-            out.write(_ENCODER.encode(chunk)[1:-1])
+            out.write(",".join(chunk))
             sep = ","
         out.write(head[-3:])
     out.write("\n")  # written on its own: appending it would copy the whole report
@@ -201,18 +202,17 @@ def _cmd_walls(args, out) -> int:
     palette = _palette_from_arg(system, args.palette)
     classes = color_walls(wallset, palette)
     count = len(wallset)
-    levels = parents = [None] * count  # read only: classes that meet get no trees
+    levels, parents = ["null"] * count, [None] * count  # classes that meet get no trees
     if classes.disjoint:
         levels, parents = class_trees(wallset, classes.by_color.values())
     names = wallset.canonical_names()
-    shown = {color: str(color) for color in classes.by_color}
-    walls = (  # rows, streamed by _write_report
-        {
-            "canonical_word": name,
-            "color": shown[color],
-            "level": level if det else "indeterminate",
-            "tree_parent": names[p] if p is not None and det else None,
-        }
+    for w, name in enumerate(names):  # quoted in place: no second list of 65k strings
+        names[w] = quote(name)
+    shown = {color: quote(str(color)) for color in classes.by_color}
+    indeterminate = '"indeterminate"'
+    walls = (  # rows as the encoder spells them, keys in emit_report's order
+        f'{{"canonical_word":{name},"color":{shown[color]},"level":{level if det else indeterminate},'
+        f'"tree_parent":{names[p] if p is not None and det else "null"}}}'
         for name, color, level, p, det in zip(
             names, classes.color, levels, parents, wallset.determinate()
         )

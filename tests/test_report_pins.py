@@ -32,11 +32,14 @@ order 4 or more: only their violation lists grew, keeping every earlier entry
 in order.  The (4,4,4) R=6 report pins one such crossing.  The `space
 --n 3 --radius 7 --depth 5` report, the benchmark's tiling-render size, was
 pinned before a rebased alphabet became the wall set's kept alphabet
-relabeled, and before render's geometry kernels spelled out their 3-vectors.  The smoke runs start every perfbench workload at tiny sizes,
-traced, so its checks (Ball.edges, the read-only WallSet.sep view,
-WallSet.separates) and its tracer's hooks (WallSet.separating_walls,
-WallSet.canonical_word, the walls, hyperbolic and other span functions) must
-still bind.
+relabeled, and before render's geometry kernels spelled out their 3-vectors.
+The two `walls` reports of a right-angled 6-cycle whose generator names JSON
+must escape were pinned while each wall row was a dict run through the
+encoder, before the rows were spelled as JSON text.  The smoke runs start
+every perfbench workload at tiny sizes, traced, so its checks (Ball.edges,
+the read-only WallSet.sep view, WallSet.separates) and its tracer's hooks
+(WallSet.separating_walls, WallSet.canonical_word, the walls, hyperbolic and
+other span functions) must still bind.
 """
 
 import hashlib
@@ -44,13 +47,13 @@ import io
 import json
 import subprocess
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
+from walls_report_oracle import walls_report
 
 import coxtile.cli as cli
-from coxtile.cli import emit_report, main
+from coxtile.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE_33INF = '{"generators":["a","b","c"],"matrix":[[1,3,3],[3,1,0],[3,0,1]]}'
@@ -60,6 +63,12 @@ TRIANGLE_444 = '{"generators":["a","b","c"],"matrix":[[1,4,4],[4,1,4],[4,4,1]]}'
 RANK4 = '{"generators":["a","b","c","d"],"matrix":[[1,0,0,0],[0,1,0,7],[0,0,1,8],[0,7,8,1]]}'
 # rank 4 with orders 5, 6, 7 and 8, no infinity (tests/test_wall_identification.py's RANK4_5678)
 RANK4_5678 = '{"generators":["a","b","c","d"],"matrix":[[1,5,6,7],[5,1,8,5],[6,8,1,6],[7,5,6,1]]}'
+# the right-angled 6-cycle with generator names JSON must escape: a quote, two
+# backslashes, a non-ASCII letter, a control character, a slash and a tab
+ESCAPED_HEXAGON = (
+    r'{"generators": ["a\"q", "b\\\\", "σ", "t\u0001", "u/", "v\t"], "matrix": [[1,2,0,0,0,2],'
+    r'[2,1,2,0,0,0],[0,2,1,2,0,0],[0,0,2,1,2,0],[0,0,0,2,1,2],[2,0,0,0,2,1]]}'
+)
 
 REPORT_SHA256 = {
     "balance-r7-alternating": (
@@ -162,6 +171,16 @@ REPORT_SHA256 = {
         1,
         "09f0d17556a6b368a53d6d8ab32858cc49deceed12c8718fb397ef27a888bf4b",
     ),
+    "walls-escaped-r5-alternating": (
+        ["walls", "--system", ESCAPED_HEXAGON, "--radius", "5", "--palette", "alternating"],
+        0,
+        "ca4a7992ddde5dccf034c5b7113fc19a56aeea4a6f5f49fe8041b060dfed9aa6",
+    ),
+    "walls-escaped-r5-distinct": (
+        ["walls", "--system", ESCAPED_HEXAGON, "--radius", "5", "--palette", "distinct"],
+        0,
+        "9aa5f5bf7fe1aec1a51f40a5c8773fa361a59d3b98c525ccb05dbe03757ccb65",
+    ),
     "walls-33inf-r10-distinct": (
         # exit 1: the report lists corners where walls of one color meet
         ["walls", "--system", TRIANGLE_33INF, "--radius", "10", "--palette", "distinct"],
@@ -185,27 +204,19 @@ WALLS_RUNS["walls-hexagon-r0"] = ["walls", "--system", "hexagon", "--radius", "0
 
 @pytest.mark.parametrize("name", sorted(WALLS_RUNS))
 def test_streamed_walls_report_equals_the_joined_one(name, monkeypatch):
-    # the walls report hands its rows to _write_report as an iterator; written
-    # in chunks, of the default size and of 3 rows, they must give emit_report's
-    # bytes for the same results with the rows as a list
-    write, seen = cli._write_report, []
-
-    def compare(out, results, command):
-        assert isinstance(results["walls"], Iterator)
-        rows = list(results["walls"])
-        joined = emit_report({**results, "walls": rows}, command) + "\n"
-        for chunk_rows in (cli._CHUNK_ROWS, 3):
-            monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
-            streamed = io.StringIO()
-            write(streamed, {**results, "walls": iter(rows)}, command)
-            same = streamed.getvalue() == joined  # not in the assert: a diff of 7 MB takes minutes
-            assert same, f"the report streamed {chunk_rows} rows at a time differs from emit_report's"
-        seen.append(len(rows))
-        out.write(joined)
-
-    monkeypatch.setattr(cli, "_write_report", compare)
-    main(WALLS_RUNS[name], out=io.StringIO())
-    assert len(seen) == 1 and (seen[0] > 0) == (name != "walls-hexagon-r0")
+    # the walls report spells its rows as JSON text and streams them; written
+    # in chunks, of the default size and of 3 rows, they must give the bytes of
+    # the joined report: one emit_report call over the same report built with
+    # one dict per wall (tests/walls_report_oracle.py)
+    argv = WALLS_RUNS[name]
+    expected = walls_report(cli.build_parser().parse_args(argv))
+    assert ('"walls":[]' in expected) == (name == "walls-hexagon-r0")
+    for chunk_rows in (cli._CHUNK_ROWS, 3):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        streamed = io.StringIO()
+        main(argv, out=streamed)
+        same = streamed.getvalue() == expected  # not in the assert: a diff of 7 MB takes minutes
+        assert same, f"the report streamed {chunk_rows} rows at a time differs from the oracle's"
 
 
 @pytest.mark.parametrize("workload", ["hexagon-r8", "refined-balance", "tiling-render", "general-coxeter"])

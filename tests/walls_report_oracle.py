@@ -1,0 +1,44 @@
+"""The `walls` report as the CLI built it while its rows were dicts, kept as a
+test oracle: one dict per wall from WallSet.canonical_names,
+WallSet.determinate, color_walls and class_trees, and the whole report
+encoded by emit_report.  Used only by tests.
+"""
+
+from coxtile.cli import _palette_from_arg, _system_from_arg, emit_report
+from coxtile.pipeline import build_walls
+from coxtile.walls import class_trees, color_walls
+
+
+def walls_report(args) -> str:
+    """The report's bytes, newline included, for parsed `walls` arguments."""
+    system = _system_from_arg(args.system)
+    ball, wallset = build_walls(system, args.radius)
+    classes = color_walls(wallset, _palette_from_arg(system, args.palette))
+    count = len(wallset)
+    levels = parents = [None] * count
+    if classes.disjoint:
+        levels, parents = class_trees(wallset, classes.by_color.values())
+    names = wallset.canonical_names()
+    rows = [
+        {
+            "canonical_word": name,
+            "color": str(color),
+            "level": level if det else "indeterminate",
+            "tree_parent": names[p] if p is not None and det else None,
+        }
+        for name, color, level, p, det in zip(
+            names, classes.color, levels, parents, wallset.determinate()
+        )
+    ]
+    results = {
+        "radius": args.radius,
+        "palette": args.palette,
+        "wall_count": count,
+        "classes_disjoint": classes.disjoint,
+        "violations": [
+            {"chamber": system.spell(ball.word(cid)), "walls": [w1, w2]}
+            for cid, w1, w2 in classes.violations
+        ],
+        "walls": rows,
+    }
+    return emit_report(results, "walls") + "\n"
