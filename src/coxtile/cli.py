@@ -19,7 +19,7 @@ from math import isfinite
 from . import __version__
 from .colorings import aperiodicity_report, norm_coloring
 from .coxeter import CoxeterSystem, enumerate_ball, load_system
-from .errors import CoxtileError, ValidationError, WindowError
+from .errors import CoxtileError, SizeLimitError, ValidationError, WindowError
 from .pipeline import (
     Resolution,
     all_plus_resolution,
@@ -169,7 +169,13 @@ def _cmd_ball(args, out) -> int:
 
 def _cmd_color(args, out) -> int:
     system = _system_from_arg(args.system)
-    ball = enumerate_ball(system, args.radius)
+    radius = max(args.g_range, args.h_range, args.window, 0)  # the least ball holding every g, h and u
+    try:
+        ball = enumerate_ball(system, radius)
+    except SizeLimitError as exc:  # keep how far it got; the advice names the flags that set the radius
+        got = str(exc).rpartition("; raise")[0]
+        raise SizeLimitError(f"{got}; the radius is the largest of --g-range, --h-range and --window: "
+                             "lower it or raise COXTILE_BALL_CAP", partial_count=exc.partial_count) from None
     coloring = norm_coloring(ball)
     report = aperiodicity_report(ball, coloring, args.g_range, args.h_range, args.window)
     records = []
@@ -342,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="norm coloring and aperiodicity report")
     p.add_argument("--system", required=True)
-    p.add_argument("--radius", type=int, required=True)
     p.add_argument("--g-range", type=int, default=1)
     p.add_argument("--h-range", type=int, default=1)
     p.add_argument("--window", type=int, default=2)

@@ -7,7 +7,9 @@ square-free word.  The rigidity check that exploits this, and the tree,
 transfer and product colorings, are in tests/paper_checks.py.
 
 Limit aperiodicity is an infinite-quantifier property; everything here is
-a finite proxy whose scale parameters travel with the verdict.
+a finite proxy whose scale parameters travel with the verdict: the g range,
+the h range and the window.  The ball searched must hold each of them, so
+the verdict depends on nothing else.
 """
 
 from dataclasses import dataclass, field
@@ -92,10 +94,14 @@ def aperiodicity_report(
     group, coloring: GroupColoring, g_range: int, h_range: int, window: int
 ) -> AperiodicityReport:
     """Witness search over all g != e with |g| <= g_range and |h| <= h_range.
-    Raises WindowError when a range or the window is negative."""
+    Raises WindowError, before any product, when a range or the window is
+    negative or exceeds the radius of `group`, whose members are what the
+    search enumerates: a smaller ball would cut it short."""
     for name, value in (("g range", g_range), ("h range", h_range), ("window", window)):
         if value < 0:
             raise WindowError(f"{name} must be nonnegative, got {value}")
+        if value > group.radius:
+            raise WindowError(f"{name} {value} exceeds the radius-{group.radius} ball")
     report = AperiodicityReport(g_range, h_range, window)
     win = [u for u in group.members() if group.norm(u) <= window]
     gs = [g for g in group.members() if 0 < group.norm(g) <= g_range]

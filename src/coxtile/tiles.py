@@ -315,7 +315,8 @@ def classify_balance(alphabet: TileAlphabet) -> BalanceVerdict:
     is nontrivial but no weight achieves all-positive sums (witness given).
     """
     if not alphabet.tiles:
-        raise ValidationError("alphabet is empty")
+        raise ValidationError(f"alphabet is empty: the radius-{alphabet.radius} ball has no interior chamber; "
+                              "a radius of at least 1 gives e its tile")
     colors, vectors = _tile_vectors(alphabet)
     k = len(colors)
     # variables u, v with w = u - v: a tile's row [-vec | vec] times (u, v) is

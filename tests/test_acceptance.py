@@ -351,7 +351,7 @@ def test_criterion_10_cli_reproducibility():
         ["seq", "--kind", "ternary", "--n", "64", "--power", "2"],
         ["ball", "--system", "pentagon", "--radius", "4", "--words"],
         ["balance", "--system", "pentagon", "--radius", "4"],
-        ["color", "--system", "hexagon", "--radius", "4", "--window", "1"],
+        ["color", "--system", "hexagon", "--window", "1"],
         ["space", "--n", "3", "--radius", "4", "--depth", "2"],
     ]
     for argv in configs:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from cli_report import parse_report
 
-from coxtile.cli import emit_report, main
+from coxtile.cli import build_parser, emit_report, main
 from coxtile.ratlp import LPResult
 from coxtile.walls import enumerate_walls
 
@@ -55,7 +55,7 @@ def test_ball_subcommand_json_file(tmp_path):
 
 def test_color_subcommand_all_witnessed():
     code, out = run(
-        ["color", "--system", "pentagon", "--radius", "5", "--g-range", "1", "--h-range", "1", "--window", "2"]
+        ["color", "--system", "pentagon", "--g-range", "1", "--h-range", "1", "--window", "2"]
     )
     assert code == 0
     doc = parse_report(out)
@@ -147,8 +147,8 @@ def test_reports_round_trip():
 
 
 def test_reports_byte_identical_across_runs():
-    a = run(["color", "--system", "pentagon", "--radius", "4", "--window", "1"])
-    b = run(["color", "--system", "pentagon", "--radius", "4", "--window", "1"])
+    a = run(["color", "--system", "pentagon", "--window", "1"])
+    b = run(["color", "--system", "pentagon", "--window", "1"])
     assert a == b
 
 
@@ -246,8 +246,9 @@ def test_runtime_loads_no_numpy():
         (["render", "--n", "3", "--radius", "1", "--epsilon", "nan"], {}),
         (["render", "--n", "3", "--radius", "1", "--no-deform", "--epsilon", "nan"], {}),
         (["render", "--n", "3", "--radius", "1", "--stroke-width", "-1"], {}),
-        (["color", "--system", "hexagon", "--radius", "2", "--window", "-1"], {}),
-        (["color", "--system", "hexagon", "--radius", "2", "--g-range", "-1"], {}),
+        (["color", "--system", "hexagon", "--window", "-1"], {}),
+        (["color", "--system", "hexagon", "--g-range", "-1"], {}),
+        (["balance", "--system", "hexagon", "--radius", "0"], {}),
         (["ball", "--words", "--radius", "2", "--system",
           '{"generators":["a","a.a"],"matrix":[[1,0],[0,1]]}'], {}),
         (["ball", "--words", "--radius", "2", "--system",
@@ -261,6 +262,7 @@ def test_runtime_loads_no_numpy():
          "render-tick-overflow-n4", "render-epsilon-overflow", "render-degenerate-tangent",
          "render-not-simple", "render-epsilon-nan", "render-no-deform-epsilon-nan",
          "render-negative-stroke", "color-negative-window", "color-negative-g-range",
+         "balance-radius-0",
          "generator-name-with-a-dot", "generator-names-empty-and-e", "generator-name-with-a-comma"],
 )
 def test_bad_input_exits_2_with_one_error_line(argv, env):
@@ -269,6 +271,34 @@ def test_bad_input_exits_2_with_one_error_line(argv, env):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_color_takes_no_radius():
+    # color enumerates the ball of its largest range, so it takes no radius
+    code, _ = run(["color", "--system", "pentagon", "--radius", "3"])
+    assert code == 2
+    args = build_parser().parse_args(["color", "--system", "pentagon"])
+    assert vars(args) == {"command": "color", "system": "pentagon", "g_range": 1, "h_range": 1, "window": 2}
+
+
+def test_color_ball_cap_names_the_range_flags():
+    # the derived radius-6 ball passes the cap at radius 5: the one error line
+    # says how far enumeration got and names the flags that set the radius
+    proc = _run_cli_process(["color", "--system", "hexagon", "--window", "6"], COXTILE_BALL_CAP="1000")
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ball cap 1000 exceeded at radius 5 of 6; radii 0..4 are complete")
+    assert "--g-range, --h-range and --window" in line
+    assert "--radius" not in line
+
+
+def test_balance_radius_0_says_what_to_enlarge():
+    proc = _run_cli_process(["balance", "--system", "hexagon", "--radius", "0"])
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: alphabet is empty: the radius-0 ball has no interior chamber; "
+        "a radius of at least 1 gives e its tile\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,10 @@ stdout on failure, and report a failure as one `error:` line, never a
 traceback.  Exceptions are not caught here: one that escapes `main` fails
 the test with its traceback.  `walls` also meets rank-1, radius-0 and finite
 groups, whose chamber graphs have few or no edges leaving the ball (the -1
-entries of Ball.nbr and WallSet.faces).  `color` on systems that are not
-right-angled multiplies words through the descent engine (Ball.mul in
-aperiodicity_report's witness search), with g, h and window ranges from -1 to 3; `balance` builds
+entries of Ball.nbr and WallSet.faces).  `color` draws g, h and window
+ranges from -1 to 3 and enumerates the ball of the largest of them; on
+systems that are not right-angled, products that leave that ball go through
+the descent engine (Ball.mul in aperiodicity_report's witness search).  `balance` builds
 the tile alphabet of either orientation, refined or not.  `seq` meets
 negative lengths, a power the parser refuses, and scans below zero or past
 the prefix; its verdicts are checked against the numpy scanner it replaced
@@ -117,11 +118,11 @@ def _failure_is_one_error_line(out, err):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(system_texts(), st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3))
-def test_color_keeps_exit_code_contract(text, radius, g_range, h_range, window):
+@given(system_texts(), st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3))
+def test_color_keeps_exit_code_contract(text, g_range, h_range, window):
     out, err = io.StringIO(), io.StringIO()
-    argv = ["color", "--system", text, "--radius", str(radius), "--g-range", str(g_range),
-            "--h-range", str(h_range), "--window", str(window)]
+    argv = ["color", "--system", text, "--g-range", str(g_range), "--h-range", str(h_range),
+            "--window", str(window)]
     with redirect_stderr(err):
         code = main(argv, out=out)
     assert code in (0, 1, 2)

@@ -257,6 +257,38 @@ def test_aperiodicity_report_rejects_negative_ranges(ranges):
         aperiodicity_report(ball, norm_coloring(ball), *ranges)
 
 
+@pytest.mark.parametrize("ranges", [(3, 2, 2), (2, 3, 2), (2, 2, 3)], ids=["g", "h", "window"])
+def test_aperiodicity_report_refuses_a_ball_smaller_than_a_range(ranges, monkeypatch):
+    # a range past the ball's radius would cut the search short: refused
+    # before any product, naming the range and the ball
+    ball = enumerate_ball(CoxeterSystem.right_angled_polygon(6), 2)
+    monkeypatch.setattr(ball, "mul_norm", lambda *a: pytest.fail("multiplied before refusing"))
+    name = ["g range", "h range", "window"][ranges.index(3)]
+    with pytest.raises(WindowError, match=f"^{name} 3 exceeds the radius-2 ball$"):
+        aperiodicity_report(ball, norm_coloring(ball), *ranges)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        CoxeterSystem.right_angled_polygon(6),
+        CoxeterSystem(("a", "b", "c", "d"), ((1, 5, 0, 8), (5, 1, 6, 0), (0, 6, 1, 7), (8, 0, 7, 1))),
+        CoxeterSystem(("a", "b", "c"), ((1, 2, 3), (2, 1, 7), (3, 7, 1))),
+    ],
+    ids=["hexagon", "5678", "237"],
+)
+def test_aperiodicity_report_does_not_depend_on_a_ball_past_its_ranges(system, monkeypatch):
+    # on the radius-2 ball many products leave the ball and go through the
+    # descent engine (its fixed-point roots where orders pass 3); on the
+    # radius-6 ball they walk the table.  The records must agree.
+    small, large = enumerate_ball(system, 2), enumerate_ball(system, 6)
+    products, real = [], small.mul_norm
+    monkeypatch.setattr(small, "mul_norm", lambda g, h: products.append(real(g, h)) or products[-1])
+    records = aperiodicity_report(small, norm_coloring(small), 2, 2, 2).records
+    assert sum(x not in small.index for x, _norm in products) > len(products) // 5
+    assert records == aperiodicity_report(large, norm_coloring(large), 2, 2, 2).records
+
+
 def test_aperiodicity_constant_coloring_unwitnessed():
     ball = enumerate_ball(CoxeterSystem.right_angled_polygon(5), 4)
     const = GroupColoring(ball, ["c"], {g: "c" for g in ball.members()}, by_norm=lambda n: "c")

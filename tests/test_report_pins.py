@@ -10,8 +10,10 @@ descent engine byte for byte on a system with cyclotomic roots.  The
 hexagon R=8 `walls` report, the rank-4 (inf, 7, 8) `color` report and the
 `render --n 3 --radius 4` SVG were pinned before levels and trees became one
 peeling per class, before `aperiodicity_report` inverted each g once, and
-before vertex identities were read off Ball.nbr.  The three `seq` reports
-were pinned while a numpy cumulative sum scanned every period in full, before
+before vertex identities were read off Ball.nbr.  Both `color` pins were
+recorded with a `--radius` equal to their largest range, before `color`
+dropped that option and enumerated the ball of its largest range itself.
+The three `seq` reports were pinned while a numpy cumulative sum scanned every period in full, before
 the anchored-run scan.  The two `space` reports and the other three `render`
 SVGs (unrefined, undeformed, and the octagon) were pinned while tile signs
 came from `WallSet.separates` probes and vertex geometry from numpy 3-vectors,
@@ -85,10 +87,16 @@ REPORT_SHA256 = {
     ),
     "color-rank4-r3": (
         # exit 1: some (g, h) pairs find no witness in the window
-        ["color", "--system", RANK4, "--radius", "3", "--g-range", "3", "--h-range", "3",
-         "--window", "2"],
+        ["color", "--system", RANK4, "--g-range", "3", "--h-range", "3", "--window", "2"],
         1,
         "3b193a144baec21986a39d0480f8d88643bbddf49fe851a6e783c616493ff730",
+    ),
+    "color-pentagon-g3-h3-w2": (
+        # exit 1: 20 of the 3,660 pairs find no witness; a radius-2 ball
+        # cut this search to 420 pairs and exited 0
+        ["color", "--system", "pentagon", "--g-range", "3", "--h-range", "3", "--window", "2"],
+        1,
+        "516e9df52cd09038dbcf50f8939c3cc94f4f006bd1d3a84bdfef9ef507e1ad58",
     ),
     "render-n3-r4": (
         ["render", "--n", "3", "--radius", "4"],
