@@ -170,12 +170,7 @@ def _cmd_ball(args, out) -> int:
 def _cmd_color(args, out) -> int:
     system = _system_from_arg(args.system)
     radius = max(args.g_range, args.h_range, args.window, 0)  # the least ball holding every g, h and u
-    try:
-        ball = enumerate_ball(system, radius)
-    except SizeLimitError as exc:  # keep how far it got; the advice names the flags that set the radius
-        got = str(exc).rpartition("; raise")[0]
-        raise SizeLimitError(f"{got}; the radius is the largest of --g-range, --h-range and --window: "
-                             "lower it or raise COXTILE_BALL_CAP", partial_count=exc.partial_count) from None
+    ball = enumerate_ball(system, radius)
     coloring = norm_coloring(ball)
     report = aperiodicity_report(ball, coloring, args.g_range, args.h_range, args.window)
     records = []
@@ -204,7 +199,7 @@ def _cmd_color(args, out) -> int:
 
 def _cmd_walls(args, out) -> int:
     system = _system_from_arg(args.system)
-    ball, wallset = build_walls(system, args.radius)
+    _, wallset = build_walls(system, args.radius)
     palette = _palette_from_arg(system, args.palette)
     classes = color_walls(wallset, palette)
     count = len(wallset)
@@ -229,8 +224,8 @@ def _cmd_walls(args, out) -> int:
         "wall_count": count,
         "classes_disjoint": classes.disjoint,
         "violations": [
-            {"chamber": system.spell(ball.word(cid)), "walls": [w1, w2]}
-            for cid, w1, w2 in classes.violations
+            {"generators": [system.generators[s], system.generators[t]], "order": m}
+            for s, t, m in classes.violations
         ],
         "walls": walls,
     }
@@ -413,7 +408,11 @@ def main(argv=None, out=None) -> int:
         os.close(devnull)
         return 141
     except (CoxtileError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        flags = ""  # the library names no flag; a ball cap's advice gets those that set the radius
+        if isinstance(exc, SizeLimitError):
+            color = args.command == "color"
+            flags = " (the largest of --g-range, --h-range and --window)" if color else " (--radius)"
+        sys.stderr.write(f"error: {exc}{flags}\n")
         return 2
 
 

@@ -540,7 +540,7 @@ def enumerate_ball(system: CoxeterSystem, radius: int, cap: int | None = None) -
                     raise SizeLimitError(
                         f"ball cap {cap} exceeded at radius {level} of {radius}; "
                         f"radii 0..{level - 1} are complete with sphere sizes {sphere_sizes}; "
-                        "raise COXTILE_BALL_CAP or use a smaller --radius",
+                        "raise COXTILE_BALL_CAP or lower the radius",
                         partial_count=h,
                     )
                 last.append(s)

@@ -1,9 +1,10 @@
 """End-to-end assembly of wall colorings and tile resolutions for a system.
 
-The full construction: enumerate a ball, identify walls, certify the
-palette classes disjoint, peel levels, optionally refine each class by its
-tree coloring (nine colors per class), orient walls, and collect the tile
-alphabet.  Both the CLI and the acceptance suite drive this module.
+The full construction: enumerate a ball, identify walls, refuse a palette
+whose walls of one color cross (read off the Coxeter matrix), peel levels,
+optionally refine each class by its tree coloring (nine colors per class),
+orient walls, and collect the tile alphabet.  Both the CLI and the
+acceptance suite drive this module.
 """
 
 from dataclasses import dataclass
@@ -40,11 +41,10 @@ class Resolution:
 def _classes(wallset: WallSet, palette: dict, refine: bool):
     classes = color_walls(wallset, palette)
     if not classes.disjoint:
-        cid, w1, w2 = classes.violations[0]
-        raise ValidationError(
-            f"palette invalid at radius {classes.radius}: walls {w1} and {w2} "
-            f"of one color meet at chamber {cid}"
-        )
+        s, t, m = classes.violations[0]
+        a, b = (repr(wallset.ball.system.generators[x]) for x in (s, t))
+        raise ValidationError(f"palette invalid: walls of one color cross in the residue of "
+                              f"generators {a} and {b}, of order {m}")
     if refine:
         wall_colors, _palette = wall_coloring(wallset, classes)
         class_wids: dict = {}

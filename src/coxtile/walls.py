@@ -408,22 +408,13 @@ def separates_by_components(wallset: WallSet, wid: int, a: int, b: int):
 
 @dataclass
 class WallClasses:
-    """Palette-induced wall classes with an empirical disjointness check.
-
-    Two walls "meet" when some chamber has both on adjacent faces whose
-    generators span a finite dihedral (m != 0), or when both cross one finite
-    residue u<s, t>, whose m_st walls all pass through its centre.  The
-    certificate scans the enumerated chamber corners of every generator pair
-    whose odd components share a palette color (see color_walls), then every
-    residue with m_st >= 4 for pairs not met at a corner: at m_st <= 3 each
-    two walls of a residue are faces of one of its chambers.  The classes of
-    a disjoint palette get their region trees from one ClassForest pass.
-    """
+    """Palette-induced wall classes, and the generator pairs whose walls of
+    one color cross somewhere in the tiling (color_walls).  The classes of a
+    disjoint palette get their region trees from one ClassForest pass."""
 
     by_color: dict
     color: list  # wall id -> color
-    violations: list  # (chamber id, wall id, wall id): a corner, or a residue's bottom
-    radius: int
+    violations: list  # (s, t, m_st) with s < t, in generator order
 
     @property
     def disjoint(self) -> bool:
@@ -431,85 +422,46 @@ class WallClasses:
 
 
 def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
-    """Assign each wall the palette color of its generator and certify that
-    same-colored walls never meet at a chamber corner or in a finite residue.
+    """Color each wall by the generator on its least edge, and read off the
+    Coxeter matrix the pairs s < t whose walls of one color cross: those with
+    a finite m_st >= 3, and those with m_st = 2 and one color.  Each has two
+    such walls crossing in its residue at e, and two facts show that when
+    there are none, no two walls of one color cross anywhere in the tiling.
 
-    The corners of a generator pair (s, t) are scanned only when the palette
-    colors of s's odd component and of t's share a color.  That skips no
-    violation: the wall through the s-face of chamber g is the reflection
-    g s g^-1, and its least edge (h, s') spells the same reflection, so s' is
-    conjugate to s; generators are conjugate only when a path of odd m joins
-    them (Bjorner and Brenti, Combinatorics of Coxeter Groups, Ex. 1.16).  So
-    that wall's color is among the palette colors of s's odd component.  On a
-    right-angled system every component is one generator, and the
-    alternating palette scans no corner at all.  Residues are always
-    scanned: two walls conjugate to one generator can cross in a residue
-    with m >= 4 without sharing a chamber.
+    1. A finite m_st >= 3 rules out every generator palette.  The residue
+       <s, t> at e holds the m_st reflections of the finite dihedral group
+       W_st, whose walls all pass through the residue's centre and so cross
+       pairwise.  A reduced word of an element of W_st uses only s and t
+       (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2.4), so each of
+       these walls has its least edge in the residue and carries s's color or
+       t's: of three or more walls, two share a color.
+    2. When every m_st is 2 or infinite, a palette is disjoint exactly when
+       commuting generators get distinct colors.  Two walls cross exactly
+       when their reflections generate a finite group (Niblo and Reeves
+       2003), which lies in a conjugate x W_T x^-1 of a spherical parabolic
+       subgroup (Tits; Davis 2008, ch. 12).  Here T is a set of pairwise
+       commuting generators and W_T = (Z/2)^T, so the crossing walls are
+       x a x^-1 and x b x^-1 for distinct commuting a and b.  The least edge
+       (g, s) of the first has g s g^-1 = x a x^-1, so s is conjugate to a,
+       and with no odd m_st a generator is conjugate only to itself (Bjorner
+       and Brenti, Ex. 1.16): s = a, and the two walls carry a's color and
+       b's.  Conversely the walls of two commuting generators cross at e.
     """
-    ball = wallset.ball
-    system = ball.system
-    missing = [s for s in range(system.rank) if s not in palette]
+    system = wallset.ball.system
+    n = system.rank
+    missing = [s for s in range(n) if s not in palette]
     if missing:
         raise ValidationError(f"palette misses generators {missing}")
-    n = system.rank
     color = [palette[f % n] for f in wallset.least_faces()]  # wall id -> color
     by_color: dict = {}
     for wid, c in enumerate(color):
         by_color.setdefault(c, []).append(wid)
-    faces, nbr, norms = wallset.faces, ball.nbr, ball.norms
-    found = []  # (chamber, pair number, wall, wall), one scan per corner pair
-    pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if system.m(s, t) != 0]
-    shades = _conjugate_colors(system, palette)
-    for k, (s, t) in enumerate(pairs):
-        if shades[s].isdisjoint(shades[t]):
-            continue
-        for cid, (w1, w2) in enumerate(zip(faces[s::n], faces[t::n])):
-            if w1 != w2 and w1 >= 0 and w2 >= 0 and color[w1] == color[w2]:
-                found.append((cid, k, w1, w2))
-    met = {frozenset(f[2:]) for f in found}
-    for k, (s, t) in enumerate(pairs, len(pairs)):  # residues sort after the corners
-        m = system.m(s, t)
-        if m < 4:
-            continue
-        for u, level in enumerate(norms):
-            if level < ball.radius and norms[nbr[u * n + s]] > level < norms[nbr[u * n + t]]:
-                # u is the bottom of u<s, t>: its walls are met going up either side
-                ring = sorted({w for a, b in ((s, t), (t, s)) for w in _climb(wallset, u, a, b, m)})
-                found += [(u, k, *p) for p in combinations(ring, 2)
-                          if color[p[0]] == color[p[1]] and frozenset(p) not in met]
-    violations = [(cid, w1, w2) for cid, _, w1, w2 in sorted(found)]
-    return WallClasses(by_color, color, violations, ball.radius)
-
-
-def _conjugate_colors(system, palette) -> list:
-    """Generator -> the set of palette colors of the generators conjugate to
-    it, its component in the graph of odd m_st."""
-    n = system.rank
-    shades = [None] * n
-    for s in range(n):
-        if shades[s] is None:
-            component, stack = {s}, [s]
-            while stack:
-                x = stack.pop()
-                for y in range(n):
-                    if y not in component and system.m(x, y) % 2:  # odd and finite: 0 is infinity
-                        component.add(y)
-                        stack.append(y)
-            shade = {palette[x] for x in component}
-            for x in component:
-                shades[x] = shade
-    return shades
-
-
-def _climb(wallset: WallSet, x: int, a: int, b: int, steps: int):
-    """Walls of the edges up from chamber x along a, b, a, ..., at most `steps`, in the ball."""
-    n, nbr = wallset.ball.system.rank, wallset.ball.nbr
-    for _ in range(steps):
-        i = x * n + a
-        if nbr[i] < 0:
-            return
-        yield wallset.faces[i]
-        x, a, b = nbr[i], b, a
+    violations = []
+    for s, t in combinations(range(n), 2):
+        m = system.m(s, t)  # 0 is infinity
+        if m >= 3 or m == 2 and palette[s] == palette[t]:
+            violations.append((s, t, m))
+    return WallClasses(by_color, color, violations)
 
 
 def alternating_palette(system) -> dict:

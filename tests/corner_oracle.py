@@ -1,12 +1,23 @@
-"""The disjointness certificate of coxtile.walls.color_walls before it
-skipped generator pairs whose odd components share no palette color, kept as
-a test oracle: it scans the corners of every pair with finite m_st, then
-every residue with m_st >= 4.  Used only by tests.
+"""The ball scan coxtile.walls.color_walls ran before it read palette
+validity off the Coxeter matrix, kept as a test oracle: it scans the corners
+of every generator pair with finite m_st, then every residue with m_st >= 4,
+for two walls of one color that meet in the ball.  Used only by tests.
 """
 
 from itertools import combinations
 
-from coxtile.walls import WallSet, _climb
+from coxtile.walls import WallSet
+
+
+def _climb(wallset: WallSet, x: int, a: int, b: int, steps: int):
+    """Walls of the edges up from chamber x along a, b, a, ..., at most `steps`, in the ball."""
+    n, nbr = wallset.ball.system.rank, wallset.ball.nbr
+    for _ in range(steps):
+        i = x * n + a
+        if nbr[i] < 0:
+            return
+        yield wallset.faces[i]
+        x, a, b = nbr[i], b, a
 
 
 def violations(wallset: WallSet, palette: dict) -> list:

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -81,6 +82,51 @@ def test_walls_violation_exit_code(tmp_path):
     code, out = run(["walls", "--system", str(path), "--radius", "3", "--palette", "alternating"])
     assert code == 1
     assert parse_report(out)["results"]["classes_disjoint"] is False
+
+
+TRIANGLE_237 = '{"generators":["a","b","c"],"matrix":[[1,2,3],[2,1,7],[3,7,1]]}'
+# a 4-cycle a-b-d-c-a of commuting pairs, with a-d and b-c of infinite order:
+# the alternating palette gives the commuting a and c one color
+SHARED_COLOR_SQUARE = '{"generators":["a","b","c","d"],"matrix":[[1,2,2,0],[2,1,0,2],[2,0,1,2],[0,2,2,1]]}'
+
+
+@pytest.mark.parametrize(
+    "system, palette, pair, order",
+    [
+        (TRIANGLE_237, "distinct", ("a", "c"), 3),
+        ('{"generators":["a","b","c"],"matrix":[[1,4,4],[4,1,4],[4,4,1]]}', "distinct", ("a", "b"), 4),
+        ('{"generators":["a","b","c"],"matrix":[[1,3,3],[3,1,0],[3,0,1]]}', "distinct", ("a", "b"), 3),
+        ('{"generators":["a","b","c"],"matrix":[[1,2,2],[2,1,5],[2,5,1]]}', "distinct", ("b", "c"), 5),
+        (SHARED_COLOR_SQUARE, "alternating", ("a", "c"), 2),
+    ],
+    ids=["(2,3,7)", "(4,4,4)", "(3,3,inf)", "one-order-5", "shared-color-square"],
+)
+def test_balance_refuses_an_invalid_palette_at_radius_1(system, palette, pair, order, capsys):
+    # the radius-1 ball holds no two walls of one color that meet, yet the
+    # Coxeter matrix shows that such walls cross: one error line names the pair
+    code, out = run(["balance", "--system", system, "--radius", "1", "--palette", palette])
+    assert code == 2 and out == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: palette invalid: walls of one color cross in the residue of "
+                    f"generators {pair[0]!r} and {pair[1]!r}, of order {order}")
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_walls_lists_the_generator_pairs_of_an_invalid_palette_at_every_radius(radius):
+    code, out = run(["walls", "--system", TRIANGLE_237, "--radius", str(radius), "--palette", "distinct"])
+    assert code == 1
+    assert ('"classes_disjoint":false,"violations":[{"generators":["a","c"],"order":3},'
+            '{"generators":["b","c"],"order":7}],') in out
+    assert parse_report(out)["results"]["wall_count"] == 3 * radius  # every wall still has its row
+
+
+def test_walls_refuses_commuting_generators_of_one_color_at_radius_0():
+    code, out = run(["walls", "--system", SHARED_COLOR_SQUARE, "--radius", "0", "--palette", "alternating"])
+    assert code == 1
+    results = parse_report(out)["results"]
+    assert results["classes_disjoint"] is False
+    assert results["violations"] == [{"generators": ["a", "c"], "order": 2},
+                                     {"generators": ["b", "d"], "order": 2}]
 
 
 def test_balance_pentagon_alternating():
@@ -290,6 +336,20 @@ def test_color_ball_cap_names_the_range_flags():
     assert line.startswith("error: ball cap 1000 exceeded at radius 5 of 6; radii 0..4 are complete")
     assert "--g-range, --h-range and --window" in line
     assert "--radius" not in line
+
+
+def test_only_the_cli_names_cli_flags():
+    # a library error says what to change; cli.main appends the flag that
+    # changes it, so no message raised outside cli.py spells a flag
+    spelled = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "coxtile").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                spelled += [f"{path.name}:{lit.lineno}" for lit in ast.walk(node.exc)
+                            if isinstance(lit, ast.Constant) and isinstance(lit.value, str) and "--" in lit.value]
+    assert spelled == []
 
 
 def test_balance_radius_0_says_what_to_enlarge():

@@ -119,7 +119,8 @@ def test_ball_cap():
     # radii 0..2 hold 21 elements; the 45 of radius 3 overflow the cap
     message = str(err.value)
     assert "radius 3 of 6" in message and "0..2" in message and "[1, 5, 15]" in message
-    assert "COXTILE_BALL_CAP" in message and "--radius" in message
+    assert "COXTILE_BALL_CAP" in message and "lower the radius" in message
+    assert "--" not in message  # the CLI names the flag that sets the radius
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -141,7 +142,7 @@ def test_ball_cap_message_on_a_system_that_is_not_right_angled():
     assert err.value.partial_count == 50
     assert str(err.value) == (
         "ball cap 50 exceeded at radius 5 of 8; radii 0..4 are complete with sphere sizes "
-        "[1, 3, 6, 10, 16]; raise COXTILE_BALL_CAP or use a smaller --radius"
+        "[1, 3, 6, 10, 16]; raise COXTILE_BALL_CAP or lower the radius"
     )
 
 

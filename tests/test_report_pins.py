@@ -31,7 +31,12 @@ its old bytes with every -0.000000 (33 to 56 of them) read as 0.000000.  Every `
 wall.  The (2,3,7) and {5,6,7,8} `walls` reports were re-recorded when the
 disjointness certificate began to list walls that cross in a residue of
 order 4 or more: only their violation lists grew, keeping every earlier entry
-in order.  The (4,4,4) R=6 report pins one such crossing.  The `space
+in order.  The (4,4,4) R=6 report pins one such crossing.  All four
+one-color-per-generator `walls` reports that exit 1 ((2,3,7), {5,6,7,8},
+(4,4,4) and (3,3,inf)) were re-recorded when palette validity came to be read
+off the Coxeter matrix: each violation became a generator pair with its
+order, in place of two walls meeting at a chamber of the ball, and the wall
+rows kept their bytes.  The `space
 --n 3 --radius 7 --depth 5` report, the benchmark's tiling-render size, was
 pinned before a rebased alphabet became the wall set's kept alphabet
 relabeled, and before render's geometry kernels spelled out their 3-vectors.
@@ -157,27 +162,29 @@ REPORT_SHA256 = {
         "4785b71da113b0717723eb6dc9069891d7de2ed15df1a6b859a8cb39442439e0",
     ),
     "walls-237-r12-distinct": (
-        # re-recorded when the certificate began listing walls that cross in a
-        # residue of order 7: 108 violations joined the 321 corner ones, and
-        # nothing else changed
+        # exit 1: a-c and b-c have orders 3 and 7.  Re-recorded when the 429
+        # wall pairs of the ball scan gave way to these two generator pairs;
+        # the wall rows kept their bytes
         ["walls", "--system", TRIANGLE_237, "--radius", "12", "--palette", "distinct"],
         1,
-        "f8f11ac4801b480f15b6b5fe8c9fb454804a28956b22d168822917f2f2fe4414",
+        "42ef6e9904d13649663ed21da31890ad6e8cea8883dbdfcb8de996aa24cd1344",
     ),
     "walls-rank4-5678-r6-distinct": (
-        # exit 1: walls of one color meet.  Re-recorded when the certificate
-        # began listing walls that cross in residues of order 5 to 8: 1,429
-        # violations joined the 84 corner ones, and nothing else changed
+        # exit 1: every pair has a finite order of 5 to 8.  Re-recorded when the
+        # 1,513 wall pairs of the ball scan gave way to these six generator
+        # pairs; the wall rows kept their bytes
         ["walls", "--system", RANK4_5678, "--radius", "6", "--palette", "distinct"],
         1,
-        "0c336632dbab14e10aa0c0e9197293492258bca1f623097a491f2a93893fe833",
+        "0f07b62ae4ecd45cba552d706124af6d4507965857d689c3ba1564ec11a8025d",
     ),
     "walls-444-r6-distinct": (
         # exit 1: walls 0 (a) and 5 (b.a.b) share generator a and cross in the
-        # residue <a, b> of order 4 without sharing a chamber
+        # residue <a, b> of order 4 without sharing a chamber.  Re-recorded
+        # when the ball scan's 84 wall pairs gave way to the three generator
+        # pairs of order 4; the wall rows kept their bytes
         ["walls", "--system", TRIANGLE_444, "--radius", "6", "--palette", "distinct"],
         1,
-        "09f0d17556a6b368a53d6d8ab32858cc49deceed12c8718fb397ef27a888bf4b",
+        "de3dcb5ff00962e22128cfab3c4958a600838f5931aec2ba831235189f53ef3a",
     ),
     "walls-escaped-r5-alternating": (
         ["walls", "--system", ESCAPED_HEXAGON, "--radius", "5", "--palette", "alternating"],
@@ -190,10 +197,12 @@ REPORT_SHA256 = {
         "9aa5f5bf7fe1aec1a51f40a5c8773fa361a59d3b98c525ccb05dbe03757ccb65",
     ),
     "walls-33inf-r10-distinct": (
-        # exit 1: the report lists corners where walls of one color meet
+        # exit 1: a-b and a-c have order 3.  Re-recorded when the ball scan's
+        # 284 wall pairs gave way to these two generator pairs; the wall rows
+        # kept their bytes
         ["walls", "--system", TRIANGLE_33INF, "--radius", "10", "--palette", "distinct"],
         1,
-        "4d761c0e3c4a52f5ba5dae6ff3098d4de0386db69fc6efcd34436555a4ff95d8",
+        "15ec99371c1868e470ec696241385bb1cfe0e6486016bc10227f828aa4ef2c0f",
     ),
 }
 

@@ -1,5 +1,6 @@
 import io
 import random
+from itertools import combinations
 
 import corner_oracle
 import peel_oracle
@@ -18,7 +19,6 @@ from coxtile.walls import (
     enumerate_walls,
     peel_levels,
     separates_by_components,
-    _conjugate_colors,
     wall_coloring,
     wall_components,
 )
@@ -97,10 +97,14 @@ def test_color_walls_hexagon_alternating_disjoint():
 
 
 def test_color_walls_dihedral_single_color_violation():
+    # the rule refuses the pair of order 3, and the ball scan finds the
+    # crossing at e's corner
     ball, ws = make(CoxeterSystem.dihedral(3), 3)
-    classes = color_walls(ws, {0: "c", 1: "c"})
+    palette = {0: "c", 1: "c"}
+    classes = color_walls(ws, palette)
     assert not classes.disjoint
-    assert any(cid == 0 for cid, _, _ in classes.violations)
+    assert classes.violations == [(0, 1, 3)]
+    assert any(cid == 0 for cid, _, _ in corner_oracle.violations(ws, palette))
 
 
 @pytest.mark.parametrize("orders", [(4, 4, 4), (4, 4, 0)], ids=["(4,4,4)", "(4,4,inf)"])
@@ -111,9 +115,9 @@ def test_color_walls_flags_walls_crossing_in_a_residue(orders):
     system = CoxeterSystem(("a", "b", "c"), ((1, a, b), (a, 1, c), (b, c, 1)))
     ball, ws = make(system, 6)
     assert ws.canonical_word(5) == (1, 0, 1)
-    classes = color_walls(ws, {s: s for s in range(3)})
-    assert (0, 0, 5) in classes.violations
-    entries = [v for v in classes.violations if v[1:] == (0, 5)]
+    violations = corner_oracle.violations(ws, {s: s for s in range(3)})
+    assert (0, 0, 5) in violations
+    entries = [v for v in violations if v[1:] == (0, 5)]
     assert entries == [(0, 0, 5)]  # listed once, at the residue's bottom
 
 
@@ -121,10 +125,10 @@ def test_color_walls_residue_scan_keeps_corner_verdicts():
     # at order 3 every two walls of a residue share a chamber, so the corner
     # scan alone decides: the dihedral group of order 6 with one color
     ball, ws = make(CoxeterSystem.dihedral(3), 3)
-    classes = color_walls(ws, {0: "c", 1: "c"})
+    violations = corner_oracle.violations(ws, {0: "c", 1: "c"})
     faces = {cid: set(ws.faces[2 * cid : 2 * cid + 2]) for cid in range(len(ball))}
-    assert len(classes.violations) == 6
-    assert all({w1, w2} == faces[cid] for cid, w1, w2 in classes.violations)
+    assert len(violations) == 6
+    assert all({w1, w2} == faces[cid] for cid, w1, w2 in violations)
 
 
 def triangle(a, b, c):
@@ -145,15 +149,52 @@ CORNER_SYSTEMS = {
 }
 
 
+def refused_exactly_when_the_scan_meets(ws, palette):
+    """The matrix rule refuses the palette exactly when the ball scan of
+    tests/corner_oracle.py finds two walls of one color meeting."""
+    classes = color_walls(ws, palette)
+    assert classes.disjoint == (not corner_oracle.violations(ws, palette)), palette
+    return classes.disjoint
+
+
 @pytest.mark.parametrize("name", sorted(CORNER_SYSTEMS))
 def test_corner_pruning_matches_the_unpruned_scan(name):
+    # the matrix rule prunes every scan: it refuses a palette exactly when
+    # the unpruned scan finds walls of one color meeting in the ball
     system, radius = CORNER_SYSTEMS[name]
     ball, ws = make(system, radius)
     n, rng = system.rank, random.Random(name)
     palettes = [dict.fromkeys(range(n), "x"), {s: s for s in range(n)}]
     palettes += [{s: rng.choice("xyz"[:k]) for s in range(n)} for k in (2, 3) for _ in range(6)]
     for palette in palettes:
-        assert color_walls(ws, palette).violations == corner_oracle.violations(ws, palette)
+        refused_exactly_when_the_scan_meets(ws, palette)
+
+
+def random_system(rng):
+    """A system of rank 3 to 5: right-angled in 60% of draws, else each
+    order drawn from 2, 3 to 7 and infinity (0)."""
+    n = rng.randint(3, 5)
+    orders = [2, 0] if rng.random() < 0.6 else [2, 3, 4, 5, 6, 7, 0]
+    matrix = [[1] * n for _ in range(n)]
+    for s, t in combinations(range(n), 2):
+        matrix[s][t] = matrix[t][s] = rng.choice(orders)
+    return CoxeterSystem(tuple(f"s{s}" for s in range(n)), tuple(map(tuple, matrix)))
+
+
+def test_matrix_rule_matches_the_scan_on_random_systems():
+    # from radius 2 every refused pair shows in the ball: its residue at e
+    # holds two walls of one color meeting at a corner or in the residue
+    rng = random.Random(25)
+    seen = set()
+    for _ in range(100):
+        system = random_system(rng)
+        n = system.rank
+        palettes = [{s: rng.choice("xyz"[:k]) for s in range(n)} for k in (2, 3)]
+        for radius in range(2, 6):
+            ball, ws = make(system, radius)
+            for palette in palettes:
+                seen.add(refused_exactly_when_the_scan_meets(ws, palette))
+    assert seen == {True, False}  # both verdicts drawn
 
 
 def test_corner_pruning_keeps_every_pair_when_all_generators_are_conjugate():
@@ -162,20 +203,11 @@ def test_corner_pruning_keeps_every_pair_when_all_generators_are_conjugate():
     system, radius = CORNER_SYSTEMS["(3,3,inf)"]
     ball, ws = make(system, radius)
     palette = {0: "a", 1: "b", 2: "a"}
-    assert _conjugate_colors(system, palette) == [{"a", "b"}] * 3
-    violations = color_walls(ws, palette).violations
-    assert violations and violations == corner_oracle.violations(ws, palette)
+    violations = corner_oracle.violations(ws, palette)
+    assert violations and not color_walls(ws, palette).disjoint
     # both pairs of finite order hold corners where two walls of one color meet
     pairs = {frozenset(s for s in range(3) if ws.faces[cid * 3 + s] in (w1, w2)) for cid, w1, w2 in violations}
     assert pairs == {frozenset({0, 1}), frozenset({0, 2})}
-
-
-def test_conjugate_colors_follow_odd_orders():
-    b3 = CORNER_SYSTEMS["B3"][0]
-    assert _conjugate_colors(b3, {0: "x", 1: "y", 2: "z"}) == [{"x"}, {"y", "z"}, {"y", "z"}]
-    assert _conjugate_colors(triangle(4, 4, 4), {0: 0, 1: 1, 2: 0}) == [{0}, {1}, {0}]
-    hexagon = CoxeterSystem.right_angled_polygon(6)
-    assert _conjugate_colors(hexagon, alternating_palette(hexagon)) == [{"a"}, {"b"}] * 3
 
 
 def test_color_walls_pentagon_identity_palette():
@@ -190,6 +222,31 @@ def test_color_walls_missing_generator():
     ball, ws = make(CoxeterSystem.right_angled_polygon(5), 2)
     with pytest.raises(ValidationError):
         color_walls(ws, {0: "a"})
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_color_walls_reads_palette_validity_off_the_matrix(radius):
+    # (2,3,7): a-c and b-c have finite orders 3 and 7, so every palette is
+    # refused; a 4-cycle of commuting pairs a-b, b-d, d-c, c-a refuses the
+    # alternating palette, which gives a, c and b, d one color each; the
+    # right-angled hexagon takes it.  The ball's size changes none of this.
+    square = CoxeterSystem(
+        ("a", "b", "c", "d"), ((1, 2, 2, 0), (2, 1, 0, 2), (2, 0, 1, 2), (0, 2, 2, 1))
+    )
+    hexagon = CoxeterSystem.right_angled_polygon(6)
+    cases = [
+        (triangle(2, 3, 7), {s: s for s in range(3)}, [(0, 2, 3), (1, 2, 7)]),
+        (square, alternating_palette(square), [(0, 2, 2), (1, 3, 2)]),
+        (hexagon, alternating_palette(hexagon), []),
+    ]
+    for system, palette, violations in cases:
+        ball, ws = make(system, radius)
+        classes = color_walls(ws, palette)
+        assert classes.violations == violations
+        assert classes.disjoint == (not violations)
+        if violations:
+            with pytest.raises(ValidationError, match="palette invalid: walls of one color cross"):
+                alternating_resolution(ws, palette)
 
 
 def test_peel_levels_infinite_dihedral_line():

@@ -12,7 +12,7 @@ from coxtile.walls import class_trees, color_walls
 def walls_report(args) -> str:
     """The report's bytes, newline included, for parsed `walls` arguments."""
     system = _system_from_arg(args.system)
-    ball, wallset = build_walls(system, args.radius)
+    _, wallset = build_walls(system, args.radius)
     classes = color_walls(wallset, _palette_from_arg(system, args.palette))
     count = len(wallset)
     levels = parents = [None] * count
@@ -36,8 +36,8 @@ def walls_report(args) -> str:
         "wall_count": count,
         "classes_disjoint": classes.disjoint,
         "violations": [
-            {"chamber": system.spell(ball.word(cid)), "walls": [w1, w2]}
-            for cid, w1, w2 in classes.violations
+            {"generators": [system.generators[s], system.generators[t]], "order": m}
+            for s, t, m in classes.violations
         ],
         "walls": rows,
     }
