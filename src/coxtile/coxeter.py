@@ -398,8 +398,8 @@ class Ball:
         ShortLex parent chain to its parent, from i up to e (none for e): the
         edges of i's normal form, last letter first.
 
-        This is the one chamber-id check: `word`, WallSet.sep and
-        ClassForest.region_of all read the chain here, and an id outside
+        This is the one chamber-id check: `word` and WallSet.sep, and so
+        tiles.rebased_alternating, read the chain here, and an id outside
         0..len - 1 raises OutOfBallError when the chain is first read (-1
         would read the tables from their end)."""
         n, nbr, last = self.system.rank, self.nbr, self.last

@@ -33,7 +33,7 @@ from math import gcd, lcm
 
 from .errors import StructureError, ValidationError
 from .ratlp import solve_lp
-from .walls import WallSet, class_forest
+from .walls import WallSet, class_walk
 
 
 def _face_key(face):
@@ -50,17 +50,17 @@ def orient_all_plus(wallset: WallSet) -> list:
 
 
 def orient_alternating(wallset: WallSet, class_wids: dict, flips: dict | None = None) -> list:
-    """Sign (-1)^level per wall, the level read off the class forest (see
-    walls.class_forest), negated on every class that `flips` marks, as a list
+    """Sign (-1)^level per wall, the level read off the classes' walk (see
+    walls.class_walk), negated on every class that `flips` marks, as a list
     indexed by wall id; a wall in no class gets None, which build_alphabet
     refuses.
 
     Any flip pattern yields an "allowed" orientation; the default pattern
     starts -, +, -, ... outward from the base chamber.  Raises StructureError
-    for the first class, in dict order, whose walls are not nested.
+    for the first class, in dict order, that the Coxeter matrix cannot
+    certify disjoint.
     """
-    forest, numbers = class_forest(wallset, class_wids.values())
-    return _alternate(wallset, class_wids, forest, numbers, flips or {})
+    return _alternate(wallset, class_wids, class_walk(wallset, class_wids.values()).level, flips or {})
 
 
 def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> list:
@@ -70,24 +70,22 @@ def rebased_alternating(wallset: WallSet, class_wids: dict, chamber: int) -> lis
 
     Re-peeling from `chamber` and moving the "left side" reference back to
     the original base flip a whole disjoint class at once, by the parity of
-    the class walls separating the two chambers: the chamber's region in the
-    class's tree and its ancestors (see walls.class_forest), as many as that
-    region's level.  So a rebase is orient_alternating with those flips.
+    the class walls separating the two chambers.  Those are the class's
+    faces on the chamber's ShortLex parent chain (WallSet.sep reads them off
+    Ball.parent_faces, which checks the chamber id), so a rebase is
+    orient_alternating on the kept levels, with the parity of each class's
+    faces there as its flips.
     """
-    forest, numbers = class_forest(wallset, class_wids.values())
-    flips = {}
-    for cls, c in zip(class_wids, numbers):
-        region = forest.region_of(wallset, c, chamber)  # checks the chamber before any class
-        flips[cls] = region >= 0 and forest.level[region] % 2
-    return _alternate(wallset, class_wids, forest, numbers, flips)
+    walk = class_walk(wallset, class_wids.values())
+    crossed = [walk.klass[w] for w in wallset.sep[chamber]]  # the class number of each wall crossed
+    flips = {cls: crossed.count(walk.klass[wids[0]]) % 2 if wids else 0 for cls, wids in class_wids.items()}
+    return _alternate(wallset, class_wids, walk.level, flips)
 
 
-def _alternate(wallset: WallSet, class_wids: dict, forest, numbers, flips: dict) -> list:
-    """flip * (-1)^level for the walls of each class, read off `forest`, in
-    which the classes have the numbers `numbers`."""
-    level, orientation = forest.level, [None] * len(wallset)
-    for (cls, wids), c in zip(class_wids.items(), numbers):
-        forest.check(c)
+def _alternate(wallset: WallSet, class_wids: dict, level: list, flips: dict) -> list:
+    """flip * (-1)^level for the walls of each class, with `level` indexed by wall id."""
+    orientation = [None] * len(wallset)
+    for cls, wids in class_wids.items():
         f = -1 if flips.get(cls) else 1
         for wid in wids:
             orientation[wid] = f * (-1) ** level[wid]

@@ -17,21 +17,23 @@ generator and whether it is `determinate`.  No object per wall is kept;
 `WallSet.face_rows` lists each interior chamber's faces with their sides
 from e, once per wall set, for every tile alphabet over it.
 
-A disjoint class cuts the ball into regions that, with the class walls, form
-a tree (Davis 2008; Sageev 1995).  The trees of all classes of a palette
-form one ClassForest, and the WallSet keeps the last one built: one pass in
-id (ShortLex) order names each chamber's region in every class at once, by
-the last class wall its geodesic crosses; one check of every crossed class
-edge, over the edge tables, proves the regions right and gives each wall its
-parent region and its level from e.  A class inside a palette class, such as
-a refined color of wall_coloring, gets its tree by contraction: a wall's
-parent becomes its nearest ancestor in its own class, with no pass over the
-ball, and the kept forest holds the last contraction made from it.  A
-chamber's region in a class, the first class wall up its parent chain, and
-that region's level count the class walls separating the chamber from e
-(tiles.rebased_alternating).  Levels depend on walls beyond the ball too,
-which is why a wall whose edges all lie near the boundary is flagged not
-`determinate`.
+A class of walls no two of which cross cuts the ball into regions that, with
+the class walls, form a tree (Davis 2008; Sageev 1995).  The class walls
+separating a chamber from e are nested and its geodesic crosses them outward,
+so the innermost is the first class face up its ShortLex parent chain.  So a
+wall's level is one more than that of the first class face up the chain of its
+least edge's near chamber (1 when there is none), and that face is its parent
+in the class's tree, where the other level-1 walls hang under the class's
+least wall: one walk up the chain per class wall (class_walk), the same for a
+palette's classes and for classes inside them, such as the refined colors of
+wall_coloring.  A chamber's class walls are the class faces on its chain, so
+their parity flips a class when the base moves there
+(tiles.rebased_alternating).  The walk trusts that no two class walls cross,
+so it first certifies a class of two or more walls by the rule color_walls
+proves: every m_st is 2 or infinite, and no two distinct generators on its
+least edges commute, which every part of a valid palette's class passes.
+Levels depend on walls beyond the ball too, which is why a wall whose edges
+all lie near the boundary is flagged not `determinate`.
 
 A wall's reflection word is read straight off the ball: with (g, s) its
 least edge, nf(g s g^-1) = nf(g) s nf(g^-1) in every Coxeter system, so ids,
@@ -45,7 +47,7 @@ strings and no word tuple is built.
 """
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 
@@ -71,8 +73,8 @@ class WallSet:
     Wall objects, built on first read.
 
     A wall set keeps what every alphabet and orientation over it can share:
-    its `face_rows`, the ClassForest of its last pass over the ball (see
-    class_forest), and the alphabet of tiles.build_alphabet's last full pass,
+    its `face_rows`, the ClassWalk of the last classes walked (see
+    class_walk), and the alphabet of tiles.build_alphabet's last full pass,
     with a private copy of the wall colors it came from and the label each
     wall's base side saw.  A later alphabet whose colors equal the kept ones
     and whose orientation negates whole colors of the kept one is the kept
@@ -84,7 +86,7 @@ class WallSet:
         self.faces = faces  # laid out like Ball.nbr: chamber * rank + s -> wall id, or -1
         self.edge_start = edge_start  # wall id -> its first entry in edge_faces; one more at the end
         self.edge_faces = edge_faces
-        self._forest = None  # the ClassForest of the last pass over the ball, see class_forest
+        self._walk = None  # the ClassWalk of the last classes walked, see class_walk
         self._alphabet = None  # what tiles.build_alphabet keeps of its last full pass, see there
 
     def __len__(self):
@@ -410,7 +412,7 @@ def separates_by_components(wallset: WallSet, wid: int, a: int, b: int):
 class WallClasses:
     """Palette-induced wall classes, and the generator pairs whose walls of
     one color cross somewhere in the tiling (color_walls).  The classes of a
-    disjoint palette get their region trees from one ClassForest pass."""
+    disjoint palette get their levels and trees from one walk (class_walk)."""
 
     by_color: dict
     color: list  # wall id -> color
@@ -456,12 +458,15 @@ def color_walls(wallset: WallSet, palette: dict) -> WallClasses:
     by_color: dict = {}
     for wid, c in enumerate(color):
         by_color.setdefault(c, []).append(wid)
-    violations = []
-    for s, t in combinations(range(n), 2):
-        m = system.m(s, t)  # 0 is infinity
-        if m >= 3 or m == 2 and palette[s] == palette[t]:
-            violations.append((s, t, m))
-    return WallClasses(by_color, color, violations)
+    return WallClasses(by_color, color, _crossing_pairs(system, lambda s, t: palette[s] == palette[t]))
+
+
+def _crossing_pairs(system, together) -> list:
+    """(s, t, m_st) for each pair s < t, in generator order, whose walls cross
+    somewhere in the tiling when `together` puts them in one class: a finite
+    m_st >= 3, or m_st = 2 and together(s, t) (see color_walls)."""
+    return [(s, t, m) for s, t in combinations(range(system.rank), 2)
+            if (m := system.m(s, t)) >= 3 or m == 2 and together(s, t)]  # m = 0 is infinity
 
 
 def alternating_palette(system) -> dict:
@@ -475,158 +480,92 @@ def alternating_palette(system) -> dict:
 
 
 @dataclass
-class ClassForest:
-    """The region trees of some disjoint wall classes, one tree per class.
+class ClassWalk:
+    """Levels and trees of some wall classes, from one walk up the parent
+    chain per class wall (class_walk).
 
-    A class cuts the ball into regions, each named by the class wall between
-    it and e (-1 for e's own).  klass[w] is wall w's class number (-1 outside
-    every class); wall w leads from region parent[w] into region w, and
-    level[w] is its depth in that tree, which is its peeling level from e.
-    failed[c] is the least wall of class c whose separators are not nested,
-    or -1; a class that failed has no tree, and its parent and level entries
-    mean nothing.  contracted holds the last contraction made from this
-    forest (see class_forest).
+    klass[w] is wall w's class number (-1 outside every class), level[w] its
+    peeling level from e, parent[w] its parent in its class's tree (None at
+    the root, the class's least wall, under which the other level-1 walls
+    hang) and depth[w] its depth there.  Walls outside every class get None
+    and zeros.
     """
 
     klass: list
     sizes: list  # class number -> number of its walls
-    parent: list
     level: list
-    failed: list
-    contracted: "ClassForest | None" = field(default=None, repr=False, compare=False)
+    parent: list
+    depth: list
 
-    def home(self, wids) -> int:
-        """The class holding every wall of the list wids, or -1 (also when it is empty)."""
-        found = set(map(self.klass.__getitem__, wids))
-        return found.pop() if len(found) == 1 else -1
-
-    def check(self, c: int) -> None:
-        """Raise StructureError when class c failed the nesting check."""
-        if self.failed[c] >= 0:
-            raise StructureError(f"separators of wall {self.failed[c]} are not nested; class is not disjoint")
-
-    def region_of(self, wallset: WallSet, c: int, g: int) -> int:
-        """The region of class c holding chamber g: the first class wall met
-        going up g's ShortLex parent chain, which is the last one its geodesic
-        crosses.  It and its ancestors are the class walls separating g from e."""
-        klass, faces = self.klass, wallset.faces
-        for i in wallset.ball.parent_faces(g):
-            if klass[faces[i]] == c:
-                return faces[i]
-        return -1
+    def holds(self, wids) -> bool:
+        """True when the wall id list wids is one of the walk's classes, matched by home and size."""
+        homes = set(map(self.klass.__getitem__, wids))
+        return len(homes) == 1 and (c := homes.pop()) >= 0 and self.sizes[c] == len(wids)
 
 
-def class_forest(wallset: WallSet, classes) -> tuple:
-    """A forest holding each of `classes` (wall id lists) as one class, and
-    their class numbers in it.
-
-    The WallSet keeps the forest of its last pass over the ball, and that
-    forest keeps its last contraction.  Either serves as it is when each
-    class is one of its classes, matched by home and size.  Otherwise, when
-    each lies inside one of the kept forest's classes that passed the nesting
-    check, as the refined colors of wall_coloring lie in their palette
-    classes, a contraction of its trees (_contract) is made and kept, so the
-    rebases and peels of one refined resolution share one; it replaces the
-    contraction kept before.  Otherwise a pass builds the trees
-    (_region_pass), and its forest replaces the kept one.  So a WallSet holds
-    one forest and at most one contraction of it.
+def class_walk(wallset: WallSet, classes) -> ClassWalk:
+    """The walk of `classes` (wall id lists), in which each class's walls
+    share one class number (see the module docstring).  A wall's tree parent
+    has a lower id, as its least edge lies below, so a class walked in id
+    order meets each parent first, and its least wall, of level 1, is its
+    root; the chamber a climb starts from keeps its answer for the later
+    climbs of its class.  A class of two or more walls is first certified
+    from the Coxeter matrix, or refused with StructureError at the first pair
+    _crossing_pairs finds for its generators.  The WallSet keeps its last
+    walk, which serves as it is when it holds each class, as for the rebases
+    and single-class peels of one refined resolution.
     """
     classes = [list(wids) for wids in classes]
-    kept = wallset._forest
-    if kept is not None:
-        for forest in (kept, kept.contracted):
-            if forest is not None:
-                homes = [forest.home(wids) for wids in classes]
-                if all(c >= 0 and forest.sizes[c] == len(wids) for c, wids in zip(homes, classes)):
-                    return forest, homes
-        if all(c >= 0 and kept.failed[c] < 0 for c in map(kept.home, classes)):
-            kept.contracted = _contract(kept, classes)
-            return kept.contracted, list(range(len(classes)))
-    wallset._forest = _region_pass(wallset, classes)
-    return wallset._forest, list(range(len(classes)))
-
-
-def _class_numbers(count: int, classes) -> list:
-    klass = [-1] * count
+    kept = wallset._walk
+    if kept is not None and all(map(kept.holds, classes)):
+        return kept
+    system, faces, count = wallset.ball.system, wallset.faces, len(wallset)
+    n, nbr, last = system.rank, wallset.ball.nbr, wallset.ball.last
+    klass, table, first = [-1] * count, wallset.edge_faces, wallset.edge_start
+    seen, found = [-1] * len(last), [-1] * len(last)  # chamber -> the class of its climb, and its answer
+    level, parent, depth = [0] * (count + 1), [None] * count, [0] * count  # level[-1], popped below, is e's
     for c, wids in enumerate(classes):
+        generators = {table[first[w]] % n for w in wids}
+        crossing = len(wids) > 1 and _crossing_pairs(system, lambda s, t: s in generators and t in generators)
+        if crossing:
+            s, t, m = crossing[0]
+            raise StructureError(f"class of {len(wids)} walls is not certified disjoint: generators "
+                                 f"{system.generators[s]!r} and {system.generators[t]!r} have order {m}")
         for w in wids:
             klass[w] = c
-    return klass
-
-
-def _region_pass(wallset: WallSet, classes) -> ClassForest:
-    """The region trees of the classes from one pass over the ball.
-
-    Visited in id order, each chamber meets its ShortLex parent first, so one
-    pass names each chamber's region for every class at once: the class wall
-    its geodesic from e crosses last.  A check of both ends of every crossed
-    class edge then proves, by induction on |g|, that the class walls
-    separating g from e are its region and that region's ancestors.  Walls go
-    in id order, so a wall's parent region, e's or a wall of lower id, is
-    placed first, and its level is one more than its parent's.
-    """
-    ball, faces, start, table = wallset.ball, wallset.faces, wallset.edge_start, wallset.edge_faces
-    n, nbr, last = ball.system.rank, ball.nbr, ball.last
-    klass = _class_numbers(len(wallset), classes)
-    regions = [[-1] * len(ball) for _ in classes]
-    for g in range(1, len(ball)):
-        i = g * n + last[g]  # the face g shares with its ShortLex parent
-        p = nbr[i]
-        for region in regions:
-            region[g] = region[p]
-        c = klass[faces[i]]
-        if c >= 0:
-            regions[c][g] = faces[i]
-    parent, failed = [-1] * len(wallset), [-1] * len(classes)
-    level = [0] * (len(wallset) + 1)  # level[-1], the entry popped at the end, is e's region's
-    for w, (a, b) in enumerate(zip(start, start[1:])):
-        c = klass[w]
-        if c < 0 or failed[c] >= 0:
-            continue
-        region = regions[c]
-        p = region[table[a] // n]  # the region on the near side of the wall's least edge
-        if p < w:
-            for f in table[a:b]:
-                if region[f // n] != p or region[nbr[f]] != w:
+        root = None
+        for w in sorted(wids):
+            g = start = table[first[w]] // n
+            while g:
+                if seen[g] == c:
+                    p = found[g]
                     break
+                i = g * n + last[g]
+                p = faces[i]
+                if klass[p] == c:
+                    break
+                g = nbr[i]
             else:
-                parent[w], level[w] = p, level[p] + 1
-                continue
-        failed[c] = w
+                p = -1
+            seen[start], found[start] = c, p
+            level[w] = level[p] + 1
+            if root is None:
+                root = w
+            else:
+                parent[w] = root if p < 0 else p
+                depth[w] = depth[parent[w]] + 1
     level.pop()
-    return ClassForest(klass, list(map(len, classes)), parent, level, failed)
-
-
-def _contract(forest: ClassForest, classes) -> ClassForest:
-    """Trees of classes that each lie inside a nested class of `forest`.
-
-    The walls of a subclass S that separate g from e are those of S among
-    the class walls separating g from e, which are g's region and its
-    ancestors; so the S wall g's geodesic crosses last is the deepest S wall
-    on that chain, and a wall's parent in S's tree is its nearest ancestor
-    in S.  Ancestors have lower ids, so one pass in id order places them first.
-    """
-    up = forest.parent
-    klass = _class_numbers(len(up), classes)
-    parent, level = [-1] * len(up), [0] * (len(up) + 1)  # level[-1] as in _region_pass
-    for w, c in enumerate(klass):
-        if c >= 0:
-            p = up[w]
-            while p >= 0 and klass[p] != c:
-                p = up[p]
-            parent[w], level[w] = p, level[p] + 1
-    level.pop()
-    return ClassForest(klass, list(map(len, classes)), parent, level, [-1] * len(classes))
+    wallset._walk = ClassWalk(klass, list(map(len, classes)), level, parent, depth)
+    return wallset._walk
 
 
 def peel_levels(wallset: WallSet, class_wids) -> dict:
     """Iterated peeling of a pairwise-disjoint wall class away from e: round
     k removes the walls no remaining class wall separates from e and labels
-    them level k, read off the class's tree in a ClassForest (class_forest).
-    Raises StructureError on walls that are not nested."""
-    forest, (c,) = class_forest(wallset, [class_wids])
-    forest.check(c)
-    return {w: forest.level[w] for w in sorted(class_wids)}
+    them level k, read off the class's walk (class_walk).  Raises
+    StructureError for a class the Coxeter matrix cannot certify disjoint."""
+    level = class_walk(wallset, [class_wids]).level
+    return {w: level[w] for w in sorted(class_wids)}
 
 
 # -- wall trees --------------------------------------------------------------
@@ -649,47 +588,28 @@ class WallTree:
 
 
 def build_wall_tree(wallset: WallSet, class_wids) -> WallTree:
-    """The WallTree of one class, read off class_trees."""
-    levels, parents = class_trees(wallset, [class_wids])
+    """The WallTree of one class, read off its walk (class_walk)."""
+    walk = class_walk(wallset, [class_wids])
     wids = sorted(class_wids)
-    root = next((w for w in wids if parents[w] is None), None)
-    if root is None:
+    if not wids:
         raise StructureError("class has no level-1 wall")
-    depth = _tree_depths(parents)
-    parent = {w: parents[w] for w in wids if w != root}
+    parent = {w: walk.parent[w] for w in wids[1:]}
     edges = sorted((p, w) for w, p in parent.items())
-    depth, levels = {w: depth[w] for w in wids}, {w: levels[w] for w in wids}
-    return WallTree(wids, edges, root, parent, depth, levels)
+    depth, levels = {w: walk.depth[w] for w in wids}, {w: walk.level[w] for w in wids}
+    return WallTree(wids, edges, wids[0], parent, depth, levels)
 
 
 def class_trees(wallset: WallSet, classes) -> tuple:
     """Wall id -> level from e, and wall id -> tree parent (None at a root), for
     the trees of `classes` (wall id lists, such as a palette's by_color
-    values): a wall hangs under its forest parent, a level-1 wall under its
-    class's root, its level-1 wall of least id and so of least word
+    values), read off their walk (class_walk): a wall hangs under the first
+    face of its class up its near chamber's parent chain, a level-1 wall
+    under its class's root, its least wall and so the one of least word
     (WallSet.canonical_word).  The entries of walls outside `classes` mean
     nothing.  Raises StructureError for the first class, in the given order,
-    that is not nested."""
-    forest, numbers = class_forest(wallset, classes)
-    for c in numbers:
-        forest.check(c)
-    roots = {}  # class number -> its least level-1 wall
-    for w, p in enumerate(forest.parent):
-        if p < 0:
-            roots.setdefault(forest.klass[w], w)
-    parents = [roots[c] if p < 0 else p for p, c in zip(forest.parent, forest.klass)]
-    for root in roots.values():
-        parents[root] = None
-    return forest.level, parents
-
-
-def _tree_depths(parents) -> list:
-    """Wall id -> depth in its class tree, from class_trees' parents, in id
-    order: a tree parent has a lower id, so its depth comes first."""
-    depth = []
-    for p in parents:
-        depth.append(0 if p is None else depth[p] + 1)
-    return depth
+    that the Coxeter matrix cannot certify disjoint."""
+    walk = class_walk(wallset, classes)
+    return walk.level, walk.parent
 
 
 # -- the wall coloring built from per-class trees ------------------------------
@@ -697,15 +617,15 @@ def _tree_depths(parents) -> list:
 
 def wall_coloring(wallset: WallSet, classes: WallClasses):
     """Color every wall by (class color, depth color in its WallTree, the depth
-    read off class_trees), and return the coloring, a list indexed by wall id,
-    and the palette.
+    read off one walk of the palette's classes, class_walk), and return the
+    coloring, a list indexed by wall id, and the palette.
 
     Per class the nine depth colors are `norm_color(d)` = (t(d), d mod 3)
     with t the ternary square-free sequence, so distinct classes never share
     a color and the total palette has nine colors per class.  The walls of
     one class at one depth share one color tuple.
     """
-    depth = _tree_depths(class_trees(wallset, classes.by_color.values())[1])
+    depth = class_walk(wallset, classes.by_color.values()).depth
     by_depth = [norm_color(d) for d in range(max(depth, default=0) + 1)]
     shades = {color: [(color, c) for c in by_depth] for color in classes.by_color}
     color_of = [shades[color][d] for color, d in zip(classes.color, depth)]

@@ -1,7 +1,8 @@
 """The rebase check that re-peels every class from the new base chamber, kept
 as a test oracle for coxtile.tiles.rebased_alternating, which reads each
-class's flip off the class forest instead.  It re-peels with the round-based
-peeling of peel_oracle.py, so it reads no class forest.  Used only by tests.
+class's flip off the parity of its faces on the chamber's parent chain
+instead.  It re-peels with the round-based peeling of peel_oracle.py, so it
+reads no class walk.  Used only by tests.
 """
 
 from dataclasses import dataclass

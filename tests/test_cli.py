@@ -7,12 +7,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import forest_oracle
 import pytest
 from cli_report import parse_report
 
 from coxtile.cli import build_parser, emit_report, main
+from coxtile.coxeter import CoxeterSystem, enumerate_ball
+from coxtile.errors import StructureError
 from coxtile.ratlp import LPResult
-from coxtile.walls import enumerate_walls
+from coxtile.walls import color_walls, enumerate_walls
 
 
 def run(argv):
@@ -456,6 +459,25 @@ def _walls_with_corrupt_faces(ball):
     return ws
 
 
+def test_corrupt_faces_trip_the_forest_oracle_edge_check():
+    # the walk trusts the tables it climbs, so the corrupted table reaches the
+    # walls report; the class forest's edge check, kept as a test oracle,
+    # still rejects wall 0's class
+    system = CoxeterSystem.right_angled_polygon(6)
+    ws = _walls_with_corrupt_faces(enumerate_ball(system, 2))
+    classes = color_walls(ws, dict(enumerate(system.generators)))  # the walls report's default palette
+    with pytest.raises(StructureError, match="^separators of wall 0 are not nested; class is not disjoint$"):
+        forest_oracle.class_trees(ws, classes.by_color.values())
+
+
+def _one_colour_walls_reported_disjoint(wallset, palette):
+    # every wall in one class, with the Coxeter matrix's verdict dropped: the
+    # class walk's own certificate must still refuse the class
+    classes = color_walls(wallset, dict.fromkeys(palette, "x"))
+    classes.violations.clear()
+    return classes
+
+
 @pytest.mark.parametrize(
     "target, fake, argv",
     [
@@ -470,12 +492,12 @@ def _walls_with_corrupt_faces(ball):
             ["balance", "--system", "hexagon", "--radius", "3", "--palette", "alternating"],
         ),
         (
-            "coxtile.pipeline.enumerate_walls",
-            _walls_with_corrupt_faces,
+            "coxtile.cli.color_walls",
+            _one_colour_walls_reported_disjoint,
             ["walls", "--system", "hexagon", "--radius", "2"],
         ),
     ],
-    ids=["norm-parity", "lp-unbounded", "near-chamber"],
+    ids=["norm-parity", "lp-unbounded", "uncertified-class"],
 )
 def test_broken_invariant_exits_2_with_one_error_line(monkeypatch, capsys, target, fake, argv):
     monkeypatch.setattr(target, fake)

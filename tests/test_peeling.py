@@ -1,21 +1,26 @@
-"""Region-tree peeling and wall trees against the round-based versions they
-replaced (tests/peel_oracle.py).
+"""Levels and wall trees from the walk up the parent chain, against the
+round-based peeling (tests/peel_oracle.py) and the class forest
+(tests/forest_oracle.py) they replaced.
 
-The oracle asks WallSet.separating_walls for each wall and rescans every
-active wall per round; coxtile.walls names each chamber's region by the last
-class wall its geodesic crosses, checks every crossed class edge against
-that table, and reads levels and trees off the region tree.  Levels and
-trees (with their levels) must agree on every disjoint class tried.  The
-library peels from e only; rebased signs come from region parity
-(tiles.rebased_alternating), checked here against the oracle's peeling from
-other bases.  On a class whose walls are not nested the oracle may still
-peel, or stall, while the edge check rejects the class.
+The round-based oracle asks WallSet.separating_walls for each wall and
+rescans every active wall per round; the forest oracle names each chamber's
+region by the last class wall its geodesic crosses and checks every crossed
+class edge against that table; coxtile.walls walks up from each class wall's
+near chamber to the first face of its class.  Levels and trees (with their
+levels) must agree on every disjoint class tried.  The library peels from e
+only; rebased signs come from the parity of the class faces on the base's
+chain (tiles.rebased_alternating), checked here against the oracle's peeling
+from other bases.  A class the Coxeter matrix cannot certify disjoint is
+refused before any walk; corrupted tables, which the walk reads without
+complaint, trip the forest oracle's edge check, while the round-based oracle
+may still peel, or stall.
 """
 
 import io
 import json
 import random
 
+import forest_oracle
 import peel_oracle
 import pytest
 
@@ -27,11 +32,11 @@ from coxtile.pipeline import alternating_resolution
 from coxtile.sequences import square_free_prefix
 from coxtile.tiles import orient_alternating, rebased_alternating
 from coxtile.walls import (
-    ClassForest,
+    ClassWalk,
     alternating_palette,
     build_wall_tree,
-    class_forest,
     class_trees,
+    class_walk,
     color_walls,
     enumerate_walls,
     peel_levels,
@@ -124,12 +129,13 @@ def test_rebased_alternating_matches_oracle_repeeling(system, radius, refine, mo
     # from the new base, each wall's side taken from crossing parity; and the
     # rebase is the alternating rule with the one flip per class that the
     # oracle's levels from e and from the base give
-    passes = count_region_passes(monkeypatch)
+    walks = count_walks(monkeypatch)
     ball, ws = make(system, radius)
     res = alternating_resolution(ws, alternating_palette(system), refine=refine)
-    # one pass for the palette; refined colors are contracted from its trees
-    assert passes == [[len(w) for w in color_walls(ws, alternating_palette(system)).by_color.values()]]
-    kept = ws._forest
+    # one walk for the palette, and one more for its refined colors
+    palette_sizes = [len(w) for w in color_walls(ws, alternating_palette(system)).by_color.values()]
+    assert walks == [palette_sizes] + [list(map(len, res.class_wids.values()))] * refine
+    kept = ws._walk
     from_e = {cls: peel_oracle.peel_levels(ws, wids) for cls, wids in res.class_wids.items()}
     for base in random.Random(radius).sample(range(1, len(ball)), 25):
         expected, flips = {}, {}
@@ -142,8 +148,8 @@ def test_rebased_alternating_matches_oracle_repeeling(system, radius, refine, mo
         rebased = rebased_alternating(ws, res.class_wids, base)
         assert dict(enumerate(rebased)) == expected
         assert rebased == orient_alternating(ws, res.class_wids, flips)
-    # every rebase read the palette's forest, the one kept, with no further pass over the ball
-    assert len(passes) == 1 and ws._forest is kept
+    # every rebase read the resolution's walk, the one kept, with no further walk
+    assert len(walks) == 1 + refine and ws._walk is kept
 
 
 def random_right_angled(rng, rank):
@@ -170,9 +176,9 @@ FOREST_INPUTS = [
 
 @pytest.mark.parametrize("system, palette, radius", FOREST_INPUTS)
 def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
-    # one pass for the palette, kept, and a contraction for its refined colors; levels
-    # and innermost separators from e read off the forest as they stand
-    passes = count_region_passes(monkeypatch)
+    # one walk for the palette, kept until one for its refined colors replaces
+    # it; levels and innermost separators from e read off each walk as it stands
+    walks = count_walks(monkeypatch)
     ball, ws = make(system, radius)
     classes = color_walls(ws, palette)
     assert classes.disjoint
@@ -180,16 +186,61 @@ def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
     refined = {}
     for wid, color in enumerate(color_of):
         refined.setdefault(color, []).append(wid)
-    palette_forest = class_forest(ws, classes.by_color.values())[0]
-    refined_forest = class_forest(ws, refined.values())[0]
-    assert len(passes) == 1 and ws._forest is palette_forest is not refined_forest
-    for forest, group in ((palette_forest, classes.by_color), (refined_forest, refined)):
+    palette_walk = class_walk(ws, classes.by_color.values())
+    assert len(walks) == 1 and ws._walk is palette_walk
+    refined_walk = class_walk(ws, refined.values())
+    assert len(walks) == 2 and ws._walk is refined_walk is not palette_walk
+    for walk, group in ((palette_walk, classes.by_color), (refined_walk, refined)):
         for wids in group.values():
             tree = peel_oracle.build_wall_tree(ws, wids)
-            assert {w: forest.level[w] for w in wids} == tree.levels
+            assert {w: walk.level[w] for w in wids} == tree.levels
             inner = {w: p for w, p in tree.parent.items() if tree.levels[w] > 1}
-            assert {w: forest.parent[w] for w in wids if forest.parent[w] >= 0} == inner
-    assert len(passes) == 1 and ws._forest is palette_forest
+            assert {w: walk.parent[w] for w in wids if walk.level[w] > 1} == inner
+    assert len(walks) == 2 and ws._walk is refined_walk
+
+
+def assert_walk_matches_forest(walk, forest, classes):
+    """The walk's levels and tree parents against the forest oracle's on every
+    class wall: a wall the forest hangs under e's region hangs under its
+    class's root, its least wall, which has no parent."""
+    for wids in classes:
+        root = min(wids)
+        assert [walk.level[w] for w in wids] == [forest.level[w] for w in wids]
+        assert [walk.parent[w] for w in wids] == [
+            None if w == root else root if forest.parent[w] < 0 else forest.parent[w] for w in wids]
+
+
+WALK_INPUTS = [
+    *[pytest.param(system, palette, top, id=name) for name, system, palette, top in ORACLE_INPUTS],
+    *FOREST_INPUTS,
+    *[pytest.param(*random_right_angled(random.Random(seed), 3 + seed % 5), 6 - seed % 3,
+                   id=f"right-angled-{seed}") for seed in range(4, 12)],
+]
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["palette", "refined"])
+@pytest.mark.parametrize("system, palette, radius", WALK_INPUTS)
+def test_walk_matches_region_pass_and_contraction(system, palette, radius, refine):
+    # the walk against the region pass and the contraction it replaced
+    # (tests/forest_oracle.py): a palette's classes against one pass over the
+    # ball, its refined colors and seeded parts of its classes against the
+    # contraction of that pass, whose edge check every class passes
+    ball, ws = make(system, radius)
+    classes = color_walls(ws, palette)
+    assert classes.disjoint
+    lists = list(classes.by_color.values())
+    forest = forest_oracle._region_pass(ws, lists)
+    assert forest.failed == [-1] * len(lists)
+    if refine:
+        rng = random.Random(radius)
+        refined = {}
+        for wid, color in enumerate(wall_coloring(ws, classes)[0]):
+            refined.setdefault(color, []).append(wid)
+        parts = [sorted(rng.sample(wids, len(wids) // 2 + 1)) for wids in lists]
+        for group in (list(refined.values()), parts):
+            assert_walk_matches_forest(class_walk(ws, group), forest_oracle._contract(forest, group), group)
+    else:
+        assert_walk_matches_forest(class_walk(ws, lists), forest, lists)
 
 
 @pytest.mark.parametrize("system, palette, radius", FOREST_INPUTS)
@@ -208,42 +259,38 @@ def test_wall_coloring_matches_oracle_tree_depths(system, palette, radius):
 
 
 def test_wall_set_keeps_one_forest(monkeypatch):
-    # refined colors are contracted from the palette's forest and palette
-    # classes read it as it stands: neither adds a pass.  The palette forest
-    # holds one contraction, for the last class list asked for, and the wall
-    # set holds nothing else: one forest plus at most one contraction
-    passes = count_region_passes(monkeypatch)
-    contractions = []
-    real = coxtile.walls._contract
-    monkeypatch.setattr(coxtile.walls, "_contract", lambda f, c: contractions.append(c) or real(f, c))
+    # a wall set keeps one walk, its last: the single-class peels of the
+    # refined colors read the refined walk as it stands, a palette class
+    # asked for alone makes a walk of its own in its place, and the refined
+    # colors asked for again make theirs anew
+    walks = count_walks(monkeypatch)
     ball, ws = make(HEXAGON, 5)
     classes = color_walls(ws, alternating_palette(HEXAGON))
     color_of, _palette = wall_coloring(ws, classes)
-    kept = ws._forest
+    assert len(walks) == 1
     refined = {}
     for wid, color in enumerate(color_of):
         refined.setdefault(color, []).append(wid)
 
     def held():
-        forests = [x for v in vars(ws).values() for x in (v if isinstance(v, list) else [v])
-                   if isinstance(x, ClassForest)]
-        nested = [f.contracted for f in forests if f.contracted is not None]
-        assert all(f.contracted is None for f in nested)
-        return forests, nested
+        return [x for v in vars(ws).values() for x in (v if isinstance(v, list) else [v])
+                if isinstance(x, ClassWalk)]
 
-    for wids in [*refined.values(), *classes.by_color.values()]:
+    kept = class_walk(ws, refined.values())
+    for wids in refined.values():
         peel_levels(ws, wids)
-        forests, nested = held()
-        assert forests == [kept] and len(nested) <= 1
-    # refined -> palette -> refined: the second refined read reuses the contraction
-    made = len(contractions)
-    first, _ = class_forest(ws, refined.values())
-    assert class_forest(ws, classes.by_color.values())[0] is kept
-    assert class_forest(ws, refined.values())[0] is first
-    forests, nested = held()
-    assert len(contractions) == made + 1
-    assert len(forests) == len(nested) == 1 and forests[0] is kept and nested[0] is first
-    assert len(passes) == 1
+        assert held() == [kept] and held()[0] is kept
+    assert len(walks) == 2
+    for wids in classes.by_color.values():
+        peel_levels(ws, wids)
+        assert len(held()) == 1 and held()[0].sizes == [len(wids)]
+    assert len(walks) == 2 + len(classes.by_color)
+    # refined -> palette -> refined: one walk each, equal to the first refined one
+    first = class_walk(ws, refined.values())
+    assert class_walk(ws, classes.by_color.values()) is ws._walk is not first
+    again = class_walk(ws, refined.values())
+    assert again == first == kept and again is not first
+    assert held() == [again] and len(walks) == 5 + len(classes.by_color)
 
 
 def hexagon_class_lists(ws, refine):
@@ -260,43 +307,39 @@ def hexagon_class_lists(ws, refine):
 
 @pytest.mark.parametrize("refine", [False, True], ids=["palette", "refined"])
 def test_class_forest_reads_a_class_in_any_order(refine):
-    # class_forest reads each class as a set of walls (its home, its size and
+    # class_walk reads each class as a set of walls (its home, its size and
     # the class number of each wall), so shuffled and reversed lists give the
-    # forest and numbers the increasing ones give, on a fresh wall set, and on
-    # the wall set that keeps that forest they return it as it stands
+    # walk the increasing ones give, on a fresh wall set, and on the wall set
+    # that keeps that walk they return it as it stands
     rng = random.Random(5)
     _, ws = make(HEXAGON, 5)
     lists = hexagon_class_lists(ws, refine)
     assert all(wids == sorted(wids) for wids in lists) and len(lists) > 1
-    forest, numbers = class_forest(ws, lists)
-    palette_forest = ws._forest
+    walk = class_walk(ws, lists)
     for order in ([wids[::-1] for wids in lists], [rng.sample(wids, len(wids)) for wids in lists]):
         _, fresh = make(HEXAGON, 5)
         assert hexagon_class_lists(fresh, refine) == lists
-        assert class_forest(fresh, order) == (forest, numbers)
-        got, got_numbers = class_forest(ws, order)
-        assert got is forest and got_numbers == numbers
-    # the wall set still holds one forest, and at most one contraction of it
-    assert ws._forest is palette_forest
-    assert (palette_forest.contracted is forest) if refine else (palette_forest is forest)
+        assert class_walk(fresh, order) == walk
+        assert class_walk(ws, order) is walk
+    # the wall set still holds that one walk
+    assert ws._walk is walk
 
 
 def test_peeling_refined_classes_keeps_the_resolution_contraction(monkeypatch):
-    # a refined resolution's rebases read one contraction of the palette's
-    # forest; each refined class peeled on its own is one of that
-    # contraction's classes, so neither the peels nor a later rebase contract again
-    contractions = []
-    real = coxtile.walls._contract
-    monkeypatch.setattr(coxtile.walls, "_contract", lambda f, c: contractions.append(c) or real(f, c))
+    # a refined resolution's rebases read its one refined walk; each refined
+    # class peeled on its own is one of that walk's classes, so neither the
+    # peels nor a later rebase walk again
+    walks = count_walks(monkeypatch)
     ball, ws = make(HEXAGON, 5)
     res = alternating_resolution(ws, alternating_palette(HEXAGON), refine=True)
     rebased = rebased_alternating(ws, res.class_wids, 7)
-    kept = ws._forest.contracted
-    assert kept is not None and len(contractions) == 1 and len(res.class_wids) > 2
+    kept = ws._walk
+    assert kept.sizes == list(map(len, res.class_wids.values()))
+    assert len(walks) == 2 and len(res.class_wids) > 2  # the palette's, to color, and the refined colors'
     for wids in res.class_wids.values():
         assert peel_levels(ws, wids) == peel_oracle.peel_levels(ws, wids)
     assert rebased_alternating(ws, res.class_wids, 7) == rebased
-    assert len(contractions) == 1 and ws._forest.contracted is kept
+    assert len(walks) == 2 and ws._walk is kept
 
 
 @pytest.mark.parametrize(
@@ -335,12 +378,13 @@ def test_corrupt_face_trips_the_edge_check(end):
     # relabel the geodesic edge into one end of a crossed edge of each sampled
     # wall: the far end's region then misses the wall (given the other class's
     # label), or the near end's region is a class wall other than the region on
-    # the near side of the wall's least edge, which lies outside the relabelled subtree
+    # the near side of the wall's least edge, which lies outside the relabelled
+    # subtree.  The walk trusts the tables; the forest oracle's edge check does not
     ball, ws = make(HEXAGON, 4)
     classes = color_walls(ws, alternating_palette(HEXAGON))
     wids, other = classes.by_color["a"], classes.by_color["b"][0]
-    assert peel_levels(ws, wids) == peel_oracle.peel_levels(ws, wids)
-    parent = coxtile.walls.class_forest(ws, [wids])[0].parent  # the region on each wall's near side
+    assert peel_levels(ws, wids) == peel_oracle.peel_levels(ws, wids) == forest_oracle.peel_levels(ws, wids)
+    parent = forest_oracle._region_pass(ws, [wids]).parent  # the region on each wall's near side
     n = HEXAGON.rank
     spread = [w for w in wids if ws.walls[w].edges[0][0] < ws.walls[w].edges[-1][0]]
     for w in random.Random(4).sample(spread, 20):
@@ -355,7 +399,7 @@ def test_corrupt_face_trips_the_edge_check(end):
         broken = enumerate_walls(ball)
         broken.faces[x * n + t] = broken.faces[ball.nbr[x * n + t] * n + t] = label
         with pytest.raises(StructureError, match="separators of wall [0-9]+ are not nested"):
-            peel_levels(broken, wids)
+            forest_oracle.peel_levels(broken, wids)
 
 
 def test_single_colour_class_matches_oracle():
@@ -367,36 +411,42 @@ def test_single_colour_class_matches_oracle():
     # the round-based oracle peels from some bases and stalls from others
     oracle = [outcome(peel_oracle.peel_levels, ws, wids, base) for base in (0, 1, 7, 40)]
     assert [max(r.values()) if isinstance(r, dict) else r[0] for r in oracle] == [4, 5, "StructureError", 7]
-    # the edge check rejects the class, at the first wall whose edges disagree
-    with pytest.raises(StructureError, match="separators of wall 0 are not nested"):
+    # the Coxeter matrix cannot certify the class: s0 and s1 commute, so
+    # their walls cross at e, and no walk is made
+    refusal = "^class of 336 walls is not certified disjoint: generators 's0' and 's1' have order 2$"
+    with pytest.raises(StructureError, match=refusal):
         peel_levels(ws, wids)
-    with pytest.raises(StructureError, match="separators of wall 0 are not nested"):
+    with pytest.raises(StructureError, match=refusal):
         build_wall_tree(ws, wids)
+    assert ws._walk is None
+    # the forest oracle's edge check rejects it, at the first wall whose edges disagree
+    with pytest.raises(StructureError, match="separators of wall 0 are not nested"):
+        forest_oracle.peel_levels(ws, wids)
     # the oracle's own nesting check rejects its tree, naming another wall
     assert tree_outcome(peel_oracle.build_wall_tree, ws, wids) == (
         "StructureError", "separators of wall 24 are not nested; class is not disjoint")
 
 
-def count_region_passes(monkeypatch):
-    """Class sizes of every forest built by a pass over the ball, from now on."""
-    passes = []
-    real = coxtile.walls._region_pass
+def count_walks(monkeypatch):
+    """Class sizes of every walk made, from now on."""
+    walks = []
 
-    def counting(wallset, classes):
-        passes.append(list(map(len, classes)))
-        return real(wallset, classes)
+    class Counted(ClassWalk):
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            walks.append(self.sizes)
 
-    monkeypatch.setattr(coxtile.walls, "_region_pass", counting)
-    return passes
+    monkeypatch.setattr(coxtile.walls, "ClassWalk", Counted)
+    return walks
 
 
 def test_walls_cli_makes_one_forest_pass_per_palette(monkeypatch):
-    passes = count_region_passes(monkeypatch)
+    walks = count_walks(monkeypatch)
     argv = ["walls", "--system", "hexagon", "--radius", "5", "--palette", "alternating"]
     assert main(argv, out=io.StringIO()) == 0
     ball, ws = make(HEXAGON, 5)
     classes = color_walls(ws, alternating_palette(HEXAGON))
-    assert passes == [list(map(len, classes.by_color.values()))]
+    assert walks == [list(map(len, classes.by_color.values()))]
 
 
 def plant_cycle(ws, cycle):
@@ -427,19 +477,21 @@ def pick_walls(ws, wids, count):
 
 @pytest.mark.parametrize("length", [2, 3])
 def test_cyclic_blockers_stall_both_versions(length):
-    # the oracle stalls on the cycle; the region tree cannot hold it, so the edge check fails
+    # the oracle stalls on the cycle; the region tree cannot hold it, so the
+    # forest oracle's edge check fails
     ball, ws = make(HEXAGON, 4)
     wids = color_walls(ws, alternating_palette(HEXAGON)).by_color["a"]
     plant_cycle(ws, pick_walls(ws, wids, length))
     with pytest.raises(StructureError, match="peeling stalled"):
         peel_oracle.peel_levels(ws, wids)
     with pytest.raises(StructureError, match="separators of wall [0-9]+ are not nested"):
-        peel_levels(ws, wids)
+        forest_oracle.peel_levels(ws, wids)
 
 
-def test_walls_report_names_the_first_failing_class_in_by_color_order():
-    # both classes fail the nesting check; the report's trees raise for the
-    # first class in by_color order, naming the wall a pass over that class alone names
+def test_walls_report_names_the_first_failing_class_in_by_color_order(monkeypatch):
+    # both classes fail the forest oracle's nesting check; its trees raise for
+    # the first class in by_color order, naming the wall a pass over that class
+    # alone names, and so does wall_coloring when its walk is checked that way
     def corrupted():
         ball, ws = make(HEXAGON, 4)
         classes = color_walls(ws, alternating_palette(HEXAGON))
@@ -454,12 +506,19 @@ def test_walls_report_names_the_first_failing_class_in_by_color_order():
     messages = []
     for wids in classes.by_color.values():
         with pytest.raises(StructureError, match="separators of wall [0-9]+ are not nested") as err:
-            peel_levels(corrupted()[0], wids)
+            forest_oracle.peel_levels(corrupted()[0], wids)
         messages.append(str(err.value))
     assert len(set(messages)) == 2
     with pytest.raises(StructureError) as err:
-        class_trees(ws, classes.by_color.values())
+        forest_oracle.class_trees(ws, classes.by_color.values())
     assert str(err.value) == messages[0]
+    real = coxtile.walls.class_walk
+
+    def checked_walk(wallset, classes):
+        forest_oracle.class_trees(wallset, classes)  # the edge check, class by class in the given order
+        return real(wallset, classes)
+
+    monkeypatch.setattr(coxtile.walls, "class_walk", checked_walk)
     with pytest.raises(StructureError) as err:
         wall_coloring(*corrupted())
     assert str(err.value) == messages[0]
@@ -477,8 +536,65 @@ def test_cycle_through_separating_walls_stalls_oracle(monkeypatch):
     monkeypatch.setattr(type(ws), "separating_walls", cyclic)
     with pytest.raises(StructureError, match="peeling stalled"):
         peel_oracle.peel_levels(ws, wids)
-    # the same cycle planted where the region pass reads it
+    # the same cycle planted where the forest oracle's region pass reads it
     monkeypatch.undo()
     plant_cycle(ws, [a, b])
     with pytest.raises(StructureError, match="separators of wall [0-9]+ are not nested"):
-        peel_levels(ws, wids)
+        forest_oracle.peel_levels(ws, wids)
+
+
+TRIANGLE = CoxeterSystem(("a", "b", "c"), ((1, 3, 3), (3, 1, 0), (3, 0, 1)))
+ONE_WALL_SYSTEMS = {
+    "hexagon": HEXAGON,
+    "33inf": TRIANGLE,
+    "237": CoxeterSystem(("a", "b", "c"), ((1, 2, 3), (2, 1, 7), (3, 7, 1))),
+    "444": CoxeterSystem(("a", "b", "c"), ((1, 4, 4), (4, 1, 4), (4, 4, 1))),
+    "5678": CoxeterSystem(("a", "b", "c", "d"), ((1, 5, 0, 8), (5, 1, 6, 0), (0, 6, 1, 7), (8, 0, 7, 1))),
+}
+
+# every entry point that reads levels off a walk, on the one class `wids`
+WALK_ENTRY_POINTS = {
+    "peel_levels": lambda ws, wids: peel_levels(ws, wids),
+    "build_wall_tree": lambda ws, wids: build_wall_tree(ws, wids).levels,
+    "class_trees": lambda ws, wids: {w: class_trees(ws, [wids])[0][w] for w in wids},
+    "orient_alternating": lambda ws, wids: {w: -orient_alternating(ws, {"x": wids})[w] for w in wids},
+    "rebased_alternating": lambda ws, wids: {w: -rebased_alternating(ws, {"x": wids}, 0)[w] for w in wids},
+}
+
+
+def assert_refused(entry, ws, wids, message):
+    # one error line, and no walk kept in place of the one before
+    kept = ws._walk
+    with pytest.raises(StructureError) as err:
+        WALK_ENTRY_POINTS[entry](ws, wids)
+    assert str(err.value) == message and "\n" not in message
+    assert ws._walk is kept
+
+
+@pytest.mark.parametrize("entry", sorted(WALK_ENTRY_POINTS))
+def test_one_colour_hexagon_class_is_refused(entry):
+    # s0 and s1 commute, so their walls cross at e
+    _, ws = make(HEXAGON, 3)
+    (wids,) = color_walls(ws, dict.fromkeys(range(6), "x")).by_color.values()
+    assert_refused(entry, ws, wids, f"class of {len(wids)} walls is not certified disjoint: "
+                                    "generators 's0' and 's1' have order 2")
+
+
+@pytest.mark.parametrize("entry", sorted(WALK_ENTRY_POINTS))
+def test_two_wall_class_on_the_33inf_triangle_is_refused(entry):
+    # m_ab = 3: the matrix certifies no class of two walls, even after a walk
+    # of one-wall classes is kept, and even for two walls of one generator
+    _, ws = make(TRIANGLE, 4)
+    b_walls = [w for w, f in enumerate(ws.least_faces()) if f % 3 == 1]
+    class_walk(ws, [[0], [1]])
+    for wids in ([0, len(ws) - 1], b_walls[:2]):
+        assert_refused(entry, ws, wids, "class of 2 walls is not certified disjoint: generators 'a' and 'b' have order 3")
+
+
+@pytest.mark.parametrize("entry", sorted(WALK_ENTRY_POINTS))
+@pytest.mark.parametrize("name", sorted(ONE_WALL_SYSTEMS))
+def test_one_wall_class_is_accepted_on_any_system(name, entry):
+    # one wall never crosses itself: level 1, from e and from e as the rebase chamber
+    _, ws = make(ONE_WALL_SYSTEMS[name], 3)
+    for w in (0, len(ws) // 2, len(ws) - 1):
+        assert WALK_ENTRY_POINTS[entry](ws, [w]) == {w: 1}

@@ -183,6 +183,18 @@ def test_bad_palette_raises():
         alternating_resolution(ws, {0: "c", 1: "c"})
 
 
+@pytest.mark.parametrize("bad", [0, 2, None])
+def test_build_alphabet_names_the_invalid_sign_after_a_valid_minus_one(bad):
+    # the refusal names the first wall whose sign is neither +1 nor -1, so a
+    # valid -1 before it is passed over
+    _, ws = build_walls(HEXAGON, 3)
+    colors = alternating_resolution(ws, alternating_palette(HEXAGON)).wall_colors
+    orientation = [-1, -1] + [1] * (len(ws) - 2)
+    orientation[3] = bad
+    with pytest.raises(ValidationError, match=f"^wall 3 has color '[ab]' and sign {bad}: every wall needs"):
+        build_alphabet(ws, colors, orientation)
+
+
 def test_rebase_identity_chamber():
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = build_walls(hexsys, 4)
@@ -254,15 +266,15 @@ def test_alternating_signs_match_peeled_levels(system, radius, refine):
 
 
 def test_alternating_resolution_peels_no_levels(monkeypatch):
-    # both resolutions read levels off class forests and peel nothing: a
-    # refined one reads the palette's forest to color (wall_coloring), and the
-    # alternating orientation reads one more forest (orient_alternating)
+    # both resolutions read levels off class walks and peel nothing: a
+    # refined one reads the palette's walk to color (wall_coloring), and the
+    # alternating orientation reads one more walk (orient_alternating)
     import coxtile.walls as walls
 
     calls = []
     for module in (tiles_module, walls):
-        real = module.class_forest
-        monkeypatch.setattr(module, "class_forest", lambda *args, real=real: calls.append(args) or real(*args))
+        real = module.class_walk
+        monkeypatch.setattr(module, "class_walk", lambda *args, real=real: calls.append(args) or real(*args))
 
     def refuse(*args):
         raise AssertionError("a peel was called")
@@ -281,14 +293,14 @@ def test_alternating_resolution_peels_no_levels(monkeypatch):
 @pytest.mark.parametrize("refine", [False, True], ids=["unrefined", "refined"])
 def test_all_plus_resolution_peels_on_first_read(monkeypatch, refine):
     # the all-plus orientation reads no level: building it peels nothing and
-    # reads a class forest only to color a refined palette; the levels peeled
+    # reads a class walk only to color a refined palette; the levels peeled
     # off its classes on a first read are those the alternating one signs by
     import coxtile.walls as walls
 
     calls = []
     for module in (tiles_module, walls):
-        real = module.class_forest
-        monkeypatch.setattr(module, "class_forest", lambda *args, real=real: calls.append(args) or real(*args))
+        real = module.class_walk
+        monkeypatch.setattr(module, "class_walk", lambda *args, real=real: calls.append(args) or real(*args))
 
     def refuse(*args):
         raise AssertionError("a peel was called")
