@@ -14,7 +14,6 @@ import sys
 from collections.abc import Iterator
 from itertools import islice
 from json.encoder import encode_basestring_ascii as quote
-from math import isfinite
 
 from . import __version__
 from .colorings import aperiodicity_report, norm_coloring
@@ -36,7 +35,7 @@ from .tiling_space import (
     restrict_patch,
     translate_compare,
 )
-from .walls import alternating_palette, class_trees, color_walls
+from .walls import alternating_palette, class_walk, color_walls
 
 REPORT_VERSION = 1
 
@@ -204,19 +203,17 @@ def _cmd_walls(args, out) -> int:
     classes = color_walls(wallset, palette)
     count = len(wallset)
     levels, parents = ["null"] * count, [None] * count  # classes that meet get no trees
-    if classes.disjoint:
-        levels, parents = class_trees(wallset, classes.by_color.values())
+    if classes.disjoint:  # exact at every radius (see coxtile.walls)
+        walk = class_walk(wallset, classes.by_color.values())
+        levels, parents = walk.level, walk.parent
     names = wallset.canonical_names()
     for w, name in enumerate(names):  # quoted in place: no second list of 65k strings
         names[w] = quote(name)
     shown = {color: quote(str(color)) for color in classes.by_color}
-    indeterminate = '"indeterminate"'
     walls = (  # rows as the encoder spells them, keys in emit_report's order
-        f'{{"canonical_word":{name},"color":{shown[color]},"level":{level if det else indeterminate},'
-        f'"tree_parent":{names[p] if p is not None and det else "null"}}}'
-        for name, color, level, p, det in zip(
-            names, classes.color, levels, parents, wallset.determinate()
-        )
+        f'{{"canonical_word":{name},"color":{shown[color]},"level":{level},'
+        f'"tree_parent":{"null" if p is None else names[p]}}}'
+        for name, color, level, p in zip(names, classes.color, levels, parents)
     )
     results = {
         "radius": args.radius,
@@ -261,13 +258,7 @@ def _cmd_balance(args, out) -> int:
 def _cmd_render(args, out) -> int:
     from .hyperbolic import render_svg
 
-    bundle = render_bundle(
-        args.n,
-        args.radius,
-        refine=not args.no_refine,
-        # a non-finite epsilon is refused with --no-deform too
-        epsilon_factor=0.0 if args.no_deform and isfinite(args.epsilon) else args.epsilon,
-    )
+    bundle = render_bundle(args.n, args.radius, refine=not args.no_refine, epsilon_factor=args.epsilon)
     svg = render_svg(bundle.tiles, bundle.face_data, stroke_width=args.stroke_width)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -363,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="half the polygon side count")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--no-deform", action="store_true", help="the epsilon = 0 deformation: undeformed tiles")
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--stroke-width", type=float, default=0.004)
     p.add_argument("--out")

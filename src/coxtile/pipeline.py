@@ -46,7 +46,7 @@ def _classes(wallset: WallSet, palette: dict, refine: bool):
         raise ValidationError(f"palette invalid: walls of one color cross in the residue of "
                               f"generators {a} and {b}, of order {m}")
     if refine:
-        wall_colors, _palette = wall_coloring(wallset, classes)
+        wall_colors = wall_coloring(wallset, classes)
         class_wids: dict = {}
         for wid, color in enumerate(wall_colors):
             class_wids.setdefault(color, []).append(wid)

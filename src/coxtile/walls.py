@@ -32,8 +32,15 @@ their parity flips a class when the base moves there
 so it first certifies a class of two or more walls by the rule color_walls
 proves: every m_st is 2 or infinite, and no two distinct generators on its
 least edges commute, which every part of a valid palette's class passes.
-Levels depend on walls beyond the ball too, which is why a wall whose edges
-all lie near the boundary is flagged not `determinate`.
+
+Every class wall's level and tree parent are exact at every radius.  Let c
+be the near chamber of class wall W's least edge.  A class wall V that
+separates e from W does not cross it, so W lies on V's far side and V
+separates e from c too; the converse holds as well, so the class walls above
+W are the class faces on c's chain.  Each chamber there has norm at most
+|c| <= R - 1, so the walk reads every one, and a class's root, its least
+generator's wall at e, lies in every ball of radius 1 or more (Davis 2008,
+ch. 12).
 
 A wall's reflection word is read straight off the ball: with (g, s) its
 least edge, nf(g s g^-1) = nf(g) s nf(g^-1) in every Coxeter system, so ids,
@@ -51,13 +58,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 
-from .colorings import NORM_PALETTE, norm_color
+from .colorings import norm_color
 from .coxeter import Ball, _coset_walks
 from .errors import InconclusiveError, OutOfBallError, StructureError, ValidationError
 
 
 @dataclass(slots=True)
 class Wall:
+    """A wall spelled from the edge tables.  determinate: its least edge lies at
+    least 3 below the outer sphere (its lower chamber has norm <= radius - 3)."""
+
     wid: int
     edges: list  # (chamber id, generator) with the lower-norm endpoint first
     generator: int  # generator of the ShortLex-least crossed edge
@@ -96,19 +106,13 @@ class WallSet:
         """Wall id -> the face g * rank + s of its least edge."""
         return list(map(self.edge_faces.__getitem__, self.edge_start[:-1]))
 
-    def determinate(self) -> list:
-        """Wall id -> True when its least edge leaves a chamber of norm at most
-        radius - 3, so that walls beyond the ball cannot change its level."""
-        ball = self.ball
-        n, norms, top = ball.system.rank, ball.norms, ball.radius - 3
-        return [norms[f // n] <= top for f in self.least_faces()]
-
     @cached_property
     def walls(self) -> list:
         """Wall id -> Wall, spelled from the edge tables on first read."""
         n, start, table = self.ball.system.rank, self.edge_start, self.edge_faces
-        return [Wall(w, [divmod(f, n) for f in table[a:b]], table[a] % n, det)
-                for w, (a, b, det) in enumerate(zip(start, start[1:], self.determinate()))]
+        norms, top = self.ball.norms, self.ball.radius - 3
+        return [Wall(w, [divmod(f, n) for f in table[a:b]], table[a] % n, norms[table[a] // n] <= top)
+                for w, (a, b) in enumerate(zip(start, start[1:]))]
 
     @property
     def sep(self):
@@ -599,35 +603,20 @@ def build_wall_tree(wallset: WallSet, class_wids) -> WallTree:
     return WallTree(wids, edges, wids[0], parent, depth, levels)
 
 
-def class_trees(wallset: WallSet, classes) -> tuple:
-    """Wall id -> level from e, and wall id -> tree parent (None at a root), for
-    the trees of `classes` (wall id lists, such as a palette's by_color
-    values), read off their walk (class_walk): a wall hangs under the first
-    face of its class up its near chamber's parent chain, a level-1 wall
-    under its class's root, its least wall and so the one of least word
-    (WallSet.canonical_word).  The entries of walls outside `classes` mean
-    nothing.  Raises StructureError for the first class, in the given order,
-    that the Coxeter matrix cannot certify disjoint."""
-    walk = class_walk(wallset, classes)
-    return walk.level, walk.parent
-
-
 # -- the wall coloring built from per-class trees ------------------------------
 
 
-def wall_coloring(wallset: WallSet, classes: WallClasses):
+def wall_coloring(wallset: WallSet, classes: WallClasses) -> list:
     """Color every wall by (class color, depth color in its WallTree, the depth
-    read off one walk of the palette's classes, class_walk), and return the
-    coloring, a list indexed by wall id, and the palette.
+    read off one walk of the palette's classes, class_walk), as a list
+    indexed by wall id.
 
     Per class the nine depth colors are `norm_color(d)` = (t(d), d mod 3)
     with t the ternary square-free sequence, so distinct classes never share
-    a color and the total palette has nine colors per class.  The walls of
-    one class at one depth share one color tuple.
+    a color and each class has nine colors.  The walls of one class at one
+    depth share one color tuple.
     """
     depth = class_walk(wallset, classes.by_color.values()).depth
     by_depth = [norm_color(d) for d in range(max(depth, default=0) + 1)]
     shades = {color: [(color, c) for c in by_depth] for color in classes.by_color}
-    color_of = [shades[color][d] for color, d in zip(classes.color, depth)]
-    palette = [(color, c) for color in sorted(classes.by_color, key=str) for c in NORM_PALETTE]
-    return color_of, palette
+    return [shades[color][d] for color, d in zip(classes.color, depth)]

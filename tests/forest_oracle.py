@@ -121,7 +121,7 @@ def peel_levels(wallset: WallSet, class_wids) -> dict:
 
 
 def class_trees(wallset: WallSet, classes) -> tuple:
-    """Levels and root-attached tree parents of the classes, as walls.class_trees
+    """Levels and root-attached tree parents of the classes, as walls.class_walk
     gives them, from one forest: StructureError for the first class, in the
     given order, whose walls are not nested."""
     forest = _region_pass(wallset, [list(wids) for wids in classes])

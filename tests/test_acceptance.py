@@ -236,11 +236,13 @@ def test_criterion_6_walls_levels_trees():
         # structural tree on the whole class
         if len(tree.edges) != len(tree.vertices) - 1 or set(tree.depth) != set(tree.vertices):
             _fail(6, desc, t0, f"tree malformed for class {color}")
-        det = {w for w in wids if ws.walls[w].determinate}
-        for w in det:
-            if w != tree.root and tree.parent[w] not in det:
-                _fail(6, desc, t0, f"determinate core disconnected at wall {w}")
-        if any(orientation[w] != (-1) ** level for w, level in peel_levels(ws, wids).items()):
+        levels = peel_levels(ws, wids)
+        for w in wids:  # every wall's level is exact, the boundary's too
+            p = tree.parent.get(w)
+            if w != tree.root and (p not in levels or levels[w] != levels[p] + 1
+                                   and not (p == tree.root and levels[w] == 1)):
+                _fail(6, desc, t0, f"parent link of wall {w} breaks the levels")
+        if any(orientation[w] != (-1) ** level for w, level in levels.items()):
             _fail(6, desc, t0, f"orientation of class {color} does not alternate by level")
     for cid in range(len(ball)):
         if not 0 < ball.norms[cid] <= 2:

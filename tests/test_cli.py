@@ -74,9 +74,9 @@ def test_walls_subcommand():
     res = doc["results"]
     assert res["classes_disjoint"] is True
     assert all(w["color"] in ("a", "b") for w in res["walls"])
-    # determinate walls near the base have levels; the dump marks the rest
+    # every wall's level is exact at every radius, the boundary's too
     levels = [w["level"] for w in res["walls"]]
-    assert any(isinstance(l, int) for l in levels)
+    assert levels and all(type(l) is int and l >= 1 for l in levels)
 
 
 def test_walls_violation_exit_code(tmp_path):
@@ -293,7 +293,6 @@ def test_runtime_loads_no_numpy():
         (["render", "--n", "3", "--radius", "1", "--epsilon", "50"], {}),
         (["render", "--n", "3", "--radius", "2", "--epsilon", "10"], {}),
         (["render", "--n", "3", "--radius", "1", "--epsilon", "nan"], {}),
-        (["render", "--n", "3", "--radius", "1", "--no-deform", "--epsilon", "nan"], {}),
         (["render", "--n", "3", "--radius", "1", "--stroke-width", "-1"], {}),
         (["color", "--system", "hexagon", "--window", "-1"], {}),
         (["color", "--system", "hexagon", "--g-range", "-1"], {}),
@@ -309,7 +308,7 @@ def test_runtime_loads_no_numpy():
          "space-negative-depth", "render-negative-radius",
          "seq-negative-scan-without-power", "seq-long-scan-without-power", "render-tick-overflow",
          "render-tick-overflow-n4", "render-epsilon-overflow", "render-degenerate-tangent",
-         "render-not-simple", "render-epsilon-nan", "render-no-deform-epsilon-nan",
+         "render-not-simple", "render-epsilon-nan",
          "render-negative-stroke", "color-negative-window", "color-negative-g-range",
          "balance-radius-0",
          "generator-name-with-a-dot", "generator-names-empty-and-e", "generator-name-with-a-comma"],
@@ -328,6 +327,15 @@ def test_color_takes_no_radius():
     assert code == 2
     args = build_parser().parse_args(["color", "--system", "pentagon"])
     assert vars(args) == {"command": "color", "system": "pentagon", "g_range": 1, "h_range": 1, "window": 2}
+
+
+def test_render_takes_no_deform_flag():
+    # --epsilon 0 draws the undeformed tiles, so render has six settable values
+    code, _ = run(["render", "--n", "3", "--radius", "1", "--no-deform"])
+    assert code == 2
+    args = build_parser().parse_args(["render", "--n", "3", "--radius", "1"])
+    assert vars(args) == {"command": "render", "n": 3, "radius": 1, "epsilon": 0.05, "no_refine": False,
+                          "stroke_width": 0.004, "out": None}
 
 
 def test_color_ball_cap_names_the_range_flags():

@@ -35,7 +35,6 @@ from coxtile.walls import (
     ClassWalk,
     alternating_palette,
     build_wall_tree,
-    class_trees,
     class_walk,
     color_walls,
     enumerate_walls,
@@ -113,7 +112,7 @@ def test_levels_and_trees_match_oracle(system, palette, radius):
 @pytest.mark.parametrize("radius", [4, 5])
 def test_refined_classes_match_oracle(radius):
     ball, ws = make(HEXAGON, radius)
-    color_of, _palette = wall_coloring(ws, color_walls(ws, alternating_palette(HEXAGON)))
+    color_of = wall_coloring(ws, color_walls(ws, alternating_palette(HEXAGON)))
     refined = {}
     for wid, color in enumerate(color_of):
         refined.setdefault(color, []).append(wid)
@@ -182,7 +181,7 @@ def test_class_forest_matches_oracle(system, palette, radius, monkeypatch):
     ball, ws = make(system, radius)
     classes = color_walls(ws, palette)
     assert classes.disjoint
-    color_of, _palette = wall_coloring(ws, classes)
+    color_of = wall_coloring(ws, classes)
     refined = {}
     for wid, color in enumerate(color_of):
         refined.setdefault(color, []).append(wid)
@@ -234,7 +233,7 @@ def test_walk_matches_region_pass_and_contraction(system, palette, radius, refin
     if refine:
         rng = random.Random(radius)
         refined = {}
-        for wid, color in enumerate(wall_coloring(ws, classes)[0]):
+        for wid, color in enumerate(wall_coloring(ws, classes)):
             refined.setdefault(color, []).append(wid)
         parts = [sorted(rng.sample(wids, len(wids) // 2 + 1)) for wids in lists]
         for group in (list(refined.values()), parts):
@@ -254,7 +253,7 @@ def test_wall_coloring_matches_oracle_tree_depths(system, palette, radius):
         tree = peel_oracle.build_wall_tree(ws, wids)
         depth.update((w, (color, tree.depth[w])) for w in wids)
     tern = square_free_prefix(max(d for _color, d in depth.values()) + 1)
-    color_of, _palette = wall_coloring(ws, classes)
+    color_of = wall_coloring(ws, classes)
     assert dict(enumerate(color_of)) == {w: (color, (tern[d], d % 3)) for w, (color, d) in depth.items()}
 
 
@@ -266,7 +265,7 @@ def test_wall_set_keeps_one_forest(monkeypatch):
     walks = count_walks(monkeypatch)
     ball, ws = make(HEXAGON, 5)
     classes = color_walls(ws, alternating_palette(HEXAGON))
-    color_of, _palette = wall_coloring(ws, classes)
+    color_of = wall_coloring(ws, classes)
     assert len(walks) == 1
     refined = {}
     for wid, color in enumerate(color_of):
@@ -300,7 +299,7 @@ def hexagon_class_lists(ws, refine):
     if not refine:
         return list(classes.by_color.values())
     refined = {}
-    for wid, color in enumerate(wall_coloring(ws, classes)[0]):
+    for wid, color in enumerate(wall_coloring(ws, classes)):
         refined.setdefault(color, []).append(wid)
     return list(refined.values())
 
@@ -366,11 +365,8 @@ def test_walls_cli_levels_and_parents_match_oracle_trees(system, name, palette_n
         for w in wids:
             p = tree.parent.get(w)
             expected[w] = (tree.levels[w], None if p is None else names[p])
-    det = ws.determinate()
-    assert [(r["level"], r["tree_parent"]) for r in records] == [
-        e if d else ("indeterminate", None) for e, d in zip(expected, det)
-    ]
-    assert any(det) and any(r["tree_parent"] for r in records)
+    assert [(r["level"], r["tree_parent"]) for r in records] == expected
+    assert any(r["tree_parent"] for r in records)
 
 
 @pytest.mark.parametrize("end", ["far", "near"])
@@ -556,7 +552,8 @@ ONE_WALL_SYSTEMS = {
 WALK_ENTRY_POINTS = {
     "peel_levels": lambda ws, wids: peel_levels(ws, wids),
     "build_wall_tree": lambda ws, wids: build_wall_tree(ws, wids).levels,
-    "class_trees": lambda ws, wids: {w: class_trees(ws, [wids])[0][w] for w in wids},
+    # the class trees the walls report reads off a walk of a list of classes
+    "class_trees": lambda ws, wids: {w: class_walk(ws, [wids]).level[w] for w in wids},
     "orient_alternating": lambda ws, wids: {w: -orient_alternating(ws, {"x": wids})[w] for w in wids},
     "rebased_alternating": lambda ws, wids: {w: -rebased_alternating(ws, {"x": wids}, 0)[w] for w in wids},
 }

@@ -21,7 +21,8 @@ before both were read off descents and plain floats.  Every pin predates the
 per-class region trees that replaced the stored per-chamber `WallSet.sep`
 frozensets, and every pin predates walls read off dihedral coset walks: the
 rank-4 {5,6,7,8} R=6 `walls` report was recorded while walls were still keyed
-by their exact roots.  The undeformed `render --n 3 --radius 3 --no-deform` SVG was
+by their exact roots.  The undeformed `render --n 3 --radius 3 --epsilon 0`
+SVG, pinned as `--no-deform`, an option that drew the same bytes, was
 re-recorded when tile placement moved from numpy's BLAS matrix products to
 left-to-right float sums: three coordinates printed as -0.000000 now print
 as 0.000000, and no other number changed; the other SVG pins kept their
@@ -42,7 +43,11 @@ pinned before a rebased alphabet became the wall set's kept alphabet
 relabeled, and before render's geometry kernels spelled out their 3-vectors.
 The two `walls` reports of a right-angled 6-cycle whose generator names JSON
 must escape were pinned while each wall row was a dict run through the
-encoder, before the rows were spelled as JSON text.  The smoke runs start
+encoder, before the rows were spelled as JSON text.  All seven `walls` pins
+were re-recorded when every wall's level and tree parent came to be printed
+at every radius: each row once printed with the level "indeterminate" and a
+null parent now carries its int level and its parent's word, or null and
+null where classes cross, and every other byte is unchanged.  The smoke runs start
 every perfbench workload at tiny sizes, traced, so its checks (Ball.edges,
 the read-only WallSet.sep view, WallSet.separates) and its tracer's hooks
 (WallSet.separating_walls, WallSet.canonical_word, the walls, hyperbolic and
@@ -109,7 +114,7 @@ REPORT_SHA256 = {
         "6485591d7838d4448c2ac8ec421dac14b2163cfdaedadfee9d12d3386aefb469",
     ),
     "render-n3-r3-no-deform": (
-        ["render", "--n", "3", "--radius", "3", "--no-deform"],
+        ["render", "--n", "3", "--radius", "3", "--epsilon", "0"],
         0,
         "2f02c4cf8e0db34b39811e053aead05d515e6fae35c5b998ac2ed67905f92af8",
     ),
@@ -143,7 +148,7 @@ REPORT_SHA256 = {
     "walls-hexagon-r8-alternating": (
         ["walls", "--system", "hexagon", "--radius", "8", "--palette", "alternating"],
         0,
-        "78602194b2f1268d9642d9603f14fc56292353f289624982d970a718b92b1dad",
+        "276648d7bfce500d515cd45cb11f526aff246ec601c8d59f41e946217a80fb29",
     ),
     "seq-morse-thue-4096-cubes": (
         ["seq", "--kind", "morse_thue", "--n", "4096", "--power", "3"],
@@ -167,7 +172,7 @@ REPORT_SHA256 = {
         # the wall rows kept their bytes
         ["walls", "--system", TRIANGLE_237, "--radius", "12", "--palette", "distinct"],
         1,
-        "42ef6e9904d13649663ed21da31890ad6e8cea8883dbdfcb8de996aa24cd1344",
+        "6a4e6d31b8c5f8db0ed98f9e239bbb09576b55d95b03a3845af2b03e872d3de6",
     ),
     "walls-rank4-5678-r6-distinct": (
         # exit 1: every pair has a finite order of 5 to 8.  Re-recorded when the
@@ -175,7 +180,7 @@ REPORT_SHA256 = {
         # pairs; the wall rows kept their bytes
         ["walls", "--system", RANK4_5678, "--radius", "6", "--palette", "distinct"],
         1,
-        "0f07b62ae4ecd45cba552d706124af6d4507965857d689c3ba1564ec11a8025d",
+        "c1df56e78129b0acafc20a34ec7e51479be30eea3b758ad7024ec516a3b0765d",
     ),
     "walls-444-r6-distinct": (
         # exit 1: walls 0 (a) and 5 (b.a.b) share generator a and cross in the
@@ -184,17 +189,17 @@ REPORT_SHA256 = {
         # pairs of order 4; the wall rows kept their bytes
         ["walls", "--system", TRIANGLE_444, "--radius", "6", "--palette", "distinct"],
         1,
-        "de3dcb5ff00962e22128cfab3c4958a600838f5931aec2ba831235189f53ef3a",
+        "44084c8c6b61cb5f66be2a2aa023e0ea9f387abf1ddcd5ae29ea95eda83a7c7c",
     ),
     "walls-escaped-r5-alternating": (
         ["walls", "--system", ESCAPED_HEXAGON, "--radius", "5", "--palette", "alternating"],
         0,
-        "ca4a7992ddde5dccf034c5b7113fc19a56aeea4a6f5f49fe8041b060dfed9aa6",
+        "962ced3d8c1e7e578ad7455cf552f94bbfac2967e8024ecc8cbb91687b8e7202",
     ),
     "walls-escaped-r5-distinct": (
         ["walls", "--system", ESCAPED_HEXAGON, "--radius", "5", "--palette", "distinct"],
         0,
-        "9aa5f5bf7fe1aec1a51f40a5c8773fa361a59d3b98c525ccb05dbe03757ccb65",
+        "b89e1eff5c84ff9c63ab021c8915a397d94e35e478c4519fcd0e03c8ebd2d8ce",
     ),
     "walls-33inf-r10-distinct": (
         # exit 1: a-b and a-c have order 3.  Re-recorded when the ball scan's
@@ -202,7 +207,7 @@ REPORT_SHA256 = {
         # kept their bytes
         ["walls", "--system", TRIANGLE_33INF, "--radius", "10", "--palette", "distinct"],
         1,
-        "15ec99371c1868e470ec696241385bb1cfe0e6486016bc10227f828aa4ef2c0f",
+        "59159b98d2428713ee01992c258d277e0fbaf7616903d9ed4bde74ffe0706215",
     ),
 }
 

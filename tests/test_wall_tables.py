@@ -11,7 +11,7 @@ from coxtile.coxeter import CoxeterSystem
 from coxtile.errors import ValidationError
 from coxtile.pipeline import all_plus_resolution, alternating_resolution, build_walls
 from coxtile.tiles import build_alphabet, orient_all_plus, orient_alternating, rebased_alternating
-from coxtile.walls import alternating_palette, class_trees, color_walls, wall_coloring
+from coxtile.walls import alternating_palette, class_walk, color_walls, wall_coloring
 
 HEXAGON = CoxeterSystem.right_angled_polygon(6)
 
@@ -47,7 +47,7 @@ def test_builders_return_one_entry_per_wall(hexagon_r5, refine):
         rebase_parity_check(ws, res.class_wids, res.orientation, ball.id_of((2,))).orientation,
     ]
     if refine:
-        tables.append(wall_coloring(ws, color_walls(ws, palette))[0])
+        tables.append(wall_coloring(ws, color_walls(ws, palette)))
     for table in tables:
         assert_wall_table(table, ws)
 
@@ -55,9 +55,9 @@ def test_builders_return_one_entry_per_wall(hexagon_r5, refine):
 def test_refined_walls_at_one_depth_share_one_color(hexagon_r5):
     _, ws = hexagon_r5
     classes = color_walls(ws, alternating_palette(HEXAGON))
-    colors, _palette = wall_coloring(ws, classes)
+    colors = wall_coloring(ws, classes)
     depth = []
-    for p in class_trees(ws, classes.by_color.values())[1]:
+    for p in class_walk(ws, classes.by_color.values()).parent:
         depth.append(0 if p is None else depth[p] + 1)
     groups = {}  # (class, depth) -> the colors of its walls
     for w, (cls, d) in enumerate(zip(classes.color, depth)):

@@ -8,6 +8,7 @@ import pytest
 from wall_faces import wall_of_face
 
 from coxtile import cli
+from coxtile.colorings import NORM_PALETTE
 from coxtile.coxeter import CoxeterSystem, enumerate_ball
 from coxtile.errors import InconclusiveError, OutOfBallError, ValidationError
 from coxtile.pipeline import alternating_resolution, build_walls
@@ -295,7 +296,7 @@ def test_peel_levels_stable_under_radius_growth():
     cls6 = color_walls(ws6, alternating_palette(hexsys))
     lev4 = peel_levels(ws4, cls4.by_color["a"])
     lev6 = peel_levels(ws6, cls6.by_color["a"])
-    map4 = {ws4.canonical_word(w): lv for w, lv in lev4.items() if ws4.walls[w].determinate}
+    map4 = {ws4.canonical_word(w): lv for w, lv in lev4.items()}  # every wall, the boundary's too
     map6 = {ws6.canonical_word(w): lv for w, lv in lev6.items()}
     for word, lv in map4.items():
         assert map6[word] == lv
@@ -347,8 +348,10 @@ def test_wall_coloring_palette_and_root_colors():
     hexsys = CoxeterSystem.right_angled_polygon(6)
     ball, ws = make(hexsys, 4)
     classes = color_walls(ws, alternating_palette(hexsys))
-    color_of, palette = wall_coloring(ws, classes)
+    color_of = wall_coloring(ws, classes)
+    palette = {(color, c) for color in classes.by_color for c in NORM_PALETTE}
     assert len(palette) == 18  # nine per class
+    assert set(color_of) <= palette
     for color, wids in classes.by_color.items():
         assert color_of[build_wall_tree(ws, wids).root] == (color, (0, 0))
     assert {w for w, c in enumerate(color_of) if c is not None} == {w.wid for w in ws.walls}
@@ -360,7 +363,7 @@ def test_wall_coloring_single_class_reduces_to_tree_coloring():
     # single color is not disjoint for the infinite dihedral? walls never meet:
     # m(0,1) = 0, so no corner joins them; one class covering all walls is fine
     assert classes.disjoint
-    color_of, palette = wall_coloring(ws, classes)
+    color_of = wall_coloring(ws, classes)
     tree = build_wall_tree(ws, classes.by_color["c"])
     from coxtile.sequences import square_free_prefix
 

@@ -1,12 +1,12 @@
 """The `walls` report as the CLI built it while its rows were dicts, kept as a
-test oracle: one dict per wall from WallSet.canonical_names,
-WallSet.determinate, color_walls and class_trees, and the whole report
-encoded by emit_report.  Used only by tests.
+test oracle: one dict per wall from WallSet.canonical_names, color_walls and
+the levels and tree parents of class_walk, and the whole report encoded by
+emit_report.  Used only by tests.
 """
 
 from coxtile.cli import _palette_from_arg, _system_from_arg, emit_report
 from coxtile.pipeline import build_walls
-from coxtile.walls import class_trees, color_walls
+from coxtile.walls import class_walk, color_walls
 
 
 def walls_report(args) -> str:
@@ -17,18 +17,17 @@ def walls_report(args) -> str:
     count = len(wallset)
     levels = parents = [None] * count
     if classes.disjoint:
-        levels, parents = class_trees(wallset, classes.by_color.values())
+        walk = class_walk(wallset, classes.by_color.values())
+        levels, parents = walk.level, walk.parent
     names = wallset.canonical_names()
     rows = [
         {
             "canonical_word": name,
             "color": str(color),
-            "level": level if det else "indeterminate",
-            "tree_parent": names[p] if p is not None and det else None,
+            "level": level,
+            "tree_parent": None if p is None else names[p],
         }
-        for name, color, level, p, det in zip(
-            names, classes.color, levels, parents, wallset.determinate()
-        )
+        for name, color, level, p in zip(names, classes.color, levels, parents)
     ]
     results = {
         "radius": args.radius,
